@@ -2,10 +2,10 @@
 #define SGR_BENCH_BENCH_COMMON_H_
 
 #include <cstddef>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,9 +20,19 @@
 #include "restore/method.h"
 #include "scenario/engine.h"
 #include "scenario/report.h"
+#include "util/parse.h"
 #include "obs/timer.h"
 
 namespace sgr::bench {
+
+/// The text after `flag` in argv, or nullopt when the flag is absent.
+inline std::optional<std::string> FlagValue(int argc, char** argv,
+                                            const char* flag) {
+  for (int i = 1; i + 1 < argc; ++i) {
+    if (std::strcmp(argv[i], flag) == 0) return std::string(argv[i + 1]);
+  }
+  return std::nullopt;
+}
 
 /// Environment-tunable knobs shared by every experiment binary.
 ///
@@ -49,20 +59,20 @@ struct BenchConfig {
   double fraction;
   std::size_t path_sources;
   std::size_t threads = 1;
+  bool threads_given = false;  ///< --threads or SGR_THREADS was set
   std::string json_path;  ///< empty = no JSON report
 
   static BenchConfig FromEnv(std::size_t default_runs, double default_rc,
                              double default_fraction = 0.10,
                              std::size_t default_sources = 600) {
     BenchConfig c;
-    c.runs = static_cast<std::size_t>(
-        EnvOr("SGR_RUNS", static_cast<double>(default_runs)));
-    if (c.runs == 0) c.runs = default_runs;  // zero trials is never useful
-    c.rc = EnvOr("SGR_RC", default_rc);
-    c.fraction = EnvOr("SGR_FRACTION", default_fraction);
-    c.path_sources = static_cast<std::size_t>(
-        EnvOr("SGR_PATH_SOURCES", static_cast<double>(default_sources)));
-    c.threads = static_cast<std::size_t>(EnvOr("SGR_THREADS", 1.0));
+    c.runs = EnvInput<std::uint64_t>("SGR_RUNS", default_runs, 1);
+    c.rc = EnvInput("SGR_RC", default_rc, 0.0);
+    c.fraction = EnvInput("SGR_FRACTION", default_fraction, 0.0, 1.0);
+    c.path_sources =
+        EnvInput<std::uint64_t>("SGR_PATH_SOURCES", default_sources);
+    c.threads = EnvInput<std::uint64_t>("SGR_THREADS", 1, 0, kMaxThreads);
+    c.threads_given = EnvText("SGR_THREADS").has_value();
     return c;
   }
 
@@ -70,34 +80,23 @@ struct BenchConfig {
   /// `--threads N` (0 = hardware concurrency): Monte Carlo trials then run
   /// concurrently over one shared CsrGraph snapshot of the dataset, with
   /// the distance aggregates identical for every N (see RunExperiments).
-  /// Unparseable flag values are ignored (the env/default value stays),
-  /// mirroring EnvOr; `--runs 0` is rejected too, since zero trials only
-  /// produces empty aggregates and divisions by zero downstream.
+  /// Flag values are parsed as strictly as the environment; `--runs 0` is
+  /// rejected, since zero trials only produces empty aggregates.
   static BenchConfig FromArgs(int argc, char** argv,
                               std::size_t default_runs, double default_rc,
                               double default_fraction = 0.10,
                               std::size_t default_sources = 600) {
     BenchConfig c = FromEnv(default_runs, default_rc, default_fraction,
                             default_sources);
-    const auto parse = [](const char* text, unsigned long* out) {
-      char* end = nullptr;
-      const unsigned long value = std::strtoul(text, &end, 10);
-      if (end == text || *end != '\0') return false;
-      *out = value;
-      return true;
-    };
-    for (int i = 1; i + 1 < argc; ++i) {
-      unsigned long value = 0;
-      if (std::strcmp(argv[i], "--threads") == 0 &&
-          parse(argv[i + 1], &value)) {
-        c.threads = static_cast<std::size_t>(value);
-      } else if (std::strcmp(argv[i], "--runs") == 0 &&
-                 parse(argv[i + 1], &value) && value > 0) {
-        c.runs = static_cast<std::size_t>(value);
-      } else if (std::strcmp(argv[i], "--json") == 0) {
-        c.json_path = argv[i + 1];
-      }
+    if (const auto threads = FlagValue(argc, argv, "--threads")) {
+      c.threads = ParseInput<std::uint64_t>(*threads, "--threads", 0,
+                                            kMaxThreads);
+      c.threads_given = true;
     }
+    if (const auto runs = FlagValue(argc, argv, "--runs")) {
+      c.runs = ParseInput<std::uint64_t>(*runs, "--runs", 1);
+    }
+    c.json_path = FlagValue(argc, argv, "--json").value_or("");
     return c;
   }
 
@@ -125,7 +124,7 @@ struct BenchConfig {
     echo.Set("fraction", Json::Number(fraction));
     echo.Set("path_sources",
              Json::Number(static_cast<double>(path_sources)));
-    echo.Set("dataset_scale", Json::Number(EnvOr("SGR_DATASET_SCALE", 1.0)));
+    echo.Set("dataset_scale", Json::Number(ResolveDatasetScale()));
     return echo;
   }
 };
@@ -148,8 +147,8 @@ inline ScenarioCell RunDataset(const DatasetSpec& spec,
                                const ExperimentConfig& experiment,
                                std::size_t runs, std::uint64_t seed_base,
                                std::size_t threads = 1) {
-  return RunScenarioCell(spec.name, dataset, properties, experiment, runs,
-                         seed_base, threads);
+  return RunScenarioCell(spec.name, CsrGraph(dataset), properties,
+                         experiment, runs, seed_base, threads);
 }
 
 /// Collects report cells across a bench run and writes the JSON report if
@@ -225,20 +224,13 @@ inline void PrintDatasetBanner(const DatasetSpec& spec, const Graph& g) {
 inline int RunBuiltinScenarioBench(const std::string& name, int argc,
                                    char** argv) {
   const ScenarioSpec spec = BuiltinScenario(name);
-  std::size_t threads = static_cast<std::size_t>(
-      EnvOr("SGR_THREADS", static_cast<double>(spec.threads)));
-  std::string json_path;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0) {
-      char* end = nullptr;
-      const unsigned long value = std::strtoul(argv[i + 1], &end, 10);
-      if (end != argv[i + 1] && *end == '\0') {
-        threads = static_cast<std::size_t>(value);
-      }
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = argv[i + 1];
-    }
+  std::size_t threads =
+      EnvInput<std::uint64_t>("SGR_THREADS", spec.threads, 0, kMaxThreads);
+  if (const auto flag = FlagValue(argc, argv, "--threads")) {
+    threads = ParseInput<std::uint64_t>(*flag, "--threads", 0, kMaxThreads);
   }
+  const std::string json_path =
+      FlagValue(argc, argv, "--json").value_or("");
 
   std::cout << "=== scenario '" << name
             << "': " << BuiltinScenarioDescription(name) << " ===\n"
@@ -247,28 +239,13 @@ inline int RunBuiltinScenarioBench(const std::string& name, int argc,
                "them at --threads 1)\n\n";
   const ScenarioRunResult result = RunScenario(spec, threads, &std::cout);
 
-  TablePrinter table(std::cout,
-                     {"Dataset", "Knobs", "Method", "steps", "avg L1",
-                      "final D", "rewire s"});
+  TablePrinter table(std::cout, {"Cell", "Method", "steps", "avg L1",
+                                 "final D", "rewire s"});
   for (const ScenarioCell& cell : result.cells) {
-    std::string knobs = WalkToken(cell.walk);
-    if (cell.crawler != CrawlerKind::kRw) {
-      knobs += "/" + CrawlerToken(cell.crawler);
-    }
-    if (cell.joint_mode != JointEstimatorMode::kHybrid) {
-      knobs += "/" + JointModeToken(cell.joint_mode);
-    }
-    knobs += "/rc " + TablePrinter::Fixed(cell.rc, 0);
-    if (!cell.protect_subgraph) knobs += "/unprotected";
-    if (cell.rewire_batch != 0) {
-      knobs += "/batch " + std::to_string(cell.rewire_batch);
-    }
-    if (cell.crawler == CrawlerKind::kFrontier) {
-      knobs += "/walkers " + std::to_string(cell.frontier_walkers);
-    }
+    const std::string label = CellLabel(cell.dataset, cell.knobs);
     for (const auto& [kind, aggregate] : cell.methods) {
       const DistanceSummary summary = aggregate.distances.Summarize();
-      table.AddRow({cell.dataset, knobs, MethodName(kind),
+      table.AddRow({label, MethodName(kind),
                     TablePrinter::Fixed(aggregate.sample_steps, 0),
                     TablePrinter::Fixed(summary.mean_average),
                     TablePrinter::Fixed(aggregate.rewire.final_distance),

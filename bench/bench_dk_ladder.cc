@@ -9,7 +9,6 @@
 // Env knobs: SGR_RC (default 200), SGR_PATH_SOURCES, SGR_DATASET_SCALE,
 // SGR_DATASET (default "anybeat").
 
-#include <cstdlib>
 
 #include "bench_common.h"
 #include "dk/dk_series.h"
@@ -21,9 +20,8 @@ int main(int argc, char** argv) {
   const BenchConfig config =
       BenchConfig::FromArgs(argc, argv, /*default_runs=*/1,
                             /*default_rc=*/200.0);
-  const char* ds_env = std::getenv("SGR_DATASET");
   const DatasetSpec spec =
-      DatasetByName(ds_env != nullptr ? ds_env : "anybeat");
+      DatasetByName(EnvText("SGR_DATASET").value_or("anybeat"));
   const Graph original = LoadDataset(spec);
   std::cout << "=== dK-series ladder (full-data generation) ===\n";
   PrintDatasetBanner(spec, original);

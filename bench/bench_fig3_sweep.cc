@@ -22,8 +22,8 @@ int main(int argc, char** argv) {
 
   const BenchConfig config = BenchConfig::FromArgs(argc, argv,
       /*default_runs=*/3, /*default_rc=*/100.0);
-  const auto steps = static_cast<std::size_t>(
-      EnvOr("SGR_FRACTION_STEPS", 5));
+  const std::size_t steps =
+      EnvInput<std::uint64_t>("SGR_FRACTION_STEPS", 5, 1, 100);
 
   std::vector<double> fractions;
   for (std::size_t i = 1; i <= steps; ++i) {

@@ -12,7 +12,6 @@
 //
 // Env knobs: SGR_RC (default 100), SGR_DATASET_SCALE, SGR_FIG4_DIR.
 
-#include <cstdlib>
 #include <filesystem>
 
 #include "analysis/extras.h"
@@ -78,9 +77,8 @@ int main(int argc, char** argv) {
   const BenchConfig config =
       BenchConfig::FromArgs(argc, argv, /*default_runs=*/1,
                             /*default_rc=*/100.0);
-  const char* dir_env = std::getenv("SGR_FIG4_DIR");
   const std::filesystem::path out_dir =
-      dir_env != nullptr ? dir_env : "fig4_output";
+      EnvText("SGR_FIG4_DIR").value_or("fig4_output");
   std::filesystem::create_directories(out_dir);
 
   const DatasetSpec spec = DatasetByName("anybeat");

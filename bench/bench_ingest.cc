@@ -28,13 +28,13 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <stdexcept>
 #include <string>
 
 #include "analysis/properties.h"
+#include "exp/datasets.h"
+#include "exp/parallel.h"
 #include "exp/runner.h"
 #include "graph/edge_list_reader.h"
 #include "obs/metrics.h"
@@ -106,29 +106,11 @@ void GenerateEdgeList(const std::string& path, std::uint64_t nodes,
   if (!out) throw std::runtime_error("failed writing '" + path + "'");
 }
 
-std::uint64_t FlagOrEnv(const char* env, std::uint64_t fallback) {
-  const char* value = std::getenv(env);
-  if (value == nullptr || *value == '\0') return fallback;
-  return std::strtoull(value, nullptr, 10);
-}
-
 int Run(int argc, char** argv) {
-  std::uint64_t edges = FlagOrEnv("SGR_INGEST_EDGES", 4000000);
-  std::uint64_t nodes = FlagOrEnv("SGR_INGEST_NODES", 0);
+  std::uint64_t edges = EnvInput<std::uint64_t>("SGR_INGEST_EDGES", 4000000);
+  std::uint64_t nodes = EnvInput<std::uint64_t>("SGR_INGEST_NODES", 0);
   std::uint64_t seed = 42;
-  IngestOptions options;
-  options.threads =
-      static_cast<std::size_t>(FlagOrEnv("SGR_INGEST_THREADS", 1));
-  if (const char* compress = std::getenv("SGR_CSR_COMPRESS")) {
-    if (std::strcmp(compress, "0") == 0) {
-      options.compress = IngestOptions::Compress::kOff;
-    } else if (std::strcmp(compress, "1") == 0) {
-      options.compress = IngestOptions::Compress::kOn;
-    }
-  }
-  if (const char* cache = std::getenv("SGR_SNAPSHOT_CACHE")) {
-    options.cache_dir = cache;
-  }
+  IngestOptions options = IngestOptionsFromEnv();
   std::string file;
   std::string out_path;
   bool keep = false;
@@ -143,12 +125,12 @@ int Run(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--edges") {
-      edges = std::strtoull(next(), nullptr, 10);
+      edges = ParseInput<std::uint64_t>(next(), arg);
     } else if (arg == "--nodes") {
-      nodes = std::strtoull(next(), nullptr, 10);
+      nodes = ParseInput<std::uint64_t>(next(), arg);
     } else if (arg == "--threads") {
       options.threads =
-          static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
+          ParseInput<std::uint64_t>(next(), arg, 0, kMaxThreads);
     } else if (arg == "--compress") {
       const std::string mode = next();
       if (mode == "on") {
@@ -167,9 +149,9 @@ int Run(int argc, char** argv) {
     } else if (arg == "--out") {
       out_path = next();
     } else if (arg == "--seed") {
-      seed = std::strtoull(next(), nullptr, 10);
+      seed = ParseInput<std::uint64_t>(next(), arg);
     } else if (arg == "--fraction") {
-      fraction = std::strtod(next(), nullptr);
+      fraction = ParseInput<double>(next(), arg, 0.0, 1.0);
     } else if (arg == "--keep") {
       keep = true;
     } else if (arg == "--trial") {

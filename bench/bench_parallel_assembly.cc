@@ -21,7 +21,6 @@
 // flags land under "metrics" (deterministic), seconds under "timings"
 // (volatile).
 
-#include <cstring>
 
 #include "bench_common.h"
 #include "dk/dk_construct.h"
@@ -81,12 +80,8 @@ int main(int argc, char** argv) {
                             /*default_rc=*/0.0,
                             /*default_fraction=*/0.10,
                             /*default_sources=*/0);
-  bool threads_given = std::getenv("SGR_THREADS") != nullptr;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0) threads_given = true;
-  }
   const std::size_t max_threads =
-      ResolveThreadCount(threads_given ? config.threads : 0);
+      ResolveThreadCount(config.threads_given ? config.threads : 0);
 
   const DatasetSpec spec = DatasetByName("brightkite");
   const Graph dataset = LoadDataset(spec);

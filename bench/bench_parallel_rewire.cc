@@ -19,7 +19,6 @@
 // shared sgr-report/1 writer: the per-round statistics land under
 // "metrics" (deterministic), the seconds under "timings" (volatile).
 
-#include <cstring>
 
 #include "bench_common.h"
 #include "dk/dk_construct.h"
@@ -68,14 +67,10 @@ int main(int argc, char** argv) {
                             /*default_rc=*/200.0,
                             /*default_fraction=*/0.10,
                             /*default_sources=*/0);
-  bool threads_given = std::getenv("SGR_THREADS") != nullptr;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0) threads_given = true;
-  }
   const std::size_t max_threads =
-      ResolveThreadCount(threads_given ? config.threads : 0);
-  const auto batch = static_cast<std::size_t>(
-      EnvOr("SGR_REWIRE_BATCH", static_cast<double>(kDefaultRewireBatch)));
+      ResolveThreadCount(config.threads_given ? config.threads : 0);
+  const std::size_t batch =
+      EnvInput<std::uint64_t>("SGR_REWIRE_BATCH", kDefaultRewireBatch);
 
   const DatasetSpec spec = DatasetByName("brightkite");
   const Graph dataset = LoadDataset(spec);

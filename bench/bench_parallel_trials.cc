@@ -30,12 +30,8 @@ int main(int argc, char** argv) {
   // Unlike the table benches (default 1 thread), this bench's whole point
   // is the sweep: with no explicit --threads / SGR_THREADS the ceiling is
   // the hardware concurrency.
-  bool threads_given = std::getenv("SGR_THREADS") != nullptr;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0) threads_given = true;
-  }
   const std::size_t max_threads =
-      ResolveThreadCount(threads_given ? config.threads : 0);
+      ResolveThreadCount(config.threads_given ? config.threads : 0);
 
   const DatasetSpec spec = DatasetByName("brightkite");
   const Graph dataset = LoadDataset(spec);

@@ -1,12 +1,13 @@
 #include "exp/datasets.h"
 
-#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
+#include "exp/parallel.h"
+#include "exp/runner.h"
 #include "graph/components.h"
 #include "graph/edge_list_reader.h"
 #include "graph/generators.h"
@@ -17,37 +18,18 @@ namespace sgr {
 
 namespace {
 
-/// Resolves the effective synthetic scale: a nonzero override wins,
-/// otherwise $SGR_DATASET_SCALE. The env value is validated strictly —
-/// strtod with an unchecked end pointer used to accept "1.x5" as 1.0 and
-/// "nan" as NaN, silently running a differently-sized experiment than the
-/// user asked for.
-double ResolveScale(double scale_override) {
-  if (scale_override > 0.0) return scale_override;
-  const char* env = std::getenv("SGR_DATASET_SCALE");
-  if (env == nullptr || *env == '\0') return 1.0;
-  char* end = nullptr;
-  const double scale = std::strtod(env, &end);
-  if (end == env || *end != '\0' || !std::isfinite(scale) || scale <= 0.0) {
-    throw std::runtime_error(
-        "SGR_DATASET_SCALE='" + std::string(env) +
-        "' is not a finite positive number");
-  }
-  return scale;
-}
-
 /// Scaled synthetic node count; rejects a scale small enough to round the
 /// graph away entirely (the generator would otherwise emit an empty graph
-/// and downstream property code would divide by zero).
+/// and downstream property code would divide by zero), and one too large
+/// to convert to a node count.
 std::size_t ScaledNodeCount(const DatasetSpec& spec, double scale) {
-  const auto n = static_cast<std::size_t>(
-      static_cast<double>(spec.num_nodes) * scale);
-  if (n == 0) {
+  const double n = static_cast<double>(spec.num_nodes) * scale;
+  if (!(n >= 1.0) || n > 1.0e12) {
     throw std::runtime_error(
         "dataset '" + spec.name + "': scale " + std::to_string(scale) +
-        " rounds the node count to zero");
+        " gives " + std::to_string(n) + " nodes (need 1 to 1e12)");
   }
-  return n;
+  return static_cast<std::size_t>(n);
 }
 
 /// Path of the dataset's edge list if $SGR_DATASET_DIR is set. The file
@@ -74,27 +56,29 @@ Graph GenerateDataset(const DatasetSpec& spec, double scale) {
                              spec.fringe_fraction, rng);
 }
 
+}  // namespace
+
+double ResolveDatasetScale(double scale_override) {
+  if (scale_override > 0.0) return scale_override;
+  return EnvInput<double>("SGR_DATASET_SCALE", 1.0, kMinDatasetScale,
+                          kMaxDatasetScale);
+}
+
 IngestOptions IngestOptionsFromEnv() {
   IngestOptions options;
   if (const char* cache = std::getenv("SGR_SNAPSHOT_CACHE")) {
     options.cache_dir = cache;
   }
-  if (const char* threads = std::getenv("SGR_INGEST_THREADS")) {
-    options.threads = static_cast<std::size_t>(
-        std::strtoull(threads, nullptr, 10));
-  }
-  if (const char* compress = std::getenv("SGR_CSR_COMPRESS")) {
-    const std::string value(compress);
-    if (value == "0") {
-      options.compress = IngestOptions::Compress::kOff;
-    } else if (value == "1") {
-      options.compress = IngestOptions::Compress::kOn;
-    }
+  options.threads = EnvInput<std::uint64_t>("SGR_INGEST_THREADS", 1, 0,
+                                            kMaxThreads);
+  if (const std::optional<std::string> compress =
+          EnvText("SGR_CSR_COMPRESS")) {
+    options.compress = ParseInput<bool>(*compress, "SGR_CSR_COMPRESS")
+                           ? IngestOptions::Compress::kOn
+                           : IngestOptions::Compress::kOff;
   }
   return options;
 }
-
-}  // namespace
 
 std::vector<DatasetSpec> StandardDatasets() {
   // Synthetic sizes are scaled-down echoes of Table I: the relative order
@@ -134,7 +118,7 @@ Graph LoadDataset(const DatasetSpec& spec, double scale_override) {
     return PreprocessDataset(ReadEdgeListFile(*file));
   }
   return PreprocessDataset(
-      GenerateDataset(spec, ResolveScale(scale_override)));
+      GenerateDataset(spec, ResolveDatasetScale(scale_override)));
 }
 
 CsrGraph LoadDatasetCsr(const DatasetSpec& spec, double scale_override,
@@ -150,7 +134,7 @@ CsrGraph LoadDatasetCsr(const DatasetSpec& spec, double scale_override,
     }
     return std::move(ingested.graph);
   }
-  const double scale = ResolveScale(scale_override);
+  const double scale = ResolveDatasetScale(scale_override);
   if (provenance != nullptr) {
     provenance->name = spec.name;
     provenance->source = "generator";

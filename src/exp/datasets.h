@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "graph/csr_graph.h"
+#include "graph/edge_list_reader.h"
 #include "graph/graph.h"
 
 namespace sgr {
@@ -50,6 +51,21 @@ struct DatasetProvenance {
                              ///  generator)
   double scale = 1.0;        ///< effective synthetic scale (1.0 for file)
 };
+
+/// Accepted range of $SGR_DATASET_SCALE.
+inline constexpr double kMinDatasetScale = 1e-6;
+inline constexpr double kMaxDatasetScale = 1e4;
+
+/// The effective synthetic scale: a positive `scale_override` wins,
+/// otherwise $SGR_DATASET_SCALE (default 1.0), parsed strictly — a
+/// malformed or out-of-range value throws InputError naming the variable.
+double ResolveDatasetScale(double scale_override = 0.0);
+
+/// Ingest options from the environment: $SGR_SNAPSHOT_CACHE (cache
+/// directory), $SGR_INGEST_THREADS (worker count, default 1; 0 = hardware
+/// concurrency) and $SGR_CSR_COMPRESS ("1" always, "0" never, unset =
+/// automatic by edge count). Malformed values throw InputError.
+IngestOptions IngestOptionsFromEnv();
 
 /// Materializes a dataset: if $SGR_DATASET_DIR is set, the edge list
 /// $SGR_DATASET_DIR/<name>.txt is REQUIRED — a missing file is a hard

@@ -16,6 +16,9 @@ namespace sgr {
 /// threads" (never less than 1).
 std::size_t ResolveThreadCount(std::size_t requested);
 
+/// Largest worker count a flag or environment variable may request.
+inline constexpr std::size_t kMaxThreads = 1024;
+
 /// Utility for callers that need decorrelated per-task seed streams:
 /// mixes `base_seed` and `index` through one SplitMix64 round, so
 /// adjacent indices map to statistically independent generator states.

@@ -245,12 +245,10 @@ std::vector<MethodRunResult> RunExperimentImpl(
 
 }  // namespace
 
-double EnvOr(const char* name, double fallback) {
+std::optional<std::string> EnvText(const char* name) {
   const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(value, &end);
-  return end == value ? fallback : parsed;
+  if (value == nullptr || *value == '\0') return std::nullopt;
+  return std::string(value);
 }
 
 std::vector<MethodRunResult> RunExperiment(

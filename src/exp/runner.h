@@ -3,6 +3,9 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "analysis/l1.h"
@@ -11,6 +14,7 @@
 #include "graph/graph.h"
 #include "restore/method.h"
 #include "sampling/perturbed_oracle.h"
+#include "util/parse.h"
 #include "util/rng.h"
 
 namespace sgr {
@@ -164,10 +168,22 @@ std::vector<std::vector<MethodRunResult>> RunExperiments(
     const ExperimentConfig& config, std::uint64_t seed_base,
     std::size_t num_trials, std::size_t threads = 1);
 
-/// Reads a double from environment variable `name`, or `fallback` if the
-/// variable is unset/invalid. Used by benches for RC / runs / fraction
-/// overrides (e.g. SGR_RC, SGR_RUNS).
-double EnvOr(const char* name, double fallback);
+/// The text of environment variable `name`, or nullopt when it is unset or
+/// empty. Together with exp/datasets.cc, the only place the library reads
+/// the environment.
+std::optional<std::string> EnvText(const char* name);
+
+/// Environment variable `name` parsed strictly by ParseInput (util/
+/// parse.h): `fallback` when unset or empty, an InputError naming the
+/// variable when malformed or outside [min, max]. Every SGR_* number and
+/// switch is read through here.
+template <typename T>
+T EnvInput(const char* name, T fallback,
+           T min = std::numeric_limits<T>::lowest(),
+           T max = std::numeric_limits<T>::max()) {
+  const std::optional<std::string> text = EnvText(name);
+  return text ? ParseInput<T>(*text, name, min, max) : fallback;
+}
 
 }  // namespace sgr
 

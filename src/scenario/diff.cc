@@ -7,6 +7,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "scenario/spec.h"
+
 namespace sgr {
 
 namespace {
@@ -55,117 +57,27 @@ double NumberOr(const Json& object, const char* key, double fallback) {
                                                  : fallback;
 }
 
-bool BoolOr(const Json& object, const char* key, bool fallback) {
-  const Json* member = object.Find(key);
-  return member != nullptr && member->IsBool() ? member->AsBool()
-                                               : fallback;
-}
-
-/// Default knob values for cells recorded before their axis existed:
-/// the paper-faithful axis defaults, overridden by the report's config
-/// echo where the old schema carried the knob only there (RC before the
-/// axis schema; rewire_batch / frontier_walkers while they were scalar
-/// spec knobs). A config echo that already holds an array (the knob
-/// became an axis) keeps the default — such reports echo per cell.
-struct KnobDefaults {
-  double rc = 500.0;
-  double rewire_batch = 0.0;
-  double frontier_walkers = 10.0;
-};
-
-KnobDefaults DefaultsFromConfig(const Json& report) {
-  KnobDefaults defaults;
-  const Json* config = report.Find("config");
-  if (config != nullptr && config->IsObject()) {
-    defaults.rc = NumberOr(*config, "rc", defaults.rc);
-    defaults.rewire_batch =
-        NumberOr(*config, "rewire_batch", defaults.rewire_batch);
-    defaults.frontier_walkers =
-        NumberOr(*config, "frontier_walkers", defaults.frontier_walkers);
-  }
-  return defaults;
-}
-
-/// Pairing identity of one cell: every knob axis plus the dataset. The
-/// canonical form is a dumped JSON array, so number formatting is the
-/// writer's shortest-round-trip form on both sides.
-std::string CellKey(const Json& cell, const KnobDefaults& defaults) {
+/// Pairing identity of one cell: the dataset plus every knob coordinate
+/// (spec.h, CellCoordinates). The canonical form is a dumped JSON array,
+/// so number formatting is the writer's shortest-round-trip form on both
+/// sides.
+std::string CellKey(const Json& cell, const Json& defaults) {
   Json key = Json::Array();
   key.Push(Json::String(StringOr(cell, "dataset", "?")));
-  key.Push(Json::Number(NumberOr(cell, "query_fraction", 0.0)));
-  key.Push(Json::String(StringOr(cell, "walk", "simple")));
-  key.Push(Json::String(StringOr(cell, "crawler", "rw")));
-  const Json* estimator = cell.Find("estimator");
-  key.Push(Json::String(
-      estimator != nullptr && estimator->IsObject()
-          ? StringOr(*estimator, "joint_mode", "hybrid")
-          : "hybrid"));
-  key.Push(Json::Number(
-      estimator != nullptr && estimator->IsObject()
-          ? NumberOr(*estimator, "collision_fraction", 0.025)
-          : 0.025));
-  key.Push(Json::Number(NumberOr(cell, "rc", defaults.rc)));
-  key.Push(Json::Bool(BoolOr(cell, "protect_subgraph", true)));
-  key.Push(Json::Number(
-      NumberOr(cell, "rewire_batch", defaults.rewire_batch)));
-  key.Push(Json::Number(
-      NumberOr(cell, "frontier_walkers", defaults.frontier_walkers)));
-  // Noise-off cells omit the block entirely (and pre-noise reports never
-  // had it), so all four coordinates default to zero — off.
-  const Json* noise = cell.Find("noise");
-  const bool has_noise = noise != nullptr && noise->IsObject();
-  key.Push(Json::Number(has_noise ? NumberOr(*noise, "failure", 0.0) : 0.0));
-  key.Push(Json::Number(
-      has_noise ? NumberOr(*noise, "hidden_edges", 0.0) : 0.0));
-  key.Push(Json::Number(has_noise ? NumberOr(*noise, "churn", 0.0) : 0.0));
-  key.Push(Json::Number(
-      has_noise ? NumberOr(*noise, "api_budget", 0.0) : 0.0));
+  const Json coordinates = CellCoordinates(cell, defaults);
+  for (const auto& [name, value] : coordinates.ObjectMembers()) {
+    (void)name;
+    key.Push(value);
+  }
   return key.Dump(0);
 }
 
-/// Human-readable cell label for findings: dataset @ fraction plus the
-/// knobs that differ from the defaults.
-std::string CellLabel(const Json& cell, const KnobDefaults& defaults) {
-  std::ostringstream label;
-  label << StringOr(cell, "dataset", "?") << " @ "
-        << 100.0 * NumberOr(cell, "query_fraction", 0.0) << "%";
-  const std::string walk = StringOr(cell, "walk", "simple");
-  if (walk != "simple") label << " walk=" << walk;
-  const std::string crawler = StringOr(cell, "crawler", "rw");
-  if (crawler != "rw") label << " crawler=" << crawler;
-  if (const Json* estimator = cell.Find("estimator")) {
-    const std::string joint = StringOr(*estimator, "joint_mode", "hybrid");
-    if (joint != "hybrid") label << " joint=" << joint;
-  }
-  if (const Json* rc = cell.Find("rc")) {
-    if (rc->IsNumber() && rc->AsNumber() != defaults.rc) {
-      label << " rc=" << rc->AsNumber();
-    }
-  }
-  if (!BoolOr(cell, "protect_subgraph", true)) label << " unprotected";
-  const double batch =
-      NumberOr(cell, "rewire_batch", defaults.rewire_batch);
-  if (batch != 0.0) label << " batch=" << batch;
-  const double walkers =
-      NumberOr(cell, "frontier_walkers", defaults.frontier_walkers);
-  if (walkers != 10.0) label << " walkers=" << walkers;
-  if (const Json* noise = cell.Find("noise")) {
-    if (noise->IsObject()) {
-      const double failure = NumberOr(*noise, "failure", 0.0);
-      const double hidden = NumberOr(*noise, "hidden_edges", 0.0);
-      const double churn = NumberOr(*noise, "churn", 0.0);
-      const double api_budget = NumberOr(*noise, "api_budget", 0.0);
-      if (failure != 0.0) label << " fail=" << failure;
-      if (hidden != 0.0) label << " hidden=" << hidden;
-      if (churn != 0.0) label << " churn=" << churn;
-      if (api_budget != 0.0) label << " api_budget=" << api_budget;
-    }
-  }
-  return label.str();
+std::string Label(const Json& cell, const Json& defaults) {
+  return CellLabel(StringOr(cell, "dataset", "?"), cell, defaults);
 }
 
 std::map<std::string, const Json*> IndexCells(const Json& report,
-                                              const KnobDefaults& defaults) {
+                                              const Json& defaults) {
   std::map<std::string, const Json*> index;
   for (const Json& cell : report.Find("cells")->Items()) {
     std::string key = CellKey(cell, defaults);
@@ -283,26 +195,17 @@ struct Comparator {
                              new_value->AsNumber());
       }
 
-      // sample_steps is deterministic but count-scaled; compare relative
-      // to the old magnitude. Pre-axis reports lack the field.
-      const Json* old_steps = old_method.Find("sample_steps");
-      const Json* new_steps = new_method.Find("sample_steps");
-      if (old_steps != nullptr && new_steps != nullptr) {
-        CompareDeterministic(
-            where + " sample_steps", old_steps->AsNumber(),
-            new_steps->AsNumber(),
-            std::max(1.0, std::abs(old_steps->AsNumber())));
-      }
-
-      // oracle_queries follows the sample_steps convention (deterministic,
-      // count-scaled); pre-observability reports lack the field.
-      const Json* old_queries = old_method.Find("oracle_queries");
-      const Json* new_queries = new_method.Find("oracle_queries");
-      if (old_queries != nullptr && new_queries != nullptr) {
-        CompareDeterministic(
-            where + " oracle_queries", old_queries->AsNumber(),
-            new_queries->AsNumber(),
-            std::max(1.0, std::abs(old_queries->AsNumber())));
+      // Deterministic counts, compared relative to the old magnitude.
+      // Reports from before each field existed lack it.
+      for (const char* field : {"sample_steps", "oracle_queries"}) {
+        const Json* old_count = old_method.Find(field);
+        const Json* new_count = new_method.Find(field);
+        if (old_count != nullptr && new_count != nullptr) {
+          CompareDeterministic(
+              where + " " + field, old_count->AsNumber(),
+              new_count->AsNumber(),
+              std::max(1.0, std::abs(old_count->AsNumber())));
+        }
       }
 
       CompareConvergence(where, old_method.Find("convergence"),
@@ -311,12 +214,11 @@ struct Comparator {
       const Json* old_timings = old_method.Find("timings");
       const Json* new_timings = new_method.Find("timings");
       if (old_timings != nullptr && new_timings != nullptr) {
-        CompareTiming(where + " restore_seconds",
-                      NumberOr(*old_timings, "restore_seconds", 0.0),
-                      NumberOr(*new_timings, "restore_seconds", 0.0));
-        CompareTiming(where + " rewiring_seconds",
-                      NumberOr(*old_timings, "rewiring_seconds", 0.0),
-                      NumberOr(*new_timings, "rewiring_seconds", 0.0));
+        for (const char* field : {"restore_seconds", "rewiring_seconds"}) {
+          CompareTiming(where + " " + field,
+                        NumberOr(*old_timings, field, 0.0),
+                        NumberOr(*new_timings, field, 0.0));
+        }
       }
     }
   }
@@ -403,7 +305,7 @@ void ValidateReportSchema(const Json& document) {
       throw std::runtime_error("report " + where + ": must be an object");
     }
     (void)RequireString(cell, "dataset", where);
-    (void)RequireNumber(cell, "query_fraction", where);
+    (void)RequireNumber(cell, kQueryFractionKey, where);
     const Json& methods = RequireMember(cell, "methods", where);
     if (!methods.IsArray()) {
       throw std::runtime_error("report " + where +
@@ -453,14 +355,14 @@ DiffResult DiffReports(const Json& old_report, const Json& new_report,
   result.timings_compared = options.compare_timings;
   Comparator compare{options, result};
 
-  const KnobDefaults old_defaults = DefaultsFromConfig(old_report);
-  const KnobDefaults new_defaults = DefaultsFromConfig(new_report);
+  const Json old_defaults = CellKnobDefaults(old_report.Find("config"));
+  const Json new_defaults = CellKnobDefaults(new_report.Find("config"));
   const auto old_cells = IndexCells(old_report, old_defaults);
   const auto new_cells = IndexCells(new_report, new_defaults);
 
   for (const auto& [key, old_cell] : old_cells) {
     const auto it = new_cells.find(key);
-    const std::string label = CellLabel(*old_cell, old_defaults);
+    const std::string label = Label(*old_cell, old_defaults);
     if (it == new_cells.end()) {
       compare.Finding(true,
                       label + ": cell missing from the new report");
@@ -472,21 +374,15 @@ DiffResult DiffReports(const Json& old_report, const Json& new_report,
     // Protocol fields: a changed trial count or seed base makes the
     // numbers legitimately different — surface it so a drift finding
     // below is attributable.
-    const double old_trials = NumberOr(*old_cell, "trials", 0.0);
-    const double new_trials = NumberOr(new_cell, "trials", 0.0);
-    if (old_trials != new_trials) {
-      std::ostringstream message;
-      message << label << ": trials changed (" << old_trials << " -> "
-              << new_trials << ")";
-      compare.Finding(false, message.str());
-    }
-    const double old_seed = NumberOr(*old_cell, "seed_base", 0.0);
-    const double new_seed = NumberOr(new_cell, "seed_base", 0.0);
-    if (old_seed != new_seed) {
-      std::ostringstream message;
-      message << label << ": seed_base changed (" << old_seed << " -> "
-              << new_seed << ")";
-      compare.Finding(false, message.str());
+    for (const char* field : {"trials", "seed_base"}) {
+      const double old_value = NumberOr(*old_cell, field, 0.0);
+      const double new_value = NumberOr(new_cell, field, 0.0);
+      if (old_value != new_value) {
+        std::ostringstream message;
+        message << label << ": " << field << " changed (" << old_value
+                << " -> " << new_value << ")";
+        compare.Finding(false, message.str());
+      }
     }
 
     compare.CompareMethods(label, *old_cell, new_cell);
@@ -501,7 +397,7 @@ DiffResult DiffReports(const Json& old_report, const Json& new_report,
   }
   for (const auto& [key, new_cell] : new_cells) {
     if (old_cells.count(key) == 0) {
-      compare.Finding(false, CellLabel(*new_cell, new_defaults) +
+      compare.Finding(false, Label(*new_cell, new_defaults) +
                                  ": new cell (not in the old report)");
     }
   }
@@ -527,22 +423,16 @@ void PrintDiffMarkdown(const DiffResult& result,
     out << "n/a (timings not compared)";
   }
   out << " |\n";
-  out << "\n### Regressions\n\n";
-  bool any = false;
-  for (const DiffFinding& finding : result.findings) {
-    if (!finding.regression) continue;
-    out << "- " << finding.message << "\n";
-    any = true;
+  for (const bool regressions : {true, false}) {
+    out << (regressions ? "\n### Regressions\n\n" : "\n### Notes\n\n");
+    bool any = false;
+    for (const DiffFinding& finding : result.findings) {
+      if (finding.regression != regressions) continue;
+      out << "- " << finding.message << "\n";
+      any = true;
+    }
+    if (!any) out << "None.\n";
   }
-  if (!any) out << "None.\n";
-  out << "\n### Notes\n\n";
-  any = false;
-  for (const DiffFinding& finding : result.findings) {
-    if (finding.regression) continue;
-    out << "- " << finding.message << "\n";
-    any = true;
-  }
-  if (!any) out << "None.\n";
 }
 
 void PrintDiff(const DiffResult& result, std::ostream& out) {

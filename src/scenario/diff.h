@@ -70,12 +70,13 @@ struct DiffResult {
 /// and pair correctly.)
 void ValidateReportSchema(const Json& document);
 
-/// Compares two sgr-report/1 documents. Cells are paired by
-/// (dataset, query_fraction, walk, crawler, estimator, rc,
-/// protect_subgraph, rewire_batch, frontier_walkers, noise); methods
-/// inside a paired cell by name. The noise coordinate defaults to
-/// all-zero when a cell has no "noise" block, so pre-axis baselines pair
-/// with new noise-off cells. Produces a
+/// Compares two sgr-report/1 documents. Cells are paired by the dataset
+/// and every knob coordinate (CellCoordinates in scenario/spec.h: query
+/// fraction, walk, crawler, estimator, rc, protect_subgraph,
+/// rewire_batch, frontier_walkers, noise); methods inside a paired cell
+/// by name. A coordinate a cell lacks takes its default, or the report's
+/// config echo of it, so pre-axis baselines pair with new cells (and a
+/// cell without a "noise" block pairs as noise off). Produces a
 /// regression finding for every deterministic drift beyond
 /// `options.l1_tolerance`, every timing slowdown beyond
 /// `options.time_tolerance`, and every cell or method present in `old`

@@ -32,19 +32,6 @@ CsrGraph Materialize(const ScenarioDataset& dataset, double dataset_scale,
 }  // namespace
 
 ScenarioCell RunScenarioCell(const std::string& dataset_name,
-                             const Graph& dataset,
-                             const GraphProperties& properties,
-                             const ExperimentConfig& config,
-                             std::size_t trials, std::uint64_t seed_base,
-                             std::size_t threads) {
-  // Snapshot once and delegate: byte-identical to the historical inline
-  // body, which also snapshotted per RunExperiments call.
-  const CsrGraph snapshot(dataset);
-  return RunScenarioCell(dataset_name, snapshot, properties, config, trials,
-                         seed_base, threads);
-}
-
-ScenarioCell RunScenarioCell(const std::string& dataset_name,
                              const CsrGraph& dataset,
                              const GraphProperties& properties,
                              const ExperimentConfig& config,
@@ -54,20 +41,10 @@ ScenarioCell RunScenarioCell(const std::string& dataset_name,
   cell.dataset = dataset_name;
   cell.nodes = dataset.NumNodes();
   cell.edges = dataset.NumEdges();
-  cell.query_fraction = config.query_fraction;
   // The knob echo comes straight from the config actually executed, so a
   // cell is attributable to its axis coordinates no matter who built the
   // config (engine or bench).
-  cell.walk = config.walk;
-  cell.crawler = config.crawler;
-  cell.joint_mode = config.restoration.estimator.joint_mode;
-  cell.collision_fraction =
-      config.restoration.estimator.collision_threshold_fraction;
-  cell.rc = config.restoration.rewire.rewiring_coefficient;
-  cell.protect_subgraph = config.restoration.protect_subgraph;
-  cell.rewire_batch = config.restoration.parallel_rewire.batch_size;
-  cell.frontier_walkers = config.frontier_walkers;
-  cell.noise = config.noise;
+  cell.knobs = CellKnobsOf(config);
   cell.seed_base = seed_base;
   cell.trials = trials;
 
@@ -146,21 +123,12 @@ ScenarioCell RunScenarioCell(const std::string& dataset_name,
     aggregate.rewiring_seconds *= inv;
     aggregate.sample_steps *= inv;
     aggregate.oracle_queries *= inv;
-    aggregate.rewire.attempts *= inv;
-    aggregate.rewire.accepted *= inv;
-    aggregate.rewire.rounds *= inv;
-    aggregate.rewire.evaluated *= inv;
-    aggregate.rewire.conflicts *= inv;
-    aggregate.rewire.reevaluated *= inv;
-    aggregate.rewire.initial_distance *= inv;
-    aggregate.rewire.final_distance *= inv;
+    for (const auto& [key, field] : kRewireFields) {
+      aggregate.rewire.*field *= inv;
+    }
     aggregate.stopped_early *= inv;
     for (ConvergencePoint& point : aggregate.convergence) {
-      point.attempts *= inv;
-      point.objective *= inv;
-      point.clustering_global *= inv;
-      point.components *= inv;
-      point.lcc *= inv;
+      for (const auto& [key, field] : kConvergenceFields) point.*field *= inv;
     }
   }
   return cell;
@@ -179,21 +147,16 @@ ScenarioRunResult RunScenario(const ScenarioSpec& spec,
   spec.Validate();
   ScenarioRunResult result;
   result.spec = spec;
-  result.threads = ResolveThreadCount(
-      threads_override == kThreadsFromSpec ? spec.threads
-                                           : threads_override);
-  result.rewire_threads = ResolveThreadCount(
-      rewire_threads_override == kThreadsFromSpec
-          ? spec.rewire_threads
-          : rewire_threads_override);
-  result.assembly_threads = ResolveThreadCount(
-      assembly_threads_override == kThreadsFromSpec
-          ? spec.assembly_threads
-          : assembly_threads_override);
-  result.estimator_threads = ResolveThreadCount(
-      estimator_threads_override == kThreadsFromSpec
-          ? spec.estimator_threads
-          : estimator_threads_override);
+  const auto resolve = [](std::size_t override, std::size_t from_spec) {
+    return ResolveThreadCount(override == kThreadsFromSpec ? from_spec
+                                                           : override);
+  };
+  result.threads = resolve(threads_override, spec.threads);
+  result.rewire_threads = resolve(rewire_threads_override, spec.rewire_threads);
+  result.assembly_threads =
+      resolve(assembly_threads_override, spec.assembly_threads);
+  result.estimator_threads =
+      resolve(estimator_threads_override, spec.estimator_threads);
 
   const std::vector<CellKnobs> knob_matrix = spec.ExpandKnobs();
   std::size_t cell_index = 0;
@@ -226,25 +189,8 @@ ScenarioRunResult RunScenario(const ScenarioSpec& spec,
           dataset_spec.name, dataset, properties, config, spec.trials,
           cell_seed, result.threads);
       if (progress != nullptr) {
-        *progress << "cell " << cell.dataset << " @ "
-                  << 100.0 * knobs.fraction << "% queried ["
-                  << WalkToken(knobs.walk) << "/"
-                  << CrawlerToken(knobs.crawler) << "/"
-                  << JointModeToken(knobs.estimator.joint_mode)
-                  << "/rc " << knobs.rc
-                  << (knobs.protect_subgraph ? "" : "/unprotected");
-        if (knobs.rewire_batch != 0) {
-          *progress << "/batch " << knobs.rewire_batch;
-        }
-        if (knobs.crawler == CrawlerKind::kFrontier) {
-          *progress << "/walkers " << knobs.frontier_walkers;
-        }
-        if (knobs.noise.Active()) {
-          *progress << "/noise f" << knobs.noise.failure << " h"
-                    << knobs.noise.hidden_edges << " c"
-                    << knobs.noise.churn << " b" << knobs.noise.api_budget;
-        }
-        *progress << "]: n = " << cell.nodes << ", m = " << cell.edges
+        *progress << "cell " << CellLabel(cell.dataset, knobs)
+                  << ": n = " << cell.nodes << ", m = " << cell.edges
                   << ", " << spec.trials << " trials in "
                   << cell.wall_seconds << " s\n";
       }

@@ -17,12 +17,12 @@ inline constexpr std::size_t kThreadsFromSpec =
     static_cast<std::size_t>(-1);
 
 /// Runs one cell of a scenario matrix — `trials` Monte Carlo repetitions
-/// of `config` on `dataset` over up to `threads` workers — and aggregates
-/// per-method distance and timing statistics. Trial i is seeded with
-/// `seed_base + i` (the convention every bench has always used), so the
-/// distance aggregates are identical for every thread count; the timing
-/// fields are wall-clock measured inside the trials and inflate under
-/// core contention — read them at --threads 1, or trust the ratios.
+/// of `config` on the `dataset` snapshot over up to `threads` workers —
+/// and aggregates per-method distance and timing statistics. Trial i is
+/// seeded with `seed_base + i` (the convention every bench has always
+/// used), so the distance aggregates are identical for every thread count;
+/// the timing fields are wall-clock measured inside the trials and inflate
+/// under core contention — read them at --threads 1, or trust the ratios.
 ///
 /// This is the single trial-matrix implementation behind both the
 /// scenario engine and the benches (bench_common.h delegates here), so a
@@ -31,17 +31,6 @@ inline constexpr std::size_t kThreadsFromSpec =
 /// seed schedules (one fixed seed base for every dataset), while the
 /// engine gives each cell a distinct base — so the two agree numerically
 /// only where the seed bases happen to line up, by design.
-ScenarioCell RunScenarioCell(const std::string& dataset_name,
-                             const Graph& dataset,
-                             const GraphProperties& properties,
-                             const ExperimentConfig& config,
-                             std::size_t trials, std::uint64_t seed_base,
-                             std::size_t threads);
-
-/// Same, against an existing (possibly compressed) CSR snapshot — the
-/// engine's own path: datasets are materialized as CsrGraph directly, so
-/// file-ingested paper-scale graphs never exist in Graph form. The Graph
-/// overload above delegates here after snapshotting, byte-identically.
 ScenarioCell RunScenarioCell(const std::string& dataset_name,
                              const CsrGraph& dataset,
                              const GraphProperties& properties,

@@ -4,7 +4,6 @@
 #include <thread>
 
 #include "analysis/l1.h"
-#include "scenario/spec.h"
 
 namespace sgr {
 
@@ -68,33 +67,8 @@ Json ScenarioCellToJson(const ScenarioCell& cell) {
   json.Set("dataset", Json::String(cell.dataset));
   json.Set("nodes", Json::Number(static_cast<double>(cell.nodes)));
   json.Set("edges", Json::Number(static_cast<double>(cell.edges)));
-  json.Set("query_fraction", Json::Number(cell.query_fraction));
-  json.Set("walk", Json::String(WalkToken(cell.walk)));
-  json.Set("crawler", Json::String(CrawlerToken(cell.crawler)));
-  Json estimator = Json::Object();
-  estimator.Set("joint_mode",
-                Json::String(JointModeToken(cell.joint_mode)));
-  estimator.Set("collision_fraction",
-                Json::Number(cell.collision_fraction));
-  json.Set("estimator", std::move(estimator));
-  json.Set("rc", Json::Number(cell.rc));
-  json.Set("protect_subgraph", Json::Bool(cell.protect_subgraph));
-  json.Set("rewire_batch",
-           Json::Number(static_cast<double>(cell.rewire_batch)));
-  json.Set("frontier_walkers",
-           Json::Number(static_cast<double>(cell.frontier_walkers)));
-  // Emitted only when the cell ran against the adversarial oracle, the
-  // same conditional-emission contract as the convergence block:
-  // noise-off reports keep their historical byte layout.
-  if (cell.noise.Active()) {
-    Json noise = Json::Object();
-    noise.Set("failure", Json::Number(cell.noise.failure));
-    noise.Set("hidden_edges", Json::Number(cell.noise.hidden_edges));
-    noise.Set("churn", Json::Number(cell.noise.churn));
-    noise.Set("api_budget",
-              Json::Number(static_cast<double>(cell.noise.api_budget)));
-    json.Set("noise", std::move(noise));
-  }
+  const Json knobs = CellKnobsToJson(cell.knobs);
+  for (const auto& [key, value] : knobs.ObjectMembers()) json.Set(key, value);
   json.Set("seed_base", Json::Number(static_cast<double>(cell.seed_base)));
   json.Set("trials", Json::Number(static_cast<double>(cell.trials)));
 
@@ -116,16 +90,9 @@ Json ScenarioCellToJson(const ScenarioCell& cell) {
     distances.Set("sd", Json::Number(summary.mean_sd));
     entry.Set("distances", std::move(distances));
     Json rewire = Json::Object();
-    rewire.Set("attempts", Json::Number(aggregate.rewire.attempts));
-    rewire.Set("accepted", Json::Number(aggregate.rewire.accepted));
-    rewire.Set("rounds", Json::Number(aggregate.rewire.rounds));
-    rewire.Set("evaluated", Json::Number(aggregate.rewire.evaluated));
-    rewire.Set("conflicts", Json::Number(aggregate.rewire.conflicts));
-    rewire.Set("reevaluated", Json::Number(aggregate.rewire.reevaluated));
-    rewire.Set("initial_distance",
-               Json::Number(aggregate.rewire.initial_distance));
-    rewire.Set("final_distance",
-               Json::Number(aggregate.rewire.final_distance));
+    for (const auto& [key, field] : kRewireFields) {
+      rewire.Set(key, Json::Number(aggregate.rewire.*field));
+    }
     entry.Set("rewire", std::move(rewire));
     if (!aggregate.convergence.empty()) {
       // Emitted only when the tracker ran, so tracking-off reports keep
@@ -137,12 +104,9 @@ Json ScenarioCellToJson(const ScenarioCell& cell) {
       Json samples = Json::Array();
       for (const ConvergencePoint& point : aggregate.convergence) {
         Json sample = Json::Object();
-        sample.Set("attempts", Json::Number(point.attempts));
-        sample.Set("objective", Json::Number(point.objective));
-        sample.Set("clustering_global",
-                   Json::Number(point.clustering_global));
-        sample.Set("components", Json::Number(point.components));
-        sample.Set("lcc", Json::Number(point.lcc));
+        for (const auto& [key, field] : kConvergenceFields) {
+          sample.Set(key, Json::Number(point.*field));
+        }
         samples.Push(std::move(sample));
       }
       convergence.Set("samples", std::move(samples));

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/summary.h"
@@ -11,6 +12,7 @@
 #include "exp/datasets.h"
 #include "exp/runner.h"
 #include "restore/method.h"
+#include "scenario/spec.h"
 #include "util/json.h"
 
 namespace sgr {
@@ -32,6 +34,17 @@ struct RewireAggregate {
   double final_distance = 0.0;
 };
 
+/// The RewireAggregate members in report order, with their JSON keys.
+inline constexpr std::pair<const char*, double RewireAggregate::*>
+    kRewireFields[] = {{"attempts", &RewireAggregate::attempts},
+                       {"accepted", &RewireAggregate::accepted},
+                       {"rounds", &RewireAggregate::rounds},
+                       {"evaluated", &RewireAggregate::evaluated},
+                       {"conflicts", &RewireAggregate::conflicts},
+                       {"reevaluated", &RewireAggregate::reevaluated},
+                       {"initial_distance", &RewireAggregate::initial_distance},
+                       {"final_distance", &RewireAggregate::final_distance}};
+
 /// One point of the mean convergence curve recorded by the incremental
 /// property tracker (RewireStats::curve averaged across a cell's trials).
 /// Deterministic content like the rewire counters: it survives
@@ -43,6 +56,15 @@ struct ConvergencePoint {
   double components = 0.0;         ///< mean connected-component count
   double lcc = 0.0;                ///< mean largest-component size
 };
+
+/// The ConvergencePoint members in report order, with their JSON keys.
+inline constexpr std::pair<const char*, double ConvergencePoint::*>
+    kConvergenceFields[] = {
+        {"attempts", &ConvergencePoint::attempts},
+        {"objective", &ConvergencePoint::objective},
+        {"clustering_global", &ConvergencePoint::clustering_global},
+        {"components", &ConvergencePoint::components},
+        {"lcc", &ConvergencePoint::lcc}};
 
 /// Aggregate of one (dataset, fraction, method) cell across trials:
 /// distance statistics plus mean generation timings. Shared by the
@@ -67,30 +89,16 @@ struct MethodAggregate {
 };
 
 /// One cell of a scenario matrix: a dataset at one coordinate of the
-/// knob axes (query fraction, walk, crawler, estimator variant, RC,
-/// candidate-set choice), with the per-method aggregates over the cell's
-/// trials. `methods` is keyed by MethodKind, so iteration (and the JSON
-/// emission) follows the paper's column order. The knob fields are
-/// echoed in the cell JSON — `sgr diff` pairs cells across reports by
+/// knob axes, with the per-method aggregates over the cell's trials.
+/// `methods` is keyed by MethodKind, so iteration (and the JSON emission)
+/// follows the paper's column order. The knobs are echoed in the cell
+/// JSON (CellKnobsToJson) — `sgr diff` pairs cells across reports by
 /// (dataset, knobs).
 struct ScenarioCell {
   std::string dataset;
   std::size_t nodes = 0;
   std::size_t edges = 0;
-  double query_fraction = 0.0;
-  WalkKind walk = WalkKind::kSimple;
-  CrawlerKind crawler = CrawlerKind::kRw;
-  JointEstimatorMode joint_mode = JointEstimatorMode::kHybrid;
-  double collision_fraction = 0.025;
-  double rc = 500.0;
-  bool protect_subgraph = true;
-  std::size_t rewire_batch = 0;
-  std::size_t frontier_walkers = 10;
-  /// Adversarial-oracle coordinates (perturbed_oracle.h). Echoed in the
-  /// cell JSON only when active — noise-off reports keep their historical
-  /// byte layout — with zero defaults on the diff side, so old and new
-  /// reports pair correctly.
-  CrawlNoise noise;
+  CellKnobs knobs;
   std::uint64_t seed_base = 0;
   std::size_t trials = 0;
   double wall_seconds = 0.0;  ///< whole trial matrix of this cell

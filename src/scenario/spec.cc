@@ -2,7 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <iterator>
+#include <limits>
 #include <set>
+#include <sstream>
+#include <type_traits>
+#include <utility>
 
 #include "exp/datasets.h"
 #include "graph/components.h"
@@ -13,51 +19,119 @@ namespace sgr {
 
 namespace {
 
-/// Typed field extraction. Every helper names the key in its error so a
-/// malformed scenario.json is diagnosable from the message alone.
+// ---------------------------------------------------------------------------
+// Value codecs. Parse, Echo and Check handle one knob value of type T — a
+// number, bool, string, enum token, dataset entry or object — so the knob
+// table below names only keys, members, ranges and config fields. Every
+// error names the offending key.
+// ---------------------------------------------------------------------------
 
-double RequireNumber(const Json& value, const std::string& key) {
-  if (!value.IsNumber()) {
-    throw ScenarioError("'" + key + "' must be a number");
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Allowed values of a numeric knob; each end open or closed.
+struct Range {
+  double lo = -kInf;
+  double hi = kInf;
+  bool lo_open = false;
+  bool hi_open = false;
+
+  bool Contains(double value) const {
+    return (lo_open ? value > lo : value >= lo) &&
+           (hi_open ? value < hi : value <= hi);
   }
-  const double number = value.AsNumber();
-  if (!std::isfinite(number)) {
-    throw ScenarioError("'" + key + "' must be finite");
+
+  std::string Text() const {
+    std::ostringstream out;
+    if (hi == kInf) {
+      out << (lo_open ? "> " : ">= ") << lo;
+    } else {
+      out << "in " << (lo_open ? '(' : '[') << lo << ", " << hi
+          << (hi_open ? ')' : ']');
+    }
+    return out.str();
   }
-  return number;
+};
+
+constexpr Range AtLeast(double lo) { return {lo, kInf, false, false}; }
+constexpr Range In(char open, double lo, double hi, char close) {
+  return {lo, hi, open == '(', close == ')'};
 }
 
-std::uint64_t RequireUint(const Json& value, const std::string& key) {
-  const double number = RequireNumber(value, key);
-  if (number < 0.0 || number != std::floor(number) || number > 9.0e15) {
-    throw ScenarioError("'" + key + "' must be a non-negative integer");
+/// Token map of an enum knob: its noun (for errors) and its tokens.
+template <typename E>
+struct Tokens;
+
+template <>
+struct Tokens<MethodKind> {
+  static constexpr const char* kNoun = "method";
+  static constexpr std::pair<MethodKind, const char*> kList[] = {
+      {MethodKind::kBfs, "bfs"},       {MethodKind::kSnowball, "snowball"},
+      {MethodKind::kForestFire, "ff"}, {MethodKind::kRandomWalk, "rw"},
+      {MethodKind::kGjoka, "gjoka"},   {MethodKind::kProposed, "proposed"}};
+};
+
+template <>
+struct Tokens<WalkKind> {
+  static constexpr const char* kNoun = "walk";
+  static constexpr std::pair<WalkKind, const char*> kList[] = {
+      {WalkKind::kSimple, "simple"},
+      {WalkKind::kNonBacktracking, "non-backtracking"},
+      {WalkKind::kMetropolisHastings, "metropolis-hastings"}};
+};
+
+template <>
+struct Tokens<CrawlerKind> {
+  static constexpr const char* kNoun = "crawler";
+  static constexpr std::pair<CrawlerKind, const char*> kList[] = {
+      {CrawlerKind::kRw, "rw"},     {CrawlerKind::kFrontier, "frontier"},
+      {CrawlerKind::kMhrw, "mhrw"}, {CrawlerKind::kBfs, "bfs"},
+      {CrawlerKind::kSnowball, "snowball"}, {CrawlerKind::kFf, "ff"}};
+};
+
+template <>
+struct Tokens<JointEstimatorMode> {
+  static constexpr const char* kNoun = "joint_mode";
+  static constexpr std::pair<JointEstimatorMode, const char*> kList[] = {
+      {JointEstimatorMode::kHybrid, "hybrid"},
+      {JointEstimatorMode::kInducedEdgesOnly, "ie"},
+      {JointEstimatorMode::kTraversedEdgesOnly, "te"}};
+};
+
+/// One member of an object-valued knob (a generator, estimator or noise
+/// entry): its key and how it parses, echoes and range-checks.
+template <typename Owner>
+struct Field {
+  const char* key;
+  std::function<void(Owner&, const Json&, const std::string&)> parse;
+  std::function<Json(const Owner&)> echo;
+  std::function<void(const Owner&, const std::string&)> check;
+};
+
+/// The members of an object-valued knob, and its noun for errors.
+template <typename T>
+struct Schema {
+  const char* noun;
+  std::vector<Field<T>> fields;
+};
+
+template <typename T>
+const Schema<T>& SchemaOf();
+template <>
+const Schema<GeneratorSpec>& SchemaOf<GeneratorSpec>();
+template <>
+const Schema<EstimatorSpec>& SchemaOf<EstimatorSpec>();
+template <>
+const Schema<CrawlNoise>& SchemaOf<CrawlNoise>();
+
+void RequireKnownModel(const std::string& model) {
+  for (const char* known : {"powerlaw", "ba", "er", "community", "social"}) {
+    if (model == known) return;
   }
-  return static_cast<std::uint64_t>(number);
+  throw ScenarioError("unknown generator model '" + model +
+                      "' (powerlaw|ba|er|community|social)");
 }
 
-bool RequireBool(const Json& value, const std::string& key) {
-  if (!value.IsBool()) {
-    throw ScenarioError("'" + key + "' must be a boolean");
-  }
-  return value.AsBool();
-}
-
-std::string RequireString(const Json& value, const std::string& key) {
-  if (!value.IsString()) {
-    throw ScenarioError("'" + key + "' must be a string");
-  }
-  return value.AsString();
-}
-
-const std::vector<Json>& RequireArray(const Json& value,
-                                      const std::string& key) {
-  if (!value.IsArray()) {
-    throw ScenarioError("'" + key + "' must be an array");
-  }
-  return value.Items();
-}
-
-void ValidateRegistryDataset(const std::string& name) {
+void RequireRegistryDataset(const std::string& name) {
   try {
     (void)DatasetByName(name);
   } catch (const std::out_of_range&) {
@@ -67,141 +141,417 @@ void ValidateRegistryDataset(const std::string& name) {
   }
 }
 
-GeneratorSpec ParseGenerator(const Json& json) {
-  GeneratorSpec gen;
-  for (const auto& [key, value] : json.ObjectMembers()) {
-    if (key == "name") {
-      continue;  // consumed by the caller as the dataset label
-    } else if (key == "model") {
-      gen.model = RequireString(value, "datasets[].model");
-    } else if (key == "nodes") {
-      gen.nodes = static_cast<std::size_t>(RequireUint(value, "datasets[].nodes"));
-    } else if (key == "edges_per_node") {
-      gen.edges_per_node =
-          static_cast<std::size_t>(RequireUint(value, "datasets[].edges_per_node"));
-    } else if (key == "triad_p") {
-      gen.triad_p = RequireNumber(value, "datasets[].triad_p");
-    } else if (key == "fringe_fraction") {
-      gen.fringe_fraction = RequireNumber(value, "datasets[].fringe_fraction");
-    } else if (key == "edges") {
-      gen.edges = static_cast<std::size_t>(RequireUint(value, "datasets[].edges"));
-    } else if (key == "communities") {
-      gen.communities =
-          static_cast<std::size_t>(RequireUint(value, "datasets[].communities"));
-    } else if (key == "bridges") {
-      gen.bridges = static_cast<std::size_t>(RequireUint(value, "datasets[].bridges"));
-    } else if (key == "seed") {
-      gen.seed = RequireUint(value, "datasets[].seed");
-    } else {
-      throw ScenarioError("unknown generator key '" + key + "'");
+template <typename T>
+T Parse(const Json& value, const std::string& key) {
+  const auto error = [&key](const char* what) {
+    return ScenarioError("'" + key + "' must be " + what);
+  };
+  if constexpr (std::is_same_v<T, bool>) {
+    if (!value.IsBool()) throw error("a boolean");
+    return value.AsBool();
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    if (!value.IsString()) throw error("a string");
+    return value.AsString();
+  } else if constexpr (std::is_enum_v<T>) {
+    return FromToken<T>(Parse<std::string>(value, key));
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    if (!value.IsNumber()) throw error("a number");
+    const double number = value.AsNumber();
+    if (!std::isfinite(number)) throw error("finite");
+    if (std::is_integral_v<T> &&
+        (number < 0.0 || number != std::floor(number) || number > 9.0e15)) {
+      throw error("a non-negative integer");
     }
-  }
-  if (gen.model != "powerlaw" && gen.model != "ba" && gen.model != "er" &&
-      gen.model != "community" && gen.model != "social") {
-    throw ScenarioError("unknown generator model '" + gen.model +
-                        "' (powerlaw|ba|er|community|social)");
-  }
-  if (gen.nodes < 10) {
-    throw ScenarioError("'datasets[].nodes' must be >= 10");
-  }
-  if (gen.triad_p < 0.0 || gen.triad_p > 1.0) {
-    throw ScenarioError("'datasets[].triad_p' must be in [0, 1]");
-  }
-  if (gen.fringe_fraction < 0.0 || gen.fringe_fraction >= 1.0) {
-    throw ScenarioError("'datasets[].fringe_fraction' must be in [0, 1)");
-  }
-  return gen;
-}
-
-/// Parses an axis given as either one scalar or an array of scalars
-/// (the document forms `"walk": "simple"` and `"walk": ["simple",
-/// "non-backtracking"]` are both valid). `parse_one` maps one Json
-/// element to the axis value type.
-template <typename T, typename ParseOne>
-std::vector<T> ParseScalarOrArray(const Json& value, const std::string& key,
-                                  ParseOne parse_one) {
-  std::vector<T> axis;
-  if (value.IsArray()) {
-    for (const Json& entry : value.Items()) {
-      axis.push_back(parse_one(entry, key + "[]"));
-    }
-    if (axis.empty()) {
-      throw ScenarioError("'" + key + "' must contain at least one value");
-    }
-  } else {
-    axis.push_back(parse_one(value, key));
-  }
-  return axis;
-}
-
-EstimatorSpec ParseEstimator(const Json& value, const std::string& key) {
-  if (!value.IsObject()) {
-    throw ScenarioError("'" + key + "' must be an object");
-  }
-  EstimatorSpec estimator;
-  for (const auto& [member, member_value] : value.ObjectMembers()) {
-    if (member == "joint_mode") {
-      estimator.joint_mode = JointModeFromToken(
-          RequireString(member_value, key + ".joint_mode"));
-    } else if (member == "collision_fraction") {
-      estimator.collision_fraction =
-          RequireNumber(member_value, key + ".collision_fraction");
-    } else {
-      throw ScenarioError("unknown estimator key '" + member + "'");
-    }
-  }
-  return estimator;
-}
-
-CrawlNoise ParseNoise(const Json& value, const std::string& key) {
-  if (!value.IsObject()) {
-    throw ScenarioError("'" + key + "' must be an object");
-  }
-  CrawlNoise noise;
-  for (const auto& [member, member_value] : value.ObjectMembers()) {
-    if (member == "failure") {
-      noise.failure = RequireNumber(member_value, key + ".failure");
-    } else if (member == "hidden_edges") {
-      noise.hidden_edges =
-          RequireNumber(member_value, key + ".hidden_edges");
-    } else if (member == "churn") {
-      noise.churn = RequireNumber(member_value, key + ".churn");
-    } else if (member == "api_budget") {
-      noise.api_budget = RequireUint(member_value, key + ".api_budget");
-    } else {
-      throw ScenarioError("unknown noise key '" + member + "'");
-    }
-  }
-  return noise;
-}
-
-std::vector<ScenarioDataset> ParseDatasets(const Json& value) {
-  std::vector<ScenarioDataset> datasets;
-  std::set<std::string> seen;
-  for (const Json& entry : RequireArray(value, "datasets")) {
-    ScenarioDataset dataset;
-    if (entry.IsString()) {
-      dataset.name = entry.AsString();
-      ValidateRegistryDataset(dataset.name);
-    } else if (entry.IsObject()) {
-      dataset.name = "generated";
-      if (const Json* label = entry.Find("name")) {
-        dataset.name = RequireString(*label, "datasets[].name");
-      }
-      dataset.generator = ParseGenerator(entry);
-    } else {
+    return static_cast<T>(number);
+  } else if constexpr (std::is_same_v<T, ScenarioDataset>) {
+    if (value.IsString()) return ScenarioDataset{value.AsString(), {}};
+    if (!value.IsObject()) {
       throw ScenarioError(
           "'datasets' entries must be registry names or generator objects");
     }
-    if (!seen.insert(dataset.name).second) {
-      throw ScenarioError("duplicate dataset '" + dataset.name + "'");
+    // A generator object is the generator's members plus its "name".
+    ScenarioDataset dataset{"generated", {}};
+    Json generator = value;
+    if (const Json* label = value.Find("name")) {
+      dataset.name = Parse<std::string>(*label, key + ".name");
+      generator.Remove("name");
     }
-    datasets.push_back(std::move(dataset));
+    dataset.generator = Parse<GeneratorSpec>(generator, key);
+    return dataset;
+  } else {
+    if (!value.IsObject()) throw error("an object");
+    const Schema<T>& schema = SchemaOf<T>();
+    T object;
+    for (const auto& [member, member_value] : value.ObjectMembers()) {
+      const auto field = std::find_if(
+          schema.fields.begin(), schema.fields.end(),
+          [&member](const Field<T>& f) { return member == f.key; });
+      if (field == schema.fields.end()) {
+        throw ScenarioError("unknown " + std::string(schema.noun) +
+                            " key '" + member + "'");
+      }
+      field->parse(object, member_value, key + "." + member);
+    }
+    return object;
   }
-  if (datasets.empty()) {
-    throw ScenarioError("'datasets' must name at least one dataset");
+}
+
+template <typename T>
+Json Echo(const T& value) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return Json::Bool(value);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return Json::String(value);
+  } else if constexpr (std::is_enum_v<T>) {
+    return Json::String(ToToken(value));
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    return Json::Number(static_cast<double>(value));
+  } else if constexpr (std::is_same_v<T, ScenarioDataset>) {
+    if (!value.generator) return Json::String(value.name);
+    Json json = Json::Object();
+    json.Set("name", Json::String(value.name));
+    const Json generator = Echo(*value.generator);
+    for (const auto& [key, member] : generator.ObjectMembers()) {
+      json.Set(key, member);
+    }
+    return json;
+  } else {
+    Json json = Json::Object();
+    for (const Field<T>& field : SchemaOf<T>().fields) {
+      json.Set(field.key, field.echo(value));
+    }
+    return json;
   }
-  return datasets;
+}
+
+template <typename T>
+void Check(const T& value, const Range& range, const std::string& key) {
+  if constexpr (std::is_arithmetic_v<T> && !std::is_same_v<T, bool>) {
+    const double number = static_cast<double>(value);
+    if (!std::isfinite(number)) {
+      throw ScenarioError("'" + key + "' must be finite");
+    }
+    if (!range.Contains(number)) {
+      throw ScenarioError("'" + key + "' must be " + range.Text());
+    }
+  } else if constexpr (std::is_same_v<T, ScenarioDataset>) {
+    if (value.name.empty()) {
+      throw ScenarioError("'" + key + ".name' must be non-empty");
+    }
+    if (!value.generator) return RequireRegistryDataset(value.name);
+    RequireKnownModel(value.generator->model);
+    Check(*value.generator, range, key);
+  } else if constexpr (std::is_class_v<T> &&
+                       !std::is_same_v<T, std::string>) {
+    for (const Field<T>& field : SchemaOf<T>().fields) {
+      field.check(value, key + "." + field.key);
+    }
+  }
+}
+
+template <typename Owner, typename T>
+Field<Owner> MakeField(const char* key, T Owner::*member, Range range = {}) {
+  return {key,
+          [member](Owner& owner, const Json& value, const std::string& where) {
+            owner.*member = Parse<T>(value, where);
+          },
+          [member](const Owner& owner) { return Echo(owner.*member); },
+          [member, range](const Owner& owner, const std::string& where) {
+            Check(owner.*member, range, where);
+          }};
+}
+
+template <>
+const Schema<GeneratorSpec>& SchemaOf<GeneratorSpec>() {
+  using G = GeneratorSpec;
+  static const Schema<G> schema{
+      "generator",
+      {MakeField("model", &G::model),
+       MakeField("nodes", &G::nodes, AtLeast(10)),
+       MakeField("edges_per_node", &G::edges_per_node),
+       MakeField("triad_p", &G::triad_p, In('[', 0, 1, ']')),
+       MakeField("fringe_fraction", &G::fringe_fraction, In('[', 0, 1, ')')),
+       MakeField("edges", &G::edges),
+       MakeField("communities", &G::communities),
+       MakeField("bridges", &G::bridges),
+       MakeField("seed", &G::seed)}};
+  return schema;
+}
+
+template <>
+const Schema<EstimatorSpec>& SchemaOf<EstimatorSpec>() {
+  static const Schema<EstimatorSpec> schema{
+      "estimator",
+      {MakeField("joint_mode", &EstimatorSpec::joint_mode),
+       MakeField("collision_fraction", &EstimatorSpec::collision_fraction,
+                 In('(', 0, 1, ')'))}};
+  return schema;
+}
+
+template <>
+const Schema<CrawlNoise>& SchemaOf<CrawlNoise>() {
+  // The oracle itself accepts probabilities in [0, 1]; the spec stops at
+  // 0.9 because a cell where (almost) every query fails measures nothing.
+  static const Schema<CrawlNoise> schema{
+      "noise",
+      {MakeField("failure", &CrawlNoise::failure, In('[', 0, 0.9, ']')),
+       MakeField("hidden_edges", &CrawlNoise::hidden_edges,
+                 In('[', 0, 0.9, ']')),
+       MakeField("churn", &CrawlNoise::churn, In('[', 0, 0.9, ']')),
+       MakeField("api_budget", &CrawlNoise::api_budget)}};
+  return schema;
+}
+
+/// Copies a knob value into its ExperimentConfig field, or back. Only the
+/// estimator axis maps onto a differently shaped config type.
+template <typename To, typename From>
+void Assign(To& to, const From& from) {
+  to = from;
+}
+void Assign(EstimatorOptions& to, const EstimatorSpec& from) {
+  to.joint_mode = from.joint_mode;
+  to.collision_threshold_fraction = from.collision_fraction;
+}
+void Assign(EstimatorSpec& to, const EstimatorOptions& from) {
+  to.joint_mode = from.joint_mode;
+  to.collision_fraction = from.collision_threshold_fraction;
+}
+
+// ---------------------------------------------------------------------------
+// The knob table: one row per top-level document key, in echo order.
+// ---------------------------------------------------------------------------
+
+/// A list-valued Field: one value or an array in the document (echoed as
+/// an array), at least one value, no duplicates.
+template <typename T>
+Field<ScenarioSpec> ListField(const char* key,
+                              std::vector<T> ScenarioSpec::*member,
+                              Range range) {
+  return {
+      key,
+      [member](ScenarioSpec& spec, const Json& value, const std::string& where) {
+        std::vector<T> values;
+        if (value.IsArray()) {
+          for (const Json& item : value.Items()) {
+            values.push_back(Parse<T>(item, where + "[]"));
+          }
+        } else {
+          values.push_back(Parse<T>(value, where));
+        }
+        spec.*member = std::move(values);
+      },
+      [member](const ScenarioSpec& spec) {
+        Json array = Json::Array();
+        for (const T& value : spec.*member) array.Push(Echo<T>(value));
+        return array;
+      },
+      [member, range](const ScenarioSpec& spec, const std::string& where) {
+        const std::vector<T>& values = spec.*member;
+        if (values.empty()) {
+          throw ScenarioError("'" + where +
+                              "' must contain at least one value");
+        }
+        for (std::size_t i = 0; i < values.size(); ++i) {
+          Check<T>(values[i], range, where);
+          for (std::size_t j = 0; j < i; ++j) {
+            if (Echo<T>(values[j]) == Echo<T>(values[i])) {
+              throw ScenarioError("duplicate '" + where + "' value " +
+                                  Echo<T>(values[i]).Dump(0));
+            }
+          }
+        }
+      }};
+}
+
+/// Bind argument of a knob the engine reads itself rather than copying it
+/// into ExperimentConfig (name, datasets, trials, ...).
+struct EngineOnly {};
+
+/// One top-level key of the scenario document: its Field, plus how it
+/// reaches ExperimentConfig and, for an axis, the cells.
+struct Knob : Field<ScenarioSpec> {
+  explicit Knob(Field<ScenarioSpec> field)
+      : Field<ScenarioSpec>(std::move(field)) {}
+
+  /// Copies the knob into one cell's ExperimentConfig; empty for
+  /// EngineOnly knobs.
+  std::function<void(const ScenarioSpec&, const CellKnobs&,
+                     ExperimentConfig&)>
+      apply;
+  /// ToJson writes a one-value list bare unless this is set.
+  bool always_array = false;
+  /// The echo leaves the knob out while it holds its default (the noise
+  /// axis: reports from before it existed keep their bytes).
+  bool omit_default = false;
+
+  // Axes only: their place in expansion and cell-echo order, the report
+  // key of a cell's value, and the cell-side operations.
+  int rank = -1;
+  const char* cell_key = nullptr;
+  std::function<std::size_t(const ScenarioSpec&)> size;
+  std::function<void(const ScenarioSpec&, std::size_t, CellKnobs&)> select;
+  std::function<Json(const CellKnobs&)> cell_echo;
+  std::function<void(const ExperimentConfig&, CellKnobs&)> from_config;
+
+  Knob& Set(bool Knob::*flag) {
+    this->*flag = true;
+    return *this;
+  }
+  Knob& CellKey(const char* report_key) {
+    cell_key = report_key;
+    return *this;
+  }
+};
+
+/// `member` of the spec, copied whole into the ExperimentConfig field
+/// `bind` returns (a lambda `[](auto& config) -> auto& { return
+/// config.x; }`), unless `bind` is EngineOnly.
+template <typename T, typename Bind>
+Knob Bound(Field<ScenarioSpec> field, T ScenarioSpec::*member, Bind bind) {
+  Knob knob(std::move(field));
+  if constexpr (!std::is_same_v<Bind, EngineOnly>) {
+    knob.apply = [member, bind](const ScenarioSpec& spec, const CellKnobs&,
+                                ExperimentConfig& config) {
+      Assign(bind(config), spec.*member);
+    };
+  }
+  return knob;
+}
+
+/// A single-valued knob.
+template <typename T, typename Bind = EngineOnly>
+Knob Scalar(const char* key, T ScenarioSpec::*member, Range range = {},
+            Bind bind = {}) {
+  return Bound(MakeField(key, member, range), member, bind);
+}
+
+/// A list of values the engine does not cross into cells.
+template <typename T, typename Bind = EngineOnly>
+Knob List(const char* key, std::vector<T> ScenarioSpec::*member,
+          Range range = {}, Bind bind = {}) {
+  return Bound(ListField(key, member, range), member, bind);
+}
+
+/// An axis: a list the engine crosses into cells. `rank` is its place in
+/// expansion and cell-echo order; each cell holds one of its values in
+/// `cell`, echoed under the same key, and copied into the ExperimentConfig
+/// field `bind` returns.
+template <typename T, typename Bind>
+Knob Axis(int rank, const char* key, std::vector<T> ScenarioSpec::*values,
+          T CellKnobs::*cell, Range range, Bind bind) {
+  Knob knob(ListField(key, values, range));
+  knob.rank = rank;
+  knob.cell_key = key;
+  knob.apply = [=](const ScenarioSpec&, const CellKnobs& knobs,
+                   ExperimentConfig& config) {
+    Assign(bind(config), knobs.*cell);
+  };
+  knob.size = [=](const ScenarioSpec& spec) { return (spec.*values).size(); };
+  knob.select = [=](const ScenarioSpec& spec, std::size_t i,
+                    CellKnobs& knobs) { knobs.*cell = (spec.*values)[i]; };
+  knob.cell_echo = [=](const CellKnobs& knobs) { return Echo(knobs.*cell); };
+  knob.from_config = [=](const ExperimentConfig& config, CellKnobs& knobs) {
+    Assign(knobs.*cell, bind(config));
+  };
+  return knob;
+}
+
+const std::vector<Knob>& Knobs() {
+  using S = ScenarioSpec;
+  using C = CellKnobs;
+  static const std::vector<Knob> knobs = {
+      Scalar("name", &S::name),
+      List("datasets", &S::datasets).Set(&Knob::always_array),
+      Axis(0, "fractions", &S::fractions, &C::fraction, In('(', 0, 1, ']'),
+           [](auto& c) -> auto& { return c.query_fraction; })
+          .Set(&Knob::always_array)
+          .CellKey(kQueryFractionKey),
+      List("methods", &S::methods, {},
+           [](auto& c) -> auto& { return c.methods; })
+          .Set(&Knob::always_array),
+      Scalar("trials", &S::trials, AtLeast(1)),
+      Scalar("threads", &S::threads),
+      Scalar("seed_base", &S::seed_base),
+      Axis(1, "walk", &S::walks, &C::walk, {},
+           [](auto& c) -> auto& { return c.walk; }),
+      Axis(2, "crawler", &S::crawlers, &C::crawler, {},
+           [](auto& c) -> auto& { return c.crawler; }),
+      Axis(3, "estimator", &S::estimators, &C::estimator, {},
+           [](auto& c) -> auto& { return c.restoration.estimator; }),
+      Axis(4, "rc", &S::rcs, &C::rc, AtLeast(0),
+           [](auto& c) -> auto& {
+             return c.restoration.rewire.rewiring_coefficient;
+           }),
+      Axis(5, "protect_subgraph", &S::protects, &C::protect_subgraph, {},
+           [](auto& c) -> auto& { return c.restoration.protect_subgraph; }),
+      // Echoed before rewire_batch but expanded after it: both orders
+      // predate the table, and both are in recorded report bytes.
+      Axis(7, "frontier_walkers", &S::frontier_walkers, &C::frontier_walkers,
+           AtLeast(1), [](auto& c) -> auto& { return c.frontier_walkers; }),
+      Axis(6, "rewire_batch", &S::rewire_batches, &C::rewire_batch, {},
+           [](auto& c) -> auto& {
+             return c.restoration.parallel_rewire.batch_size;
+           }),
+      Axis(8, "noise", &S::noises, &C::noise, {},
+           [](auto& c) -> auto& { return c.noise; })
+          .Set(&Knob::omit_default),
+      Scalar("rewire_threads", &S::rewire_threads, {},
+             [](auto& c) -> auto& {
+               return c.restoration.parallel_rewire.threads;
+             }),
+      Scalar("parallel_assembly", &S::parallel_assembly, {},
+             [](auto& c) -> auto& {
+               return c.restoration.parallel_assembly.enabled;
+             }),
+      Scalar("assembly_threads", &S::assembly_threads, {},
+             [](auto& c) -> auto& {
+               return c.restoration.parallel_assembly.threads;
+             }),
+      Scalar("estimator_threads", &S::estimator_threads, {},
+             [](auto& c) -> auto& { return c.restoration.estimator.threads; }),
+      Scalar("path_sources", &S::path_sources, {},
+             [](auto& c) -> auto& {
+               return c.property_options.max_path_sources;
+             }),
+      Scalar("snowball_k", &S::snowball_k, AtLeast(1),
+             [](auto& c) -> auto& { return c.snowball_k; }),
+      Scalar("forest_fire_pf", &S::forest_fire_pf, In('(', 0, 1, ')'),
+             [](auto& c) -> auto& { return c.forest_fire_pf; }),
+      Scalar("simplify_output", &S::simplify_output, {},
+             [](auto& c) -> auto& { return c.restoration.simplify_output; }),
+      Scalar("dataset_scale", &S::dataset_scale, AtLeast(0)),
+      Scalar("track_properties", &S::track_properties, {},
+             [](auto& c) -> auto& { return c.restoration.track_properties; }),
+      Scalar("stop_epsilon", &S::stop_epsilon, AtLeast(0),
+             [](auto& c) -> auto& { return c.restoration.stop_epsilon; }),
+  };
+  return knobs;
+}
+
+/// The axis rows in expansion (and cell-echo) order.
+const std::vector<const Knob*>& Axes() {
+  static const std::vector<const Knob*> axes = [] {
+    std::vector<const Knob*> sorted;
+    for (const Knob& knob : Knobs()) {
+      if (knob.rank >= 0) sorted.push_back(&knob);
+    }
+    std::sort(sorted.begin(), sorted.end(),
+              [](const Knob* a, const Knob* b) { return a->rank < b->rank; });
+    return sorted;
+  }();
+  return axes;
+}
+
+/// `value` with every part it lacks, or holds with a type other than
+/// `fallback`'s, taken from `fallback` (member by member for objects).
+Json Reconcile(const Json* value, const Json& fallback) {
+  if (value == nullptr || value->kind() != fallback.kind()) return fallback;
+  if (!fallback.IsObject()) return *value;
+  Json merged = Json::Object();
+  for (const auto& [key, member] : fallback.ObjectMembers()) {
+    merged.Set(key, Reconcile(value->Find(key), member));
+  }
+  return merged;
 }
 
 }  // namespace
@@ -211,11 +561,11 @@ Graph BuildGeneratorGraph(const GeneratorSpec& gen) {
   // graph/generators.cc, compiled out under NDEBUG) as proper errors, so
   // a schema-valid but infeasible spec fails cleanly in Release instead
   // of crashing or hanging.
+  RequireKnownModel(gen.model);
   const auto require = [](bool ok, const std::string& message) {
     if (!ok) throw ScenarioError("generator: " + message);
   };
-  if (gen.model == "powerlaw" || gen.model == "ba" ||
-      gen.model == "community" || gen.model == "social") {
+  if (gen.model != "er") {
     require(gen.edges_per_node >= 1, "'edges_per_node' must be >= 1");
   }
   if (gen.model == "powerlaw" || gen.model == "ba") {
@@ -233,7 +583,7 @@ Graph BuildGeneratorGraph(const GeneratorSpec& gen) {
                 gen.nodes / gen.communities > gen.edges_per_node,
             "community size (nodes / communities) must exceed "
             "'edges_per_node'");
-  } else if (gen.model == "social") {
+  } else {
     require(gen.fringe_fraction >= 0.0 && gen.fringe_fraction < 1.0,
             "'fringe_fraction' must be in [0, 1)");
     const auto core_nodes = static_cast<std::size_t>(
@@ -259,194 +609,58 @@ Graph BuildGeneratorGraph(const GeneratorSpec& gen) {
     g = GenerateCommunityGraph(gen.nodes, gen.communities,
                                gen.edges_per_node, gen.triad_p, bridges,
                                rng);
-  } else if (gen.model == "social") {
+  } else {
     g = GenerateSocialGraph(gen.nodes, gen.edges_per_node, gen.triad_p,
                             gen.fringe_fraction, rng);
-  } else {
-    throw ScenarioError("unknown generator model '" + gen.model +
-                        "' (powerlaw|ba|er|community|social)");
   }
   return PreprocessDataset(g);
 }
 
-MethodKind MethodKindFromToken(const std::string& token) {
-  if (token == "bfs") return MethodKind::kBfs;
-  if (token == "snowball") return MethodKind::kSnowball;
-  if (token == "ff") return MethodKind::kForestFire;
-  if (token == "rw") return MethodKind::kRandomWalk;
-  if (token == "gjoka") return MethodKind::kGjoka;
-  if (token == "proposed") return MethodKind::kProposed;
-  throw ScenarioError("unknown method '" + token +
-                      "' (bfs|snowball|ff|rw|gjoka|proposed)");
+template <typename E>
+E FromToken(const std::string& token) {
+  std::string choices;
+  for (const auto& [value, name] : Tokens<E>::kList) {
+    if (token == name) return value;
+    choices += (choices.empty() ? "" : "|") + std::string(name);
+  }
+  throw ScenarioError("unknown " + std::string(Tokens<E>::kNoun) + " '" +
+                      token + "' (" + choices + ")");
 }
 
-std::string MethodToken(MethodKind kind) {
-  switch (kind) {
-    case MethodKind::kBfs: return "bfs";
-    case MethodKind::kSnowball: return "snowball";
-    case MethodKind::kForestFire: return "ff";
-    case MethodKind::kRandomWalk: return "rw";
-    case MethodKind::kGjoka: return "gjoka";
-    case MethodKind::kProposed: return "proposed";
+template <typename E>
+std::string ToToken(E value) {
+  for (const auto& [candidate, name] : Tokens<E>::kList) {
+    if (candidate == value) return name;
   }
   return "unknown";
 }
 
-WalkKind WalkKindFromToken(const std::string& token) {
-  if (token == "simple") return WalkKind::kSimple;
-  if (token == "non-backtracking") return WalkKind::kNonBacktracking;
-  if (token == "metropolis-hastings") return WalkKind::kMetropolisHastings;
-  throw ScenarioError("unknown walk '" + token +
-                      "' (simple|non-backtracking|metropolis-hastings)");
-}
-
-std::string WalkToken(WalkKind kind) {
-  switch (kind) {
-    case WalkKind::kSimple: return "simple";
-    case WalkKind::kNonBacktracking: return "non-backtracking";
-    case WalkKind::kMetropolisHastings: return "metropolis-hastings";
-  }
-  return "unknown";
-}
-
-CrawlerKind CrawlerKindFromToken(const std::string& token) {
-  if (token == "rw") return CrawlerKind::kRw;
-  if (token == "frontier") return CrawlerKind::kFrontier;
-  if (token == "mhrw") return CrawlerKind::kMhrw;
-  if (token == "bfs") return CrawlerKind::kBfs;
-  if (token == "snowball") return CrawlerKind::kSnowball;
-  if (token == "ff") return CrawlerKind::kFf;
-  throw ScenarioError("unknown crawler '" + token +
-                      "' (rw|frontier|mhrw|bfs|snowball|ff)");
-}
-
-std::string CrawlerToken(CrawlerKind kind) {
-  switch (kind) {
-    case CrawlerKind::kRw: return "rw";
-    case CrawlerKind::kFrontier: return "frontier";
-    case CrawlerKind::kMhrw: return "mhrw";
-    case CrawlerKind::kBfs: return "bfs";
-    case CrawlerKind::kSnowball: return "snowball";
-    case CrawlerKind::kFf: return "ff";
-  }
-  return "unknown";
-}
-
-JointEstimatorMode JointModeFromToken(const std::string& token) {
-  if (token == "hybrid") return JointEstimatorMode::kHybrid;
-  if (token == "ie") return JointEstimatorMode::kInducedEdgesOnly;
-  if (token == "te") return JointEstimatorMode::kTraversedEdgesOnly;
-  throw ScenarioError("unknown joint_mode '" + token + "' (hybrid|ie|te)");
-}
-
-std::string JointModeToken(JointEstimatorMode mode) {
-  switch (mode) {
-    case JointEstimatorMode::kHybrid: return "hybrid";
-    case JointEstimatorMode::kInducedEdgesOnly: return "ie";
-    case JointEstimatorMode::kTraversedEdgesOnly: return "te";
-  }
-  return "unknown";
-}
+template MethodKind FromToken<MethodKind>(const std::string&);
+template WalkKind FromToken<WalkKind>(const std::string&);
+template CrawlerKind FromToken<CrawlerKind>(const std::string&);
+template JointEstimatorMode FromToken<JointEstimatorMode>(const std::string&);
+template std::string ToToken<MethodKind>(MethodKind);
+template std::string ToToken<WalkKind>(WalkKind);
+template std::string ToToken<CrawlerKind>(CrawlerKind);
+template std::string ToToken<JointEstimatorMode>(JointEstimatorMode);
 
 ScenarioSpec ScenarioSpec::FromJson(const Json& json) {
   if (!json.IsObject()) {
     throw ScenarioError("scenario document must be a JSON object");
   }
   ScenarioSpec spec;
-  bool saw_datasets = false;
   for (const auto& [key, value] : json.ObjectMembers()) {
-    if (key == "name") {
-      spec.name = RequireString(value, key);
-    } else if (key == "datasets") {
-      spec.datasets = ParseDatasets(value);
-      saw_datasets = true;
-    } else if (key == "fractions") {
-      spec.fractions.clear();
-      for (const Json& f : RequireArray(value, key)) {
-        spec.fractions.push_back(RequireNumber(f, "fractions[]"));
-      }
-    } else if (key == "methods") {
-      spec.methods.clear();
-      for (const Json& m : RequireArray(value, key)) {
-        spec.methods.push_back(
-            MethodKindFromToken(RequireString(m, "methods[]")));
-      }
-    } else if (key == "trials") {
-      spec.trials = static_cast<std::size_t>(RequireUint(value, key));
-    } else if (key == "threads") {
-      spec.threads = static_cast<std::size_t>(RequireUint(value, key));
-    } else if (key == "seed_base") {
-      spec.seed_base = RequireUint(value, key);
-    } else if (key == "walk") {
-      spec.walks = ParseScalarOrArray<WalkKind>(
-          value, key, [](const Json& v, const std::string& k) {
-            return WalkKindFromToken(RequireString(v, k));
-          });
-    } else if (key == "crawler") {
-      spec.crawlers = ParseScalarOrArray<CrawlerKind>(
-          value, key, [](const Json& v, const std::string& k) {
-            return CrawlerKindFromToken(RequireString(v, k));
-          });
-    } else if (key == "estimator") {
-      spec.estimators = ParseScalarOrArray<EstimatorSpec>(
-          value, key, [](const Json& v, const std::string& k) {
-            return ParseEstimator(v, k);
-          });
-    } else if (key == "rc") {
-      spec.rcs = ParseScalarOrArray<double>(
-          value, key, [](const Json& v, const std::string& k) {
-            return RequireNumber(v, k);
-          });
-    } else if (key == "protect_subgraph") {
-      spec.protects = ParseScalarOrArray<bool>(
-          value, key, [](const Json& v, const std::string& k) {
-            return RequireBool(v, k);
-          });
-    } else if (key == "frontier_walkers") {
-      spec.frontier_walkers = ParseScalarOrArray<std::size_t>(
-          value, key, [](const Json& v, const std::string& k) {
-            return static_cast<std::size_t>(RequireUint(v, k));
-          });
-    } else if (key == "rewire_batch") {
-      spec.rewire_batches = ParseScalarOrArray<std::size_t>(
-          value, key, [](const Json& v, const std::string& k) {
-            return static_cast<std::size_t>(RequireUint(v, k));
-          });
-    } else if (key == "noise") {
-      spec.noises = ParseScalarOrArray<CrawlNoise>(
-          value, key, [](const Json& v, const std::string& k) {
-            return ParseNoise(v, k);
-          });
-    } else if (key == "rewire_threads") {
-      spec.rewire_threads =
-          static_cast<std::size_t>(RequireUint(value, key));
-    } else if (key == "parallel_assembly") {
-      spec.parallel_assembly = RequireBool(value, key);
-    } else if (key == "assembly_threads") {
-      spec.assembly_threads =
-          static_cast<std::size_t>(RequireUint(value, key));
-    } else if (key == "estimator_threads") {
-      spec.estimator_threads =
-          static_cast<std::size_t>(RequireUint(value, key));
-    } else if (key == "path_sources") {
-      spec.path_sources = static_cast<std::size_t>(RequireUint(value, key));
-    } else if (key == "snowball_k") {
-      spec.snowball_k = static_cast<std::size_t>(RequireUint(value, key));
-    } else if (key == "forest_fire_pf") {
-      spec.forest_fire_pf = RequireNumber(value, key);
-    } else if (key == "simplify_output") {
-      spec.simplify_output = RequireBool(value, key);
-    } else if (key == "dataset_scale") {
-      spec.dataset_scale = RequireNumber(value, key);
-    } else if (key == "track_properties") {
-      spec.track_properties = RequireBool(value, key);
-    } else if (key == "stop_epsilon") {
-      spec.stop_epsilon = RequireNumber(value, key);
-    } else {
-      throw ScenarioError("unknown key '" + key + "'");
+    const auto& knobs = Knobs();
+    const auto knob =
+        std::find_if(knobs.begin(), knobs.end(),
+                     [&key](const Knob& k) { return key == k.key; });
+    if (knob == knobs.end()) throw ScenarioError("unknown key '" + key + "'");
+    if (knob->always_array && !value.IsArray()) {
+      throw ScenarioError("'" + key + "' must be an array");
     }
+    knob->parse(spec, value, key);
   }
-  if (!saw_datasets) {
+  if (json.Find("datasets") == nullptr) {
     throw ScenarioError("'datasets' is required");
   }
   spec.Validate();
@@ -454,140 +668,13 @@ ScenarioSpec ScenarioSpec::FromJson(const Json& json) {
 }
 
 void ScenarioSpec::Validate() const {
-  // Every numeric knob is checked for finiteness here even though the
-  // typed JSON readers already reject Infinity/NaN — a spec built in
-  // C++ (or mutated after parsing) reaches the engine through this
-  // method alone.
-  const auto require_finite = [](double value, const char* key) {
-    if (!std::isfinite(value)) {
-      throw ScenarioError(std::string("'") + key + "' must be finite");
-    }
-  };
+  for (const Knob& knob : Knobs()) knob.check(*this, knob.key);
 
-  if (datasets.empty()) {
-    throw ScenarioError("'datasets' must name at least one dataset");
-  }
-  {
-    std::set<std::string> seen;
-    for (const ScenarioDataset& dataset : datasets) {
-      if (dataset.name.empty()) {
-        throw ScenarioError("'datasets[].name' must be non-empty");
-      }
-      if (!seen.insert(dataset.name).second) {
-        throw ScenarioError("duplicate dataset '" + dataset.name + "'");
-      }
-      if (dataset.generator) {
-        const GeneratorSpec& gen = *dataset.generator;
-        require_finite(gen.triad_p, "datasets[].triad_p");
-        require_finite(gen.fringe_fraction, "datasets[].fringe_fraction");
-        if (gen.nodes < 10) {
-          throw ScenarioError("'datasets[].nodes' must be >= 10");
-        }
-        if (gen.triad_p < 0.0 || gen.triad_p > 1.0) {
-          throw ScenarioError("'datasets[].triad_p' must be in [0, 1]");
-        }
-        if (gen.fringe_fraction < 0.0 || gen.fringe_fraction >= 1.0) {
-          throw ScenarioError(
-              "'datasets[].fringe_fraction' must be in [0, 1)");
-        }
-      }
+  std::set<std::string> names;
+  for (const ScenarioDataset& dataset : datasets) {
+    if (!names.insert(dataset.name).second) {
+      throw ScenarioError("duplicate dataset '" + dataset.name + "'");
     }
-  }
-
-  if (fractions.empty()) {
-    throw ScenarioError("'fractions' must contain at least one value");
-  }
-  for (double fraction : fractions) {
-    require_finite(fraction, "fractions");
-    if (fraction <= 0.0 || fraction > 1.0) {
-      throw ScenarioError("'fractions' entries must be in (0, 1]");
-    }
-  }
-
-  if (methods.empty()) {
-    throw ScenarioError("'methods' must name at least one method");
-  }
-  {
-    std::set<std::string> seen;
-    for (MethodKind kind : methods) {
-      if (!seen.insert(MethodToken(kind)).second) {
-        throw ScenarioError("duplicate method '" + MethodToken(kind) + "'");
-      }
-    }
-  }
-
-  if (trials == 0) throw ScenarioError("'trials' must be >= 1");
-
-  const auto require_axis_unique =
-      [](const std::vector<std::string>& tokens, const char* key) {
-        std::set<std::string> seen;
-        for (const std::string& token : tokens) {
-          if (!seen.insert(token).second) {
-            throw ScenarioError(std::string("duplicate ") + key + " '" +
-                                token + "'");
-          }
-        }
-      };
-  if (walks.empty()) {
-    throw ScenarioError("'walk' must contain at least one value");
-  }
-  {
-    std::vector<std::string> tokens;
-    for (WalkKind walk : walks) tokens.push_back(WalkToken(walk));
-    require_axis_unique(tokens, "walk");
-  }
-  if (crawlers.empty()) {
-    throw ScenarioError("'crawler' must contain at least one value");
-  }
-  {
-    std::vector<std::string> tokens;
-    for (CrawlerKind crawler : crawlers) {
-      tokens.push_back(CrawlerToken(crawler));
-    }
-    require_axis_unique(tokens, "crawler");
-  }
-
-  if (estimators.empty()) {
-    throw ScenarioError("'estimator' must contain at least one variant");
-  }
-  for (std::size_t i = 0; i < estimators.size(); ++i) {
-    require_finite(estimators[i].collision_fraction,
-                   "estimator.collision_fraction");
-    if (estimators[i].collision_fraction <= 0.0 ||
-        estimators[i].collision_fraction >= 1.0) {
-      throw ScenarioError(
-          "'estimator.collision_fraction' must be in (0, 1)");
-    }
-    for (std::size_t j = 0; j < i; ++j) {
-      if (estimators[j] == estimators[i]) {
-        throw ScenarioError("duplicate estimator variant");
-      }
-    }
-  }
-
-  if (rcs.empty()) {
-    throw ScenarioError("'rc' must contain at least one value");
-  }
-  {
-    std::set<double> seen;
-    for (double rc : rcs) {
-      require_finite(rc, "rc");
-      if (rc < 0.0) throw ScenarioError("'rc' must be >= 0");
-      if (!seen.insert(rc).second) {
-        throw ScenarioError("duplicate rc value");
-      }
-    }
-  }
-
-  if (protects.empty()) {
-    throw ScenarioError(
-        "'protect_subgraph' must contain at least one value");
-  }
-  if (protects.size() > 2) {
-    throw ScenarioError("duplicate protect_subgraph value");
-  }
-  if (protects.size() == 2 && protects[0] == protects[1]) {
-    throw ScenarioError("duplicate protect_subgraph value");
   }
 
   // Cross-axis rules. A non-walk crawl cannot feed the re-weighted
@@ -602,7 +689,7 @@ void ScenarioSpec::Validate() const {
                           crawler == CrawlerKind::kFf;
     if (non_walk && has_generative) {
       throw ScenarioError(
-          "crawler '" + CrawlerToken(crawler) +
+          "crawler '" + ToToken(crawler) +
           "' produces a non-walk sample; the generative methods "
           "(gjoka|proposed) require a walk crawler (rw|frontier|mhrw)");
     }
@@ -612,25 +699,9 @@ void ScenarioSpec::Validate() const {
     for (CrawlerKind crawler : crawlers) {
       if (crawler != CrawlerKind::kRw) {
         throw ScenarioError(
-            "walk '" + WalkToken(walk) +
+            "walk '" + ToToken(walk) +
             "' only applies to the rw crawler (crawler '" +
-            CrawlerToken(crawler) + "' fixes its own walk discipline)");
-      }
-    }
-  }
-
-  if (frontier_walkers.empty()) {
-    throw ScenarioError(
-        "'frontier_walkers' must contain at least one value");
-  }
-  {
-    std::set<std::size_t> seen;
-    for (std::size_t walkers : frontier_walkers) {
-      if (walkers == 0) {
-        throw ScenarioError("'frontier_walkers' must be >= 1");
-      }
-      if (!seen.insert(walkers).second) {
-        throw ScenarioError("duplicate frontier_walkers value");
+            ToToken(crawler) + "' fixes its own walk discipline)");
       }
     }
   }
@@ -641,54 +712,6 @@ void ScenarioSpec::Validate() const {
         "exactly [\"frontier\"] (every other crawler ignores the knob, so "
         "its cells would be duplicated once per walker value)");
   }
-  if (rewire_batches.empty()) {
-    throw ScenarioError("'rewire_batch' must contain at least one value");
-  }
-  {
-    std::set<std::size_t> seen;
-    for (std::size_t batch : rewire_batches) {
-      if (!seen.insert(batch).second) {
-        throw ScenarioError("duplicate rewire_batch value");
-      }
-    }
-  }
-  if (noises.empty()) {
-    throw ScenarioError("'noise' must contain at least one variant");
-  }
-  for (std::size_t i = 0; i < noises.size(); ++i) {
-    const CrawlNoise& noise = noises[i];
-    const auto require_noise_prob = [&require_finite](double p,
-                                                      const char* key) {
-      require_finite(p, key);
-      if (p < 0.0 || p > 0.9) {
-        // The oracle itself accepts [0, 1]; the spec stops at 0.9 because
-        // a cell where (almost) every query fails measures nothing.
-        throw ScenarioError(std::string("'") + key +
-                            "' must be in [0, 0.9]");
-      }
-    };
-    require_noise_prob(noise.failure, "noise.failure");
-    require_noise_prob(noise.hidden_edges, "noise.hidden_edges");
-    require_noise_prob(noise.churn, "noise.churn");
-    for (std::size_t j = 0; j < i; ++j) {
-      if (noises[j] == noises[i]) {
-        throw ScenarioError("duplicate noise variant");
-      }
-    }
-  }
-  if (snowball_k == 0) throw ScenarioError("'snowball_k' must be >= 1");
-  require_finite(forest_fire_pf, "forest_fire_pf");
-  if (forest_fire_pf <= 0.0 || forest_fire_pf >= 1.0) {
-    throw ScenarioError("'forest_fire_pf' must be in (0, 1)");
-  }
-  require_finite(dataset_scale, "dataset_scale");
-  if (dataset_scale < 0.0) {
-    throw ScenarioError("'dataset_scale' must be >= 0");
-  }
-  require_finite(stop_epsilon, "stop_epsilon");
-  if (stop_epsilon < 0.0) {
-    throw ScenarioError("'stop_epsilon' must be >= 0");
-  }
   if (stop_epsilon > 0.0 && !track_properties) {
     throw ScenarioError(
         "'stop_epsilon' requires 'track_properties': true (the adaptive "
@@ -697,159 +720,26 @@ void ScenarioSpec::Validate() const {
 }
 
 Json ScenarioSpec::ToJson() const {
+  const ScenarioSpec defaults;
   Json json = Json::Object();
-  json.Set("name", Json::String(name));
-  Json dataset_array = Json::Array();
-  for (const ScenarioDataset& dataset : datasets) {
-    if (!dataset.generator) {
-      dataset_array.Push(Json::String(dataset.name));
-      continue;
+  for (const Knob& knob : Knobs()) {
+    Json value = knob.echo(*this);
+    if (knob.omit_default && value == knob.echo(defaults)) continue;
+    if (!knob.always_array && value.IsArray() && value.Size() == 1) {
+      Json single = value.Items().front();
+      value = std::move(single);
     }
-    const GeneratorSpec& gen = *dataset.generator;
-    Json entry = Json::Object();
-    entry.Set("name", Json::String(dataset.name));
-    entry.Set("model", Json::String(gen.model));
-    entry.Set("nodes", Json::Number(static_cast<double>(gen.nodes)));
-    entry.Set("edges_per_node",
-              Json::Number(static_cast<double>(gen.edges_per_node)));
-    entry.Set("triad_p", Json::Number(gen.triad_p));
-    entry.Set("fringe_fraction", Json::Number(gen.fringe_fraction));
-    entry.Set("edges", Json::Number(static_cast<double>(gen.edges)));
-    entry.Set("communities",
-              Json::Number(static_cast<double>(gen.communities)));
-    entry.Set("bridges", Json::Number(static_cast<double>(gen.bridges)));
-    entry.Set("seed", Json::Number(static_cast<double>(gen.seed)));
-    dataset_array.Push(std::move(entry));
+    json.Set(knob.key, std::move(value));
   }
-  json.Set("datasets", std::move(dataset_array));
-  Json fraction_array = Json::Array();
-  for (double fraction : fractions) {
-    fraction_array.Push(Json::Number(fraction));
-  }
-  json.Set("fractions", std::move(fraction_array));
-  Json method_array = Json::Array();
-  for (MethodKind kind : methods) {
-    method_array.Push(Json::String(MethodToken(kind)));
-  }
-  json.Set("methods", std::move(method_array));
-  json.Set("trials", Json::Number(static_cast<double>(trials)));
-  json.Set("threads", Json::Number(static_cast<double>(threads)));
-  json.Set("seed_base", Json::Number(static_cast<double>(seed_base)));
-
-  // Axes serialize as a scalar when they hold one value and as an array
-  // otherwise, mirroring the two accepted document forms.
-  const auto scalar_or_array = [](std::vector<Json> items) {
-    if (items.size() == 1) return std::move(items.front());
-    Json array = Json::Array();
-    for (Json& item : items) array.Push(std::move(item));
-    return array;
-  };
-  {
-    std::vector<Json> items;
-    for (WalkKind walk : walks) items.push_back(Json::String(WalkToken(walk)));
-    json.Set("walk", scalar_or_array(std::move(items)));
-  }
-  {
-    std::vector<Json> items;
-    for (CrawlerKind crawler : crawlers) {
-      items.push_back(Json::String(CrawlerToken(crawler)));
-    }
-    json.Set("crawler", scalar_or_array(std::move(items)));
-  }
-  {
-    std::vector<Json> items;
-    for (const EstimatorSpec& estimator : estimators) {
-      Json entry = Json::Object();
-      entry.Set("joint_mode",
-                Json::String(JointModeToken(estimator.joint_mode)));
-      entry.Set("collision_fraction",
-                Json::Number(estimator.collision_fraction));
-      items.push_back(std::move(entry));
-    }
-    json.Set("estimator", scalar_or_array(std::move(items)));
-  }
-  {
-    std::vector<Json> items;
-    for (double rc : rcs) items.push_back(Json::Number(rc));
-    json.Set("rc", scalar_or_array(std::move(items)));
-  }
-  {
-    std::vector<Json> items;
-    for (bool protect : protects) items.push_back(Json::Bool(protect));
-    json.Set("protect_subgraph", scalar_or_array(std::move(items)));
-  }
-  {
-    std::vector<Json> items;
-    for (std::size_t walkers : frontier_walkers) {
-      items.push_back(Json::Number(static_cast<double>(walkers)));
-    }
-    json.Set("frontier_walkers", scalar_or_array(std::move(items)));
-  }
-  {
-    std::vector<Json> items;
-    for (std::size_t batch : rewire_batches) {
-      items.push_back(Json::Number(static_cast<double>(batch)));
-    }
-    json.Set("rewire_batch", scalar_or_array(std::move(items)));
-  }
-  // The noise axis is emitted only when it departs from the default
-  // single cooperative-oracle entry, so pre-existing reports (which embed
-  // this document verbatim) stay byte-identical; the omitted form parses
-  // back to the same default, preserving the round-trip.
-  if (!(noises.size() == 1 && !noises.front().Active())) {
-    std::vector<Json> items;
-    for (const CrawlNoise& noise : noises) {
-      Json entry = Json::Object();
-      entry.Set("failure", Json::Number(noise.failure));
-      entry.Set("hidden_edges", Json::Number(noise.hidden_edges));
-      entry.Set("churn", Json::Number(noise.churn));
-      entry.Set("api_budget",
-                Json::Number(static_cast<double>(noise.api_budget)));
-      items.push_back(std::move(entry));
-    }
-    json.Set("noise", scalar_or_array(std::move(items)));
-  }
-  json.Set("rewire_threads",
-           Json::Number(static_cast<double>(rewire_threads)));
-  json.Set("parallel_assembly", Json::Bool(parallel_assembly));
-  json.Set("assembly_threads",
-           Json::Number(static_cast<double>(assembly_threads)));
-  json.Set("estimator_threads",
-           Json::Number(static_cast<double>(estimator_threads)));
-  json.Set("path_sources", Json::Number(static_cast<double>(path_sources)));
-  json.Set("snowball_k", Json::Number(static_cast<double>(snowball_k)));
-  json.Set("forest_fire_pf", Json::Number(forest_fire_pf));
-  json.Set("simplify_output", Json::Bool(simplify_output));
-  json.Set("dataset_scale", Json::Number(dataset_scale));
-  json.Set("track_properties", Json::Bool(track_properties));
-  json.Set("stop_epsilon", Json::Number(stop_epsilon));
   return json;
 }
 
 ExperimentConfig ScenarioSpec::ToExperimentConfig(
     const CellKnobs& knobs) const {
   ExperimentConfig config;
-  config.query_fraction = knobs.fraction;
-  config.methods = methods;
-  config.snowball_k = snowball_k;
-  config.forest_fire_pf = forest_fire_pf;
-  config.walk = knobs.walk;
-  config.crawler = knobs.crawler;
-  config.frontier_walkers = knobs.frontier_walkers;
-  config.restoration.rewire.rewiring_coefficient = knobs.rc;
-  config.restoration.parallel_rewire.batch_size = knobs.rewire_batch;
-  config.restoration.parallel_rewire.threads = rewire_threads;
-  config.restoration.parallel_assembly.enabled = parallel_assembly;
-  config.restoration.parallel_assembly.threads = assembly_threads;
-  config.restoration.estimator.threads = estimator_threads;
-  config.restoration.simplify_output = simplify_output;
-  config.restoration.track_properties = track_properties;
-  config.restoration.stop_epsilon = stop_epsilon;
-  config.restoration.protect_subgraph = knobs.protect_subgraph;
-  config.noise = knobs.noise;
-  config.restoration.estimator.joint_mode = knobs.estimator.joint_mode;
-  config.restoration.estimator.collision_threshold_fraction =
-      knobs.estimator.collision_fraction;
+  for (const Knob& knob : Knobs()) {
+    if (knob.apply) knob.apply(*this, knobs, config);
+  }
   // The clustering normalizer is derived from the walk axis inside the
   // runner; setting it here too keeps direct ExperimentConfig consumers
   // (RestoreProposed callers) consistent.
@@ -858,7 +748,6 @@ ExperimentConfig ScenarioSpec::ToExperimentConfig(
        knobs.walk == WalkKind::kNonBacktracking)
           ? WalkType::kNonBacktracking
           : WalkType::kSimple;
-  config.property_options.max_path_sources = path_sources;
   // Trial-level parallelism is the engine's scaling axis; per-trial
   // property evaluation stays single-threaded so the report is
   // byte-identical for every thread count (FP summation order fixed).
@@ -868,280 +757,287 @@ ExperimentConfig ScenarioSpec::ToExperimentConfig(
 
 ExperimentConfig ScenarioSpec::ToExperimentConfig(double fraction) const {
   CellKnobs knobs;
+  for (const Knob* axis : Axes()) axis->select(*this, 0, knobs);
   knobs.fraction = fraction;
-  knobs.walk = walks.front();
-  knobs.crawler = crawlers.front();
-  knobs.estimator = estimators.front();
-  knobs.rc = rcs.front();
-  knobs.protect_subgraph = protects.front();
-  knobs.rewire_batch = rewire_batches.front();
-  knobs.frontier_walkers = frontier_walkers.front();
-  knobs.noise = noises.front();
   return ToExperimentConfig(knobs);
 }
 
 std::vector<CellKnobs> ScenarioSpec::ExpandKnobs() const {
-  std::vector<CellKnobs> expanded;
-  for (double fraction : fractions) {
-    for (WalkKind walk : walks) {
-      for (CrawlerKind crawler : crawlers) {
-        for (const EstimatorSpec& estimator : estimators) {
-          for (double rc : rcs) {
-            for (bool protect : protects) {
-              for (std::size_t batch : rewire_batches) {
-                for (std::size_t walkers : frontier_walkers) {
-                  for (const CrawlNoise& noise : noises) {
-                    CellKnobs knobs;
-                    knobs.fraction = fraction;
-                    knobs.walk = walk;
-                    knobs.crawler = crawler;
-                    knobs.estimator = estimator;
-                    knobs.rc = rc;
-                    knobs.protect_subgraph = protect;
-                    knobs.rewire_batch = batch;
-                    knobs.frontier_walkers = walkers;
-                    knobs.noise = noise;
-                    expanded.push_back(knobs);
-                  }
-                }
-              }
-            }
-          }
-        }
+  // Each axis multiplies the cells so far by its values, so the first
+  // (rank 0) axis varies slowest.
+  std::vector<CellKnobs> cells(1);
+  for (const Knob* axis : Axes()) {
+    std::vector<CellKnobs> crossed;
+    for (const CellKnobs& prefix : cells) {
+      for (std::size_t i = 0; i < axis->size(*this); ++i) {
+        crossed.push_back(prefix);
+        axis->select(*this, i, crossed.back());
       }
     }
+    cells = std::move(crossed);
   }
-  return expanded;
+  return cells;
 }
 
-std::vector<std::string> BuiltinScenarioNames() {
-  return {"tables-smoke",  "table2",        "table3",
-          "table4-time",   "table5-youtube", "fig3-sweep",
-          "ablation-walk", "ablation-rc",   "ablation-jdm",
-          "ablation-rewire", "ablation-batch", "ablation-frontier",
-          "ablation-noise"};
+std::vector<std::string> ScenarioSpecKeys() {
+  std::vector<std::string> keys;
+  for (const Knob& knob : Knobs()) keys.push_back(knob.key);
+  return keys;
 }
 
-bool IsBuiltinScenario(const std::string& name) {
-  for (const std::string& builtin : BuiltinScenarioNames()) {
-    if (builtin == name) return true;
+Json CellKnobsToJson(const CellKnobs& knobs, bool complete) {
+  const CellKnobs defaults;
+  Json json = Json::Object();
+  for (const Knob* axis : Axes()) {
+    Json value = axis->cell_echo(knobs);
+    if (!complete && axis->omit_default &&
+        value == axis->cell_echo(defaults)) {
+      continue;
+    }
+    json.Set(axis->cell_key, std::move(value));
   }
-  return false;
+  return json;
 }
 
-std::string BuiltinScenarioDescription(const std::string& name) {
-  if (name == "tables-smoke") {
-    return "CI-sized smoke matrix: 2 small stand-ins, 2 trials, RC 10 "
-           "(seconds; the recorded BENCH_scenarios.json baseline)";
-  }
-  if (name == "table2") {
-    return "Table II protocol: per-property L1 on Slashdot/Gowalla/"
-           "Livemocha, 10% queried";
-  }
-  if (name == "table3") {
-    return "Table III protocol: avg +- SD of L1 on the six standard "
-           "datasets, 10% queried";
-  }
-  if (name == "table4-time") {
-    return "Table IV protocol: generation times at RC = 500 (read timings "
-           "with --threads 1)";
-  }
-  if (name == "table5-youtube") {
-    return "Table V protocol: the YouTube stand-in at 1% queried";
-  }
-  if (name == "fig3-sweep") {
-    return "Figure 3 protocol: query-fraction sweep 2%-10% on Anybeat/"
-           "Brightkite/Epinions";
-  }
-  if (name == "ablation-walk") {
-    return "Walk ablation: simple vs non-backtracking walk through the "
-           "proposed pipeline (Section II extension)";
-  }
-  if (name == "ablation-rc") {
-    return "Rewiring-budget ablation: RC sweep 0-500 on the Brightkite "
-           "stand-in (Section IV-E)";
-  }
-  if (name == "ablation-jdm") {
-    return "Joint-degree-estimator ablation: hybrid vs IE-only vs "
-           "TE-only (Section III-E)";
-  }
-  if (name == "ablation-rewire") {
-    return "Candidate-set ablation: protected (E~ \\ E') vs all-edges "
-           "rewiring inside the proposed pipeline (Section IV-E)";
-  }
-  if (name == "ablation-batch") {
-    return "Batched-engine ablation: sequential attempt loop vs "
-           "speculative rounds (rewire_batch sweep) through the parallel "
-           "Algorithm 5 assembly";
-  }
-  if (name == "ablation-frontier") {
-    return "Frontier walker-count sweep: coupled-walker budget vs "
-           "restoration accuracy (frontier_walkers axis)";
-  }
-  if (name == "ablation-noise") {
-    return "Adversarial-oracle sweep: cooperative oracle vs private "
-           "accounts vs hidden edges vs churn vs an API-call budget "
-           "(noise axis), all six methods";
-  }
-  throw ScenarioError("unknown built-in scenario '" + name + "'");
+CellKnobs CellKnobsOf(const ExperimentConfig& config) {
+  CellKnobs knobs;
+  for (const Knob* axis : Axes()) axis->from_config(config, knobs);
+  return knobs;
 }
 
-ScenarioSpec BuiltinScenario(const std::string& name) {
-  const auto registry = [](std::initializer_list<const char*> names) {
-    std::vector<ScenarioDataset> datasets;
-    for (const char* dataset : names) datasets.push_back({dataset, {}});
-    return datasets;
-  };
-  const std::vector<ScenarioDataset> standard = registry(
-      {"anybeat", "brightkite", "epinions", "slashdot", "gowalla",
-       "livemocha"});
+Json CellKnobDefaults(const Json* config_echo) {
+  Json defaults = CellKnobsToJson(CellKnobs{}, /*complete=*/true);
+  if (config_echo == nullptr || !config_echo->IsObject()) return defaults;
+  for (const Knob* axis : Axes()) {
+    const Json* echoed = config_echo->Find(axis->key);
+    if (echoed != nullptr &&
+        echoed->kind() == defaults.Find(axis->cell_key)->kind()) {
+      defaults.Set(axis->cell_key, *echoed);
+    }
+  }
+  return defaults;
+}
 
-  ScenarioSpec spec;
-  spec.name = name;
-  if (name == "tables-smoke") {
-    spec.datasets = registry({"anybeat", "brightkite"});
-    spec.trials = 2;
-    spec.rcs = {10.0};
-    spec.path_sources = 40;
-    spec.dataset_scale = 0.1;
-    spec.seed_base = 0x5A0E;
-  } else if (name == "table2") {
-    spec.datasets = registry({"slashdot", "gowalla", "livemocha"});
-    spec.trials = 3;
-    spec.rcs = {100.0};
-    spec.path_sources = 600;
-    spec.seed_base = 0x7AB'2000;
-  } else if (name == "table3") {
-    spec.datasets = standard;
-    spec.trials = 3;
-    spec.rcs = {100.0};
-    spec.path_sources = 600;
-    spec.seed_base = 0x7AB'3000;
-  } else if (name == "table4-time") {
-    spec.datasets = standard;
-    spec.trials = 2;
-    spec.rcs = {500.0};
-    spec.path_sources = 64;
-    spec.seed_base = 0x7AB'4000;
-  } else if (name == "table5-youtube") {
-    spec.datasets = registry({"youtube"});
-    spec.fractions = {0.01};
-    spec.trials = 2;
-    spec.rcs = {50.0};
-    spec.path_sources = 300;
-    spec.seed_base = 0x7AB'5000;
-  } else if (name == "fig3-sweep") {
-    spec.datasets = registry({"anybeat", "brightkite", "epinions"});
-    spec.fractions = {0.02, 0.04, 0.06, 0.08, 0.10};
-    spec.trials = 3;
-    spec.rcs = {100.0};
-    spec.path_sources = 600;
-    spec.seed_base = 0xF16'3000;
-  } else if (name == "ablation-walk") {
+Json CellCoordinates(const Json& cell, const Json& defaults) {
+  Json coordinates = Json::Object();
+  for (const auto& [key, fallback] : defaults.ObjectMembers()) {
+    const Json value = Reconcile(cell.Find(key), fallback);
+    if (!value.IsObject()) {
+      coordinates.Set(key, value);
+      continue;
+    }
+    for (const auto& [member, member_value] : value.ObjectMembers()) {
+      coordinates.Set(member, member_value);
+    }
+  }
+  return coordinates;
+}
+
+std::string CellLabel(const std::string& dataset, const Json& cell,
+                      const Json& defaults) {
+  const Json coordinates = CellCoordinates(cell, defaults);
+  const Json baseline = CellCoordinates(defaults, defaults);
+  std::ostringstream label;
+  label << dataset << " @ "
+        << 100.0 * coordinates.Find(kQueryFractionKey)->AsNumber() << "%";
+  for (const auto& [name, value] : coordinates.ObjectMembers()) {
+    if (name == kQueryFractionKey || value == *baseline.Find(name)) continue;
+    label << " " << name << "=";
+    if (value.IsString()) {
+      label << value.AsString();
+    } else if (value.IsBool()) {
+      label << (value.AsBool() ? "true" : "false");
+    } else {
+      label << value.AsNumber();
+    }
+  }
+  return label.str();
+}
+
+std::string CellLabel(const std::string& dataset, const CellKnobs& knobs) {
+  return CellLabel(dataset, CellKnobsToJson(knobs), CellKnobDefaults());
+}
+
+// ---------------------------------------------------------------------------
+// Built-in scenarios: each is a scenario document, parsed by FromJson like
+// any user's, so `sgr scenarios show` prints exactly what `sgr run` runs.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct Builtin {
+  const char* name;
+  const char* description;  ///< the `sgr scenarios list` line
+  std::uint64_t seed_base;
+  const char* document;     ///< every other non-default key
+};
+
+const Builtin kBuiltins[] = {
+    {"tables-smoke",
+     "CI-sized smoke matrix: 2 small stand-ins, 2 trials, RC 10 "
+     "(seconds; the recorded BENCH_scenarios.json baseline)",
+     0x5A0E,
+     R"({"datasets": ["anybeat", "brightkite"], "trials": 2, "rc": 10,
+         "path_sources": 40, "dataset_scale": 0.1})"},
+    {"table2",
+     "Table II protocol: per-property L1 on Slashdot/Gowalla/"
+     "Livemocha, 10% queried",
+     0x7AB'2000,
+     R"({"datasets": ["slashdot", "gowalla", "livemocha"], "trials": 3,
+         "rc": 100, "path_sources": 600})"},
+    {"table3",
+     "Table III protocol: avg +- SD of L1 on the six standard "
+     "datasets, 10% queried",
+     0x7AB'3000,
+     R"({"datasets": ["anybeat", "brightkite", "epinions", "slashdot",
+                      "gowalla", "livemocha"],
+         "trials": 3, "rc": 100, "path_sources": 600})"},
+    {"table4-time",
+     "Table IV protocol: generation times at RC = 500 (read timings "
+     "with --threads 1)",
+     0x7AB'4000,
+     R"({"datasets": ["anybeat", "brightkite", "epinions", "slashdot",
+                      "gowalla", "livemocha"],
+         "trials": 2, "rc": 500, "path_sources": 64})"},
+    {"table5-youtube",
+     "Table V protocol: the YouTube stand-in at 1% queried",
+     0x7AB'5000,
+     R"({"datasets": ["youtube"], "fractions": [0.01], "trials": 2,
+         "rc": 50, "path_sources": 300})"},
+    {"fig3-sweep",
+     "Figure 3 protocol: query-fraction sweep 2%-10% on Anybeat/"
+     "Brightkite/Epinions",
+     0xF16'3000,
+     R"({"datasets": ["anybeat", "brightkite", "epinions"],
+         "fractions": [0.02, 0.04, 0.06, 0.08, 0.10], "trials": 3,
+         "rc": 100, "path_sources": 600})"},
     // SRW vs NBRW through the full proposed pipeline. The sample_steps
     // field of each cell carries the walk-length comparison (NBRW needs
     // fewer steps for the same query budget); the distances carry the
     // restoration-accuracy comparison. Recording-friendly scale — raise
     // dataset_scale toward 1 for the paper-sized protocol.
-    spec.datasets = standard;
-    spec.methods = {MethodKind::kProposed};
-    spec.walks = {WalkKind::kSimple, WalkKind::kNonBacktracking};
-    spec.trials = 3;
-    spec.rcs = {100.0};
-    spec.path_sources = 40;
-    spec.dataset_scale = 0.15;
-    spec.seed_base = 0xAB4'0000;
-  } else if (name == "ablation-rc") {
+    {"ablation-walk",
+     "Walk ablation: simple vs non-backtracking walk through the "
+     "proposed pipeline (Section II extension)",
+     0xAB4'0000,
+     R"({"datasets": ["anybeat", "brightkite", "epinions", "slashdot",
+                      "gowalla", "livemocha"],
+         "methods": ["proposed"], "walk": ["simple", "non-backtracking"],
+         "trials": 3, "rc": 100, "path_sources": 40,
+         "dataset_scale": 0.15})"},
     // The accuracy/time trade-off of the rewiring budget: final D falls
     // with RC while rewiring time grows linearly (read timings with
     // --threads 1). The per-method "rewire" stats block carries
     // initial/final D and the acceptance counters.
-    spec.datasets = registry({"brightkite"});
-    spec.methods = {MethodKind::kProposed};
-    spec.rcs = {0.0, 10.0, 50.0, 100.0, 250.0, 500.0};
-    spec.trials = 2;
-    spec.path_sources = 40;
-    spec.dataset_scale = 0.1;
-    spec.seed_base = 0xAB3'0000;
-  } else if (name == "ablation-jdm") {
+    {"ablation-rc",
+     "Rewiring-budget ablation: RC sweep 0-500 on the Brightkite "
+     "stand-in (Section IV-E)",
+     0xAB3'0000,
+     R"({"datasets": ["brightkite"], "methods": ["proposed"],
+         "rc": [0, 10, 50, 100, 250, 500], "trials": 2, "path_sources": 40,
+         "dataset_scale": 0.1})"},
     // Hybrid vs pure IE vs pure TE joint-degree estimation, end to end:
     // the estimator variant shapes the target JDM and therefore the
     // restored graph's distances.
-    spec.datasets = standard;
-    spec.methods = {MethodKind::kProposed};
-    spec.estimators = {
-        {JointEstimatorMode::kHybrid, 0.025},
-        {JointEstimatorMode::kInducedEdgesOnly, 0.025},
-        {JointEstimatorMode::kTraversedEdgesOnly, 0.025}};
-    spec.trials = 3;
-    spec.rcs = {50.0};
-    spec.path_sources = 40;
-    spec.dataset_scale = 0.15;
-    spec.seed_base = 0xAB1'0000;
-  } else if (name == "ablation-rewire") {
+    {"ablation-jdm",
+     "Joint-degree-estimator ablation: hybrid vs IE-only vs "
+     "TE-only (Section III-E)",
+     0xAB1'0000,
+     R"({"datasets": ["anybeat", "brightkite", "epinions", "slashdot",
+                      "gowalla", "livemocha"],
+         "methods": ["proposed"],
+         "estimator": [{"joint_mode": "hybrid"}, {"joint_mode": "ie"},
+                       {"joint_mode": "te"}],
+         "trials": 3, "rc": 50, "path_sources": 40,
+         "dataset_scale": 0.15})"},
     // Candidate set E~ \ E' (protect_subgraph = true, the paper) vs all
     // of E~ (false, Gjoka et al.'s choice) inside the proposed pipeline.
-    spec.datasets = standard;
-    spec.methods = {MethodKind::kProposed};
-    spec.protects = {true, false};
-    spec.trials = 2;
-    spec.rcs = {200.0};
-    spec.path_sources = 40;
-    spec.dataset_scale = 0.15;
-    spec.seed_base = 0xAB2'0000;
-  } else if (name == "ablation-batch") {
+    {"ablation-rewire",
+     "Candidate-set ablation: protected (E~ \\ E') vs all-edges "
+     "rewiring inside the proposed pipeline (Section IV-E)",
+     0xAB2'0000,
+     R"({"datasets": ["anybeat", "brightkite", "epinions", "slashdot",
+                      "gowalla", "livemocha"],
+         "methods": ["proposed"], "protect_subgraph": [true, false],
+         "trials": 2, "rc": 200, "path_sources": 40,
+         "dataset_scale": 0.15})"},
     // Sequential attempt loop (batch 0) vs speculative rounds at two
     // batch sizes, with the parallel Algorithm 5 assembly engine on —
     // the declarative face of bench_parallel_assembly /
     // bench_parallel_rewire. Batch size is an algorithm knob (each value
     // is its own equally valid trajectory); worker counts stay execution
     // knobs overridable from the CLI.
-    spec.datasets = registry({"brightkite"});
-    spec.methods = {MethodKind::kProposed};
-    spec.rewire_batches = {0, 64, 256};
-    spec.parallel_assembly = true;
-    spec.trials = 2;
-    spec.rcs = {100.0};
-    spec.path_sources = 40;
-    spec.dataset_scale = 0.1;
-    spec.seed_base = 0xAB6'0000;
-  } else if (name == "ablation-frontier") {
+    {"ablation-batch",
+     "Batched-engine ablation: sequential attempt loop vs "
+     "speculative rounds (rewire_batch sweep) through the parallel "
+     "Algorithm 5 assembly",
+     0xAB6'0000,
+     R"({"datasets": ["brightkite"], "methods": ["proposed"],
+         "rewire_batch": [0, 64, 256], "parallel_assembly": true,
+         "trials": 2, "rc": 100, "path_sources": 40,
+         "dataset_scale": 0.1})"},
     // Walker-count sweep of Ribeiro & Towsley's frontier crawler through
     // the proposed pipeline: more coupled walkers dilute the per-walker
     // trajectory the clustering estimator's interior term reads.
-    spec.datasets = registry({"brightkite"});
-    spec.methods = {MethodKind::kProposed};
-    spec.crawlers = {CrawlerKind::kFrontier};
-    spec.frontier_walkers = {2, 10, 50};
-    spec.trials = 2;
-    spec.rcs = {50.0};
-    spec.path_sources = 40;
-    spec.dataset_scale = 0.1;
-    spec.seed_base = 0xAB7'0000;
-  } else if (name == "ablation-noise") {
+    {"ablation-frontier",
+     "Frontier walker-count sweep: coupled-walker budget vs "
+     "restoration accuracy (frontier_walkers axis)",
+     0xAB7'0000,
+     R"({"datasets": ["brightkite"], "methods": ["proposed"],
+         "crawler": "frontier", "frontier_walkers": [2, 10, 50],
+         "trials": 2, "rc": 50, "path_sources": 40,
+         "dataset_scale": 0.1})"},
     // Robustness sweep of the adversarial oracle: the same protocol under
     // the cooperative oracle, then with each fault family on its own —
     // private/suspended accounts, hidden edges, transient churn, and a
     // hard API-call budget. All six methods run so the cells compare how
     // gracefully each restoration method degrades (the BENCHMARKS.md
-    // robustness table).
-    spec.datasets = registry({"brightkite"});
-    // The API budget is in calls, not nodes: at dataset_scale 0.1 the
-    // node budget is ~50, and a walk spends ~65-70 calls reaching it, so
-    // a 40-call budget genuinely truncates every crawl.
-    spec.noises = {{},
-                   {0.2, 0.0, 0.0, 0},
-                   {0.0, 0.3, 0.0, 0},
-                   {0.0, 0.0, 0.2, 0},
-                   {0.0, 0.0, 0.0, 40}};
-    spec.trials = 2;
-    spec.rcs = {10.0};
-    spec.path_sources = 40;
-    spec.dataset_scale = 0.1;
-    spec.seed_base = 0xAB8'0000;
-  } else {
-    throw ScenarioError("unknown built-in scenario '" + name + "'");
+    // robustness table). The API budget is in calls, not nodes: at
+    // dataset_scale 0.1 the node budget is ~50, and a walk spends ~65-70
+    // calls reaching it, so a 40-call budget genuinely truncates every
+    // crawl.
+    {"ablation-noise",
+     "Adversarial-oracle sweep: cooperative oracle vs private "
+     "accounts vs hidden edges vs churn vs an API-call budget "
+     "(noise axis), all six methods",
+     0xAB8'0000,
+     R"({"datasets": ["brightkite"],
+         "noise": [{}, {"failure": 0.2}, {"hidden_edges": 0.3},
+                   {"churn": 0.2}, {"api_budget": 40}],
+         "trials": 2, "rc": 10, "path_sources": 40,
+         "dataset_scale": 0.1})"},
+};
+
+const Builtin& FindBuiltin(const std::string& name) {
+  for (const Builtin& builtin : kBuiltins) {
+    if (name == builtin.name) return builtin;
   }
+  throw ScenarioError("unknown built-in scenario '" + name + "'");
+}
+
+}  // namespace
+
+std::vector<std::string> BuiltinScenarioNames() {
+  std::vector<std::string> names;
+  for (const Builtin& builtin : kBuiltins) names.push_back(builtin.name);
+  return names;
+}
+
+bool IsBuiltinScenario(const std::string& name) {
+  return std::any_of(
+      std::begin(kBuiltins), std::end(kBuiltins),
+      [&name](const Builtin& builtin) { return name == builtin.name; });
+}
+
+std::string BuiltinScenarioDescription(const std::string& name) {
+  return FindBuiltin(name).description;
+}
+
+ScenarioSpec BuiltinScenario(const std::string& name) {
+  const Builtin& builtin = FindBuiltin(name);
+  ScenarioSpec spec = ScenarioSpec::FromJson(Json::Parse(builtin.document));
+  spec.name = name;
+  spec.seed_base = builtin.seed_base;
   return spec;
 }
 

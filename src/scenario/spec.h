@@ -67,11 +67,16 @@ struct EstimatorSpec {
   }
 };
 
+/// Report key of a cell's query fraction (the spec key is "fractions").
+/// Every report since the first schema carries it, so `sgr diff` requires
+/// it where the later knobs fall back to defaults.
+inline constexpr char kQueryFractionKey[] = "query_fraction";
+
 /// Coordinates of one cell of the expanded scenario matrix — everything
-/// that varies between cells besides the dataset. RunScenario enumerates
-/// these axes fractions-major through noise-minor (see engine.h) and
-/// each cell's report echoes them, so `sgr diff` can pair cells across
-/// reports by (dataset, knobs).
+/// that varies between cells besides the dataset, one value per axis.
+/// RunScenario enumerates these fractions-major through noise-minor (see
+/// ExpandKnobs) and each cell's report echoes them (CellKnobsToJson), so
+/// `sgr diff` can pair cells across reports by (dataset, knobs).
 struct CellKnobs {
   double fraction = 0.1;
   WalkKind walk = WalkKind::kSimple;
@@ -91,14 +96,19 @@ struct CellKnobs {
 
 /// Declarative description of one crawl -> restore -> evaluate matrix:
 /// {datasets x fractions x walks x crawlers x estimators x rcs x
-/// protects} x methods x trials, with the knobs the hand-rolled benches
-/// used to take from the environment. Defaults match a
-/// default-constructed ExperimentConfig (RC = 500, 10% queried, all six
-/// methods, simple random walk, exact path evaluation), so an empty
-/// scenario runs the paper's Table III protocol on whatever datasets it
-/// names; every new axis defaults to a single paper-faithful value, so
-/// pre-existing scenario documents expand to exactly the cells they
-/// always did.
+/// protects x rewire_batches x frontier_walkers x noises} x methods x
+/// trials. Defaults match a default-constructed ExperimentConfig (RC =
+/// 500, 10% queried, all six methods, simple random walk, exact path
+/// evaluation), so an empty scenario runs the paper's Table III protocol
+/// on whatever datasets it names; every axis defaults to a single
+/// paper-faithful value, so older scenario documents expand to exactly the
+/// cells they always did.
+///
+/// Each document key is declared once, as a row of the knob table in
+/// spec.cc: its JSON key, type, default, range and, for an axis, its
+/// expansion rank and ExperimentConfig field. FromJson, ToJson, Validate,
+/// ExpandKnobs, ToExperimentConfig, the report's cell echo, `sgr diff`'s
+/// pairing and the cell labels all iterate that table.
 struct ScenarioSpec {
   std::string name = "custom";
   std::vector<ScenarioDataset> datasets;
@@ -110,39 +120,33 @@ struct ScenarioSpec {
   std::size_t trials = 3;
   std::size_t threads = 1;        ///< 0 = hardware concurrency
   std::uint64_t seed_base = 0x5EED;
-  /// Walk-discipline axis of the shared sample (JSON key "walk": one
-  /// token or an array; simple | non-backtracking | metropolis-hastings).
+  /// Walk-discipline axis ("walk"; simple | non-backtracking |
+  /// metropolis-hastings). Non-simple walks require the rw crawler.
   std::vector<WalkKind> walks = {WalkKind::kSimple};
-  /// Crawler axis of the shared sample (JSON key "crawler": one token or
-  /// an array; rw | frontier | mhrw | bfs | snowball | ff). Non-walk
-  /// crawlers require a method list without gjoka/proposed; non-simple
-  /// walks require the rw crawler. frontier/mhrw with the generative
-  /// methods are deliberate ablation combinations (their stationary laws
-  /// violate the estimators' simple-walk assumptions — running them
-  /// measures that bias; see CrawlerKind / WalkKind).
+  /// Crawler axis ("crawler"; rw | frontier | mhrw | bfs | snowball | ff).
+  /// Non-walk crawlers require a method list without gjoka/proposed.
+  /// frontier/mhrw with the generative methods are deliberate ablation
+  /// combinations (their stationary laws violate the estimators'
+  /// simple-walk assumptions — running them measures that bias).
   std::vector<CrawlerKind> crawlers = {CrawlerKind::kRw};
-  /// Estimator-ablation axis (JSON key "estimator": one object or an
-  /// array of objects with "joint_mode" and "collision_fraction").
+  /// Estimator-ablation axis ("estimator": objects with "joint_mode" and
+  /// "collision_fraction").
   std::vector<EstimatorSpec> estimators = {{}};
-  /// Rewiring-coefficient axis (JSON key "rc": one number or an array;
-  /// paper: 500).
+  /// Rewiring-coefficient axis ("rc"; paper: 500).
   std::vector<double> rcs = {500.0};
-  /// Rewiring candidate-set axis (JSON key "protect_subgraph": one bool
-  /// or an array): true rewires over E~ \ E' (the paper's choice), false
-  /// over all of E~ (Gjoka et al.'s choice inside the proposed pipeline).
+  /// Rewiring candidate-set axis ("protect_subgraph"): true rewires over
+  /// E~ \ E' (the paper's choice), false over all of E~ (Gjoka et al.'s
+  /// choice inside the proposed pipeline).
   std::vector<bool> protects = {true};
-  /// Walker-count axis of the frontier crawler (JSON key
-  /// "frontier_walkers": one number or an array). Sweeping it with more
-  /// than one value requires the crawler axis to be exactly [frontier]:
-  /// every other crawler ignores the knob, so its cells would be
-  /// duplicated once per walker value.
+  /// Walker-count axis of the frontier crawler ("frontier_walkers").
+  /// Sweeping more than one value requires the crawler axis to be exactly
+  /// [frontier]: every other crawler ignores the knob, so its cells would
+  /// be duplicated once per walker value.
   std::vector<std::size_t> frontier_walkers = {10};
-  /// Batched-speculative-rewiring axis (restore/rewirer.h; JSON key
-  /// "rewire_batch": one number or an array): 0 = the classic sequential
-  /// attempt loop, nonzero = proposals per round of
-  /// RewireToClusteringParallel. An algorithm knob — changing it changes
-  /// the (equally valid) rewiring trajectory, so it is a sweepable axis
-  /// and every cell echoes its value.
+  /// Batched-speculative-rewiring axis ("rewire_batch"; restore/
+  /// rewirer.h): 0 = the classic sequential attempt loop, nonzero =
+  /// proposals per round. An algorithm knob — each value is its own
+  /// (equally valid) rewiring trajectory.
   std::vector<std::size_t> rewire_batches = {0};
   /// Worker threads of the batched rewiring engine inside each trial
   /// (0 = hardware concurrency). Execution knob only: reports are
@@ -168,28 +172,27 @@ struct ScenarioSpec {
   double forest_fire_pf = 0.7;
   bool simplify_output = false;
   double dataset_scale = 0.0;     ///< 0 = honor $SGR_DATASET_SCALE / 1.0
-  /// Incremental property tracking during the rewiring phase (JSON key
-  /// "track_properties"): when true, every generative method's rewiring
-  /// run records a convergence curve that the report emits as a
-  /// deterministic "convergence" block. Observation only — cells are
-  /// byte-identical with tracking on or off.
+  /// Incremental property tracking during the rewiring phase: when true,
+  /// every generative method's rewiring run records a convergence curve
+  /// that the report emits as a deterministic "convergence" block.
+  /// Observation only — cells are byte-identical with tracking on or off.
   bool track_properties = false;
-  /// Adaptive rewiring stop epsilon (JSON key "stop_epsilon"; requires
-  /// `track_properties`): halt rewiring once the tracked L1 clustering
-  /// distance is within this value. 0 disables the stop.
+  /// Adaptive rewiring stop epsilon (requires `track_properties`): halt
+  /// rewiring once the tracked L1 clustering distance is within this
+  /// value. 0 disables the stop.
   double stop_epsilon = 0.0;
-  /// Adversarial-oracle axis (JSON key "noise": one object or an array of
-  /// objects with "failure", "hidden_edges", "churn", "api_budget"; see
-  /// CrawlNoise). The probabilities are capped at 0.9 at the spec level —
-  /// a cell where (almost) every query fails measures nothing; the
-  /// degenerate extremes stay reachable through the PerturbedOracle API
-  /// directly. Default: one all-off entry, the cooperative oracle, which
-  /// keeps pre-existing documents and reports byte-identical.
+  /// Adversarial-oracle axis ("noise": objects with "failure",
+  /// "hidden_edges", "churn", "api_budget"; see CrawlNoise). The
+  /// probabilities are capped at 0.9 at the spec level — a cell where
+  /// (almost) every query fails measures nothing. Default: one all-off
+  /// entry, the cooperative oracle, which the echo omits so older
+  /// documents and reports stay byte-identical.
   std::vector<CrawlNoise> noises = {{}};
 
-  /// Parses and validates a scenario document. Unknown keys, wrong types,
-  /// out-of-range values, unknown dataset/method names, and empty
-  /// dataset/fraction/method lists all throw ScenarioError.
+  /// Parses and validates a scenario document. Every axis accepts one
+  /// value or an array (`datasets`, `fractions` and `methods` only an
+  /// array). Unknown keys, wrong types, out-of-range values, unknown
+  /// dataset/method names, and empty lists all throw ScenarioError.
   static ScenarioSpec FromJson(const Json& json);
 
   /// Serializes the spec back to its document form; FromJson(ToJson(s))
@@ -199,10 +202,10 @@ struct ScenarioSpec {
   Json ToJson() const;
 
   /// Full semantic validation of the spec *values*, independent of how
-  /// they were produced: non-empty axes, finite numbers for every numeric
-  /// knob (the JSON layer admits Infinity/NaN literals by design, and a
-  /// programmatically built spec never passes through FromJson at all),
-  /// in-range values, no duplicate axis entries, and the cross-axis rules
+  /// they were produced: non-empty axes, finite and in-range numbers for
+  /// every numeric knob (the JSON layer admits Infinity/NaN literals by
+  /// design, and a programmatically built spec never passes through
+  /// FromJson at all), no duplicate axis entries, and the cross-axis rules
   /// (non-walk crawlers forbid generative methods; non-simple walks
   /// require the rw crawler). FromJson calls this after parsing, and
   /// RunScenario calls it before executing, so an invalid spec can reach
@@ -212,13 +215,11 @@ struct ScenarioSpec {
   /// The experiment configuration of one cell of the matrix: this spec's
   /// method list and options at the given axis coordinates. Per-trial
   /// property evaluation is pinned to one thread, so reports are
-  /// byte-identical for every engine thread count (the benches'
-  /// long-standing determinism contract).
+  /// byte-identical for every engine thread count.
   ExperimentConfig ToExperimentConfig(const CellKnobs& knobs) const;
 
   /// Convenience overload: the given query fraction with every other axis
-  /// at its first value (exactly what single-axis callers — the table
-  /// benches — mean).
+  /// at its first value (exactly what single-axis callers mean).
   ExperimentConfig ToExperimentConfig(double fraction) const;
 
   /// Enumerates the knob coordinates of the non-dataset axes in cell
@@ -230,22 +231,52 @@ struct ScenarioSpec {
   std::vector<CellKnobs> ExpandKnobs() const;
 };
 
-/// Maps a scenario document's method token (bfs | snowball | ff | rw |
-/// gjoka | proposed) to its MethodKind; throws ScenarioError on an
-/// unknown token. MethodToken inverts it.
-MethodKind MethodKindFromToken(const std::string& token);
-std::string MethodToken(MethodKind kind);
+/// Every top-level key of a scenario document, in echo order.
+std::vector<std::string> ScenarioSpecKeys();
 
-/// Token maps of the new axes, same contract as MethodKindFromToken:
-///   walk      simple | non-backtracking | metropolis-hastings
-///   crawler   rw | frontier | mhrw | bfs | snowball | ff
-///   joint     hybrid | ie | te
-WalkKind WalkKindFromToken(const std::string& token);
-std::string WalkToken(WalkKind kind);
-CrawlerKind CrawlerKindFromToken(const std::string& token);
-std::string CrawlerToken(CrawlerKind kind);
-JointEstimatorMode JointModeFromToken(const std::string& token);
-std::string JointModeToken(JointEstimatorMode mode);
+/// Token maps of the enum knobs; FromToken throws ScenarioError on an
+/// unknown token, and ToToken inverts it.
+///   MethodKind          bfs | snowball | ff | rw | gjoka | proposed
+///   WalkKind            simple | non-backtracking | metropolis-hastings
+///   CrawlerKind         rw | frontier | mhrw | bfs | snowball | ff
+///   JointEstimatorMode  hybrid | ie | te
+template <typename E>
+E FromToken(const std::string& token);
+template <typename E>
+std::string ToToken(E value);
+
+/// The cell echo of `knobs`, in expansion order: query_fraction, walk,
+/// crawler, estimator, rc, protect_subgraph, rewire_batch,
+/// frontier_walkers, noise. The noise object is left out at its default
+/// (the cooperative oracle) unless `complete`, so noise-off reports keep
+/// their historical bytes.
+Json CellKnobsToJson(const CellKnobs& knobs, bool complete = false);
+
+/// The cell knobs `config` runs with — the per-cell part of
+/// ScenarioSpec::ToExperimentConfig, inverted. A report cell echoes these,
+/// whoever built the config (the engine or a bench).
+CellKnobs CellKnobsOf(const ExperimentConfig& config);
+
+/// Pairing defaults for the cells of one report: the complete default
+/// cell echo, except that a knob the report's config echo holds as a
+/// single value takes that value. Reports from before the axis schema
+/// carry rc, rewire_batch and frontier_walkers there and nowhere else.
+Json CellKnobDefaults(const Json* config_echo = nullptr);
+
+/// The knob coordinates of a report cell, flattened in expansion order
+/// (object knobs member by member: "joint_mode", "collision_fraction",
+/// "failure", ...). A knob or member the cell lacks, or holds with the
+/// wrong type, takes its value from `defaults` (a CellKnobDefaults
+/// document). `sgr diff` pairs cells by (dataset, coordinates).
+Json CellCoordinates(const Json& cell, const Json& defaults);
+
+/// The one cell label ("anybeat @ 10% rc=250 failure=0.2"): dataset and
+/// query fraction, then every coordinate that differs from `defaults`.
+/// Used by `sgr diff` findings, the engine's progress lines and the bench
+/// tables.
+std::string CellLabel(const std::string& dataset, const Json& cell,
+                      const Json& defaults);
+std::string CellLabel(const std::string& dataset, const CellKnobs& knobs);
 
 /// Built-in named scenarios, runnable as `sgr run <name>`:
 ///   tables-smoke     2 small dataset stand-ins, CI-sized (seconds)

@@ -3,7 +3,7 @@
 // (deterministic, so failures reproduce), parse -> serialize -> re-parse
 // byte-equality, and regression tests for the parser's rejection of
 // truncated / deep-nested / duplicate-key inputs with line:column
-// assertions.
+// assertions, plus the scenario knob table fed fuzzed values.
 
 #include "util/json.h"
 
@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "scenario/spec.h"
 #include "util/rng.h"
 
 namespace sgr {
@@ -223,6 +224,51 @@ TEST(JsonFuzzTest, FuzzedReportDocumentsRoundTripThroughTheReportShape) {
     const std::string dumped = report.Dump(2);
     EXPECT_EQ(Json::Parse(dumped).Dump(2), dumped) << "seed " << seed;
   }
+}
+
+
+TEST(JsonFuzzTest, FuzzedScenarioKnobsParseOrThrowScenarioError) {
+  // Every row of the scenario knob table, and members of its object-valued
+  // entries, fed random values: FromJson either accepts the document, and
+  // its echo then round-trips, or throws ScenarioError. No other
+  // exception, and no crash.
+  const std::vector<std::pair<std::string, std::string>> members = {
+      {"estimator", "joint_mode"}, {"estimator", "collision_fraction"},
+      {"noise", "failure"},        {"noise", "api_budget"},
+      {"datasets", "nodes"},       {"datasets", "triad_p"},
+      {"datasets", "model"},       {"datasets", "seed"}};
+  std::size_t accepted = 0;
+  for (std::uint64_t seed = 700; seed < 740; ++seed) {
+    DocumentFuzzer fuzzer(seed);
+    std::vector<Json> documents;
+    for (const std::string& key : ScenarioSpecKeys()) {
+      Json doc = Json::Parse(R"({"datasets": ["anybeat"]})");
+      doc.Set(key, fuzzer.Value(2));
+      documents.push_back(std::move(doc));
+    }
+    for (const auto& [key, member] : members) {
+      Json entry = Json::Object();
+      entry.Set(member, fuzzer.Value(2));
+      Json doc = Json::Parse(R"({"datasets": ["anybeat"]})");
+      if (key == "datasets") {
+        Json datasets = Json::Array();
+        datasets.Push(std::move(entry));
+        doc.Set(key, std::move(datasets));
+      } else {
+        doc.Set(key, std::move(entry));
+      }
+      documents.push_back(std::move(doc));
+    }
+    for (const Json& doc : documents) {
+      try {
+        const Json echo = ScenarioSpec::FromJson(doc).ToJson();
+        EXPECT_EQ(ScenarioSpec::FromJson(echo).ToJson(), echo) << doc.Dump(0);
+        ++accepted;
+      } catch (const ScenarioError&) {
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0u);
 }
 
 }  // namespace

@@ -83,13 +83,26 @@ TEST(RunnerTest, BudgetFollowsQueryFraction) {
   EXPECT_EQ(results[0].restoration.subgraph_queried, 30u);
 }
 
-TEST(RunnerTest, EnvOrParsesAndFallsBack) {
+TEST(RunnerTest, EnvInputParsesStrictlyAndFallsBack) {
   setenv("SGR_TEST_ENV_VALUE", "2.5", 1);
-  EXPECT_DOUBLE_EQ(EnvOr("SGR_TEST_ENV_VALUE", 1.0), 2.5);
+  EXPECT_DOUBLE_EQ(EnvInput("SGR_TEST_ENV_VALUE", 1.0), 2.5);
   unsetenv("SGR_TEST_ENV_VALUE");
-  EXPECT_DOUBLE_EQ(EnvOr("SGR_TEST_ENV_VALUE", 1.0), 1.0);
+  EXPECT_DOUBLE_EQ(EnvInput("SGR_TEST_ENV_VALUE", 1.0), 1.0);
+  setenv("SGR_TEST_ENV_VALUE", "", 1);  // empty counts as unset
+  EXPECT_DOUBLE_EQ(EnvInput("SGR_TEST_ENV_VALUE", 3.0), 3.0);
+  // Junk is an error naming the variable, never a silent fallback.
   setenv("SGR_TEST_ENV_VALUE", "garbage", 1);
-  EXPECT_DOUBLE_EQ(EnvOr("SGR_TEST_ENV_VALUE", 3.0), 3.0);
+  try {
+    (void)EnvInput("SGR_TEST_ENV_VALUE", 3.0);
+    ADD_FAILURE() << "garbage accepted";
+  } catch (const InputError& e) {
+    EXPECT_NE(std::string(e.what()).find("SGR_TEST_ENV_VALUE"),
+              std::string::npos)
+        << e.what();
+  }
+  setenv("SGR_TEST_ENV_VALUE", "-1", 1);
+  EXPECT_THROW((void)EnvInput<std::uint64_t>("SGR_TEST_ENV_VALUE", 1),
+               InputError);
   unsetenv("SGR_TEST_ENV_VALUE");
 }
 

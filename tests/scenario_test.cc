@@ -528,9 +528,9 @@ TEST(ScenarioSpecTest, MethodTokensRoundTrip) {
        {MethodKind::kBfs, MethodKind::kSnowball, MethodKind::kForestFire,
         MethodKind::kRandomWalk, MethodKind::kGjoka,
         MethodKind::kProposed}) {
-    EXPECT_EQ(MethodKindFromToken(MethodToken(kind)), kind);
+    EXPECT_EQ(FromToken<MethodKind>(ToToken(kind)), kind);
   }
-  EXPECT_THROW(MethodKindFromToken("warp"), ScenarioError);
+  EXPECT_THROW(FromToken<MethodKind>("warp"), ScenarioError);
 }
 
 TEST(ScenarioSpecTest, BuiltinsAreValidAndListed) {
@@ -670,8 +670,8 @@ TEST(ScenarioEngineTest, RunsTheFullMatrix) {
       EXPECT_GE(summary.mean_average, 0.0);
     }
   }
-  EXPECT_DOUBLE_EQ(result.cells[0].query_fraction, 0.1);
-  EXPECT_DOUBLE_EQ(result.cells[1].query_fraction, 0.2);
+  EXPECT_DOUBLE_EQ(result.cells[0].knobs.fraction, 0.1);
+  EXPECT_DOUBLE_EQ(result.cells[1].knobs.fraction, 0.2);
 }
 
 TEST(ScenarioEngineTest, RunRecordsDatasetProvenance) {
@@ -870,11 +870,11 @@ TEST(ScenarioEngineTest, CellsEchoTheirKnobCoordinates) {
       for (double rc : {5.0, 20.0}) {
         for (bool protect : {true, false}) {
           const ScenarioCell& cell = result.cells[index];
-          EXPECT_EQ(cell.walk, walk) << index;
-          EXPECT_EQ(cell.crawler, CrawlerKind::kRw) << index;
-          EXPECT_EQ(cell.joint_mode, joint) << index;
-          EXPECT_DOUBLE_EQ(cell.rc, rc) << index;
-          EXPECT_EQ(cell.protect_subgraph, protect) << index;
+          EXPECT_EQ(cell.knobs.walk, walk) << index;
+          EXPECT_EQ(cell.knobs.crawler, CrawlerKind::kRw) << index;
+          EXPECT_EQ(cell.knobs.estimator.joint_mode, joint) << index;
+          EXPECT_DOUBLE_EQ(cell.knobs.rc, rc) << index;
+          EXPECT_EQ(cell.knobs.protect_subgraph, protect) << index;
           EXPECT_EQ(cell.seed_base, expected_seed) << index;
           // The walk-based trio shares one sample: identical steps.
           const double rw_steps =
@@ -974,9 +974,9 @@ TEST(ScenarioEngineTest,
   // The batch axis doubled the matrix, and the cells echo their batch
   // coordinate (cells expand batch-minor within each fraction).
   ASSERT_EQ(one.cells.size(), 4u);  // 2 fractions x 2 batches
-  EXPECT_EQ(one.cells[0].rewire_batch, 0u);
-  EXPECT_EQ(one.cells[1].rewire_batch, 16u);
-  EXPECT_EQ(one.cells[0].frontier_walkers, 10u);
+  EXPECT_EQ(one.cells[0].knobs.rewire_batch, 0u);
+  EXPECT_EQ(one.cells[1].knobs.rewire_batch, 16u);
+  EXPECT_EQ(one.cells[0].knobs.frontier_walkers, 10u);
   // The two batch coordinates select different rewiring trajectories for
   // the same seeds (batch is an algorithm knob).
   EXPECT_NE(
@@ -1000,8 +1000,8 @@ TEST(ScenarioEngineTest, FrontierWalkerSweepChangesTheSample) {
   })"));
   const ScenarioRunResult result = RunScenario(spec, 1);
   ASSERT_EQ(result.cells.size(), 2u);
-  EXPECT_EQ(result.cells[0].frontier_walkers, 2u);
-  EXPECT_EQ(result.cells[1].frontier_walkers, 25u);
+  EXPECT_EQ(result.cells[0].knobs.frontier_walkers, 2u);
+  EXPECT_EQ(result.cells[1].knobs.frontier_walkers, 25u);
   // More coupled walkers spread the same budget differently — the walk
   // length (a deterministic function of the sample) must differ.
   EXPECT_NE(
@@ -1030,9 +1030,9 @@ TEST(ScenarioEngineTest, NonWalkCrawlerRunsSubgraphMethods) {
     const MethodAggregate& aggregate =
         cell.methods.at(MethodKind::kRandomWalk);
     EXPECT_GT(aggregate.sample_steps, 0.0)
-        << CrawlerToken(cell.crawler);
+        << ToToken(cell.knobs.crawler);
     EXPECT_EQ(aggregate.distances.Summarize().runs, 2u)
-        << CrawlerToken(cell.crawler);
+        << ToToken(cell.knobs.crawler);
   }
   // Different crawlers produce different samples: the bfs cell's steps
   // differ from the rw cell's (queried-node count vs walk length).
@@ -1084,8 +1084,9 @@ TEST(ScenarioEngineTest, RunScenarioCellMatchesDirectRunExperiments) {
   const ExperimentConfig config = spec.ToExperimentConfig(0.1);
   const GraphProperties properties =
       ComputeProperties(dataset, config.property_options);
-  const ScenarioCell cell = RunScenarioCell(
-      "x", dataset, properties, config, spec.trials, spec.seed_base, 1);
+  const ScenarioCell cell =
+      RunScenarioCell("x", CsrGraph(dataset), properties, config,
+                      spec.trials, spec.seed_base, 1);
   const auto trials = RunExperiments(dataset, properties, config,
                                      spec.seed_base, spec.trials, 1);
   DistanceAccumulator expected;

@@ -48,6 +48,13 @@
 //       is identical for every value of every one of these knobs.
 //       Without --out the report goes to stdout.
 //
+//       Every flag value and SGR_* variable is parsed strictly: the
+//       whole string must be one value in the input's range (digits only
+//       for counts, 0|1 for switches), or the command exits 1 naming the
+//       flag or variable. A flag beats its SGR_* twin, which beats the
+//       spec key; the precedence table is in docs/ARCHITECTURE.md, "Flags
+//       and environment variables".
+//
 //       --trace FILE (or SGR_TRACE) records a span trace of the whole
 //       run — crawls, estimation chunks, assembly class pairs, rewiring
 //       rounds, pool tasks, cells — as Chrome trace_event JSON (load it
@@ -82,11 +89,12 @@
 //
 //   sgr diff old.json new.json [--l1-tol X] [--time-tol R] [--no-timings]
 //            [--markdown 1]
-//       Compare two sgr-report/1 files: cells are paired by (dataset,
-//       fraction, walk, crawler, estimator, rc, protect_subgraph,
-//       rewire_batch, frontier_walkers, noise) and each method aggregate is
-//       checked for deterministic L1 drift (tolerance --l1-tol, default
-//       1e-9 — same spec + seed must reproduce the same numbers) and
+//       Compare two sgr-report/1 files: cells are paired by (dataset, every
+//       knob coordinate: fraction, walk, crawler, estimator, rc,
+//       protect_subgraph, rewire_batch, frontier_walkers, noise) and each
+//       method aggregate is checked for deterministic L1 drift (tolerance
+//       --l1-tol, default 1e-9 — same spec + seed must reproduce the same
+//       numbers) and
 //       timing slowdowns (relative tolerance --time-tol, default 0.5 =
 //       +50%; --no-timings 1 skips them entirely). --markdown 1 renders
 //       the findings as a GitHub-flavored-markdown fragment (summary
@@ -99,6 +107,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -134,14 +143,16 @@
 #include "scenario/engine.h"
 #include "scenario/report.h"
 #include "scenario/spec.h"
+#include "util/parse.h"
 #include "util/srccheck.h"
 
 namespace {
 
 using namespace sgr;
+using U64 = std::uint64_t;
 
-/// Minimal --flag value parser: flags are "--name value"; unknown flags
-/// are an error, missing required flags are an error.
+/// Minimal --flag value parser: flags are "--name value"; a missing
+/// required flag is an error, and so is a malformed value (Get<T>).
 class Args {
  public:
   Args(int argc, char** argv, int first) {
@@ -171,14 +182,17 @@ class Args {
     return values_.find(key) != values_.end();
   }
 
-  double GetDouble(const std::string& key, double dflt) const {
+  /// The flag's value parsed strictly (util/parse.h), or `dflt` when the
+  /// flag is absent. A malformed or out-of-range value throws InputError
+  /// naming the flag.
+  template <typename T>
+  T Get(const std::string& key, T dflt,
+        T min = std::numeric_limits<T>::lowest(),
+        T max = std::numeric_limits<T>::max()) const {
     auto it = values_.find(key);
-    return it == values_.end() ? dflt : std::stod(it->second);
-  }
-
-  std::uint64_t GetUint(const std::string& key, std::uint64_t dflt) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? dflt : std::stoull(it->second);
+    return it == values_.end() ? dflt
+                               : ParseInput<T>(it->second, "--" + key, min,
+                                               max);
   }
 
  private:
@@ -190,16 +204,15 @@ int CmdGenerate(const Args& args) {
   // generator object share one model dispatch (BuildGeneratorGraph).
   GeneratorSpec gen;
   gen.model = args.GetOr("model", "powerlaw");
-  gen.nodes = static_cast<std::size_t>(args.GetUint("nodes", 3000));
-  gen.edges_per_node = static_cast<std::size_t>(args.GetUint(
-      "edges-per-node", gen.model == "community" ? 3 : 4));
-  gen.triad_p = args.GetDouble("triad-p", 0.4);
-  gen.fringe_fraction = args.GetDouble("fringe-fraction", 0.4);
-  gen.edges = static_cast<std::size_t>(args.GetUint("edges", 0));
-  gen.communities =
-      static_cast<std::size_t>(args.GetUint("communities", 4));
-  gen.bridges = static_cast<std::size_t>(args.GetUint("bridges", 0));
-  gen.seed = args.GetUint("seed", 1);
+  gen.nodes = args.Get<U64>("nodes", 3000);
+  gen.edges_per_node = args.Get<U64>(
+      "edges-per-node", gen.model == "community" ? 3 : 4);
+  gen.triad_p = args.Get("triad-p", 0.4, 0.0, 1.0);
+  gen.fringe_fraction = args.Get("fringe-fraction", 0.4, 0.0, 0.99);
+  gen.edges = args.Get<U64>("edges", 0);
+  gen.communities = args.Get<U64>("communities", 4);
+  gen.bridges = args.Get<U64>("bridges", 0);
+  gen.seed = args.Get<U64>("seed", 1);
   const Graph g = BuildGeneratorGraph(gen);
   WriteEdgeListFile(g, args.Get("out"));
   std::cout << "wrote " << args.Get("out") << ": n = " << g.NumNodes()
@@ -210,8 +223,8 @@ int CmdGenerate(const Args& args) {
 int CmdCrawl(const Args& args) {
   const Graph g = PreprocessDataset(ReadEdgeListFile(args.Get("graph")));
   const std::string method = args.GetOr("method", "rw");
-  Rng rng(args.GetUint("seed", 2));
-  const double fraction = args.GetDouble("fraction", 0.1);
+  Rng rng(args.Get<U64>("seed", 2));
+  const double fraction = args.Get("fraction", 0.1, 0.0, 1.0);
   const auto budget = static_cast<std::size_t>(
       std::max(1.0, fraction * static_cast<double>(g.NumNodes())));
   const NodeId seed = static_cast<NodeId>(rng.NextIndex(g.NumNodes()));
@@ -227,15 +240,13 @@ int CmdCrawl(const Args& args) {
   } else if (method == "bfs") {
     list = BfsSample(oracle, seed, budget);
   } else if (method == "snowball") {
-    list = SnowballSample(oracle, seed, budget,
-                          static_cast<std::size_t>(args.GetUint("k", 50)),
+    list = SnowballSample(oracle, seed, budget, args.Get<U64>("k", 50, 1),
                           rng);
   } else if (method == "ff") {
     list = ForestFireSample(oracle, seed, budget,
-                            args.GetDouble("pf", 0.7), rng);
+                            args.Get("pf", 0.7, 0.0, 1.0), rng);
   } else if (method == "frontier") {
-    const auto walkers =
-        static_cast<std::size_t>(args.GetUint("walkers", 10));
+    const auto walkers = args.Get<U64>("walkers", 10, 1, 1000000);
     std::vector<NodeId> seeds;
     for (std::size_t i = 0; i < walkers; ++i) {
       seeds.push_back(static_cast<NodeId>(rng.NextIndex(g.NumNodes())));
@@ -258,13 +269,18 @@ int CmdCrawl(const Args& args) {
 int CmdRestore(const Args& args) {
   const SamplingList list = ReadSamplingListFile(args.Get("sample"));
   const std::string method = args.GetOr("method", "proposed");
-  Rng rng(args.GetUint("seed", 3));
+  Rng rng(args.Get<U64>("seed", 3));
   RestorationOptions options;
-  options.rewire.rewiring_coefficient = args.GetDouble("rc", 500.0);
-  if (args.GetOr("walk-type", "simple") == "nbrw") {
+  options.rewire.rewiring_coefficient = args.Get("rc", 500.0, 0.0);
+  const std::string walk_type = args.GetOr("walk-type", "simple");
+  if (walk_type != "simple" && walk_type != "nbrw") {
+    throw std::runtime_error("--walk-type must be simple|nbrw, got '" +
+                             walk_type + "'");
+  }
+  if (walk_type == "nbrw") {
     options.estimator.walk_type = WalkType::kNonBacktracking;
   }
-  options.simplify_output = args.GetOr("simplify", "0") == "1";
+  options.simplify_output = args.Get("simplify", false);
 
   RestorationResult result;
   if (method == "proposed") {
@@ -289,8 +305,7 @@ int CmdRestore(const Args& args) {
 
 PropertyOptions PathOptions(const Args& args) {
   PropertyOptions options;
-  options.max_path_sources =
-      static_cast<std::size_t>(args.GetUint("sources", 0));
+  options.max_path_sources = args.Get<U64>("sources", 0);
   return options;
 }
 
@@ -364,38 +379,23 @@ int CmdRun(const std::string& source, const Args& args) {
   }
   const ScenarioSpec spec = LoadScenarioSpec(source);
 
-  // Thread-count precedence mirrors the bench binaries: the --threads
-  // flag beats $SGR_THREADS beats the scenario's own "threads" field
-  // (0 = hardware concurrency throughout). An unset or unparseable
-  // SGR_THREADS falls back to the spec, per EnvOr's contract.
-  std::size_t threads = static_cast<std::size_t>(
-      EnvOr("SGR_THREADS", static_cast<double>(spec.threads)));
-  if (args.Has("threads")) {
-    threads = static_cast<std::size_t>(args.GetUint("threads", 1));
-  }
-  // Same precedence for the intra-trial workers: the rewiring engine
-  // (only active when the spec's "rewire_batch" axis has a nonzero
-  // value), the parallel assembly engine ("parallel_assembly": true),
-  // and the chunked estimator pass (always active).
-  std::size_t rewire_threads = static_cast<std::size_t>(EnvOr(
-      "SGR_REWIRE_THREADS", static_cast<double>(spec.rewire_threads)));
-  if (args.Has("rewire-threads")) {
-    rewire_threads =
-        static_cast<std::size_t>(args.GetUint("rewire-threads", 1));
-  }
-  std::size_t assembly_threads = static_cast<std::size_t>(EnvOr(
-      "SGR_ASSEMBLY_THREADS", static_cast<double>(spec.assembly_threads)));
-  if (args.Has("assembly-threads")) {
-    assembly_threads =
-        static_cast<std::size_t>(args.GetUint("assembly-threads", 1));
-  }
-  std::size_t estimator_threads = static_cast<std::size_t>(
-      EnvOr("SGR_ESTIMATOR_THREADS",
-            static_cast<double>(spec.estimator_threads)));
-  if (args.Has("estimator-threads")) {
-    estimator_threads =
-        static_cast<std::size_t>(args.GetUint("estimator-threads", 1));
-  }
+  // Worker counts: flag beats environment beats spec (0 = hardware
+  // concurrency throughout). The intra-trial engines are the rewiring
+  // engine (only active when the spec's "rewire_batch" axis has a nonzero
+  // value), the parallel assembly engine ("parallel_assembly": true), and
+  // the chunked estimator pass (always active).
+  const auto workers = [&args](const char* flag, const char* env,
+                               std::size_t spec_value) {
+    return args.Get<U64>(flag, EnvInput<U64>(env, spec_value, 0, kMaxThreads),
+                         0, kMaxThreads);
+  };
+  const std::size_t threads = workers("threads", "SGR_THREADS", spec.threads);
+  const std::size_t rewire_threads =
+      workers("rewire-threads", "SGR_REWIRE_THREADS", spec.rewire_threads);
+  const std::size_t assembly_threads = workers(
+      "assembly-threads", "SGR_ASSEMBLY_THREADS", spec.assembly_threads);
+  const std::size_t estimator_threads = workers(
+      "estimator-threads", "SGR_ESTIMATOR_THREADS", spec.estimator_threads);
 
   std::cerr << "scenario '" << spec.name << "': " << spec.datasets.size()
             << " dataset(s) x " << spec.fractions.size()
@@ -417,12 +417,10 @@ int CmdRun(const std::string& source, const Args& args) {
 
   // Observability knobs: --trace beats $SGR_TRACE (a path), --metrics
   // beats $SGR_METRICS (0|1). Both default to off — the null-sink path.
-  const char* env_trace = std::getenv("SGR_TRACE");
   const std::string trace_path =
-      args.GetOr("trace", env_trace == nullptr ? "" : env_trace);
-  bool metrics = EnvOr("SGR_METRICS", 0.0) != 0.0;
-  if (args.Has("metrics")) metrics = args.Get("metrics") == "1";
-  obs::EnableMetrics(metrics);
+      args.GetOr("trace", EnvText("SGR_TRACE").value_or(""));
+  obs::EnableMetrics(
+      args.Get("metrics", EnvInput<bool>("SGR_METRICS", false)));
   if (!trace_path.empty()) obs::StartTracing();
 
   const ScenarioRunResult result =
@@ -465,14 +463,15 @@ int CmdDiff(const std::string& old_path, const std::string& new_path,
     return Json::Parse(text.str());
   };
   DiffOptions options;
-  options.l1_tolerance = args.GetDouble("l1-tol", options.l1_tolerance);
+  options.l1_tolerance = args.Get("l1-tol", options.l1_tolerance, 0.0);
   options.time_tolerance =
-      args.GetDouble("time-tol", options.time_tolerance);
-  options.compare_timings = args.GetOr("no-timings", "0") != "1";
+      args.Get("time-tol", options.time_tolerance, 0.0);
+  options.compare_timings = !args.Get("no-timings", false);
+  const bool markdown = args.Get("markdown", false);
 
   const DiffResult result =
       DiffReports(load(old_path), load(new_path), options);
-  if (args.GetOr("markdown", "0") == "1") {
+  if (markdown) {
     PrintDiffMarkdown(result, old_path, new_path, std::cout);
   } else {
     PrintDiff(result, std::cout);
@@ -580,7 +579,7 @@ int CmdDatasets(int argc, char** argv) {
     }
     const Args args(argc, argv, 4);
     const DatasetSpec spec = DatasetByName(argv[3]);
-    const double scale = args.GetDouble("scale", 1.0);
+    const double scale = args.Get("scale", 1.0, kMinDatasetScale, kMaxDatasetScale);
     const auto n = static_cast<std::size_t>(
         static_cast<double>(spec.num_nodes) * scale);
     if (scale <= 0.0 || n == 0) {
@@ -603,17 +602,22 @@ int CmdDatasets(int argc, char** argv) {
           "[--compress auto|on|off] [--cache DIR]");
     }
     const Args args(argc, argv, 4);
-    IngestOptions options;
-    options.threads = static_cast<std::size_t>(args.GetUint("threads", 1));
-    const std::string compress = args.GetOr("compress", "auto");
+    // Flags beat the SGR_INGEST_THREADS / SGR_CSR_COMPRESS /
+    // SGR_SNAPSHOT_CACHE defaults the scenario loader uses.
+    IngestOptions options = IngestOptionsFromEnv();
+    options.threads =
+        args.Get<U64>("threads", options.threads, 0, kMaxThreads);
+    const std::string compress = args.GetOr("compress", "");
     if (compress == "on") {
       options.compress = IngestOptions::Compress::kOn;
     } else if (compress == "off") {
       options.compress = IngestOptions::Compress::kOff;
-    } else if (compress != "auto") {
+    } else if (compress == "auto") {
+      options.compress = IngestOptions::Compress::kAuto;
+    } else if (!compress.empty()) {
       throw std::runtime_error("--compress must be auto|on|off");
     }
-    options.cache_dir = args.GetOr("cache", "");
+    options.cache_dir = args.GetOr("cache", options.cache_dir);
     Timer timer;
     const IngestResult result = IngestEdgeListFile(argv[3], options);
     const double seconds = timer.Seconds();
