@@ -15,6 +15,10 @@
 
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
+static int BenchMain(int argc, char** argv) {
   return sgr::bench::RunBuiltinScenarioBench("ablation-noise", argc, argv);
+}
+
+int main(int argc, char** argv) {
+  return sgr::bench::GuardedMain(BenchMain, argc, argv);
 }

@@ -25,6 +25,18 @@
 
 namespace sgr::bench {
 
+/// Every bench's `main`: runs `run(argc, argv)` and turns an escaping
+/// exception — a malformed flag or SGR_* variable, a missing dataset
+/// file — into its message on stderr and exit status 1, as `sgr` does.
+inline int GuardedMain(int (*run)(int, char**), int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << argv[0] << ": " << e.what() << "\n";
+    return 1;
+  }
+}
+
 /// The text after `flag` in argv, or nullopt when the flag is absent.
 inline std::optional<std::string> FlagValue(int argc, char** argv,
                                             const char* flag) {

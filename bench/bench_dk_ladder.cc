@@ -13,7 +13,7 @@
 #include "bench_common.h"
 #include "dk/dk_series.h"
 
-int main(int argc, char** argv) {
+static int BenchMain(int argc, char** argv) {
   using namespace sgr;
   using namespace sgr::bench;
 
@@ -61,4 +61,8 @@ int main(int argc, char** argv) {
                "P(k) snaps to ~0 at 1K, knn(k) at 2K, c(k) drops sharply "
                "at 2.5K, and the global columns tighten alongside.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sgr::bench::GuardedMain(BenchMain, argc, argv);
 }

@@ -16,7 +16,7 @@
 
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
+static int BenchMain(int argc, char** argv) {
   using namespace sgr;
   using namespace sgr::bench;
 
@@ -75,4 +75,8 @@ int main(int argc, char** argv) {
                "fraction; all methods improve as the budget grows.\n";
   report.WriteIfRequested();
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sgr::bench::GuardedMain(BenchMain, argc, argv);
 }

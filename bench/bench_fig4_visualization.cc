@@ -70,7 +70,7 @@ double OriginalPeripherySeen(const sgr::Graph& original,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int BenchMain(int argc, char** argv) {
   using namespace sgr;
   using namespace sgr::bench;
 
@@ -154,4 +154,8 @@ int main(int argc, char** argv) {
                "periphery population close to the original's. Open the "
                ".gexf files in Gephi to reproduce the visual layout.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sgr::bench::GuardedMain(BenchMain, argc, argv);
 }

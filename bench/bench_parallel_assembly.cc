@@ -71,7 +71,7 @@ bool SameEstimates(const sgr::LocalEstimates& x,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int BenchMain(int argc, char** argv) {
   using namespace sgr;
   using namespace sgr::bench;
 
@@ -226,4 +226,8 @@ int main(int argc, char** argv) {
                "the induced-edge scan dominates and the assembly speedup "
                "bounded by its sequential commit phase.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sgr::bench::GuardedMain(BenchMain, argc, argv);
 }

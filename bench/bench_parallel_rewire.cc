@@ -58,7 +58,7 @@ bool SameStats(const sgr::RewireStats& x, const sgr::RewireStats& y) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int BenchMain(int argc, char** argv) {
   using namespace sgr;
   using namespace sgr::bench;
 
@@ -194,4 +194,8 @@ int main(int argc, char** argv) {
                "phase — the O(k-bar^2) per-proposal work — dominates the "
                "sequential commit step.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sgr::bench::GuardedMain(BenchMain, argc, argv);
 }

@@ -18,7 +18,7 @@
 
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
+static int BenchMain(int argc, char** argv) {
   using namespace sgr;
   using namespace sgr::bench;
 
@@ -88,4 +88,8 @@ int main(int argc, char** argv) {
                "the shared snapshot), and 'identical' = yes on every "
                "row.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sgr::bench::GuardedMain(BenchMain, argc, argv);
 }

@@ -14,7 +14,7 @@
 
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
+static int BenchMain(int argc, char** argv) {
   using namespace sgr;
   using namespace sgr::bench;
 
@@ -62,4 +62,8 @@ int main(int argc, char** argv) {
          "P(k); Proposed additionally fixes knn(k), c(k), P(s), b(k).\n";
   report.WriteIfRequested();
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sgr::bench::GuardedMain(BenchMain, argc, argv);
 }

@@ -14,7 +14,7 @@
 
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
+static int BenchMain(int argc, char** argv) {
   using namespace sgr;
   using namespace sgr::bench;
 
@@ -54,4 +54,8 @@ int main(int argc, char** argv) {
   std::cout << "\nexpected shape (paper Table III): the Proposed column has "
                "the lowest average on every dataset.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sgr::bench::GuardedMain(BenchMain, argc, argv);
 }

@@ -25,8 +25,7 @@ CsrGraph Materialize(const ScenarioDataset& dataset, double dataset_scale,
     provenance->scale = 1.0;  // generator specs carry explicit sizes
     return CsrGraph(BuildGeneratorGraph(*dataset.generator));
   }
-  return LoadDatasetCsr(DatasetByName(dataset.name), dataset_scale,
-                        provenance);
+  return LoadDatasetCsr(DatasetByName(dataset.name), dataset_scale, provenance);
 }
 
 }  // namespace
@@ -63,8 +62,7 @@ ScenarioCell RunScenarioCell(const std::string& dataset_name,
   obs::Span cell_span("cell");
   Timer timer;
   const auto all_trials =
-      RunExperiments(dataset, properties, config, seed_base, trials,
-                     threads);
+      RunExperiments(dataset, properties, config, seed_base, trials, threads);
   cell.wall_seconds = timer.Seconds();
   cell_span.End();
 

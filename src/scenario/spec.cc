@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "exp/datasets.h"
+#include "exp/parallel.h"
 #include "graph/components.h"
 #include "graph/generators.h"
 #include "util/rng.h"
@@ -459,6 +460,7 @@ Knob Axis(int rank, const char* key, std::vector<T> ScenarioSpec::*values,
 const std::vector<Knob>& Knobs() {
   using S = ScenarioSpec;
   using C = CellKnobs;
+  constexpr Range kWorkers = In('[', 0, kMaxThreads, ']');
   static const std::vector<Knob> knobs = {
       Scalar("name", &S::name),
       List("datasets", &S::datasets).Set(&Knob::always_array),
@@ -470,7 +472,7 @@ const std::vector<Knob>& Knobs() {
            [](auto& c) -> auto& { return c.methods; })
           .Set(&Knob::always_array),
       Scalar("trials", &S::trials, AtLeast(1)),
-      Scalar("threads", &S::threads),
+      Scalar("threads", &S::threads, kWorkers),
       Scalar("seed_base", &S::seed_base),
       Axis(1, "walk", &S::walks, &C::walk, {},
            [](auto& c) -> auto& { return c.walk; }),
@@ -495,7 +497,7 @@ const std::vector<Knob>& Knobs() {
       Axis(8, "noise", &S::noises, &C::noise, {},
            [](auto& c) -> auto& { return c.noise; })
           .Set(&Knob::omit_default),
-      Scalar("rewire_threads", &S::rewire_threads, {},
+      Scalar("rewire_threads", &S::rewire_threads, kWorkers,
              [](auto& c) -> auto& {
                return c.restoration.parallel_rewire.threads;
              }),
@@ -503,11 +505,11 @@ const std::vector<Knob>& Knobs() {
              [](auto& c) -> auto& {
                return c.restoration.parallel_assembly.enabled;
              }),
-      Scalar("assembly_threads", &S::assembly_threads, {},
+      Scalar("assembly_threads", &S::assembly_threads, kWorkers,
              [](auto& c) -> auto& {
                return c.restoration.parallel_assembly.threads;
              }),
-      Scalar("estimator_threads", &S::estimator_threads, {},
+      Scalar("estimator_threads", &S::estimator_threads, kWorkers,
              [](auto& c) -> auto& { return c.restoration.estimator.threads; }),
       Scalar("path_sources", &S::path_sources, {},
              [](auto& c) -> auto& {

@@ -4,9 +4,12 @@
 # input. It must never run with a silently substituted value, and never
 # die on a signal.
 #
-#   sh tests/cli_input_test.sh path/to/sgr_cli
+# The bench binaries named after sgr_cli must keep the same contract.
+#
+#   sh tests/cli_input_test.sh path/to/sgr_cli [path/to/bench_* ...]
 set -u
 cli=$1
+shift
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 failures=0
@@ -48,6 +51,20 @@ expect --markdown "$cli" diff "$tmp/a.json" "$tmp/b.json" --markdown yes
 expect --nodes "$cli" generate --nodes 12abc --out "$tmp/g.txt"
 expect --scale "$cli" datasets export anybeat --scale 0 --out "$tmp/x.txt"
 expect --threads "$cli" datasets ingest "$tmp/anybeat.txt" --threads -1
+
+# `datasets ingest` reads only its own flags: the scenario loader's
+# ingest variables do not reach it, malformed or not.
+if ! env SGR_INGEST_THREADS=-1 SGR_CSR_COMPRESS=on \
+    "$cli" datasets ingest "$tmp/anybeat.txt" > /dev/null 2> "$tmp/err"; then
+  echo "FAIL: datasets ingest read the SGR_INGEST_* environment"
+  cat "$tmp/err"
+  failures=$((failures + 1))
+fi
+
+for bench in "$@"; do
+  expect SGR_THREADS env SGR_THREADS=2x "$bench"
+  expect --threads "$bench" --threads -1
+done
 
 if [ "$failures" -ne 0 ]; then
   echo "$failures malformed input(s) not rejected"

@@ -361,6 +361,11 @@ TEST(ScenarioSpecTest, ValidationErrors) {
       R"({"datasets": ["anybeat"], "rewire_batch": [64, 64]})",
       R"({"datasets": ["anybeat"], "rewire_batch": "big"})",
       R"({"datasets": ["anybeat"], "parallel_assembly": 1})",
+      // Worker counts share the flags' and variables' cap of 1024.
+      R"({"datasets": ["anybeat"], "threads": 100000})",
+      R"({"datasets": ["anybeat"], "rewire_threads": 1025})",
+      R"({"datasets": ["anybeat"], "assembly_threads": -1})",
+      R"({"datasets": ["anybeat"], "estimator_threads": 2000})",
       R"({"datasets": ["anybeat"], "snowball_k": 0})",
       R"({"datasets": ["anybeat"], "forest_fire_pf": 1})",
       R"({"datasets": ["anybeat"], "simplify_output": "yes"})",
@@ -470,6 +475,10 @@ TEST(ScenarioSpecTest, ValidateCatchesProgrammaticallyBuiltBadSpecs) {
   ScenarioSpec empty_walks = valid();
   empty_walks.walks.clear();
   EXPECT_THROW(empty_walks.Validate(), ScenarioError);
+
+  ScenarioSpec many_threads = valid();
+  many_threads.threads = 100000;
+  EXPECT_THROW(many_threads.Validate(), ScenarioError);
 
   ScenarioSpec no_methods = valid();
   no_methods.methods.clear();

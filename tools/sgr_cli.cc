@@ -602,22 +602,17 @@ int CmdDatasets(int argc, char** argv) {
           "[--compress auto|on|off] [--cache DIR]");
     }
     const Args args(argc, argv, 4);
-    // Flags beat the SGR_INGEST_THREADS / SGR_CSR_COMPRESS /
-    // SGR_SNAPSHOT_CACHE defaults the scenario loader uses.
-    IngestOptions options = IngestOptionsFromEnv();
-    options.threads =
-        args.Get<U64>("threads", options.threads, 0, kMaxThreads);
-    const std::string compress = args.GetOr("compress", "");
+    IngestOptions options;
+    options.threads = args.Get<U64>("threads", 1, 0, kMaxThreads);
+    const std::string compress = args.GetOr("compress", "auto");
     if (compress == "on") {
       options.compress = IngestOptions::Compress::kOn;
     } else if (compress == "off") {
       options.compress = IngestOptions::Compress::kOff;
-    } else if (compress == "auto") {
-      options.compress = IngestOptions::Compress::kAuto;
-    } else if (!compress.empty()) {
+    } else if (compress != "auto") {
       throw std::runtime_error("--compress must be auto|on|off");
     }
-    options.cache_dir = args.GetOr("cache", options.cache_dir);
+    options.cache_dir = args.GetOr("cache", "");
     Timer timer;
     const IngestResult result = IngestEdgeListFile(argv[3], options);
     const double seconds = timer.Seconds();
