@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -50,7 +51,7 @@ void ThreadPool::Submit(std::function<void()> task) {
   std::size_t depth = 0;
   {
     std::unique_lock<std::mutex> lock(mutex_);
-    queue_.push_back(std::move(task));
+    queue_.push_back(Task{std::move(task), obs::CurrentMetricsSink()});
     ++in_flight_;
     depth = queue_.size();
   }
@@ -59,13 +60,14 @@ void ThreadPool::Submit(std::function<void()> task) {
 }
 
 void ThreadPool::Wait() {
+  obs::Span wait_span("wait", "pool");
   std::unique_lock<std::mutex> lock(mutex_);
   all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::WorkerLoop() {
   for (;;) {
-    std::function<void()> task;
+    Task task;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       work_available_.wait(lock,
@@ -74,17 +76,20 @@ void ThreadPool::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    // Worker utilization: busy time needs a clock read on both sides of
-    // the task, so it is gated rather than left to MetricAdd's own check.
-    const bool metered = obs::MetricsEnabled();
-    const std::uint64_t begin_us = metered ? obs::SteadyNowMicros() : 0;
     {
-      obs::Span task_span("task", "pool");
-      task();
-    }
-    if (metered) {
-      obs::MetricAdd("pool.tasks", 1);
-      obs::MetricAdd("pool.busy_us", obs::SteadyNowMicros() - begin_us);
+      const obs::ScopedMetricsSink sink(task.sink);
+      // Worker utilization: busy time needs a clock read on both sides of
+      // the task, so it is gated rather than left to MetricAdd's own check.
+      const bool metered = obs::MetricsEnabled();
+      const std::uint64_t begin_us = metered ? obs::SteadyNowMicros() : 0;
+      {
+        obs::Span task_span("task", "pool");
+        task.fn();
+      }
+      if (metered) {
+        obs::MetricAdd("pool.tasks", 1);
+        obs::MetricAdd("pool.busy_us", obs::SteadyNowMicros() - begin_us);
+      }
     }
     {
       std::unique_lock<std::mutex> lock(mutex_);
@@ -115,17 +120,31 @@ void PoolFor(ThreadPool& pool, std::size_t count,
     return;
   }
   std::atomic<std::size_t> next{0};
+  // An exception must not escape a worker (std::terminate); the lowest
+  // throwing index wins, so which one the caller sees is deterministic.
+  std::mutex error_mutex;
+  std::size_t error_index = count;
+  std::exception_ptr error;
   const std::size_t workers = std::min(pool.size(), count);
   for (std::size_t w = 0; w < workers; ++w) {
     pool.Submit([&] {
       for (;;) {
         const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
         if (i >= count) return;
-        fn(i);
+        try {
+          fn(i);
+        } catch (...) {
+          const std::lock_guard<std::mutex> lock(error_mutex);
+          if (i < error_index) {
+            error_index = i;
+            error = std::current_exception();
+          }
+        }
       }
     });
   }
   pool.Wait();
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace sgr

@@ -12,6 +12,10 @@
 
 namespace sgr {
 
+namespace obs {
+class MetricsSink;
+}  // namespace obs
+
 /// Number of worker threads to use for `requested`: 0 means "all hardware
 /// threads" (never less than 1).
 std::size_t ResolveThreadCount(std::size_t requested);
@@ -42,9 +46,10 @@ std::uint64_t DeriveRoundSeed(std::uint64_t base_seed, std::uint64_t stream,
 ///
 /// The restoration experiments are embarrassingly parallel: every Monte
 /// Carlo trial reads the same immutable CsrGraph snapshot and writes only
-/// its own result slot. The pool exists so the trial runner (and the
-/// benches behind `--threads N`) can keep all cores busy without spawning
-/// a thread per trial.
+/// its own result slot. The pool exists so the scenario engine's trial
+/// scheduler (and the benches behind `--threads N`) can keep all cores
+/// busy without spawning a thread per trial. A task runs with the metrics
+/// sink (obs/metrics.h) that was open on the thread that submitted it.
 class ThreadPool {
  public:
   /// Starts `threads` workers (0 = hardware concurrency).
@@ -59,7 +64,9 @@ class ThreadPool {
   /// Enqueues `task` for execution on some worker.
   void Submit(std::function<void()> task);
 
-  /// Blocks until every submitted task has finished. Tasks must not
+  /// Blocks until every submitted task has finished, inside a `wait`
+  /// span (category `pool`), so a trace attributes the blocked time to
+  /// waiting rather than to the caller's enclosing span. Tasks must not
   /// Submit() new work concurrently with Wait().
   void Wait();
 
@@ -67,10 +74,15 @@ class ThreadPool {
   std::size_t size() const { return workers_.size(); }
 
  private:
+  struct Task {
+    std::function<void()> fn;
+    obs::MetricsSink* sink;  ///< the submitter's open sink, or nullptr
+  };
+
   void WorkerLoop();
 
   std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;
+  std::deque<Task> queue_;
   std::mutex mutex_;
   std::condition_variable work_available_;
   std::condition_variable all_done_;
@@ -82,7 +94,9 @@ class ThreadPool {
 /// (0 = hardware concurrency). Iterations are claimed dynamically, so
 /// uneven per-trial costs still balance; `fn` must be safe to call
 /// concurrently from different threads. When `threads` resolves to 1 (or
-/// count <= 1) the loop runs inline with no thread or pool overhead.
+/// count <= 1) the loop runs inline with no thread or pool overhead. An
+/// exception reaches the calling thread either way: the one of the lowest
+/// throwing index, rethrown once the pooled iterations have all run.
 void ParallelFor(std::size_t count, std::size_t threads,
                  const std::function<void(std::size_t)>& fn);
 
@@ -90,8 +104,8 @@ void ParallelFor(std::size_t count, std::size_t threads,
 /// [0, count) on `pool`'s workers (dynamic claiming) and blocks until all
 /// iterations finish. For callers that fan out many small loops in a row
 /// (the chunked estimator pass, the batched rewiring rounds) and must not
-/// pay a pool construction per loop. The caller must not Submit() other
-/// work concurrently.
+/// pay a pool construction per loop. Exceptions behave as in
+/// ParallelFor. The caller must not Submit() other work concurrently.
 void PoolFor(ThreadPool& pool, std::size_t count,
              const std::function<void(std::size_t)>& fn);
 

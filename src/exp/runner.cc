@@ -29,11 +29,14 @@ bool Wants(const ExperimentConfig& config, MethodKind kind) {
   return false;
 }
 
+/// Evaluates one method's restoration. Without `keep_graphs` the
+/// generated graph and the estimates are freed here, before the trial's
+/// next method allocates its own.
 MethodRunResult Evaluate(MethodKind kind, RestorationResult restoration,
                          const GraphProperties& original_properties,
                          const PropertyOptions& property_options,
                          std::size_t sample_steps,
-                         std::size_t oracle_queries) {
+                         std::size_t oracle_queries, bool keep_graphs) {
   MethodRunResult result;
   result.kind = kind;
   obs::Span evaluate_span("evaluate");
@@ -43,6 +46,10 @@ MethodRunResult Evaluate(MethodKind kind, RestorationResult restoration,
   result.average_distance = AverageDistance(result.distances);
   result.sd_distance = DistanceStandardDeviation(result.distances);
   evaluate_span.End();
+  if (!keep_graphs) {
+    restoration.graph = Graph();
+    restoration.estimates = LocalEstimates();
+  }
   result.restoration = std::move(restoration);
   result.sample_steps = static_cast<double>(sample_steps);
   result.oracle_queries = oracle_queries;
@@ -117,10 +124,13 @@ void RecordNoiseMetrics(const PerturbedOracle& oracle) {
 
 /// Shared implementation: `GraphT` is Graph or CsrGraph; QueryOracle
 /// accepts either, so the sampling/restoration pipeline is unchanged.
+/// `keep_graphs` selects whether the results carry each method's generated
+/// graph and estimates (see Evaluate).
 template <typename GraphT>
 std::vector<MethodRunResult> RunExperimentImpl(
     const GraphT& original, const GraphProperties& original_properties,
-    const ExperimentConfig& config, std::uint64_t run_seed) {
+    const ExperimentConfig& config, std::uint64_t run_seed,
+    bool keep_graphs) {
   obs::Span trial_span("trial");
   std::vector<MethodRunResult> results;
   Rng rng(run_seed);
@@ -160,7 +170,7 @@ std::vector<MethodRunResult> RunExperimentImpl(
     results.push_back(Evaluate(
         MethodKind::kBfs, RestoreBySubgraphSampling(sample),
         original_properties, config.property_options, steps,
-        oracle.unique_queries()));
+        oracle.unique_queries(), keep_graphs));
   }
   if (Wants(config, MethodKind::kSnowball)) {
     PerturbedOracle oracle(original, config.noise, noise_seed);
@@ -174,7 +184,7 @@ std::vector<MethodRunResult> RunExperimentImpl(
     results.push_back(Evaluate(
         MethodKind::kSnowball, RestoreBySubgraphSampling(sample),
         original_properties, config.property_options, steps,
-        oracle.unique_queries()));
+        oracle.unique_queries(), keep_graphs));
   }
   if (Wants(config, MethodKind::kForestFire)) {
     PerturbedOracle oracle(original, config.noise, noise_seed);
@@ -188,7 +198,7 @@ std::vector<MethodRunResult> RunExperimentImpl(
     results.push_back(Evaluate(
         MethodKind::kForestFire, RestoreBySubgraphSampling(sample),
         original_properties, config.property_options, steps,
-        oracle.unique_queries()));
+        oracle.unique_queries(), keep_graphs));
   }
 
   const bool wants_generative = Wants(config, MethodKind::kGjoka) ||
@@ -225,19 +235,19 @@ std::vector<MethodRunResult> RunExperimentImpl(
       results.push_back(Evaluate(
           MethodKind::kRandomWalk, RestoreBySubgraphSampling(walk),
           original_properties, config.property_options, walk.Length(),
-          oracle.unique_queries()));
+          oracle.unique_queries(), keep_graphs));
     }
     if (Wants(config, MethodKind::kGjoka)) {
       results.push_back(Evaluate(
           MethodKind::kGjoka, RestoreGjoka(walk, restoration, rng),
           original_properties, config.property_options, walk.Length(),
-          oracle.unique_queries()));
+          oracle.unique_queries(), keep_graphs));
     }
     if (Wants(config, MethodKind::kProposed)) {
       results.push_back(Evaluate(
           MethodKind::kProposed, RestoreProposed(walk, restoration, rng),
           original_properties, config.property_options, walk.Length(),
-          oracle.unique_queries()));
+          oracle.unique_queries(), keep_graphs));
     }
   }
   return results;
@@ -254,13 +264,22 @@ std::optional<std::string> EnvText(const char* name) {
 std::vector<MethodRunResult> RunExperiment(
     const Graph& original, const GraphProperties& original_properties,
     const ExperimentConfig& config, std::uint64_t run_seed) {
-  return RunExperimentImpl(original, original_properties, config, run_seed);
+  return RunExperimentImpl(original, original_properties, config, run_seed,
+                           /*keep_graphs=*/true);
 }
 
 std::vector<MethodRunResult> RunExperiment(
     const CsrGraph& original, const GraphProperties& original_properties,
     const ExperimentConfig& config, std::uint64_t run_seed) {
-  return RunExperimentImpl(original, original_properties, config, run_seed);
+  return RunExperimentImpl(original, original_properties, config, run_seed,
+                           /*keep_graphs=*/true);
+}
+
+std::vector<MethodRunResult> RunExperimentWithoutGraphs(
+    const CsrGraph& original, const GraphProperties& original_properties,
+    const ExperimentConfig& config, std::uint64_t run_seed) {
+  return RunExperimentImpl(original, original_properties, config, run_seed,
+                           /*keep_graphs=*/false);
 }
 
 std::vector<std::vector<MethodRunResult>> RunExperiments(
@@ -279,7 +298,7 @@ std::vector<std::vector<MethodRunResult>> RunExperiments(
   std::vector<std::vector<MethodRunResult>> trials(num_trials);
   ParallelFor(num_trials, threads, [&](std::size_t i) {
     trials[i] = RunExperimentImpl(snapshot, original_properties, config,
-                                  seed_base + i);
+                                  seed_base + i, /*keep_graphs=*/true);
   });
   return trials;
 }

@@ -143,6 +143,15 @@ std::vector<MethodRunResult> RunExperiment(
     const CsrGraph& original, const GraphProperties& original_properties,
     const ExperimentConfig& config, std::uint64_t run_seed);
 
+/// RunExperiment (CsrGraph overload) for callers that keep only the
+/// statistics, as the scenario engine does: each method's generated graph
+/// and local estimates are dropped as soon as the method is evaluated, so
+/// a trial holds at most one generated graph at a time. Every other field
+/// of the results is identical to RunExperiment's.
+std::vector<MethodRunResult> RunExperimentWithoutGraphs(
+    const CsrGraph& original, const GraphProperties& original_properties,
+    const ExperimentConfig& config, std::uint64_t run_seed);
+
 /// Executes `num_trials` independent runs concurrently on up to `threads`
 /// workers (0 = hardware concurrency; 1 = inline, no threading overhead).
 ///

@@ -23,6 +23,12 @@ MetricsState& State() {
   return *state;
 }
 
+void RaiseTo(std::uint64_t& current, std::uint64_t value) {
+  if (value > current) current = value;
+}
+
+thread_local MetricsSink* current_sink = nullptr;
+
 }  // namespace
 
 bool MetricsEnabled() {
@@ -35,6 +41,7 @@ void EnableMetrics(bool on) {
 
 void MetricAdd(const std::string& name, std::uint64_t delta) {
   if (!MetricsEnabled() || delta == 0) return;
+  if (current_sink != nullptr) current_sink->Add(name, delta);
   MetricsState& state = State();
   std::lock_guard<std::mutex> lock(state.mutex);
   state.counters[name] += delta;
@@ -42,10 +49,10 @@ void MetricAdd(const std::string& name, std::uint64_t delta) {
 
 void MetricMax(const std::string& name, std::uint64_t value) {
   if (!MetricsEnabled()) return;
+  if (current_sink != nullptr) current_sink->Max(name, value);
   MetricsState& state = State();
   std::lock_guard<std::mutex> lock(state.mutex);
-  std::uint64_t& current = state.maxima[name];
-  if (value > current) current = value;
+  RaiseTo(state.maxima[name], value);
 }
 
 MetricsSnapshot SnapshotCounters() {
@@ -60,12 +67,6 @@ MetricsSnapshot SnapshotMaxMetrics() {
   return state.maxima;
 }
 
-void ResetMaxMetrics() {
-  MetricsState& state = State();
-  std::lock_guard<std::mutex> lock(state.mutex);
-  state.maxima.clear();
-}
-
 void ResetMetrics() {
   MetricsState& state = State();
   std::lock_guard<std::mutex> lock(state.mutex);
@@ -73,16 +74,34 @@ void ResetMetrics() {
   state.maxima.clear();
 }
 
-MetricsSnapshot CounterDelta(const MetricsSnapshot& before,
-                             const MetricsSnapshot& after) {
-  MetricsSnapshot delta;
-  for (const auto& [name, value] : after) {
-    const auto it = before.find(name);
-    const std::uint64_t base = it == before.end() ? 0 : it->second;
-    if (value > base) delta[name] = value - base;
-  }
-  return delta;
+void MetricsSink::Add(const std::string& name, std::uint64_t delta) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  counters_[name] += delta;
 }
+
+void MetricsSink::Max(const std::string& name, std::uint64_t value) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  RaiseTo(maxima_[name], value);
+}
+
+MetricsSnapshot MetricsSink::Counters() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return counters_;
+}
+
+MetricsSnapshot MetricsSink::Maxima() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return maxima_;
+}
+
+MetricsSink* CurrentMetricsSink() { return current_sink; }
+
+ScopedMetricsSink::ScopedMetricsSink(MetricsSink* sink)
+    : previous_(current_sink) {
+  current_sink = sink;
+}
+
+ScopedMetricsSink::~ScopedMetricsSink() { current_sink = previous_; }
 
 std::size_t PeakRssBytes() {
 #if defined(__unix__) || defined(__APPLE__)

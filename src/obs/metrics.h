@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <string>
 
 namespace sgr::obs {
@@ -11,14 +12,18 @@ namespace sgr::obs {
 /// Named-counter registry of the observability layer.
 ///
 /// Two kinds of entries:
-///   * counters — monotonically increasing (MetricAdd). Consumers take a
-///     snapshot before and after a unit of work and report the delta,
-///     which is how the scenario engine attributes counts to one cell
-///     even though the registry is process-global (cells run strictly
-///     sequentially; only trials inside a cell are concurrent).
+///   * counters — monotonically increasing (MetricAdd).
 ///   * high-water gauges — MetricMax keeps the maximum observed value
-///     (pool queue depth). Deltas make no sense for a maximum, so the
-///     engine resets them (ResetMaxMetrics) at each cell boundary.
+///     (pool queue depth).
+///
+/// Every update lands in the process-global registry and, when one is
+/// open on the updating thread, in that thread's MetricsSink. The sink is
+/// how the scenario engine attributes metrics to a cell even though the
+/// cells' trials overlap on one pool: it opens a sink around each trial
+/// and folds the trials' sinks into their cell in (cell, trial) order.
+/// ThreadPool carries the submitting thread's sink to the worker that runs
+/// a task, so a trial's inner pools (estimator chunks, rewiring rounds,
+/// assembly) report into the trial's sink too.
 ///
 /// The engine feeds the registry at coarse aggregation points — once per
 /// crawl, once per restoration, once per chunked estimator pass, once
@@ -34,32 +39,59 @@ using MetricsSnapshot = std::map<std::string, std::uint64_t>;
 /// Whether metric updates are being recorded (one relaxed atomic load).
 bool MetricsEnabled();
 
-/// Turns the registry on or off. Existing values are kept (snapshots
-/// deltas are what consumers report); ResetMetrics clears.
+/// Turns the registry on or off. Existing values are kept; ResetMetrics
+/// clears.
 void EnableMetrics(bool on);
 
-/// Adds `delta` to counter `name`. No-op when disabled.
+/// Adds `delta` to counter `name`, in the registry and in the calling
+/// thread's open sink. No-op when disabled.
 void MetricAdd(const std::string& name, std::uint64_t delta);
 
-/// Raises high-water gauge `name` to at least `value`. No-op when
-/// disabled.
+/// Raises high-water gauge `name` to at least `value`, in the registry
+/// and in the calling thread's open sink. No-op when disabled.
 void MetricMax(const std::string& name, std::uint64_t value);
 
 /// Copies of the current counter / gauge tables (sorted by name).
 MetricsSnapshot SnapshotCounters();
 MetricsSnapshot SnapshotMaxMetrics();
 
-/// Zeroes the high-water gauges (cell boundary; see above).
-void ResetMaxMetrics();
-
 /// Drops every counter and gauge (test isolation).
 void ResetMetrics();
 
-/// Counter deltas `after - before` for every counter in `after`
-/// (counters are monotonic, so a key missing from `before` counts from
-/// zero). Zero deltas are omitted — a cell only reports what it touched.
-MetricsSnapshot CounterDelta(const MetricsSnapshot& before,
-                             const MetricsSnapshot& after);
+/// The metrics of one task: the counters and gauges recorded while the
+/// sink was open on some thread (ScopedMetricsSink). Safe to update from
+/// several threads at once — a task's inner pool workers share its sink.
+class MetricsSink {
+ public:
+  void Add(const std::string& name, std::uint64_t delta);
+  void Max(const std::string& name, std::uint64_t value);
+
+  /// Copies of the sink's counter / gauge tables (sorted by name).
+  MetricsSnapshot Counters() const;
+  MetricsSnapshot Maxima() const;
+
+ private:
+  mutable std::mutex mutex_;
+  MetricsSnapshot counters_;
+  MetricsSnapshot maxima_;
+};
+
+/// The sink open on the calling thread, or nullptr.
+MetricsSink* CurrentMetricsSink();
+
+/// Opens `sink` on the calling thread for the scope's lifetime (nullptr
+/// opens none), restoring the previously open sink on exit.
+class ScopedMetricsSink {
+ public:
+  explicit ScopedMetricsSink(MetricsSink* sink);
+  ~ScopedMetricsSink();
+
+  ScopedMetricsSink(const ScopedMetricsSink&) = delete;
+  ScopedMetricsSink& operator=(const ScopedMetricsSink&) = delete;
+
+ private:
+  MetricsSink* previous_;
+};
 
 /// Peak resident-set size of this process in bytes (Linux: getrusage
 /// ru_maxhwm; 0 where unsupported). A gauge read at emission time.

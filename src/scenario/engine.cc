@@ -1,5 +1,9 @@
 #include "scenario/engine.h"
 
+#include <algorithm>
+#include <mutex>
+#include <numeric>
+#include <optional>
 #include <ostream>
 
 #include "exp/datasets.h"
@@ -28,60 +32,63 @@ CsrGraph Materialize(const ScenarioDataset& dataset, double dataset_scale,
   return LoadDatasetCsr(DatasetByName(dataset.name), dataset_scale, provenance);
 }
 
-}  // namespace
+/// One cell of the trial matrix: `trials` trials of `config` on a shared
+/// dataset snapshot, trial i seeded `seed_base + i`.
+struct CellJob {
+  const std::string* dataset_name;
+  const CsrGraph* dataset;
+  const GraphProperties* properties;
+  ExperimentConfig config;
+  std::uint64_t seed_base;
+};
 
-ScenarioCell RunScenarioCell(const std::string& dataset_name,
-                             const CsrGraph& dataset,
-                             const GraphProperties& properties,
-                             const ExperimentConfig& config,
-                             std::size_t trials, std::uint64_t seed_base,
-                             std::size_t threads) {
+/// What one (cell, trial) task leaves for its cell's fold.
+struct TrialSlot {
+  std::vector<MethodRunResult> results;
+  double seconds = 0.0;
+  obs::MetricsSink metrics;
+};
+
+/// Runs `fn(i)` for i in [0, count) on `pool`, or inline without one.
+void ForEach(ThreadPool* pool, std::size_t count,
+             const std::function<void(std::size_t)>& fn) {
+  if (pool != nullptr) {
+    PoolFor(*pool, count, fn);
+  } else {
+    for (std::size_t i = 0; i < count; ++i) fn(i);
+  }
+}
+
+/// Aggregates one cell's trials, in trial order, into its ScenarioCell.
+/// The reduction order — and therefore every accumulated double — is the
+/// same at every thread count.
+ScenarioCell FoldCell(const CellJob& job, const std::vector<TrialSlot>& trials,
+                      bool metered) {
+  obs::Span cell_span("cell");
   ScenarioCell cell;
-  cell.dataset = dataset_name;
-  cell.nodes = dataset.NumNodes();
-  cell.edges = dataset.NumEdges();
+  cell.dataset = *job.dataset_name;
+  cell.nodes = job.dataset->NumNodes();
+  cell.edges = job.dataset->NumEdges();
   // The knob echo comes straight from the config actually executed, so a
   // cell is attributable to its axis coordinates no matter who built the
   // config (engine or bench).
-  cell.knobs = CellKnobsOf(config);
-  cell.seed_base = seed_base;
-  cell.trials = trials;
+  cell.knobs = CellKnobsOf(job.config);
+  cell.seed_base = job.seed_base;
+  cell.trials = trials.size();
 
-  // Counters are attributed to this cell by snapshot delta: cells run
-  // strictly sequentially (only trials inside one are concurrent), so
-  // whatever the registry gained between the two snapshots is this
-  // cell's. High-water gauges can't be differenced, so they reset here,
-  // at the cell boundary.
-  const bool metered = obs::MetricsEnabled();
-  obs::MetricsSnapshot counters_before;
-  if (metered) {
-    obs::ResetMaxMetrics();
-    counters_before = obs::SnapshotCounters();
-  }
-
-  obs::Span cell_span("cell");
-  Timer timer;
-  const auto all_trials =
-      RunExperiments(dataset, properties, config, seed_base, trials, threads);
-  cell.wall_seconds = timer.Seconds();
-  cell_span.End();
-
-  if (metered) {
-    for (const auto& [name, delta] :
-         obs::CounterDelta(counters_before, obs::SnapshotCounters())) {
-      cell.metrics[name] = static_cast<double>(delta);
+  obs::MetricsSnapshot counters;
+  obs::MetricsSnapshot maxima;
+  for (const TrialSlot& trial : trials) {
+    cell.wall_seconds += trial.seconds;
+    if (metered) {
+      for (const auto& [name, value] : trial.metrics.Counters()) {
+        counters[name] += value;
+      }
+      for (const auto& [name, value] : trial.metrics.Maxima()) {
+        maxima[name] = std::max(maxima[name], value);
+      }
     }
-    for (const auto& [name, value] : obs::SnapshotMaxMetrics()) {
-      cell.metrics[name] = static_cast<double>(value);
-    }
-    cell.metrics["peak_rss_bytes"] =
-        static_cast<double>(obs::PeakRssBytes());
-  }
-
-  // Trials come back indexed by trial number, so this reduction order —
-  // and therefore every accumulated double — is thread-count independent.
-  for (const auto& results : all_trials) {
-    for (const MethodRunResult& r : results) {
+    for (const MethodRunResult& r : trial.results) {
       MethodAggregate& aggregate = cell.methods[r.kind];
       aggregate.distances.Add(r.distances);
       aggregate.total_seconds += r.restoration.total_seconds;
@@ -116,7 +123,7 @@ ScenarioCell RunScenarioCell(const std::string& dataset_name,
   }
   for (auto& [kind, aggregate] : cell.methods) {
     (void)kind;
-    const double inv = 1.0 / static_cast<double>(trials);
+    const double inv = 1.0 / static_cast<double>(trials.size());
     aggregate.total_seconds *= inv;
     aggregate.rewiring_seconds *= inv;
     aggregate.sample_steps *= inv;
@@ -129,7 +136,94 @@ ScenarioCell RunScenarioCell(const std::string& dataset_name,
       for (const auto& [key, field] : kConvergenceFields) point.*field *= inv;
     }
   }
+
+  if (metered) {
+    for (const auto& [name, value] : counters) {
+      cell.metrics[name] = static_cast<double>(value);
+    }
+    for (const auto& [name, value] : maxima) {
+      cell.metrics[name] = static_cast<double>(value);
+    }
+    cell.metrics["peak_rss_bytes"] = static_cast<double>(obs::PeakRssBytes());
+  }
   return cell;
+}
+
+/// The trial scheduler: runs every (cell, trial) task of `jobs` on `pool`
+/// (inline without one) and returns the cells in job order. Workers claim
+/// tasks largest dataset first — by NumEdges, then cell, then trial — so
+/// the longest trials start early and the run does not end on one of
+/// them; the order changes only timing, since every result goes to its
+/// own [cell][trial] slot. A metrics sink is open around each trial. A
+/// cell is folded, and its `progress` line written, as soon as it and
+/// every earlier cell have finished, so the lines come in cell order.
+std::vector<ScenarioCell> RunCells(const std::vector<CellJob>& jobs,
+                                   std::size_t trials, ThreadPool* pool,
+                                   std::ostream* progress) {
+  const bool metered = obs::MetricsEnabled();
+  std::vector<std::vector<TrialSlot>> slots;
+  slots.reserve(jobs.size());
+  for (std::size_t c = 0; c < jobs.size(); ++c) slots.emplace_back(trials);
+
+  std::vector<std::size_t> order(jobs.size() * trials);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return jobs[a / trials].dataset->NumEdges() >
+                            jobs[b / trials].dataset->NumEdges();
+                   });
+
+  std::mutex fold_mutex;  // guards remaining, folded, cells and progress
+  std::vector<std::size_t> remaining(jobs.size(), trials);
+  std::vector<ScenarioCell> cells(jobs.size());
+  std::size_t folded = 0;
+  const auto fold_finished = [&] {
+    for (; folded < jobs.size() && remaining[folded] == 0; ++folded) {
+      cells[folded] = FoldCell(jobs[folded], slots[folded], metered);
+      std::vector<TrialSlot>().swap(slots[folded]);
+      if (progress != nullptr) {
+        const ScenarioCell& cell = cells[folded];
+        *progress << "cell " << CellLabel(cell.dataset, cell.knobs)
+                  << ": n = " << cell.nodes << ", m = " << cell.edges << ", "
+                  << trials << " trials in " << cell.wall_seconds << " s\n";
+      }
+    }
+  };
+
+  ForEach(pool, order.size(), [&](std::size_t k) {
+    const std::size_t c = order[k] / trials;
+    const std::size_t i = order[k] % trials;
+    const CellJob& job = jobs[c];
+    TrialSlot& slot = slots[c][i];
+    {
+      const obs::ScopedMetricsSink sink(&slot.metrics);
+      Timer timer;
+      slot.results = RunExperimentWithoutGraphs(
+          *job.dataset, *job.properties, job.config, job.seed_base + i);
+      slot.seconds = timer.Seconds();
+    }
+    const std::lock_guard<std::mutex> lock(fold_mutex);
+    --remaining[c];
+    fold_finished();
+  });
+  fold_finished();  // cells without trials
+  return cells;
+}
+
+}  // namespace
+
+ScenarioCell RunScenarioCell(const std::string& dataset_name,
+                             const CsrGraph& dataset,
+                             const GraphProperties& properties,
+                             const ExperimentConfig& config,
+                             std::size_t trials, std::uint64_t seed_base,
+                             std::size_t threads) {
+  const std::size_t workers = std::min(ResolveThreadCount(threads), trials);
+  std::optional<ThreadPool> pool;
+  if (workers > 1) pool.emplace(workers);
+  const std::vector<CellJob> jobs = {
+      CellJob{&dataset_name, &dataset, &properties, config, seed_base}};
+  return RunCells(jobs, trials, pool ? &*pool : nullptr, nullptr).front();
 }
 
 ScenarioRunResult RunScenario(const ScenarioSpec& spec,
@@ -157,45 +251,54 @@ ScenarioRunResult RunScenario(const ScenarioSpec& spec,
       resolve(estimator_threads_override, spec.estimator_threads);
 
   const std::vector<CellKnobs> knob_matrix = spec.ExpandKnobs();
-  std::size_t cell_index = 0;
-  for (const ScenarioDataset& dataset_spec : spec.datasets) {
-    DatasetProvenance provenance;
-    const CsrGraph dataset =
-        Materialize(dataset_spec, spec.dataset_scale, &provenance);
-    result.datasets.push_back(provenance);
-    // Properties of the original depend on the dataset and the evaluation
-    // options only — compute once, share across the knob sweep.
-    const GraphProperties properties = ComputeProperties(
-        dataset, spec.ToExperimentConfig(spec.fractions.front())
-                     .property_options);
+  const std::size_t num_datasets = spec.datasets.size();
+  const std::size_t num_trials =
+      num_datasets * knob_matrix.size() * spec.trials;
+  // One pool runs both phases; a 1-thread run starts no thread at all.
+  const std::size_t workers =
+      std::min(result.threads, std::max(num_datasets, num_trials));
+  std::optional<ThreadPool> pool;
+  if (workers > 1) pool.emplace(workers);
+  ThreadPool* const pool_ptr = pool ? &*pool : nullptr;
+
+  // Set-up: every dataset is materialized, with the properties of the
+  // original (they depend on the dataset and the evaluation options only,
+  // so the knob sweep shares them), and stays resident until the last
+  // trial has run.
+  std::vector<CsrGraph> datasets(num_datasets);
+  std::vector<GraphProperties> properties(num_datasets);
+  result.datasets.resize(num_datasets);
+  const PropertyOptions property_options =
+      spec.ToExperimentConfig(spec.fractions.front()).property_options;
+  ForEach(pool_ptr, num_datasets, [&](std::size_t d) {
+    obs::Span setup_span("setup");
+    datasets[d] = Materialize(spec.datasets[d], spec.dataset_scale,
+                              &result.datasets[d]);
+    properties[d] = ComputeProperties(datasets[d], property_options);
+  });
+
+  // Trials: the whole matrix as one task list.
+  std::vector<CellJob> jobs;
+  jobs.reserve(num_datasets * knob_matrix.size());
+  for (std::size_t d = 0; d < num_datasets; ++d) {
     for (const CellKnobs& knobs : knob_matrix) {
       // uint64 arithmetic wraps modulo 2^64 by design — see the seeding
       // contract in engine.h.
       const std::uint64_t cell_seed =
-          spec.seed_base +
-          static_cast<std::uint64_t>(cell_index) *
-              static_cast<std::uint64_t>(spec.trials);
+          spec.seed_base + static_cast<std::uint64_t>(jobs.size()) *
+                               static_cast<std::uint64_t>(spec.trials);
       ExperimentConfig config = spec.ToExperimentConfig(knobs);
       // The intra-trial worker counts are execution knobs — overriding
       // them (or resolving 0 to the hardware) must not leak into the
       // spec echo.
       config.restoration.parallel_rewire.threads = result.rewire_threads;
-      config.restoration.parallel_assembly.threads =
-          result.assembly_threads;
+      config.restoration.parallel_assembly.threads = result.assembly_threads;
       config.restoration.estimator.threads = result.estimator_threads;
-      ScenarioCell cell = RunScenarioCell(
-          dataset_spec.name, dataset, properties, config, spec.trials,
-          cell_seed, result.threads);
-      if (progress != nullptr) {
-        *progress << "cell " << CellLabel(cell.dataset, knobs)
-                  << ": n = " << cell.nodes << ", m = " << cell.edges
-                  << ", " << spec.trials << " trials in "
-                  << cell.wall_seconds << " s\n";
-      }
-      result.cells.push_back(std::move(cell));
-      ++cell_index;
+      jobs.push_back(CellJob{&spec.datasets[d].name, &datasets[d],
+                             &properties[d], std::move(config), cell_seed});
     }
   }
+  result.cells = RunCells(jobs, spec.trials, pool_ptr, progress);
   return result;
 }
 

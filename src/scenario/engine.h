@@ -23,9 +23,11 @@ inline constexpr std::size_t kThreadsFromSpec =
 /// used), so the distance aggregates are identical for every thread count;
 /// the timing fields are wall-clock measured inside the trials and inflate
 /// under core contention — read them at --threads 1, or trust the ratios.
+/// The cell's `wall_seconds` is the sum of its trials' seconds.
 ///
-/// This is the single trial-matrix implementation behind both the
-/// scenario engine and the benches (bench_common.h delegates here), so a
+/// This runs on the same trial scheduler as RunScenario (a one-cell task
+/// list), so there is one trial-matrix implementation behind both the
+/// scenario engine and the benches (bench_common.h delegates here), and a
 /// bench's --json output and an `sgr run` report share one schema and one
 /// aggregation path. Note the benches keep their historical per-table
 /// seed schedules (one fixed seed base for every dataset), while the
@@ -63,17 +65,30 @@ struct ScenarioRunResult {
 };
 
 /// Expands `spec` into its {dataset x fraction x walk x crawler x
-/// estimator x rc x protect x rewire_batch x frontier_walkers} matrix
-/// (ScenarioSpec::ExpandKnobs order) and
-/// executes every cell through RunExperiments over a shared immutable
-/// CsrGraph snapshot per dataset. Registry datasets load through
-/// LoadDataset (honoring $SGR_DATASET_DIR; `spec.dataset_scale` overrides
-/// $SGR_DATASET_SCALE when nonzero); generator datasets are built from
-/// their GeneratorSpec, so a spec can be fully hermetic. Properties of
-/// each original dataset are computed once and shared by all of its
-/// knob coordinates. Throws ScenarioError (via ScenarioSpec::Validate)
-/// before touching any dataset if the spec is semantically invalid —
-/// including specs built programmatically that never saw FromJson.
+/// estimator x rc x protect x rewire_batch x frontier_walkers x noise}
+/// matrix (ScenarioSpec::ExpandKnobs order) and runs it on one pool of
+/// `threads` workers, in two phases:
+///   * set-up — one task per dataset: registry datasets load through
+///     LoadDatasetCsr (honoring $SGR_DATASET_DIR; `spec.dataset_scale`
+///     overrides $SGR_DATASET_SCALE when nonzero), generator datasets are
+///     built from their GeneratorSpec (so a spec can be fully hermetic),
+///     and the properties of each original are computed once for all of
+///     its knob coordinates. Every dataset then stays resident until the
+///     last trial has run, so peak memory holds all of a scenario's
+///     datasets at once.
+///   * trials — every (cell, trial) of the matrix as one task list,
+///     claimed largest dataset first (NumEdges, then cell, then trial).
+///     Each trial writes its own slot, and the cells are folded in cell
+///     order, so the claim order changes only timing. A trial drops each
+///     method's generated graph as soon as it is evaluated
+///     (RunExperimentWithoutGraphs).
+/// With metrics on, each trial records into its own metrics sink
+/// (obs/metrics.h), and a cell's metrics block sums its trials' counters
+/// and takes the maximum of their gauges. Throws ScenarioError (via
+/// ScenarioSpec::Validate) before touching any dataset if the spec is
+/// semantically invalid — including specs built programmatically that
+/// never saw FromJson. An exception of a set-up or trial task is rethrown
+/// here once the phase's other tasks have run.
 ///
 /// Seeding contract: cell c (0-based, datasets-major / knobs-minor in
 /// ExpandKnobs order) runs trials with run seeds
@@ -94,7 +109,8 @@ struct ScenarioRunResult {
 /// and their SGR_* environment twins) — like the trial thread count they
 /// are execution knobs that never change the report's deterministic
 /// content, so overriding them leaves the spec echo untouched.
-/// `progress`, when non-null, receives one line per completed cell.
+/// `progress`, when non-null, receives one line per cell, in cell order:
+/// a cell's line is written once it and every earlier cell have finished.
 ScenarioRunResult RunScenario(
     const ScenarioSpec& spec,
     std::size_t threads_override = kThreadsFromSpec,

@@ -101,11 +101,17 @@ struct ScenarioCell {
   CellKnobs knobs;
   std::uint64_t seed_base = 0;
   std::size_t trials = 0;
-  double wall_seconds = 0.0;  ///< whole trial matrix of this cell
+  /// Sum of the cell's trial seconds: the cell's serial cost. Its trials
+  /// overlap with other cells' on the engine's pool, so this is not the
+  /// time from the cell's first trial to its last.
+  double wall_seconds = 0.0;
   std::map<MethodKind, MethodAggregate> methods;
-  /// Counter deltas and high-water gauges the obs registry attributed to
-  /// this cell (empty when metrics are off). Values depend on thread
-  /// counts and scheduling, so the block is volatile: it is emitted under
+  /// Counters (summed) and high-water gauges (maximum) of the metrics
+  /// sinks of this cell's trials, plus the process's peak RSS when the
+  /// cell was folded (empty when metrics are off). The counters of the
+  /// deterministic pipeline (oracle.queries, rewire.*, estimate.chunks)
+  /// are the same at every thread count; the pool gauges and peak RSS
+  /// depend on scheduling, so the block is volatile: it is emitted under
   /// the cell's "metrics" key and removed by StripVolatile.
   std::map<std::string, double> metrics;
 };

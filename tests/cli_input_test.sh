@@ -1,7 +1,7 @@
 #!/bin/sh
 # End-to-end input validation of sgr_cli: every malformed flag value or
-# SGR_* variable must make the command exit 1 with a message naming that
-# input. It must never run with a silently substituted value, and never
+# SGR_* variable, and every flag a subcommand does not take, must make the
+# command exit 1 with a message naming that input. It must never run with a silently substituted value, and never
 # die on a signal.
 #
 # The bench binaries named after sgr_cli must keep the same contract.
@@ -38,6 +38,9 @@ expect SGR_INGEST_THREADS env SGR_DATASET_DIR="$tmp" SGR_INGEST_THREADS=-1 \
   "$cli" run tables-smoke
 expect SGR_CSR_COMPRESS env SGR_DATASET_DIR="$tmp" SGR_CSR_COMPRESS=on \
   "$cli" run tables-smoke
+# The same error raised inside a set-up task on the 4-worker pool.
+expect SGR_INGEST_THREADS env SGR_DATASET_DIR="$tmp" SGR_INGEST_THREADS=-1 \
+  "$cli" run tables-smoke --threads 4
 expect SGR_THREADS env SGR_THREADS=-1 "$cli" run tables-smoke
 expect SGR_THREADS env SGR_THREADS=2x "$cli" run tables-smoke
 expect SGR_METRICS env SGR_METRICS=yes "$cli" run tables-smoke
@@ -51,6 +54,13 @@ expect --markdown "$cli" diff "$tmp/a.json" "$tmp/b.json" --markdown yes
 expect --nodes "$cli" generate --nodes 12abc --out "$tmp/g.txt"
 expect --scale "$cli" datasets export anybeat --scale 0 --out "$tmp/x.txt"
 expect --threads "$cli" datasets ingest "$tmp/anybeat.txt" --threads -1
+
+# A flag the subcommand does not take is rejected by name, never ignored.
+expect --thread "$cli" run tables-smoke --thread 4
+expect --sources "$cli" generate --sources 5 --out "$tmp/g.txt"
+expect --threads "$cli" diff "$tmp/a.json" "$tmp/b.json" --threads 2
+expect --scale "$cli" datasets ingest "$tmp/anybeat.txt" --scale 2
+expect --out "$cli" trace summarize "$tmp/t.json" --out x
 
 # `datasets ingest` reads only its own flags: the scenario loader's
 # ingest variables do not reach it, malformed or not.

@@ -48,26 +48,23 @@ TEST_F(ObsMetricsTest, MaxKeepsTheHighWaterMark) {
   EXPECT_EQ(obs::SnapshotMaxMetrics().at("depth"), 9u);
 }
 
-TEST_F(ObsMetricsTest, ResetMaxMetricsClearsOnlyGauges) {
-  obs::MetricAdd("counter", 2);
-  obs::MetricMax("gauge", 7);
-  obs::ResetMaxMetrics();
-  EXPECT_TRUE(obs::SnapshotMaxMetrics().empty());
-  EXPECT_EQ(obs::SnapshotCounters().at("counter"), 2u);
-}
-
-TEST_F(ObsMetricsTest, CounterDeltaOmitsUnchangedAndCountsNewFromZero) {
-  obs::MetricAdd("stale", 10);
-  obs::MetricAdd("grown", 1);
-  const obs::MetricsSnapshot before = obs::SnapshotCounters();
-  obs::MetricAdd("grown", 4);
-  obs::MetricAdd("fresh", 2);
-  const obs::MetricsSnapshot delta =
-      obs::CounterDelta(before, obs::SnapshotCounters());
-  ASSERT_EQ(delta.size(), 2u);
-  EXPECT_EQ(delta.at("grown"), 4u);
-  EXPECT_EQ(delta.at("fresh"), 2u);
-  EXPECT_EQ(delta.count("stale"), 0u);
+TEST_F(ObsMetricsTest, SinkSeesOnlyItsOwnThreadsUpdates) {
+  obs::MetricsSink sink;
+  std::thread other;
+  {
+    const obs::ScopedMetricsSink open(&sink);
+    obs::MetricAdd("mine", 2);
+    obs::MetricMax("gauge", 7);
+    // Another thread has no sink open, so its updates reach only the
+    // process-wide registry.
+    other = std::thread([] { obs::MetricAdd("theirs", 5); });
+    other.join();
+  }
+  obs::MetricAdd("mine", 3);  // after the scope closed
+  EXPECT_EQ(sink.Counters(), (obs::MetricsSnapshot{{"mine", 2}}));
+  EXPECT_EQ(sink.Maxima(), (obs::MetricsSnapshot{{"gauge", 7}}));
+  EXPECT_EQ(obs::SnapshotCounters().at("mine"), 5u);
+  EXPECT_EQ(obs::SnapshotCounters().at("theirs"), 5u);
 }
 
 TEST_F(ObsMetricsTest, ConcurrentAddsSumExactly) {

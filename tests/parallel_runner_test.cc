@@ -3,11 +3,14 @@
 #include <atomic>
 #include <cmath>
 #include <gtest/gtest.h>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "exp/runner.h"
 #include "graph/csr_graph.h"
 #include "graph/generators.h"
+#include "obs/metrics.h"
 
 namespace sgr {
 namespace {
@@ -38,6 +41,51 @@ TEST(ParallelPrimitivesTest, ParallelForZeroAndInline) {
   EXPECT_EQ(calls, 0);
   ParallelFor(5, 1, [&](std::size_t) { ++calls; });  // inline path
   EXPECT_EQ(calls, 5);
+}
+
+TEST(ParallelPrimitivesTest, ParallelForRethrowsTheLowestThrowingIndex) {
+  std::atomic<int> calls{0};
+  try {
+    ParallelFor(100, 4, [&](std::size_t i) {
+      ++calls;
+      if (i == 17 || i == 60) throw std::runtime_error(std::to_string(i));
+    });
+    FAIL() << "no exception reached the caller";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "17");
+  }
+  EXPECT_EQ(calls.load(), 100);  // the other iterations still ran
+}
+
+TEST(ThreadPoolTest, TasksReportIntoTheSubmittersMetricsSink) {
+  obs::ResetMetrics();
+  obs::EnableMetrics(true);
+  obs::MetricsSink outer;
+  obs::MetricsSink inner;
+  {
+    const obs::ScopedMetricsSink open(&outer);
+    obs::MetricAdd("outer", 1);
+    {
+      const obs::ScopedMetricsSink nested(&inner);
+      ThreadPool pool(3);
+      PoolFor(pool, 8, [](std::size_t) { obs::MetricAdd("work", 1); });
+    }
+    EXPECT_EQ(obs::CurrentMetricsSink(), &outer);  // restored on exit
+  }
+  EXPECT_EQ(obs::CurrentMetricsSink(), nullptr);
+  obs::MetricAdd("unattributed", 1);
+  obs::EnableMetrics(false);
+
+  EXPECT_EQ(outer.Counters(), (obs::MetricsSnapshot{{"outer", 1}}));
+  const obs::MetricsSnapshot counters = inner.Counters();
+  EXPECT_EQ(counters.at("work"), 8u);
+  EXPECT_EQ(counters.at("pool.tasks"), 3u);  // one claiming task per worker
+  EXPECT_EQ(counters.count("outer"), 0u);
+  EXPECT_GE(inner.Maxima().at("pool.queue_peak"), 1u);
+  // The process-wide registry sees everything.
+  EXPECT_EQ(obs::SnapshotCounters().at("work"), 8u);
+  EXPECT_EQ(obs::SnapshotCounters().at("unattributed"), 1u);
+  obs::ResetMetrics();
 }
 
 TEST(ThreadPoolTest, ExecutesAllSubmittedTasks) {

@@ -5,11 +5,15 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "graph/components.h"
 #include "graph/generators.h"
+#include "obs/metrics.h"
 #include "restore/rewirer.h"
 
 namespace sgr {
@@ -1108,6 +1112,93 @@ TEST(ScenarioEngineTest, RunScenarioCellMatchesDirectRunExperiments) {
       cell.methods.at(MethodKind::kProposed).distances.Summarize()
           .mean_average,
       expected.Summarize().mean_average);
+  // The engine drops generated graphs as it goes; the public runner still
+  // returns every method's graph.
+  for (const auto& trial : trials) {
+    ASSERT_FALSE(trial.empty());
+    for (const MethodRunResult& r : trial) {
+      EXPECT_GT(r.restoration.graph.NumEdges(), 0u) << MethodName(r.kind);
+    }
+  }
+}
+
+/// Two generator datasets of different sizes x two fractions x three
+/// trials: twelve tasks, so at 3 and 8 threads the largest-first claim
+/// order runs cells of both datasets side by side.
+ScenarioSpec TwoDatasetSpec() {
+  return ScenarioSpec::FromJson(Json::Parse(R"({
+    "name": "two-datasets",
+    "datasets": [{"name": "small", "model": "powerlaw", "nodes": 120,
+                  "edges_per_node": 2, "triad_p": 0.3, "seed": 5},
+                 {"name": "large", "model": "powerlaw", "nodes": 260,
+                  "edges_per_node": 3, "triad_p": 0.4, "seed": 6}],
+    "fractions": [0.1, 0.2],
+    "trials": 3,
+    "seed_base": 777,
+    "rc": 5,
+    "path_sources": 20
+  })"));
+}
+
+double MetricOr(const ScenarioCell& cell, const std::string& name) {
+  const auto it = cell.metrics.find(name);
+  return it == cell.metrics.end() ? 0.0 : it->second;
+}
+
+/// The progress lines without their timing, which varies run to run.
+std::vector<std::string> ProgressLabels(const std::string& progress) {
+  std::vector<std::string> labels;
+  std::istringstream lines(progress);
+  for (std::string line; std::getline(lines, line);) {
+    labels.push_back(line.substr(0, line.find(" trials in ")));
+  }
+  return labels;
+}
+
+TEST(ScenarioEngineTest, TaskListIsDeterministicAcrossThreadCounts) {
+  const ScenarioSpec spec = TwoDatasetSpec();
+  std::vector<ScenarioRunResult> runs;
+  std::vector<std::string> progress;
+  obs::ResetMetrics();
+  obs::EnableMetrics(true);
+  for (std::size_t threads : {1, 3, 8}) {
+    std::ostringstream lines;
+    runs.push_back(RunScenario(spec, threads, &lines));
+    progress.push_back(lines.str());
+  }
+  obs::EnableMetrics(false);
+  obs::ResetMetrics();
+
+  const ScenarioRunResult& base = runs.front();
+  ASSERT_EQ(base.cells.size(), 4u);
+  ASSERT_LT(base.cells[0].edges, base.cells[2].edges);  // sizes differ
+  const std::string base_bytes =
+      StripVolatile(ScenarioReportToJson(base)).Dump(2);
+  const std::vector<std::string> base_labels = ProgressLabels(progress[0]);
+  ASSERT_EQ(base_labels.size(), 4u);
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    EXPECT_EQ(StripVolatile(ScenarioReportToJson(runs[r])).Dump(2),
+              base_bytes)
+        << "threads " << runs[r].threads;
+    // Progress lines come in cell order, whatever finished first.
+    EXPECT_EQ(ProgressLabels(progress[r]), base_labels)
+        << "threads " << runs[r].threads;
+    ASSERT_EQ(runs[r].cells.size(), base.cells.size());
+    for (std::size_t c = 0; c < base.cells.size(); ++c) {
+      const ScenarioCell& cell = runs[r].cells[c];
+      EXPECT_GT(cell.wall_seconds, 0.0);
+      // Per-trial sinks attribute the pipeline's counters to their cell
+      // exactly, even while cells overlap on the pool.
+      for (const char* name : {"oracle.queries", "rewire.attempts",
+                               "rewire.accepted", "estimate.chunks"}) {
+        EXPECT_EQ(MetricOr(cell, name), MetricOr(base.cells[c], name))
+            << name << ", cell " << c << ", threads " << runs[r].threads;
+      }
+      EXPECT_GT(MetricOr(cell, "oracle.queries"), 0.0);
+      EXPECT_GT(MetricOr(cell, "rewire.attempts"), 0.0);
+      EXPECT_GT(MetricOr(cell, "estimate.chunks"), 0.0);
+    }
+  }
 }
 
 }  // namespace

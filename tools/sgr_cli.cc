@@ -51,9 +51,11 @@
 //       Every flag value and SGR_* variable is parsed strictly: the
 //       whole string must be one value in the input's range (digits only
 //       for counts, 0|1 for switches), or the command exits 1 naming the
-//       flag or variable. A flag beats its SGR_* twin, which beats the
-//       spec key; the precedence table is in docs/ARCHITECTURE.md, "Flags
-//       and environment variables".
+//       flag or variable. Every subcommand declares its flags, and a flag
+//       it does not take (`--thread 4`) also exits 1 naming it. A flag
+//       beats its SGR_* twin, which beats the spec key; the precedence
+//       table is in docs/ARCHITECTURE.md, "Flags and environment
+//       variables".
 //
 //       --trace FILE (or SGR_TRACE) records a span trace of the whole
 //       run — crawls, estimation chunks, assembly class pairs, rewiring
@@ -106,6 +108,7 @@
 #include <cstddef>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <limits>
 #include <map>
@@ -151,17 +154,26 @@ namespace {
 using namespace sgr;
 using U64 = std::uint64_t;
 
-/// Minimal --flag value parser: flags are "--name value"; a missing
-/// required flag is an error, and so is a malformed value (Get<T>).
+/// Minimal --flag value parser: flags are "--name value"; a flag the
+/// subcommand does not declare, a missing required flag and a malformed
+/// value (Get<T>) are errors.
 class Args {
  public:
-  Args(int argc, char** argv, int first) {
+  Args(int argc, char** argv, int first,
+       std::initializer_list<const char*> known) {
     for (int i = first; i < argc; ++i) {
       std::string key = argv[i];
       if (key.rfind("--", 0) != 0 || i + 1 >= argc) {
         throw std::runtime_error("expected --flag value, got '" + key + "'");
       }
-      values_[key.substr(2)] = argv[++i];
+      key = key.substr(2);
+      if (std::find(known.begin(), known.end(), key) == known.end()) {
+        std::string accepted;
+        for (const char* flag : known) accepted += std::string(" --") + flag;
+        throw InputError("unknown flag --" + key + " (accepted:" +
+                         (accepted.empty() ? " none" : accepted) + ")");
+      }
+      values_[key] = argv[++i];
     }
   }
 
@@ -485,6 +497,7 @@ int CmdTrace(int argc, char** argv) {
   if (verb != "summarize" || argc < 4) {
     throw std::runtime_error("usage: sgr trace summarize <trace.json>");
   }
+  const Args no_flags(argc, argv, 4, {});
   std::ifstream in(argv[3]);
   if (!in) {
     throw std::runtime_error(std::string("cannot read trace '") + argv[3] +
@@ -512,7 +525,7 @@ int CmdCheck(int argc, char** argv) {
       }
       baseline_path = argv[++i];
     } else if (arg.rfind("--", 0) == 0) {
-      throw std::runtime_error("unknown check flag '" + arg + "'");
+      throw InputError("unknown flag " + arg + " (accepted: --baseline)");
     } else {
       paths.push_back(arg);
     }
@@ -528,6 +541,7 @@ int CmdCheck(int argc, char** argv) {
 int CmdScenarios(int argc, char** argv) {
   const std::string verb = argc > 2 ? argv[2] : "list";
   if (verb == "list") {
+    const Args no_flags(argc, argv, 3, {});
     TablePrinter table(std::cout, {"Scenario", "Description"});
     for (const std::string& name : BuiltinScenarioNames()) {
       table.AddRow({name, BuiltinScenarioDescription(name)});
@@ -542,6 +556,7 @@ int CmdScenarios(int argc, char** argv) {
     if (argc < 4) {
       throw std::runtime_error("usage: sgr scenarios show <name>");
     }
+    const Args no_flags(argc, argv, 4, {});
     std::cout << BuiltinScenario(argv[3]).ToJson().Dump(2) << "\n";
     return 0;
   }
@@ -556,6 +571,7 @@ int CmdScenarios(int argc, char** argv) {
 int CmdDatasets(int argc, char** argv) {
   const std::string verb = argc > 2 ? argv[2] : "list";
   if (verb == "list") {
+    const Args no_flags(argc, argv, 3, {});
     TablePrinter table(std::cout, {"Dataset", "Synthetic n", "Paper n",
                                    "Paper m"});
     std::vector<DatasetSpec> specs = StandardDatasets();
@@ -577,7 +593,7 @@ int CmdDatasets(int argc, char** argv) {
       throw std::runtime_error(
           "usage: sgr datasets export <name> --out FILE [--scale S]");
     }
-    const Args args(argc, argv, 4);
+    const Args args(argc, argv, 4, {"out", "scale"});
     const DatasetSpec spec = DatasetByName(argv[3]);
     const double scale = args.Get("scale", 1.0, kMinDatasetScale, kMaxDatasetScale);
     const auto n = static_cast<std::size_t>(
@@ -601,7 +617,7 @@ int CmdDatasets(int argc, char** argv) {
           "usage: sgr datasets ingest <file> [--threads N] "
           "[--compress auto|on|off] [--cache DIR]");
     }
-    const Args args(argc, argv, 4);
+    const Args args(argc, argv, 4, {"threads", "compress", "cache"});
     IngestOptions options;
     options.threads = args.Get<U64>("threads", 1, 0, kMaxThreads);
     const std::string compress = args.GetOr("compress", "auto");
@@ -711,7 +727,11 @@ int main(int argc, char** argv) {
             "[--threads N] [--rewire-threads N] [--assembly-threads N] "
             "[--estimator-threads N]");
       }
-      return CmdRun(argv[2], Args(argc, argv, 3));
+      return CmdRun(argv[2],
+                    Args(argc, argv, 3,
+                         {"out", "threads", "rewire-threads",
+                          "assembly-threads", "estimator-threads", "trace",
+                          "metrics", "dataset-dir", "snapshot-cache"}));
     }
     if (command == "diff") {
       if (argc < 4 || argv[2][0] == '-' || argv[3][0] == '-') {
@@ -719,18 +739,37 @@ int main(int argc, char** argv) {
             "usage: sgr diff <old.json> <new.json> [--l1-tol X] "
             "[--time-tol R] [--no-timings 1] [--markdown 1]");
       }
-      return CmdDiff(argv[2], argv[3], Args(argc, argv, 4));
+      return CmdDiff(argv[2], argv[3],
+                     Args(argc, argv, 4,
+                          {"l1-tol", "time-tol", "no-timings", "markdown"}));
     }
     if (command == "scenarios") return CmdScenarios(argc, argv);
     if (command == "datasets") return CmdDatasets(argc, argv);
     if (command == "trace") return CmdTrace(argc, argv);
     if (command == "check") return CmdCheck(argc, argv);
-    Args args(argc, argv, 2);
-    if (command == "generate") return CmdGenerate(args);
-    if (command == "crawl") return CmdCrawl(args);
-    if (command == "restore") return CmdRestore(args);
-    if (command == "analyze") return CmdAnalyze(args);
-    if (command == "compare") return CmdCompare(args);
+    if (command == "generate") {
+      return CmdGenerate(Args(argc, argv, 2,
+                              {"out", "model", "nodes", "edges-per-node",
+                               "triad-p", "fringe-fraction", "edges",
+                               "communities", "bridges", "seed"}));
+    }
+    if (command == "crawl") {
+      return CmdCrawl(Args(argc, argv, 2,
+                           {"graph", "out", "method", "fraction", "seed", "k",
+                            "pf", "walkers"}));
+    }
+    if (command == "restore") {
+      return CmdRestore(Args(argc, argv, 2,
+                             {"sample", "out", "method", "rc", "seed",
+                              "walk-type", "simplify"}));
+    }
+    if (command == "analyze") {
+      return CmdAnalyze(Args(argc, argv, 2, {"graph", "sources"}));
+    }
+    if (command == "compare") {
+      return CmdCompare(
+          Args(argc, argv, 2, {"original", "generated", "sources"}));
+    }
     std::cerr << "unknown command '" << command << "'\n";
     PrintUsage();
     return 1;
