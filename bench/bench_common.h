@@ -2,10 +2,8 @@
 #define SGR_BENCH_BENCH_COMMON_H_
 
 #include <cstddef>
-#include <cstring>
 #include <iostream>
 #include <map>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,15 +33,6 @@ inline int GuardedMain(int (*run)(int, char**), int argc, char** argv) {
     std::cerr << argv[0] << ": " << e.what() << "\n";
     return 1;
   }
-}
-
-/// The text after `flag` in argv, or nullopt when the flag is absent.
-inline std::optional<std::string> FlagValue(int argc, char** argv,
-                                            const char* flag) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return std::string(argv[i + 1]);
-  }
-  return std::nullopt;
 }
 
 /// Environment-tunable knobs shared by every experiment binary.
@@ -92,23 +81,20 @@ struct BenchConfig {
   /// `--threads N` (0 = hardware concurrency): Monte Carlo trials then run
   /// concurrently over one shared CsrGraph snapshot of the dataset, with
   /// the distance aggregates identical for every N (see RunExperiments).
-  /// Flag values are parsed as strictly as the environment; `--runs 0` is
-  /// rejected, since zero trials only produces empty aggregates.
+  /// Flag values are parsed as strictly as the environment, and any other
+  /// flag name is rejected; `--runs 0` is rejected too, since zero trials
+  /// only produces empty aggregates.
   static BenchConfig FromArgs(int argc, char** argv,
                               std::size_t default_runs, double default_rc,
                               double default_fraction = 0.10,
                               std::size_t default_sources = 600) {
     BenchConfig c = FromEnv(default_runs, default_rc, default_fraction,
                             default_sources);
-    if (const auto threads = FlagValue(argc, argv, "--threads")) {
-      c.threads = ParseInput<std::uint64_t>(*threads, "--threads", 0,
-                                            kMaxThreads);
-      c.threads_given = true;
-    }
-    if (const auto runs = FlagValue(argc, argv, "--runs")) {
-      c.runs = ParseInput<std::uint64_t>(*runs, "--runs", 1);
-    }
-    c.json_path = FlagValue(argc, argv, "--json").value_or("");
+    const Args args(argc, argv, 1, {"threads", "runs", "json"});
+    c.threads = args.Get<std::uint64_t>("threads", c.threads, 0, kMaxThreads);
+    c.threads_given = c.threads_given || args.Has("threads");
+    c.runs = args.Get<std::uint64_t>("runs", c.runs, 1);
+    c.json_path = args.GetOr("json", "");
     return c;
   }
 
@@ -117,11 +103,6 @@ struct BenchConfig {
     config.query_fraction = fraction;
     config.restoration.rewire.rewiring_coefficient = rc;
     config.property_options.max_path_sources = path_sources;
-    // Trial-level parallelism (--threads) is the benches' scaling axis;
-    // per-trial Brandes evaluation stays single-threaded so every printed
-    // number is bitwise identical for any --threads value (FP summation
-    // order never changes).
-    config.property_options.threads = 1;
     return config;
   }
 
@@ -236,13 +217,12 @@ inline void PrintDatasetBanner(const DatasetSpec& spec, const Graph& g) {
 inline int RunBuiltinScenarioBench(const std::string& name, int argc,
                                    char** argv) {
   const ScenarioSpec spec = BuiltinScenario(name);
-  std::size_t threads =
-      EnvInput<std::uint64_t>("SGR_THREADS", spec.threads, 0, kMaxThreads);
-  if (const auto flag = FlagValue(argc, argv, "--threads")) {
-    threads = ParseInput<std::uint64_t>(*flag, "--threads", 0, kMaxThreads);
-  }
-  const std::string json_path =
-      FlagValue(argc, argv, "--json").value_or("");
+  const Args args(argc, argv, 1, {"threads", "json"});
+  const std::size_t threads = args.Get<std::uint64_t>(
+      "threads",
+      EnvInput<std::uint64_t>("SGR_THREADS", spec.threads, 0, kMaxThreads),
+      0, kMaxThreads);
+  const std::string json_path = args.GetOr("json", "");
 
   std::cout << "=== scenario '" << name
             << "': " << BuiltinScenarioDescription(name) << " ===\n"

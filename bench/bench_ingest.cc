@@ -1,7 +1,7 @@
 // Ingestion-throughput bench: generates a deterministic synthetic SNAP
 // edge list of a requested size, streams it through the out-of-core
 // ingester (graph/edge_list_reader.h), and reports throughput plus peak
-// RSS. With --trial it then runs one Proposed-method restoration trial on
+// RSS. With --trial 1 it then runs one Proposed-method restoration trial on
 // the ingested snapshot — the end-to-end "real dataset at paper scale"
 // path BENCHMARKS.md records for a >= 100M-edge file.
 //
@@ -21,8 +21,8 @@
 //   --cache DIR     snapshot cache directory  (SGR_SNAPSHOT_CACHE)
 //   --file PATH     ingest PATH instead of generating
 //   --out PATH      where to write the generated file (default: temp dir)
-//   --keep          keep the generated file (default: delete afterwards)
-//   --trial         run one Proposed restoration trial on the snapshot
+//   --keep 0|1      keep the generated file (default 0: delete afterwards)
+//   --trial 0|1     run one Proposed restoration trial on the snapshot
 //   --fraction F    trial query fraction (default 0.0005)
 //   --seed S        generation seed (default 42)
 
@@ -39,6 +39,7 @@
 #include "graph/edge_list_reader.h"
 #include "obs/metrics.h"
 #include "obs/timer.h"
+#include "util/parse.h"
 
 namespace sgr {
 namespace {
@@ -107,60 +108,35 @@ void GenerateEdgeList(const std::string& path, std::uint64_t nodes,
 }
 
 int Run(int argc, char** argv) {
-  std::uint64_t edges = EnvInput<std::uint64_t>("SGR_INGEST_EDGES", 4000000);
-  std::uint64_t nodes = EnvInput<std::uint64_t>("SGR_INGEST_NODES", 0);
-  std::uint64_t seed = 42;
+  const Args args(argc, argv, 1,
+                  {"edges", "nodes", "threads", "compress", "cache", "file",
+                   "out", "keep", "trial", "fraction", "seed"});
+  const std::uint64_t edges = args.Get<std::uint64_t>(
+      "edges", EnvInput<std::uint64_t>("SGR_INGEST_EDGES", 4000000));
+  std::uint64_t nodes = args.Get<std::uint64_t>(
+      "nodes", EnvInput<std::uint64_t>("SGR_INGEST_NODES", 0));
+  const auto seed = args.Get<std::uint64_t>("seed", 42);
   IngestOptions options = IngestOptionsFromEnv();
-  std::string file;
-  std::string out_path;
-  bool keep = false;
-  bool trial = false;
-  double fraction = 0.0005;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        throw std::runtime_error("missing value for " + arg);
-      }
-      return argv[++i];
-    };
-    if (arg == "--edges") {
-      edges = ParseInput<std::uint64_t>(next(), arg);
-    } else if (arg == "--nodes") {
-      nodes = ParseInput<std::uint64_t>(next(), arg);
-    } else if (arg == "--threads") {
-      options.threads =
-          ParseInput<std::uint64_t>(next(), arg, 0, kMaxThreads);
-    } else if (arg == "--compress") {
-      const std::string mode = next();
-      if (mode == "on") {
-        options.compress = IngestOptions::Compress::kOn;
-      } else if (mode == "off") {
-        options.compress = IngestOptions::Compress::kOff;
-      } else if (mode == "auto") {
-        options.compress = IngestOptions::Compress::kAuto;
-      } else {
-        throw std::runtime_error("unknown --compress mode: " + mode);
-      }
-    } else if (arg == "--cache") {
-      options.cache_dir = next();
-    } else if (arg == "--file") {
-      file = next();
-    } else if (arg == "--out") {
-      out_path = next();
-    } else if (arg == "--seed") {
-      seed = ParseInput<std::uint64_t>(next(), arg);
-    } else if (arg == "--fraction") {
-      fraction = ParseInput<double>(next(), arg, 0.0, 1.0);
-    } else if (arg == "--keep") {
-      keep = true;
-    } else if (arg == "--trial") {
-      trial = true;
+  options.threads =
+      args.Get<std::uint64_t>("threads", options.threads, 0, kMaxThreads);
+  if (args.Has("compress")) {
+    const std::string mode = args.Get("compress");
+    if (mode == "on") {
+      options.compress = IngestOptions::Compress::kOn;
+    } else if (mode == "off") {
+      options.compress = IngestOptions::Compress::kOff;
+    } else if (mode == "auto") {
+      options.compress = IngestOptions::Compress::kAuto;
     } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return 2;
+      throw std::runtime_error("unknown --compress mode: " + mode);
     }
   }
+  options.cache_dir = args.GetOr("cache", options.cache_dir);
+  std::string file = args.GetOr("file", "");
+  const std::string out_path = args.GetOr("out", "");
+  const bool keep = args.Get("keep", false);
+  const bool trial = args.Get("trial", false);
+  const double fraction = args.Get("fraction", 0.0005, 0.0, 1.0);
   if (nodes == 0) nodes = edges / 8 < 2 ? 2 : edges / 8;
 
   bool generated = false;
@@ -215,7 +191,6 @@ int Run(int argc, char** argv) {
     config.restoration.rewire.rewiring_coefficient = 2.0;
     config.property_options.max_path_sources = 4;
     config.property_options.power_iterations = 30;
-    config.property_options.threads = 1;
     Timer property_timer;
     const GraphProperties properties =
         ComputeProperties(result.graph, config.property_options);

@@ -5,9 +5,9 @@
 #include <cmath>
 #include <numeric>
 #include <queue>
-#include <thread>
 
 #include "dk/dk_extract.h"
+#include "exp/parallel.h"
 #include "graph/components.h"
 #include "util/rng.h"
 
@@ -364,14 +364,12 @@ ShortestPathProperties ComputeShortestPathProperties(
                                      options.max_path_sources));
   }
 
-  // Parallel Bader-Madduri-style evaluation: sources are partitioned over
-  // worker threads, each with private accumulators that are merged
-  // afterwards, so the result is independent of the thread count.
-  std::size_t num_threads = options.threads != 0
-                                ? options.threads
-                                : std::thread::hardware_concurrency();
-  num_threads = std::max<std::size_t>(1, std::min(num_threads,
-                                                  sources.size()));
+  // Parallel Bader-Madduri-style evaluation: worker t takes every
+  // num_threads-th source into private accumulators, which are merged in
+  // worker order afterwards. The floating-point sums therefore depend on
+  // the worker count (see PropertyOptions::threads).
+  const std::size_t num_threads =
+      std::min(ResolveThreadCount(options.threads), sources.size());
   struct WorkerState {
     std::vector<double> betweenness;
     std::vector<std::int64_t> hist;
@@ -379,28 +377,21 @@ ShortestPathProperties ComputeShortestPathProperties(
     std::size_t diameter = 0;
   };
   std::vector<WorkerState> workers(num_threads);
-  {
-    std::vector<std::thread> pool;
-    pool.reserve(num_threads);
-    for (std::size_t t = 0; t < num_threads; ++t) {
-      pool.emplace_back([&, t] {
-        WorkerState& w = workers[t];
-        w.betweenness.assign(n, 0.0);
-        std::vector<int> distance(n);
-        std::vector<double> sigma(n), delta(n);
-        std::vector<NodeId> order;
-        order.reserve(n);
-        NeighborCursor cursor(lcc);  // per-worker: cursors are not shared
-        for (std::size_t i = t; i < sources.size(); i += num_threads) {
-          std::size_t ecc = 0;
-          BrandesPass(lcc, cursor, sources[i], w.betweenness, w.hist,
-                      w.distance_sum, ecc, distance, sigma, delta, order);
-          w.diameter = std::max(w.diameter, ecc);
-        }
-      });
+  ParallelFor(num_threads, num_threads, [&](std::size_t t) {
+    WorkerState& w = workers[t];
+    w.betweenness.assign(n, 0.0);
+    std::vector<int> distance(n);
+    std::vector<double> sigma(n), delta(n);
+    std::vector<NodeId> order;
+    order.reserve(n);
+    NeighborCursor cursor(lcc);  // per-worker: cursors are not shared
+    for (std::size_t i = t; i < sources.size(); i += num_threads) {
+      std::size_t ecc = 0;
+      BrandesPass(lcc, cursor, sources[i], w.betweenness, w.hist,
+                  w.distance_sum, ecc, distance, sigma, delta, order);
+      w.diameter = std::max(w.diameter, ecc);
     }
-    for (std::thread& worker : pool) worker.join();
-  }
+  });
   std::vector<double> betweenness(n, 0.0);
   std::vector<std::int64_t> hist;
   double distance_sum = 0.0;

@@ -27,9 +27,10 @@ struct PropertyOptions {
   /// paper evaluates with the parallel algorithms of Bader & Madduri,
   /// noting they do not affect method performance — only evaluation
   /// speed). 0 = hardware concurrency. The source set is identical for
-  /// every thread count; results agree up to floating-point summation
-  /// order.
-  std::size_t threads = 0;
+  /// every thread count, but the floating-point sums are merged per
+  /// worker, so b̄(k) and ℓ̄ can differ in their last bits between thread
+  /// counts. The default of 1 keeps results deterministic.
+  std::size_t threads = 1;
 
   /// Power-iteration cap and convergence tolerance for λ1.
   std::size_t power_iterations = 1000;

@@ -115,8 +115,7 @@ void CheckNoLeftoverStubs(const AssemblyState& state) {
       "ConstructPreservingTargets: stub pool exhausted (JDM-3 violated)");
 }
 
-/// Swap-with-back pop at a pre-drawn index — the commit-phase half of
-/// pop_random, with the random index supplied by the draw phase.
+/// Swap-with-back pop at `idx`.
 NodeId PopAt(std::vector<NodeId>& pool, std::size_t idx) {
   const NodeId v = pool[idx];
   pool[idx] = pool.back();
@@ -124,17 +123,42 @@ NodeId PopAt(std::vector<NodeId>& pool, std::size_t idx) {
   return v;
 }
 
-/// One class pair (k, k') of the parallel engine's wiring schedule, with
-/// its pre-computed stub-pool starting sizes and its pre-drawn pick
-/// indices (filled by the draw phase).
-struct PairSchedule {
-  std::uint32_t k = 0;
-  std::uint32_t kp = 0;
-  std::int64_t need = 0;
-  std::size_t size_k_start = 0;   ///< stubs[k] size when this pair commits
-  std::size_t size_kp_start = 0;  ///< stubs[kp] size (== size_k for k==kp)
-  std::vector<std::size_t> picks; ///< 2 * need indices, draw order
-};
+/// Wires the free half-edges class pair by class pair (Algorithm 5, lines
+/// 13-16): every pair (k, k') with k <= k' in canonical order copies
+/// m*(k,k') - m'(k,k') edges, each between two stubs popped uniformly from
+/// the pools of k and k'. `pair_rng(p)` is the stream the p-th pair with
+/// edges to copy draws from.
+template <typename PairRng>
+void WireClassPairs(AssemblyState& state, const JointDegreeMatrix& m_star,
+                    const JointDegreeMatrix& m_prime, PairRng&& pair_rng) {
+  std::uint64_t pair = 0;
+  for (std::uint32_t k = 1; k <= state.k_max; ++k) {
+    for (std::uint32_t kp = k; kp <= state.k_max; ++kp) {
+      const std::int64_t need = m_star.At(k, kp) - m_prime.At(k, kp);
+      if (need < 0) {
+        throw std::logic_error(
+            "ConstructPreservingTargets: JDM-4 violated at (" +
+            std::to_string(k) + "," + std::to_string(kp) + ")");
+      }
+      if (need == 0) continue;
+      obs::Span pair_span("assemble_pair", "assemble");
+      obs::MetricAdd("assemble.pairs", 1);
+      Rng& rng = pair_rng(pair++);
+      for (std::int64_t c = 0; c < need; ++c) {
+        if (state.stubs[k].empty() || state.stubs[kp].empty() ||
+            (k == kp && state.stubs[k].size() < 2)) {
+          ThrowStubExhausted();
+        }
+        const NodeId a =
+            PopAt(state.stubs[k], rng.NextIndex(state.stubs[k].size()));
+        const NodeId b =
+            PopAt(state.stubs[kp], rng.NextIndex(state.stubs[kp].size()));
+        state.result.AddEdge(a, b);
+      }
+    }
+  }
+  CheckNoLeftoverStubs(state);
+}
 
 }  // namespace
 
@@ -154,129 +178,25 @@ Graph ConstructPreservingTargets(
     const DegreeVector& n_star, const JointDegreeMatrix& m_star, Rng& rng) {
   AssemblyState state =
       BuildAssemblyState(base, base_target_degrees, n_star, rng);
-
-  // Wire free half-edges class pair by class pair (lines 13-16).
-  const JointDegreeMatrix m_prime =
-      SubgraphClassEdges(base, base_target_degrees);
-  auto pop_random = [&rng](std::vector<NodeId>& pool) {
-    return PopAt(pool, rng.NextIndex(pool.size()));
-  };
-  for (std::uint32_t k = 1; k <= state.k_max; ++k) {
-    for (std::uint32_t kp = k; kp <= state.k_max; ++kp) {
-      const std::int64_t need = m_star.At(k, kp) - m_prime.At(k, kp);
-      if (need < 0) {
-        throw std::logic_error(
-            "ConstructPreservingTargets: JDM-4 violated at (" +
-            std::to_string(k) + "," + std::to_string(kp) + ")");
-      }
-      if (need == 0) continue;
-      obs::Span pair_span("assemble_pair", "assemble");
-      obs::MetricAdd("assemble.pairs", 1);
-      for (std::int64_t c = 0; c < need; ++c) {
-        if (state.stubs[k].empty() || state.stubs[kp].empty() ||
-            (k == kp && state.stubs[k].size() < 2)) {
-          ThrowStubExhausted();
-        }
-        const NodeId a = pop_random(state.stubs[k]);
-        const NodeId b = pop_random(state.stubs[kp]);
-        state.result.AddEdge(a, b);
-      }
-    }
-  }
-  CheckNoLeftoverStubs(state);
+  WireClassPairs(state, m_star, SubgraphClassEdges(base, base_target_degrees),
+                 [&rng](std::uint64_t) -> Rng& { return rng; });
   return state.result;
 }
 
 Graph ConstructPreservingTargetsParallel(
     const Graph& base, const std::vector<std::uint32_t>& base_target_degrees,
     const DegreeVector& n_star, const JointDegreeMatrix& m_star,
-    std::uint64_t seed, std::size_t threads) {
+    std::uint64_t seed) {
   Rng shuffle_rng(DeriveRoundSeed(seed, kAssemblyShuffleStream, 0));
   AssemblyState state =
       BuildAssemblyState(base, base_target_degrees, n_star, shuffle_rng);
-  const JointDegreeMatrix m_prime =
-      SubgraphClassEdges(base, base_target_degrees);
-
-  // Schedule: the class pairs with edges to copy, in the canonical
-  // (k, k') order the sequential loop uses. Pool sizes evolve
-  // deterministically — pair p starts from the sizes left by pairs
-  // 0..p-1 — so feasibility (JDM-3) is checked here, before any draw,
-  // with the same outcome the sequential engine's per-edge checks give.
-  std::vector<PairSchedule> schedule;
-  {
-    std::vector<std::size_t> size(state.stubs.size());
-    for (std::size_t k = 0; k < state.stubs.size(); ++k) {
-      size[k] = state.stubs[k].size();
-    }
-    for (std::uint32_t k = 1; k <= state.k_max; ++k) {
-      for (std::uint32_t kp = k; kp <= state.k_max; ++kp) {
-        const std::int64_t need = m_star.At(k, kp) - m_prime.At(k, kp);
-        if (need < 0) {
-          throw std::logic_error(
-              "ConstructPreservingTargets: JDM-4 violated at (" +
-              std::to_string(k) + "," + std::to_string(kp) + ")");
-        }
-        if (need == 0) continue;
-        PairSchedule pair;
-        pair.k = k;
-        pair.kp = kp;
-        pair.need = need;
-        pair.size_k_start = size[k];
-        pair.size_kp_start = size[kp];
-        const auto draws = static_cast<std::size_t>(2 * need);
-        if (k == kp) {
-          if (size[k] < draws) ThrowStubExhausted();
-          size[k] -= draws;
-        } else {
-          if (size[k] < static_cast<std::size_t>(need) ||
-              size[kp] < static_cast<std::size_t>(need)) {
-            ThrowStubExhausted();
-          }
-          size[k] -= static_cast<std::size_t>(need);
-          size[kp] -= static_cast<std::size_t>(need);
-        }
-        schedule.push_back(std::move(pair));
-      }
-    }
-  }
-
-  // Draw phase: every pair generates its pick indices from its own
-  // derived stream against the pre-computed pool-size trajectory —
-  // concurrent, each worker writing only its own pair's slots.
-  ParallelFor(schedule.size(), threads, [&](std::size_t p) {
-    obs::Span pair_span("assemble_pair", "assemble");
-    obs::MetricAdd("assemble.pairs", 1);
-    PairSchedule& pair = schedule[p];
-    Rng pair_rng(DeriveRoundSeed(seed, kAssemblyPairStream, p));
-    pair.picks.reserve(static_cast<std::size_t>(2 * pair.need));
-    std::size_t size_k = pair.size_k_start;
-    std::size_t size_kp = pair.size_kp_start;
-    for (std::int64_t c = 0; c < pair.need; ++c) {
-      if (pair.k == pair.kp) {
-        pair.picks.push_back(pair_rng.NextIndex(size_k));
-        --size_k;
-        pair.picks.push_back(pair_rng.NextIndex(size_k));
-        --size_k;
-      } else {
-        pair.picks.push_back(pair_rng.NextIndex(size_k));
-        --size_k;
-        pair.picks.push_back(pair_rng.NextIndex(size_kp));
-        --size_kp;
-      }
-    }
-  });
-
-  // Commit phase: the single writer replays the draws in canonical pair
-  // order — identical for every thread count.
-  for (const PairSchedule& pair : schedule) {
-    std::size_t d = 0;
-    for (std::int64_t c = 0; c < pair.need; ++c) {
-      const NodeId a = PopAt(state.stubs[pair.k], pair.picks[d++]);
-      const NodeId b = PopAt(state.stubs[pair.kp], pair.picks[d++]);
-      state.result.AddEdge(a, b);
-    }
-  }
-  CheckNoLeftoverStubs(state);
+  Rng pair_rng(0);
+  WireClassPairs(state, m_star, SubgraphClassEdges(base, base_target_degrees),
+                 [&](std::uint64_t pair) -> Rng& {
+                   pair_rng = Rng(DeriveRoundSeed(seed, kAssemblyPairStream,
+                                                  pair));
+                   return pair_rng;
+                 });
   return state.result;
 }
 
@@ -287,9 +207,9 @@ Graph Construct2kGraph(const DegreeVector& n_star,
 
 Graph Construct2kGraphParallel(const DegreeVector& n_star,
                                const JointDegreeMatrix& m_star,
-                               std::uint64_t seed, std::size_t threads) {
+                               std::uint64_t seed) {
   return ConstructPreservingTargetsParallel(Graph(), {}, n_star, m_star,
-                                            seed, threads);
+                                            seed);
 }
 
 Graph Construct1kGraph(const DegreeVector& n_star, Rng& rng) {

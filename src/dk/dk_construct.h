@@ -20,19 +20,12 @@ namespace sgr {
 /// instead of the caller's single sequential stream, so it selects a
 /// different (equally valid) realization of the same targets — exactly
 /// like ParallelRewireOptions::batch_size selects a different rewiring
-/// trajectory. `threads` is an execution knob only: for a fixed seed the
-/// assembled graph is byte-identical for every worker count, because
-/// every pair's draws are a pure function of (seed, pair index) and the
-/// commit phase applies them sequentially in canonical class-pair order.
+/// trajectory.
 struct ParallelAssemblyOptions {
   /// Selects the engine: false (the default) runs the classic sequential
-  /// stub-matching loop on the caller's RNG stream; true runs the
-  /// draw/commit engine below.
+  /// stub-matching loop on the caller's RNG stream; true runs
+  /// ConstructPreservingTargetsParallel's per-class-pair streams.
   bool enabled = false;
-
-  /// Worker threads for the per-pair draw phase (0 = hardware
-  /// concurrency, 1 = fully inline). Never changes results.
-  std::size_t threads = 1;
 };
 
 /// Constructs a graph that contains `base` as a subgraph and exactly
@@ -53,45 +46,37 @@ Graph ConstructPreservingTargets(
     const Graph& base, const std::vector<std::uint32_t>& base_target_degrees,
     const DegreeVector& n_star, const JointDegreeMatrix& m_star, Rng& rng);
 
-/// Parallel variant of ConstructPreservingTargets — the same Algorithm 5
-/// semantics (node addition, stub pooling, m*(k,k') target-copy wiring,
-/// identical realization-condition checks) with the stub-matching draws
-/// parallelized:
+/// Per-class-pair-stream variant of ConstructPreservingTargets — the same
+/// Algorithm 5 semantics (node addition, stub pooling, m*(k,k')
+/// target-copy wiring, identical realization-condition checks) with the
+/// randomness split into independent streams:
 ///
 ///   1. the added-node degree sequence is shuffled with a stream derived
 ///      from `seed` (DeriveRoundSeed — independent of everything else),
 ///   2. the class pairs (k, k') with m*(k,k') - m'(k,k') > 0 edges to copy
-///      are enumerated in canonical (k, k') order and their stub-pool size
-///      trajectories are pre-computed (pool sizes evolve deterministically,
-///      so every NextIndex bound is known before any draw happens),
-///   3. each pair draws its stub-candidate indices from its own RNG stream
-///      (DeriveRoundSeed(seed, stream, pair)) — scored concurrently on up
-///      to `threads` workers, each writing only its own pair's slots,
-///   4. the commit phase replays the draws sequentially in canonical pair
-///      order against the live stub pools and adds the edges.
+///      are wired in canonical (k, k') order, the p-th of them drawing its
+///      stubs from its own stream DeriveRoundSeed(seed, stream, p).
 ///
-/// The draws are a pure function of (seed, pair index), and the single
-/// writer commits in a fixed order, so the assembled graph is
-/// byte-identical for every `threads` value. The output differs from the
-/// sequential ConstructPreservingTargets for any seed (different RNG
-/// streams — an algorithm knob, see ParallelAssemblyOptions); both
-/// realize the same (n*, m*) targets exactly.
+/// Every pair's draws are a pure function of (seed, pair index). The
+/// output differs from the sequential ConstructPreservingTargets for any
+/// seed (different RNG streams — an algorithm knob, see
+/// ParallelAssemblyOptions); both realize the same (n*, m*) targets
+/// exactly.
 Graph ConstructPreservingTargetsParallel(
     const Graph& base, const std::vector<std::uint32_t>& base_target_degrees,
     const DegreeVector& n_star, const JointDegreeMatrix& m_star,
-    std::uint64_t seed, std::size_t threads = 1);
+    std::uint64_t seed);
 
 /// Classic 2K construction: a random graph realizing (n*, m*) from an empty
 /// base.
 Graph Construct2kGraph(const DegreeVector& n_star,
                        const JointDegreeMatrix& m_star, Rng& rng);
 
-/// Parallel 2K construction from an empty base (the Gjoka et al. baseline
-/// through the parallel assembly engine); see
-/// ConstructPreservingTargetsParallel for the determinism contract.
+/// 2K construction from an empty base on per-class-pair streams (the
+/// Gjoka et al. baseline through ConstructPreservingTargetsParallel).
 Graph Construct2kGraphParallel(const DegreeVector& n_star,
                                const JointDegreeMatrix& m_star,
-                               std::uint64_t seed, std::size_t threads = 1);
+                               std::uint64_t seed);
 
 /// 1K construction (configuration model): a random multigraph realizing a
 /// degree vector exactly — stubs are shuffled uniformly and paired. The

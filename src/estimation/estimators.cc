@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <memory>
+#include <functional>
 #include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
-#include "exp/parallel.h"
 #include "graph/csr_graph.h"
 #include "util/sorted_keys.h"
 #include "obs/metrics.h"
@@ -18,56 +17,34 @@ namespace sgr {
 
 namespace {
 
-/// One lazily-created worker pool per estimator invocation, shared by
-/// every chunked loop of that invocation (the whole point of PoolFor:
-/// one pool construction, many loops). Null when one worker suffices —
-/// the loops then run inline.
-std::unique_ptr<ThreadPool> MakeEstimatorPool(std::size_t threads) {
-  const std::size_t workers = ResolveThreadCount(threads);
-  if (workers <= 1) return nullptr;
-  return std::make_unique<ThreadPool>(workers);
-}
-
 /// Chunked execution of the estimator pass. Every accumulation below is
-/// split over the fixed kEstimatorChunkSize grid: workers score chunks
-/// concurrently (each writing only its own partial slot), and the caller
-/// reduces the partials in ascending chunk order. The grid depends only
-/// on the element count, so the reduction order — and therefore every
-/// double — is independent of the worker count; integer-valued partials
-/// (collision counts, induced-edge counts, the clustering indicator) are
-/// exact under any order on top of that. Does not own the pool.
+/// split over the fixed kEstimatorChunkSize grid: each chunk writes only
+/// its own partial slot, and the caller reduces the partials in ascending
+/// chunk order. The grid depends only on the element count, so the
+/// summation order of every double is fixed by the input alone.
 class ChunkRunner {
  public:
-  ChunkRunner(std::size_t count, ThreadPool* pool)
-      : count_(count), pool_(pool) {}
+  explicit ChunkRunner(std::size_t count) : count_(count) {}
 
   std::size_t NumChunks() const {
     return count_ == 0 ? 0 : (count_ - 1) / kEstimatorChunkSize + 1;
   }
 
   /// Calls fn(chunk, begin, end) for every chunk of [0, count), in
-  /// parallel. `fn` must only write state owned by its chunk index.
+  /// ascending chunk order.
   void Run(const std::function<void(std::size_t, std::size_t, std::size_t)>&
                fn) const {
     const std::size_t chunks = NumChunks();
-    const auto body = [&](std::size_t c) {
+    obs::MetricAdd("estimate.chunks", chunks);
+    for (std::size_t c = 0; c < chunks; ++c) {
       obs::Span chunk_span("estimate_chunk", "estimate");
       const std::size_t begin = c * kEstimatorChunkSize;
-      const std::size_t end =
-          std::min(count_, begin + kEstimatorChunkSize);
-      fn(c, begin, end);
-    };
-    obs::MetricAdd("estimate.chunks", chunks);
-    if (pool_ == nullptr || chunks <= 1) {
-      for (std::size_t c = 0; c < chunks; ++c) body(c);
-    } else {
-      PoolFor(*pool_, chunks, body);
+      fn(c, begin, std::min(count_, begin + kEstimatorChunkSize));
     }
   }
 
  private:
   std::size_t count_;
-  ThreadPool* pool_;
 };
 
 /// Compact CSR snapshot of the crawled neighborhood. The sampling list
@@ -78,10 +55,7 @@ class ChunkRunner {
 /// densely, flattens their neighbor lists into offset + neighbor arrays
 /// (sorted by original id, so adjacency tests are binary searches), and
 /// pre-resolves each neighbor entry to its compact id once, so the hot
-/// loops below are pure array traversals. The per-node fill + sort +
-/// resolve loop runs chunked on the caller's shared worker pool
-/// (disjoint slices per node, no floating point — exact for every
-/// thread count).
+/// loops below are pure array traversals.
 struct CrawlCsr {
   static constexpr std::uint32_t kNotQueried =
       static_cast<std::uint32_t>(-1);
@@ -93,7 +67,7 @@ struct CrawlCsr {
   std::vector<std::uint32_t> degree;   ///< per compact node
   std::unordered_map<NodeId, std::uint32_t> to_compact;  ///< original -> compact
 
-  explicit CrawlCsr(const SamplingList& list, ThreadPool* pool = nullptr) {
+  explicit CrawlCsr(const SamplingList& list) {
     const std::size_t q = list.neighbors.size();
     original_id.reserve(q);
     to_compact.reserve(q * 2);
@@ -111,7 +85,7 @@ struct CrawlCsr {
     neighbors.resize(offsets[q]);
     compact_neighbors.resize(offsets[q]);
     degree.resize(q);
-    const ChunkRunner runner(q, pool);
+    const ChunkRunner runner(q);
     runner.Run([&](std::size_t, std::size_t begin, std::size_t end) {
       for (std::size_t c = begin; c < end; ++c) {
         const std::vector<NodeId>& nbrs = list.neighbors.at(original_id[c]);
@@ -220,12 +194,10 @@ LocalEstimates SmallSampleEstimates(const SamplingList& list) {
 
 }  // namespace
 
-double EstimateAverageDegree(const SamplingList& list, std::size_t threads) {
+double EstimateAverageDegree(const SamplingList& list) {
   if (!list.is_walk || list.Length() == 0) return 0.0;
   const std::size_t r = list.Length();
-  const std::unique_ptr<ThreadPool> pool =
-      r > kEstimatorChunkSize ? MakeEstimatorPool(threads) : nullptr;
-  const ChunkRunner runner(r, pool.get());
+  const ChunkRunner runner(r);
   std::vector<double> partial(runner.NumChunks(), 0.0);
   runner.Run([&](std::size_t chunk, std::size_t begin, std::size_t end) {
     double sum = 0.0;
@@ -244,14 +216,8 @@ double EstimateAverageDegree(const SamplingList& list, std::size_t threads) {
   return static_cast<double>(r) / inv_sum;
 }
 
-namespace {
-
-/// Shared implementation of the collision estimator; `pool` is the
-/// caller's worker pool (null = inline), so EstimateLocalProperties can
-/// reuse one pool across every chunked loop of a single estimate.
-double EstimateNumNodesImpl(const SamplingList& list, double fallback,
-                            const EstimatorOptions& options,
-                            ThreadPool* pool) {
+double EstimateNumNodes(const SamplingList& list, double fallback,
+                        const EstimatorOptions& options) {
   if (!list.is_walk) return fallback;
   const std::size_t r = list.Length();
   if (r < 3) return fallback;
@@ -267,7 +233,7 @@ double EstimateNumNodesImpl(const SamplingList& list, double fallback,
   for (const NodeId node : SortedKeys(positions)) {
     position_lists.push_back(&positions.at(node));
   }
-  const ChunkRunner node_runner(position_lists.size(), pool);
+  const ChunkRunner node_runner(position_lists.size());
   std::vector<double> collision_partial(node_runner.NumChunks(), 0.0);
   node_runner.Run([&](std::size_t chunk, std::size_t begin,
                       std::size_t end) {
@@ -301,7 +267,7 @@ double EstimateNumNodesImpl(const SamplingList& list, double fallback,
     inv_prefix[i + 1] = inv_prefix[i] + (degree > 0.0 ? 1.0 / degree : 0.0);
   }
   const double inv_total = inv_prefix[r];
-  const ChunkRunner walk_runner(r, pool);
+  const ChunkRunner walk_runner(r);
   std::vector<double> numerator_partial(walk_runner.NumChunks(), 0.0);
   walk_runner.Run([&](std::size_t chunk, std::size_t begin,
                       std::size_t end) {
@@ -320,16 +286,6 @@ double EstimateNumNodesImpl(const SamplingList& list, double fallback,
   return numerator / collisions;
 }
 
-}  // namespace
-
-double EstimateNumNodes(const SamplingList& list, double fallback,
-                        const EstimatorOptions& options) {
-  const std::unique_ptr<ThreadPool> pool =
-      list.Length() > kEstimatorChunkSize ? MakeEstimatorPool(options.threads)
-                                          : nullptr;
-  return EstimateNumNodesImpl(list, fallback, options, pool.get());
-}
-
 LocalEstimates EstimateLocalProperties(const SamplingList& list,
                                        const EstimatorOptions& options) {
   if (!list.is_walk) {
@@ -343,17 +299,10 @@ LocalEstimates EstimateLocalProperties(const SamplingList& list,
   const std::vector<NodeId>& walk = list.visit_sequence;
   const std::size_t m = LagThreshold(r, options.collision_threshold_fraction);
 
-  // One worker pool for the whole estimate: the CrawlCsr build, every
-  // chunked pass below, and the embedded collision estimator all share
-  // it (null = single-worker, fully inline). A walk within one chunk
-  // has nothing to fan out — skip the pool entirely.
-  const std::unique_ptr<ThreadPool> pool =
-      r > kEstimatorChunkSize ? MakeEstimatorPool(options.threads) : nullptr;
-
   // Immutable snapshot of the crawled neighborhood; every lookup below is
   // an array access instead of a hash probe.
-  const CrawlCsr crawl(list, pool.get());
-  const ChunkRunner runner(r, pool.get());
+  const CrawlCsr crawl(list);
+  const ChunkRunner runner(r);
   const std::size_t num_chunks = runner.NumChunks();
   std::vector<std::uint32_t> walk_compact(r);
   runner.Run([&](std::size_t, std::size_t begin, std::size_t end) {
@@ -418,8 +367,8 @@ LocalEstimates EstimateLocalProperties(const SamplingList& list,
 
   // --- Number of nodes (fallback: number of distinct nodes seen, a lower
   //     bound available from the sampling list itself). ---
-  est.num_nodes = EstimateNumNodesImpl(
-      list, static_cast<double>(crawl.DistinctSeen()), options, pool.get());
+  est.num_nodes = EstimateNumNodes(
+      list, static_cast<double>(crawl.DistinctSeen()), options);
 
   // --- Joint degree distribution: hybrid of IE and TE (Section III-E). ---
   // TE: traversed edges (consecutive walk pairs, pair (i, i+1) owned by

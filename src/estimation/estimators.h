@@ -31,12 +31,10 @@ enum class JointEstimatorMode {
 /// Fixed chunk width of the estimator pass: every accumulation over the
 /// walk (and over the crawled adjacency) is split into partial sums over
 /// consecutive index ranges of this size and reduced in ascending chunk
-/// order. The grid depends only on the walk length — never on the worker
-/// count — so every estimate is bit-identical for every
-/// `EstimatorOptions::threads` value (including the double-valued fields,
-/// whose summation order is the canonical chunk order). A walk shorter
-/// than one chunk reduces to the historical single-pass accumulation
-/// exactly.
+/// order. The grid depends only on the walk length, so the summation
+/// order of every double-valued estimate is fixed by the input. A walk
+/// shorter than one chunk reduces to the historical single-pass
+/// accumulation exactly.
 inline constexpr std::size_t kEstimatorChunkSize = 1024;
 
 /// Options for the re-weighted random walk estimators.
@@ -52,13 +50,6 @@ struct EstimatorOptions {
   /// Walk type of the sampling list (selects the clustering-estimator
   /// normalizer; see WalkType).
   WalkType walk_type = WalkType::kSimple;
-
-  /// Worker threads scoring the per-chunk partial sums concurrently
-  /// (0 = hardware concurrency, 1 = fully inline). A pure execution knob:
-  /// the chunk grid and the reduction order are fixed by the walk length
-  /// alone, so every estimate is bit-identical for every value — see
-  /// kEstimatorChunkSize.
-  std::size_t threads = 1;
 };
 
 /// Computes the five local-property estimates of Section III-E from a
@@ -75,9 +66,8 @@ struct EstimatorOptions {
 /// per-node sorted position lists (see DESIGN.md, "Faithfulness notes").
 /// The dominant passes (crawl-snapshot build, degree/Φ accumulation, the
 /// induced-edge scan, the clustering indicator, and the collision sums)
-/// are chunked over the fixed kEstimatorChunkSize grid and scored on up
-/// to `options.threads` workers, then reduced in canonical chunk order —
-/// the estimates are bit-identical for every thread count.
+/// are chunked over the fixed kEstimatorChunkSize grid and reduced in
+/// canonical chunk order.
 ///
 /// `list.is_walk` must be true: the estimators rely on the Markov property
 /// of the sequence — a non-walk sample (BFS / snowball / forest fire)
@@ -102,11 +92,9 @@ double EstimateNumNodes(const SamplingList& list, double fallback,
 
 /// The average-degree estimator k̂̄ alone. Returns 0 for an empty list, a
 /// non-walk list, or a list whose visited nodes all have degree 0 (no
-/// finite harmonic mean exists). `threads` workers score the chunked
-/// harmonic sum concurrently; the result is bit-identical for every
-/// value (see kEstimatorChunkSize).
-double EstimateAverageDegree(const SamplingList& list,
-                             std::size_t threads = 1);
+/// finite harmonic mean exists). The harmonic sum runs over the
+/// kEstimatorChunkSize grid.
+double EstimateAverageDegree(const SamplingList& list);
 
 }  // namespace sgr
 

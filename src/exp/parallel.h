@@ -36,9 +36,8 @@ std::uint64_t DeriveSeed(std::uint64_t base_seed, std::uint64_t index);
 /// task: chains DeriveSeed over a stream tag and a round index, so
 /// every (stream, round) pair of the same base seed gets a decorrelated
 /// generator state. The batched rewiring engine derives round r of its
-/// proposal stream this way — the stream is a pure function of
-/// (base_seed, round), never of the worker count, which is what makes
-/// its output byte-identical for every thread count.
+/// proposal stream this way, so the stream is a pure function of
+/// (base_seed, round).
 std::uint64_t DeriveRoundSeed(std::uint64_t base_seed, std::uint64_t stream,
                               std::uint64_t round);
 
@@ -102,9 +101,9 @@ void ParallelFor(std::size_t count, std::size_t threads,
 
 /// ParallelFor over an existing pool: runs `fn(i)` for every i in
 /// [0, count) on `pool`'s workers (dynamic claiming) and blocks until all
-/// iterations finish. For callers that fan out many small loops in a row
-/// (the chunked estimator pass, the batched rewiring rounds) and must not
-/// pay a pool construction per loop. Exceptions behave as in
+/// iterations finish. For callers that run several loops on one pool (the
+/// scenario engine's set-up and trial phases, the edge-list ingester's
+/// scatter and sort) and must not pay a pool construction per loop. Exceptions behave as in
 /// ParallelFor. The caller must not Submit() other work concurrently.
 void PoolFor(ThreadPool& pool, std::size_t count,
              const std::function<void(std::size_t)>& fn);

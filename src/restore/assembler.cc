@@ -14,10 +14,9 @@ Graph AssembleFromSubgraphParallel(const Subgraph& sub,
                                    const TargetDegreeVectorResult& targets,
                                    const DegreeVector& n_star,
                                    const JointDegreeMatrix& m_star,
-                                   std::uint64_t seed, std::size_t threads) {
+                                   std::uint64_t seed) {
   return ConstructPreservingTargetsParallel(
-      sub.graph, targets.subgraph_target_degrees, n_star, m_star, seed,
-      threads);
+      sub.graph, targets.subgraph_target_degrees, n_star, m_star, seed);
 }
 
 }  // namespace sgr

@@ -22,20 +22,17 @@ Graph AssembleFromSubgraph(const Subgraph& sub,
                            const DegreeVector& n_star,
                            const JointDegreeMatrix& m_star, Rng& rng);
 
-/// Parallel Algorithm 5 assembly: the stub-matching candidate draws are
-/// scored concurrently per class pair (each pair on its own RNG stream
-/// derived from `seed`) and committed sequentially in canonical (k, k')
-/// order, so the assembled graph is byte-identical for every `threads`
-/// value. Selects a different — equally valid — realization of the same
-/// targets than the sequential wrapper above (different RNG streams); see
-/// ConstructPreservingTargetsParallel for the full contract. Callers
-/// holding an Rng should pass one engine draw (rng.engine()()).
+/// Algorithm 5 assembly on per-class-pair RNG streams derived from
+/// `seed`, wired in canonical (k, k') order. Selects a different — equally
+/// valid — realization of the same targets than the sequential wrapper
+/// above (different RNG streams); see ConstructPreservingTargetsParallel
+/// for the full contract. Callers holding an Rng should pass one engine
+/// draw (rng.engine()()).
 Graph AssembleFromSubgraphParallel(const Subgraph& sub,
                                    const TargetDegreeVectorResult& targets,
                                    const DegreeVector& n_star,
                                    const JointDegreeMatrix& m_star,
-                                   std::uint64_t seed,
-                                   std::size_t threads = 1);
+                                   std::uint64_t seed);
 
 }  // namespace sgr
 

@@ -37,9 +37,8 @@ RestorationResult RestoreGjoka(const SamplingList& list,
 
   obs::Span assemble_span("assemble");
   if (options.parallel_assembly.enabled) {
-    result.graph = Construct2kGraphParallel(
-        targets.n_star, m_star, rng.engine()(),
-        options.parallel_assembly.threads);
+    result.graph =
+        Construct2kGraphParallel(targets.n_star, m_star, rng.engine()());
   } else {
     result.graph = Construct2kGraph(targets.n_star, m_star, rng);
   }
@@ -64,8 +63,7 @@ RestorationResult RestoreGjoka(const SamplingList& list,
   rewire_span.End();
 
   if (options.simplify_output) {
-    SimplifyByRewiring(result.graph, /*num_protected_edges=*/0, rng,
-                       options.parallel_rewire.threads);
+    SimplifyByRewiring(result.graph, /*num_protected_edges=*/0, rng);
   }
   result.total_seconds = total.Seconds();
   return result;

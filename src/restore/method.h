@@ -21,25 +21,20 @@ struct RestorationOptions {
   /// Batched speculative rewiring engine. `parallel_rewire.batch_size`
   /// selects the engine: 0 (the default) runs the classic sequential
   /// attempt loop; nonzero runs RewireToClusteringParallel with that
-  /// round size on `parallel_rewire.threads` workers. The thread count
-  /// never changes results — see restore/rewirer.h.
+  /// round size — see restore/rewirer.h.
   ParallelRewireOptions parallel_rewire;
 
   /// Parallel Algorithm 5 assembly. `parallel_assembly.enabled` selects
   /// the engine: false (the default) runs the classic sequential
   /// stub-matching loop on the method's RNG stream; true runs
   /// ConstructPreservingTargetsParallel with per-class-pair derived RNG
-  /// streams on `parallel_assembly.threads` workers. The thread count
-  /// never changes results — see dk/dk_construct.h.
+  /// streams — see dk/dk_construct.h.
   ParallelAssemblyOptions parallel_assembly;
 
   /// Estimator options (collision-lag fraction, joint-estimator mode,
-  /// walk type, chunk-scoring worker threads). Set
-  /// `estimator.walk_type = WalkType::kNonBacktracking` when the sampling
-  /// list came from NonBacktrackingWalkSample (the experiment runner
-  /// derives this automatically from its walk axis). `estimator.threads`
-  /// is an execution knob only: estimates are bit-identical for every
-  /// value (see estimation/estimators.h).
+  /// walk type). Set `estimator.walk_type = WalkType::kNonBacktracking`
+  /// when the sampling list came from NonBacktrackingWalkSample (the
+  /// experiment runner derives this automatically from its walk axis).
   EstimatorOptions estimator;
 
   /// Whether the proposed method's rewiring phase protects the sampled

@@ -46,8 +46,7 @@ RestorationResult RestoreProposed(const SamplingList& list,
   obs::Span assemble_span("assemble");
   if (options.parallel_assembly.enabled) {
     result.graph = AssembleFromSubgraphParallel(
-        sub, targets, targets.n_star, m_star, rng.engine()(),
-        options.parallel_assembly.threads);
+        sub, targets, targets.n_star, m_star, rng.engine()());
   } else {
     result.graph =
         AssembleFromSubgraph(sub, targets, targets.n_star, m_star, rng);
@@ -81,8 +80,7 @@ RestorationResult RestoreProposed(const SamplingList& list,
   rewire_span.End();
 
   if (options.simplify_output) {
-    SimplifyByRewiring(result.graph, protected_edges, rng,
-                       options.parallel_rewire.threads);
+    SimplifyByRewiring(result.graph, protected_edges, rng);
   }
   result.total_seconds = total.Seconds();
   return result;

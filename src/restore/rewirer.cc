@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -246,9 +245,8 @@ RewireStats RewireToClusteringParallel(
   stats.attempts = total_attempts;
   if (total_attempts == 0) return stats;
 
-  // Property tracking observes the commit phase only (the single-writer
-  // step), so it is race-free and cannot perturb the byte-identical
-  // determinism across thread counts.
+  // Property tracking observes the commit phase only, so it cannot
+  // perturb the proposal stream or the scores.
   const bool tracking = options.track_properties;
   std::unique_ptr<PropertyTracker> props;
   if (tracking) props = std::make_unique<PropertyTracker>(g);
@@ -256,12 +254,6 @@ RewireStats RewireToClusteringParallel(
 
   const std::size_t batch_size =
       parallel.batch_size == 0 ? kDefaultRewireBatch : parallel.batch_size;
-  const std::size_t threads = ResolveThreadCount(parallel.threads);
-
-  // One pool for the whole run; rounds reuse it. threads == 1 stays fully
-  // inline — the scoring loop below never touches the pool.
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
 
   std::vector<SwapProposal> proposals(batch_size);
 
@@ -293,44 +285,21 @@ RewireStats RewireToClusteringParallel(
         std::min(batch_size, total_attempts - attempts_done);
 
     // 1. Draw the round's proposals from a deterministic per-round
-    //    stream: a pure function of (seed, round), never of the worker
-    //    count or of scheduling.
+    //    stream, a pure function of (seed, round), and score each
+    //    well-formed one against the frozen round-start tracker state
+    //    (nothing is written to the graph or the tracker until step 2).
     Rng round_rng(DeriveRoundSeed(seed, kRewireProposalStream, round));
     for (std::size_t p = 0; p < this_batch; ++p) {
-      DrawProposal(g, num_protected_edges, num_candidates, round_rng,
-                   proposals[p]);
-      if (proposals[p].valid) ++stats.evaluated;
-    }
-
-    // 2. Score every well-formed proposal against the frozen round-start
-    //    tracker state, in parallel. Each worker writes only its own
-    //    proposal slots; the tracker is read-only here.
-    const auto score = [&](std::size_t p) {
       SwapProposal& prop = proposals[p];
-      if (!prop.valid) return;
+      DrawProposal(g, num_protected_edges, num_candidates, round_rng, prop);
+      if (!prop.valid) continue;
+      ++stats.evaluated;
       prop.touched.clear();
       prop.delta = tracker.EvaluateSwapDelta(prop.i, prop.j, prop.a,
                                              prop.b, &prop.touched);
-    };
-    if (pool == nullptr) {
-      for (std::size_t p = 0; p < this_batch; ++p) score(p);
-    } else {
-      std::atomic<std::size_t> next{0};
-      for (std::size_t w = 0; w < threads; ++w) {
-        pool->Submit([&] {
-          for (;;) {
-            const std::size_t p =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (p >= this_batch) return;
-            score(p);
-          }
-        });
-      }
-      pool->Wait();
     }
 
-    // 3. Commit in canonical batch order — the single writer, identical
-    //    for every thread count.
+    // 2. Commit in canonical batch order.
     committed_edges.clear();
     for (std::size_t p = 0; p < this_batch; ++p) {
       SwapProposal& prop = proposals[p];

@@ -42,27 +42,18 @@ struct RewireOptions {
 /// Options of the batched speculative rewiring engine
 /// (RewireToClusteringParallel).
 ///
-/// `threads` is an execution knob only: for a fixed `batch_size` the
-/// engine's output — the rewired graph, every RewireStats field, and the
-/// rewiring objective trajectory — is byte-identical for every thread
-/// count, because the proposal stream is drawn from a per-round RNG
-/// derived purely from (seed, round) and commits happen sequentially in
-/// canonical batch order. `batch_size` IS an algorithm knob: changing it
-/// changes which proposals are scored against which tracker state, so it
-/// selects a different (equally valid) optimization trajectory.
+/// `batch_size` is an algorithm knob: changing it changes which
+/// proposals are scored against which tracker state, so it selects a
+/// different (equally valid) optimization trajectory.
 struct ParallelRewireOptions {
   /// Proposals drawn and speculatively scored per round. 0 lets the
   /// engine pick its default (kDefaultRewireBatch).
   std::size_t batch_size = 0;
-
-  /// Worker threads for the speculative scoring phase (0 = hardware
-  /// concurrency, 1 = fully inline). Never changes results.
-  std::size_t threads = 1;
 };
 
 /// Default proposals-per-round of the batched engine when
-/// ParallelRewireOptions::batch_size is 0. Large enough to amortize the
-/// per-round fan-out, small enough that intra-round conflicts stay rare.
+/// ParallelRewireOptions::batch_size is 0. Small enough that intra-round
+/// conflicts stay rare.
 inline constexpr std::size_t kDefaultRewireBatch = 256;
 
 /// One point of the rewiring convergence curve recorded when
@@ -128,26 +119,20 @@ RewireStats RewireToClustering(Graph& g, std::size_t num_protected_edges,
 ///
 /// Every round:
 ///   1. draws its proposal batch from a deterministic per-round RNG
-///      stream (DeriveRoundSeed(seed, ..., round) — independent of the
-///      worker count),
-///   2. scores each proposal's objective delta speculatively against the
-///      frozen round-start tracker state, in parallel on up to
-///      `parallel.threads` workers (TriangleTracker::EvaluateSwapDelta is
-///      const and race-free),
-///   3. commits in canonical batch order: speculatively non-improving
+///      stream (DeriveRoundSeed(seed, ..., round)) and scores each
+///      proposal's objective delta speculatively against the frozen
+///      round-start tracker state,
+///   2. commits in canonical batch order: speculatively non-improving
 ///      proposals are rejected; improving ones whose conflict footprint
 ///      (four endpoints + touched degree classes) overlaps an earlier
 ///      commit of the same round are re-scored against the live state
 ///      first; proposals whose edge ids were already rewired this round
 ///      are dropped.
 ///
-/// The commit step is the only writer, so the rewired graph and every
-/// RewireStats field are byte-identical for every `parallel.threads`
-/// value — the intra-trial extension of the trial-level determinism
-/// contract RunExperiments locks. Note the trajectory differs from the
-/// sequential RewireToClustering for the same seed (proposals are scored
-/// against round-start state, not the post-previous-attempt state): both
-/// are valid runs of Algorithm 6, each individually deterministic.
+/// The trajectory differs from the sequential RewireToClustering for the
+/// same seed (proposals are scored against round-start state, not the
+/// post-previous-attempt state): both are valid runs of Algorithm 6,
+/// each individually deterministic.
 ///
 /// `options.resync_interval` is ignored: acceptance always scores fresh
 /// from the exact integer triangle state and the final distance is

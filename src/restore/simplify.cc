@@ -7,8 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "exp/parallel.h"
-
 namespace sgr {
 
 namespace {
@@ -17,28 +15,19 @@ namespace {
 constexpr std::uint64_t kLoopKey = ~std::uint64_t{0};
 
 /// Exact offense census: loops, plus parallel surplus (bundle size - 1
-/// per distinct node pair). The edge scan is keyed and parallelized over
-/// chunks; the result is a pure integer count of the edge multiset, so it
-/// is identical for every thread count.
-std::size_t CountOffense(const Graph& g, std::size_t threads) {
+/// per distinct node pair), counted over the sorted edge keys.
+std::size_t CountOffense(const Graph& g) {
   const std::size_t m = g.NumEdges();
   std::vector<std::uint64_t> keys(m);
-  const std::size_t workers = ResolveThreadCount(threads);
-  const std::size_t chunk = 1 << 14;
-  const std::size_t num_chunks = (m + chunk - 1) / chunk;
-  ParallelFor(num_chunks, workers, [&](std::size_t c) {
-    const std::size_t begin = c * chunk;
-    const std::size_t end = std::min(m, begin + chunk);
-    for (std::size_t e = begin; e < end; ++e) {
-      const Edge& edge = g.edge(e);
-      if (edge.u == edge.v) {
-        keys[e] = kLoopKey;
-      } else {
-        const auto [lo, hi] = std::minmax(edge.u, edge.v);
-        keys[e] = (static_cast<std::uint64_t>(lo) << 32) | hi;
-      }
+  for (std::size_t e = 0; e < m; ++e) {
+    const Edge& edge = g.edge(e);
+    if (edge.u == edge.v) {
+      keys[e] = kLoopKey;
+    } else {
+      const auto [lo, hi] = std::minmax(edge.u, edge.v);
+      keys[e] = (static_cast<std::uint64_t>(lo) << 32) | hi;
     }
-  });
+  }
   std::sort(keys.begin(), keys.end());
   std::size_t loops = 0;
   std::size_t surplus = 0;
@@ -74,14 +63,10 @@ std::size_t PairOffense(const Graph& g, NodeId a, NodeId b, NodeId c,
 
 SimplifyStats SimplifyByRewiring(Graph& g,
                                  std::size_t num_protected_edges, Rng& rng,
-                                 std::size_t threads,
                                  std::size_t max_rounds,
                                  std::size_t attempts_per_edge) {
   SimplifyStats stats;
-  const auto count_offending = [&g, threads] {
-    return CountOffense(g, threads);
-  };
-  stats.offending_before = count_offending();
+  stats.offending_before = CountOffense(g);
   stats.offending_after = stats.offending_before;
   if (stats.offending_before == 0) return stats;
   if (g.NumEdges() - num_protected_edges < 2) return stats;
@@ -155,7 +140,7 @@ SimplifyStats SimplifyByRewiring(Graph& g,
         }
       }
     }
-    stats.offending_after = count_offending();
+    stats.offending_after = CountOffense(g);
     if (stats.offending_after == 0 || !progressed) break;
   }
   return stats;

@@ -31,17 +31,8 @@ struct SimplifyStats {
 /// Returns the before/after offense counts; `offending_after` can stay
 /// positive when the joint degree matrix admits no simple realization in
 /// the neighborhood explored (`max_rounds` bounds the work).
-///
-/// `threads` (0 = hardware concurrency) parallelizes the per-round
-/// offense census — an edge-list scan plus a distinct-pair count, the
-/// pass's read-only bottleneck on large graphs. The repair loop itself
-/// stays sequential, so results are identical for every thread count
-/// (the census is a pure integer count, independent of scan order).
-/// `threads` precedes the tuning knobs so the restoration methods can
-/// plumb their worker count without restating the knob defaults.
 SimplifyStats SimplifyByRewiring(Graph& g,
                                  std::size_t num_protected_edges, Rng& rng,
-                                 std::size_t threads = 1,
                                  std::size_t max_rounds = 20,
                                  std::size_t attempts_per_edge = 64);
 

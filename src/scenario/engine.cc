@@ -228,10 +228,7 @@ ScenarioCell RunScenarioCell(const std::string& dataset_name,
 
 ScenarioRunResult RunScenario(const ScenarioSpec& spec,
                               std::size_t threads_override,
-                              std::ostream* progress,
-                              std::size_t rewire_threads_override,
-                              std::size_t assembly_threads_override,
-                              std::size_t estimator_threads_override) {
+                              std::ostream* progress) {
   // Programmatically built specs never pass through FromJson — gate the
   // engine on the same semantic validation (finite numbers, non-empty
   // axes, cross-axis rules) so an invalid spec cannot reach a dataset
@@ -239,16 +236,8 @@ ScenarioRunResult RunScenario(const ScenarioSpec& spec,
   spec.Validate();
   ScenarioRunResult result;
   result.spec = spec;
-  const auto resolve = [](std::size_t override, std::size_t from_spec) {
-    return ResolveThreadCount(override == kThreadsFromSpec ? from_spec
-                                                           : override);
-  };
-  result.threads = resolve(threads_override, spec.threads);
-  result.rewire_threads = resolve(rewire_threads_override, spec.rewire_threads);
-  result.assembly_threads =
-      resolve(assembly_threads_override, spec.assembly_threads);
-  result.estimator_threads =
-      resolve(estimator_threads_override, spec.estimator_threads);
+  result.threads = ResolveThreadCount(
+      threads_override == kThreadsFromSpec ? spec.threads : threads_override);
 
   const std::vector<CellKnobs> knob_matrix = spec.ExpandKnobs();
   const std::size_t num_datasets = spec.datasets.size();
@@ -287,15 +276,9 @@ ScenarioRunResult RunScenario(const ScenarioSpec& spec,
       const std::uint64_t cell_seed =
           spec.seed_base + static_cast<std::uint64_t>(jobs.size()) *
                                static_cast<std::uint64_t>(spec.trials);
-      ExperimentConfig config = spec.ToExperimentConfig(knobs);
-      // The intra-trial worker counts are execution knobs — overriding
-      // them (or resolving 0 to the hardware) must not leak into the
-      // spec echo.
-      config.restoration.parallel_rewire.threads = result.rewire_threads;
-      config.restoration.parallel_assembly.threads = result.assembly_threads;
-      config.restoration.estimator.threads = result.estimator_threads;
       jobs.push_back(CellJob{&spec.datasets[d].name, &datasets[d],
-                             &properties[d], std::move(config), cell_seed});
+                             &properties[d], spec.ToExperimentConfig(knobs),
+                             cell_seed});
     }
   }
   result.cells = RunCells(jobs, spec.trials, pool_ptr, progress);
@@ -307,9 +290,7 @@ Json ScenarioReportToJson(const ScenarioRunResult& result) {
   for (const ScenarioCell& cell : result.cells) {
     cells.Push(ScenarioCellToJson(cell));
   }
-  RunEnvironment environment =
-      CaptureEnvironment(result.threads, result.rewire_threads,
-                         result.assembly_threads, result.estimator_threads);
+  RunEnvironment environment = CaptureEnvironment(result.threads);
   environment.datasets = result.datasets;
   return MakeReport("sgr run", result.spec.ToJson(), std::move(cells),
                     environment);

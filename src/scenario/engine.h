@@ -46,16 +46,6 @@ ScenarioCell RunScenarioCell(const std::string& dataset_name,
 struct ScenarioRunResult {
   ScenarioSpec spec;
   std::size_t threads = 1;
-  /// Resolved rewire-engine worker count the trials ran with (only
-  /// meaningful when the rewire_batch axis has a nonzero value).
-  /// Volatile: recorded in the report's environment block, never in its
-  /// deterministic content.
-  std::size_t rewire_threads = 1;
-  /// Resolved parallel-assembly worker count (only meaningful when
-  /// spec.parallel_assembly). Volatile, like rewire_threads.
-  std::size_t assembly_threads = 1;
-  /// Resolved estimator-pass worker count. Volatile, like rewire_threads.
-  std::size_t estimator_threads = 1;
   /// Where each dataset actually came from (file vs generator), in spec
   /// order. Echoed into the report's environment block — volatile, since
   /// the same spec legitimately runs on real data on one machine and the
@@ -79,8 +69,9 @@ struct ScenarioRunResult {
 ///   * trials — every (cell, trial) of the matrix as one task list,
 ///     claimed largest dataset first (NumEdges, then cell, then trial).
 ///     Each trial writes its own slot, and the cells are folded in cell
-///     order, so the claim order changes only timing. A trial drops each
-///     method's generated graph as soon as it is evaluated
+///     order, so the claim order changes only timing. A trial runs
+///     single-threaded: this pool is the only parallelism of a scenario.
+///     It drops each method's generated graph as soon as it is evaluated
 ///     (RunExperimentWithoutGraphs).
 /// With metrics on, each trial records into its own metrics sink
 /// (obs/metrics.h), and a cell's metrics block sums its trials' counters
@@ -102,22 +93,12 @@ struct ScenarioRunResult {
 ///
 /// `threads_override` replaces spec.threads when not kThreadsFromSpec
 /// (the CLI's --threads / $SGR_THREADS plumbing); 0 means hardware
-/// concurrency either way. `rewire_threads_override`,
-/// `assembly_threads_override`, and `estimator_threads_override` do the
-/// same for the spec's intra-trial worker counts (the CLI's
-/// --rewire-threads / --assembly-threads / --estimator-threads plumbing
-/// and their SGR_* environment twins) — like the trial thread count they
-/// are execution knobs that never change the report's deterministic
-/// content, so overriding them leaves the spec echo untouched.
-/// `progress`, when non-null, receives one line per cell, in cell order:
+/// concurrency either way. `progress`, when non-null, receives one line per cell, in cell order:
 /// a cell's line is written once it and every earlier cell have finished.
 ScenarioRunResult RunScenario(
     const ScenarioSpec& spec,
     std::size_t threads_override = kThreadsFromSpec,
-    std::ostream* progress = nullptr,
-    std::size_t rewire_threads_override = kThreadsFromSpec,
-    std::size_t assembly_threads_override = kThreadsFromSpec,
-    std::size_t estimator_threads_override = kThreadsFromSpec);
+    std::ostream* progress = nullptr);
 
 /// Serializes a scenario run as the standard report document
 /// (scenario/report.h): the spec echoed under "config", the environment,

@@ -7,15 +7,9 @@
 
 namespace sgr {
 
-RunEnvironment CaptureEnvironment(std::size_t threads,
-                                  std::size_t rewire_threads,
-                                  std::size_t assembly_threads,
-                                  std::size_t estimator_threads) {
+RunEnvironment CaptureEnvironment(std::size_t threads) {
   RunEnvironment environment;
   environment.threads = threads;
-  environment.rewire_threads = rewire_threads;
-  environment.assembly_threads = assembly_threads;
-  environment.estimator_threads = estimator_threads;
   environment.hardware_concurrency = std::thread::hardware_concurrency();
 #if defined(__VERSION__)
   environment.compiler = __VERSION__;
@@ -32,13 +26,6 @@ Json EnvironmentToJson(const RunEnvironment& environment) {
   Json json = Json::Object();
   json.Set("threads",
            Json::Number(static_cast<double>(environment.threads)));
-  json.Set("rewire_threads",
-           Json::Number(static_cast<double>(environment.rewire_threads)));
-  json.Set("assembly_threads",
-           Json::Number(static_cast<double>(environment.assembly_threads)));
-  json.Set("estimator_threads",
-           Json::Number(
-               static_cast<double>(environment.estimator_threads)));
   json.Set("hardware_concurrency",
            Json::Number(
                static_cast<double>(environment.hardware_concurrency)));

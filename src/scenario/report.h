@@ -110,9 +110,9 @@ struct ScenarioCell {
   /// sinks of this cell's trials, plus the process's peak RSS when the
   /// cell was folded (empty when metrics are off). The counters of the
   /// deterministic pipeline (oracle.queries, rewire.*, estimate.chunks)
-  /// are the same at every thread count; the pool gauges and peak RSS
-  /// depend on scheduling, so the block is volatile: it is emitted under
-  /// the cell's "metrics" key and removed by StripVolatile.
+  /// are the same at every thread count; peak RSS depends on scheduling,
+  /// so the block is volatile: it is emitted under the cell's "metrics"
+  /// key and removed by StripVolatile.
   std::map<std::string, double> metrics;
 };
 
@@ -122,9 +122,6 @@ struct ScenarioCell {
 /// StripVolatile together with the "timings" objects.
 struct RunEnvironment {
   std::size_t threads = 1;               ///< resolved worker thread count
-  std::size_t rewire_threads = 1;        ///< resolved rewire-engine workers
-  std::size_t assembly_threads = 1;      ///< resolved assembly workers
-  std::size_t estimator_threads = 1;     ///< resolved estimator workers
   std::size_t hardware_concurrency = 0;
   std::string compiler;                  ///< __VERSION__
   std::string build;                     ///< "Release" / "Debug" (NDEBUG)
@@ -138,13 +135,8 @@ struct RunEnvironment {
 };
 
 /// Captures the current process environment; `threads` is the resolved
-/// worker count the caller is about to run with, the rest the resolved
-/// intra-trial worker counts of the rewiring / assembly / estimator
-/// engines (all default to 1, the inline path).
-RunEnvironment CaptureEnvironment(std::size_t threads,
-                                  std::size_t rewire_threads = 1,
-                                  std::size_t assembly_threads = 1,
-                                  std::size_t estimator_threads = 1);
+/// worker count the caller is about to run with.
+RunEnvironment CaptureEnvironment(std::size_t threads);
 
 Json EnvironmentToJson(const RunEnvironment& environment);
 

@@ -461,6 +461,10 @@ const std::vector<Knob>& Knobs() {
   using S = ScenarioSpec;
   using C = CellKnobs;
   constexpr Range kWorkers = In('[', 0, kMaxThreads, ']');
+  // Every trial runs single-threaded below the scenario pool. The retired
+  // intra-trial worker counts stay in the echo (recorded reports hold
+  // them) but accept only 1.
+  constexpr Range kRetiredWorkers = In('[', 1, 1, ']');
   static const std::vector<Knob> knobs = {
       Scalar("name", &S::name),
       List("datasets", &S::datasets).Set(&Knob::always_array),
@@ -497,20 +501,13 @@ const std::vector<Knob>& Knobs() {
       Axis(8, "noise", &S::noises, &C::noise, {},
            [](auto& c) -> auto& { return c.noise; })
           .Set(&Knob::omit_default),
-      Scalar("rewire_threads", &S::rewire_threads, kWorkers,
-             [](auto& c) -> auto& {
-               return c.restoration.parallel_rewire.threads;
-             }),
+      Scalar("rewire_threads", &S::rewire_threads, kRetiredWorkers),
       Scalar("parallel_assembly", &S::parallel_assembly, {},
              [](auto& c) -> auto& {
                return c.restoration.parallel_assembly.enabled;
              }),
-      Scalar("assembly_threads", &S::assembly_threads, kWorkers,
-             [](auto& c) -> auto& {
-               return c.restoration.parallel_assembly.threads;
-             }),
-      Scalar("estimator_threads", &S::estimator_threads, kWorkers,
-             [](auto& c) -> auto& { return c.restoration.estimator.threads; }),
+      Scalar("assembly_threads", &S::assembly_threads, kRetiredWorkers),
+      Scalar("estimator_threads", &S::estimator_threads, kRetiredWorkers),
       Scalar("path_sources", &S::path_sources, {},
              [](auto& c) -> auto& {
                return c.property_options.max_path_sources;
@@ -750,10 +747,6 @@ ExperimentConfig ScenarioSpec::ToExperimentConfig(
        knobs.walk == WalkKind::kNonBacktracking)
           ? WalkType::kNonBacktracking
           : WalkType::kSimple;
-  // Trial-level parallelism is the engine's scaling axis; per-trial
-  // property evaluation stays single-threaded so the report is
-  // byte-identical for every thread count (FP summation order fixed).
-  config.property_options.threads = 1;
   return config;
 }
 
@@ -964,11 +957,9 @@ const Builtin kBuiltins[] = {
          "trials": 2, "rc": 200, "path_sources": 40,
          "dataset_scale": 0.15})"},
     // Sequential attempt loop (batch 0) vs speculative rounds at two
-    // batch sizes, with the parallel Algorithm 5 assembly engine on —
-    // the declarative face of bench_parallel_assembly /
-    // bench_parallel_rewire. Batch size is an algorithm knob (each value
-    // is its own equally valid trajectory); worker counts stay execution
-    // knobs overridable from the CLI.
+    // batch sizes, with the per-class-pair-stream Algorithm 5 assembly
+    // on. Batch size is an algorithm knob (each value is its own equally
+    // valid trajectory).
     {"ablation-batch",
      "Batched-engine ablation: sequential attempt loop vs "
      "speculative rounds (rewire_batch sweep) through the parallel "

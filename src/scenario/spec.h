@@ -148,24 +148,19 @@ struct ScenarioSpec {
   /// proposals per round. An algorithm knob — each value is its own
   /// (equally valid) rewiring trajectory.
   std::vector<std::size_t> rewire_batches = {0};
-  /// Worker threads of the batched rewiring engine inside each trial
-  /// (0 = hardware concurrency). Execution knob only: reports are
-  /// byte-identical for every value (and the CLI can override it per run
-  /// without touching the spec).
+  /// Retired intra-trial worker count, kept only because recorded reports
+  /// echo it: the key accepts nothing but 1 and reaches no
+  /// ExperimentConfig field. The same holds for assembly_threads and
+  /// estimator_threads below.
   std::size_t rewire_threads = 1;
   /// Parallel Algorithm 5 assembly (dk/dk_construct.h). An algorithm
   /// knob like rewire_batch: true routes the generative methods through
   /// ConstructPreservingTargetsParallel's per-class-pair RNG streams —
   /// a different (equally valid) realization of the same targets.
   bool parallel_assembly = false;
-  /// Worker threads of the parallel assembly engine inside each trial
-  /// (0 = hardware concurrency; only active when `parallel_assembly`).
-  /// Execution knob only: reports are byte-identical for every value.
+  /// Retired, echo-only (see rewire_threads).
   std::size_t assembly_threads = 1;
-  /// Worker threads of the chunked estimator pass inside each trial
-  /// (0 = hardware concurrency). Execution knob only: the chunk grid is
-  /// fixed by the walk length, so estimates — and therefore reports —
-  /// are bit-identical for every value (estimation/estimators.h).
+  /// Retired, echo-only (see rewire_threads).
   std::size_t estimator_threads = 1;
   std::size_t path_sources = 0;   ///< 0 = exact all-pairs evaluation
   std::size_t snowball_k = 50;

@@ -1,5 +1,6 @@
 #include "util/parse.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdint>
@@ -68,6 +69,38 @@ bool ParseInput<bool>(const std::string& text, const std::string& source,
                       bool /*min*/, bool /*max*/) {
   if (text != "0" && text != "1") Reject(text, source, "0 or 1");
   return text == "1";
+}
+
+Args::Args(int argc, char** argv, int first,
+           std::initializer_list<const char*> known) {
+  for (int i = first; i < argc; ++i) {
+    std::string key = argv[i];
+    if (key.rfind("--", 0) != 0 || i + 1 >= argc) {
+      throw InputError("expected --flag value, got '" + key + "'");
+    }
+    key = key.substr(2);
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      std::string accepted;
+      for (const char* flag : known) accepted += std::string(" --") + flag;
+      throw InputError("unknown flag --" + key + " (accepted:" +
+                       (accepted.empty() ? " none" : accepted) + ")");
+    }
+    values_[key] = argv[++i];
+  }
+}
+
+std::string Args::Get(const std::string& key) const {
+  auto it = values_.find(key);
+  if (it == values_.end()) {
+    throw InputError("missing required flag --" + key);
+  }
+  return it->second;
+}
+
+std::string Args::GetOr(const std::string& key,
+                        const std::string& dflt) const {
+  auto it = values_.find(key);
+  return it == values_.end() ? dflt : it->second;
 }
 
 }  // namespace sgr

@@ -2,7 +2,9 @@
 #define SGR_UTIL_PARSE_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
+#include <map>
 #include <stdexcept>
 #include <string>
 
@@ -37,6 +39,42 @@ double ParseInput<double>(const std::string&, const std::string&, double,
                           double);
 template <>
 bool ParseInput<bool>(const std::string&, const std::string&, bool, bool);
+
+/// The command-line flags of one command, every one "--name value". A flag
+/// the command does not declare, a flag without a value and (through
+/// Get) a missing required flag or a malformed value throw InputError
+/// naming the flag.
+class Args {
+ public:
+  /// Parses argv[first..argc) against the declared flag names `known`
+  /// (without their leading "--").
+  Args(int argc, char** argv, int first,
+       std::initializer_list<const char*> known);
+
+  /// The value of a required flag.
+  std::string Get(const std::string& key) const;
+
+  std::string GetOr(const std::string& key, const std::string& dflt) const;
+
+  bool Has(const std::string& key) const {
+    return values_.find(key) != values_.end();
+  }
+
+  /// The flag's value parsed strictly (ParseInput), or `dflt` when the
+  /// flag is absent.
+  template <typename T>
+  T Get(const std::string& key, T dflt,
+        T min = std::numeric_limits<T>::lowest(),
+        T max = std::numeric_limits<T>::max()) const {
+    auto it = values_.find(key);
+    return it == values_.end() ? dflt
+                               : ParseInput<T>(it->second, "--" + key, min,
+                                               max);
+  }
+
+ private:
+  std::map<std::string, std::string> values_;
+};
 
 }  // namespace sgr
 

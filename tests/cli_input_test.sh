@@ -44,11 +44,9 @@ expect SGR_INGEST_THREADS env SGR_DATASET_DIR="$tmp" SGR_INGEST_THREADS=-1 \
 expect SGR_THREADS env SGR_THREADS=-1 "$cli" run tables-smoke
 expect SGR_THREADS env SGR_THREADS=2x "$cli" run tables-smoke
 expect SGR_METRICS env SGR_METRICS=yes "$cli" run tables-smoke
-expect SGR_REWIRE_THREADS env SGR_REWIRE_THREADS=abc "$cli" run tables-smoke
 expect --threads "$cli" run tables-smoke --threads -1
 expect --threads "$cli" run tables-smoke --threads 3x
 expect --metrics "$cli" run tables-smoke --metrics yes
-expect --estimator-threads "$cli" run tables-smoke --estimator-threads 1e3
 expect --l1-tol "$cli" diff "$tmp/a.json" "$tmp/b.json" --l1-tol x
 expect --markdown "$cli" diff "$tmp/a.json" "$tmp/b.json" --markdown yes
 expect --nodes "$cli" generate --nodes 12abc --out "$tmp/g.txt"
@@ -57,6 +55,12 @@ expect --threads "$cli" datasets ingest "$tmp/anybeat.txt" --threads -1
 
 # A flag the subcommand does not take is rejected by name, never ignored.
 expect --thread "$cli" run tables-smoke --thread 4
+# Trials run single-threaded: the retired intra-trial worker flags are
+# gone, and a spec asking for more workers fails naming its key.
+expect --rewire-threads "$cli" run tables-smoke --rewire-threads 2
+printf '{"datasets": ["anybeat"], "estimator_threads": 2}\n' \
+  > "$tmp/workers.json"
+expect estimator_threads "$cli" run "$tmp/workers.json"
 expect --sources "$cli" generate --sources 5 --out "$tmp/g.txt"
 expect --threads "$cli" diff "$tmp/a.json" "$tmp/b.json" --threads 2
 expect --scale "$cli" datasets ingest "$tmp/anybeat.txt" --scale 2
@@ -74,6 +78,7 @@ fi
 for bench in "$@"; do
   expect SGR_THREADS env SGR_THREADS=2x "$bench"
   expect --threads "$bench" --threads -1
+  expect --thread "$bench" --thread 4
 done
 
 if [ "$failures" -ne 0 ]; then

@@ -8,6 +8,7 @@
 #include "dk/dk_construct.h"
 #include "dk/dk_extract.h"
 #include "estimation/estimators.h"
+#include "exp/parallel.h"
 #include "graph/generators.h"
 #include "restore/proposed.h"
 #include "restore/target_degree_vector.h"
@@ -79,19 +80,24 @@ PipelineInputs BuildInputs(std::uint64_t seed) {
 }
 
 TEST(ParallelAssemblyTest, ByteIdenticalAcrossThreadCounts) {
+  // The graph must not depend on how many trials assemble at once.
   const PipelineInputs inputs = BuildInputs(11);
-  std::vector<Graph> runs;
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    runs.push_back(ConstructPreservingTargetsParallel(
+  const auto build = [&] {
+    return ConstructPreservingTargetsParallel(
         inputs.sub.graph, inputs.targets.subgraph_target_degrees,
-        inputs.targets.n_star, inputs.m_star, /*seed=*/0xD0C5, threads));
-  }
-  for (std::size_t r = 1; r < runs.size(); ++r) {
-    ExpectSameEdgeList(runs[0], runs[r],
-                       "threads variant " + std::to_string(r));
+        inputs.targets.n_star, inputs.m_star, /*seed=*/0xD0C5);
+  };
+  const Graph baseline = build();
+  for (const std::size_t threads : {2u, 8u}) {
+    std::vector<Graph> runs(threads);
+    ParallelFor(threads, threads, [&](std::size_t i) { runs[i] = build(); });
+    for (const Graph& run : runs) {
+      ExpectSameEdgeList(baseline, run,
+                         "threads " + std::to_string(threads));
+    }
   }
   // The run must add real work for the comparison to mean anything.
-  EXPECT_GT(runs[0].NumEdges(), inputs.sub.graph.NumEdges());
+  EXPECT_GT(baseline.NumEdges(), inputs.sub.graph.NumEdges());
 }
 
 TEST(ParallelAssemblyTest, RealizesTargetsAndPreservesSubgraph) {
@@ -99,7 +105,7 @@ TEST(ParallelAssemblyTest, RealizesTargetsAndPreservesSubgraph) {
     const PipelineInputs inputs = BuildInputs(seed);
     const Graph out = ConstructPreservingTargetsParallel(
         inputs.sub.graph, inputs.targets.subgraph_target_degrees,
-        inputs.targets.n_star, inputs.m_star, /*seed=*/seed * 31, 2);
+        inputs.targets.n_star, inputs.m_star, /*seed=*/seed * 31);
     ExpectAssemblyInvariants(inputs.sub.graph, out, inputs.targets.n_star,
                              inputs.m_star,
                              "seed " + std::to_string(seed));
@@ -113,7 +119,7 @@ TEST(ParallelAssemblyTest, TwoKFromEmptyRealizesExtractedTargets) {
   const Graph original = GeneratePowerlawCluster(300, 3, 0.4, gen_rng);
   const DegreeVector dv = ExtractDegreeVector(original);
   const JointDegreeMatrix jdm = ExtractJointDegreeMatrix(original);
-  const Graph rebuilt = Construct2kGraphParallel(dv, jdm, /*seed=*/42, 2);
+  const Graph rebuilt = Construct2kGraphParallel(dv, jdm, /*seed=*/42);
   EXPECT_EQ(rebuilt.NumNodes(), original.NumNodes());
   EXPECT_EQ(rebuilt.NumEdges(), original.NumEdges());
   EXPECT_EQ(ExtractDegreeVector(rebuilt), dv);
@@ -131,7 +137,7 @@ TEST(ParallelAssemblyTest, DifferentSeedsDifferentRealizations) {
   const auto build = [&](std::uint64_t seed) {
     return ConstructPreservingTargetsParallel(
         inputs.sub.graph, inputs.targets.subgraph_target_degrees,
-        inputs.targets.n_star, inputs.m_star, seed, 2);
+        inputs.targets.n_star, inputs.m_star, seed);
   };
   const Graph a = build(1);
   const Graph b = build(1);
@@ -152,7 +158,7 @@ TEST(ParallelAssemblyTest, RejectsSameViolationsAsSequential) {
     DegreeVector n_star = {0, 2};  // two degree-1 nodes
     JointDegreeMatrix m_star;
     m_star.SetSymmetric(1, 1, 3);  // needs 6 endpoint slots, only 2 exist
-    EXPECT_THROW(Construct2kGraphParallel(n_star, m_star, /*seed=*/45, 2),
+    EXPECT_THROW(Construct2kGraphParallel(n_star, m_star, /*seed=*/45),
                  std::logic_error);
   }
   // DV-3 violated: fewer degree-1 targets than the base already has.
@@ -166,7 +172,7 @@ TEST(ParallelAssemblyTest, RejectsSameViolationsAsSequential) {
     m_star.SetSymmetric(1, 2, 2);
     EXPECT_THROW(
         ConstructPreservingTargetsParallel(base, targets, n_star, m_star,
-                                           /*seed=*/46, 2),
+                                           /*seed=*/46),
         std::logic_error);
   }
   // Target below the base degree.
@@ -178,16 +184,15 @@ TEST(ParallelAssemblyTest, RejectsSameViolationsAsSequential) {
     JointDegreeMatrix m_star;
     EXPECT_THROW(
         ConstructPreservingTargetsParallel(base, targets, n_star, m_star,
-                                           /*seed=*/47, 2),
+                                           /*seed=*/47),
         std::logic_error);
   }
 }
 
 TEST(ParallelAssemblyTest, FullProposedPipelineByteIdenticalAcrossThreads) {
   // RestorationOptions::parallel_assembly end to end: the restored graph
-  // and every deterministic stat must be bit-identical for every
-  // assembly worker count (the estimator and rewirer stay at their
-  // defaults, so only the assembly threads vary).
+  // and every deterministic stat must be bit-identical no matter how many
+  // restorations run at once.
   Rng gen_rng(51);
   const Graph original = GeneratePowerlawCluster(500, 3, 0.4, gen_rng);
   QueryOracle oracle(original);
@@ -196,28 +201,26 @@ TEST(ParallelAssemblyTest, FullProposedPipelineByteIdenticalAcrossThreads) {
       oracle, static_cast<NodeId>(walk_rng.NextIndex(original.NumNodes())),
       original.NumNodes() / 10, walk_rng);
 
-  struct Run {
-    Graph graph;
-    RewireStats stats;
-    double final_distance = 0.0;
-  };
-  std::vector<Run> runs;
-  for (const std::size_t threads : {1u, 2u, 8u}) {
+  const auto restore = [&] {
     RestorationOptions options;
     options.rewire.rewiring_coefficient = 5.0;
     options.parallel_assembly.enabled = true;
-    options.parallel_assembly.threads = threads;
     Rng rng(53);
-    RestorationResult result = RestoreProposed(walk, options, rng);
-    runs.push_back(Run{std::move(result.graph), result.rewire_stats,
-                       result.rewire_stats.final_distance});
-  }
-  for (std::size_t r = 1; r < runs.size(); ++r) {
-    ExpectSameEdgeList(runs[0].graph, runs[r].graph,
-                       "assembly threads variant " + std::to_string(r));
-    EXPECT_EQ(runs[r].stats.accepted, runs[0].stats.accepted);
-    EXPECT_EQ(runs[r].stats.attempts, runs[0].stats.attempts);
-    EXPECT_EQ(runs[r].final_distance, runs[0].final_distance);
+    return RestoreProposed(walk, options, rng);
+  };
+  const RestorationResult baseline = restore();
+  for (const std::size_t threads : {2u, 8u}) {
+    std::vector<RestorationResult> runs(threads);
+    ParallelFor(threads, threads,
+                [&](std::size_t i) { runs[i] = restore(); });
+    for (const RestorationResult& run : runs) {
+      ExpectSameEdgeList(baseline.graph, run.graph,
+                         "threads " + std::to_string(threads));
+      EXPECT_EQ(run.rewire_stats.accepted, baseline.rewire_stats.accepted);
+      EXPECT_EQ(run.rewire_stats.attempts, baseline.rewire_stats.attempts);
+      EXPECT_EQ(run.rewire_stats.final_distance,
+                baseline.rewire_stats.final_distance);
+    }
   }
 
   // The engine knob itself changes the realization: the sequential
@@ -226,11 +229,11 @@ TEST(ParallelAssemblyTest, FullProposedPipelineByteIdenticalAcrossThreads) {
   sequential.rewire.rewiring_coefficient = 5.0;
   Rng rng(53);
   const RestorationResult seq = RestoreProposed(walk, sequential, rng);
-  ASSERT_EQ(seq.graph.NumEdges(), runs[0].graph.NumEdges());
+  ASSERT_EQ(seq.graph.NumEdges(), baseline.graph.NumEdges());
   bool any_difference = false;
   for (EdgeId e = 0; e < seq.graph.NumEdges() && !any_difference; ++e) {
-    any_difference = seq.graph.edge(e).u != runs[0].graph.edge(e).u ||
-                     seq.graph.edge(e).v != runs[0].graph.edge(e).v;
+    any_difference = seq.graph.edge(e).u != baseline.graph.edge(e).u ||
+                     seq.graph.edge(e).v != baseline.graph.edge(e).v;
   }
   EXPECT_TRUE(any_difference);
 }

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -5,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "estimation/estimators.h"
+#include "exp/parallel.h"
 #include "graph/generators.h"
 #include "restore/proposed.h"
 #include "sampling/random_walk.h"
@@ -49,19 +51,28 @@ void ExpectSameEstimates(const LocalEstimates& a, const LocalEstimates& b,
   }
 }
 
+/// `count` results of `fn`, computed at once on `count` threads — the way
+/// the scenario engine's concurrent trials call the estimators.
+template <typename Fn>
+auto RunConcurrently(std::size_t count, const Fn& fn) {
+  std::vector<decltype(fn())> results(count);
+  ParallelFor(count, count, [&](std::size_t i) { results[i] = fn(); });
+  return results;
+}
+
 TEST(ParallelEstimatorTest, LocalPropertiesBitIdenticalAcrossThreadCounts) {
+  // Estimates must not depend on how many trials estimate at once.
   const SamplingList walk = MultiChunkWalk();
   ASSERT_GT(walk.Length(), 2 * kEstimatorChunkSize)
       << "walk too short to exercise the multi-chunk reduction";
 
-  EstimatorOptions options;
-  options.threads = 1;
-  const LocalEstimates baseline = EstimateLocalProperties(walk, options);
+  const LocalEstimates baseline = EstimateLocalProperties(walk);
   for (const std::size_t threads : {2u, 8u}) {
-    options.threads = threads;
-    const LocalEstimates est = EstimateLocalProperties(walk, options);
-    ExpectSameEstimates(baseline, est,
-                        "threads = " + std::to_string(threads));
+    for (const LocalEstimates& est : RunConcurrently(
+             threads, [&] { return EstimateLocalProperties(walk); })) {
+      ExpectSameEstimates(baseline, est,
+                          "threads = " + std::to_string(threads));
+    }
   }
   // The estimates carry real content (not a degenerate all-zero pass).
   EXPECT_GT(baseline.num_nodes, 0.0);
@@ -71,62 +82,63 @@ TEST(ParallelEstimatorTest, LocalPropertiesBitIdenticalAcrossThreadCounts) {
 
 TEST(ParallelEstimatorTest, EveryJointModeBitIdentical) {
   // The IE / TE / hybrid selection reads the chunk-merged accumulators
-  // differently; each mode must be thread-count independent on its own.
+  // differently; each mode must give the same bits when computed
+  // concurrently with others.
   const SamplingList walk = MultiChunkWalk();
   for (const JointEstimatorMode mode :
        {JointEstimatorMode::kHybrid, JointEstimatorMode::kInducedEdgesOnly,
         JointEstimatorMode::kTraversedEdgesOnly}) {
     EstimatorOptions options;
     options.joint_mode = mode;
-    options.threads = 1;
     const LocalEstimates baseline = EstimateLocalProperties(walk, options);
-    options.threads = 8;
-    const LocalEstimates est = EstimateLocalProperties(walk, options);
-    ExpectSameEstimates(baseline, est,
-                        "mode " + std::to_string(static_cast<int>(mode)));
+    for (const LocalEstimates& est : RunConcurrently(
+             4, [&] { return EstimateLocalProperties(walk, options); })) {
+      ExpectSameEstimates(baseline, est,
+                          "mode " + std::to_string(static_cast<int>(mode)));
+    }
   }
 }
 
 TEST(ParallelEstimatorTest, ScalarEstimatorsBitIdenticalAcrossThreads) {
   const SamplingList walk = MultiChunkWalk();
-  const double degree_1 = EstimateAverageDegree(walk, 1);
-  EXPECT_GT(degree_1, 0.0);
-  EXPECT_EQ(EstimateAverageDegree(walk, 2), degree_1);
-  EXPECT_EQ(EstimateAverageDegree(walk, 8), degree_1);
-
-  EstimatorOptions options;
-  options.threads = 1;
-  const double nodes_1 = EstimateNumNodes(walk, -1.0, options);
-  EXPECT_GT(nodes_1, 0.0);
+  const double degree = EstimateAverageDegree(walk);
+  EXPECT_GT(degree, 0.0);
+  const double nodes = EstimateNumNodes(walk, -1.0);
+  EXPECT_GT(nodes, 0.0);
   for (const std::size_t threads : {2u, 8u}) {
-    options.threads = threads;
-    EXPECT_EQ(EstimateNumNodes(walk, -1.0, options), nodes_1)
-        << "threads = " << threads;
+    for (const double value : RunConcurrently(
+             threads, [&] { return EstimateAverageDegree(walk); })) {
+      EXPECT_EQ(value, degree) << "threads = " << threads;
+    }
+    for (const double value : RunConcurrently(
+             threads, [&] { return EstimateNumNodes(walk, -1.0); })) {
+      EXPECT_EQ(value, nodes) << "threads = " << threads;
+    }
   }
 }
 
-TEST(ParallelEstimatorTest, DegenerateInputsUnchangedByThreadKnob) {
-  // The r < 3 fallback, the non-walk rejection, and the empty list never
-  // reach the chunked paths — the knob must not change their contracts.
-  SamplingList empty;
-  empty.is_walk = true;
-  EXPECT_EQ(EstimateAverageDegree(empty, 8), 0.0);
-
-  SamplingList crawl;
-  crawl.is_walk = false;
-  crawl.visit_sequence = {0, 1, 2, 3};
-  for (NodeId v : crawl.visit_sequence) crawl.neighbors[v] = {};
-  EstimatorOptions options;
-  options.threads = 8;
-  EXPECT_THROW(EstimateLocalProperties(crawl, options),
-               std::invalid_argument);
-  EXPECT_EQ(EstimateNumNodes(crawl, 7.0, options), 7.0);
+TEST(ParallelEstimatorTest, AverageDegreeReducesTheChunkGridInOrder) {
+  // k̂̄ = r / Σ 1/d(x_i), with the sum taken per kEstimatorChunkSize chunk
+  // and the chunk sums added in ascending order — the summation order
+  // every recorded report depends on.
+  const SamplingList walk = MultiChunkWalk();
+  const std::size_t r = walk.Length();
+  double inv_sum = 0.0;
+  for (std::size_t begin = 0; begin < r; begin += kEstimatorChunkSize) {
+    const std::size_t end = std::min(r, begin + kEstimatorChunkSize);
+    double chunk = 0.0;
+    for (std::size_t i = begin; i < end; ++i) {
+      chunk +=
+          1.0 / static_cast<double>(walk.DegreeOf(walk.visit_sequence[i]));
+    }
+    inv_sum += chunk;
+  }
+  EXPECT_EQ(EstimateAverageDegree(walk), static_cast<double>(r) / inv_sum);
 }
 
 TEST(ParallelEstimatorTest, FullProposedPipelineBitIdenticalAcrossThreads) {
-  // RestorationOptions::estimator.threads end to end: the restored graph
-  // is a deterministic function of (sample, seed) no matter how many
-  // workers scored the estimator chunks.
+  // The restored graph is a deterministic function of (sample, seed), no
+  // matter how many restorations run at once.
   Rng gen_rng(61);
   const Graph original = GeneratePowerlawCluster(500, 3, 0.4, gen_rng);
   QueryOracle oracle(original);
@@ -135,26 +147,25 @@ TEST(ParallelEstimatorTest, FullProposedPipelineBitIdenticalAcrossThreads) {
       oracle, static_cast<NodeId>(walk_rng.NextIndex(original.NumNodes())),
       original.NumNodes() / 10, walk_rng);
 
-  std::vector<Graph> runs;
-  std::vector<double> final_distances;
-  for (const std::size_t threads : {1u, 2u, 8u}) {
+  const auto restore = [&] {
     RestorationOptions options;
     options.rewire.rewiring_coefficient = 5.0;
-    options.estimator.threads = threads;
     Rng rng(63);
-    RestorationResult result = RestoreProposed(walk, options, rng);
-    runs.push_back(std::move(result.graph));
-    final_distances.push_back(result.rewire_stats.final_distance);
-  }
-  for (std::size_t r = 1; r < runs.size(); ++r) {
-    ASSERT_EQ(runs[r].NumEdges(), runs[0].NumEdges());
-    for (EdgeId e = 0; e < runs[0].NumEdges(); ++e) {
-      ASSERT_EQ(runs[r].edge(e).u, runs[0].edge(e).u)
-          << "edge " << e << " at variant " << r;
-      ASSERT_EQ(runs[r].edge(e).v, runs[0].edge(e).v)
-          << "edge " << e << " at variant " << r;
+    return RestoreProposed(walk, options, rng);
+  };
+  const RestorationResult baseline = restore();
+  for (const std::size_t threads : {2u, 8u}) {
+    for (const RestorationResult& run : RunConcurrently(threads, restore)) {
+      ASSERT_EQ(run.graph.NumEdges(), baseline.graph.NumEdges());
+      for (EdgeId e = 0; e < baseline.graph.NumEdges(); ++e) {
+        ASSERT_EQ(run.graph.edge(e).u, baseline.graph.edge(e).u)
+            << "edge " << e << " at threads " << threads;
+        ASSERT_EQ(run.graph.edge(e).v, baseline.graph.edge(e).v)
+            << "edge " << e << " at threads " << threads;
+      }
+      EXPECT_EQ(run.rewire_stats.final_distance,
+                baseline.rewire_stats.final_distance);
     }
-    EXPECT_EQ(final_distances[r], final_distances[0]);
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include "analysis/l1.h"
 #include "dk/dk_extract.h"
+#include "exp/parallel.h"
 #include "graph/generators.h"
 #include "restore/rewirer.h"
 #include "util/rng.h"
@@ -106,27 +107,29 @@ TEST(ParallelRewireTest, ByteIdenticalAcrossThreadCounts) {
   ParallelRewireOptions parallel;
   parallel.batch_size = 128;
 
+  // Run 0 runs alone; runs 1-2 and 3-10 run concurrently, as trials do,
+  // and must not depend on how many rewire at once.
   struct Run {
     Graph graph;
     RewireStats stats;
   };
-  std::vector<Run> runs;
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    parallel.threads = threads;
-    Run run{before, {}};
-    run.stats = RewireToClusteringParallel(run.graph, 0, target, options,
-                                           parallel, /*seed=*/0xD00D);
-    runs.push_back(std::move(run));
-  }
+  std::vector<Run> runs(11, Run{before, {}});
+  const auto rewire = [&](std::size_t r) {
+    runs[r].stats = RewireToClusteringParallel(
+        runs[r].graph, 0, target, options, parallel, /*seed=*/0xD00D);
+  };
+  rewire(0);
+  ParallelFor(2, 2, [&](std::size_t i) { rewire(1 + i); });
+  ParallelFor(8, 8, [&](std::size_t i) { rewire(3 + i); });
   for (std::size_t r = 1; r < runs.size(); ++r) {
     // Byte-identical edge lists: same edges, same ids, same endpoint
     // order.
     ASSERT_EQ(runs[r].graph.NumEdges(), runs[0].graph.NumEdges());
     for (EdgeId e = 0; e < runs[0].graph.NumEdges(); ++e) {
       ASSERT_EQ(runs[r].graph.edge(e).u, runs[0].graph.edge(e).u)
-          << "edge " << e << " at thread count " << r;
+          << "edge " << e << " at run " << r;
       ASSERT_EQ(runs[r].graph.edge(e).v, runs[0].graph.edge(e).v)
-          << "edge " << e << " at thread count " << r;
+          << "edge " << e << " at run " << r;
     }
     // Identical stats, bit-for-bit (the distances are doubles).
     EXPECT_EQ(runs[r].stats.attempts, runs[0].stats.attempts);
@@ -162,7 +165,6 @@ TEST(ParallelRewireTest, MovesClusteringTowardTarget) {
   options.rewiring_coefficient = 100.0;
   ParallelRewireOptions parallel;
   parallel.batch_size = 256;
-  parallel.threads = 2;
   const RewireStats stats = RewireToClusteringParallel(
       g, 0, target, options, parallel, /*seed=*/0xC0FFEE);
   const double gap_after =
@@ -219,7 +221,6 @@ TEST(ParallelRewireTest, ToleratesLoopsAndMultiEdgesAmongCandidates) {
   options.rewiring_coefficient = 40.0;
   ParallelRewireOptions parallel;
   parallel.batch_size = 64;
-  parallel.threads = 2;
   const RewireStats stats = RewireToClusteringParallel(
       g, 0, target, options, parallel, /*seed=*/21);
   ExpectRewireInvariants(before, g, 0, stats);

@@ -46,6 +46,28 @@ TEST(ParallelPropertiesTest, SampledSourcesIdenticalAcrossThreadCounts) {
   EXPECT_NEAR(a.average_length, b.average_length, 1e-9);
 }
 
+TEST(ParallelPropertiesTest, DefaultOptionsMatchOneThreadBitForBit) {
+  // Per-worker accumulators merged in worker order make b̄(k) depend on
+  // the worker count, so the default must be one worker: a library caller
+  // gets the same bits on every machine.
+  Rng rng(3);
+  const Graph g = GeneratePowerlawCluster(600, 3, 0.4, rng);
+  PropertyOptions one;
+  one.threads = 1;
+  PropertyOptions four;
+  four.threads = 4;
+  const GraphProperties reference = ComputeProperties(g, one);
+  ASSERT_NE(ComputeProperties(g, four).betweenness_by_degree,
+            reference.betweenness_by_degree)
+      << "4 workers must change b(k) here for the test to mean anything";
+
+  const GraphProperties defaults = ComputeProperties(g);
+  EXPECT_EQ(defaults.betweenness_by_degree, reference.betweenness_by_degree);
+  EXPECT_EQ(defaults.average_path_length, reference.average_path_length);
+  EXPECT_EQ(defaults.path_length_dist, reference.path_length_dist);
+  EXPECT_EQ(defaults.diameter, reference.diameter);
+}
+
 TEST(ParallelPropertiesTest, MoreThreadsThanSources) {
   const Graph g = GenerateCycle(6);
   PropertyOptions options;

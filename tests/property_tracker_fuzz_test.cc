@@ -8,6 +8,7 @@
 #include "analysis/properties.h"
 #include "analysis/property_tracker.h"
 #include "dk/dk_extract.h"
+#include "exp/parallel.h"
 #include "graph/components.h"
 #include "graph/generators.h"
 #include "restore/rewirer.h"
@@ -175,18 +176,19 @@ TEST(PropertyTrackerFuzzTest,
   ParallelRewireOptions parallel;
   parallel.batch_size = 128;
 
+  // Run 0 runs alone; runs 1-2 and 3-10 run concurrently, as trials do.
   struct Run {
     Graph graph;
     RewireStats stats;
   };
-  std::vector<Run> runs;
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    parallel.threads = threads;
-    Run run{before, {}};
-    run.stats = RewireToClusteringParallel(run.graph, 0, target, options,
-                                           parallel, /*seed=*/0xD00D);
-    runs.push_back(std::move(run));
-  }
+  std::vector<Run> runs(11, Run{before, {}});
+  const auto rewire = [&](std::size_t r) {
+    runs[r].stats = RewireToClusteringParallel(
+        runs[r].graph, 0, target, options, parallel, /*seed=*/0xD00D);
+  };
+  rewire(0);
+  ParallelFor(2, 2, [&](std::size_t i) { rewire(1 + i); });
+  ParallelFor(8, 8, [&](std::size_t i) { rewire(3 + i); });
   ASSERT_EQ(kConvergenceSamples, runs[0].stats.curve.size());
   EXPECT_GT(runs[0].stats.accepted, 0u);
   for (std::size_t r = 1; r < runs.size(); ++r) {
@@ -281,7 +283,6 @@ TEST(PropertyTrackerFuzzTest, TrackingIsPureObservationBatched) {
   tracked.track_properties = true;
   ParallelRewireOptions parallel;
   parallel.batch_size = 64;
-  parallel.threads = 2;
 
   Graph g_plain = before;
   const RewireStats stats_plain = RewireToClusteringParallel(
@@ -378,33 +379,14 @@ TEST(PropertyTrackerFuzzTest, AdaptiveStopHaltsBatched) {
   stopping.stop_epsilon =
       0.5 * (ref.initial_distance + ref.final_distance);
 
-  // The stop decision happens between rounds, so the halted run is
-  // byte-identical for every worker count too.
-  std::vector<RewireStats> stopped_stats;
-  std::vector<Graph> stopped_graphs;
-  for (const std::size_t threads : {1u, 4u}) {
-    parallel.threads = threads;
-    Graph g_stop = before;
-    stopped_stats.push_back(RewireToClusteringParallel(
-        g_stop, 0, target, stopping, parallel, /*seed=*/0x57A7));
-    stopped_graphs.push_back(std::move(g_stop));
-  }
-  const RewireStats& stopped = stopped_stats[0];
+  Graph g_stop = before;
+  const RewireStats stopped = RewireToClusteringParallel(
+      g_stop, 0, target, stopping, parallel, /*seed=*/0x57A7);
   EXPECT_TRUE(stopped.stopped_early);
   EXPECT_GT(stopped.attempts, 0u);
   EXPECT_LT(stopped.attempts, ref.attempts);
   ASSERT_EQ(kConvergenceSamples, stopped.curve.size());
   EXPECT_LE(stopped.final_distance, stopping.stop_epsilon + 1e-9);
-
-  EXPECT_EQ(stopped_stats[1].stopped_early, stopped.stopped_early);
-  EXPECT_EQ(stopped_stats[1].attempts, stopped.attempts);
-  EXPECT_EQ(stopped_stats[1].final_distance, stopped.final_distance);
-  for (EdgeId e = 0; e < stopped_graphs[0].NumEdges(); ++e) {
-    ASSERT_EQ(stopped_graphs[0].edge(e).u, stopped_graphs[1].edge(e).u)
-        << "edge " << e;
-    ASSERT_EQ(stopped_graphs[0].edge(e).v, stopped_graphs[1].edge(e).v)
-        << "edge " << e;
-  }
 }
 
 }  // namespace

@@ -47,10 +47,7 @@ ScenarioSpec EveryKnobSpec() {
   spec.frontier_walkers = {3, 12};
   spec.rewire_batches = {0, 64};
   spec.noises = {{}, {0.2, 0.0, 0.125, 300}};
-  spec.rewire_threads = 3;
   spec.parallel_assembly = true;
-  spec.assembly_threads = 4;
-  spec.estimator_threads = 5;
   spec.path_sources = 30;
   spec.snowball_k = 10;
   spec.forest_fire_pf = 0.5;
@@ -91,9 +88,9 @@ TEST(ScenarioGoldenTest, EveryKnobSpecEcho) {
       R"("protect_subgraph":[true,false],"frontier_walkers":[3,12],)"
       R"("rewire_batch":[0,64],"noise":[{"failure":0,"hidden_edges":0,)"
       R"("churn":0,"api_budget":0},{"failure":0.2,"hidden_edges":0,)"
-      R"("churn":0.125,"api_budget":300}],"rewire_threads":3,)"
-      R"("parallel_assembly":true,"assembly_threads":4,)"
-      R"("estimator_threads":5,"path_sources":30,"snowball_k":10,)"
+      R"("churn":0.125,"api_budget":300}],"rewire_threads":1,)"
+      R"("parallel_assembly":true,"assembly_threads":1,)"
+      R"("estimator_threads":1,"path_sources":30,"snowball_k":10,)"
       R"("forest_fire_pf":0.5,"simplify_output":true,"dataset_scale":0.5,)"
       R"("track_properties":true,"stop_epsilon":0.25})");
 }
@@ -161,11 +158,10 @@ std::string ConfigFingerprint(const ExperimentConfig& c) {
       << ' ' << c.noise.failure << ' ' << c.noise.hidden_edges << ' '
       << c.noise.churn << ' ' << c.noise.api_budget << ' '
       << r.rewire.rewiring_coefficient << ' ' << r.parallel_rewire.batch_size
-      << ' ' << r.parallel_rewire.threads << ' ' << r.parallel_assembly.enabled
-      << ' ' << r.parallel_assembly.threads << ' '
+      << ' ' << r.parallel_assembly.enabled << ' '
       << ToToken(r.estimator.joint_mode) << ' '
       << r.estimator.collision_threshold_fraction << ' '
-      << r.estimator.threads << ' ' << r.simplify_output << ' '
+      << r.simplify_output << ' '
       << r.track_properties << ' ' << r.stop_epsilon << ' '
       << r.protect_subgraph << ' ' << c.property_options.max_path_sources;
   return out.str();
@@ -174,7 +170,8 @@ std::string ConfigFingerprint(const ExperimentConfig& c) {
 TEST(ScenarioKnobTableTest, EveryRowReachesTheCellOrTheConfig) {
   // One non-default value per document key. A new row without an entry
   // here fails the first assertion; a row whose value never reaches
-  // ExperimentConfig fails the last.
+  // ExperimentConfig fails the last. A retired key has no legal
+  // non-default value: its entry must be rejected instead.
   const std::map<std::string, std::string> non_default = {
       {"name", R"("other")"},
       {"datasets", R"(["brightkite"])"},
@@ -206,6 +203,8 @@ TEST(ScenarioKnobTableTest, EveryRowReachesTheCellOrTheConfig) {
   // Read by the engine itself rather than copied into ExperimentConfig.
   const std::set<std::string> engine_knobs = {
       "name", "datasets", "trials", "threads", "seed_base", "dataset_scale"};
+  const std::set<std::string> retired = {"rewire_threads", "assembly_threads",
+                                         "estimator_threads"};
   const Json base_doc =
       Json::Parse(R"({"datasets": ["anybeat"], "track_properties": true})");
   const ScenarioSpec base = ScenarioSpec::FromJson(base_doc);
@@ -215,6 +214,10 @@ TEST(ScenarioKnobTableTest, EveryRowReachesTheCellOrTheConfig) {
     ASSERT_EQ(non_default.count(key), 1u) << key;
     Json doc = base_doc;
     doc.Set(key, Json::Parse(non_default.at(key)));
+    if (retired.count(key) > 0) {
+      EXPECT_THROW(ScenarioSpec::FromJson(doc), ScenarioError) << key;
+      continue;
+    }
     const ScenarioSpec spec = ScenarioSpec::FromJson(doc);
     EXPECT_NE(spec.ToJson(), base.ToJson()) << key;
     if (engine_knobs.count(key) > 0) continue;

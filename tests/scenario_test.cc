@@ -7,6 +7,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -38,9 +39,8 @@ TEST(ScenarioSpecTest, DefaultsMatchExperimentConfig) {
             defaults.restoration.simplify_output);
   EXPECT_EQ(from_spec.property_options.max_path_sources,
             defaults.property_options.max_path_sources);
-  // The one deliberate difference: per-trial property evaluation is pinned
-  // to one thread for report determinism.
-  EXPECT_EQ(from_spec.property_options.threads, 1u);
+  EXPECT_EQ(from_spec.property_options.threads,
+            defaults.property_options.threads);
 }
 
 TEST(ScenarioSpecTest, ParsesFullDocument) {
@@ -62,7 +62,7 @@ TEST(ScenarioSpecTest, ParsesFullDocument) {
     "protect_subgraph": [true, false],
     "frontier_walkers": 12,
     "rewire_batch": 64,
-    "rewire_threads": 3,
+    "rewire_threads": 1,
     "path_sources": 30,
     "snowball_k": 10,
     "forest_fire_pf": 0.5,
@@ -99,10 +99,9 @@ TEST(ScenarioSpecTest, ParsesFullDocument) {
   EXPECT_EQ(spec.protects, (std::vector<bool>{true, false}));
   EXPECT_EQ(spec.frontier_walkers, (std::vector<std::size_t>{12}));
   EXPECT_EQ(spec.rewire_batches, (std::vector<std::size_t>{64}));
-  EXPECT_EQ(spec.rewire_threads, 3u);
+  EXPECT_EQ(spec.rewire_threads, 1u);
   const ExperimentConfig config = spec.ToExperimentConfig(0.1);
   EXPECT_EQ(config.restoration.parallel_rewire.batch_size, 64u);
-  EXPECT_EQ(config.restoration.parallel_rewire.threads, 3u);
   EXPECT_EQ(config.walk, WalkKind::kSimple);       // first axis value
   EXPECT_EQ(config.crawler, CrawlerKind::kRw);
   EXPECT_EQ(config.frontier_walkers, 12u);
@@ -208,19 +207,36 @@ TEST(ScenarioSpecTest, ParallelAssemblyAndThreadKnobsParse) {
   const ScenarioSpec spec = ScenarioSpec::FromJson(Json::Parse(R"({
     "datasets": ["anybeat"],
     "parallel_assembly": true,
-    "assembly_threads": 4,
-    "estimator_threads": 3
+    "assembly_threads": 1,
+    "estimator_threads": 1
   })"));
   EXPECT_TRUE(spec.parallel_assembly);
-  EXPECT_EQ(spec.assembly_threads, 4u);
-  EXPECT_EQ(spec.estimator_threads, 3u);
+  EXPECT_EQ(spec.assembly_threads, 1u);
+  EXPECT_EQ(spec.estimator_threads, 1u);
   const ExperimentConfig config = spec.ToExperimentConfig(0.1);
   EXPECT_TRUE(config.restoration.parallel_assembly.enabled);
-  EXPECT_EQ(config.restoration.parallel_assembly.threads, 4u);
-  EXPECT_EQ(config.restoration.estimator.threads, 3u);
   const std::string shown = spec.ToJson().Dump(2);
   EXPECT_EQ(shown,
             ScenarioSpec::FromJson(Json::Parse(shown)).ToJson().Dump(2));
+
+  // Trials run single-threaded, so the retired intra-trial worker counts
+  // accept only 1, and a document asking for more fails naming the key.
+  for (const auto& [key, text] :
+       {std::pair<std::string, const char*>{
+            "rewire_threads",
+            R"({"datasets": ["anybeat"], "rewire_threads": 3})"},
+        {"assembly_threads",
+         R"({"datasets": ["anybeat"], "assembly_threads": 4})"},
+        {"estimator_threads",
+         R"({"datasets": ["anybeat"], "estimator_threads": 3})"}}) {
+    try {
+      ScenarioSpec::FromJson(Json::Parse(text));
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const ScenarioError& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ScenarioSpecTest, CrossAxisRulesEnforced) {
@@ -370,6 +386,10 @@ TEST(ScenarioSpecTest, ValidationErrors) {
       R"({"datasets": ["anybeat"], "rewire_threads": 1025})",
       R"({"datasets": ["anybeat"], "assembly_threads": -1})",
       R"({"datasets": ["anybeat"], "estimator_threads": 2000})",
+      // The retired intra-trial worker counts accept only 1.
+      R"({"datasets": ["anybeat"], "rewire_threads": 0})",
+      R"({"datasets": ["anybeat"], "assembly_threads": 2})",
+      R"({"datasets": ["anybeat"], "estimator_threads": 4})",
       R"({"datasets": ["anybeat"], "snowball_k": 0})",
       R"({"datasets": ["anybeat"], "forest_fire_pf": 1})",
       R"({"datasets": ["anybeat"], "simplify_output": "yes"})",
@@ -741,34 +761,24 @@ TEST(ScenarioEngineTest, ReportIsByteIdenticalAcrossThreadCounts) {
   EXPECT_NE(a.find("\"average\""), std::string::npos);
 }
 
-TEST(ScenarioEngineTest,
-     RewireKnobReportByteIdenticalAcrossRewireThreadCounts) {
+TEST(ScenarioEngineTest, BatchedRewireReportByteIdenticalAcrossThreadCounts) {
   // A spec that turns on the batched rewiring engine must produce the
-  // same StripVolatile'd report no matter how many rewire workers score
-  // its proposal batches — the intra-trial extension of the engine's
-  // determinism contract. The spec pins trials to one engine thread so
-  // only the rewire worker count varies.
+  // same StripVolatile'd report no matter how many of its trials run at
+  // once.
   ScenarioSpec spec = TinySpec();
   spec.rewire_batches = {32};
-  ASSERT_EQ(spec.rewire_threads, 1u);  // the default the override beats
 
-  const ScenarioRunResult one =
-      RunScenario(spec, 1, nullptr, /*rewire_threads_override=*/1);
-  const ScenarioRunResult two =
-      RunScenario(spec, 1, nullptr, /*rewire_threads_override=*/2);
-  const ScenarioRunResult eight =
-      RunScenario(spec, 1, nullptr, /*rewire_threads_override=*/8);
-  EXPECT_EQ(two.rewire_threads, 2u);
-  EXPECT_EQ(eight.rewire_threads, 8u);
+  const ScenarioRunResult one = RunScenario(spec, 1);
+  const ScenarioRunResult two = RunScenario(spec, 2);
+  const ScenarioRunResult eight = RunScenario(spec, 8);
 
   const std::string a = StripVolatile(ScenarioReportToJson(one)).Dump(2);
   const std::string b = StripVolatile(ScenarioReportToJson(two)).Dump(2);
   const std::string c = StripVolatile(ScenarioReportToJson(eight)).Dump(2);
   EXPECT_EQ(a, b);
   EXPECT_EQ(a, c);
-  // The override never leaks into the deterministic spec echo, and the
-  // per-method rewire statistics survive the strip (they are content,
-  // not timings).
+  // The retired worker key keeps its echo, and the per-method rewire
+  // statistics survive the strip (they are content, not timings).
   EXPECT_NE(a.find("\"rewire_threads\": 1"), std::string::npos);
   EXPECT_NE(a.find("\"rewire_batch\": 32"), std::string::npos);
   EXPECT_NE(a.find("\"rewire\""), std::string::npos);
@@ -788,22 +798,18 @@ TEST(ScenarioEngineTest,
   EXPECT_TRUE(saw_rounds);
 }
 
-TEST(ScenarioEngineTest,
-     TrackedReportByteIdenticalAcrossRewireThreadCounts) {
+TEST(ScenarioEngineTest, TrackedReportByteIdenticalAcrossThreadCounts) {
   // track_properties adds the per-round convergence block to the report.
   // The tracker observes committed swaps only, and those are sequenced
   // deterministically, so the block — double fields included — must be
-  // byte-identical no matter how many rewire workers score batches.
+  // byte-identical no matter how many trials run at once.
   ScenarioSpec spec = TinySpec();
   spec.rewire_batches = {32};
   spec.track_properties = true;
 
-  const ScenarioRunResult one =
-      RunScenario(spec, 1, nullptr, /*rewire_threads_override=*/1);
-  const ScenarioRunResult two =
-      RunScenario(spec, 1, nullptr, /*rewire_threads_override=*/2);
-  const ScenarioRunResult eight =
-      RunScenario(spec, 1, nullptr, /*rewire_threads_override=*/8);
+  const ScenarioRunResult one = RunScenario(spec, 1);
+  const ScenarioRunResult two = RunScenario(spec, 2);
+  const ScenarioRunResult eight = RunScenario(spec, 8);
   const std::string a = StripVolatile(ScenarioReportToJson(one)).Dump(2);
   const std::string b = StripVolatile(ScenarioReportToJson(two)).Dump(2);
   const std::string c = StripVolatile(ScenarioReportToJson(eight)).Dump(2);
@@ -843,8 +849,7 @@ TEST(ScenarioEngineTest,
   // report layout byte for byte: no convergence key anywhere, so
   // recorded baselines (BENCH_scenarios.json) stay drift-0.
   spec.track_properties = false;
-  const ScenarioRunResult off =
-      RunScenario(spec, 1, nullptr, /*rewire_threads_override=*/1);
+  const ScenarioRunResult off = RunScenario(spec, 1);
   const std::string d = StripVolatile(ScenarioReportToJson(off)).Dump(2);
   EXPECT_EQ(d.find("\"convergence\""), std::string::npos);
 }
@@ -952,31 +957,22 @@ TEST(ScenarioEngineTest, MultiAxisReportByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(ScenarioEngineTest,
-     ReportByteIdenticalAcrossAssemblyAndEstimatorThreads) {
-  // The intra-trial engines this PR parallelizes: a spec that enables
-  // the parallel assembly and sweeps the rewire_batch axis must produce
-  // the same StripVolatile'd report no matter how many workers score the
-  // assembly draws or the estimator chunks.
+     ParallelAssemblyReportByteIdenticalAcrossThreadCounts) {
+  // A spec that enables the per-class-pair-stream assembly and sweeps the
+  // rewire_batch axis must produce the same StripVolatile'd report no
+  // matter how many of its trials run at once.
   ScenarioSpec spec = TinySpec();
   spec.parallel_assembly = true;
   spec.rewire_batches = {0, 16};
-  ASSERT_EQ(spec.assembly_threads, 1u);
-  ASSERT_EQ(spec.estimator_threads, 1u);
 
-  const ScenarioRunResult one = RunScenario(
-      spec, 1, nullptr, kThreadsFromSpec, /*assembly_threads_override=*/1,
-      /*estimator_threads_override=*/1);
-  const ScenarioRunResult many = RunScenario(
-      spec, 1, nullptr, kThreadsFromSpec, /*assembly_threads_override=*/8,
-      /*estimator_threads_override=*/8);
-  EXPECT_EQ(many.assembly_threads, 8u);
-  EXPECT_EQ(many.estimator_threads, 8u);
+  const ScenarioRunResult one = RunScenario(spec, 1);
+  const ScenarioRunResult many = RunScenario(spec, 8);
 
   const std::string a = StripVolatile(ScenarioReportToJson(one)).Dump(2);
   const std::string b = StripVolatile(ScenarioReportToJson(many)).Dump(2);
   EXPECT_EQ(a, b);
-  // The overrides never leak into the deterministic spec echo; the new
-  // knobs do appear there and in the cell echo.
+  // The retired worker keys keep their echo; the algorithm knobs appear
+  // there and in the cell echo.
   EXPECT_NE(a.find("\"assembly_threads\": 1"), std::string::npos);
   EXPECT_NE(a.find("\"estimator_threads\": 1"), std::string::npos);
   EXPECT_NE(a.find("\"parallel_assembly\": true"), std::string::npos);

@@ -116,7 +116,8 @@ TEST(SimplifyTest, OffenseNeverIncreases) {
     g.AddEdge(v, v);
   }
   Rng rng(13);
-  const SimplifyStats stats = SimplifyByRewiring(g, 0, rng, /*threads=*/1, 3, 8);
+  const SimplifyStats stats =
+      SimplifyByRewiring(g, 0, rng, /*max_rounds=*/3, /*attempts_per_edge=*/8);
   EXPECT_LE(stats.offending_after, stats.offending_before);
 }
 

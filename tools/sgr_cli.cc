@@ -25,8 +25,7 @@
 //       Print the per-property normalized L1 distances.
 //
 //   sgr run scenario.json --out results.json [--threads N]
-//           [--rewire-threads N] [--assembly-threads N]
-//           [--estimator-threads N] [--trace trace.json] [--metrics 0|1]
+//           [--trace trace.json] [--metrics 0|1]
 //   sgr run tables-smoke --out results.json
 //       Execute a declarative scenario — a {dataset x crawler x budget x
 //       noise x method} matrix described by one JSON file or a built-in
@@ -37,15 +36,9 @@
 //       report (per-cell wall-clock timings, the 12-property L1
 //       distances, per-method rewiring statistics, and the run
 //       environment). --threads (or SGR_THREADS; 0 = hardware
-//       concurrency) overrides the scenario's own trial thread count;
-//       --rewire-threads (or SGR_REWIRE_THREADS) overrides its
-//       intra-trial rewiring worker count (used when the spec's
-//       "rewire_batch" axis has a nonzero value), --assembly-threads
-//       (SGR_ASSEMBLY_THREADS) the parallel Algorithm 5 assembly worker
-//       count (used with "parallel_assembly": true), and
-//       --estimator-threads (SGR_ESTIMATOR_THREADS) the chunked
-//       estimator pass's worker count. The report's non-timing content
-//       is identical for every value of every one of these knobs.
+//       concurrency) overrides the scenario's own thread count: the
+//       number of trials that run at once, each on one thread. The
+//       report's non-timing content is identical for every value.
 //       Without --out the report goes to stdout.
 //
 //       Every flag value and SGR_* variable is parsed strictly: the
@@ -62,8 +55,8 @@
 //       rounds, pool tasks, cells — as Chrome trace_event JSON (load it
 //       in chrome://tracing / Perfetto, or `sgr trace summarize` it).
 //       --metrics 1 (or SGR_METRICS=1) adds a per-cell "metrics" block
-//       (oracle queries, proposal counters, pool utilization, peak RSS)
-//       to the report. Both are pure observation: the report's
+//       (oracle queries, proposal counters, peak RSS) to the report.
+//       Both are pure observation: the report's
 //       post-StripVolatile bytes and every generated graph are identical
 //       with them on or off.
 //
@@ -108,10 +101,7 @@
 #include <cstddef>
 #include <cstdlib>
 #include <fstream>
-#include <initializer_list>
 #include <iostream>
-#include <limits>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -153,63 +143,6 @@ namespace {
 
 using namespace sgr;
 using U64 = std::uint64_t;
-
-/// Minimal --flag value parser: flags are "--name value"; a flag the
-/// subcommand does not declare, a missing required flag and a malformed
-/// value (Get<T>) are errors.
-class Args {
- public:
-  Args(int argc, char** argv, int first,
-       std::initializer_list<const char*> known) {
-    for (int i = first; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0 || i + 1 >= argc) {
-        throw std::runtime_error("expected --flag value, got '" + key + "'");
-      }
-      key = key.substr(2);
-      if (std::find(known.begin(), known.end(), key) == known.end()) {
-        std::string accepted;
-        for (const char* flag : known) accepted += std::string(" --") + flag;
-        throw InputError("unknown flag --" + key + " (accepted:" +
-                         (accepted.empty() ? " none" : accepted) + ")");
-      }
-      values_[key] = argv[++i];
-    }
-  }
-
-  std::string Get(const std::string& key) const {
-    auto it = values_.find(key);
-    if (it == values_.end()) {
-      throw std::runtime_error("missing required flag --" + key);
-    }
-    return it->second;
-  }
-
-  std::string GetOr(const std::string& key, const std::string& dflt) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? dflt : it->second;
-  }
-
-  bool Has(const std::string& key) const {
-    return values_.find(key) != values_.end();
-  }
-
-  /// The flag's value parsed strictly (util/parse.h), or `dflt` when the
-  /// flag is absent. A malformed or out-of-range value throws InputError
-  /// naming the flag.
-  template <typename T>
-  T Get(const std::string& key, T dflt,
-        T min = std::numeric_limits<T>::lowest(),
-        T max = std::numeric_limits<T>::max()) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? dflt
-                               : ParseInput<T>(it->second, "--" + key, min,
-                                               max);
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
 
 int CmdGenerate(const Args& args) {
   // Flags map onto a GeneratorSpec, so `sgr generate` and a scenario's
@@ -391,41 +324,16 @@ int CmdRun(const std::string& source, const Args& args) {
   }
   const ScenarioSpec spec = LoadScenarioSpec(source);
 
-  // Worker counts: flag beats environment beats spec (0 = hardware
-  // concurrency throughout). The intra-trial engines are the rewiring
-  // engine (only active when the spec's "rewire_batch" axis has a nonzero
-  // value), the parallel assembly engine ("parallel_assembly": true), and
-  // the chunked estimator pass (always active).
-  const auto workers = [&args](const char* flag, const char* env,
-                               std::size_t spec_value) {
-    return args.Get<U64>(flag, EnvInput<U64>(env, spec_value, 0, kMaxThreads),
-                         0, kMaxThreads);
-  };
-  const std::size_t threads = workers("threads", "SGR_THREADS", spec.threads);
-  const std::size_t rewire_threads =
-      workers("rewire-threads", "SGR_REWIRE_THREADS", spec.rewire_threads);
-  const std::size_t assembly_threads = workers(
-      "assembly-threads", "SGR_ASSEMBLY_THREADS", spec.assembly_threads);
-  const std::size_t estimator_threads = workers(
-      "estimator-threads", "SGR_ESTIMATOR_THREADS", spec.estimator_threads);
+  // Worker count: flag beats environment beats spec (0 = hardware
+  // concurrency).
+  const std::size_t threads = args.Get<U64>(
+      "threads", EnvInput<U64>("SGR_THREADS", spec.threads, 0, kMaxThreads),
+      0, kMaxThreads);
 
   std::cerr << "scenario '" << spec.name << "': " << spec.datasets.size()
             << " dataset(s) x " << spec.fractions.size()
             << " fraction(s), " << spec.trials << " trials, threads = "
-            << ResolveThreadCount(threads);
-  const bool batched_rewire =
-      std::any_of(spec.rewire_batches.begin(), spec.rewire_batches.end(),
-                  [](std::size_t batch) { return batch != 0; });
-  if (batched_rewire) {
-    std::cerr << ", rewire on " << ResolveThreadCount(rewire_threads)
-              << " thread(s)";
-  }
-  if (spec.parallel_assembly) {
-    std::cerr << ", assembly on " << ResolveThreadCount(assembly_threads)
-              << " thread(s)";
-  }
-  std::cerr << ", estimator on " << ResolveThreadCount(estimator_threads)
-            << " thread(s)\n";
+            << ResolveThreadCount(threads) << "\n";
 
   // Observability knobs: --trace beats $SGR_TRACE (a path), --metrics
   // beats $SGR_METRICS (0|1). Both default to off — the null-sink path.
@@ -435,9 +343,7 @@ int CmdRun(const std::string& source, const Args& args) {
       args.Get("metrics", EnvInput<bool>("SGR_METRICS", false)));
   if (!trace_path.empty()) obs::StartTracing();
 
-  const ScenarioRunResult result =
-      RunScenario(spec, threads, &std::cerr, rewire_threads,
-                  assembly_threads, estimator_threads);
+  const ScenarioRunResult result = RunScenario(spec, threads, &std::cerr);
 
   // RunScenario has joined every worker, so the stop/collect sequence
   // meets the tracer's quiescence contract.
@@ -681,12 +587,8 @@ void PrintUsage() {
       "  analyze   --graph FILE [--sources N]\n"
       "  compare   --original FILE --generated FILE [--sources N]\n"
       "  run       SCENARIO(.json file or built-in name) [--out FILE]\n"
-      "            [--threads N]   (or SGR_THREADS; 0 = all cores)\n"
-      "            [--rewire-threads N]   (or SGR_REWIRE_THREADS; used\n"
-      "            when the spec's rewire_batch axis is nonzero)\n"
-      "            [--assembly-threads N]   (or SGR_ASSEMBLY_THREADS;\n"
-      "            used with parallel_assembly: true)\n"
-      "            [--estimator-threads N]   (or SGR_ESTIMATOR_THREADS)\n"
+      "            [--threads N]   (or SGR_THREADS; trials run at once,\n"
+      "            each on one thread; 0 = all cores)\n"
       "            [--trace FILE]   (or SGR_TRACE; Chrome trace_event\n"
       "            JSON of the whole run)\n"
       "            [--metrics 0|1]   (or SGR_METRICS; per-cell \"metrics\"\n"
@@ -724,14 +626,12 @@ int main(int argc, char** argv) {
       if (argc < 3 || argv[2][0] == '-') {
         throw std::runtime_error(
             "usage: sgr run <scenario.json | built-in name> [--out FILE] "
-            "[--threads N] [--rewire-threads N] [--assembly-threads N] "
-            "[--estimator-threads N]");
+            "[--threads N]");
       }
       return CmdRun(argv[2],
                     Args(argc, argv, 3,
-                         {"out", "threads", "rewire-threads",
-                          "assembly-threads", "estimator-threads", "trace",
-                          "metrics", "dataset-dir", "snapshot-cache"}));
+                         {"out", "threads", "trace", "metrics",
+                          "dataset-dir", "snapshot-cache"}));
     }
     if (command == "diff") {
       if (argc < 4 || argv[2][0] == '-' || argv[3][0] == '-') {
