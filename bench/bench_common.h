@@ -14,7 +14,7 @@
 #include "exp/parallel.h"
 #include "exp/runner.h"
 #include "exp/table_printer.h"
-#include "graph/graph.h"
+#include "graph/csr_graph.h"
 #include "restore/method.h"
 #include "scenario/engine.h"
 #include "scenario/report.h"
@@ -135,13 +135,13 @@ struct BenchConfig {
 /// (Table IV/V, the RC ablation) should be read with `--threads 1`, or
 /// treat only the ratios as meaningful.
 inline ScenarioCell RunDataset(const DatasetSpec& spec,
-                               const Graph& dataset,
+                               const CsrGraph& dataset,
                                const GraphProperties& properties,
                                const ExperimentConfig& experiment,
                                std::size_t runs, std::uint64_t seed_base,
                                std::size_t threads = 1) {
-  return RunScenarioCell(spec.name, CsrGraph(dataset), properties,
-                         experiment, runs, seed_base, threads);
+  return RunScenarioCell(spec.name, dataset, properties, experiment, runs,
+                         seed_base, threads);
 }
 
 /// Collects report cells across a bench run and writes the JSON report if
@@ -157,13 +157,8 @@ class BenchJsonReport {
         threads_(ResolveThreadCount(config.threads)),
         cells_(Json::Array()) {}
 
-  /// Adds a standard scenario cell (the table benches).
+  /// Adds a scenario cell.
   void Add(const ScenarioCell& cell) { cells_.Push(ScenarioCellToJson(cell)); }
-
-  /// Adds a custom cell (the ablation benches). By convention volatile
-  /// wall-clock values go under a "timings" member so StripVolatile works
-  /// on ablation reports too.
-  void Add(Json cell) { cells_.Push(std::move(cell)); }
 
   /// Writes the report when --json was requested; prints the path.
   void WriteIfRequested() const {
@@ -182,21 +177,9 @@ class BenchJsonReport {
   Json cells_;
 };
 
-/// Starts an ablation report cell: the dataset label plus the
-/// materialized graph's size, so custom cells are attributable to their
-/// inputs the same way scenario cells are. Callers add their "metrics"
-/// (and optional "timings") members.
-inline Json CustomCell(const DatasetSpec& spec, const Graph& dataset) {
-  Json cell = Json::Object();
-  cell.Set("dataset", Json::String(spec.name));
-  cell.Set("nodes", Json::Number(static_cast<double>(dataset.NumNodes())));
-  cell.Set("edges", Json::Number(static_cast<double>(dataset.NumEdges())));
-  return cell;
-}
-
 /// Prints the standard bench banner with the dataset's actual size next to
 /// the paper's Table I reference size.
-inline void PrintDatasetBanner(const DatasetSpec& spec, const Graph& g) {
+inline void PrintDatasetBanner(const DatasetSpec& spec, const CsrGraph& g) {
   std::cout << "## dataset " << spec.name << ": n = " << g.NumNodes()
             << ", m = " << g.NumEdges() << "  (paper: n = "
             << spec.paper_nodes << ", m = " << spec.paper_edges << ")\n";

@@ -23,8 +23,9 @@ static int BenchMain(int argc, char** argv) {
   const DatasetSpec spec =
       DatasetByName(EnvText("SGR_DATASET").value_or("anybeat"));
   const Graph original = LoadDataset(spec);
+  const CsrGraph snapshot(original);
   std::cout << "=== dK-series ladder (full-data generation) ===\n";
-  PrintDatasetBanner(spec, original);
+  PrintDatasetBanner(spec, snapshot);
   std::cout << "RC (2.5K rewiring) = " << config.rc << ", threads = "
             << ResolveThreadCount(config.threads) << "\n\n";
 
@@ -33,7 +34,7 @@ static int BenchMain(int argc, char** argv) {
   // The ladder is one generation chain (the rungs share an RNG), so the
   // threads flag accelerates the property evaluation instead.
   prop_options.threads = config.threads;
-  const GraphProperties truth = ComputeProperties(original, prop_options);
+  const GraphProperties truth = ComputeProperties(snapshot, prop_options);
 
   std::vector<std::string> headers = {"Order"};
   for (const auto& name : PropertyNames()) headers.push_back(name);
@@ -50,7 +51,7 @@ static int BenchMain(int argc, char** argv) {
   for (const auto& [order, label] : orders) {
     const Graph g = GenerateDkGraph(original, order, rng, config.rc);
     const auto distances =
-        PropertyDistances(truth, ComputeProperties(g, prop_options));
+        PropertyDistances(truth, ComputeProperties(CsrGraph(g), prop_options));
     std::vector<std::string> row = {label};
     for (double d : distances) row.push_back(TablePrinter::Fixed(d));
     row.push_back(TablePrinter::Fixed(AverageDistance(distances)));

@@ -39,7 +39,7 @@ static int BenchMain(int argc, char** argv) {
   BenchJsonReport report("bench_fig3_sweep", config);
   for (const char* name : {"anybeat", "brightkite", "epinions"}) {
     const DatasetSpec spec = DatasetByName(name);
-    const Graph dataset = LoadDataset(spec);
+    const CsrGraph dataset(LoadDataset(spec));
     PrintDatasetBanner(spec, dataset);
 
     ExperimentConfig experiment = config.ToExperimentConfig();

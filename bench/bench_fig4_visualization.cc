@@ -48,7 +48,7 @@ std::size_t PeripheryCount(const sgr::Graph& g) {
 /// saw at all (queried or visible). A degree-1 user enters the sample only
 /// if its single friend was queried — this is the paper's "missing outer
 /// halo".
-double OriginalPeripherySeen(const sgr::Graph& original,
+double OriginalPeripherySeen(const sgr::CsrGraph& original,
                              const sgr::SamplingList& list) {
   std::unordered_set<sgr::NodeId> seen;
   for (const auto& [u, nbrs] : list.neighbors) {
@@ -83,9 +83,10 @@ static int BenchMain(int argc, char** argv) {
 
   const DatasetSpec spec = DatasetByName("anybeat");
   const Graph original = LoadDataset(spec);
+  const CsrGraph snapshot(original);
   std::cout << "=== Figure 4: graph visualization exports (Anybeat, "
             << 100.0 * config.fraction << "% queried) ===\n";
-  PrintDatasetBanner(spec, original);
+  PrintDatasetBanner(spec, snapshot);
   WriteGexfFile(original, (out_dir / "original.gexf").string());
 
   const auto budget = static_cast<std::size_t>(
@@ -108,7 +109,7 @@ static int BenchMain(int argc, char** argv) {
     WriteGexfFile(g, file);
     table.AddRow({name, std::to_string(g.NumNodes()),
                   std::to_string(g.NumEdges()),
-                  TablePrinter::Fixed(PeripheryShare(g)),
+                  TablePrinter::Fixed(PeripheryShare(CsrGraph(g))),
                   TablePrinter::Fixed(static_cast<double>(PeripheryCount(g)) /
                                       original_periphery),
                   seen, file});
@@ -116,29 +117,29 @@ static int BenchMain(int argc, char** argv) {
   report("original", original, "1.000");
 
   {
-    QueryOracle oracle(original);
+    QueryOracle oracle(snapshot);
     const SamplingList list = BfsSample(oracle, seed, budget);
     report("bfs", RestoreBySubgraphSampling(list).graph,
-           TablePrinter::Fixed(OriginalPeripherySeen(original, list)));
+           TablePrinter::Fixed(OriginalPeripherySeen(snapshot, list)));
   }
   {
-    QueryOracle oracle(original);
+    QueryOracle oracle(snapshot);
     const SamplingList list =
         SnowballSample(oracle, seed, budget, 50, rng);
     report("snowball", RestoreBySubgraphSampling(list).graph,
-           TablePrinter::Fixed(OriginalPeripherySeen(original, list)));
+           TablePrinter::Fixed(OriginalPeripherySeen(snapshot, list)));
   }
   {
-    QueryOracle oracle(original);
+    QueryOracle oracle(snapshot);
     const SamplingList list =
         ForestFireSample(oracle, seed, budget, 0.7, rng);
     report("forest_fire", RestoreBySubgraphSampling(list).graph,
-           TablePrinter::Fixed(OriginalPeripherySeen(original, list)));
+           TablePrinter::Fixed(OriginalPeripherySeen(snapshot, list)));
   }
-  QueryOracle oracle(original);
+  QueryOracle oracle(snapshot);
   const SamplingList walk = RandomWalkSample(oracle, seed, budget, rng);
   const std::string walk_seen =
-      TablePrinter::Fixed(OriginalPeripherySeen(original, walk));
+      TablePrinter::Fixed(OriginalPeripherySeen(snapshot, walk));
   report("rw", RestoreBySubgraphSampling(walk).graph, walk_seen);
   // Generated graphs are anonymous (new node ids), so per-node coverage is
   // undefined; the periphery-count column carries the comparison.

@@ -31,8 +31,20 @@ const Graph& SharedGraph(std::size_t n) {
   return it->second;
 }
 
-SamplingList SharedWalk(const Graph& g, double fraction,
-                        std::uint64_t seed) {
+/// SharedGraph(n) as the read-only snapshot the crawlers and analyzers
+/// take.
+const CsrGraph& SharedSnapshot(std::size_t n) {
+  static std::map<std::size_t, CsrGraph> cache;
+  auto it = cache.find(n);
+  if (it == cache.end()) {
+    it = cache.emplace(n, CsrGraph(SharedGraph(n))).first;
+  }
+  return it->second;
+}
+
+/// A walk over SharedSnapshot(n) querying `fraction` of its nodes.
+SamplingList SharedWalk(std::size_t n, double fraction, std::uint64_t seed) {
+  const CsrGraph& g = SharedSnapshot(n);
   QueryOracle oracle(g);
   Rng rng(seed);
   return RandomWalkSample(
@@ -42,7 +54,8 @@ SamplingList SharedWalk(const Graph& g, double fraction,
 }
 
 void BM_RandomWalkSampling(benchmark::State& state) {
-  const Graph& g = SharedGraph(static_cast<std::size_t>(state.range(0)));
+  const CsrGraph& g =
+      SharedSnapshot(static_cast<std::size_t>(state.range(0)));
   std::uint64_t seed = 1;
   for (auto _ : state) {
     QueryOracle oracle(g);
@@ -56,8 +69,8 @@ void BM_RandomWalkSampling(benchmark::State& state) {
 BENCHMARK(BM_RandomWalkSampling)->Arg(2000)->Arg(8000);
 
 void BM_BuildSubgraph(benchmark::State& state) {
-  const Graph& g = SharedGraph(static_cast<std::size_t>(state.range(0)));
-  const SamplingList walk = SharedWalk(g, 0.1, 2);
+  const SamplingList walk =
+      SharedWalk(static_cast<std::size_t>(state.range(0)), 0.1, 2);
   for (auto _ : state) {
     benchmark::DoNotOptimize(BuildSubgraph(walk));
   }
@@ -65,8 +78,8 @@ void BM_BuildSubgraph(benchmark::State& state) {
 BENCHMARK(BM_BuildSubgraph)->Arg(2000)->Arg(8000);
 
 void BM_EstimateLocalProperties(benchmark::State& state) {
-  const Graph& g = SharedGraph(static_cast<std::size_t>(state.range(0)));
-  const SamplingList walk = SharedWalk(g, 0.1, 3);
+  const SamplingList walk =
+      SharedWalk(static_cast<std::size_t>(state.range(0)), 0.1, 3);
   for (auto _ : state) {
     benchmark::DoNotOptimize(EstimateLocalProperties(walk));
   }
@@ -74,8 +87,8 @@ void BM_EstimateLocalProperties(benchmark::State& state) {
 BENCHMARK(BM_EstimateLocalProperties)->Arg(2000)->Arg(8000);
 
 void BM_TargetConstruction(benchmark::State& state) {
-  const Graph& g = SharedGraph(static_cast<std::size_t>(state.range(0)));
-  const SamplingList walk = SharedWalk(g, 0.1, 4);
+  const SamplingList walk =
+      SharedWalk(static_cast<std::size_t>(state.range(0)), 0.1, 4);
   const Subgraph sub = BuildSubgraph(walk);
   const LocalEstimates est = EstimateLocalProperties(walk);
   Rng rng(5);
@@ -90,8 +103,8 @@ void BM_TargetConstruction(benchmark::State& state) {
 BENCHMARK(BM_TargetConstruction)->Arg(2000)->Arg(8000);
 
 void BM_AssembleGraph(benchmark::State& state) {
-  const Graph& g = SharedGraph(static_cast<std::size_t>(state.range(0)));
-  const SamplingList walk = SharedWalk(g, 0.1, 6);
+  const SamplingList walk =
+      SharedWalk(static_cast<std::size_t>(state.range(0)), 0.1, 6);
   const Subgraph sub = BuildSubgraph(walk);
   const LocalEstimates est = EstimateLocalProperties(walk);
   Rng rng(7);
@@ -149,7 +162,7 @@ void BM_TriangleCount(benchmark::State& state) {
 BENCHMARK(BM_TriangleCount)->Arg(2000)->Arg(8000);
 
 void BM_ShortestPathProperties(benchmark::State& state) {
-  const Graph& g = SharedGraph(2000);
+  const CsrGraph& g = SharedSnapshot(2000);
   PropertyOptions options;
   options.max_path_sources = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
@@ -159,8 +172,7 @@ void BM_ShortestPathProperties(benchmark::State& state) {
 BENCHMARK(BM_ShortestPathProperties)->Arg(100)->Arg(0);  // 0 = exact
 
 void BM_ProposedEndToEnd(benchmark::State& state) {
-  const Graph& g = SharedGraph(2000);
-  const SamplingList walk = SharedWalk(g, 0.1, 10);
+  const SamplingList walk = SharedWalk(2000, 0.1, 10);
   RestorationOptions options;
   options.rewire.rewiring_coefficient =
       static_cast<double>(state.range(0));

@@ -34,7 +34,7 @@ static int BenchMain(int argc, char** argv) {
       ResolveThreadCount(config.threads_given ? config.threads : 0);
 
   const DatasetSpec spec = DatasetByName("brightkite");
-  const Graph dataset = LoadDataset(spec);
+  const CsrGraph dataset(LoadDataset(spec));
   std::cout << "=== Parallel trial engine: wall-clock vs threads ===\n";
   PrintDatasetBanner(spec, dataset);
   std::cout << "trials: " << config.runs << ", RC = " << config.rc

@@ -28,7 +28,7 @@ static int BenchMain(int argc, char** argv) {
   BenchJsonReport report("bench_table2_properties", config);
   for (const char* name : {"slashdot", "gowalla", "livemocha"}) {
     const DatasetSpec spec = DatasetByName(name);
-    const Graph dataset = LoadDataset(spec);
+    const CsrGraph dataset(LoadDataset(spec));
     PrintDatasetBanner(spec, dataset);
 
     const ExperimentConfig experiment = config.ToExperimentConfig();

@@ -29,7 +29,7 @@ static int BenchMain(int argc, char** argv) {
   TablePrinter table(std::cout, {"Dataset", "BFS", "Snowball", "FF", "RW",
                                  "Gjoka et al.", "Proposed"});
   for (const DatasetSpec& spec : StandardDatasets()) {
-    const Graph dataset = LoadDataset(spec);
+    const CsrGraph dataset(LoadDataset(spec));
     PrintDatasetBanner(spec, dataset);
     const ExperimentConfig experiment = config.ToExperimentConfig();
     const GraphProperties properties =

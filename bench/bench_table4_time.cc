@@ -36,7 +36,7 @@ static int BenchMain(int argc, char** argv) {
        "Gjoka rewiring", "Proposed total", "Proposed rewiring",
        "speedup (total)"});
   for (const DatasetSpec& spec : StandardDatasets()) {
-    const Graph dataset = LoadDataset(spec);
+    const CsrGraph dataset(LoadDataset(spec));
     PrintDatasetBanner(spec, dataset);
     ExperimentConfig experiment = config.ToExperimentConfig();
     // Property evaluation is irrelevant for timing; keep it minimal.

@@ -25,7 +25,7 @@ static int BenchMain(int argc, char** argv) {
                            /*default_fraction=*/0.01,
                            /*default_sources=*/300);
   const DatasetSpec spec = YoutubeDataset();
-  const Graph dataset = LoadDataset(spec);
+  const CsrGraph dataset(LoadDataset(spec));
   std::cout << "=== Table V: YouTube, " << 100.0 * config.fraction
             << "% queried ===\n"
             << "runs: " << config.runs << ", RC = " << config.rc

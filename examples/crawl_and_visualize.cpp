@@ -15,7 +15,7 @@
 #include <filesystem>
 #include <iostream>
 
-#include "dk/dk_extract.h"
+#include "analysis/extras.h"
 #include "exp/table_printer.h"
 #include "graph/components.h"
 #include "graph/generators.h"
@@ -24,19 +24,6 @@
 #include "restore/subgraph_method.h"
 #include "sampling/random_walk.h"
 #include "sampling/subgraph.h"
-
-namespace {
-
-double PeripheryShare(const sgr::Graph& g) {
-  const sgr::DegreeVector dv = sgr::ExtractDegreeVector(g);
-  double low = 0.0;
-  for (std::size_t k = 0; k <= 2 && k < dv.size(); ++k) {
-    low += static_cast<double>(dv[k]);
-  }
-  return g.NumNodes() == 0 ? 0.0 : low / static_cast<double>(g.NumNodes());
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace sgr;
@@ -49,8 +36,9 @@ int main(int argc, char** argv) {
   Rng rng(4242);
   const Graph original =
       PreprocessDataset(GenerateSocialGraph(2500, 4, 0.35, 0.4, rng));
+  const CsrGraph snapshot(original);
 
-  QueryOracle oracle(original);
+  QueryOracle oracle(snapshot);
   const auto budget = static_cast<std::size_t>(
       fraction * static_cast<double>(original.NumNodes()));
   const SamplingList walk = RandomWalkSample(
@@ -71,7 +59,7 @@ int main(int argc, char** argv) {
   auto row = [&table](const std::string& name, const Graph& g) {
     table.AddRow({name, std::to_string(g.NumNodes()),
                   std::to_string(g.NumEdges()),
-                  TablePrinter::Fixed(PeripheryShare(g))});
+                  TablePrinter::Fixed(PeripheryShare(CsrGraph(g)))});
   };
   row("original", original);
   row("crawl subgraph (G')", subgraph.graph);

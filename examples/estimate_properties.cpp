@@ -24,12 +24,9 @@ int main(int argc, char** argv) {
   using namespace sgr;
 
   Rng rng(7);
-  Graph g;
-  if (argc > 1) {
-    g = PreprocessDataset(ReadEdgeListFile(argv[1]));
-  } else {
-    g = PreprocessDataset(GenerateSocialGraph(5000, 5, 0.4, 0.4, rng));
-  }
+  const CsrGraph g(PreprocessDataset(
+      argc > 1 ? ReadEdgeListFile(argv[1])
+               : GenerateSocialGraph(5000, 5, 0.4, 0.4, rng)));
 
   // Ground truth (available here because the graph is local; in a real
   // crawl you would only have the estimates).

@@ -28,13 +28,9 @@ int main(int argc, char** argv) {
   // 1. The "hidden" social graph. In a real deployment this lives behind
   //    an API; here we load or generate it, preprocessed as in the paper.
   Rng rng(2022);
-  Graph original;
-  if (argc > 1) {
-    original = PreprocessDataset(ReadEdgeListFile(argv[1]));
-  } else {
-    original = PreprocessDataset(
-        GeneratePowerlawCluster(3000, 4, 0.4, rng));
-  }
+  const CsrGraph original(PreprocessDataset(
+      argc > 1 ? ReadEdgeListFile(argv[1])
+               : GeneratePowerlawCluster(3000, 4, 0.4, rng)));
   std::cout << "original graph: n = " << original.NumNodes()
             << ", m = " << original.NumEdges() << "\n";
 
@@ -62,7 +58,8 @@ int main(int argc, char** argv) {
 
   // 4. Evaluate: normalized L1 distance of the 12 structural properties.
   const GraphProperties p_original = ComputeProperties(original);
-  const GraphProperties p_restored = ComputeProperties(result.graph);
+  const GraphProperties p_restored =
+      ComputeProperties(CsrGraph(result.graph));
   const auto distances = PropertyDistances(p_original, p_restored);
 
   TablePrinter table(std::cout, {"Property", "L1 distance"});

@@ -8,20 +8,26 @@
 
 namespace sgr {
 
-double DegreeAssortativity(const Graph& g) {
+double DegreeAssortativity(const CsrGraph& g) {
   if (g.NumEdges() < 2) return 0.0;
-  // Newman (2002): correlate the endpoint degrees over edges; each
-  // undirected edge contributes both orientations, which the symmetric
-  // sums below encode directly.
+  // Newman (2002): correlate the endpoint degrees j, k over edges, each
+  // undirected edge taken in both orientations. An edge is two neighbor
+  // entries (a loop: two entries at its node), so the per-edge sums are
+  // half the per-entry ones: Σ jk = ½ Σ_u d_u Σ_{w∈N(u)} d_w,
+  // Σ (j+k)/2 = ½ Σ_u d_u², Σ (j²+k²)/2 = ½ Σ_u d_u³.
   double sum_prod = 0.0;
   double sum_half = 0.0;
   double sum_half_sq = 0.0;
-  for (const Edge& e : g.edges()) {
-    const double j = static_cast<double>(g.Degree(e.u));
-    const double k = static_cast<double>(g.Degree(e.v));
-    sum_prod += j * k;
-    sum_half += 0.5 * (j + k);
-    sum_half_sq += 0.5 * (j * j + k * k);
+  NeighborCursor cursor(g);
+  for (NodeId u = 0; u < g.NumNodes(); ++u) {
+    const double j = static_cast<double>(g.Degree(u));
+    double neighbor_degrees = 0.0;
+    for (NodeId w : cursor.Load(u)) {
+      neighbor_degrees += static_cast<double>(g.Degree(w));
+    }
+    sum_prod += 0.5 * j * neighbor_degrees;
+    sum_half += 0.5 * j * j;
+    sum_half_sq += 0.5 * j * j * j;
   }
   const double inv_m = 1.0 / static_cast<double>(g.NumEdges());
   const double mean = inv_m * sum_half;
@@ -31,7 +37,7 @@ double DegreeAssortativity(const Graph& g) {
   return numerator / denominator;
 }
 
-std::vector<std::size_t> CoreNumbers(const Graph& g) {
+std::vector<std::size_t> CoreNumbers(const CsrGraph& g) {
   const std::size_t n = g.NumNodes();
   std::vector<std::size_t> degree(n);
   std::size_t max_degree = 0;
@@ -59,9 +65,10 @@ std::vector<std::size_t> CoreNumbers(const Graph& g) {
     }
   }
   std::vector<std::size_t> core(degree);
+  NeighborCursor reader(g);
   for (std::size_t i = 0; i < n; ++i) {
     const NodeId v = sorted[i];
-    for (NodeId w : g.adjacency(v)) {
+    for (NodeId w : reader.Load(v)) {
       if (core[w] > core[v]) {
         // Move w one bucket down: swap it with the first node of its
         // current bucket, then shift the bucket boundary.
@@ -82,13 +89,13 @@ std::vector<std::size_t> CoreNumbers(const Graph& g) {
   return core;
 }
 
-std::size_t Degeneracy(const Graph& g) {
+std::size_t Degeneracy(const CsrGraph& g) {
   std::size_t best = 0;
   for (std::size_t c : CoreNumbers(g)) best = std::max(best, c);
   return best;
 }
 
-double PeripheryShare(const Graph& g, std::size_t threshold) {
+double PeripheryShare(const CsrGraph& g, std::size_t threshold) {
   if (g.NumNodes() == 0) return 0.0;
   const DegreeVector dv = ExtractDegreeVector(g);
   double low = 0.0;
@@ -98,7 +105,7 @@ double PeripheryShare(const Graph& g, std::size_t threshold) {
   return low / static_cast<double>(g.NumNodes());
 }
 
-std::vector<std::size_t> ComponentSizes(const Graph& g) {
+std::vector<std::size_t> ComponentSizes(const CsrGraph& g) {
   ComponentsResult comps = ConnectedComponents(g);
   std::sort(comps.sizes.begin(), comps.sizes.end(),
             std::greater<std::size_t>());

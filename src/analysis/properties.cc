@@ -13,10 +13,6 @@
 
 namespace sgr {
 
-std::vector<double> DegreeDistribution(const Graph& g) {
-  return DegreeDistribution(CsrGraph(g));
-}
-
 std::vector<double> DegreeDistribution(const CsrGraph& g) {
   const DegreeVector dv = ExtractDegreeVector(g);
   std::vector<double> p(dv.size(), 0.0);
@@ -25,10 +21,6 @@ std::vector<double> DegreeDistribution(const CsrGraph& g) {
     p[k] = static_cast<double>(dv[k]) / static_cast<double>(g.NumNodes());
   }
   return p;
-}
-
-std::vector<double> NeighborConnectivity(const Graph& g) {
-  return NeighborConnectivity(CsrGraph(g));
 }
 
 std::vector<double> NeighborConnectivity(const CsrGraph& g) {
@@ -74,16 +66,8 @@ double NetworkClusteringFromTriangles(const CsrGraph& g,
 
 }  // namespace
 
-double NetworkClusteringCoefficient(const Graph& g) {
-  return NetworkClusteringCoefficient(CsrGraph(g));
-}
-
 double NetworkClusteringCoefficient(const CsrGraph& g) {
   return NetworkClusteringFromTriangles(g, CountTrianglesPerNode(g));
-}
-
-std::vector<double> EdgewiseSharedPartners(const Graph& g) {
-  return EdgewiseSharedPartners(CsrGraph(g));
 }
 
 std::vector<double> EdgewiseSharedPartners(const CsrGraph& g) {
@@ -139,11 +123,6 @@ std::vector<double> EdgewiseSharedPartners(const CsrGraph& g) {
   return p;
 }
 
-double LargestEigenvalue(const Graph& g, std::size_t max_iterations,
-                         double tolerance) {
-  return LargestEigenvalue(CsrGraph(g), max_iterations, tolerance);
-}
-
 double LargestEigenvalue(const CsrGraph& g, std::size_t max_iterations,
                          double tolerance) {
   const std::size_t n = g.NumNodes();
@@ -196,41 +175,15 @@ CsrGraph SimplifiedLccCsr(const CsrGraph& g) {
   const std::size_t n = g.NumNodes();
   if (n == 0) return CsrGraph();
 
-  // Connected components by BFS over the snapshot.
-  constexpr std::size_t kUnvisited = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> component_of(n, kUnvisited);
-  std::vector<std::size_t> sizes;
-  std::vector<NodeId> queue;
-  queue.reserve(n);
-  NeighborCursor cursor(g);
-  for (NodeId start = 0; start < n; ++start) {
-    if (component_of[start] != kUnvisited) continue;
-    const std::size_t comp = sizes.size();
-    sizes.push_back(0);
-    queue.clear();
-    queue.push_back(start);
-    component_of[start] = comp;
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const NodeId v = queue[head];
-      ++sizes[comp];
-      for (NodeId w : cursor.Load(v)) {
-        if (component_of[w] == kUnvisited) {
-          component_of[w] = comp;
-          queue.push_back(w);
-        }
-      }
-    }
-  }
-  const std::size_t largest = static_cast<std::size_t>(
-      std::max_element(sizes.begin(), sizes.end()) - sizes.begin());
+  const ComponentsResult comps = ConnectedComponents(g);
 
   // Dense renumbering in ascending old-id order keeps neighbor ranges
   // sorted after mapping.
   std::vector<NodeId> old_to_new(n, static_cast<NodeId>(-1));
   std::vector<NodeId> members;
-  members.reserve(sizes[largest]);
+  members.reserve(comps.sizes[comps.largest]);
   for (NodeId v = 0; v < n; ++v) {
-    if (component_of[v] == largest) {
+    if (comps.component_of[v] == comps.largest) {
       old_to_new[v] = static_cast<NodeId>(members.size());
       members.push_back(v);
     }
@@ -238,6 +191,7 @@ CsrGraph SimplifiedLccCsr(const CsrGraph& g) {
 
   // Build the simplified adjacency: run-length collapse of the sorted
   // ranges drops parallel edges; loops are skipped outright.
+  NeighborCursor cursor(g);
   std::vector<std::size_t> offsets(members.size() + 1, 0);
   std::vector<NodeId> neighbors;
   for (std::size_t idx = 0; idx < members.size(); ++idx) {
@@ -317,28 +271,22 @@ void BrandesPass(const CsrGraph& g, NeighborCursor& cursor, NodeId source,
 
 }  // namespace
 
-std::vector<double> BetweennessCentrality(const Graph& g) {
-  const CsrGraph csr(g);
-  const std::size_t n = csr.NumNodes();
+std::vector<double> BetweennessCentrality(const CsrGraph& g) {
+  const std::size_t n = g.NumNodes();
   std::vector<double> betweenness(n, 0.0);
   std::vector<std::int64_t> hist;
   std::vector<int> distance(n);
   std::vector<double> sigma(n), delta(n);
   std::vector<NodeId> order;
   order.reserve(n);
-  NeighborCursor cursor(csr);
+  NeighborCursor cursor(g);
   double distance_sum = 0.0;
   std::size_t ecc = 0;
   for (NodeId s = 0; s < n; ++s) {
-    BrandesPass(csr, cursor, s, betweenness, hist, distance_sum, ecc,
+    BrandesPass(g, cursor, s, betweenness, hist, distance_sum, ecc,
                 distance, sigma, delta, order);
   }
   return betweenness;
-}
-
-ShortestPathProperties ComputeShortestPathProperties(
-    const Graph& g, const PropertyOptions& options) {
-  return ComputeShortestPathProperties(CsrGraph(g), options);
 }
 
 ShortestPathProperties ComputeShortestPathProperties(
@@ -433,11 +381,6 @@ ShortestPathProperties ComputeShortestPathProperties(
     }
   }
   return result;
-}
-
-GraphProperties ComputeProperties(const Graph& g,
-                                  const PropertyOptions& options) {
-  return ComputeProperties(CsrGraph(g), options);
 }
 
 GraphProperties ComputeProperties(const CsrGraph& g,

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "graph/csr_graph.h"
-#include "graph/graph.h"
 
 namespace sgr {
 
@@ -61,40 +60,28 @@ struct GraphProperties {
   double largest_eigenvalue = 0.0;                ///< (12) λ1
 };
 
-/// Computes all 12 properties of `g`. The Graph overload snapshots `g`
-/// into a CsrGraph once and runs every analyzer over the flat arrays; pass
-/// an existing snapshot to skip the conversion (the parallel trial runner
-/// does this to share one snapshot across threads).
-GraphProperties ComputeProperties(const Graph& g,
-                                  const PropertyOptions& options = {});
+/// Computes all 12 properties of `g`. Every analyzer reads `g` through a
+/// NeighborCursor, so compressed snapshots work too.
 GraphProperties ComputeProperties(const CsrGraph& g,
                                   const PropertyOptions& options = {});
 
 /// Individual analyzers, exposed for tests and partial evaluation. All are
 /// multiplicity-aware (generated graphs may contain multi-edges/loops).
-/// CsrGraph overloads are the implementations; Graph overloads snapshot
-/// and delegate.
 
 /// P(k) = n(k)/n.
-std::vector<double> DegreeDistribution(const Graph& g);
 std::vector<double> DegreeDistribution(const CsrGraph& g);
 
 /// k̄nn(k): mean over degree-k nodes of (1/k) Σ_j A_ij d_j.
-std::vector<double> NeighborConnectivity(const Graph& g);
 std::vector<double> NeighborConnectivity(const CsrGraph& g);
 
 /// Network clustering coefficient c̄ = (1/n) Σ_i 2 t_i / (d_i (d_i - 1)).
-double NetworkClusteringCoefficient(const Graph& g);
 double NetworkClusteringCoefficient(const CsrGraph& g);
 
 /// Edgewise shared-partner distribution P(s): fraction of (non-loop) edges
 /// whose endpoints have exactly s common neighbors (Σ_k A_ik A_jk).
-std::vector<double> EdgewiseSharedPartners(const Graph& g);
 std::vector<double> EdgewiseSharedPartners(const CsrGraph& g);
 
 /// Largest adjacency eigenvalue via power iteration.
-double LargestEigenvalue(const Graph& g, std::size_t max_iterations = 1000,
-                         double tolerance = 1e-10);
 double LargestEigenvalue(const CsrGraph& g,
                          std::size_t max_iterations = 1000,
                          double tolerance = 1e-10);
@@ -107,14 +94,12 @@ struct ShortestPathProperties {
   std::vector<double> betweenness_by_degree;
 };
 ShortestPathProperties ComputeShortestPathProperties(
-    const Graph& g, const PropertyOptions& options = {});
-ShortestPathProperties ComputeShortestPathProperties(
     const CsrGraph& g, const PropertyOptions& options = {});
 
 /// Exact per-node betweenness centrality (Brandes) on a connected simple
 /// graph; ordered-pair convention (each unordered pair contributes twice),
 /// matching the paper's definition. Exposed for cross-validation tests.
-std::vector<double> BetweennessCentrality(const Graph& g);
+std::vector<double> BetweennessCentrality(const CsrGraph& g);
 
 }  // namespace sgr
 

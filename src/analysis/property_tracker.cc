@@ -311,7 +311,7 @@ void PropertyTracker::SplitComponents(NodeId x, NodeId y) {
 
 double PropertyTracker::ClusteringGlobal() const {
   if (mode_ == PropertyAnalysisMode::kFromScratch) {
-    return NetworkClusteringCoefficient(MaterializeGraph());
+    return NetworkClusteringCoefficient(CsrGraph(MaterializeGraph()));
   }
   if (num_nodes_ == 0) return 0.0;
   double total = 0.0;

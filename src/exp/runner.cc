@@ -41,7 +41,7 @@ MethodRunResult Evaluate(MethodKind kind, RestorationResult restoration,
   result.kind = kind;
   obs::Span evaluate_span("evaluate");
   const GraphProperties generated =
-      ComputeProperties(restoration.graph, property_options);
+      ComputeProperties(CsrGraph(restoration.graph), property_options);
   result.distances = PropertyDistances(original_properties, generated);
   result.average_distance = AverageDistance(result.distances);
   result.sd_distance = DistanceStandardDeviation(result.distances);
@@ -122,15 +122,15 @@ void RecordNoiseMetrics(const PerturbedOracle& oracle) {
                  static_cast<std::size_t>(oracle.suppressed_edges()));
 }
 
-/// Shared implementation: `GraphT` is Graph or CsrGraph; QueryOracle
-/// accepts either, so the sampling/restoration pipeline is unchanged.
-/// `keep_graphs` selects whether the results carry each method's generated
-/// graph and estimates (see Evaluate).
-template <typename GraphT>
+/// Shared implementation. `keep_graphs` selects whether the results carry
+/// each method's generated graph and estimates (see Evaluate).
 std::vector<MethodRunResult> RunExperimentImpl(
-    const GraphT& original, const GraphProperties& original_properties,
+    const CsrGraph& original, const GraphProperties& original_properties,
     const ExperimentConfig& config, std::uint64_t run_seed,
     bool keep_graphs) {
+  if (original.NumNodes() == 0) {
+    throw std::invalid_argument("the hidden graph has no nodes");
+  }
   obs::Span trial_span("trial");
   std::vector<MethodRunResult> results;
   Rng rng(run_seed);
@@ -262,13 +262,6 @@ std::optional<std::string> EnvText(const char* name) {
 }
 
 std::vector<MethodRunResult> RunExperiment(
-    const Graph& original, const GraphProperties& original_properties,
-    const ExperimentConfig& config, std::uint64_t run_seed) {
-  return RunExperimentImpl(original, original_properties, config, run_seed,
-                           /*keep_graphs=*/true);
-}
-
-std::vector<MethodRunResult> RunExperiment(
     const CsrGraph& original, const GraphProperties& original_properties,
     const ExperimentConfig& config, std::uint64_t run_seed) {
   return RunExperimentImpl(original, original_properties, config, run_seed,
@@ -280,15 +273,6 @@ std::vector<MethodRunResult> RunExperimentWithoutGraphs(
     const ExperimentConfig& config, std::uint64_t run_seed) {
   return RunExperimentImpl(original, original_properties, config, run_seed,
                            /*keep_graphs=*/false);
-}
-
-std::vector<std::vector<MethodRunResult>> RunExperiments(
-    const Graph& original, const GraphProperties& original_properties,
-    const ExperimentConfig& config, std::uint64_t seed_base,
-    std::size_t num_trials, std::size_t threads) {
-  const CsrGraph snapshot(original);
-  return RunExperiments(snapshot, original_properties, config, seed_base,
-                        num_trials, threads);
 }
 
 std::vector<std::vector<MethodRunResult>> RunExperiments(

@@ -11,7 +11,6 @@
 #include "analysis/l1.h"
 #include "analysis/properties.h"
 #include "graph/csr_graph.h"
-#include "graph/graph.h"
 #include "restore/method.h"
 #include "sampling/perturbed_oracle.h"
 #include "util/parse.h"
@@ -130,48 +129,29 @@ struct MethodRunResult {
 /// evaluates the 12-property L1 distances against `original_properties`.
 ///
 /// `run_seed` drives all randomness of the run (crawler RNG + generation
-/// RNG), so runs are reproducible. The CsrGraph overload runs against an
-/// immutable snapshot of the original graph, safe to share across
-/// concurrent trials. Note the snapshot stores neighbor lists sorted, so
-/// for the same seed a walk's index-based neighbor picks can differ from
-/// the Graph overload's trajectory — an equally distributed sample, just
-/// a different draw; each overload is individually deterministic.
-std::vector<MethodRunResult> RunExperiment(
-    const Graph& original, const GraphProperties& original_properties,
-    const ExperimentConfig& config, std::uint64_t run_seed);
+/// RNG), so runs are reproducible. `original` is an immutable snapshot,
+/// safe to share across concurrent trials. Throws std::invalid_argument
+/// when it has no nodes (there is no seed node to draw).
 std::vector<MethodRunResult> RunExperiment(
     const CsrGraph& original, const GraphProperties& original_properties,
     const ExperimentConfig& config, std::uint64_t run_seed);
 
-/// RunExperiment (CsrGraph overload) for callers that keep only the
-/// statistics, as the scenario engine does: each method's generated graph
-/// and local estimates are dropped as soon as the method is evaluated, so
-/// a trial holds at most one generated graph at a time. Every other field
-/// of the results is identical to RunExperiment's.
+/// RunExperiment for callers that keep only the statistics, as the
+/// scenario engine does: each method's generated graph and local
+/// estimates are dropped as soon as the method is evaluated, so a trial
+/// holds at most one generated graph at a time. Every other field of the
+/// results is identical to RunExperiment's.
 std::vector<MethodRunResult> RunExperimentWithoutGraphs(
     const CsrGraph& original, const GraphProperties& original_properties,
     const ExperimentConfig& config, std::uint64_t run_seed);
 
 /// Executes `num_trials` independent runs concurrently on up to `threads`
-/// workers (0 = hardware concurrency; 1 = inline, no threading overhead).
-///
-/// The original graph is snapshotted into one immutable CsrGraph shared
-/// read-only by every worker; trial i uses run_seed = seed_base + i — the
-/// same seed derivation RunDataset (bench_common.h) has always used — so
-/// the result set is identical for every thread count, and identical to
-/// calling the *CsrGraph overload* of RunExperiment sequentially with
-/// seed_base + i. (The Graph overload draws a different walk for the same
-/// seed — see RunExperiment above.) Returned trials are indexed by trial
-/// number, not completion order.
-std::vector<std::vector<MethodRunResult>> RunExperiments(
-    const Graph& original, const GraphProperties& original_properties,
-    const ExperimentConfig& config, std::uint64_t seed_base,
-    std::size_t num_trials, std::size_t threads = 1);
-
-/// Same, against a caller-provided snapshot (possibly compressed): the
-/// scenario engine materializes datasets as CsrGraph directly — no
-/// intermediate Graph at paper scale — and the Graph overload above
-/// produces byte-identical trials by delegating here after snapshotting.
+/// workers (0 = hardware concurrency; 1 = inline, no threading overhead)
+/// against one shared snapshot (possibly compressed). Trial i uses
+/// run_seed = seed_base + i, so the result set is identical for every
+/// thread count, and identical to calling RunExperiment sequentially with
+/// seed_base + i. Returned trials are indexed by trial number, not
+/// completion order.
 std::vector<std::vector<MethodRunResult>> RunExperiments(
     const CsrGraph& snapshot, const GraphProperties& original_properties,
     const ExperimentConfig& config, std::uint64_t seed_base,

@@ -1,28 +1,33 @@
 #include "graph/components.h"
 
 #include <algorithm>
-#include <queue>
 
 namespace sgr {
 
-ComponentsResult ConnectedComponents(const Graph& g) {
+namespace {
+
+/// BFS from every unvisited node in ascending order; `neighbors(v)` returns
+/// v's neighbor list.
+template <typename Neighbors>
+ComponentsResult BfsComponents(std::size_t n, Neighbors&& neighbors) {
+  constexpr std::size_t kUnvisited = static_cast<std::size_t>(-1);
   ComponentsResult result;
-  result.component_of.assign(g.NumNodes(), static_cast<std::size_t>(-1));
-  for (NodeId start = 0; start < g.NumNodes(); ++start) {
-    if (result.component_of[start] != static_cast<std::size_t>(-1)) continue;
+  result.component_of.assign(n, kUnvisited);
+  std::vector<NodeId> queue;
+  queue.reserve(n);
+  for (NodeId start = 0; start < n; ++start) {
+    if (result.component_of[start] != kUnvisited) continue;
     const std::size_t comp = result.sizes.size();
     result.sizes.push_back(0);
-    std::queue<NodeId> frontier;
-    frontier.push(start);
+    queue.clear();
+    queue.push_back(start);
     result.component_of[start] = comp;
-    while (!frontier.empty()) {
-      NodeId v = frontier.front();
-      frontier.pop();
+    for (std::size_t head = 0; head < queue.size(); ++head) {
       ++result.sizes[comp];
-      for (NodeId w : g.adjacency(v)) {
-        if (result.component_of[w] == static_cast<std::size_t>(-1)) {
+      for (NodeId w : neighbors(queue[head])) {
+        if (result.component_of[w] == kUnvisited) {
           result.component_of[w] = comp;
-          frontier.push(w);
+          queue.push_back(w);
         }
       }
     }
@@ -33,6 +38,21 @@ ComponentsResult ConnectedComponents(const Graph& g) {
         result.sizes.begin());
   }
   return result;
+}
+
+}  // namespace
+
+ComponentsResult ConnectedComponents(const Graph& g) {
+  return BfsComponents(g.NumNodes(),
+                       [&](NodeId v) -> const std::vector<NodeId>& {
+                         return g.adjacency(v);
+                       });
+}
+
+ComponentsResult ConnectedComponents(const CsrGraph& g) {
+  NeighborCursor cursor(g);
+  return BfsComponents(g.NumNodes(),
+                       [&](NodeId v) { return cursor.Load(v); });
 }
 
 std::size_t CountComponents(const Graph& g) {

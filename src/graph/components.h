@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "graph/csr_graph.h"
 #include "graph/graph.h"
 
 namespace sgr {
@@ -18,8 +19,12 @@ struct ComponentsResult {
   std::size_t largest = 0;
 };
 
-/// Computes connected components via BFS over the (multi)graph.
+/// Computes connected components via BFS over the (multi)graph. Components
+/// are numbered in order of their smallest node, so both overloads give
+/// the same result for a graph and its snapshot. The CsrGraph overload
+/// reads through a NeighborCursor (compressed snapshots work too).
 ComponentsResult ConnectedComponents(const Graph& g);
+ComponentsResult ConnectedComponents(const CsrGraph& g);
 
 /// Number of connected components.
 std::size_t CountComponents(const Graph& g);

@@ -10,18 +10,14 @@
 
 namespace sgr {
 
-/// Non-owning view of a node's neighbor list. Mirrors the read-only slice of
-/// std::vector<NodeId> the crawlers and analyzers use, so the same code can
-/// run against Graph's per-node vectors or CsrGraph's flat arrays.
+/// Non-owning view of a node's neighbor list in a CsrGraph (or in a
+/// cursor's or oracle's decode buffer): the read-only slice of
+/// std::vector<NodeId> the crawlers and analyzers use.
 class NeighborSpan {
  public:
   constexpr NeighborSpan() = default;
   constexpr NeighborSpan(const NodeId* data, std::size_t size)
       : data_(data), size_(size) {}
-
-  /// Implicit view of a whole vector (Graph adjacency lists).
-  NeighborSpan(const std::vector<NodeId>& v)  // NOLINT(runtime/explicit)
-      : data_(v.data()), size_(v.size()) {}
 
   const NodeId* begin() const { return data_; }
   const NodeId* end() const { return data_ + size_; }

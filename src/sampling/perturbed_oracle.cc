@@ -50,12 +50,6 @@ bool NoiseFailsNode(const CrawlNoise& noise, std::uint64_t noise_seed,
                     static_cast<std::uint64_t>(v))) < noise.failure;
 }
 
-PerturbedOracle::PerturbedOracle(const Graph& g, const CrawlNoise& noise,
-                                 std::uint64_t noise_seed)
-    : QueryOracle(g), noise_(noise), seed_(noise_seed) {
-  ValidateNoise(noise_);
-}
-
 PerturbedOracle::PerturbedOracle(const CsrGraph& g, const CrawlNoise& noise,
                                  std::uint64_t noise_seed)
     : QueryOracle(g), noise_(noise), seed_(noise_seed) {

@@ -84,10 +84,10 @@ bool NoiseFailsNode(const CrawlNoise& noise, std::uint64_t noise_seed,
 /// holds the current node's span across exactly one proposal query).
 class PerturbedOracle : public QueryOracle {
  public:
-  PerturbedOracle(const Graph& g, const CrawlNoise& noise,
-                  std::uint64_t noise_seed);
   PerturbedOracle(const CsrGraph& g, const CrawlNoise& noise,
                   std::uint64_t noise_seed);
+  PerturbedOracle(const CsrGraph&& g, const CrawlNoise& noise,
+                  std::uint64_t noise_seed) = delete;
 
   NeighborSpan Query(NodeId v) override;
 

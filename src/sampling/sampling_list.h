@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "graph/csr_graph.h"
-#include "graph/graph.h"
 
 namespace sgr {
 
@@ -19,18 +18,18 @@ namespace sgr {
 /// this oracle, which makes the information boundary of the problem explicit
 /// and lets tests assert how many queries a method spent.
 ///
-/// The hidden graph can be either a Graph or an immutable CsrGraph
-/// snapshot. The snapshot form is what the parallel trial runner uses: one
-/// CsrGraph is shared read-only by every concurrent trial, each with its
-/// own oracle (the oracle itself carries per-crawl query-count state and
-/// must not be shared across threads).
+/// The hidden graph is an immutable CsrGraph snapshot, possibly compressed.
+/// One snapshot is shared read-only by every concurrent trial, each with
+/// its own oracle (the oracle itself carries per-crawl query-count state
+/// and must not be shared across threads). The oracle keeps a pointer to
+/// the snapshot, so it cannot be built from a temporary.
 class QueryOracle {
  public:
-  explicit QueryOracle(const Graph& g) : graph_(&g) {}
-  explicit QueryOracle(const CsrGraph& g) : csr_(&g) {}
+  explicit QueryOracle(const CsrGraph& g) : graph_(&g) {}
+  explicit QueryOracle(const CsrGraph&& g) = delete;
   virtual ~QueryOracle() = default;
 
-  /// Returns N(v): one entry per incident edge endpoint.
+  /// Returns N(v): one entry per incident edge endpoint, sorted ascending.
   /// Counts the first query to each distinct node.
   ///
   /// Virtual so an adversarial oracle (sampling/perturbed_oracle.h) can
@@ -43,16 +42,15 @@ class QueryOracle {
   /// therefore copy what they keep and tolerate empty results.
   virtual NeighborSpan Query(NodeId v) {
     if (queried_.insert(v).second) ++unique_queries_;
-    if (graph_ != nullptr) return NeighborSpan(graph_->adjacency(v));
-    if (!csr_->compressed()) return csr_->neighbors(v);
+    if (!graph_->compressed()) return graph_->neighbors(v);
     // Compressed snapshot: decode into a two-slot ring, so the span stays
     // valid until the second-next Query — exactly the documented contract
     // (crawlers hold at most the current and previous answer).
     std::vector<NodeId>& slot = decode_ring_[ring_slot_];
     ring_slot_ ^= 1u;
-    const std::size_t d = csr_->Degree(v);
+    const std::size_t d = graph_->Degree(v);
     if (slot.size() < d) slot.resize(d);
-    csr_->DecodeNeighbors(v, slot.data());
+    graph_->DecodeNeighbors(v, slot.data());
     return NeighborSpan(slot.data(), d);
   }
 
@@ -62,13 +60,10 @@ class QueryOracle {
   /// Number of nodes in the hidden graph. Exposed for the experiment
   /// harness only (to express budgets as "percent of nodes queried" as the
   /// paper does); restoration methods must not call this.
-  std::size_t HiddenNumNodes() const {
-    return graph_ != nullptr ? graph_->NumNodes() : csr_->NumNodes();
-  }
+  std::size_t HiddenNumNodes() const { return graph_->NumNodes(); }
 
  private:
-  const Graph* graph_ = nullptr;
-  const CsrGraph* csr_ = nullptr;
+  const CsrGraph* graph_;
   std::unordered_set<NodeId> queried_;
   std::size_t unique_queries_ = 0;
   /// Scratch for compressed-snapshot decoding (see Query). Grow-only, so

@@ -5,6 +5,8 @@
 #include <numeric>
 #include <optional>
 #include <ostream>
+#include <stdexcept>
+#include <string>
 
 #include "exp/datasets.h"
 #include "exp/parallel.h"
@@ -33,9 +35,11 @@ CsrGraph Materialize(const ScenarioDataset& dataset, double dataset_scale,
 }
 
 /// One cell of the trial matrix: `trials` trials of `config` on a shared
-/// dataset snapshot, trial i seeded `seed_base + i`.
+/// dataset snapshot, trial i seeded `seed_base + i`. `dataset_path` is the
+/// edge-list file the snapshot came from (empty for a generated one).
 struct CellJob {
   const std::string* dataset_name;
+  const std::string* dataset_path;
   const CsrGraph* dataset;
   const GraphProperties* properties;
   ExperimentConfig config;
@@ -198,8 +202,17 @@ std::vector<ScenarioCell> RunCells(const std::vector<CellJob>& jobs,
     {
       const obs::ScopedMetricsSink sink(&slot.metrics);
       Timer timer;
-      slot.results = RunExperimentWithoutGraphs(
-          *job.dataset, *job.properties, job.config, job.seed_base + i);
+      try {
+        slot.results = RunExperimentWithoutGraphs(
+            *job.dataset, *job.properties, job.config, job.seed_base + i);
+      } catch (const std::invalid_argument& e) {
+        // Name the input the trial rejected (e.g. an empty edge list).
+        std::string where = "dataset '" + *job.dataset_name + "'";
+        if (!job.dataset_path->empty()) {
+          where += " (" + *job.dataset_path + ")";
+        }
+        throw std::invalid_argument(where + ": " + e.what());
+      }
       slot.seconds = timer.Seconds();
     }
     const std::lock_guard<std::mutex> lock(fold_mutex);
@@ -221,8 +234,10 @@ ScenarioCell RunScenarioCell(const std::string& dataset_name,
   const std::size_t workers = std::min(ResolveThreadCount(threads), trials);
   std::optional<ThreadPool> pool;
   if (workers > 1) pool.emplace(workers);
+  const std::string no_path;
   const std::vector<CellJob> jobs = {
-      CellJob{&dataset_name, &dataset, &properties, config, seed_base}};
+      CellJob{&dataset_name, &no_path, &dataset, &properties, config,
+              seed_base}};
   return RunCells(jobs, trials, pool ? &*pool : nullptr, nullptr).front();
 }
 
@@ -276,7 +291,8 @@ ScenarioRunResult RunScenario(const ScenarioSpec& spec,
       const std::uint64_t cell_seed =
           spec.seed_base + static_cast<std::uint64_t>(jobs.size()) *
                                static_cast<std::uint64_t>(spec.trials);
-      jobs.push_back(CellJob{&spec.datasets[d].name, &datasets[d],
+      jobs.push_back(CellJob{&spec.datasets[d].name,
+                             &result.datasets[d].path, &datasets[d],
                              &properties[d], spec.ToExperimentConfig(knobs),
                              cell_seed});
     }

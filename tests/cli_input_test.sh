@@ -61,6 +61,21 @@ expect --rewire-threads "$cli" run tables-smoke --rewire-threads 2
 printf '{"datasets": ["anybeat"], "estimator_threads": 2}\n' \
   > "$tmp/workers.json"
 expect estimator_threads "$cli" run "$tmp/workers.json"
+# An edge list with no nodes has no seed node to crawl from: `crawl` and
+# a scenario trial both reject it, naming the file.
+: > "$tmp/empty.txt"
+printf '# only a comment\n' > "$tmp/comments.txt"
+expect empty.txt "$cli" crawl --graph "$tmp/empty.txt" --out "$tmp/s.txt"
+expect comments.txt "$cli" crawl --graph "$tmp/comments.txt" --method bfs \
+  --out "$tmp/s.txt"
+mkdir "$tmp/empty_dir"
+: > "$tmp/empty_dir/youtube.txt"
+printf '{"datasets": ["youtube"]}\n' > "$tmp/youtube.json"
+expect youtube.txt env SGR_DATASET_DIR="$tmp/empty_dir" \
+  "$cli" run "$tmp/youtube.json"
+expect youtube.txt env SGR_DATASET_DIR="$tmp/empty_dir" \
+  "$cli" run "$tmp/youtube.json" --threads 4
+
 expect --sources "$cli" generate --sources 5 --out "$tmp/g.txt"
 expect --threads "$cli" diff "$tmp/a.json" "$tmp/b.json" --threads 2
 expect --scale "$cli" datasets ingest "$tmp/anybeat.txt" --scale 2

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "graph/generators.h"
 
 namespace sgr {
@@ -88,6 +90,24 @@ TEST(ComponentsTest, ComponentOfIsConsistentWithSizes) {
     ++recount[r.component_of[v]];
   }
   EXPECT_EQ(recount, r.sizes);
+}
+
+TEST(ComponentsTest, SnapshotOverloadMatchesGraphOverload) {
+  // Components are numbered by their smallest node, so neighbor order
+  // (sorted in the snapshot, insertion order in the Graph) and
+  // compression cannot change the result.
+  Rng rng(12);
+  const Graph g = GenerateErdosRenyiGnm(80, 60, rng);
+  const ComponentsResult expected = ConnectedComponents(g);
+  const CsrGraph plain(g);
+  CsrGraph packed(g);
+  packed.Compress();
+  for (const CsrGraph& csr : {std::cref(plain), std::cref(packed)}) {
+    const ComponentsResult r = ConnectedComponents(csr);
+    EXPECT_EQ(r.component_of, expected.component_of);
+    EXPECT_EQ(r.sizes, expected.sizes);
+    EXPECT_EQ(r.largest, expected.largest);
+  }
 }
 
 }  // namespace

@@ -22,7 +22,7 @@ namespace {
 
 enum class Crawler { kRw, kNbrw, kMhrw, kBfs, kSnowball, kFf, kFrontier };
 
-SamplingList Crawl(Crawler crawler, const Graph& g, std::size_t budget,
+SamplingList Crawl(Crawler crawler, const CsrGraph& g, std::size_t budget,
                    Rng& rng) {
   QueryOracle oracle(g);
   const NodeId seed = static_cast<NodeId>(rng.NextIndex(g.NumNodes()));
@@ -52,7 +52,7 @@ class CrawlerSubgraphTest
 TEST_P(CrawlerSubgraphTest, SubgraphInvariantsHold) {
   const auto [crawler, seed] = GetParam();
   Rng gen_rng(seed);
-  const Graph g = GenerateSocialGraph(600, 4, 0.4, 0.4, gen_rng);
+  const CsrGraph g(GenerateSocialGraph(600, 4, 0.4, 0.4, gen_rng));
   Rng rng(seed + 404);
   const SamplingList list = Crawl(crawler, g, 60, rng);
   ASSERT_GE(list.NumQueried(), 60u);

@@ -74,7 +74,7 @@ std::vector<SamplingList> CrawlAll(QueryOracle& oracle, NodeId seed,
 }
 
 TEST(DegenerateOracleTest, IsolatedSeedTerminatesEveryCrawler) {
-  const Graph g = DisconnectedGraph();
+  const CsrGraph g(DisconnectedGraph());
   QueryOracle oracle(g);
   const auto lists = CrawlAll(oracle, /*seed=*/6, /*target=*/5, 1);
   for (std::size_t i = 0; i < lists.size(); ++i) {
@@ -86,7 +86,7 @@ TEST(DegenerateOracleTest, IsolatedSeedTerminatesEveryCrawler) {
 }
 
 TEST(DegenerateOracleTest, DisconnectedGraphCannotOverrunItsComponent) {
-  const Graph g = DisconnectedGraph();
+  const CsrGraph g(DisconnectedGraph());
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     QueryOracle oracle(g);
     // Target 6 exceeds the seed component's 3 nodes; every crawler must
@@ -103,7 +103,7 @@ TEST(DegenerateOracleTest, DisconnectedGraphCannotOverrunItsComponent) {
 
 TEST(DegenerateOracleTest, TotalFailureOracleTerminatesEveryCrawler) {
   Rng gen(9);
-  const Graph g = GeneratePowerlawCluster(200, 3, 0.4, gen);
+  const CsrGraph g(GeneratePowerlawCluster(200, 3, 0.4, gen));
   CrawlNoise noise;
   noise.failure = 1.0;  // every account is suspended
   PerturbedOracle oracle(g, noise, 77);
@@ -115,7 +115,7 @@ TEST(DegenerateOracleTest, TotalFailureOracleTerminatesEveryCrawler) {
 
 TEST(DegenerateOracleTest, AllEdgesHiddenTerminatesEveryCrawler) {
   Rng gen(10);
-  const Graph g = GeneratePowerlawCluster(200, 3, 0.4, gen);
+  const CsrGraph g(GeneratePowerlawCluster(200, 3, 0.4, gen));
   CrawlNoise noise;
   noise.hidden_edges = 1.0;  // every query answers, but lists nothing
   PerturbedOracle oracle(g, noise, 78);
@@ -127,7 +127,7 @@ TEST(DegenerateOracleTest, AllEdgesHiddenTerminatesEveryCrawler) {
 
 TEST(DegenerateOracleTest, SpentApiBudgetStopsEveryCrawler) {
   Rng gen(11);
-  const Graph g = GeneratePowerlawCluster(200, 3, 0.4, gen);
+  const CsrGraph g(GeneratePowerlawCluster(200, 3, 0.4, gen));
   for (std::uint64_t budget : {std::uint64_t{1}, std::uint64_t{10}}) {
     CrawlNoise noise;
     noise.api_budget = budget;
@@ -181,7 +181,7 @@ TEST(DegenerateOracleTest, SpentApiBudgetStopsEveryCrawler) {
 }
 
 TEST(DegenerateOracleTest, ForestFireRejectsDegeneratePf) {
-  const Graph g = GenerateCycle(10);
+  const CsrGraph g(GenerateCycle(10));
   Rng rng(1);
   QueryOracle oracle(g);
   EXPECT_THROW(ForestFireSample(oracle, 0, 5, 1.0, rng),
@@ -200,7 +200,7 @@ TEST(DegenerateOracleTest, ForestFireRejectsDegeneratePf) {
 }
 
 TEST(DegenerateOracleTest, FrontierRequiresSeeds) {
-  const Graph g = GenerateCycle(10);
+  const CsrGraph g(GenerateCycle(10));
   Rng rng(1);
   QueryOracle oracle(g);
   EXPECT_THROW(FrontierSample(oracle, {}, 5, rng), std::invalid_argument);

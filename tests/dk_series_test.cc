@@ -31,8 +31,8 @@ TEST_F(DkSeriesTest, ZeroKPreservesSizeOnly) {
   EXPECT_EQ(g.NumNodes(), original_->NumNodes());
   EXPECT_EQ(g.NumEdges(), original_->NumEdges());
   // Degree distribution is Poisson-like, far from the heavy tail.
-  EXPECT_GT(NormalizedL1(DegreeDistribution(*original_),
-                         DegreeDistribution(g)),
+  EXPECT_GT(NormalizedL1(DegreeDistribution(CsrGraph(*original_)),
+                         DegreeDistribution(CsrGraph(g))),
             0.4);
 }
 
@@ -56,13 +56,13 @@ TEST_F(DkSeriesTest, TwoKPreservesJointDegreeMatrix) {
 
 TEST_F(DkSeriesTest, LadderImprovesDegreeDistribution) {
   Rng rng(4);
-  const std::vector<double> truth = DegreeDistribution(*original_);
+  const std::vector<double> truth = DegreeDistribution(CsrGraph(*original_));
   const double e0 = NormalizedL1(
-      truth,
-      DegreeDistribution(GenerateDkGraph(*original_, DkOrder::k0, rng)));
+      truth, DegreeDistribution(
+                 CsrGraph(GenerateDkGraph(*original_, DkOrder::k0, rng))));
   const double e1 = NormalizedL1(
-      truth,
-      DegreeDistribution(GenerateDkGraph(*original_, DkOrder::k1, rng)));
+      truth, DegreeDistribution(
+                 CsrGraph(GenerateDkGraph(*original_, DkOrder::k1, rng))));
   EXPECT_LT(e1, e0);
   EXPECT_NEAR(e1, 0.0, 1e-12);  // 1K is exact on P(k)
 }
@@ -87,9 +87,11 @@ TEST_F(DkSeriesTest, TwoPointFiveKTracksGlobalProperties) {
   Rng rng(6);
   PropertyOptions options;
   options.max_path_sources = 200;
-  const GraphProperties truth = ComputeProperties(*original_, options);
+  const GraphProperties truth =
+      ComputeProperties(CsrGraph(*original_), options);
   const GraphProperties got = ComputeProperties(
-      GenerateDkGraph(*original_, DkOrder::k2_5, rng, 100.0), options);
+      CsrGraph(GenerateDkGraph(*original_, DkOrder::k2_5, rng, 100.0)),
+      options);
   EXPECT_NEAR(got.average_path_length, truth.average_path_length,
               0.25 * truth.average_path_length);
 }

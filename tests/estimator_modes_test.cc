@@ -8,7 +8,7 @@
 namespace sgr {
 namespace {
 
-SamplingList MakeWalk(const Graph& g, std::size_t budget,
+SamplingList MakeWalk(const CsrGraph& g, std::size_t budget,
                       std::uint64_t seed) {
   QueryOracle oracle(g);
   Rng rng(seed);
@@ -17,7 +17,7 @@ SamplingList MakeWalk(const Graph& g, std::size_t budget,
 
 TEST(EstimatorModesTest, HybridMatchesTeBelowThreshold) {
   Rng gen_rng(1);
-  const Graph g = GeneratePowerlawCluster(1000, 3, 0.4, gen_rng);
+  const CsrGraph g(GeneratePowerlawCluster(1000, 3, 0.4, gen_rng));
   const SamplingList walk = MakeWalk(g, 200, 2);
 
   EstimatorOptions hybrid;
@@ -39,7 +39,7 @@ TEST(EstimatorModesTest, HybridMatchesTeBelowThreshold) {
 
 TEST(EstimatorModesTest, HybridMatchesIeAboveThreshold) {
   Rng gen_rng(3);
-  const Graph g = GeneratePowerlawCluster(1000, 3, 0.4, gen_rng);
+  const CsrGraph g(GeneratePowerlawCluster(1000, 3, 0.4, gen_rng));
   const SamplingList walk = MakeWalk(g, 200, 4);
 
   EstimatorOptions hybrid;
@@ -62,7 +62,7 @@ TEST(EstimatorModesTest, HybridMatchesIeAboveThreshold) {
 TEST(EstimatorModesTest, ModesShareMarginalEstimates) {
   // n̂, k̂̄, P̂(k), ĉ̄(k) are independent of the joint-estimator mode.
   Rng gen_rng(5);
-  const Graph g = GeneratePowerlawCluster(800, 3, 0.4, gen_rng);
+  const CsrGraph g(GeneratePowerlawCluster(800, 3, 0.4, gen_rng));
   const SamplingList walk = MakeWalk(g, 150, 6);
   EstimatorOptions a;
   EstimatorOptions b;
@@ -80,7 +80,7 @@ TEST(EstimatorModesTest, RestorationOptionsPlumbEstimatorOptions) {
   // ~0.5 leaves almost no admissible pairs, driving n̂ to the fallback and
   // changing the generated size versus the default.
   Rng gen_rng(7);
-  const Graph g = GeneratePowerlawCluster(900, 3, 0.4, gen_rng);
+  const CsrGraph g(GeneratePowerlawCluster(900, 3, 0.4, gen_rng));
   const SamplingList walk = MakeWalk(g, 120, 8);
 
   RestorationOptions default_options;

@@ -12,7 +12,7 @@ namespace sgr {
 namespace {
 
 /// Walks `target` queried nodes on `g` and returns the estimates.
-LocalEstimates EstimateOn(const Graph& g, std::size_t target,
+LocalEstimates EstimateOn(const CsrGraph& g, std::size_t target,
                           std::uint64_t seed) {
   QueryOracle oracle(g);
   Rng rng(seed);
@@ -23,7 +23,7 @@ LocalEstimates EstimateOn(const Graph& g, std::size_t target,
 
 TEST(EstimatorsTest, AverageDegreeOnRegularGraphIsExact) {
   // On a k-regular graph 1/Φ̄ = k for every walk.
-  const Graph g = GenerateCycle(100);
+  const CsrGraph g(GenerateCycle(100));
   QueryOracle oracle(g);
   Rng rng(1);
   const SamplingList list = RandomWalkSample(oracle, 0, 20, rng);
@@ -32,7 +32,7 @@ TEST(EstimatorsTest, AverageDegreeOnRegularGraphIsExact) {
 
 TEST(EstimatorsTest, AverageDegreeConvergesOnHeavyTail) {
   Rng gen_rng(2);
-  const Graph g = GeneratePowerlawCluster(2000, 4, 0.3, gen_rng);
+  const CsrGraph g(GeneratePowerlawCluster(2000, 4, 0.3, gen_rng));
   const LocalEstimates est = EstimateOn(g, 600, 3);
   EXPECT_NEAR(est.average_degree, g.AverageDegree(),
               0.15 * g.AverageDegree());
@@ -40,7 +40,7 @@ TEST(EstimatorsTest, AverageDegreeConvergesOnHeavyTail) {
 
 TEST(EstimatorsTest, NumNodesConvergesWithLargeSample) {
   Rng gen_rng(4);
-  const Graph g = GeneratePowerlawCluster(1500, 4, 0.3, gen_rng);
+  const CsrGraph g(GeneratePowerlawCluster(1500, 4, 0.3, gen_rng));
   const LocalEstimates est = EstimateOn(g, 700, 5);
   EXPECT_NEAR(est.num_nodes, static_cast<double>(g.NumNodes()),
               0.30 * static_cast<double>(g.NumNodes()));
@@ -49,7 +49,7 @@ TEST(EstimatorsTest, NumNodesConvergesWithLargeSample) {
 TEST(EstimatorsTest, NumNodesFallbackWhenNoCollision) {
   // A 3-step walk on a huge cycle has no lag-M collision; the estimator
   // must fall back to the number of distinct seen nodes.
-  const Graph g = GenerateCycle(1000);
+  const CsrGraph g(GenerateCycle(1000));
   SamplingList list;
   list.is_walk = true;
   list.visit_sequence = {0, 1, 2};
@@ -62,7 +62,7 @@ TEST(EstimatorsTest, NumNodesFallbackWhenNoCollision) {
 
 TEST(EstimatorsTest, DegreeDistributionSumsToOne) {
   Rng gen_rng(6);
-  const Graph g = GeneratePowerlawCluster(1000, 3, 0.4, gen_rng);
+  const CsrGraph g(GeneratePowerlawCluster(1000, 3, 0.4, gen_rng));
   const LocalEstimates est = EstimateOn(g, 300, 7);
   double total = 0.0;
   for (double p : est.degree_dist) total += p;
@@ -70,7 +70,7 @@ TEST(EstimatorsTest, DegreeDistributionSumsToOne) {
 }
 
 TEST(EstimatorsTest, DegreeDistributionUnbiasedOnRegularGraph) {
-  const Graph g = GenerateCycle(50);
+  const CsrGraph g(GenerateCycle(50));
   const LocalEstimates est = EstimateOn(g, 25, 8);
   ASSERT_GE(est.degree_dist.size(), 3u);
   EXPECT_DOUBLE_EQ(est.degree_dist[2], 1.0);
@@ -78,7 +78,7 @@ TEST(EstimatorsTest, DegreeDistributionUnbiasedOnRegularGraph) {
 
 TEST(EstimatorsTest, DegreeDistributionCloseOnHeavyTail) {
   Rng gen_rng(9);
-  const Graph g = GeneratePowerlawCluster(2000, 4, 0.3, gen_rng);
+  const CsrGraph g(GeneratePowerlawCluster(2000, 4, 0.3, gen_rng));
   const LocalEstimates est = EstimateOn(g, 800, 10);
   // Compare the mass at the minimum degree (the largest class).
   std::vector<std::size_t> count(g.MaxDegree() + 1, 0);
@@ -91,7 +91,7 @@ TEST(EstimatorsTest, DegreeDistributionCloseOnHeavyTail) {
 
 TEST(EstimatorsTest, JointDistributionIsSymmetric) {
   Rng gen_rng(11);
-  const Graph g = GeneratePowerlawCluster(800, 3, 0.5, gen_rng);
+  const CsrGraph g(GeneratePowerlawCluster(800, 3, 0.5, gen_rng));
   const LocalEstimates est = EstimateOn(g, 250, 12);
   for (const auto& [key, p] : est.joint_dist.values()) {
     const auto k = static_cast<std::uint32_t>(key >> 32);
@@ -102,7 +102,7 @@ TEST(EstimatorsTest, JointDistributionIsSymmetric) {
 
 TEST(EstimatorsTest, JointDistributionMassIsReasonable) {
   Rng gen_rng(13);
-  const Graph g = GeneratePowerlawCluster(1500, 4, 0.3, gen_rng);
+  const CsrGraph g(GeneratePowerlawCluster(1500, 4, 0.3, gen_rng));
   const LocalEstimates est = EstimateOn(g, 700, 14);
   // The hybrid estimator is unbiased (Appendix A); the full ordered mass
   // Σ_k Σ_k' P̂(k,k') should be near 1.
@@ -113,7 +113,7 @@ TEST(EstimatorsTest, JointDistributionExactOnCompleteGraph) {
   // K_6: all nodes have degree 5, all edges join (5,5); all mass sits on
   // (5,5). A long walk is needed because the hybrid picks the (noisier)
   // induced-edge estimator for this high-degree pair.
-  const Graph g = GenerateComplete(6);
+  const CsrGraph g(GenerateComplete(6));
   QueryOracle oracle(g);
   Rng rng(15);
   const SamplingList list =
@@ -124,7 +124,7 @@ TEST(EstimatorsTest, JointDistributionExactOnCompleteGraph) {
 }
 
 TEST(EstimatorsTest, ClusteringZeroOnTriangleFree) {
-  const Graph g = GenerateCycle(60);
+  const CsrGraph g(GenerateCycle(60));
   const LocalEstimates est = EstimateOn(g, 30, 16);
   for (double c : est.clustering) EXPECT_DOUBLE_EQ(c, 0.0);
 }
@@ -133,7 +133,7 @@ TEST(EstimatorsTest, ClusteringOneOnCompleteGraph) {
   // ĉ̄(k) is unbiased, not exact: on K_7 the interior term A_{prev,next}
   // is 0 exactly when the walk backtracks (probability 1/6 per step), and
   // the (k-1) normalizer assumes that rate. A long walk converges to 1.
-  const Graph g = GenerateComplete(7);
+  const CsrGraph g(GenerateComplete(7));
   QueryOracle oracle(g);
   Rng rng(17);
   const SamplingList list =
@@ -146,7 +146,7 @@ TEST(EstimatorsTest, ClusteringOneOnCompleteGraph) {
 
 TEST(EstimatorsTest, ClusteringTracksHolmeKimLevel) {
   Rng gen_rng(18);
-  const Graph g = GeneratePowerlawCluster(2000, 4, 0.6, gen_rng);
+  const CsrGraph g(GeneratePowerlawCluster(2000, 4, 0.6, gen_rng));
   const LocalEstimates est = EstimateOn(g, 800, 19);
   // ĉ̄(4) should be positive and within a loose band of the true c̄(4).
   std::vector<double> sums(g.MaxDegree() + 1, 0.0);
@@ -154,7 +154,7 @@ TEST(EstimatorsTest, ClusteringTracksHolmeKimLevel) {
   // True c̄(4) via wedge checks.
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
     if (g.Degree(v) != 4) continue;
-    const auto& nbrs = g.adjacency(v);
+    const NeighborSpan nbrs = g.neighbors(v);
     std::size_t closed = 0;
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
       for (std::size_t j = i + 1; j < nbrs.size(); ++j) {
@@ -172,7 +172,7 @@ TEST(EstimatorsTest, ClusteringTracksHolmeKimLevel) {
 
 TEST(EstimatorsTest, MaxDegreeWithMassMatchesWalk) {
   Rng gen_rng(20);
-  const Graph g = GeneratePowerlawCluster(500, 3, 0.3, gen_rng);
+  const CsrGraph g(GeneratePowerlawCluster(500, 3, 0.3, gen_rng));
   QueryOracle oracle(g);
   Rng rng(21);
   const SamplingList list = RandomWalkSample(oracle, 0, 100, rng);
@@ -205,7 +205,7 @@ TEST(EstimatorsTest, GlobalClusteringWeightsByDegreeDistribution) {
 }
 
 TEST(EstimatorsTest, GlobalClusteringNearOneOnCompleteGraph) {
-  const Graph g = GenerateComplete(7);
+  const CsrGraph g(GenerateComplete(7));
   QueryOracle oracle(g);
   Rng rng(23);
   const SamplingList list =
@@ -318,7 +318,7 @@ TEST(EstimatorsEdgeCaseTest, ThreeStepWalkUsesTheRealEstimators) {
 
 TEST(EstimatorsTest, EstimatesImproveWithWalkLength) {
   Rng gen_rng(22);
-  const Graph g = GeneratePowerlawCluster(2000, 4, 0.3, gen_rng);
+  const CsrGraph g(GeneratePowerlawCluster(2000, 4, 0.3, gen_rng));
   double short_err = 0.0;
   double long_err = 0.0;
   const double n = static_cast<double>(g.NumNodes());

@@ -12,7 +12,7 @@
 namespace sgr {
 namespace {
 
-SamplingList Walk(const Graph& g, std::size_t budget, std::uint64_t seed) {
+SamplingList Walk(const CsrGraph& g, std::size_t budget, std::uint64_t seed) {
   QueryOracle oracle(g);
   Rng rng(seed);
   return RandomWalkSample(
@@ -31,7 +31,7 @@ class GjokaInvariantsTest : public ::testing::TestWithParam<std::uint64_t> {
 
 TEST_P(GjokaInvariantsTest, OutputRealizesConsistentTargets) {
   Rng gen_rng(GetParam());
-  const Graph g = GenerateSocialGraph(800, 4, 0.4, 0.4, gen_rng);
+  const CsrGraph g(GenerateSocialGraph(800, 4, 0.4, 0.4, gen_rng));
   const SamplingList walk = Walk(g, 80, GetParam() + 77);
   Rng rng(GetParam());
   const RestorationResult r = RestoreGjoka(walk, FastOptions(), rng);
@@ -58,26 +58,26 @@ TEST(RegimeTest, SubgraphSamplingWinsAtHugeBudgets) {
   // whole graph. Check that the subgraph's average L1 becomes small in
   // that regime.
   Rng gen_rng(11);
-  const Graph g = GenerateSocialGraph(800, 4, 0.4, 0.4, gen_rng);
+  const CsrGraph g(GenerateSocialGraph(800, 4, 0.4, 0.4, gen_rng));
   const GraphProperties truth = ComputeProperties(g);
 
   const SamplingList big_walk = Walk(g, 640, 12);  // 80% queried
   const RestorationResult sub = RestoreBySubgraphSampling(big_walk);
   const double l1 = AverageDistance(
-      PropertyDistances(truth, ComputeProperties(sub.graph)));
+      PropertyDistances(truth, ComputeProperties(CsrGraph(sub.graph))));
   EXPECT_LT(l1, 0.12);
 }
 
 TEST(RegimeTest, SubgraphErrorShrinksWithBudget) {
   Rng gen_rng(13);
-  const Graph g = GenerateSocialGraph(800, 4, 0.4, 0.4, gen_rng);
+  const CsrGraph g(GenerateSocialGraph(800, 4, 0.4, 0.4, gen_rng));
   const GraphProperties truth = ComputeProperties(g);
   double previous = 1e9;
   for (const std::size_t budget : {40u, 160u, 640u}) {
     const RestorationResult sub =
         RestoreBySubgraphSampling(Walk(g, budget, 14));
     const double l1 = AverageDistance(
-        PropertyDistances(truth, ComputeProperties(sub.graph)));
+        PropertyDistances(truth, ComputeProperties(CsrGraph(sub.graph))));
     EXPECT_LT(l1, previous) << "budget " << budget;
     previous = l1;
   }
@@ -87,7 +87,7 @@ TEST(BoundaryTest, TinyWalkStillRestores) {
   // Minimal viable sample: a handful of queried nodes. The pipeline must
   // not crash and must produce a connected-ish usable graph.
   Rng gen_rng(15);
-  const Graph g = GenerateSocialGraph(500, 4, 0.4, 0.4, gen_rng);
+  const CsrGraph g(GenerateSocialGraph(500, 4, 0.4, 0.4, gen_rng));
   const SamplingList walk = Walk(g, 5, 16);
   Rng rng(17);
   const RestorationResult r = RestoreProposed(walk, FastOptions(), rng);
@@ -98,7 +98,7 @@ TEST(BoundaryTest, TinyWalkStillRestores) {
 TEST(BoundaryTest, WalkOnTinyGraphs) {
   // Smallest supported structures.
   for (std::size_t n : {3u, 4u, 5u}) {
-    const Graph g = GenerateComplete(n);
+    const CsrGraph g(GenerateComplete(n));
     QueryOracle oracle(g);
     Rng rng(n);
     const SamplingList walk = RandomWalkSample(oracle, 0, n, rng);
@@ -112,7 +112,7 @@ TEST(BoundaryTest, WalkOnTinyGraphs) {
 TEST(BoundaryTest, ProposedOnStarGraph) {
   // Extreme disassortativity: one hub, all leaves. Queried leaves pin the
   // hub's visible degree; the pipeline must respect Lemma 1 throughout.
-  const Graph g = GenerateStar(60);
+  const CsrGraph g(GenerateStar(60));
   QueryOracle oracle(g);
   Rng rng(18);
   const SamplingList walk = RandomWalkSample(oracle, 1, 12, rng);

@@ -41,10 +41,10 @@ class RestorationInvariantsTest
 TEST_P(RestorationInvariantsTest, FullInvariantSuite) {
   const auto [family, n, fraction, seed] = GetParam();
   Rng gen_rng(seed * 1313 + family);
-  Graph original = MakeGraph(family, n, gen_rng);
   // Community graphs may be disconnected in rare seeds; walk inside the
   // LCC to satisfy the access model's connectivity assumption.
-  original = LargestConnectedComponent(original);
+  const CsrGraph original(
+      LargestConnectedComponent(MakeGraph(family, n, gen_rng)));
 
   QueryOracle oracle(original);
   Rng rng(seed);
@@ -118,7 +118,7 @@ class EstimatorConsistencyTest
 
 TEST_P(EstimatorConsistencyTest, NearFullWalkRecoversLocalProperties) {
   Rng gen_rng(GetParam());
-  const Graph g = GeneratePowerlawCluster(400, 3, 0.5, gen_rng);
+  const CsrGraph g(GeneratePowerlawCluster(400, 3, 0.5, gen_rng));
   QueryOracle oracle(g);
   Rng rng(GetParam() + 31);
   // Query 95% of nodes: estimates should be close to exact.

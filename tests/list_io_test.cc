@@ -12,7 +12,7 @@ namespace {
 
 TEST(ListIoTest, RoundTripPreservesEverything) {
   Rng gen_rng(1);
-  const Graph g = GeneratePowerlawCluster(300, 3, 0.4, gen_rng);
+  const CsrGraph g(GeneratePowerlawCluster(300, 3, 0.4, gen_rng));
   QueryOracle oracle(g);
   Rng rng(2);
   const SamplingList list = RandomWalkSample(oracle, 0, 40, rng);

@@ -11,7 +11,7 @@ namespace sgr {
 namespace {
 
 struct Sampled {
-  Graph original;
+  CsrGraph original;
   SamplingList walk;
 };
 
@@ -19,7 +19,7 @@ Sampled MakeSample(std::uint64_t seed, std::size_t n = 600,
                    std::size_t budget = 60) {
   Sampled s;
   Rng gen_rng(seed);
-  s.original = GeneratePowerlawCluster(n, 3, 0.4, gen_rng);
+  s.original = CsrGraph(GeneratePowerlawCluster(n, 3, 0.4, gen_rng));
   QueryOracle oracle(s.original);
   Rng rng(seed + 999);
   s.walk = RandomWalkSample(oracle, 0, budget, rng);

@@ -15,7 +15,7 @@ namespace {
 
 TEST(MetropolisHastingsTest, ReachesBudget) {
   Rng gen_rng(1);
-  const Graph g = GeneratePowerlawCluster(500, 3, 0.4, gen_rng);
+  const CsrGraph g(GeneratePowerlawCluster(500, 3, 0.4, gen_rng));
   QueryOracle oracle(g);
   Rng rng(2);
   const SamplingList list =
@@ -26,7 +26,7 @@ TEST(MetropolisHastingsTest, ReachesBudget) {
 
 TEST(MetropolisHastingsTest, TrajectoryMovesOnlyAlongEdgesOrStays) {
   Rng gen_rng(3);
-  const Graph g = GeneratePowerlawCluster(400, 3, 0.4, gen_rng);
+  const CsrGraph g(GeneratePowerlawCluster(400, 3, 0.4, gen_rng));
   QueryOracle oracle(g);
   Rng rng(4);
   const SamplingList list =
@@ -42,7 +42,7 @@ TEST(MetropolisHastingsTest, StationaryDistributionIsUniform) {
   // On a strongly inhomogeneous graph (a star), an MH walk visits the hub
   // and each leaf equally often, while a simple walk spends half its time
   // on the hub. Compare visit shares on a long trajectory.
-  const Graph g = GenerateStar(11);  // hub 0, 10 leaves
+  const CsrGraph g(GenerateStar(11));  // hub 0, 10 leaves
   QueryOracle oracle(g);
   Rng rng(5);
   const SamplingList list = MetropolisHastingsWalkSample(
@@ -60,7 +60,7 @@ TEST(MetropolisHastingsTest, PlainMeanDegreeIsUnbiased) {
   // Under the uniform stationary distribution, the plain average of
   // visited degrees estimates the true average degree (no re-weighting).
   Rng gen_rng(6);
-  const Graph g = GeneratePowerlawCluster(1000, 4, 0.3, gen_rng);
+  const CsrGraph g(GeneratePowerlawCluster(1000, 4, 0.3, gen_rng));
   QueryOracle oracle(g);
   Rng rng(7);
   const SamplingList list = MetropolisHastingsWalkSample(
@@ -76,7 +76,7 @@ TEST(MetropolisHastingsTest, PlainMeanDegreeIsUnbiased) {
 
 TEST(FrontierTest, ReachesBudgetWithMultipleWalkers) {
   Rng gen_rng(8);
-  const Graph g = GeneratePowerlawCluster(600, 3, 0.4, gen_rng);
+  const CsrGraph g(GeneratePowerlawCluster(600, 3, 0.4, gen_rng));
   QueryOracle oracle(g);
   Rng rng(9);
   std::vector<NodeId> seeds = {0, 10, 20, 30, 40};
@@ -94,7 +94,8 @@ TEST(FrontierTest, WorksAcrossDisconnectedComponents) {
   for (NodeId v = 10; v < 20; ++v) {
     g.AddEdge(v, static_cast<NodeId>(10 + (v + 1 - 10) % 10));
   }
-  QueryOracle oracle(g);
+  const CsrGraph csr(g);
+  QueryOracle oracle(csr);
   Rng rng(10);
   const SamplingList list = FrontierSample(oracle, {0, 10}, 20, rng, 4000);
   bool low = false;
@@ -112,7 +113,7 @@ TEST(FrontierTest, AverageDegreeEstimatorApplies) {
   // Frontier sampling preserves the edge-sampling law, so the re-weighted
   // average-degree estimator stays consistent.
   Rng gen_rng(11);
-  const Graph g = GeneratePowerlawCluster(1200, 4, 0.3, gen_rng);
+  const CsrGraph g(GeneratePowerlawCluster(1200, 4, 0.3, gen_rng));
   QueryOracle oracle(g);
   Rng rng(12);
   std::vector<NodeId> seeds;
@@ -126,7 +127,7 @@ TEST(FrontierTest, AverageDegreeEstimatorApplies) {
 
 TEST(FrontierTest, SubgraphConstructionWorksOnFrontierSamples) {
   Rng gen_rng(13);
-  const Graph g = GeneratePowerlawCluster(500, 3, 0.4, gen_rng);
+  const CsrGraph g(GeneratePowerlawCluster(500, 3, 0.4, gen_rng));
   QueryOracle oracle(g);
   Rng rng(14);
   const SamplingList list = FrontierSample(oracle, {1, 2, 3}, 60, rng);

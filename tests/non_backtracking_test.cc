@@ -11,7 +11,7 @@ namespace {
 
 TEST(NonBacktrackingTest, NeverBacktracksOnDegreeTwoPlus) {
   Rng gen_rng(1);
-  const Graph g = GeneratePowerlawCluster(400, 3, 0.4, gen_rng);
+  const CsrGraph g(GeneratePowerlawCluster(400, 3, 0.4, gen_rng));
   // Minimum degree 3: no backtracking should ever occur.
   QueryOracle oracle(g);
   Rng rng(2);
@@ -26,7 +26,7 @@ TEST(NonBacktrackingTest, NeverBacktracksOnDegreeTwoPlus) {
 TEST(NonBacktrackingTest, BacktracksOnlyAtLeaves) {
   // On a path, interior nodes force forward motion; the walk must sweep
   // to an end before turning around.
-  const Graph g = GeneratePath(10);
+  const CsrGraph g(GeneratePath(10));
   QueryOracle oracle(g);
   Rng rng(3);
   const SamplingList list =
@@ -42,7 +42,7 @@ TEST(NonBacktrackingTest, BacktracksOnlyAtLeaves) {
 
 TEST(NonBacktrackingTest, ReachesBudget) {
   Rng gen_rng(4);
-  const Graph g = GeneratePowerlawCluster(500, 3, 0.4, gen_rng);
+  const CsrGraph g(GeneratePowerlawCluster(500, 3, 0.4, gen_rng));
   QueryOracle oracle(g);
   Rng rng(5);
   const SamplingList list =
@@ -55,7 +55,7 @@ TEST(NonBacktrackingTest, CoversFasterThanSimpleWalk) {
   // Query efficiency is NBRW's selling point: to query the same number of
   // distinct nodes it needs (on average) fewer steps than the simple walk.
   Rng gen_rng(6);
-  const Graph g = GeneratePowerlawCluster(1000, 3, 0.4, gen_rng);
+  const CsrGraph g(GeneratePowerlawCluster(1000, 3, 0.4, gen_rng));
   double srw_steps = 0.0;
   double nbrw_steps = 0.0;
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
@@ -79,7 +79,7 @@ TEST(NonBacktrackingTest, DegreeEstimatorStillUnbiased) {
   // The node-level stationary distribution of NBRW is still
   // degree-proportional, so k̂̄ converges to the true average degree.
   Rng gen_rng(7);
-  const Graph g = GeneratePowerlawCluster(1500, 4, 0.3, gen_rng);
+  const CsrGraph g(GeneratePowerlawCluster(1500, 4, 0.3, gen_rng));
   QueryOracle oracle(g);
   Rng rng(8);
   const SamplingList list =
@@ -92,7 +92,7 @@ TEST(NonBacktrackingTest, CorrectedClusteringEstimatorConverges) {
   // With the NBRW normalizer (divide by k instead of k-1) the clustering
   // estimate converges to the truth; on K_7 that is exactly 1, while the
   // uncorrected SRW normalizer would report (k-1)/k * ... a biased value.
-  const Graph g = GenerateComplete(7);
+  const CsrGraph g(GenerateComplete(7));
   QueryOracle oracle(g);
   Rng rng(9);
   const SamplingList list = NonBacktrackingWalkSample(

@@ -64,7 +64,7 @@ struct PipelineInputs {
 
 PipelineInputs BuildInputs(std::uint64_t seed) {
   Rng rng(seed);
-  const Graph original = GeneratePowerlawCluster(600, 3, 0.4, rng);
+  const CsrGraph original(GeneratePowerlawCluster(600, 3, 0.4, rng));
   QueryOracle oracle(original);
   const SamplingList walk = RandomWalkSample(
       oracle, static_cast<NodeId>(rng.NextIndex(original.NumNodes())),
@@ -194,7 +194,7 @@ TEST(ParallelAssemblyTest, FullProposedPipelineByteIdenticalAcrossThreads) {
   // and every deterministic stat must be bit-identical no matter how many
   // restorations run at once.
   Rng gen_rng(51);
-  const Graph original = GeneratePowerlawCluster(500, 3, 0.4, gen_rng);
+  const CsrGraph original(GeneratePowerlawCluster(500, 3, 0.4, gen_rng));
   QueryOracle oracle(original);
   Rng walk_rng(52);
   const SamplingList walk = RandomWalkSample(

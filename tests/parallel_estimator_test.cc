@@ -20,7 +20,7 @@ namespace {
 /// the bit-identity assertions exercise.
 SamplingList MultiChunkWalk() {
   Rng rng(7);
-  const Graph g = GeneratePowerlawCluster(4000, 3, 0.4, rng);
+  const CsrGraph g(GeneratePowerlawCluster(4000, 3, 0.4, rng));
   QueryOracle oracle(g);
   return RandomWalkSample(
       oracle, static_cast<NodeId>(rng.NextIndex(g.NumNodes())),
@@ -140,7 +140,7 @@ TEST(ParallelEstimatorTest, FullProposedPipelineBitIdenticalAcrossThreads) {
   // The restored graph is a deterministic function of (sample, seed), no
   // matter how many restorations run at once.
   Rng gen_rng(61);
-  const Graph original = GeneratePowerlawCluster(500, 3, 0.4, gen_rng);
+  const CsrGraph original(GeneratePowerlawCluster(500, 3, 0.4, gen_rng));
   QueryOracle oracle(original);
   Rng walk_rng(62);
   const SamplingList walk = RandomWalkSample(

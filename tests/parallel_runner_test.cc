@@ -107,7 +107,7 @@ class ParallelRunnerTest : public ::testing::Test {
  protected:
   ParallelRunnerTest() {
     Rng rng(11);
-    original_ = GenerateSocialGraph(400, 3, 0.4, 0.3, rng);
+    original_ = CsrGraph(GenerateSocialGraph(400, 3, 0.4, 0.3, rng));
     config_.query_fraction = 0.1;
     config_.restoration.rewire.rewiring_coefficient = 10.0;
     config_.property_options.max_path_sources = 40;
@@ -115,7 +115,7 @@ class ParallelRunnerTest : public ::testing::Test {
     properties_ = ComputeProperties(original_, config_.property_options);
   }
 
-  Graph original_;
+  CsrGraph original_;
   ExperimentConfig config_;
   GraphProperties properties_;
 };
@@ -138,23 +138,14 @@ void ExpectSameResults(const std::vector<MethodRunResult>& a,
 }
 
 TEST_F(ParallelRunnerTest, SnapshotOracleIsReproducible) {
-  // The snapshot sorts neighbor lists, so a walk's index-based neighbor
-  // picks can differ from the Graph overload's trajectory (same
-  // distribution, different sample). What must hold: the snapshot path is
-  // exactly reproducible, runs the same method set, and produces finite
+  // A trial is exactly reproducible from its seed and produces finite
   // distances.
-  const CsrGraph snapshot(original_);
   const auto first =
-      RunExperiment(snapshot, properties_, config_, /*run_seed=*/123);
-  const auto second =
-      RunExperiment(snapshot, properties_, config_, /*run_seed=*/123);
-  ExpectSameResults(first, second);
-
-  const auto from_graph =
       RunExperiment(original_, properties_, config_, /*run_seed=*/123);
-  ASSERT_EQ(from_graph.size(), first.size());
+  const auto second =
+      RunExperiment(original_, properties_, config_, /*run_seed=*/123);
+  ExpectSameResults(first, second);
   for (std::size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(from_graph[i].kind, first[i].kind);
     for (std::size_t p = 0; p < kNumProperties; ++p) {
       EXPECT_TRUE(std::isfinite(first[i].distances[p]));
     }
@@ -181,15 +172,13 @@ TEST_F(ParallelRunnerTest, TrialsDeterministicAcrossThreadCounts) {
 }
 
 TEST_F(ParallelRunnerTest, TrialsMatchSequentialRunExperimentCalls) {
-  // RunExperiments(seed_base, i) must equal RunExperiment(snapshot,
-  // seed_base + i): the parallel engine adds concurrency, not a new
-  // seeding scheme.
+  // RunExperiments(seed_base, i) must equal RunExperiment(seed_base + i):
+  // the parallel engine adds concurrency, not a new seeding scheme.
   const auto trials = RunExperiments(original_, properties_, config_,
                                      /*seed_base=*/77, 3, /*threads=*/2);
-  const CsrGraph snapshot(original_);
   for (std::size_t t = 0; t < trials.size(); ++t) {
     const auto expected =
-        RunExperiment(snapshot, properties_, config_, 77 + t);
+        RunExperiment(original_, properties_, config_, 77 + t);
     ExpectSameResults(expected, trials[t]);
   }
 }

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +17,12 @@
 
 namespace sgr {
 namespace {
+
+// Like QueryOracle, the perturbed oracle cannot be built from a temporary.
+static_assert(std::is_constructible_v<PerturbedOracle, const CsrGraph&,
+                                      const CrawlNoise&, std::uint64_t>);
+static_assert(!std::is_constructible_v<PerturbedOracle, CsrGraph,
+                                       const CrawlNoise&, std::uint64_t>);
 
 Graph TestGraph() {
   Rng rng(42);
@@ -27,7 +34,7 @@ std::vector<NodeId> Snapshot(NeighborSpan span) {
 }
 
 TEST(PerturbedOracleTest, InactiveNoiseMatchesCooperativeOracle) {
-  const Graph g = TestGraph();
+  const CsrGraph g(TestGraph());
   QueryOracle base(g);
   PerturbedOracle perturbed(g, CrawlNoise{}, 1234);
   for (NodeId v = 0; v < 50; ++v) {
@@ -42,7 +49,7 @@ TEST(PerturbedOracleTest, InactiveNoiseMatchesCooperativeOracle) {
 }
 
 TEST(PerturbedOracleTest, FailureIsPersistentPerNode) {
-  const Graph g = TestGraph();
+  const CsrGraph g(TestGraph());
   CrawlNoise noise;
   noise.failure = 0.5;
   PerturbedOracle oracle(g, noise, 99);
@@ -64,7 +71,7 @@ TEST(PerturbedOracleTest, FailureIsPersistentPerNode) {
 }
 
 TEST(PerturbedOracleTest, NoiseFailsNodePredictsTheOracle) {
-  const Graph g = TestGraph();
+  const CsrGraph g(TestGraph());
   CrawlNoise noise;
   noise.failure = 0.4;
   const std::uint64_t seed = 777;
@@ -76,14 +83,14 @@ TEST(PerturbedOracleTest, NoiseFailsNodePredictsTheOracle) {
 }
 
 TEST(PerturbedOracleTest, HiddenEdgesAgreeAcrossEndpoints) {
-  const Graph g = TestGraph();
+  const CsrGraph g(TestGraph());
   CrawlNoise noise;
   noise.hidden_edges = 0.5;
   PerturbedOracle oracle(g, noise, 2024);
   std::size_t visible = 0, hidden = 0;
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
     const std::vector<NodeId> nbrs = Snapshot(oracle.Query(v));
-    for (NodeId w : g.adjacency(v)) {
+    for (NodeId w : g.neighbors(v)) {
       const bool sees =
           std::find(nbrs.begin(), nbrs.end(), w) != nbrs.end();
       // The reverse direction must agree: the edge hashes on its
@@ -102,7 +109,7 @@ TEST(PerturbedOracleTest, HiddenEdgesAgreeAcrossEndpoints) {
 }
 
 TEST(PerturbedOracleTest, HiddenEdgesAreIndependentOfQueryOrder) {
-  const Graph g = TestGraph();
+  const CsrGraph g(TestGraph());
   CrawlNoise noise;
   noise.hidden_edges = 0.3;
   PerturbedOracle forward(g, noise, 5);
@@ -118,7 +125,7 @@ TEST(PerturbedOracleTest, HiddenEdgesAreIndependentOfQueryOrder) {
 }
 
 TEST(PerturbedOracleTest, ChurnIsDeterministicInTheCallSequence) {
-  const Graph g = TestGraph();
+  const CsrGraph g(TestGraph());
   CrawlNoise noise;
   noise.churn = 0.3;
   PerturbedOracle a(g, noise, 11);
@@ -141,7 +148,7 @@ TEST(PerturbedOracleTest, ChurnIsDeterministicInTheCallSequence) {
 }
 
 TEST(PerturbedOracleTest, ApiBudgetExhaustionAnswersEmpty) {
-  const Graph g = TestGraph();
+  const CsrGraph g(TestGraph());
   CrawlNoise noise;
   noise.api_budget = 10;
   PerturbedOracle oracle(g, noise, 3);
@@ -157,7 +164,7 @@ TEST(PerturbedOracleTest, ApiBudgetExhaustionAnswersEmpty) {
 }
 
 TEST(PerturbedOracleTest, SpanSurvivesOneSubsequentQuery) {
-  const Graph g = TestGraph();
+  const CsrGraph g(TestGraph());
   CrawlNoise noise;
   noise.hidden_edges = 0.2;  // force the scratch-backed filter path
   PerturbedOracle oracle(g, noise, 8);
@@ -171,7 +178,7 @@ TEST(PerturbedOracleTest, SpanSurvivesOneSubsequentQuery) {
 }
 
 TEST(PerturbedOracleTest, RejectsOutOfRangeKnobs) {
-  const Graph g = GenerateCycle(10);
+  const CsrGraph g(GenerateCycle(10));
   const auto expect_throws = [&](CrawlNoise noise) {
     EXPECT_THROW(PerturbedOracle(g, noise, 1), std::invalid_argument);
   };
@@ -194,21 +201,18 @@ TEST(PerturbedOracleTest, RejectsOutOfRangeKnobs) {
   EXPECT_TRUE(all_fail.Query(0).empty());
 }
 
-TEST(PerturbedOracleTest, CsrOverloadMatchesGraphOverload) {
-  const Graph g = TestGraph();
-  const CsrGraph csr(g);
+TEST(PerturbedOracleTest, CompressedSnapshotMatchesPlainSnapshot) {
+  const CsrGraph plain(TestGraph());
+  CsrGraph packed(TestGraph());
+  packed.Compress();
   CrawlNoise noise;
   noise.failure = 0.3;
   noise.hidden_edges = 0.3;
-  PerturbedOracle from_graph(g, noise, 21);
-  PerturbedOracle from_csr(csr, noise, 21);
+  PerturbedOracle from_plain(plain, noise, 21);
+  PerturbedOracle from_packed(packed, noise, 21);
   for (NodeId v = 0; v < 50; ++v) {
-    std::vector<NodeId> a = Snapshot(from_graph.Query(v));
-    std::vector<NodeId> b = Snapshot(from_csr.Query(v));
-    // CSR stores neighbors sorted; compare as sets.
-    std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
-    EXPECT_EQ(a, b) << "node " << v;
+    EXPECT_EQ(Snapshot(from_plain.Query(v)), Snapshot(from_packed.Query(v)))
+        << "node " << v;
   }
 }
 

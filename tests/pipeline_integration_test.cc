@@ -21,7 +21,7 @@ class PipelineTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     Rng gen_rng(0xFEED);
-    original_ = new Graph(GeneratePowerlawCluster(1200, 4, 0.5, gen_rng));
+    original_ = new CsrGraph(GeneratePowerlawCluster(1200, 4, 0.5, gen_rng));
     properties_ = new GraphProperties(ComputeProperties(*original_));
   }
   static void TearDownTestSuite() {
@@ -47,11 +47,11 @@ class PipelineTest : public ::testing::Test {
     return options;
   }
 
-  static Graph* original_;
+  static CsrGraph* original_;
   static GraphProperties* properties_;
 };
 
-Graph* PipelineTest::original_ = nullptr;
+CsrGraph* PipelineTest::original_ = nullptr;
 GraphProperties* PipelineTest::properties_ = nullptr;
 
 TEST_F(PipelineTest, ProposedPreservesTargetsExactly) {
@@ -83,24 +83,32 @@ TEST_F(PipelineTest, ProposedBeatsSubgraphSamplingOnAverageL1) {
         RestoreProposed(walk, Options(), rng);
     const RestorationResult subgraph = RestoreBySubgraphSampling(walk);
     proposed_total += AverageDistance(PropertyDistances(
-        *properties_, ComputeProperties(proposed.graph)));
+        *properties_, ComputeProperties(CsrGraph(proposed.graph))));
     subgraph_total += AverageDistance(PropertyDistances(
-        *properties_, ComputeProperties(subgraph.graph)));
+        *properties_, ComputeProperties(CsrGraph(subgraph.graph))));
   }
   EXPECT_LT(proposed_total, subgraph_total);
 }
 
 TEST_F(PipelineTest, ProposedEstimatesGlobalSizeBetterThanSubgraph) {
-  const SamplingList walk = Walk(7, 0.1);
-  Rng rng(8);
-  const RestorationResult proposed = RestoreProposed(walk, Options(), rng);
-  const RestorationResult subgraph = RestoreBySubgraphSampling(walk);
+  // The relative node-count error of the proposed method is below that of
+  // subgraph sampling on average. One walk can go either way, so the claim
+  // is checked on the mean over a fixed range of walk seeds.
+  constexpr std::uint64_t kSeeds = 10;
   const double n = static_cast<double>(original_->NumNodes());
-  const double err_proposed =
-      std::abs(static_cast<double>(proposed.graph.NumNodes()) - n) / n;
-  const double err_subgraph =
-      std::abs(static_cast<double>(subgraph.graph.NumNodes()) - n) / n;
-  EXPECT_LT(err_proposed, err_subgraph);
+  double err_proposed = 0.0;
+  double err_subgraph = 0.0;
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    const SamplingList walk = Walk(seed, 0.1);
+    Rng rng(seed + 1000);
+    const RestorationResult proposed = RestoreProposed(walk, Options(), rng);
+    const RestorationResult subgraph = RestoreBySubgraphSampling(walk);
+    err_proposed +=
+        std::abs(static_cast<double>(proposed.graph.NumNodes()) - n) / n;
+    err_subgraph +=
+        std::abs(static_cast<double>(subgraph.graph.NumNodes()) - n) / n;
+  }
+  EXPECT_LT(err_proposed / kSeeds, err_subgraph / kSeeds);
 }
 
 TEST_F(PipelineTest, GjokaAndProposedMatchNodeCounts) {
@@ -141,7 +149,7 @@ TEST_F(PipelineTest, ProposedReproducesClusteringShape) {
             r.rewire_stats.initial_distance);
   // And the global clustering of the generated graph is in the right
   // ballpark (within 50% relative error of the original).
-  const double c_gen = NetworkClusteringCoefficient(r.graph);
+  const double c_gen = NetworkClusteringCoefficient(CsrGraph(r.graph));
   EXPECT_NEAR(c_gen, properties_->clustering_global,
               0.5 * properties_->clustering_global);
 }

@@ -8,7 +8,7 @@ namespace {
 
 TEST(ParallelPropertiesTest, ThreadCountDoesNotChangeResults) {
   Rng rng(1);
-  const Graph g = GeneratePowerlawCluster(600, 3, 0.4, rng);
+  const CsrGraph g(GeneratePowerlawCluster(600, 3, 0.4, rng));
   PropertyOptions one;
   one.threads = 1;
   PropertyOptions many;
@@ -32,7 +32,7 @@ TEST(ParallelPropertiesTest, ThreadCountDoesNotChangeResults) {
 
 TEST(ParallelPropertiesTest, SampledSourcesIdenticalAcrossThreadCounts) {
   Rng rng(2);
-  const Graph g = GeneratePowerlawCluster(800, 3, 0.4, rng);
+  const CsrGraph g(GeneratePowerlawCluster(800, 3, 0.4, rng));
   PropertyOptions one;
   one.threads = 1;
   one.max_path_sources = 100;
@@ -51,7 +51,7 @@ TEST(ParallelPropertiesTest, DefaultOptionsMatchOneThreadBitForBit) {
   // the worker count, so the default must be one worker: a library caller
   // gets the same bits on every machine.
   Rng rng(3);
-  const Graph g = GeneratePowerlawCluster(600, 3, 0.4, rng);
+  const CsrGraph g(GeneratePowerlawCluster(600, 3, 0.4, rng));
   PropertyOptions one;
   one.threads = 1;
   PropertyOptions four;
@@ -69,7 +69,7 @@ TEST(ParallelPropertiesTest, DefaultOptionsMatchOneThreadBitForBit) {
 }
 
 TEST(ParallelPropertiesTest, MoreThreadsThanSources) {
-  const Graph g = GenerateCycle(6);
+  const CsrGraph g(GenerateCycle(6));
   PropertyOptions options;
   options.threads = 32;  // > n: must clamp, not crash
   const ShortestPathProperties sp = ComputeShortestPathProperties(g, options);

@@ -74,16 +74,17 @@ void ExpectMatchesFromScratch(const Graph& g,
                               const std::string& label) {
   const GraphProperties snapshot = tracker.Snapshot();
   ASSERT_EQ(g.NumNodes(), snapshot.num_nodes) << label;
-  ExpectVectorsNear(DegreeDistribution(g), snapshot.degree_dist, "P(k)",
+  const CsrGraph csr(g);
+  ExpectVectorsNear(DegreeDistribution(csr), snapshot.degree_dist, "P(k)",
                     label);
-  ExpectVectorsNear(NeighborConnectivity(g),
+  ExpectVectorsNear(NeighborConnectivity(csr),
                     snapshot.neighbor_connectivity, "knn(k)", label);
-  ASSERT_NEAR(NetworkClusteringCoefficient(g), snapshot.clustering_global,
+  ASSERT_NEAR(NetworkClusteringCoefficient(csr), snapshot.clustering_global,
               1e-12)
       << label;
   ExpectVectorsNear(ExtractDegreeDependentClustering(g),
                     snapshot.clustering_by_degree, "c(k)", label);
-  ExpectVectorsNear(EdgewiseSharedPartners(g), snapshot.esp_dist, "P(s)",
+  ExpectVectorsNear(EdgewiseSharedPartners(csr), snapshot.esp_dist, "P(s)",
                     label);
   const ComponentsResult components = ConnectedComponents(g);
   ASSERT_EQ(components.sizes.size(), tracker.NumComponents()) << label;

@@ -89,16 +89,16 @@ void ExpectMatchesFromScratch(const Graph& g,
   EXPECT_EQ(g.NumNodes(), snapshot.num_nodes);
   const CsrGraph csr(g);
   EXPECT_EQ(csr.AverageDegree(), snapshot.average_degree);
-  ExpectVectorsEqual(DegreeDistribution(g), snapshot.degree_dist, "P(k)");
-  ExpectVectorsEqual(NeighborConnectivity(g),
+  ExpectVectorsEqual(DegreeDistribution(csr), snapshot.degree_dist, "P(k)");
+  ExpectVectorsEqual(NeighborConnectivity(csr),
                      snapshot.neighbor_connectivity, "knn(k)");
-  EXPECT_NEAR(NetworkClusteringCoefficient(g), snapshot.clustering_global,
+  EXPECT_NEAR(NetworkClusteringCoefficient(csr), snapshot.clustering_global,
               1e-12);
   EXPECT_NEAR(snapshot.clustering_global, tracker.ClusteringGlobal(),
               1e-12);
   ExpectVectorsEqual(ExtractDegreeDependentClustering(g),
                      snapshot.clustering_by_degree, "c(k)");
-  ExpectVectorsEqual(EdgewiseSharedPartners(g), snapshot.esp_dist, "P(s)");
+  ExpectVectorsEqual(EdgewiseSharedPartners(csr), snapshot.esp_dist, "P(s)");
   const ComponentsResult components = ConnectedComponents(g);
   EXPECT_EQ(components.sizes.size(), tracker.NumComponents());
   EXPECT_EQ(components.sizes.empty()
@@ -173,7 +173,7 @@ TEST(PropertyTrackerTest, SnapshotMatchesComputePropertiesLocally) {
   const GraphProperties snapshot = tracker.Snapshot();
   PropertyOptions options;
   options.max_path_sources = 4;  // globals are not under test
-  const GraphProperties expected = ComputeProperties(g, options);
+  const GraphProperties expected = ComputeProperties(CsrGraph(g), options);
   EXPECT_EQ(expected.num_nodes, snapshot.num_nodes);
   EXPECT_EQ(expected.average_degree, snapshot.average_degree);
   ExpectVectorsEqual(expected.degree_dist, snapshot.degree_dist, "P(k)");
@@ -315,10 +315,12 @@ TEST(PropertyTrackerTest, MaterializeGraphReproducesTrackedMultigraph) {
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
     EXPECT_EQ(g.Degree(v), materialized.Degree(v)) << "node " << v;
   }
-  EXPECT_EQ(NetworkClusteringCoefficient(g),
-            NetworkClusteringCoefficient(materialized));
-  EXPECT_EQ(EdgewiseSharedPartners(g),
-            EdgewiseSharedPartners(materialized));
+  const CsrGraph csr(g);
+  const CsrGraph materialized_csr(materialized);
+  EXPECT_EQ(NetworkClusteringCoefficient(csr),
+            NetworkClusteringCoefficient(materialized_csr));
+  EXPECT_EQ(EdgewiseSharedPartners(csr),
+            EdgewiseSharedPartners(materialized_csr));
 }
 
 TEST(PropertyTrackerTest, ComponentsTrackMergeAndSplit) {

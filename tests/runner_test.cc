@@ -18,7 +18,7 @@ ExperimentConfig FastConfig() {
 
 TEST(RunnerTest, RunsAllSixMethods) {
   Rng rng(1);
-  const Graph g = GeneratePowerlawCluster(400, 3, 0.4, rng);
+  const CsrGraph g(GeneratePowerlawCluster(400, 3, 0.4, rng));
   const GraphProperties props = ComputeProperties(g);
   const auto results = RunExperiment(g, props, FastConfig(), 42);
   ASSERT_EQ(results.size(), 6u);
@@ -32,7 +32,7 @@ TEST(RunnerTest, RunsAllSixMethods) {
 
 TEST(RunnerTest, MethodSubsetIsRespected) {
   Rng rng(2);
-  const Graph g = GeneratePowerlawCluster(300, 3, 0.4, rng);
+  const CsrGraph g(GeneratePowerlawCluster(300, 3, 0.4, rng));
   const GraphProperties props = ComputeProperties(g);
   ExperimentConfig config = FastConfig();
   config.methods = {MethodKind::kRandomWalk, MethodKind::kProposed};
@@ -44,7 +44,7 @@ TEST(RunnerTest, MethodSubsetIsRespected) {
 
 TEST(RunnerTest, ReproducibleWithSameSeed) {
   Rng rng(3);
-  const Graph g = GeneratePowerlawCluster(300, 3, 0.4, rng);
+  const CsrGraph g(GeneratePowerlawCluster(300, 3, 0.4, rng));
   const GraphProperties props = ComputeProperties(g);
   ExperimentConfig config = FastConfig();
   config.methods = {MethodKind::kProposed};
@@ -59,7 +59,7 @@ TEST(RunnerTest, ReproducibleWithSameSeed) {
 
 TEST(RunnerTest, DifferentSeedsGiveDifferentSamples) {
   Rng rng(4);
-  const Graph g = GeneratePowerlawCluster(300, 3, 0.4, rng);
+  const CsrGraph g(GeneratePowerlawCluster(300, 3, 0.4, rng));
   const GraphProperties props = ComputeProperties(g);
   ExperimentConfig config = FastConfig();
   config.methods = {MethodKind::kRandomWalk};
@@ -74,7 +74,7 @@ TEST(RunnerTest, DifferentSeedsGiveDifferentSamples) {
 
 TEST(RunnerTest, BudgetFollowsQueryFraction) {
   Rng rng(5);
-  const Graph g = GeneratePowerlawCluster(500, 3, 0.4, rng);
+  const CsrGraph g(GeneratePowerlawCluster(500, 3, 0.4, rng));
   const GraphProperties props = ComputeProperties(g);
   ExperimentConfig config = FastConfig();
   config.query_fraction = 0.06;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <type_traits>
 #include <unordered_set>
 
 #include "graph/generators.h"
@@ -11,13 +12,19 @@
 namespace sgr {
 namespace {
 
+// The oracle keeps a pointer to its snapshot: it reads only a CsrGraph,
+// and one built from a temporary (which would dangle) does not compile.
+static_assert(std::is_constructible_v<QueryOracle, const CsrGraph&>);
+static_assert(!std::is_constructible_v<QueryOracle, CsrGraph>);
+static_assert(!std::is_constructible_v<QueryOracle, const Graph&>);
+
 Graph TestGraph() {
   Rng rng(100);
   return GeneratePowerlawCluster(500, 3, 0.4, rng);
 }
 
 TEST(QueryOracleTest, CountsUniqueQueries) {
-  const Graph g = GenerateCycle(5);
+  const CsrGraph g(GenerateCycle(5));
   QueryOracle oracle(g);
   oracle.Query(0);
   oracle.Query(0);
@@ -27,7 +34,7 @@ TEST(QueryOracleTest, CountsUniqueQueries) {
 }
 
 TEST(RandomWalkTest, ReachesQueryBudget) {
-  const Graph g = TestGraph();
+  const CsrGraph g(TestGraph());
   QueryOracle oracle(g);
   Rng rng(1);
   const SamplingList list = RandomWalkSample(oracle, 0, 50, rng);
@@ -37,7 +44,7 @@ TEST(RandomWalkTest, ReachesQueryBudget) {
 }
 
 TEST(RandomWalkTest, ConsecutiveStepsAreNeighbors) {
-  const Graph g = TestGraph();
+  const CsrGraph g(TestGraph());
   QueryOracle oracle(g);
   Rng rng(2);
   const SamplingList list = RandomWalkSample(oracle, 3, 40, rng);
@@ -49,7 +56,7 @@ TEST(RandomWalkTest, ConsecutiveStepsAreNeighbors) {
 }
 
 TEST(RandomWalkTest, NeighborListsMatchGraph) {
-  const Graph g = TestGraph();
+  const CsrGraph g(TestGraph());
   QueryOracle oracle(g);
   Rng rng(3);
   const SamplingList list = RandomWalkSample(oracle, 7, 30, rng);
@@ -59,7 +66,7 @@ TEST(RandomWalkTest, NeighborListsMatchGraph) {
 }
 
 TEST(RandomWalkTest, MaxStepsCapStopsEarly) {
-  const Graph g = GenerateCycle(10);
+  const CsrGraph g(GenerateCycle(10));
   QueryOracle oracle(g);
   Rng rng(4);
   const SamplingList list = RandomWalkSample(oracle, 0, 1000, rng, 25);
@@ -67,7 +74,7 @@ TEST(RandomWalkTest, MaxStepsCapStopsEarly) {
 }
 
 TEST(BfsTest, ExploresByLayers) {
-  const Graph g = GeneratePath(10);
+  const CsrGraph g(GeneratePath(10));
   QueryOracle oracle(g);
   const SamplingList list = BfsSample(oracle, 0, 4);
   ASSERT_EQ(list.NumQueried(), 4u);
@@ -77,7 +84,7 @@ TEST(BfsTest, ExploresByLayers) {
 }
 
 TEST(BfsTest, QueriesAreDistinct) {
-  const Graph g = TestGraph();
+  const CsrGraph g(TestGraph());
   QueryOracle oracle(g);
   const SamplingList list = BfsSample(oracle, 5, 100);
   std::unordered_set<NodeId> unique(list.visit_sequence.begin(),
@@ -87,14 +94,14 @@ TEST(BfsTest, QueriesAreDistinct) {
 }
 
 TEST(BfsTest, StopsWhenComponentExhausted) {
-  const Graph g = GenerateCycle(6);
+  const CsrGraph g(GenerateCycle(6));
   QueryOracle oracle(g);
   const SamplingList list = BfsSample(oracle, 0, 100);
   EXPECT_EQ(list.NumQueried(), 6u);
 }
 
 TEST(SnowballTest, RespectsBudget) {
-  const Graph g = TestGraph();
+  const CsrGraph g(TestGraph());
   QueryOracle oracle(g);
   Rng rng(5);
   const SamplingList list = SnowballSample(oracle, 0, 60, 50, rng);
@@ -105,7 +112,7 @@ TEST(SnowballTest, RespectsBudget) {
 TEST(SnowballTest, NeighborCapLimitsFanout) {
   // On a star, snowball with cap 2 from the hub can still revive through
   // discovered leaves, but each queried node records its true neighbors.
-  const Graph g = GenerateStar(20);
+  const CsrGraph g(GenerateStar(20));
   QueryOracle oracle(g);
   Rng rng(6);
   const SamplingList list = SnowballSample(oracle, 0, 3, 2, rng);
@@ -114,7 +121,7 @@ TEST(SnowballTest, NeighborCapLimitsFanout) {
 }
 
 TEST(SnowballTest, ExhaustsSmallGraph) {
-  const Graph g = GenerateComplete(8);
+  const CsrGraph g(GenerateComplete(8));
   QueryOracle oracle(g);
   Rng rng(7);
   const SamplingList list = SnowballSample(oracle, 0, 100, 3, rng);
@@ -122,7 +129,7 @@ TEST(SnowballTest, ExhaustsSmallGraph) {
 }
 
 TEST(ForestFireTest, RespectsBudget) {
-  const Graph g = TestGraph();
+  const CsrGraph g(TestGraph());
   QueryOracle oracle(g);
   Rng rng(8);
   const SamplingList list = ForestFireSample(oracle, 0, 80, 0.7, rng);
@@ -132,7 +139,7 @@ TEST(ForestFireTest, RespectsBudget) {
 TEST(ForestFireTest, RevivesAfterBurnout) {
   // pf = 0 means the fire never spreads; every step must revive, and the
   // budget must still be reached on a connected graph.
-  const Graph g = TestGraph();
+  const CsrGraph g(TestGraph());
   QueryOracle oracle(g);
   Rng rng(9);
   const SamplingList list = ForestFireSample(oracle, 0, 20, 0.0, rng);
@@ -140,7 +147,7 @@ TEST(ForestFireTest, RevivesAfterBurnout) {
 }
 
 TEST(ForestFireTest, ExhaustsSmallGraph) {
-  const Graph g = GenerateComplete(5);
+  const CsrGraph g(GenerateComplete(5));
   QueryOracle oracle(g);
   Rng rng(10);
   const SamplingList list = ForestFireSample(oracle, 0, 50, 0.7, rng);
@@ -151,7 +158,7 @@ class CrawlBudgetTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(CrawlBudgetTest, AllCrawlersHitExactBudget) {
   const std::size_t budget = GetParam();
-  const Graph g = TestGraph();
+  const CsrGraph g(TestGraph());
   Rng rng(budget);
   {
     QueryOracle oracle(g);

@@ -1086,16 +1086,16 @@ TEST(ScenarioEngineTest, RunScenarioCellMatchesDirectRunExperiments) {
   // order, timing means divided by the trial count.
   const ScenarioSpec spec = TinySpec();
   Rng rng(spec.datasets[0].generator->seed);
-  const Graph dataset = PreprocessDataset(GeneratePowerlawCluster(
+  const CsrGraph dataset(PreprocessDataset(GeneratePowerlawCluster(
       spec.datasets[0].generator->nodes,
       spec.datasets[0].generator->edges_per_node,
-      spec.datasets[0].generator->triad_p, rng));
+      spec.datasets[0].generator->triad_p, rng)));
   const ExperimentConfig config = spec.ToExperimentConfig(0.1);
   const GraphProperties properties =
       ComputeProperties(dataset, config.property_options);
   const ScenarioCell cell =
-      RunScenarioCell("x", CsrGraph(dataset), properties, config,
-                      spec.trials, spec.seed_base, 1);
+      RunScenarioCell("x", dataset, properties, config, spec.trials,
+                      spec.seed_base, 1);
   const auto trials = RunExperiments(dataset, properties, config,
                                      spec.seed_base, spec.trials, 1);
   DistanceAccumulator expected;

@@ -79,7 +79,7 @@ TEST(SimplifyTest, FacadeFlagReducesOffensesSubstantially) {
   // Section IV-C allow it), some multi-edges are fundamentally stuck.
   // Require a substantial reduction rather than simplicity.
   Rng gen_rng(9);
-  const Graph original = GenerateSocialGraph(800, 4, 0.4, 0.4, gen_rng);
+  const CsrGraph original(GenerateSocialGraph(800, 4, 0.4, 0.4, gen_rng));
   QueryOracle oracle(original);
   Rng rng(10);
   const SamplingList walk = RandomWalkSample(oracle, 0, 80, rng);

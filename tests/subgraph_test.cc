@@ -78,7 +78,7 @@ TEST(SubgraphTest, NoDuplicateEdgesBetweenQueriedNodes) {
 
 TEST(SubgraphTest, LemmaOneOnRealWalk) {
   Rng rng(200);
-  const Graph g = GeneratePowerlawCluster(400, 3, 0.5, rng);
+  const CsrGraph g(GeneratePowerlawCluster(400, 3, 0.5, rng));
   QueryOracle oracle(g);
   const SamplingList list = RandomWalkSample(oracle, 0, 60, rng);
   const Subgraph sub = BuildSubgraph(list);
@@ -95,7 +95,7 @@ TEST(SubgraphTest, LemmaOneOnRealWalk) {
 
 TEST(SubgraphTest, SubgraphEdgesExistInOriginal) {
   Rng rng(201);
-  const Graph g = GeneratePowerlawCluster(300, 4, 0.3, rng);
+  const CsrGraph g(GeneratePowerlawCluster(300, 4, 0.3, rng));
   QueryOracle oracle(g);
   const SamplingList list = RandomWalkSample(oracle, 5, 45, rng);
   const Subgraph sub = BuildSubgraph(list);
@@ -107,7 +107,7 @@ TEST(SubgraphTest, SubgraphEdgesExistInOriginal) {
 
 TEST(SubgraphTest, EveryEdgeTouchesAQueriedNode) {
   Rng rng(202);
-  const Graph g = GeneratePowerlawCluster(300, 4, 0.3, rng);
+  const CsrGraph g(GeneratePowerlawCluster(300, 4, 0.3, rng));
   QueryOracle oracle(g);
   const SamplingList list = RandomWalkSample(oracle, 9, 30, rng);
   const Subgraph sub = BuildSubgraph(list);
@@ -118,7 +118,7 @@ TEST(SubgraphTest, EveryEdgeTouchesAQueriedNode) {
 
 TEST(SubgraphTest, CoversUnionOfNeighborLists) {
   Rng rng(203);
-  const Graph g = GeneratePowerlawCluster(300, 4, 0.3, rng);
+  const CsrGraph g(GeneratePowerlawCluster(300, 4, 0.3, rng));
   QueryOracle oracle(g);
   const SamplingList list = RandomWalkSample(oracle, 11, 40, rng);
   const Subgraph sub = BuildSubgraph(list);

@@ -67,7 +67,7 @@ class TargetDvWalkTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(TargetDvWalkTest, SatisfiesAllConditionsOnRealWalks) {
   Rng gen_rng(GetParam());
-  const Graph g = GeneratePowerlawCluster(600, 3, 0.4, gen_rng);
+  const CsrGraph g(GeneratePowerlawCluster(600, 3, 0.4, gen_rng));
   QueryOracle oracle(g);
   Rng rng(GetParam() + 1000);
   const SamplingList list = RandomWalkSample(oracle, 0, 60, rng);

@@ -54,7 +54,7 @@ class TargetJdmWalkTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(TargetJdmWalkTest, FullPipelineSatisfiesAllConditions) {
   Rng gen_rng(GetParam());
-  const Graph g = GeneratePowerlawCluster(700, 3, 0.4, gen_rng);
+  const CsrGraph g(GeneratePowerlawCluster(700, 3, 0.4, gen_rng));
   QueryOracle oracle(g);
   Rng rng(GetParam() + 5000);
   const SamplingList list = RandomWalkSample(oracle, 0, 70, rng);
@@ -90,7 +90,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TargetJdmWalkTest,
 
 TEST(TargetJdmTest, GjokaVariantRealizableFromEmpty) {
   Rng gen_rng(71);
-  const Graph g = GeneratePowerlawCluster(600, 3, 0.4, gen_rng);
+  const CsrGraph g(GeneratePowerlawCluster(600, 3, 0.4, gen_rng));
   QueryOracle oracle(g);
   Rng rng(72);
   const SamplingList list = RandomWalkSample(oracle, 0, 80, rng);
@@ -107,7 +107,7 @@ TEST(TargetJdmTest, GjokaVariantRealizableFromEmpty) {
 
 TEST(TargetJdmTest, EdgeTotalsStayNearEstimate) {
   Rng gen_rng(73);
-  const Graph g = GeneratePowerlawCluster(800, 4, 0.3, gen_rng);
+  const CsrGraph g(GeneratePowerlawCluster(800, 4, 0.3, gen_rng));
   QueryOracle oracle(g);
   Rng rng(74);
   const SamplingList list = RandomWalkSample(oracle, 0, 200, rng);

@@ -166,7 +166,11 @@ int CmdGenerate(const Args& args) {
 }
 
 int CmdCrawl(const Args& args) {
-  const Graph g = PreprocessDataset(ReadEdgeListFile(args.Get("graph")));
+  const std::string path = args.Get("graph");
+  const CsrGraph g(PreprocessDataset(ReadEdgeListFile(path)));
+  if (g.NumNodes() == 0) {
+    throw std::runtime_error("'" + path + "' has no nodes to crawl");
+  }
   const std::string method = args.GetOr("method", "rw");
   Rng rng(args.Get<U64>("seed", 2));
   const double fraction = args.Get("fraction", 0.1, 0.0, 1.0);
@@ -255,7 +259,7 @@ PropertyOptions PathOptions(const Args& args) {
 }
 
 int CmdAnalyze(const Args& args) {
-  const Graph g = ReadEdgeListFile(args.Get("graph"));
+  const CsrGraph g(ReadEdgeListFile(args.Get("graph")));
   const GraphProperties p = ComputeProperties(g, PathOptions(args));
   TablePrinter table(std::cout, {"Property", "Value"});
   table.AddRow({"nodes", std::to_string(p.num_nodes)});
@@ -281,8 +285,8 @@ int CmdAnalyze(const Args& args) {
 }
 
 int CmdCompare(const Args& args) {
-  const Graph original = ReadEdgeListFile(args.Get("original"));
-  const Graph generated = ReadEdgeListFile(args.Get("generated"));
+  const CsrGraph original(ReadEdgeListFile(args.Get("original")));
+  const CsrGraph generated(ReadEdgeListFile(args.Get("generated")));
   const PropertyOptions options = PathOptions(args);
   const auto distances =
       PropertyDistances(ComputeProperties(original, options),
