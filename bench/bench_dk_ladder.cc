@@ -6,34 +6,44 @@
 // increases", with 2.5K capturing even the global properties (Gjoka et
 // al.'s 2.5K result, reproduced here with full data rather than samples).
 //
-// Env knobs: SGR_RC (default 200), SGR_PATH_SOURCES, SGR_DATASET_SCALE,
-// SGR_DATASET (default "anybeat").
+// Takes no flags. Env knobs: SGR_DATASET_SCALE, SGR_DATASET (default
+// "anybeat"). Every rung is evaluated on one thread, like every trial.
 
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "analysis/l1.h"
+#include "analysis/properties.h"
 #include "bench_common.h"
 #include "dk/dk_series.h"
+#include "exp/runner.h"
+#include "exp/table_printer.h"
+#include "util/parse.h"
+#include "util/rng.h"
+
+namespace {
+
+constexpr double kRewiringCoefficient = 200.0;  ///< RC of the 2.5K rung
+constexpr std::size_t kPathSources = 600;
+
+}  // namespace
 
 static int BenchMain(int argc, char** argv) {
   using namespace sgr;
   using namespace sgr::bench;
 
-  const BenchConfig config =
-      BenchConfig::FromArgs(argc, argv, /*default_runs=*/1,
-                            /*default_rc=*/200.0);
+  const Args no_flags(argc, argv, 1, {});
   const DatasetSpec spec =
       DatasetByName(EnvText("SGR_DATASET").value_or("anybeat"));
   const Graph original = LoadDataset(spec);
   const CsrGraph snapshot(original);
   std::cout << "=== dK-series ladder (full-data generation) ===\n";
   PrintDatasetBanner(spec, snapshot);
-  std::cout << "RC (2.5K rewiring) = " << config.rc << ", threads = "
-            << ResolveThreadCount(config.threads) << "\n\n";
+  std::cout << "RC (2.5K rewiring) = " << kRewiringCoefficient << "\n\n";
 
   PropertyOptions prop_options;
-  prop_options.max_path_sources = config.path_sources;
-  // The ladder is one generation chain (the rungs share an RNG), so the
-  // threads flag accelerates the property evaluation instead.
-  prop_options.threads = config.threads;
+  prop_options.max_path_sources = kPathSources;
   const GraphProperties truth = ComputeProperties(snapshot, prop_options);
 
   std::vector<std::string> headers = {"Order"};
@@ -49,7 +59,7 @@ static int BenchMain(int argc, char** argv) {
       {DkOrder::k2_5, "2.5K"},
   };
   for (const auto& [order, label] : orders) {
-    const Graph g = GenerateDkGraph(original, order, rng, config.rc);
+    const Graph g = GenerateDkGraph(original, order, rng, kRewiringCoefficient);
     const auto distances =
         PropertyDistances(truth, ComputeProperties(CsrGraph(g), prop_options));
     std::vector<std::string> row = {label};

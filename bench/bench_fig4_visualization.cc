@@ -10,13 +10,16 @@
 // is the share of degree-1/degree-2 nodes ("periphery mass") and the node/
 // edge totals of each generated graph relative to the original.
 //
-// Env knobs: SGR_RC (default 100), SGR_DATASET_SCALE, SGR_FIG4_DIR.
+// Takes no flags. Env knobs: SGR_DATASET_SCALE, SGR_FIG4_DIR.
 
 #include <filesystem>
+#include <string>
 
 #include "analysis/extras.h"
 #include "bench_common.h"
 #include "dk/dk_extract.h"
+#include "exp/runner.h"
+#include "exp/table_printer.h"
 #include "graph/io.h"
 #include "restore/gjoka.h"
 #include "restore/proposed.h"
@@ -26,10 +29,15 @@
 #include "sampling/random_walk.h"
 #include "sampling/snowball.h"
 #include "sampling/subgraph.h"
+#include "util/parse.h"
+#include "util/rng.h"
 
 #include <unordered_set>
 
 namespace {
+
+constexpr double kRewiringCoefficient = 100.0;
+constexpr double kQueryFraction = 0.10;
 
 /// Number of periphery nodes (degree <= 2) — the population of the outer
 /// halo in Fig. 4. Crawls miss most of these (a degree-1 node is visible
@@ -74,9 +82,7 @@ static int BenchMain(int argc, char** argv) {
   using namespace sgr;
   using namespace sgr::bench;
 
-  const BenchConfig config =
-      BenchConfig::FromArgs(argc, argv, /*default_runs=*/1,
-                            /*default_rc=*/100.0);
+  const Args no_flags(argc, argv, 1, {});
   const std::filesystem::path out_dir =
       EnvText("SGR_FIG4_DIR").value_or("fig4_output");
   std::filesystem::create_directories(out_dir);
@@ -85,17 +91,17 @@ static int BenchMain(int argc, char** argv) {
   const Graph original = LoadDataset(spec);
   const CsrGraph snapshot(original);
   std::cout << "=== Figure 4: graph visualization exports (Anybeat, "
-            << 100.0 * config.fraction << "% queried) ===\n";
+            << 100.0 * kQueryFraction << "% queried) ===\n";
   PrintDatasetBanner(spec, snapshot);
   WriteGexfFile(original, (out_dir / "original.gexf").string());
 
   const auto budget = static_cast<std::size_t>(
-      config.fraction * static_cast<double>(original.NumNodes()));
+      kQueryFraction * static_cast<double>(original.NumNodes()));
   Rng rng(0xF164);
   const NodeId seed = static_cast<NodeId>(rng.NextIndex(original.NumNodes()));
 
   RestorationOptions options;
-  options.rewire.rewiring_coefficient = config.rc;
+  options.rewire.rewiring_coefficient = kRewiringCoefficient;
 
   const double original_periphery =
       static_cast<double>(PeripheryCount(original));

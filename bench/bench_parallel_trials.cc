@@ -1,48 +1,48 @@
-// Throughput of the parallel restoration engine: wall-clock time of the
-// full Monte Carlo trial matrix (all six methods per trial) at increasing
-// thread counts, against one immutable CsrGraph snapshot of the dataset.
+// Throughput of the scenario engine: wall-clock time of one built-in
+// scenario's whole (cell, trial) task list at increasing thread counts.
 //
 // This is the scaling bench behind docs/BENCHMARKS.md: it prints the
 // single-thread baseline, the speedup per thread count, and verifies that
-// every thread count reproduces the single-thread aggregates exactly
-// (trial i is always seeded with seed_base + i, so the work — and the
-// printed distances — cannot depend on scheduling).
+// every thread count reproduces the single-thread report exactly — the
+// report bytes after StripVolatile (trial i of a cell is always seeded
+// with seed_base + i, so no printed number can depend on scheduling).
 //
-// Usage: bench_parallel_trials [--runs N] [--threads N]
-//   --threads N   maximum thread count to sweep to (default: hardware
-//                 concurrency); the sweep doubles 1, 2, 4, ... up to N.
-// Env knobs: SGR_RUNS (default 8), SGR_RC (default 50), SGR_FRACTION,
-// SGR_PATH_SOURCES, SGR_DATASET_SCALE.
+// Usage: bench_parallel_trials [BUILTIN] [--threads N]
+//   BUILTIN       built-in scenario to run (default tables-smoke; see
+//                 `sgr scenarios list`)
+//   --threads N   maximum thread count to sweep to (or SGR_THREADS;
+//                 default and 0: hardware concurrency); the sweep doubles
+//                 1, 2, 4, ... up to N.
 
-#include <cmath>
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "bench_common.h"
+#include "exp/parallel.h"
+#include "exp/runner.h"
+#include "exp/table_printer.h"
+#include "obs/timer.h"
+#include "scenario/engine.h"
+#include "scenario/report.h"
+#include "util/parse.h"
 
 static int BenchMain(int argc, char** argv) {
   using namespace sgr;
-  using namespace sgr::bench;
 
-  BenchConfig config =
-      BenchConfig::FromArgs(argc, argv, /*default_runs=*/8,
-                            /*default_rc=*/50.0,
-                            /*default_fraction=*/0.10,
-                            /*default_sources=*/200);
-  // Unlike the table benches (default 1 thread), this bench's whole point
-  // is the sweep: with no explicit --threads / SGR_THREADS the ceiling is
-  // the hardware concurrency.
-  const std::size_t max_threads =
-      ResolveThreadCount(config.threads_given ? config.threads : 0);
+  const bool named = argc > 1 && argv[1][0] != '-';
+  const std::string name = named ? argv[1] : "tables-smoke";
+  const Args args(argc, argv, named ? 2 : 1, {"threads"});
+  const std::size_t max_threads = ResolveThreadCount(args.Get<std::uint64_t>(
+      "threads", EnvInput<std::uint64_t>("SGR_THREADS", 0, 0, kMaxThreads),
+      0, kMaxThreads));
+  const ScenarioSpec spec = BuiltinScenario(name);
 
-  const DatasetSpec spec = DatasetByName("brightkite");
-  const CsrGraph dataset(LoadDataset(spec));
-  std::cout << "=== Parallel trial engine: wall-clock vs threads ===\n";
-  PrintDatasetBanner(spec, dataset);
-  std::cout << "trials: " << config.runs << ", RC = " << config.rc
-            << ", max threads = " << max_threads << "\n\n";
-
-  const ExperimentConfig experiment = config.ToExperimentConfig();
-  const GraphProperties properties =
-      ComputeProperties(dataset, experiment.property_options);
+  std::cout << "=== Scenario engine: wall-clock vs threads ===\n"
+            << "scenario '" << name << "': " << spec.datasets.size()
+            << " dataset(s), " << spec.trials
+            << " trials per cell, max threads = " << max_threads << "\n\n";
 
   // Sweep 1, 2, 4, ... and always include max_threads itself.
   std::vector<std::size_t> sweep;
@@ -52,41 +52,30 @@ static int BenchMain(int argc, char** argv) {
   TablePrinter table(std::cout, {"threads", "seconds", "speedup",
                                  "trials/sec", "identical to 1-thread"});
   double baseline_seconds = 0.0;
-  std::map<MethodKind, double> baseline_sums;
+  std::string baseline_report;
   for (std::size_t threads : sweep) {
     Timer timer;
-    const auto trials = RunExperiments(dataset, properties, experiment,
-                                       /*seed_base=*/0x9A7A, config.runs,
-                                       threads);
+    const ScenarioRunResult result = RunScenario(spec, threads);
     const double seconds = timer.Seconds();
-
-    // Aggregate a fingerprint: per-method sum of average distances.
-    std::map<MethodKind, double> sums;
-    for (const auto& trial : trials) {
-      for (const MethodRunResult& r : trial) {
-        sums[r.kind] += r.average_distance;
-      }
-    }
-    bool identical = true;
+    const std::string report =
+        StripVolatile(ScenarioReportToJson(result)).Dump(2);
     if (threads == 1) {
       baseline_seconds = seconds;
-      baseline_sums = sums;
-    } else {
-      identical = sums == baseline_sums;  // exact FP equality intended
+      baseline_report = report;
     }
+    const double trials =
+        static_cast<double>(result.cells.size() * spec.trials);
     table.AddRow({std::to_string(threads), TablePrinter::Fixed(seconds, 2),
                   TablePrinter::Fixed(baseline_seconds /
                                           std::max(1e-9, seconds), 2) + "x",
-                  TablePrinter::Fixed(
-                      static_cast<double>(config.runs) /
-                          std::max(1e-9, seconds), 2),
-                  identical ? "yes" : "NO"});
+                  TablePrinter::Fixed(trials / std::max(1e-9, seconds), 2),
+                  report == baseline_report ? "yes" : "NO"});
   }
   table.Print();
   std::cout << "\nexpected shape: near-linear speedup while trials "
                "outnumber threads (each trial is an independent read of "
-               "the shared snapshot), and 'identical' = yes on every "
-               "row.\n";
+               "its dataset's shared snapshot), and 'identical' = yes on "
+               "every row.\n";
   return 0;
 }
 

@@ -21,7 +21,7 @@ enum class WalkType {
 };
 
 /// Which joint-degree-distribution estimator to use. The paper's method is
-/// the hybrid; the pure variants exist for the ablation benches.
+/// the hybrid; the pure variants exist for the `ablation-jdm` scenario.
 enum class JointEstimatorMode {
   kHybrid,             ///< IE above the 2 k̂̄ threshold, TE below (paper)
   kInducedEdgesOnly,   ///< P̂IE everywhere

@@ -46,7 +46,7 @@ std::uint64_t DeriveRoundSeed(std::uint64_t base_seed, std::uint64_t stream,
 /// The restoration experiments are embarrassingly parallel: every Monte
 /// Carlo trial reads the same immutable CsrGraph snapshot and writes only
 /// its own result slot. The pool exists so the scenario engine's trial
-/// scheduler (and the benches behind `--threads N`) can keep all cores
+/// scheduler (behind `--threads N`) can keep all cores
 /// busy without spawning a thread per trial. A task runs with the metrics
 /// sink (obs/metrics.h) that was open on the thread that submitted it.
 class ThreadPool {

@@ -1,10 +1,10 @@
 #include "exp/table_printer.h"
 
 #include <algorithm>
-#include <cassert>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 
 namespace sgr {
 
@@ -13,7 +13,11 @@ TablePrinter::TablePrinter(std::ostream& out,
     : out_(&out), headers_(std::move(headers)) {}
 
 void TablePrinter::AddRow(std::vector<std::string> row) {
-  assert(row.size() == headers_.size());
+  if (row.size() != headers_.size()) {
+    throw std::invalid_argument(
+        "table row has " + std::to_string(row.size()) + " cell(s), expected " +
+        std::to_string(headers_.size()));
+  }
   rows_.push_back(std::move(row));
 }
 
@@ -41,18 +45,6 @@ void TablePrinter::Print() const {
   }
   *out_ << rule << "\n";
   for (const auto& row : rows_) print_row(row);
-}
-
-void TablePrinter::PrintCsv() const {
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c > 0) *out_ << ",";
-      *out_ << row[c];
-    }
-    *out_ << "\n";
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
 }
 
 std::string TablePrinter::Fixed(double value, int precision) {

@@ -8,21 +8,19 @@
 
 namespace sgr {
 
-/// Minimal fixed-width table printer used by the benchmark harness to emit
-/// the paper's tables on stdout (and optionally as CSV for plotting).
+/// Minimal fixed-width table printer used by `sgr table` and the benches to
+/// emit the paper's tables on stdout.
 class TablePrinter {
  public:
   /// Creates a printer writing to `out` with the given column headers.
   TablePrinter(std::ostream& out, std::vector<std::string> headers);
 
-  /// Adds a data row (must match the header count).
+  /// Adds a data row. Throws std::invalid_argument unless it has exactly
+  /// one cell per header.
   void AddRow(std::vector<std::string> row);
 
   /// Renders the header + all rows with aligned columns.
   void Print() const;
-
-  /// Renders as comma-separated values (headers first).
-  void PrintCsv() const;
 
   /// Formats a double with `precision` significant decimals (fixed).
   static std::string Fixed(double value, int precision = 3);

@@ -6,7 +6,9 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
+#include "exp/table_printer.h"
 #include "scenario/spec.h"
 
 namespace sgr {
@@ -448,6 +450,115 @@ void PrintDiff(const DiffResult& result, std::ostream& out) {
       << ", max timing ratio " << result.max_time_ratio << "x\n"
       << (result.HasRegression() ? "RESULT: REGRESSION" : "RESULT: OK")
       << "\n";
+}
+
+void PrintReportTable(const Json& report, std::ostream& out) {
+  ValidateReportSchema(report);
+  const Json* config = report.Find("config");
+  const std::string name = config != nullptr && config->IsObject()
+                               ? StringOr(*config, "name", "")
+                               : "";
+  const Json defaults = CellKnobDefaults(config);
+  const std::vector<Json>& cells = report.Find("cells")->Items();
+  std::vector<std::string> labels;
+  for (const Json& cell : cells) labels.push_back(Label(cell, defaults));
+
+  out << "scenario '" << name << "': " << cells.size() << " cell(s)\n";
+  if (IsBuiltinScenario(name)) {
+    out << "\n" << BuiltinScenarioDescription(name) << "\n";
+  }
+
+  // Method columns in first-seen order across the cells.
+  std::vector<std::string> methods;
+  for (const Json& cell : cells) {
+    for (const Json& method : cell.Find("methods")->Items()) {
+      const std::string& method_name = method.Find("method")->AsString();
+      if (std::find(methods.begin(), methods.end(), method_name) ==
+          methods.end()) {
+        methods.push_back(method_name);
+      }
+    }
+  }
+  const auto where = [&](std::size_t c, std::size_t m) {
+    return "cells[" + std::to_string(c) + "].methods[" + std::to_string(m) +
+           "] (" + cells[c].Find("methods")->Items()[m].Find("method")
+                       ->AsString() + ")";
+  };
+
+  out << "\n## avg L1 over the properties (mean +- sd)\n";
+  std::vector<std::string> headers = {"Cell"};
+  headers.insert(headers.end(), methods.begin(), methods.end());
+  TablePrinter grid(out, headers);
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    std::vector<std::string> row(headers.size(), "-");
+    row[0] = labels[c];
+    const std::vector<Json>& entries = cells[c].Find("methods")->Items();
+    for (std::size_t m = 0; m < entries.size(); ++m) {
+      const Json& distances = *entries[m].Find("distances");
+      const std::size_t column =
+          std::find(methods.begin(), methods.end(),
+                    entries[m].Find("method")->AsString()) -
+          methods.begin();
+      row[1 + column] = TablePrinter::PlusMinus(
+          RequireNumber(distances, "average", where(c, m)),
+          RequireNumber(distances, "sd", where(c, m)));
+    }
+    grid.AddRow(std::move(row));
+  }
+  grid.Print();
+
+  out << "\n## crawl steps, generation seconds and final rewiring "
+         "objective D\n";
+  TablePrinter runs(out, {"Cell", "Method", "steps", "restore s",
+                          "rewiring s", "final D"});
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    const std::vector<Json>& entries = cells[c].Find("methods")->Items();
+    for (std::size_t m = 0; m < entries.size(); ++m) {
+      const Json& method = entries[m];
+      const std::string at = where(c, m);
+      const Json* timings = method.Find("timings");
+      const auto seconds = [&](const char* field) {
+        return timings == nullptr
+                   ? std::string("-")
+                   : TablePrinter::Fixed(
+                         RequireNumber(*timings, field, at + ".timings"), 4);
+      };
+      runs.AddRow(
+          {labels[c], method.Find("method")->AsString(),
+           TablePrinter::Fixed(RequireNumber(method, "sample_steps", at), 1),
+           seconds("restore_seconds"), seconds("rewiring_seconds"),
+           TablePrinter::Fixed(
+               RequireNumber(RequireMember(method, "rewire", at),
+                             "final_distance", at + ".rewire"))});
+    }
+  }
+  runs.Print();
+
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    const std::vector<Json>& entries = cells[c].Find("methods")->Items();
+    if (entries.empty()) continue;
+    out << "\n## per-property L1: " << labels[c] << "\n";
+    // The columns are the first method's properties; every other method
+    // must carry each of them.
+    std::vector<std::string> properties = {"Method"};
+    for (const auto& [property, value] :
+         entries[0].Find("distances")->Find("per_property")->ObjectMembers()) {
+      (void)value;
+      properties.push_back(property);
+    }
+    TablePrinter table(out, properties);
+    for (std::size_t m = 0; m < entries.size(); ++m) {
+      const Json& per_property =
+          *entries[m].Find("distances")->Find("per_property");
+      std::vector<std::string> row = {entries[m].Find("method")->AsString()};
+      for (std::size_t p = 1; p < properties.size(); ++p) {
+        row.push_back(TablePrinter::Fixed(RequireNumber(
+            per_property, properties[p].c_str(), where(c, m) + ".distances")));
+      }
+      table.AddRow(std::move(row));
+    }
+    table.Print();
+  }
 }
 
 }  // namespace sgr

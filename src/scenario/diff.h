@@ -100,6 +100,23 @@ void PrintDiffMarkdown(const DiffResult& result,
                        const std::string& old_label,
                        const std::string& new_label, std::ostream& out);
 
+/// Renders any sgr-report/1 document as the paper's tables (`sgr table`).
+/// When the config echo names a built-in scenario, its description (the
+/// paper's reference values and expected shape) comes first. Then three
+/// blocks, always all of them:
+///   (a) one row per cell label, one column per method: avg L1
+///       "mean +- sd" — Table III, Fig. 3 (one row per fraction cell) and
+///       the ablations (one row per knob cell);
+///   (b) one row per (cell, method): sample_steps, restore and rewiring
+///       seconds, and the rewire block's final D — Table IV's data;
+///   (c) per cell, a method x property table of L1 — Tables II and V.
+/// A method absent from a cell prints "-" in (a). The timing columns of
+/// (b) print "-" for a method without a "timings" block (StripVolatile
+/// removes it); every other field is required. Validates the schema
+/// first and throws std::runtime_error naming the first missing or
+/// malformed field.
+void PrintReportTable(const Json& report, std::ostream& out);
+
 }  // namespace sgr
 
 #endif  // SGR_SCENARIO_DIFF_H_

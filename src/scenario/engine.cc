@@ -73,9 +73,7 @@ ScenarioCell FoldCell(const CellJob& job, const std::vector<TrialSlot>& trials,
   cell.dataset = *job.dataset_name;
   cell.nodes = job.dataset->NumNodes();
   cell.edges = job.dataset->NumEdges();
-  // The knob echo comes straight from the config actually executed, so a
-  // cell is attributable to its axis coordinates no matter who built the
-  // config (engine or bench).
+  // The knob echo comes straight from the config actually executed.
   cell.knobs = CellKnobsOf(job.config);
   cell.seed_base = job.seed_base;
   cell.trials = trials.size();
@@ -224,22 +222,6 @@ std::vector<ScenarioCell> RunCells(const std::vector<CellJob>& jobs,
 }
 
 }  // namespace
-
-ScenarioCell RunScenarioCell(const std::string& dataset_name,
-                             const CsrGraph& dataset,
-                             const GraphProperties& properties,
-                             const ExperimentConfig& config,
-                             std::size_t trials, std::uint64_t seed_base,
-                             std::size_t threads) {
-  const std::size_t workers = std::min(ResolveThreadCount(threads), trials);
-  std::optional<ThreadPool> pool;
-  if (workers > 1) pool.emplace(workers);
-  const std::string no_path;
-  const std::vector<CellJob> jobs = {
-      CellJob{&dataset_name, &no_path, &dataset, &properties, config,
-              seed_base}};
-  return RunCells(jobs, trials, pool ? &*pool : nullptr, nullptr).front();
-}
 
 ScenarioRunResult RunScenario(const ScenarioSpec& spec,
                               std::size_t threads_override,

@@ -16,30 +16,6 @@ namespace sgr {
 inline constexpr std::size_t kThreadsFromSpec =
     static_cast<std::size_t>(-1);
 
-/// Runs one cell of a scenario matrix — `trials` Monte Carlo repetitions
-/// of `config` on the `dataset` snapshot over up to `threads` workers —
-/// and aggregates per-method distance and timing statistics. Trial i is
-/// seeded with `seed_base + i` (the convention every bench has always
-/// used), so the distance aggregates are identical for every thread count;
-/// the timing fields are wall-clock measured inside the trials and inflate
-/// under core contention — read them at --threads 1, or trust the ratios.
-/// The cell's `wall_seconds` is the sum of its trials' seconds.
-///
-/// This runs on the same trial scheduler as RunScenario (a one-cell task
-/// list), so there is one trial-matrix implementation behind both the
-/// scenario engine and the benches (bench_common.h delegates here), and a
-/// bench's --json output and an `sgr run` report share one schema and one
-/// aggregation path. Note the benches keep their historical per-table
-/// seed schedules (one fixed seed base for every dataset), while the
-/// engine gives each cell a distinct base — so the two agree numerically
-/// only where the seed bases happen to line up, by design.
-ScenarioCell RunScenarioCell(const std::string& dataset_name,
-                             const CsrGraph& dataset,
-                             const GraphProperties& properties,
-                             const ExperimentConfig& config,
-                             std::size_t trials, std::uint64_t seed_base,
-                             std::size_t threads);
-
 /// Result of running a whole scenario: the spec as executed, the resolved
 /// worker thread count, and one cell per (dataset, fraction) pair in
 /// spec order.

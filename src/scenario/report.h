@@ -67,9 +67,7 @@ inline constexpr std::pair<const char*, double ConvergencePoint::*>
         {"lcc", &ConvergencePoint::lcc}};
 
 /// Aggregate of one (dataset, fraction, method) cell across trials:
-/// distance statistics plus mean generation timings. Shared by the
-/// scenario engine and the benches (bench_common.h used to own this
-/// type; it moved here so both report identically).
+/// distance statistics plus mean generation timings.
 struct MethodAggregate {
   DistanceAccumulator distances;
   double total_seconds = 0.0;     ///< mean restoration seconds per trial
@@ -168,8 +166,7 @@ Json EnvironmentToJson(const RunEnvironment& environment);
 /// subgraph-sampling methods report all zeros).
 Json ScenarioCellToJson(const ScenarioCell& cell);
 
-/// Assembles the top-level report document shared by `sgr run` and the
-/// benches' --json flag:
+/// Assembles the top-level report document `sgr run` writes:
 ///   {"schema": "sgr-report/1", "tool": ..., "config": <echo>,
 ///    "environment": {...}, "cells": [...]}
 Json MakeReport(const std::string& tool, Json config_echo, Json cells,

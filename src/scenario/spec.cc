@@ -862,7 +862,10 @@ namespace {
 
 struct Builtin {
   const char* name;
-  const char* description;  ///< the `sgr scenarios list` line
+  /// First line: the `sgr scenarios list` summary. Further lines: the
+  /// paper's reference values and the expected shape, which `sgr table`
+  /// prints above the measured numbers.
+  const char* description;
   std::uint64_t seed_base;
   const char* document;     ///< every other non-default key
 };
@@ -876,32 +879,60 @@ const Builtin kBuiltins[] = {
          "path_sources": 40, "dataset_scale": 0.1})"},
     {"table2",
      "Table II protocol: per-property L1 on Slashdot/Gowalla/"
-     "Livemocha, 10% queried",
+     "Livemocha, 10% queried\n"
+     "Paper Table II: subgraph sampling biases n and P(k) heavily (L1 of\n"
+     "n ~ 0.24-0.44). Expected shape: Proposed and Gjoka et al. fix n,\n"
+     "k_avg and P(k); Proposed additionally fixes knn(k), c(k), P(s) and\n"
+     "b(k), beating Gjoka et al. decisively on c(k) and P(s) (Slashdot\n"
+     "c(k): 0.708 -> 0.205) and on most global properties.",
      0x7AB'2000,
      R"({"datasets": ["slashdot", "gowalla", "livemocha"], "trials": 3,
          "rc": 100, "path_sources": 600})"},
     {"table3",
      "Table III protocol: avg +- SD of L1 on the six standard "
-     "datasets, 10% queried",
+     "datasets, 10% queried\n"
+     "Paper Table III, Proposed column (avg +- SD): Anybeat 0.086+-0.062,\n"
+     "Brightkite 0.075+-0.061, Epinions 0.058+-0.055, Slashdot\n"
+     "0.063+-0.057, Gowalla 0.097+-0.089, Livemocha 0.099+-0.105, the\n"
+     "lowest in every row. Expected shape: Proposed has the lowest\n"
+     "average on every dataset.",
      0x7AB'3000,
      R"({"datasets": ["anybeat", "brightkite", "epinions", "slashdot",
                       "gowalla", "livemocha"],
          "trials": 3, "rc": 100, "path_sources": 600})"},
     {"table4-time",
      "Table IV protocol: generation times at RC = 500 (read timings "
-     "with --threads 1)",
+     "with --threads 1)\n"
+     "Paper Table IV: subgraph sampling takes milliseconds, and the\n"
+     "generative methods are dominated by rewiring. Proposed is several\n"
+     "times faster than Gjoka et al. (9.0x on Anybeat, 10.4x on\n"
+     "Epinions), because its rewiring set excludes the sampled\n"
+     "subgraph's edges. Absolute seconds depend on hardware and dataset\n"
+     "scale; the reproduced quantity is the Gjoka / Proposed ratio of\n"
+     "restore s, driven by the rewiring s column.",
      0x7AB'4000,
      R"({"datasets": ["anybeat", "brightkite", "epinions", "slashdot",
                       "gowalla", "livemocha"],
          "trials": 2, "rc": 500, "path_sources": 64})"},
     {"table5-youtube",
-     "Table V protocol: the YouTube stand-in at 1% queried",
+     "Table V protocol: the YouTube stand-in at 1% queried\n"
+     "Paper Table V, Proposed row: n 0.062, k_avg 0.025, P(k) 0.033,\n"
+     "knn(k) 0.196, c_avg 0.022, c(k) 0.409, P(s) 0.106, l_avg 0.042,\n"
+     "P(l) 0.191, l_max 0.142, b(k) 0.412, lambda1 0.014; AVG\n"
+     "0.138 +- 0.139; 43% faster than Gjoka et al. Expected shape:\n"
+     "Proposed lowest on most properties and on the average; subgraph\n"
+     "sampling misestimates n by more than 60%.",
      0x7AB'5000,
      R"({"datasets": ["youtube"], "fractions": [0.01], "trials": 2,
          "rc": 50, "path_sources": 300})"},
     {"fig3-sweep",
      "Figure 3 protocol: query-fraction sweep 2%-10% on Anybeat/"
-     "Brightkite/Epinions",
+     "Brightkite/Epinions\n"
+     "Paper Fig. 3 at 10% queried (avg L1): Anybeat FF 0.099 -> Proposed\n"
+     "0.086; Brightkite Gjoka 0.151 -> Proposed 0.075; Epinions Gjoka\n"
+     "0.123 -> Proposed 0.058. Expected shape: Proposed lowest at every\n"
+     "fraction, generative methods ahead of raw subgraph sampling, and\n"
+     "all methods improve as the budget grows.",
      0xF16'3000,
      R"({"datasets": ["anybeat", "brightkite", "epinions"],
          "fractions": [0.02, 0.04, 0.06, 0.08, 0.10], "trials": 3,
@@ -913,7 +944,10 @@ const Builtin kBuiltins[] = {
     // dataset_scale toward 1 for the paper-sized protocol.
     {"ablation-walk",
      "Walk ablation: simple vs non-backtracking walk through the "
-     "proposed pipeline (Section II extension)",
+     "proposed pipeline (Section II extension)\n"
+     "The paper notes that improved walks such as NBRW could be combined\n"
+     "with the method, \"while it is not trivial\". Expected shape: NBRW\n"
+     "needs fewer steps for the same query budget, at comparable avg L1.",
      0xAB4'0000,
      R"({"datasets": ["anybeat", "brightkite", "epinions", "slashdot",
                       "gowalla", "livemocha"],
@@ -926,7 +960,12 @@ const Builtin kBuiltins[] = {
     // initial/final D and the acceptance counters.
     {"ablation-rc",
      "Rewiring-budget ablation: RC sweep 0-500 on the Brightkite "
-     "stand-in (Section IV-E)",
+     "stand-in (Section IV-E)\n"
+     "The paper sets RC = 500 after Orsini et al. and notes that a lower\n"
+     "RC cuts rewiring time but also the reproducibility of the\n"
+     "clustering coefficients. Expected shape: final D falls as RC buys\n"
+     "more attempts while rewiring s grows about linearly (read timings\n"
+     "at --threads 1).",
      0xAB3'0000,
      R"({"datasets": ["brightkite"], "methods": ["proposed"],
          "rc": [0, 10, 50, 100, 250, 500], "trials": 2, "path_sources": 40,
@@ -936,7 +975,11 @@ const Builtin kBuiltins[] = {
     // restored graph's distances.
     {"ablation-jdm",
      "Joint-degree-estimator ablation: hybrid vs IE-only vs "
-     "TE-only (Section III-E)",
+     "TE-only (Section III-E)\n"
+     "The hybrid uses induced edges for high-degree pairs and traversed\n"
+     "edges for low-degree pairs. Expected shape: at paper scale the\n"
+     "hybrid's avg L1 is lowest; at this builtin's reduced scale IE-only\n"
+     "is competitive, since the advantage is a large-sample property.",
      0xAB1'0000,
      R"({"datasets": ["anybeat", "brightkite", "epinions", "slashdot",
                       "gowalla", "livemocha"],
@@ -949,7 +992,12 @@ const Builtin kBuiltins[] = {
     // of E~ (false, Gjoka et al.'s choice) inside the proposed pipeline.
     {"ablation-rewire",
      "Candidate-set ablation: protected (E~ \\ E') vs all-edges "
-     "rewiring inside the proposed pipeline (Section IV-E)",
+     "rewiring inside the proposed pipeline (Section IV-E)\n"
+     "The paper claims that excluding E' helps rewiring approach the\n"
+     "target c(k) and cuts rewiring time. Expected shape: the all-edges\n"
+     "cells reach a lower final D (the distance to the noisy estimate)\n"
+     "but a higher avg L1 (the distance to the original), and rewire\n"
+     "slower.",
      0xAB2'0000,
      R"({"datasets": ["anybeat", "brightkite", "epinions", "slashdot",
                       "gowalla", "livemocha"],
@@ -992,7 +1040,10 @@ const Builtin kBuiltins[] = {
     {"ablation-noise",
      "Adversarial-oracle sweep: cooperative oracle vs private "
      "accounts vs hidden edges vs churn vs an API-call budget "
-     "(noise axis), all six methods",
+     "(noise axis), all six methods\n"
+     "Not in the paper, which assumes a cooperative oracle. Read each\n"
+     "row as a fault-family profile: how gracefully each method degrades\n"
+     "from the cooperative row.",
      0xAB8'0000,
      R"({"datasets": ["brightkite"],
          "noise": [{}, {"failure": 0.2}, {"hidden_edges": 0.3},

@@ -248,8 +248,7 @@ std::string ToToken(E value);
 Json CellKnobsToJson(const CellKnobs& knobs, bool complete = false);
 
 /// The cell knobs `config` runs with — the per-cell part of
-/// ScenarioSpec::ToExperimentConfig, inverted. A report cell echoes these,
-/// whoever built the config (the engine or a bench).
+/// ScenarioSpec::ToExperimentConfig, inverted. A report cell echoes these.
 CellKnobs CellKnobsOf(const ExperimentConfig& config);
 
 /// Pairing defaults for the cells of one report: the complete default
@@ -267,8 +266,8 @@ Json CellCoordinates(const Json& cell, const Json& defaults);
 
 /// The one cell label ("anybeat @ 10% rc=250 failure=0.2"): dataset and
 /// query fraction, then every coordinate that differs from `defaults`.
-/// Used by `sgr diff` findings, the engine's progress lines and the bench
-/// tables.
+/// Used by `sgr diff` findings, the engine's progress lines and the rows
+/// of `sgr table`.
 std::string CellLabel(const std::string& dataset, const Json& cell,
                       const Json& defaults);
 std::string CellLabel(const std::string& dataset, const CellKnobs& knobs);
@@ -293,7 +292,9 @@ std::vector<std::string> BuiltinScenarioNames();
 bool IsBuiltinScenario(const std::string& name);
 ScenarioSpec BuiltinScenario(const std::string& name);
 
-/// One-line description of a built-in (for `sgr scenarios list`).
+/// Description of a built-in. The first line is the `sgr scenarios list`
+/// summary; the lines after it give the paper's reference values and the
+/// expected shape, which `sgr table` prints above a report's numbers.
 std::string BuiltinScenarioDescription(const std::string& name);
 
 }  // namespace sgr

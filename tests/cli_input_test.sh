@@ -4,9 +4,10 @@
 # command exit 1 with a message naming that input. It must never run with a silently substituted value, and never
 # die on a signal.
 #
-# The bench binaries named after sgr_cli must keep the same contract.
+# The bench binary named after sgr_cli (bench_parallel_trials) must keep
+# the same contract.
 #
-#   sh tests/cli_input_test.sh path/to/sgr_cli [path/to/bench_* ...]
+#   sh tests/cli_input_test.sh path/to/sgr_cli [path/to/bench_parallel_trials]
 set -u
 cli=$1
 shift
@@ -80,6 +81,14 @@ expect --sources "$cli" generate --sources 5 --out "$tmp/g.txt"
 expect --threads "$cli" diff "$tmp/a.json" "$tmp/b.json" --threads 2
 expect --scale "$cli" datasets ingest "$tmp/anybeat.txt" --scale 2
 expect --out "$cli" trace summarize "$tmp/t.json" --out x
+
+# `sgr table` renders only a readable sgr-report/1 file and takes no flags.
+printf '{"schema": "sgr-report/1", "cells": []}\n' > "$tmp/report.json"
+printf '{"traceEvents": []}\n' > "$tmp/not-report.json"
+expect missing.json "$cli" table "$tmp/missing.json"
+expect not-report.json "$cli" table "$tmp/not-report.json"
+expect --foo "$cli" table "$tmp/report.json" --foo 1
+expect --foo "$cli" table --foo
 
 # `datasets ingest` reads only its own flags: the scenario loader's
 # ingest variables do not reach it, malformed or not.

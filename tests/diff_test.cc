@@ -1,12 +1,14 @@
 #include "scenario/diff.h"
 
 #include <cmath>
+#include <regex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "exp/table_printer.h"
 #include "scenario/engine.h"
 #include "scenario/report.h"
 #include "scenario/spec.h"
@@ -437,6 +439,107 @@ TEST(DiffReportsTest, InjectedDriftInARealReportIsCaught) {
   options.compare_timings = false;
   const DiffResult result = DiffReports(a, b, options);
   EXPECT_TRUE(result.HasRegression());
+}
+
+// ---------------------------------------------------------------------------
+// `sgr table` rendering
+// ---------------------------------------------------------------------------
+
+constexpr const char* kRewireBlock = R"("rewire": {"final_distance": 0.7},)";
+
+/// The fields of the table line that starts with `label`, split at runs of
+/// two or more spaces (TablePrinter's column gap); empty when absent.
+std::vector<std::string> TableRow(const std::string& text,
+                                  const std::string& label) {
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind(label + "  ", 0) != 0) continue;
+    std::vector<std::string> fields;
+    const std::regex gap(" {2,}");
+    for (std::sregex_token_iterator it(line.begin(), line.end(), gap, -1), end;
+         it != end; ++it) {
+      if (!it->str().empty()) fields.push_back(*it);
+    }
+    return fields;
+  }
+  return {};
+}
+
+TEST(ReportTableTest, GridEntryIsTheReportsMeanPlusMinusSd) {
+  const Json doc = MakeDoc(0.5, 1.0, 0.5, "",
+                           R"({"name": "tables-smoke", "rc": 10})",
+                           kRewireBlock);
+  std::ostringstream out;
+  PrintReportTable(doc, out);
+  const std::string text = out.str();
+  // The built-in's description (the paper's reference) heads the output.
+  EXPECT_NE(text.find(BuiltinScenarioDescription("tables-smoke")),
+            std::string::npos);
+  const std::vector<std::string> row = TableRow(text, "tiny @ 10%");
+  ASSERT_EQ(row.size(), 2u) << text;
+  EXPECT_EQ(row[1], TablePrinter::PlusMinus(0.5, 0.1));
+  // Block (b): steps, restore s, rewiring s, final D.
+  EXPECT_EQ(TableRow(text, "tiny @ 10%  Proposed"),
+            (std::vector<std::string>{"tiny @ 10%", "Proposed", "40.0",
+                                      "0.5000", "0.2000", "0.700"}));
+  // Block (c): one row per method over the report's properties.
+  EXPECT_EQ(TableRow(text, "Proposed"),
+            (std::vector<std::string>{"Proposed", "0.500", "0.250"}));
+}
+
+TEST(ReportTableTest, MethodMissingFromACellPrintsAPlaceholder) {
+  Json doc = MakeDoc(0.5, 1.0, 0.5, R"("rc": 10,)", R"({"rc": 10})",
+                     kRewireBlock);
+  Json& methods = *doc.Find("cells")->Items()[0].Find("methods");
+  Json bfs = methods.Items()[0];
+  *bfs.Find("method") = Json::String("BFS");
+  methods.Push(std::move(bfs));
+  doc.Find("cells")->Push(MakeDoc(0.7, 1.0, 0.5, R"("rc": 250,)",
+                                  R"({"rc": 10})", kRewireBlock)
+                              .Find("cells")
+                              ->Items()[0]);
+  std::ostringstream out;
+  PrintReportTable(doc, out);
+  EXPECT_EQ(TableRow(out.str(), "tiny @ 10% rc=250"),
+            (std::vector<std::string>{"tiny @ 10% rc=250",
+                                      TablePrinter::PlusMinus(0.7, 0.1),
+                                      "-"}))
+      << out.str();
+}
+
+TEST(ReportTableTest, MissingSdThrowsNamingTheMethod) {
+  Json doc = MakeDoc(0.5, 1.0, 0.5, "", R"({"rc": 10})", kRewireBlock);
+  doc.Find("cells")->Items()[0].Find("methods")->Items()[0].Find(
+      "distances")->Remove("sd");
+  std::ostringstream out;
+  try {
+    PrintReportTable(doc, out);
+    FAIL() << "a method without distances.sd rendered";
+  } catch (const std::runtime_error& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("Proposed"), std::string::npos) << message;
+    EXPECT_NE(message.find("'sd'"), std::string::npos) << message;
+  }
+}
+
+TEST(ReportTableTest, RealReportGridMatchesEveryAggregate) {
+  const Json report = ScenarioReportToJson(RunScenario(TinyDiffSpec(), 1));
+  std::ostringstream out;
+  PrintReportTable(report, out);
+  const Json defaults = CellKnobDefaults(report.Find("config"));
+  for (const Json& cell : report.Find("cells")->Items()) {
+    const std::vector<std::string> row = TableRow(
+        out.str(), CellLabel(cell.Find("dataset")->AsString(), cell,
+                             defaults));
+    const std::vector<Json>& methods = cell.Find("methods")->Items();
+    ASSERT_EQ(row.size(), 1 + methods.size()) << out.str();
+    for (std::size_t m = 0; m < methods.size(); ++m) {
+      const Json& distances = *methods[m].Find("distances");
+      EXPECT_EQ(row[1 + m],
+                TablePrinter::PlusMinus(distances.Find("average")->AsNumber(),
+                                        distances.Find("sd")->AsNumber()));
+    }
+  }
 }
 
 }  // namespace

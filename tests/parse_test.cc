@@ -29,7 +29,7 @@ TEST(ParseInputTest, RejectsAnythingButOneWholeValue) {
   }
   for (const char* bad : {"", " 1", "1 ", "1.5x", "abc", "nan", "inf",
                           "-inf", "1e999"}) {
-    EXPECT_THROW(ParseInput<double>(bad, "SGR_RC"), InputError)
+    EXPECT_THROW(ParseInput<double>(bad, "--rc"), InputError)
         << "'" << bad << "'";
   }
   for (const char* bad : {"", "yes", "true", "on", "2", "01"}) {
@@ -43,7 +43,7 @@ TEST(ParseInputTest, EnforcesTheRangeAndNamesTheInput) {
                InputError);
   EXPECT_THROW(ParseInput<double>("1.5", "--fraction", 0.0, 1.0),
                InputError);
-  EXPECT_THROW(ParseInput<double>("-0.5", "SGR_RC", 0.0), InputError);
+  EXPECT_THROW(ParseInput<double>("-0.5", "--rc", 0.0), InputError);
   try {
     (void)ParseInput<std::uint64_t>("-1", "SGR_INGEST_THREADS", 0, 1024);
     ADD_FAILURE() << "-1 accepted";

@@ -1080,10 +1080,11 @@ TEST(ScenarioEngineTest, CellSeedingWrapsDeterministicallyNearUint64Max) {
   EXPECT_EQ(a, b);
 }
 
-TEST(ScenarioEngineTest, RunScenarioCellMatchesDirectRunExperiments) {
-  // The engine's cell aggregation must be exactly the benches' historical
-  // RunDataset reduction: trial i seeded seed_base + i, reduced in trial
-  // order, timing means divided by the trial count.
+TEST(ScenarioEngineTest, CellAggregateMatchesDirectRunExperiments) {
+  // The engine's cell aggregation must be exactly the runner's trials
+  // reduced in order: trial i seeded seed_base + i, timing means divided
+  // by the trial count. Cell 0 (fraction 0.1) runs at the spec's own
+  // seed base.
   const ScenarioSpec spec = TinySpec();
   Rng rng(spec.datasets[0].generator->seed);
   const CsrGraph dataset(PreprocessDataset(GeneratePowerlawCluster(
@@ -1093,9 +1094,8 @@ TEST(ScenarioEngineTest, RunScenarioCellMatchesDirectRunExperiments) {
   const ExperimentConfig config = spec.ToExperimentConfig(0.1);
   const GraphProperties properties =
       ComputeProperties(dataset, config.property_options);
-  const ScenarioCell cell =
-      RunScenarioCell("x", dataset, properties, config, spec.trials,
-                      spec.seed_base, 1);
+  const ScenarioCell cell = RunScenario(spec, 1).cells.front();
+  ASSERT_EQ(cell.seed_base, spec.seed_base);
   const auto trials = RunExperiments(dataset, properties, config,
                                      spec.seed_base, spec.trials, 1);
   DistanceAccumulator expected;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 
 namespace sgr {
 namespace {
@@ -28,12 +29,16 @@ TEST(TablePrinterTest, AlignsColumns) {
   EXPECT_EQ(header.find("L1"), row1.find("0.272"));
 }
 
-TEST(TablePrinterTest, CsvOutput) {
+TEST(TablePrinterTest, RejectsARowOfTheWrongWidth) {
+  // Print indexes the column widths by row cell, so a row wider than the
+  // header must never be stored; Release builds keep the check.
   std::ostringstream out;
   TablePrinter t(out, {"a", "b"});
+  EXPECT_THROW(t.AddRow({"1", "2", "3"}), std::invalid_argument);
+  EXPECT_THROW(t.AddRow({"1"}), std::invalid_argument);
   t.AddRow({"1", "2"});
-  t.PrintCsv();
-  EXPECT_EQ(out.str(), "a,b\n1,2\n");
+  t.Print();
+  EXPECT_EQ(out.str(), "a  b  \n-  -  \n1  2  \n");
 }
 
 TEST(TablePrinterTest, FixedFormatsPrecision) {

@@ -96,6 +96,15 @@
 //       table + finding lists) for drop-in BENCHMARKS.md updates. Exits
 //       1 when any regression is found, so CI can gate on a checked-in
 //       baseline.
+//
+//   sgr table results.json
+//       Render an sgr-report/1 file as the paper's tables: avg L1
+//       (mean +- sd) per cell and method (Table III, Fig. 3, the
+//       ablations), crawl steps / generation seconds / final rewiring
+//       objective per (cell, method) (Table IV), and a method x property
+//       table per cell (Tables II and V). A report from a built-in
+//       scenario gets the paper's reference values printed above. Takes
+//       no flags; a malformed report exits 1 naming the file and field.
 
 #include <algorithm>
 #include <cstddef>
@@ -371,19 +380,25 @@ int CmdRun(const std::string& source, const Args& args) {
   return 0;
 }
 
+/// Reads and parses a report file; every failure names the file.
+Json LoadReport(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) {
+    throw std::runtime_error("cannot read report '" + path + "'");
+  }
+  std::ostringstream text;
+  text << in.rdbuf();
+  try {
+    return Json::Parse(text.str());
+  } catch (const std::exception& e) {
+    throw std::runtime_error(path + ": " + e.what());
+  }
+}
+
 /// sgr diff <old.json> <new.json> [--l1-tol X] [--time-tol R]
 /// [--no-timings 1] [--markdown 1]
 int CmdDiff(const std::string& old_path, const std::string& new_path,
             const Args& args) {
-  const auto load = [](const std::string& path) {
-    std::ifstream in(path);
-    if (!in) {
-      throw std::runtime_error("cannot read report '" + path + "'");
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    return Json::Parse(text.str());
-  };
   DiffOptions options;
   options.l1_tolerance = args.Get("l1-tol", options.l1_tolerance, 0.0);
   options.time_tolerance =
@@ -392,13 +407,27 @@ int CmdDiff(const std::string& old_path, const std::string& new_path,
   const bool markdown = args.Get("markdown", false);
 
   const DiffResult result =
-      DiffReports(load(old_path), load(new_path), options);
+      DiffReports(LoadReport(old_path), LoadReport(new_path), options);
   if (markdown) {
     PrintDiffMarkdown(result, old_path, new_path, std::cout);
   } else {
     PrintDiff(result, std::cout);
   }
   return result.HasRegression() ? 1 : 0;
+}
+
+/// sgr table <report.json>. The tables are rendered in full before any
+/// is printed, so a malformed report prints only the error.
+int CmdTable(const std::string& path) {
+  const Json report = LoadReport(path);
+  std::ostringstream tables;
+  try {
+    PrintReportTable(report, tables);
+  } catch (const std::exception& e) {
+    throw std::runtime_error(path + ": " + e.what());
+  }
+  std::cout << tables.str();
+  return 0;
 }
 
 /// sgr trace summarize <trace.json>
@@ -454,7 +483,8 @@ int CmdScenarios(int argc, char** argv) {
     const Args no_flags(argc, argv, 3, {});
     TablePrinter table(std::cout, {"Scenario", "Description"});
     for (const std::string& name : BuiltinScenarioNames()) {
-      table.AddRow({name, BuiltinScenarioDescription(name)});
+      const std::string description = BuiltinScenarioDescription(name);
+      table.AddRow({name, description.substr(0, description.find('\n'))});
     }
     table.Print();
     std::cout << "\nrun one with `sgr run <name> --out results.json`, or "
@@ -610,6 +640,7 @@ void PrintUsage() {
       "  diff      OLD.json NEW.json [--l1-tol X] [--time-tol R]\n"
       "            [--no-timings 1] [--markdown 1]   (exit 1 on\n"
       "            regression)\n"
+      "  table     REPORT.json   (the paper's tables from a report)\n"
       "  scenarios list | show NAME\n"
       "  trace     summarize FILE   (validate + per-span time table)\n"
       "  check     [PATHS...] [--baseline FILE]   (determinism lint over\n"
@@ -646,6 +677,12 @@ int main(int argc, char** argv) {
       return CmdDiff(argv[2], argv[3],
                      Args(argc, argv, 4,
                           {"l1-tol", "time-tol", "no-timings", "markdown"}));
+    }
+    if (command == "table") {
+      const bool has_path = argc > 2 && argv[2][0] != '-';
+      const Args no_flags(argc, argv, has_path ? 3 : 2, {});
+      if (!has_path) throw std::runtime_error("usage: sgr table <report.json>");
+      return CmdTable(argv[2]);
     }
     if (command == "scenarios") return CmdScenarios(argc, argv);
     if (command == "datasets") return CmdDatasets(argc, argv);
