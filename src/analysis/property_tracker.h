@@ -52,7 +52,7 @@ enum class PropertyAnalysisMode {
 ///
 /// Like TriangleTracker, the tracker owns its state and never aliases the
 /// Graph it was built from: callers must mirror every committed swap (and
-/// only committed swaps — never speculative proposals) to stay in sync.
+/// only committed swaps — never rejected trials) to stay in sync.
 /// All mutation and snapshot paths are deterministic: iteration is over
 /// node indices and dense vectors, never over unordered containers.
 class PropertyTracker {
@@ -66,7 +66,7 @@ class PropertyTracker {
 
   /// Applies the degree-preserving 2-swap that removes (i, j) and (a, b)
   /// and adds (i, b) and (a, j) — the committed-swap mirror of
-  /// Graph::ReplaceEdge pairs in the rewiring engines. The inverse of
+  /// Graph::ReplaceEdge pairs in the rewiring loop. The inverse of
   /// ApplySwap(i, j, a, b) is ApplySwap(i, b, a, j).
   void ApplySwap(NodeId i, NodeId j, NodeId a, NodeId b);
 

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "exp/parallel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -12,16 +11,9 @@ namespace sgr {
 
 namespace {
 
-/// Stream tags of the parallel assembly engine's derived RNG streams
-/// (see DeriveRoundSeed): one for the added-node degree shuffle, one per
-/// class pair for the stub draws.
-constexpr std::uint64_t kAssemblyShuffleStream = 0xA5E0ULL;
-constexpr std::uint64_t kAssemblyPairStream = 0xA5E1ULL;
-
-/// Shared prologue of both assembly engines (Algorithm 5, lines 1-12):
-/// validates the targets against the base, adds the missing nodes (their
-/// degree sequence shuffled by `shuffle_rng`), and pools the free
-/// half-edges by target degree class.
+/// Prologue of Algorithm 5 (lines 1-12): validates the targets against
+/// the base, adds the missing nodes (their degree sequence shuffled by
+/// `rng`), and pools the free half-edges by target degree class.
 struct AssemblyState {
   Graph result;
   std::vector<std::vector<NodeId>> stubs;
@@ -30,7 +22,7 @@ struct AssemblyState {
 
 AssemblyState BuildAssemblyState(
     const Graph& base, const std::vector<std::uint32_t>& base_target_degrees,
-    const DegreeVector& n_star, Rng& shuffle_rng) {
+    const DegreeVector& n_star, Rng& rng) {
   if (base_target_degrees.size() != base.NumNodes()) {
     throw std::logic_error(
         "ConstructPreservingTargets: one target degree per base node "
@@ -73,8 +65,7 @@ AssemblyState BuildAssemblyState(
       added_degrees.push_back(static_cast<std::uint32_t>(k));
     }
   }
-  std::shuffle(added_degrees.begin(), added_degrees.end(),
-               shuffle_rng.engine());
+  std::shuffle(added_degrees.begin(), added_degrees.end(), rng.engine());
 
   // Attach half-edges (stubs): d*_i - d'_i per base node, d*_i per added
   // node, pooled by target degree (lines 9-12).
@@ -126,12 +117,9 @@ NodeId PopAt(std::vector<NodeId>& pool, std::size_t idx) {
 /// Wires the free half-edges class pair by class pair (Algorithm 5, lines
 /// 13-16): every pair (k, k') with k <= k' in canonical order copies
 /// m*(k,k') - m'(k,k') edges, each between two stubs popped uniformly from
-/// the pools of k and k'. `pair_rng(p)` is the stream the p-th pair with
-/// edges to copy draws from.
-template <typename PairRng>
+/// the pools of k and k'.
 void WireClassPairs(AssemblyState& state, const JointDegreeMatrix& m_star,
-                    const JointDegreeMatrix& m_prime, PairRng&& pair_rng) {
-  std::uint64_t pair = 0;
+                    const JointDegreeMatrix& m_prime, Rng& rng) {
   for (std::uint32_t k = 1; k <= state.k_max; ++k) {
     for (std::uint32_t kp = k; kp <= state.k_max; ++kp) {
       const std::int64_t need = m_star.At(k, kp) - m_prime.At(k, kp);
@@ -143,7 +131,6 @@ void WireClassPairs(AssemblyState& state, const JointDegreeMatrix& m_star,
       if (need == 0) continue;
       obs::Span pair_span("assemble_pair", "assemble");
       obs::MetricAdd("assemble.pairs", 1);
-      Rng& rng = pair_rng(pair++);
       for (std::int64_t c = 0; c < need; ++c) {
         if (state.stubs[k].empty() || state.stubs[kp].empty() ||
             (k == kp && state.stubs[k].size() < 2)) {
@@ -179,37 +166,13 @@ Graph ConstructPreservingTargets(
   AssemblyState state =
       BuildAssemblyState(base, base_target_degrees, n_star, rng);
   WireClassPairs(state, m_star, SubgraphClassEdges(base, base_target_degrees),
-                 [&rng](std::uint64_t) -> Rng& { return rng; });
-  return state.result;
-}
-
-Graph ConstructPreservingTargetsParallel(
-    const Graph& base, const std::vector<std::uint32_t>& base_target_degrees,
-    const DegreeVector& n_star, const JointDegreeMatrix& m_star,
-    std::uint64_t seed) {
-  Rng shuffle_rng(DeriveRoundSeed(seed, kAssemblyShuffleStream, 0));
-  AssemblyState state =
-      BuildAssemblyState(base, base_target_degrees, n_star, shuffle_rng);
-  Rng pair_rng(0);
-  WireClassPairs(state, m_star, SubgraphClassEdges(base, base_target_degrees),
-                 [&](std::uint64_t pair) -> Rng& {
-                   pair_rng = Rng(DeriveRoundSeed(seed, kAssemblyPairStream,
-                                                  pair));
-                   return pair_rng;
-                 });
+                 rng);
   return state.result;
 }
 
 Graph Construct2kGraph(const DegreeVector& n_star,
                        const JointDegreeMatrix& m_star, Rng& rng) {
   return ConstructPreservingTargets(Graph(), {}, n_star, m_star, rng);
-}
-
-Graph Construct2kGraphParallel(const DegreeVector& n_star,
-                               const JointDegreeMatrix& m_star,
-                               std::uint64_t seed) {
-  return ConstructPreservingTargetsParallel(Graph(), {}, n_star, m_star,
-                                            seed);
 }
 
 Graph Construct1kGraph(const DegreeVector& n_star, Rng& rng) {

@@ -12,22 +12,6 @@
 
 namespace sgr {
 
-/// Options of the parallel Algorithm 5 assembly engine
-/// (ConstructPreservingTargetsParallel).
-///
-/// `enabled` is an algorithm knob: the parallel engine draws its stub
-/// picks from per-class-pair RNG streams derived with DeriveRoundSeed
-/// instead of the caller's single sequential stream, so it selects a
-/// different (equally valid) realization of the same targets — exactly
-/// like ParallelRewireOptions::batch_size selects a different rewiring
-/// trajectory.
-struct ParallelAssemblyOptions {
-  /// Selects the engine: false (the default) runs the classic sequential
-  /// stub-matching loop on the caller's RNG stream; true runs
-  /// ConstructPreservingTargetsParallel's per-class-pair streams.
-  bool enabled = false;
-};
-
 /// Constructs a graph that contains `base` as a subgraph and exactly
 /// realizes the target degree vector {n*(k)} and target joint degree matrix
 /// {m*(k,k')} (Algorithm 5 of the paper).
@@ -46,37 +30,10 @@ Graph ConstructPreservingTargets(
     const Graph& base, const std::vector<std::uint32_t>& base_target_degrees,
     const DegreeVector& n_star, const JointDegreeMatrix& m_star, Rng& rng);
 
-/// Per-class-pair-stream variant of ConstructPreservingTargets — the same
-/// Algorithm 5 semantics (node addition, stub pooling, m*(k,k')
-/// target-copy wiring, identical realization-condition checks) with the
-/// randomness split into independent streams:
-///
-///   1. the added-node degree sequence is shuffled with a stream derived
-///      from `seed` (DeriveRoundSeed — independent of everything else),
-///   2. the class pairs (k, k') with m*(k,k') - m'(k,k') > 0 edges to copy
-///      are wired in canonical (k, k') order, the p-th of them drawing its
-///      stubs from its own stream DeriveRoundSeed(seed, stream, p).
-///
-/// Every pair's draws are a pure function of (seed, pair index). The
-/// output differs from the sequential ConstructPreservingTargets for any
-/// seed (different RNG streams — an algorithm knob, see
-/// ParallelAssemblyOptions); both realize the same (n*, m*) targets
-/// exactly.
-Graph ConstructPreservingTargetsParallel(
-    const Graph& base, const std::vector<std::uint32_t>& base_target_degrees,
-    const DegreeVector& n_star, const JointDegreeMatrix& m_star,
-    std::uint64_t seed);
-
 /// Classic 2K construction: a random graph realizing (n*, m*) from an empty
 /// base.
 Graph Construct2kGraph(const DegreeVector& n_star,
                        const JointDegreeMatrix& m_star, Rng& rng);
-
-/// 2K construction from an empty base on per-class-pair streams (the
-/// Gjoka et al. baseline through ConstructPreservingTargetsParallel).
-Graph Construct2kGraphParallel(const DegreeVector& n_star,
-                               const JointDegreeMatrix& m_star,
-                               std::uint64_t seed);
 
 /// 1K construction (configuration model): a random multigraph realizing a
 /// degree vector exactly — stubs are shuffled uniformly and paired. The

@@ -1,7 +1,6 @@
 #include "dk/triangle_tracker.h"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <cmath>
 #include <utility>
@@ -46,19 +45,6 @@ double TriangleTracker::ClassTerm(std::uint32_t k) const {
   return std::abs(PresentClustering(k) - target_[k]);
 }
 
-double TriangleTracker::ClassTermWithDelta(std::uint32_t k,
-                                           std::int64_t dt) const {
-  if (k < 2 || k >= class_n_.size() || class_n_[k] == 0) {
-    // c̄(k) is identically 0 for these classes, with or without dt.
-    return std::abs(target_[k]);
-  }
-  const double clustering =
-      2.0 * static_cast<double>(class_t_[k] + dt) /
-      (static_cast<double>(k) * static_cast<double>(k - 1) *
-       static_cast<double>(class_n_[k]));
-  return std::abs(clustering - target_[k]);
-}
-
 double TriangleTracker::PresentClustering(std::uint32_t k) const {
   if (k < 2 || k >= class_n_.size() || class_n_[k] == 0) return 0.0;
   return 2.0 * static_cast<double>(class_t_[k]) /
@@ -79,7 +65,6 @@ void TriangleTracker::BumpClassTriangles(std::uint32_t k,
   objective_num_ -= ClassTerm(k);
   class_t_[k] += delta;
   objective_num_ += ClassTerm(k);
-  if (touched_sink_ != nullptr) touched_sink_->push_back(k);
 }
 
 std::int64_t TriangleTracker::Multiplicity(NodeId u, NodeId v) const {
@@ -137,133 +122,6 @@ void TriangleTracker::AddEdge(NodeId u, NodeId v) {
   ApplyTriangleDelta(u, v, +1);
   ++adj_[u][v];
   ++adj_[v][u];
-}
-
-double TriangleTracker::EvaluateSwapDelta(
-    NodeId i, NodeId j, NodeId a, NodeId b,
-    std::vector<std::uint32_t>* touched_classes) const {
-  // The four operations of the swap are scored in sequence against the
-  // frozen tracker state plus a tiny overlay of the multiplicity changes
-  // the preceding operations made. Operations only ever modify pairs
-  // among the four endpoints, so the overlay holds at most 4 entries
-  // (pairs normalized u <= v; a loop at v stores the A_vv convention of
-  // twice the loop count).
-  struct PairDelta {
-    NodeId u, v;
-    std::int64_t d;
-  };
-  std::array<PairDelta, 4> overlay;
-  std::size_t overlay_size = 0;
-  const auto bump_pair = [&](NodeId u, NodeId v, std::int64_t d) {
-    if (u > v) std::swap(u, v);
-    for (std::size_t k = 0; k < overlay_size; ++k) {
-      if (overlay[k].u == u && overlay[k].v == v) {
-        overlay[k].d += d;
-        return;
-      }
-    }
-    overlay[overlay_size++] = {u, v, d};
-  };
-  // A'_uv: base multiplicity plus whatever the preceding operations did.
-  const auto overlaid = [&](NodeId u, NodeId v) -> std::int64_t {
-    const std::int64_t base = Multiplicity(u, v);
-    const NodeId lo = u <= v ? u : v;
-    const NodeId hi = u <= v ? v : u;
-    for (std::size_t k = 0; k < overlay_size; ++k) {
-      if (overlay[k].u == lo && overlay[k].v == hi) {
-        return base + overlay[k].d;
-      }
-    }
-    return base;
-  };
-
-  // Net T(k) deltas across the four operations. Linear scan: the distinct
-  // degree classes among two nodes' common neighbors are few.
-  std::vector<std::pair<std::uint32_t, std::int64_t>> class_delta;
-  class_delta.reserve(8);
-  const auto add_class = [&](std::uint32_t k, std::int64_t d) {
-    if (d == 0) return;
-    for (auto& [cls, sum] : class_delta) {
-      if (cls == k) {
-        sum += d;
-        return;
-      }
-    }
-    class_delta.emplace_back(k, d);
-  };
-
-  const std::array<NodeId, 4> endpoints = {i, j, a, b};
-  const auto is_endpoint = [&](NodeId w) {
-    return w == i || w == j || w == a || w == b;
-  };
-
-  struct Op {
-    NodeId u, v;
-    std::int64_t sign;
-  };
-  const std::array<Op, 4> ops = {Op{i, j, -1}, Op{a, b, -1}, Op{i, b, +1},
-                                 Op{a, j, +1}};
-  for (const Op& op : ops) {
-    if (op.u == op.v) {
-      bump_pair(op.u, op.u, 2 * op.sign);  // loops form no triangles
-      continue;
-    }
-    // Base pass over the frozen maps: a non-endpoint common neighbor w is
-    // never touched by the overlay (operations only modify endpoint
-    // pairs), so its weight reads straight from the base state.
-    const NodeId p = adj_[op.u].size() <= adj_[op.v].size() ? op.u : op.v;
-    const NodeId q = (p == op.u) ? op.v : op.u;
-    std::int64_t common = 0;
-    // sgr-check: allow(unordered-iter) integer triangle-count deltas; per-w updates commute
-    for (const auto& [w, m_pw] : adj_[p]) {
-      if (w == op.u || w == op.v || is_endpoint(w)) continue;
-      const auto it = adj_[q].find(w);
-      if (it == adj_[q].end()) continue;
-      const std::int64_t weight =
-          static_cast<std::int64_t>(m_pw) * it->second;
-      common += weight;
-      add_class(degree_[w], op.sign * weight);
-    }
-    // Correction pass: endpoint common neighbors read through the
-    // overlay (deduplicated — endpoints may coincide, e.g. j == a).
-    for (std::size_t e = 0; e < endpoints.size(); ++e) {
-      const NodeId w = endpoints[e];
-      if (w == op.u || w == op.v) continue;
-      bool duplicate = false;
-      for (std::size_t f = 0; f < e; ++f) {
-        if (endpoints[f] == w) {
-          duplicate = true;
-          break;
-        }
-      }
-      if (duplicate) continue;
-      const std::int64_t weight = overlaid(op.u, w) * overlaid(op.v, w);
-      if (weight == 0) continue;
-      common += weight;
-      add_class(degree_[w], op.sign * weight);
-    }
-    add_class(degree_[op.u], op.sign * common);
-    add_class(degree_[op.v], op.sign * common);
-    bump_pair(op.u, op.v, op.sign);
-  }
-
-  double delta = 0.0;
-  for (const auto& [k, d] : class_delta) {
-    if (d == 0) continue;
-    delta += ClassTermWithDelta(k, d) - ClassTerm(k);
-    if (touched_classes != nullptr) touched_classes->push_back(k);
-  }
-  return delta;
-}
-
-void TriangleTracker::ApplySwap(NodeId i, NodeId j, NodeId a, NodeId b,
-                                std::vector<std::uint32_t>* touched_classes) {
-  touched_sink_ = touched_classes;
-  RemoveEdge(i, j);
-  RemoveEdge(a, b);
-  AddEdge(i, b);
-  AddEdge(a, j);
-  touched_sink_ = nullptr;
 }
 
 }  // namespace sgr

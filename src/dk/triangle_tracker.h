@@ -40,36 +40,6 @@ class TriangleTracker {
   /// Notifies the tracker that edge (u, v) was added.
   void AddEdge(NodeId u, NodeId v);
 
-  /// Objective-numerator change of the 2-swap that removes (i, j) and
-  /// (a, b) and adds (i, b) and (a, j), WITHOUT mutating the tracker.
-  /// Negative means the swap strictly improves the objective. The four
-  /// edge operations are scored in the same order ApplySwap performs
-  /// them, so the value equals the objective change an actual
-  /// apply-and-recompute would observe (up to summation order).
-  ///
-  /// `touched_classes`, when non-null, receives every degree class whose
-  /// T(k) the swap would modify — exactly the classes this score reads
-  /// from mutable state. Together with the four endpoint adjacencies
-  /// (the only other mutable reads) that set defines the swap's conflict
-  /// footprint: the value stays exact as long as no committed swap
-  /// touches one of these nodes or classes.
-  ///
-  /// Const and data-race-free against concurrent EvaluateSwapDelta calls:
-  /// the batched rewiring engine scores whole proposal batches in
-  /// parallel against one frozen tracker state.
-  double EvaluateSwapDelta(NodeId i, NodeId j, NodeId a, NodeId b,
-                           std::vector<std::uint32_t>* touched_classes =
-                               nullptr) const;
-
-  /// Applies the 2-swap (remove (i, j), remove (a, b), add (i, b),
-  /// add (a, j)) through the incremental update path — the cheap commit
-  /// primitive of the batched rewiring engine. `touched_classes`, when
-  /// non-null, receives every degree class whose T(k) actually changed
-  /// (the dirty set later proposals in the same round are checked
-  /// against).
-  void ApplySwap(NodeId i, NodeId j, NodeId a, NodeId b,
-                 std::vector<std::uint32_t>* touched_classes = nullptr);
-
   /// Triangles through `v`.
   std::int64_t triangles(NodeId v) const { return t_[v]; }
 
@@ -96,8 +66,6 @@ class TriangleTracker {
 
  private:
   double ClassTerm(std::uint32_t k) const;
-  /// |c̄(k) − ĉ̄(k)| as it would read with T(k) shifted by `dt`.
-  double ClassTermWithDelta(std::uint32_t k, std::int64_t dt) const;
   void BumpClassTriangles(std::uint32_t k, std::int64_t delta);
   /// Applies the triangle delta of inserting (sign=+1) or deleting
   /// (sign=-1) one (u,v) edge, u != v.
@@ -111,9 +79,6 @@ class TriangleTracker {
   std::vector<double> target_;          // ĉ̄(k), padded
   double target_mass_ = 0.0;            // Σ_k ĉ̄(k)
   double objective_num_ = 0.0;          // Σ_k |c̄(k) − ĉ̄(k)|
-  // Sink for the classes BumpClassTriangles touches during ApplySwap
-  // (null outside of an ApplySwap call).
-  std::vector<std::uint32_t>* touched_sink_ = nullptr;
 };
 
 }  // namespace sgr

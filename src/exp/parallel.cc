@@ -25,11 +25,6 @@ std::uint64_t DeriveSeed(std::uint64_t base_seed, std::uint64_t index) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t DeriveRoundSeed(std::uint64_t base_seed, std::uint64_t stream,
-                              std::uint64_t round) {
-  return DeriveSeed(DeriveSeed(base_seed, stream), round);
-}
-
 ThreadPool::ThreadPool(std::size_t threads) {
   const std::size_t count = ResolveThreadCount(threads);
   workers_.reserve(count);

@@ -32,15 +32,6 @@ inline constexpr std::size_t kMaxThreads = 1024;
 /// scrambles consecutive seeds adequately).
 std::uint64_t DeriveSeed(std::uint64_t base_seed, std::uint64_t index);
 
-/// Two-level seed derivation for round-scoped RNG streams inside one
-/// task: chains DeriveSeed over a stream tag and a round index, so
-/// every (stream, round) pair of the same base seed gets a decorrelated
-/// generator state. The batched rewiring engine derives round r of its
-/// proposal stream this way, so the stream is a pure function of
-/// (base_seed, round).
-std::uint64_t DeriveRoundSeed(std::uint64_t base_seed, std::uint64_t stream,
-                              std::uint64_t round);
-
 /// Fixed-size pool of worker threads with a shared FIFO task queue.
 ///
 /// The restoration experiments are embarrassingly parallel: every Monte

@@ -22,8 +22,7 @@ namespace sgr::obs {
 /// cells' trials overlap on one pool: it opens a sink around each trial
 /// and folds the trials' sinks into their cell in (cell, trial) order.
 /// ThreadPool carries the submitting thread's sink to the worker that runs
-/// a task, so a trial's inner pools (estimator chunks, rewiring rounds,
-/// assembly) report into the trial's sink too.
+/// a task, so a trial's task reports into the trial's sink.
 ///
 /// The engine feeds the registry at coarse aggregation points — once per
 /// crawl, once per restoration, once per chunked estimator pass, once

@@ -16,7 +16,7 @@ namespace sgr::obs {
 /// (obs::SteadyNowMicros), re-based to the StartTracing epoch at export
 /// so traces start at ts 0.
 struct TraceEvent {
-  std::string name;        ///< span name ("crawl", "rewire_round", ...)
+  std::string name;        ///< span name ("crawl", "rewire", ...)
   const char* category;    ///< static taxonomy tag ("pipeline", "pool", ...)
   std::uint64_t start_us;  ///< begin, us on the SteadyNowMicros timebase
   std::uint64_t dur_us;    ///< duration in us

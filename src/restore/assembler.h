@@ -1,8 +1,6 @@
 #ifndef SGR_RESTORE_ASSEMBLER_H_
 #define SGR_RESTORE_ASSEMBLER_H_
 
-#include <cstdint>
-
 #include "dk/dk_construct.h"
 #include "dk/joint_degree_matrix.h"
 #include "restore/target_degree_vector.h"
@@ -21,18 +19,6 @@ Graph AssembleFromSubgraph(const Subgraph& sub,
                            const TargetDegreeVectorResult& targets,
                            const DegreeVector& n_star,
                            const JointDegreeMatrix& m_star, Rng& rng);
-
-/// Algorithm 5 assembly on per-class-pair RNG streams derived from
-/// `seed`, wired in canonical (k, k') order. Selects a different — equally
-/// valid — realization of the same targets than the sequential wrapper
-/// above (different RNG streams); see ConstructPreservingTargetsParallel
-/// for the full contract. Callers holding an Rng should pass one engine
-/// draw (rng.engine()()).
-Graph AssembleFromSubgraphParallel(const Subgraph& sub,
-                                   const TargetDegreeVectorResult& targets,
-                                   const DegreeVector& n_star,
-                                   const JointDegreeMatrix& m_star,
-                                   std::uint64_t seed);
 
 }  // namespace sgr
 

@@ -36,12 +36,7 @@ RestorationResult RestoreGjoka(const SamplingList& list,
   extract_span.End();
 
   obs::Span assemble_span("assemble");
-  if (options.parallel_assembly.enabled) {
-    result.graph =
-        Construct2kGraphParallel(targets.n_star, m_star, rng.engine()());
-  } else {
-    result.graph = Construct2kGraph(targets.n_star, m_star, rng);
-  }
+  result.graph = Construct2kGraph(targets.n_star, m_star, rng);
   assemble_span.End();
 
   RewireOptions rewire_options = options.rewire;
@@ -49,16 +44,9 @@ RestorationResult RestoreGjoka(const SamplingList& list,
   rewire_options.stop_epsilon = options.stop_epsilon;
   obs::Span rewire_span("rewire");
   total.LapSeconds();  // open the rewiring lap
-  if (options.parallel_rewire.batch_size > 0) {
-    result.rewire_stats = RewireToClusteringParallel(
-        result.graph, /*num_protected_edges=*/0,
-        result.estimates.clustering, rewire_options,
-        options.parallel_rewire, rng.engine()());
-  } else {
-    result.rewire_stats = RewireToClustering(
-        result.graph, /*num_protected_edges=*/0,
-        result.estimates.clustering, rewire_options, rng);
-  }
+  result.rewire_stats = RewireToClustering(
+      result.graph, /*num_protected_edges=*/0, result.estimates.clustering,
+      rewire_options, rng);
   result.rewiring_seconds = total.LapSeconds();
   rewire_span.End();
 

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <string>
 
-#include "dk/dk_construct.h"
 #include "estimation/estimates.h"
 #include "estimation/estimators.h"
 #include "graph/graph.h"
@@ -17,19 +16,6 @@ namespace sgr {
 struct RestorationOptions {
   /// Rewiring-phase options (RC = 500 reproduces the paper's setting).
   RewireOptions rewire;
-
-  /// Batched speculative rewiring engine. `parallel_rewire.batch_size`
-  /// selects the engine: 0 (the default) runs the classic sequential
-  /// attempt loop; nonzero runs RewireToClusteringParallel with that
-  /// round size — see restore/rewirer.h.
-  ParallelRewireOptions parallel_rewire;
-
-  /// Parallel Algorithm 5 assembly. `parallel_assembly.enabled` selects
-  /// the engine: false (the default) runs the classic sequential
-  /// stub-matching loop on the method's RNG stream; true runs
-  /// ConstructPreservingTargetsParallel with per-class-pair derived RNG
-  /// streams — see dk/dk_construct.h.
-  ParallelAssemblyOptions parallel_assembly;
 
   /// Estimator options (collision-lag fraction, joint-estimator mode,
   /// walk type). Set `estimator.walk_type = WalkType::kNonBacktracking`

@@ -39,27 +39,17 @@ RestorationResult RestoreProposed(const SamplingList& list,
       BuildTargetJdm(result.estimates, targets.n_star, m_prime, rng);
   extract_span.End();
 
-  // Third phase: extend the subgraph to realize both targets. The
-  // parallel engine takes one engine draw as its seed (like the batched
-  // rewirer below), so the sequential path's RNG stream is untouched
-  // when it is off.
+  // Third phase: extend the subgraph to realize both targets.
   obs::Span assemble_span("assemble");
-  if (options.parallel_assembly.enabled) {
-    result.graph = AssembleFromSubgraphParallel(
-        sub, targets, targets.n_star, m_star, rng.engine()());
-  } else {
-    result.graph =
-        AssembleFromSubgraph(sub, targets, targets.n_star, m_star, rng);
-  }
+  result.graph =
+      AssembleFromSubgraph(sub, targets, targets.n_star, m_star, rng);
   assemble_span.End();
 
   // Fourth phase: rewire non-subgraph edges toward ĉ̄(k). Protecting the
   // first |E'| edge ids (the subgraph edges copied first by Algorithm 5)
   // realizes E~rew = E~ \ E'; `protect_subgraph = false` widens the
   // candidate set to all of E~ (Gjoka et al.'s choice — the candidate-set
-  // ablation). A nonzero batch size selects the batched speculative
-  // engine; its seed is one engine draw, so the sequential path's RNG
-  // stream is untouched when the engine is off.
+  // ablation).
   const std::size_t protected_edges =
       options.protect_subgraph ? sub.graph.NumEdges() : 0;
   RewireOptions rewire_options = options.rewire;
@@ -67,15 +57,9 @@ RestorationResult RestoreProposed(const SamplingList& list,
   rewire_options.stop_epsilon = options.stop_epsilon;
   obs::Span rewire_span("rewire");
   total.LapSeconds();  // open the rewiring lap
-  if (options.parallel_rewire.batch_size > 0) {
-    result.rewire_stats = RewireToClusteringParallel(
-        result.graph, protected_edges, result.estimates.clustering,
-        rewire_options, options.parallel_rewire, rng.engine()());
-  } else {
-    result.rewire_stats =
-        RewireToClustering(result.graph, protected_edges,
-                           result.estimates.clustering, rewire_options, rng);
-  }
+  result.rewire_stats =
+      RewireToClustering(result.graph, protected_edges,
+                         result.estimates.clustering, rewire_options, rng);
   result.rewiring_seconds = total.LapSeconds();
   rewire_span.End();
 

@@ -2,7 +2,6 @@
 #define SGR_RESTORE_REWIRER_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "graph/graph.h"
@@ -16,14 +15,8 @@ struct RewireOptions {
   /// The paper uses RC = 500 (following Orsini et al.).
   double rewiring_coefficient = 500.0;
 
-  /// Attempts between full objective recomputations (floating-point drift
-  /// control for the incrementally maintained L1 distance). 0 means
-  /// "never resync" (the final distance is always recomputed from
-  /// scratch regardless).
-  std::size_t resync_interval = 1 << 20;
-
-  /// When true, the engine maintains a PropertyTracker over the committed
-  /// swaps (never over speculative proposals) and fills
+  /// When true, the engine maintains a PropertyTracker over the accepted
+  /// swaps (never over rejected trials) and fills
   /// RewireStats::curve with kConvergenceSamples evenly spaced
   /// convergence samples. Pure observation: the proposal stream, the
   /// acceptance decisions, and the rewired graph are byte-identical with
@@ -38,23 +31,6 @@ struct RewireOptions {
   /// 0 disables the stop.
   double stop_epsilon = 0.0;
 };
-
-/// Options of the batched speculative rewiring engine
-/// (RewireToClusteringParallel).
-///
-/// `batch_size` is an algorithm knob: changing it changes which
-/// proposals are scored against which tracker state, so it selects a
-/// different (equally valid) optimization trajectory.
-struct ParallelRewireOptions {
-  /// Proposals drawn and speculatively scored per round. 0 lets the
-  /// engine pick its default (kDefaultRewireBatch).
-  std::size_t batch_size = 0;
-};
-
-/// Default proposals-per-round of the batched engine when
-/// ParallelRewireOptions::batch_size is 0. Small enough that intra-round
-/// conflicts stay rare.
-inline constexpr std::size_t kDefaultRewireBatch = 256;
 
 /// One point of the rewiring convergence curve recorded when
 /// RewireOptions::track_properties is on: the incrementally tracked
@@ -78,12 +54,6 @@ struct RewireStats {
   std::size_t accepted = 0;          ///< swaps that reduced the objective
   double initial_distance = 0.0;     ///< normalized L1 before rewiring
   double final_distance = 0.0;       ///< normalized L1 after rewiring
-
-  // Batched-engine round accounting (all zero on the sequential path).
-  std::size_t rounds = 0;        ///< proposal batches drawn
-  std::size_t evaluated = 0;     ///< well-formed proposals scored speculatively
-  std::size_t conflicts = 0;     ///< proposals dropped: edge re-rewired earlier in the round
-  std::size_t reevaluated = 0;   ///< stale scores re-derived at commit time
 
   // Property tracking (RewireOptions::track_properties). `curve` holds
   // exactly kConvergenceSamples points for a tracked run that rewired
@@ -109,43 +79,12 @@ struct RewireStats {
 /// ((i,b),(a,j)) iff the normalized L1 distance between the present and
 /// target degree-dependent clustering strictly decreases. Degree-matched
 /// swaps preserve the degree vector and joint degree matrix exactly.
+///
+/// Throws std::invalid_argument when R = RC * |E~rew| is not below 2^63
+/// (no attempt count that large could ever finish).
 RewireStats RewireToClustering(Graph& g, std::size_t num_protected_edges,
                                const std::vector<double>& target_clustering,
                                const RewireOptions& options, Rng& rng);
-
-/// Batched speculative variant of RewireToClustering: the same swap
-/// family, candidate protection, and strict-improvement acceptance, run
-/// as rounds of `parallel.batch_size` proposals.
-///
-/// Every round:
-///   1. draws its proposal batch from a deterministic per-round RNG
-///      stream (DeriveRoundSeed(seed, ..., round)) and scores each
-///      proposal's objective delta speculatively against the frozen
-///      round-start tracker state,
-///   2. commits in canonical batch order: speculatively non-improving
-///      proposals are rejected; improving ones whose conflict footprint
-///      (four endpoints + touched degree classes) overlaps an earlier
-///      commit of the same round are re-scored against the live state
-///      first; proposals whose edge ids were already rewired this round
-///      are dropped.
-///
-/// The trajectory differs from the sequential RewireToClustering for the
-/// same seed (proposals are scored against round-start state, not the
-/// post-previous-attempt state): both are valid runs of Algorithm 6,
-/// each individually deterministic.
-///
-/// `options.resync_interval` is ignored: acceptance always scores fresh
-/// from the exact integer triangle state and the final distance is
-/// recomputed from scratch, so this engine has no floating-point drift
-/// to control.
-///
-/// `seed` drives all randomness; callers holding an Rng should pass one
-/// engine draw (rng.engine()()).
-RewireStats RewireToClusteringParallel(
-    Graph& g, std::size_t num_protected_edges,
-    const std::vector<double>& target_clustering,
-    const RewireOptions& options, const ParallelRewireOptions& parallel,
-    std::uint64_t seed);
 
 }  // namespace sgr
 

@@ -100,10 +100,6 @@ ScenarioCell FoldCell(const CellJob& job, const std::vector<TrialSlot>& trials,
       const RewireStats& rw = r.restoration.rewire_stats;
       aggregate.rewire.attempts += static_cast<double>(rw.attempts);
       aggregate.rewire.accepted += static_cast<double>(rw.accepted);
-      aggregate.rewire.rounds += static_cast<double>(rw.rounds);
-      aggregate.rewire.evaluated += static_cast<double>(rw.evaluated);
-      aggregate.rewire.conflicts += static_cast<double>(rw.conflicts);
-      aggregate.rewire.reevaluated += static_cast<double>(rw.reevaluated);
       aggregate.rewire.initial_distance += rw.initial_distance;
       aggregate.rewire.final_distance += rw.final_distance;
       if (rw.stopped_early) aggregate.stopped_early += 1.0;

@@ -18,14 +18,15 @@
 namespace sgr {
 
 /// Mean rewiring-phase statistics of one cell's trials (attempt /
-/// acceptance counters and the objective trajectory, plus the batched
-/// engine's round accounting). All values are deterministic functions of
-/// (spec, seed) — they are emitted under the report's "rewire" keys, NOT
-/// under "timings", so they are part of the determinism contract
-/// StripVolatile preserves.
+/// acceptance counters and the objective trajectory). All values are
+/// deterministic functions of (spec, seed) — they are emitted under the
+/// report's "rewire" keys, NOT under "timings", so they are part of the
+/// determinism contract StripVolatile preserves.
 struct RewireAggregate {
   double attempts = 0.0;
   double accepted = 0.0;
+  /// Retired round counters: always 0, kept because recorded reports hold
+  /// these four keys.
   double rounds = 0.0;
   double evaluated = 0.0;
   double conflicts = 0.0;

@@ -227,7 +227,13 @@ Json Echo(const T& value) {
 
 template <typename T>
 void Check(const T& value, const Range& range, const std::string& key) {
-  if constexpr (std::is_arithmetic_v<T> && !std::is_same_v<T, bool>) {
+  if constexpr (std::is_same_v<T, bool>) {
+    // A bool's range holds 0 (false) and/or 1 (true).
+    if (!range.Contains(value ? 1.0 : 0.0)) {
+      throw ScenarioError("'" + key + "' must be " +
+                          (value ? "false" : "true"));
+    }
+  } else if constexpr (std::is_arithmetic_v<T>) {
     const double number = static_cast<double>(value);
     if (!std::isfinite(number)) {
       throw ScenarioError("'" + key + "' must be finite");
@@ -392,6 +398,7 @@ struct Knob : Field<ScenarioSpec> {
   std::function<std::size_t(const ScenarioSpec&)> size;
   std::function<void(const ScenarioSpec&, std::size_t, CellKnobs&)> select;
   std::function<Json(const CellKnobs&)> cell_echo;
+  /// Reads the cell value back from a config; empty for EngineOnly axes.
   std::function<void(const ExperimentConfig&, CellKnobs&)> from_config;
 
   Knob& Set(bool Knob::*flag) {
@@ -436,24 +443,28 @@ Knob List(const char* key, std::vector<T> ScenarioSpec::*member,
 /// An axis: a list the engine crosses into cells. `rank` is its place in
 /// expansion and cell-echo order; each cell holds one of its values in
 /// `cell`, echoed under the same key, and copied into the ExperimentConfig
-/// field `bind` returns.
+/// field `bind` returns, unless `bind` is EngineOnly (the cell value then
+/// stays at its CellKnobs default when read back from a config).
 template <typename T, typename Bind>
 Knob Axis(int rank, const char* key, std::vector<T> ScenarioSpec::*values,
           T CellKnobs::*cell, Range range, Bind bind) {
   Knob knob(ListField(key, values, range));
   knob.rank = rank;
   knob.cell_key = key;
-  knob.apply = [=](const ScenarioSpec&, const CellKnobs& knobs,
-                   ExperimentConfig& config) {
-    Assign(bind(config), knobs.*cell);
-  };
+  if constexpr (!std::is_same_v<Bind, EngineOnly>) {
+    knob.apply = [=](const ScenarioSpec&, const CellKnobs& knobs,
+                     ExperimentConfig& config) {
+      Assign(bind(config), knobs.*cell);
+    };
+    knob.from_config = [=](const ExperimentConfig& config,
+                           CellKnobs& knobs) {
+      Assign(knobs.*cell, bind(config));
+    };
+  }
   knob.size = [=](const ScenarioSpec& spec) { return (spec.*values).size(); };
   knob.select = [=](const ScenarioSpec& spec, std::size_t i,
                     CellKnobs& knobs) { knobs.*cell = (spec.*values)[i]; };
   knob.cell_echo = [=](const CellKnobs& knobs) { return Echo(knobs.*cell); };
-  knob.from_config = [=](const ExperimentConfig& config, CellKnobs& knobs) {
-    Assign(knobs.*cell, bind(config));
-  };
   return knob;
 }
 
@@ -463,8 +474,11 @@ const std::vector<Knob>& Knobs() {
   constexpr Range kWorkers = In('[', 0, kMaxThreads, ']');
   // Every trial runs single-threaded below the scenario pool. The retired
   // intra-trial worker counts stay in the echo (recorded reports hold
-  // them) but accept only 1.
+  // them) but accept only 1. Likewise the retired engine selectors
+  // rewire_batch and parallel_assembly accept only 0 / false: Algorithms
+  // 5 and 6 each have one engine.
   constexpr Range kRetiredWorkers = In('[', 1, 1, ']');
+  constexpr Range kRetiredOff = In('[', 0, 0, ']');
   static const std::vector<Knob> knobs = {
       Scalar("name", &S::name),
       List("datasets", &S::datasets).Set(&Knob::always_array),
@@ -494,18 +508,13 @@ const std::vector<Knob>& Knobs() {
       // predate the table, and both are in recorded report bytes.
       Axis(7, "frontier_walkers", &S::frontier_walkers, &C::frontier_walkers,
            AtLeast(1), [](auto& c) -> auto& { return c.frontier_walkers; }),
-      Axis(6, "rewire_batch", &S::rewire_batches, &C::rewire_batch, {},
-           [](auto& c) -> auto& {
-             return c.restoration.parallel_rewire.batch_size;
-           }),
+      Axis(6, "rewire_batch", &S::rewire_batches, &C::rewire_batch,
+           kRetiredOff, EngineOnly{}),
       Axis(8, "noise", &S::noises, &C::noise, {},
            [](auto& c) -> auto& { return c.noise; })
           .Set(&Knob::omit_default),
       Scalar("rewire_threads", &S::rewire_threads, kRetiredWorkers),
-      Scalar("parallel_assembly", &S::parallel_assembly, {},
-             [](auto& c) -> auto& {
-               return c.restoration.parallel_assembly.enabled;
-             }),
+      Scalar("parallel_assembly", &S::parallel_assembly, kRetiredOff),
       Scalar("assembly_threads", &S::assembly_threads, kRetiredWorkers),
       Scalar("estimator_threads", &S::estimator_threads, kRetiredWorkers),
       Scalar("path_sources", &S::path_sources, {},
@@ -796,7 +805,9 @@ Json CellKnobsToJson(const CellKnobs& knobs, bool complete) {
 
 CellKnobs CellKnobsOf(const ExperimentConfig& config) {
   CellKnobs knobs;
-  for (const Knob* axis : Axes()) axis->from_config(config, knobs);
+  for (const Knob* axis : Axes()) {
+    if (axis->from_config) axis->from_config(config, knobs);
+  }
   return knobs;
 }
 
@@ -1004,19 +1015,6 @@ const Builtin kBuiltins[] = {
          "methods": ["proposed"], "protect_subgraph": [true, false],
          "trials": 2, "rc": 200, "path_sources": 40,
          "dataset_scale": 0.15})"},
-    // Sequential attempt loop (batch 0) vs speculative rounds at two
-    // batch sizes, with the per-class-pair-stream Algorithm 5 assembly
-    // on. Batch size is an algorithm knob (each value is its own equally
-    // valid trajectory).
-    {"ablation-batch",
-     "Batched-engine ablation: sequential attempt loop vs "
-     "speculative rounds (rewire_batch sweep) through the parallel "
-     "Algorithm 5 assembly",
-     0xAB6'0000,
-     R"({"datasets": ["brightkite"], "methods": ["proposed"],
-         "rewire_batch": [0, 64, 256], "parallel_assembly": true,
-         "trials": 2, "rc": 100, "path_sources": 40,
-         "dataset_scale": 0.1})"},
     // Walker-count sweep of Ribeiro & Towsley's frontier crawler through
     // the proposed pipeline: more coupled walkers dilute the per-walker
     // trajectory the clustering estimator's interior term reads.

@@ -84,8 +84,9 @@ struct CellKnobs {
   EstimatorSpec estimator;
   double rc = 500.0;
   bool protect_subgraph = true;
-  /// Batched speculative rewiring: 0 = the classic sequential attempt
-  /// loop, nonzero = proposals per round of RewireToClusteringParallel.
+  /// Retired rewiring-engine selector: always 0 (see
+  /// ScenarioSpec::rewire_batches), echoed because recorded reports hold
+  /// it.
   std::size_t rewire_batch = 0;
   /// Walker count of the frontier crawler (ignored by the others, but
   /// echoed regardless so cells pair canonically).
@@ -143,20 +144,17 @@ struct ScenarioSpec {
   /// [frontier]: every other crawler ignores the knob, so its cells would
   /// be duplicated once per walker value.
   std::vector<std::size_t> frontier_walkers = {10};
-  /// Batched-speculative-rewiring axis ("rewire_batch"; restore/
-  /// rewirer.h): 0 = the classic sequential attempt loop, nonzero =
-  /// proposals per round. An algorithm knob — each value is its own
-  /// (equally valid) rewiring trajectory.
+  /// Retired axis ("rewire_batch"), kept only because recorded reports
+  /// echo it: it accepts nothing but 0 and reaches no ExperimentConfig
+  /// field. Algorithm 6 has one engine, RewireToClustering.
   std::vector<std::size_t> rewire_batches = {0};
   /// Retired intra-trial worker count, kept only because recorded reports
   /// echo it: the key accepts nothing but 1 and reaches no
   /// ExperimentConfig field. The same holds for assembly_threads and
   /// estimator_threads below.
   std::size_t rewire_threads = 1;
-  /// Parallel Algorithm 5 assembly (dk/dk_construct.h). An algorithm
-  /// knob like rewire_batch: true routes the generative methods through
-  /// ConstructPreservingTargetsParallel's per-class-pair RNG streams —
-  /// a different (equally valid) realization of the same targets.
+  /// Retired, echo-only like rewire_batches: accepts nothing but false.
+  /// Algorithm 5 has one engine, ConstructPreservingTargets.
   bool parallel_assembly = false;
   /// Retired, echo-only (see rewire_threads).
   std::size_t assembly_threads = 1;
@@ -283,8 +281,6 @@ std::string CellLabel(const std::string& dataset, const CellKnobs& knobs);
 ///   ablation-rc      rewiring-budget sweep RC in {0..500} (Section IV-E)
 ///   ablation-jdm     hybrid vs IE-only vs TE-only estimator (Sec. III-E)
 ///   ablation-rewire  protected vs all-edges rewiring set (Section IV-E)
-///   ablation-batch   sequential loop vs speculative rounds (rewire_batch
-///                    sweep) through the parallel assembly engine
 ///   ablation-frontier  frontier walker-count sweep (frontier_walkers)
 ///   ablation-noise   adversarial-oracle sweep: cooperative vs private
 ///                    accounts vs hidden edges vs churn (noise axis)

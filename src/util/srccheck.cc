@@ -496,7 +496,7 @@ class FileLinter {
           !PrecededByMemberAccess(i)) {
         Report(t[i], "nondet-random",
                name + "() seeds from process entropy; derive an Rng via "
-                      "DeriveSeed/DeriveRoundSeed (util/rng, exp/parallel)");
+                      "DeriveSeed (util/rng, exp/parallel)");
       } else if (name == "random_device" && !PrecededByMemberAccess(i)) {
         Report(t[i], "nondet-random",
                "std::random_device is nondeterministic by design; all "
@@ -524,7 +524,7 @@ class FileLinter {
         Report(t[i], "raw-rng",
                "direct std::" + name +
                    " outside util/rng and exp/parallel bypasses the "
-                   "DeriveSeed/DeriveRoundSeed scheme");
+                   "DeriveSeed scheme");
       } else if (name == "float" && IsDoubleOnlyLayer(path_)) {
         Report(t[i], "float-drift",
                "float in analysis/estimation/restore/dk code; the "

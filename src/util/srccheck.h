@@ -18,7 +18,7 @@ namespace sgr {
 ///
 ///   nondet-random   rand() / srand / std::random_device — wall-entropy
 ///                   randomness; everything must flow through util/rng
-///                   seeded via DeriveSeed/DeriveRoundSeed.
+///                   seeded via DeriveSeed.
 ///   nondet-clock    time( / clock() / std::chrono::{system,steady,
 ///                   high_resolution}_clock outside obs/ — the single
 ///                   sanctioned clock is obs/timer.h.

@@ -62,6 +62,18 @@ expect --rewire-threads "$cli" run tables-smoke --rewire-threads 2
 printf '{"datasets": ["anybeat"], "estimator_threads": 2}\n' \
   > "$tmp/workers.json"
 expect estimator_threads "$cli" run "$tmp/workers.json"
+# Algorithms 5 and 6 have one engine each: the retired engine selectors
+# accept only 0 / false.
+printf '{"datasets": ["anybeat"], "rewire_batch": 64}\n' > "$tmp/batch.json"
+expect rewire_batch "$cli" run "$tmp/batch.json"
+printf '{"datasets": ["anybeat"], "parallel_assembly": true}\n' \
+  > "$tmp/assembly.json"
+expect parallel_assembly "$cli" run "$tmp/assembly.json"
+# rc * candidate edges >= 2^63 attempts is rejected, not run for ~9.2e18
+# attempts.
+printf '{"datasets": ["anybeat"], "rc": 1e300, "methods": ["gjoka"], "trials": 1, "dataset_scale": 0.05, "path_sources": 10}\n' \
+  > "$tmp/rc.json"
+expect 'rc = ' "$cli" run "$tmp/rc.json"
 # An edge list with no nodes has no seed node to crawl from: `crawl` and
 # a scenario trial both reject it, naming the file.
 : > "$tmp/empty.txt"

@@ -81,10 +81,6 @@ TEST(DkConstructTest, EmptyTargetsYieldEmptyGraph) {
   const Graph g = Construct2kGraph({}, JointDegreeMatrix{}, rng);
   EXPECT_EQ(g.NumNodes(), 0u);
   EXPECT_EQ(g.NumEdges(), 0u);
-  const Graph p =
-      Construct2kGraphParallel({}, JointDegreeMatrix{}, /*seed=*/53);
-  EXPECT_EQ(p.NumNodes(), 0u);
-  EXPECT_EQ(p.NumEdges(), 0u);
 }
 
 TEST(DkConstructTest, RejectsInconsistentJdm) {

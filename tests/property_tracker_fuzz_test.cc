@@ -19,7 +19,7 @@ namespace {
 
 /// Seeded adversarial swap-sequence fuzzer (json_fuzz_test.cc style):
 /// draws ARBITRARY orientations of two distinct edges — unlike the
-/// rewiring engines it does not require deg(i) == deg(a), because
+/// rewiring loop it does not require deg(i) == deg(a), because
 /// removing any two edges and adding their recombination preserves every
 /// degree. That widens the sequence space to the nasty configurations:
 /// self-swaps (i == a), loop creation (i == b), loop destruction (a loop
@@ -166,26 +166,25 @@ TEST(PropertyTrackerFuzzTest, CycleChurnSplitsAndMergesComponents) {
   ExpectMatchesFromScratch(g, tracker, "cycle churn final");
 }
 
-TEST(PropertyTrackerFuzzTest,
-     TrackedParallelRewireByteIdenticalAcrossThreads) {
+TEST(PropertyTrackerFuzzTest, TrackedRewireByteIdenticalAcrossThreads) {
   Rng gen_rng(7);
   const Graph before = GeneratePowerlawCluster(300, 3, 0.5, gen_rng);
   std::vector<double> target(before.MaxDegree() + 1, 0.25);
   RewireOptions options;
   options.rewiring_coefficient = 25.0;
   options.track_properties = true;
-  ParallelRewireOptions parallel;
-  parallel.batch_size = 128;
 
-  // Run 0 runs alone; runs 1-2 and 3-10 run concurrently, as trials do.
+  // Run 0 runs alone; runs 1-2 and 3-10 run concurrently, as trials do,
+  // each on its own Rng seeded alike.
   struct Run {
     Graph graph;
     RewireStats stats;
   };
   std::vector<Run> runs(11, Run{before, {}});
   const auto rewire = [&](std::size_t r) {
-    runs[r].stats = RewireToClusteringParallel(
-        runs[r].graph, 0, target, options, parallel, /*seed=*/0xD00D);
+    Rng rng(0xD00D);
+    runs[r].stats =
+        RewireToClustering(runs[r].graph, 0, target, options, rng);
   };
   rewire(0);
   ParallelFor(2, 2, [&](std::size_t i) { rewire(1 + i); });
@@ -274,46 +273,6 @@ TEST(PropertyTrackerFuzzTest, TrackingIsPureObservationSequential) {
               stats_tracked.final_distance, 1e-6);
 }
 
-TEST(PropertyTrackerFuzzTest, TrackingIsPureObservationBatched) {
-  Rng gen_rng(13);
-  const Graph before = GeneratePowerlawCluster(200, 3, 0.5, gen_rng);
-  std::vector<double> target(before.MaxDegree() + 1, 0.2);
-  RewireOptions plain;
-  plain.rewiring_coefficient = 20.0;
-  RewireOptions tracked = plain;
-  tracked.track_properties = true;
-  ParallelRewireOptions parallel;
-  parallel.batch_size = 64;
-
-  Graph g_plain = before;
-  const RewireStats stats_plain = RewireToClusteringParallel(
-      g_plain, 0, target, plain, parallel, /*seed=*/0xBEE);
-  Graph g_tracked = before;
-  const RewireStats stats_tracked = RewireToClusteringParallel(
-      g_tracked, 0, target, tracked, parallel, /*seed=*/0xBEE);
-
-  ASSERT_EQ(g_plain.NumEdges(), g_tracked.NumEdges());
-  for (EdgeId e = 0; e < g_plain.NumEdges(); ++e) {
-    ASSERT_EQ(g_plain.edge(e).u, g_tracked.edge(e).u) << "edge " << e;
-    ASSERT_EQ(g_plain.edge(e).v, g_tracked.edge(e).v) << "edge " << e;
-  }
-  EXPECT_EQ(stats_plain.attempts, stats_tracked.attempts);
-  EXPECT_EQ(stats_plain.accepted, stats_tracked.accepted);
-  EXPECT_EQ(stats_plain.rounds, stats_tracked.rounds);
-  EXPECT_EQ(stats_plain.evaluated, stats_tracked.evaluated);
-  EXPECT_EQ(stats_plain.conflicts, stats_tracked.conflicts);
-  EXPECT_EQ(stats_plain.reevaluated, stats_tracked.reevaluated);
-  EXPECT_EQ(stats_plain.initial_distance, stats_tracked.initial_distance);
-  EXPECT_EQ(stats_plain.final_distance, stats_tracked.final_distance);
-  EXPECT_TRUE(stats_plain.curve.empty());
-  ASSERT_EQ(kConvergenceSamples, stats_tracked.curve.size());
-  // The batched engine scores against exact integer triangle state, so
-  // the curve's last objective equals the recomputed final distance to
-  // full precision.
-  EXPECT_NEAR(stats_tracked.curve.back().objective,
-              stats_tracked.final_distance, 1e-9);
-}
-
 TEST(PropertyTrackerFuzzTest, AdaptiveStopHaltsSequential) {
   Rng gen_rng(14);
   const Graph before = GeneratePowerlawCluster(250, 3, 0.6, gen_rng);
@@ -358,36 +317,6 @@ TEST(PropertyTrackerFuzzTest, AdaptiveStopHaltsSequential) {
     ASSERT_EQ(before.edge(e).u, g_trivial.edge(e).u) << "edge " << e;
     ASSERT_EQ(before.edge(e).v, g_trivial.edge(e).v) << "edge " << e;
   }
-}
-
-TEST(PropertyTrackerFuzzTest, AdaptiveStopHaltsBatched) {
-  Rng gen_rng(15);
-  const Graph before = GeneratePowerlawCluster(250, 3, 0.6, gen_rng);
-  std::vector<double> target(before.MaxDegree() + 1, 0.05);
-  RewireOptions reference;
-  reference.rewiring_coefficient = 30.0;
-  reference.track_properties = true;
-  ParallelRewireOptions parallel;
-  parallel.batch_size = 64;
-
-  Graph g_ref = before;
-  const RewireStats ref = RewireToClusteringParallel(
-      g_ref, 0, target, reference, parallel, /*seed=*/0x57A7);
-  ASSERT_GT(ref.initial_distance, ref.final_distance);
-  ASSERT_FALSE(ref.stopped_early);
-
-  RewireOptions stopping = reference;
-  stopping.stop_epsilon =
-      0.5 * (ref.initial_distance + ref.final_distance);
-
-  Graph g_stop = before;
-  const RewireStats stopped = RewireToClusteringParallel(
-      g_stop, 0, target, stopping, parallel, /*seed=*/0x57A7);
-  EXPECT_TRUE(stopped.stopped_early);
-  EXPECT_GT(stopped.attempts, 0u);
-  EXPECT_LT(stopped.attempts, ref.attempts);
-  ASSERT_EQ(kConvergenceSamples, stopped.curve.size());
-  EXPECT_LE(stopped.final_distance, stopping.stop_epsilon + 1e-9);
 }
 
 }  // namespace

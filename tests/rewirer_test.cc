@@ -1,9 +1,16 @@
 #include "restore/rewirer.h"
 
+#include <array>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "analysis/l1.h"
 #include "dk/dk_extract.h"
+#include "exp/parallel.h"
 #include "graph/generators.h"
 #include "util/rng.h"
 
@@ -18,6 +25,56 @@ TEST(RewirerTest, NoCandidatesIsNoOp) {
       RewireToClustering(g, g.NumEdges(), {0.0, 0.0, 1.0}, options, rng);
   EXPECT_EQ(stats.attempts, 0u);
   EXPECT_EQ(stats.accepted, 0u);
+}
+
+TEST(ParallelRewireTest, ProtectingMoreEdgesThanExistIsANoOp) {
+  // num_protected_edges > |E~| used to underflow the candidate count and
+  // request ~2^64 attempts.
+  Rng gen_rng(50);
+  Graph g = GeneratePowerlawCluster(60, 3, 0.3, gen_rng);
+  const Graph before = g;
+  std::vector<double> target(g.MaxDegree() + 1, 0.5);
+  RewireOptions options;
+  for (const std::size_t num_protected :
+       {g.NumEdges(), g.NumEdges() + 1, g.NumEdges() + 1000}) {
+    Graph copy = g;
+    Rng rng(51);
+    const RewireStats stats =
+        RewireToClustering(copy, num_protected, target, options, rng);
+    EXPECT_EQ(stats.attempts, 0u) << num_protected;
+    EXPECT_EQ(stats.accepted, 0u) << num_protected;
+    EXPECT_EQ(stats.initial_distance, 0.0) << num_protected;
+    for (EdgeId e = 0; e < before.NumEdges(); ++e) {
+      EXPECT_EQ(copy.edge(e).u, before.edge(e).u);
+      EXPECT_EQ(copy.edge(e).v, before.edge(e).v);
+    }
+  }
+}
+
+TEST(RewirerTest, RejectsAnAttemptCountAbove2To63) {
+  // R = rc * |E~rew| >= 2^63 used to wrap llround to LLONG_MIN, i.e. about
+  // 9.2e18 attempts: the run never finished.
+  Rng gen_rng(60);
+  const Graph before = GeneratePowerlawCluster(60, 3, 0.3, gen_rng);
+  std::vector<double> target(before.MaxDegree() + 1, 0.2);
+  for (const double rc : {1e300, 9.3e18 / static_cast<double>(
+                                      before.NumEdges())}) {
+    Graph g = before;
+    Rng rng(61);
+    RewireOptions options;
+    options.rewiring_coefficient = rc;
+    try {
+      RewireToClustering(g, 0, target, options, rng);
+      ADD_FAILURE() << "rc " << rc << " did not throw";
+    } catch (const std::invalid_argument& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("rc"), std::string::npos) << message;
+      EXPECT_NE(message.find(std::to_string(before.NumEdges()) +
+                             " candidate edges"),
+                std::string::npos)
+          << message;
+    }
+  }
 }
 
 TEST(RewirerTest, PreservesDegreeVectorAndJdm) {
@@ -147,6 +204,116 @@ TEST(RewirerTest, AttemptsFollowRcCoefficient) {
       RewireToClustering(g, 0, {0.0, 0.0, 0.1}, options, rng);
   EXPECT_EQ(stats.attempts, static_cast<std::size_t>(
                                 7.0 * static_cast<double>(g.NumEdges())));
+}
+
+/// The invariants every rewiring run must keep: degree sequence and JDM
+/// untouched, protected edge ids untouched, monotone objective, accepted
+/// <= attempts.
+void ExpectRewireInvariants(const Graph& before, const Graph& after,
+                            std::size_t num_protected,
+                            const RewireStats& stats,
+                            const std::string& label) {
+  ASSERT_EQ(after.NumNodes(), before.NumNodes()) << label;
+  ASSERT_EQ(after.NumEdges(), before.NumEdges()) << label;
+  for (NodeId v = 0; v < before.NumNodes(); ++v) {
+    ASSERT_EQ(after.Degree(v), before.Degree(v)) << label << " node " << v;
+  }
+  for (std::size_t e = 0; e < num_protected && e < before.NumEdges(); ++e) {
+    EXPECT_EQ(after.edge(e).u, before.edge(e).u) << label << " edge " << e;
+    EXPECT_EQ(after.edge(e).v, before.edge(e).v) << label << " edge " << e;
+  }
+  // The degree-matched 2-swap family preserves the JDM exactly.
+  EXPECT_EQ(ExtractJointDegreeMatrix(before).counts(),
+            ExtractJointDegreeMatrix(after).counts())
+      << label;
+  EXPECT_LE(stats.accepted, stats.attempts) << label;
+  EXPECT_LE(stats.final_distance, stats.initial_distance + 1e-9) << label;
+}
+
+/// Seeded generator matrix the property suite runs over: three models x
+/// two protection regimes, all CI-sized.
+struct MatrixCase {
+  const char* model;
+  std::uint64_t seed;
+  double protect_fraction;
+};
+
+Graph BuildCase(const MatrixCase& c) {
+  Rng rng(c.seed);
+  if (std::string(c.model) == "powerlaw") {
+    return GeneratePowerlawCluster(250, 3, 0.4, rng);
+  }
+  if (std::string(c.model) == "er") {
+    return GenerateErdosRenyiGnm(250, 900, rng);
+  }
+  return GenerateCommunityGraph(240, 4, 3, 0.4, 6, rng);
+}
+
+TEST(RewirerTest, PropertyMatrixKeepsInvariants) {
+  const std::array<MatrixCase, 6> matrix = {
+      MatrixCase{"powerlaw", 101, 0.0}, MatrixCase{"powerlaw", 102, 0.5},
+      MatrixCase{"er", 103, 0.0},       MatrixCase{"er", 104, 0.3},
+      MatrixCase{"community", 105, 0.0}, MatrixCase{"community", 106, 0.4}};
+  for (const MatrixCase& c : matrix) {
+    const Graph before = BuildCase(c);
+    const auto num_protected = static_cast<std::size_t>(
+        c.protect_fraction * static_cast<double>(before.NumEdges()));
+    std::vector<double> target(before.MaxDegree() + 1, 0.3);
+
+    RewireOptions options;
+    options.rewiring_coefficient = 15.0;
+    Graph g = before;
+    Rng rng(c.seed + 1000);
+    const RewireStats stats =
+        RewireToClustering(g, num_protected, target, options, rng);
+    ExpectRewireInvariants(before, g, num_protected, stats,
+                           std::string(c.model) + " seed " +
+                               std::to_string(c.seed));
+  }
+}
+
+TEST(RewirerTest, ByteIdenticalAcrossThreadCounts) {
+  Rng gen_rng(7);
+  const Graph before = GeneratePowerlawCluster(300, 3, 0.5, gen_rng);
+  std::vector<double> target(before.MaxDegree() + 1, 0.25);
+  RewireOptions options;
+  options.rewiring_coefficient = 25.0;
+
+  // Run 0 runs alone; runs 1-2 and 3-10 run concurrently, as trials do,
+  // each on its own Rng seeded alike, and must not depend on how many
+  // rewire at once.
+  struct Run {
+    Graph graph;
+    RewireStats stats;
+  };
+  std::vector<Run> runs(11, Run{before, {}});
+  const auto rewire = [&](std::size_t r) {
+    Rng rng(0xD00D);
+    runs[r].stats =
+        RewireToClustering(runs[r].graph, 0, target, options, rng);
+  };
+  rewire(0);
+  ParallelFor(2, 2, [&](std::size_t i) { rewire(1 + i); });
+  ParallelFor(8, 8, [&](std::size_t i) { rewire(3 + i); });
+  for (std::size_t r = 1; r < runs.size(); ++r) {
+    // Byte-identical edge lists: same edges, same ids, same endpoint
+    // order.
+    ASSERT_EQ(runs[r].graph.NumEdges(), runs[0].graph.NumEdges());
+    for (EdgeId e = 0; e < runs[0].graph.NumEdges(); ++e) {
+      ASSERT_EQ(runs[r].graph.edge(e).u, runs[0].graph.edge(e).u)
+          << "edge " << e << " at run " << r;
+      ASSERT_EQ(runs[r].graph.edge(e).v, runs[0].graph.edge(e).v)
+          << "edge " << e << " at run " << r;
+    }
+    // Identical stats, bit-for-bit (the distances are doubles).
+    EXPECT_EQ(runs[r].stats.attempts, runs[0].stats.attempts);
+    EXPECT_EQ(runs[r].stats.accepted, runs[0].stats.accepted);
+    EXPECT_EQ(runs[r].stats.initial_distance,
+              runs[0].stats.initial_distance);
+    EXPECT_EQ(runs[r].stats.final_distance, runs[0].stats.final_distance);
+  }
+  // The run must do real work for the comparison to mean anything.
+  EXPECT_GT(runs[0].stats.accepted, 0u);
 }
 
 }  // namespace

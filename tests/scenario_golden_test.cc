@@ -45,9 +45,7 @@ ScenarioSpec EveryKnobSpec() {
   spec.rcs = {25.0, 62.5};
   spec.protects = {true, false};
   spec.frontier_walkers = {3, 12};
-  spec.rewire_batches = {0, 64};
   spec.noises = {{}, {0.2, 0.0, 0.125, 300}};
-  spec.parallel_assembly = true;
   spec.path_sources = 30;
   spec.snowball_k = 10;
   spec.forest_fire_pf = 0.5;
@@ -86,10 +84,10 @@ TEST(ScenarioGoldenTest, EveryKnobSpecEcho) {
       R"("collision_fraction":0.025},{"joint_mode":"te",)"
       R"("collision_fraction":0.05}],"rc":[25,62.5],)"
       R"("protect_subgraph":[true,false],"frontier_walkers":[3,12],)"
-      R"("rewire_batch":[0,64],"noise":[{"failure":0,"hidden_edges":0,)"
+      R"("rewire_batch":0,"noise":[{"failure":0,"hidden_edges":0,)"
       R"("churn":0,"api_budget":0},{"failure":0.2,"hidden_edges":0,)"
       R"("churn":0.125,"api_budget":300}],"rewire_threads":1,)"
-      R"("parallel_assembly":true,"assembly_threads":1,)"
+      R"("parallel_assembly":false,"assembly_threads":1,)"
       R"("estimator_threads":1,"path_sources":30,"snowball_k":10,)"
       R"("forest_fire_pf":0.5,"simplify_output":true,"dataset_scale":0.5,)"
       R"("track_properties":true,"stop_epsilon":0.25})");
@@ -106,7 +104,6 @@ TEST(ScenarioGoldenTest, NoisyCellEcho) {
   cell.knobs.estimator = {JointEstimatorMode::kInducedEdgesOnly, 0.05};
   cell.knobs.rc = 62.5;
   cell.knobs.protect_subgraph = false;
-  cell.knobs.rewire_batch = 64;
   cell.knobs.frontier_walkers = 12;
   cell.knobs.noise = {0.2, 0.0, 0.125, 300};
   cell.seed_base = 1234;
@@ -132,7 +129,7 @@ TEST(ScenarioGoldenTest, NoisyCellEcho) {
       R"({"dataset":"anybeat","nodes":300,"edges":900,)"
       R"("query_fraction":0.05,"walk":"non-backtracking","crawler":"rw",)"
       R"("estimator":{"joint_mode":"ie","collision_fraction":0.05},)"
-      R"("rc":62.5,"protect_subgraph":false,"rewire_batch":64,)"
+      R"("rc":62.5,"protect_subgraph":false,"rewire_batch":0,)"
       R"("frontier_walkers":12,"noise":{"failure":0.2,"hidden_edges":0,)"
       R"("churn":0.125,"api_budget":300},"seed_base":1234,"trials":2,)"
       R"("methods":[{"method":"Proposed","sample_steps":40,)"
@@ -157,8 +154,7 @@ std::string ConfigFingerprint(const ExperimentConfig& c) {
       << c.methods.size() << ' ' << c.snowball_k << ' ' << c.forest_fire_pf
       << ' ' << c.noise.failure << ' ' << c.noise.hidden_edges << ' '
       << c.noise.churn << ' ' << c.noise.api_budget << ' '
-      << r.rewire.rewiring_coefficient << ' ' << r.parallel_rewire.batch_size
-      << ' ' << r.parallel_assembly.enabled << ' '
+      << r.rewire.rewiring_coefficient << ' '
       << ToToken(r.estimator.joint_mode) << ' '
       << r.estimator.collision_threshold_fraction << ' '
       << r.simplify_output << ' '
@@ -203,8 +199,9 @@ TEST(ScenarioKnobTableTest, EveryRowReachesTheCellOrTheConfig) {
   // Read by the engine itself rather than copied into ExperimentConfig.
   const std::set<std::string> engine_knobs = {
       "name", "datasets", "trials", "threads", "seed_base", "dataset_scale"};
-  const std::set<std::string> retired = {"rewire_threads", "assembly_threads",
-                                         "estimator_threads"};
+  const std::set<std::string> retired = {
+      "rewire_batch", "rewire_threads", "parallel_assembly",
+      "assembly_threads", "estimator_threads"};
   const Json base_doc =
       Json::Parse(R"({"datasets": ["anybeat"], "track_properties": true})");
   const ScenarioSpec base = ScenarioSpec::FromJson(base_doc);

@@ -61,7 +61,7 @@ TEST(ScenarioSpecTest, ParsesFullDocument) {
     "rc": [25, 50],
     "protect_subgraph": [true, false],
     "frontier_walkers": 12,
-    "rewire_batch": 64,
+    "rewire_batch": 0,
     "rewire_threads": 1,
     "path_sources": 30,
     "snowball_k": 10,
@@ -98,10 +98,9 @@ TEST(ScenarioSpecTest, ParsesFullDocument) {
   EXPECT_EQ(spec.rcs, (std::vector<double>{25.0, 50.0}));
   EXPECT_EQ(spec.protects, (std::vector<bool>{true, false}));
   EXPECT_EQ(spec.frontier_walkers, (std::vector<std::size_t>{12}));
-  EXPECT_EQ(spec.rewire_batches, (std::vector<std::size_t>{64}));
+  EXPECT_EQ(spec.rewire_batches, (std::vector<std::size_t>{0}));
   EXPECT_EQ(spec.rewire_threads, 1u);
   const ExperimentConfig config = spec.ToExperimentConfig(0.1);
-  EXPECT_EQ(config.restoration.parallel_rewire.batch_size, 64u);
   EXPECT_EQ(config.walk, WalkKind::kSimple);       // first axis value
   EXPECT_EQ(config.crawler, CrawlerKind::kRw);
   EXPECT_EQ(config.frontier_walkers, 12u);
@@ -156,42 +155,46 @@ TEST(ScenarioSpecTest, AxesAcceptScalarAndArrayForms) {
 
 TEST(ScenarioSpecTest, RewireBatchAndFrontierWalkersAxes) {
   // Scalar form (the historical document shape) still parses to a
-  // single-value axis...
+  // single-value axis; the retired rewire_batch axis keeps its scalar
+  // form at its one legal value...
   const ScenarioSpec scalar = ScenarioSpec::FromJson(Json::Parse(R"({
     "datasets": ["anybeat"],
-    "rewire_batch": 128,
+    "rc": 128,
+    "rewire_batch": 0,
     "frontier_walkers": 7,
     "crawler": "frontier",
     "methods": ["rw"]
   })"));
-  EXPECT_EQ(scalar.rewire_batches, (std::vector<std::size_t>{128}));
+  EXPECT_EQ(scalar.rcs, (std::vector<double>{128.0}));
+  EXPECT_EQ(scalar.rewire_batches, (std::vector<std::size_t>{0}));
   EXPECT_EQ(scalar.frontier_walkers, (std::vector<std::size_t>{7}));
   EXPECT_EQ(scalar.ExpandKnobs().size(), 1u);
 
-  // ...and the array form sweeps. Expansion order: protects-major,
-  // rewire_batch, then frontier_walkers innermost.
+  // ...and the array form sweeps. Expansion order: rc-major, then
+  // frontier_walkers innermost.
   const ScenarioSpec array = ScenarioSpec::FromJson(Json::Parse(R"({
     "datasets": ["anybeat"],
-    "rewire_batch": [0, 64],
+    "rc": [25, 64],
     "frontier_walkers": [2, 10, 50],
     "crawler": "frontier",
     "methods": ["rw"]
   })"));
-  EXPECT_EQ(array.rewire_batches, (std::vector<std::size_t>{0, 64}));
+  EXPECT_EQ(array.rcs, (std::vector<double>{25.0, 64.0}));
   EXPECT_EQ(array.frontier_walkers,
             (std::vector<std::size_t>{2, 10, 50}));
   const std::vector<CellKnobs> knobs = array.ExpandKnobs();
   ASSERT_EQ(knobs.size(), 6u);
-  EXPECT_EQ(knobs[0].rewire_batch, 0u);
+  EXPECT_EQ(knobs[0].rc, 25.0);
   EXPECT_EQ(knobs[0].frontier_walkers, 2u);
-  EXPECT_EQ(knobs[1].rewire_batch, 0u);
+  EXPECT_EQ(knobs[1].rc, 25.0);
   EXPECT_EQ(knobs[1].frontier_walkers, 10u);
-  EXPECT_EQ(knobs[3].rewire_batch, 64u);
+  EXPECT_EQ(knobs[3].rc, 64.0);
   EXPECT_EQ(knobs[3].frontier_walkers, 2u);
+  EXPECT_EQ(knobs[3].rewire_batch, 0u);
 
   // The axis values reach the per-cell config.
   ExperimentConfig config = array.ToExperimentConfig(knobs[3]);
-  EXPECT_EQ(config.restoration.parallel_rewire.batch_size, 64u);
+  EXPECT_DOUBLE_EQ(config.restoration.rewire.rewiring_coefficient, 64.0);
   EXPECT_EQ(config.frontier_walkers, 2u);
 
   // Canonical round trip: scalar stays scalar, array stays array,
@@ -206,21 +209,20 @@ TEST(ScenarioSpecTest, RewireBatchAndFrontierWalkersAxes) {
 TEST(ScenarioSpecTest, ParallelAssemblyAndThreadKnobsParse) {
   const ScenarioSpec spec = ScenarioSpec::FromJson(Json::Parse(R"({
     "datasets": ["anybeat"],
-    "parallel_assembly": true,
+    "parallel_assembly": false,
     "assembly_threads": 1,
     "estimator_threads": 1
   })"));
-  EXPECT_TRUE(spec.parallel_assembly);
+  EXPECT_FALSE(spec.parallel_assembly);
   EXPECT_EQ(spec.assembly_threads, 1u);
   EXPECT_EQ(spec.estimator_threads, 1u);
-  const ExperimentConfig config = spec.ToExperimentConfig(0.1);
-  EXPECT_TRUE(config.restoration.parallel_assembly.enabled);
   const std::string shown = spec.ToJson().Dump(2);
   EXPECT_EQ(shown,
             ScenarioSpec::FromJson(Json::Parse(shown)).ToJson().Dump(2));
 
   // Trials run single-threaded, so the retired intra-trial worker counts
   // accept only 1, and a document asking for more fails naming the key.
+  // Likewise the retired engine selectors accept only 0 / false.
   for (const auto& [key, text] :
        {std::pair<std::string, const char*>{
             "rewire_threads",
@@ -228,7 +230,12 @@ TEST(ScenarioSpecTest, ParallelAssemblyAndThreadKnobsParse) {
         {"assembly_threads",
          R"({"datasets": ["anybeat"], "assembly_threads": 4})"},
         {"estimator_threads",
-         R"({"datasets": ["anybeat"], "estimator_threads": 3})"}}) {
+         R"({"datasets": ["anybeat"], "estimator_threads": 3})"},
+        {"rewire_batch", R"({"datasets": ["anybeat"], "rewire_batch": 64})"},
+        {"rewire_batch",
+         R"({"datasets": ["anybeat"], "rewire_batch": [0, 64]})"},
+        {"parallel_assembly",
+         R"({"datasets": ["anybeat"], "parallel_assembly": true})"}}) {
     try {
       ScenarioSpec::FromJson(Json::Parse(text));
       ADD_FAILURE() << "accepted " << text;
@@ -308,9 +315,6 @@ TEST(ScenarioSpecTest, AblationBuiltinsSweepTheirAxes) {
             JointEstimatorMode::kTraversedEdgesOnly);
   EXPECT_EQ(BuiltinScenario("ablation-rewire").protects,
             (std::vector<bool>{true, false}));
-  const ScenarioSpec batch = BuiltinScenario("ablation-batch");
-  EXPECT_EQ(batch.rewire_batches, (std::vector<std::size_t>{0, 64, 256}));
-  EXPECT_TRUE(batch.parallel_assembly);
   const ScenarioSpec frontier = BuiltinScenario("ablation-frontier");
   EXPECT_EQ(frontier.frontier_walkers,
             (std::vector<std::size_t>{2, 10, 50}));
@@ -319,7 +323,7 @@ TEST(ScenarioSpecTest, AblationBuiltinsSweepTheirAxes) {
   // Each ablation pins the method list to the proposed pipeline.
   for (const char* name :
        {"ablation-walk", "ablation-rc", "ablation-jdm", "ablation-rewire",
-        "ablation-batch", "ablation-frontier"}) {
+        "ablation-frontier"}) {
     EXPECT_EQ(BuiltinScenario(name).methods,
               (std::vector<MethodKind>{MethodKind::kProposed}))
         << name;
@@ -381,6 +385,9 @@ TEST(ScenarioSpecTest, ValidationErrors) {
       R"({"datasets": ["anybeat"], "rewire_batch": [64, 64]})",
       R"({"datasets": ["anybeat"], "rewire_batch": "big"})",
       R"({"datasets": ["anybeat"], "parallel_assembly": 1})",
+      // The retired engine selectors accept only 0 / false.
+      R"({"datasets": ["anybeat"], "rewire_batch": 64})",
+      R"({"datasets": ["anybeat"], "parallel_assembly": true})",
       // Worker counts share the flags' and variables' cap of 1024.
       R"({"datasets": ["anybeat"], "threads": 100000})",
       R"({"datasets": ["anybeat"], "rewire_threads": 1025})",
@@ -761,12 +768,11 @@ TEST(ScenarioEngineTest, ReportIsByteIdenticalAcrossThreadCounts) {
   EXPECT_NE(a.find("\"average\""), std::string::npos);
 }
 
-TEST(ScenarioEngineTest, BatchedRewireReportByteIdenticalAcrossThreadCounts) {
-  // A spec that turns on the batched rewiring engine must produce the
-  // same StripVolatile'd report no matter how many of its trials run at
-  // once.
+TEST(ScenarioEngineTest, RewireReportByteIdenticalAcrossThreadCounts) {
+  // A spec whose trials rewire must produce the same StripVolatile'd
+  // report no matter how many of its trials run at once.
   ScenarioSpec spec = TinySpec();
-  spec.rewire_batches = {32};
+  spec.rcs = {32};
 
   const ScenarioRunResult one = RunScenario(spec, 1);
   const ScenarioRunResult two = RunScenario(spec, 2);
@@ -780,22 +786,27 @@ TEST(ScenarioEngineTest, BatchedRewireReportByteIdenticalAcrossThreadCounts) {
   // The retired worker key keeps its echo, and the per-method rewire
   // statistics survive the strip (they are content, not timings).
   EXPECT_NE(a.find("\"rewire_threads\": 1"), std::string::npos);
-  EXPECT_NE(a.find("\"rewire_batch\": 32"), std::string::npos);
+  EXPECT_NE(a.find("\"rc\": 32"), std::string::npos);
   EXPECT_NE(a.find("\"rewire\""), std::string::npos);
   EXPECT_NE(a.find("\"rounds\""), std::string::npos);
 
-  // The batched engine actually ran: the generative methods report
-  // nonzero round counts in the report JSON.
+  // The generative methods actually rewired, and every rewire block keeps
+  // the four retired round counters at 0.
   const Json report = ScenarioReportToJson(one);
-  bool saw_rounds = false;
+  bool saw_attempts = false;
   for (const Json& cell : report.Find("cells")->Items()) {
     for (const Json& method : cell.Find("methods")->Items()) {
       const Json* rewire = method.Find("rewire");
       ASSERT_NE(rewire, nullptr);
-      if (rewire->Find("rounds")->AsNumber() > 0.0) saw_rounds = true;
+      if (rewire->Find("attempts")->AsNumber() > 0.0) saw_attempts = true;
+      for (const char* retired :
+           {"rounds", "evaluated", "conflicts", "reevaluated"}) {
+        ASSERT_NE(rewire->Find(retired), nullptr) << retired;
+        EXPECT_EQ(rewire->Find(retired)->AsNumber(), 0.0) << retired;
+      }
     }
   }
-  EXPECT_TRUE(saw_rounds);
+  EXPECT_TRUE(saw_attempts);
 }
 
 TEST(ScenarioEngineTest, TrackedReportByteIdenticalAcrossThreadCounts) {
@@ -804,7 +815,7 @@ TEST(ScenarioEngineTest, TrackedReportByteIdenticalAcrossThreadCounts) {
   // deterministically, so the block — double fields included — must be
   // byte-identical no matter how many trials run at once.
   ScenarioSpec spec = TinySpec();
-  spec.rewire_batches = {32};
+  spec.rcs = {32};
   spec.track_properties = true;
 
   const ScenarioRunResult one = RunScenario(spec, 1);
@@ -954,43 +965,13 @@ TEST(ScenarioEngineTest, MultiAxisReportByteIdenticalAcrossThreadCounts) {
   const std::string b =
       StripVolatile(ScenarioReportToJson(RunScenario(spec, 4))).Dump(2);
   EXPECT_EQ(a, b);
-}
-
-TEST(ScenarioEngineTest,
-     ParallelAssemblyReportByteIdenticalAcrossThreadCounts) {
-  // A spec that enables the per-class-pair-stream assembly and sweeps the
-  // rewire_batch axis must produce the same StripVolatile'd report no
-  // matter how many of its trials run at once.
-  ScenarioSpec spec = TinySpec();
-  spec.parallel_assembly = true;
-  spec.rewire_batches = {0, 16};
-
-  const ScenarioRunResult one = RunScenario(spec, 1);
-  const ScenarioRunResult many = RunScenario(spec, 8);
-
-  const std::string a = StripVolatile(ScenarioReportToJson(one)).Dump(2);
-  const std::string b = StripVolatile(ScenarioReportToJson(many)).Dump(2);
-  EXPECT_EQ(a, b);
-  // The retired worker keys keep their echo; the algorithm knobs appear
-  // there and in the cell echo.
+  // The retired keys keep their echo at their one legal value, in the
+  // config and in every cell.
   EXPECT_NE(a.find("\"assembly_threads\": 1"), std::string::npos);
   EXPECT_NE(a.find("\"estimator_threads\": 1"), std::string::npos);
-  EXPECT_NE(a.find("\"parallel_assembly\": true"), std::string::npos);
+  EXPECT_NE(a.find("\"parallel_assembly\": false"), std::string::npos);
   EXPECT_NE(a.find("\"rewire_batch\": 0"), std::string::npos);
-  EXPECT_NE(a.find("\"rewire_batch\": 16"), std::string::npos);
   EXPECT_NE(a.find("\"frontier_walkers\": 10"), std::string::npos);
-
-  // The batch axis doubled the matrix, and the cells echo their batch
-  // coordinate (cells expand batch-minor within each fraction).
-  ASSERT_EQ(one.cells.size(), 4u);  // 2 fractions x 2 batches
-  EXPECT_EQ(one.cells[0].knobs.rewire_batch, 0u);
-  EXPECT_EQ(one.cells[1].knobs.rewire_batch, 16u);
-  EXPECT_EQ(one.cells[0].knobs.frontier_walkers, 10u);
-  // The two batch coordinates select different rewiring trajectories for
-  // the same seeds (batch is an algorithm knob).
-  EXPECT_NE(
-      one.cells[0].methods.at(MethodKind::kProposed).rewire.rounds,
-      one.cells[1].methods.at(MethodKind::kProposed).rewire.rounds);
 }
 
 TEST(ScenarioEngineTest, FrontierWalkerSweepChangesTheSample) {

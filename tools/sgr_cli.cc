@@ -52,10 +52,10 @@
 //
 //       --trace FILE (or SGR_TRACE) records a span trace of the whole
 //       run — crawls, estimation chunks, assembly class pairs, rewiring
-//       rounds, pool tasks, cells — as Chrome trace_event JSON (load it
+//       phases, pool tasks, cells — as Chrome trace_event JSON (load it
 //       in chrome://tracing / Perfetto, or `sgr trace summarize` it).
 //       --metrics 1 (or SGR_METRICS=1) adds a per-cell "metrics" block
-//       (oracle queries, proposal counters, peak RSS) to the report.
+//       (oracle queries, rewiring counters, peak RSS) to the report.
 //       Both are pure observation: the report's
 //       post-StripVolatile bytes and every generated graph are identical
 //       with them on or off.
@@ -86,7 +86,8 @@
 //            [--markdown 1]
 //       Compare two sgr-report/1 files: cells are paired by (dataset, every
 //       knob coordinate: fraction, walk, crawler, estimator, rc,
-//       protect_subgraph, rewire_batch, frontier_walkers, noise) and each
+//       protect_subgraph, rewire_batch (retired, always 0),
+//       frontier_walkers, noise) and each
 //       method aggregate is checked for deterministic L1 drift (tolerance
 //       --l1-tol, default 1e-9 — same spec + seed must reproduce the same
 //       numbers) and
