@@ -45,27 +45,6 @@ std::vector<double> NeighborConnectivity(const CsrGraph& g) {
   return knn;
 }
 
-namespace {
-
-/// c̄ from a precomputed triangle vector — the single home of the global
-/// clustering formula; both public entry points and ComputeProperties'
-/// shared triangle pass route through it.
-double NetworkClusteringFromTriangles(const CsrGraph& g,
-                                      const std::vector<std::int64_t>& t) {
-  if (g.NumNodes() == 0) return 0.0;
-  double total = 0.0;
-  for (NodeId v = 0; v < g.NumNodes(); ++v) {
-    const std::size_t d = g.Degree(v);
-    if (d >= 2) {
-      total += 2.0 * static_cast<double>(t[v]) /
-               (static_cast<double>(d) * static_cast<double>(d - 1));
-    }
-  }
-  return total / static_cast<double>(g.NumNodes());
-}
-
-}  // namespace
-
 double NetworkClusteringCoefficient(const CsrGraph& g) {
   return NetworkClusteringFromTriangles(g, CountTrianglesPerNode(g));
 }

@@ -77,6 +77,25 @@ std::vector<double> NeighborConnectivity(const CsrGraph& g);
 /// Network clustering coefficient c̄ = (1/n) Σ_i 2 t_i / (d_i (d_i - 1)).
 double NetworkClusteringCoefficient(const CsrGraph& g);
 
+/// c̄ from per-node triangle counts `t` the caller already has — the single
+/// home of the formula. `G` is any graph with NumNodes() and Degree(v): the
+/// analyzers pass their CsrGraph, the rewiring loop's convergence samples
+/// the Graph it rewires with its TriangleTracker's counts.
+template <typename G>
+double NetworkClusteringFromTriangles(const G& g,
+                                      const std::vector<std::int64_t>& t) {
+  if (g.NumNodes() == 0) return 0.0;
+  double total = 0.0;
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    const std::size_t d = g.Degree(v);
+    if (d >= 2) {
+      total += 2.0 * static_cast<double>(t[v]) /
+               (static_cast<double>(d) * static_cast<double>(d - 1));
+    }
+  }
+  return total / static_cast<double>(g.NumNodes());
+}
+
 /// Edgewise shared-partner distribution P(s): fraction of (non-loop) edges
 /// whose endpoints have exactly s common neighbors (Σ_k A_ik A_jk).
 std::vector<double> EdgewiseSharedPartners(const CsrGraph& g);

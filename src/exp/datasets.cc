@@ -1,6 +1,5 @@
 #include "exp/datasets.h"
 
-#include <cstdlib>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
@@ -32,14 +31,15 @@ std::size_t ScaledNodeCount(const DatasetSpec& spec, double scale) {
   return static_cast<std::size_t>(n);
 }
 
-/// Path of the dataset's edge list if $SGR_DATASET_DIR is set. The file
-/// must then exist: a missing file is a hard error naming the resolved
-/// path — never a silent fall-back to the synthetic generator.
+/// Path of the dataset's edge list if $SGR_DATASET_DIR is set (an empty
+/// value counts as unset). The file must then exist: a missing file is a
+/// hard error naming the resolved path — never a silent fall-back to the
+/// synthetic generator.
 std::optional<std::string> ResolveDatasetFile(const DatasetSpec& spec) {
-  const char* dir = std::getenv("SGR_DATASET_DIR");
-  if (dir == nullptr) return std::nullopt;
+  const std::optional<std::string> dir = EnvText("SGR_DATASET_DIR");
+  if (!dir) return std::nullopt;
   const std::filesystem::path path =
-      std::filesystem::path(dir) / (spec.name + ".txt");
+      std::filesystem::path(*dir) / (spec.name + ".txt");
   if (!std::filesystem::exists(path)) {
     throw std::runtime_error(
         "SGR_DATASET_DIR is set but '" + path.string() +
@@ -66,9 +66,7 @@ double ResolveDatasetScale(double scale_override) {
 
 IngestOptions IngestOptionsFromEnv() {
   IngestOptions options;
-  if (const char* cache = std::getenv("SGR_SNAPSHOT_CACHE")) {
-    options.cache_dir = cache;
-  }
+  options.cache_dir = EnvText("SGR_SNAPSHOT_CACHE").value_or("");
   options.threads = EnvInput<std::uint64_t>("SGR_INGEST_THREADS", 1, 0,
                                             kMaxThreads);
   if (const std::optional<std::string> compress =

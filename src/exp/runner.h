@@ -158,8 +158,7 @@ std::vector<std::vector<MethodRunResult>> RunExperiments(
     std::size_t num_trials, std::size_t threads = 1);
 
 /// The text of environment variable `name`, or nullopt when it is unset or
-/// empty. Together with exp/datasets.cc, the only place the library reads
-/// the environment.
+/// empty. The only place the library reads the environment.
 std::optional<std::string> EnvText(const char* name);
 
 /// Environment variable `name` parsed strictly by ParseInput (util/

@@ -38,10 +38,10 @@ struct RestorationOptions {
   /// them (Section III-A allows both).
   bool simplify_output = false;
 
-  /// When true, the rewiring phase maintains an incremental
-  /// PropertyTracker over committed swaps and reports a convergence
-  /// curve (RewireStats::curve). Observation only — results are
-  /// byte-identical with tracking on or off (see restore/rewirer.h).
+  /// When true, the rewiring phase samples a convergence curve
+  /// (RewireStats::curve) from its own triangle tracker and graph.
+  /// Observation only — results are byte-identical with tracking on or
+  /// off (see restore/rewirer.h).
   bool track_properties = false;
 
   /// Adaptive rewiring stop (requires `track_properties`): halt the

@@ -2,12 +2,12 @@
 
 #include <array>
 #include <cmath>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 
-#include "analysis/property_tracker.h"
+#include "analysis/properties.h"
 #include "dk/triangle_tracker.h"
+#include "graph/components.h"
 #include "obs/metrics.h"
 
 namespace sgr {
@@ -93,22 +93,34 @@ std::size_t SampleThreshold(std::size_t total, std::size_t index) {
   return total * (index + 1) / kConvergenceSamples;
 }
 
-/// Records every convergence sample that became due at `attempts_done`
+/// The convergence sample of the working graph after `attempts_done`
 /// trial swaps. All reads — no RecomputeObjective, no RNG draws — so a
-/// tracked run's trajectory is identical to an untracked one.
+/// tracked run's trajectory is identical to an untracked one. c̄ comes from
+/// the rewiring tracker's exact triangle counts (rejected trials are
+/// already reverted), components and LCC from one BFS pass.
+ConvergenceSample Sample(const Graph& g, const TriangleTracker& tracker,
+                         std::size_t attempts_done, double objective) {
+  ConvergenceSample sample;
+  sample.attempts = attempts_done;
+  sample.objective = objective;
+  sample.clustering_global =
+      NetworkClusteringFromTriangles(g, tracker.triangle_counts());
+  const ComponentsResult components = ConnectedComponents(g);
+  sample.components = components.sizes.size();
+  sample.lcc =
+      components.sizes.empty() ? 0 : components.sizes[components.largest];
+  return sample;
+}
+
+/// Records every convergence sample that became due at `attempts_done`
+/// trial swaps.
 void RecordDueSamples(RewireStats& stats, std::size_t total_attempts,
                       std::size_t attempts_done, double objective,
-                      const PropertyTracker& props,
+                      const Graph& g, const TriangleTracker& tracker,
                       std::size_t& next_sample) {
   while (next_sample < kConvergenceSamples &&
          attempts_done >= SampleThreshold(total_attempts, next_sample)) {
-    ConvergenceSample sample;
-    sample.attempts = attempts_done;
-    sample.objective = objective;
-    sample.clustering_global = props.ClusteringGlobal();
-    sample.components = props.NumComponents();
-    sample.lcc = props.LccSize();
-    stats.curve.push_back(sample);
+    stats.curve.push_back(Sample(g, tracker, attempts_done, objective));
     ++next_sample;
   }
 }
@@ -117,28 +129,18 @@ void RecordDueSamples(RewireStats& stats, std::size_t total_attempts,
 /// adaptive-stop run leaves behind, so per-index aggregation across
 /// trials stays aligned.
 void PadCurve(RewireStats& stats, std::size_t attempts_done,
-              double objective, const PropertyTracker& props) {
-  ConvergenceSample sample;
-  sample.attempts = attempts_done;
-  sample.objective = objective;
-  sample.clustering_global = props.ClusteringGlobal();
-  sample.components = props.NumComponents();
-  sample.lcc = props.LccSize();
-  while (stats.curve.size() < kConvergenceSamples) {
-    stats.curve.push_back(sample);
-  }
+              double objective, const Graph& g,
+              const TriangleTracker& tracker) {
+  if (stats.curve.size() == kConvergenceSamples) return;
+  stats.curve.resize(kConvergenceSamples,
+                     Sample(g, tracker, attempts_done, objective));
 }
 
 /// Feeds the metrics registry once per rewiring run — never per attempt.
-/// tracker.delta_ops counts the incremental tracker updates a tracked run
-/// performed (one per accepted swap).
 void RecordRewireMetrics(const RewireStats& stats) {
   if (!obs::MetricsEnabled()) return;
   obs::MetricAdd("rewire.attempts", stats.attempts);
   obs::MetricAdd("rewire.accepted", stats.accepted);
-  if (!stats.curve.empty()) {
-    obs::MetricAdd("tracker.delta_ops", stats.accepted);
-  }
 }
 
 }  // namespace
@@ -160,11 +162,9 @@ RewireStats RewireToClustering(Graph& g, std::size_t num_protected_edges,
   stats.final_distance = current;
   stats.attempts = total_attempts;
 
-  // Property tracking observes accepted swaps only; with tracking off
-  // this engine's control flow and RNG stream are untouched.
+  // Convergence samples only read the graph and the tracker; with
+  // tracking off this engine's control flow and RNG stream are untouched.
   const bool tracking = options.track_properties;
-  std::unique_ptr<PropertyTracker> props;
-  if (tracking) props = std::make_unique<PropertyTracker>(g);
   std::size_t next_sample = 0;
   std::size_t attempts_done = 0;
 
@@ -195,7 +195,6 @@ RewireStats RewireToClustering(Graph& g, std::size_t num_protected_edges,
         g.ReplaceEdge(p.e2, p.a, p.j);
         current = proposed;
         ++stats.accepted;
-        if (tracking) props->ApplySwap(p.i, p.j, p.a, p.b);
       } else {
         tracker.RemoveEdge(p.i, p.b);
         tracker.RemoveEdge(p.a, p.j);
@@ -205,8 +204,8 @@ RewireStats RewireToClustering(Graph& g, std::size_t num_protected_edges,
     }
     attempts_done = attempt + 1;
     if (tracking) {
-      RecordDueSamples(stats, total_attempts, attempts_done, current,
-                       *props, next_sample);
+      RecordDueSamples(stats, total_attempts, attempts_done, current, g,
+                       tracker, next_sample);
       if (options.stop_epsilon > 0.0 && current <= options.stop_epsilon) {
         stats.stopped_early = true;
         stats.attempts = attempts_done;
@@ -214,7 +213,7 @@ RewireStats RewireToClustering(Graph& g, std::size_t num_protected_edges,
       }
     }
   }
-  if (tracking) PadCurve(stats, attempts_done, current, *props);
+  if (tracking) PadCurve(stats, attempts_done, current, g, tracker);
   tracker.RecomputeObjective();
   stats.final_distance = tracker.Objective();
   RecordRewireMetrics(stats);

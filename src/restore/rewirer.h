@@ -15,16 +15,18 @@ struct RewireOptions {
   /// The paper uses RC = 500 (following Orsini et al.).
   double rewiring_coefficient = 500.0;
 
-  /// When true, the engine maintains a PropertyTracker over the accepted
-  /// swaps (never over rejected trials) and fills
-  /// RewireStats::curve with kConvergenceSamples evenly spaced
-  /// convergence samples. Pure observation: the proposal stream, the
-  /// acceptance decisions, and the rewired graph are byte-identical with
-  /// tracking on or off (no extra RNG draws, no objective perturbation).
+  /// When true, the engine fills RewireStats::curve with
+  /// kConvergenceSamples evenly spaced convergence samples, read from the
+  /// state the loop already holds: the objective, c̄ from its
+  /// TriangleTracker's triangle counts, and components and LCC from one
+  /// BFS pass over the graph per sample. Pure observation: the proposal
+  /// stream, the acceptance decisions, and the rewired graph are
+  /// byte-identical with tracking on or off (no extra RNG draws, no
+  /// objective perturbation).
   bool track_properties = false;
 
   /// Adaptive stop: when `track_properties` is set and `stop_epsilon` is
-  /// positive, the engine halts as soon as the tracked normalized L1
+  /// positive, the engine halts as soon as the loop's normalized L1
   /// distance to the target clustering is <= stop_epsilon
   /// (RewireStats::stopped_early records that it fired, and
   /// RewireStats::attempts then reports the attempts actually made).
@@ -33,8 +35,8 @@ struct RewireOptions {
 };
 
 /// One point of the rewiring convergence curve recorded when
-/// RewireOptions::track_properties is on: the incrementally tracked
-/// swap-sensitive properties after `attempts` trial swaps.
+/// RewireOptions::track_properties is on: the swap-sensitive properties
+/// of the working graph after `attempts` trial swaps.
 struct ConvergenceSample {
   std::size_t attempts = 0;        ///< attempts completed at this sample
   double objective = 0.0;          ///< normalized L1 clustering distance

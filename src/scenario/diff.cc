@@ -225,7 +225,7 @@ struct Comparator {
     }
   }
 
-  /// The property tracker's convergence curve is deterministic content
+  /// The rewiring loop's convergence curve is deterministic content
   /// like the rewire counters. A curve the old report recorded must
   /// still be there and agree point by point; a curve appearing only in
   /// the new report is a note (the baseline predates the tracker knob),

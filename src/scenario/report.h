@@ -46,8 +46,8 @@ inline constexpr std::pair<const char*, double RewireAggregate::*>
                        {"initial_distance", &RewireAggregate::initial_distance},
                        {"final_distance", &RewireAggregate::final_distance}};
 
-/// One point of the mean convergence curve recorded by the incremental
-/// property tracker (RewireStats::curve averaged across a cell's trials).
+/// One point of the mean convergence curve recorded by the rewiring loop
+/// (RewireStats::curve averaged across a cell's trials).
 /// Deterministic content like the rewire counters: it survives
 /// StripVolatile and `sgr diff` compares it point by point.
 struct ConvergencePoint {

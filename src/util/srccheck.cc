@@ -312,9 +312,8 @@ bool PathEndsWith(const std::string& path, const std::string& suffix) {
 
 bool InObs(const std::string& path) { return PathHasComponent(path, "obs"); }
 
-bool IsRunnerEntryPoint(const std::string& path) {
-  return PathEndsWith(path, "exp/runner.cc") ||
-         PathEndsWith(path, "exp/datasets.cc");
+bool IsEnvTextHome(const std::string& path) {
+  return PathEndsWith(path, "exp/runner.cc");
 }
 
 bool IsSanctionedRngHome(const std::string& path) {
@@ -444,14 +443,6 @@ class FileLinter {
       }
       return;  // unreachable: every allow is pre-recorded below
     }
-    // Baseline: `<path>:<rule>` entries grandfather existing findings.
-    for (auto& entry : checker_.baseline_) {
-      if (entry.rule == rule && PathEndsWith(path_, entry.path)) {
-        entry.used = true;
-        checker_.result_.grandfathered.push_back(std::move(diag));
-        return;
-      }
-    }
     checker_.result_.violations.push_back(std::move(diag));
   }
 
@@ -514,11 +505,11 @@ class FileLinter {
                    " outside obs/; route timing through obs/timer.h "
                    "(Timer, SteadyNowMicros)");
       } else if (name == "getenv" && !PrecededByMemberAccess(i) &&
-                 !IsRunnerEntryPoint(path_)) {
+                 !IsEnvTextHome(path_)) {
         Report(t[i], "nondet-env",
-               "getenv outside the runner entry points (exp/runner.cc, "
-               "exp/datasets.cc) makes library behavior depend on ambient "
-               "state the report does not echo");
+               "getenv outside exp/runner.cc (read the environment through "
+               "EnvText) makes library behavior depend on ambient state the "
+               "report does not echo");
       } else if (RawRngNames().count(name) > 0 &&
                  !IsSanctionedRngHome(path_)) {
         Report(t[i], "raw-rng",
@@ -1078,18 +1069,6 @@ class FileLinter {
 // SourceChecker
 // ---------------------------------------------------------------------------
 
-void SourceChecker::SetBaseline(std::vector<std::string> entries) {
-  baseline_.clear();
-  for (std::string& entry : entries) {
-    const std::size_t colon = entry.rfind(':');
-    if (colon == std::string::npos) continue;
-    BaselineEntry parsed;
-    parsed.path = entry.substr(0, colon);
-    parsed.rule = entry.substr(colon + 1);
-    baseline_.push_back(std::move(parsed));
-  }
-}
-
 void SourceChecker::Preload(const std::string& path,
                             const std::string& content) {
   FileLinter linter(*this, path, content);
@@ -1120,11 +1099,6 @@ CheckResult SourceChecker::TakeResult() {
     result_.allows.push_back(allow);
   }
   pending_allows_.clear();
-  for (const BaselineEntry& entry : baseline_) {
-    if (!entry.used) {
-      result_.stale_baseline.push_back(entry.path + ":" + entry.rule);
-    }
-  }
   const auto by_position = [](const CheckDiagnostic& a,
                               const CheckDiagnostic& b) {
     if (a.file != b.file) return a.file < b.file;
@@ -1133,13 +1107,11 @@ CheckResult SourceChecker::TakeResult() {
   };
   std::sort(result_.violations.begin(), result_.violations.end(),
             by_position);
-  std::sort(result_.grandfathered.begin(), result_.grandfathered.end(),
-            by_position);
   return std::move(result_);
 }
 
 // ---------------------------------------------------------------------------
-// Tree walking, baseline IO, report printing
+// Tree walking, report printing
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -1161,8 +1133,7 @@ bool IsSourceFile(const std::filesystem::path& path) {
 
 }  // namespace
 
-CheckResult CheckSourceTree(const std::vector<std::string>& paths,
-                            const std::vector<std::string>& baseline) {
+CheckResult CheckSourceTree(const std::vector<std::string>& paths) {
   std::vector<std::string> files;
   for (const std::string& path : paths) {
     if (std::filesystem::is_directory(path)) {
@@ -1185,7 +1156,6 @@ CheckResult CheckSourceTree(const std::vector<std::string>& paths,
   files.erase(std::unique(files.begin(), files.end()), files.end());
 
   SourceChecker checker;
-  checker.SetBaseline(baseline);
   std::vector<std::pair<std::string, std::string>> contents;
   contents.reserve(files.size());
   for (const std::string& file : files) {
@@ -1198,22 +1168,6 @@ CheckResult CheckSourceTree(const std::vector<std::string>& paths,
     checker.Check(file, content);
   }
   return checker.TakeResult();
-}
-
-std::vector<std::string> LoadCheckBaseline(const std::string& path) {
-  std::ifstream in(path);
-  std::vector<std::string> entries;
-  if (!in) return entries;
-  std::string line;
-  while (std::getline(in, line)) {
-    while (!line.empty() &&
-           std::isspace(static_cast<unsigned char>(line.back()))) {
-      line.pop_back();
-    }
-    if (line.empty() || line[0] == '#') continue;
-    entries.push_back(line);
-  }
-  return entries;
 }
 
 void PrintCheckReport(const CheckResult& result, std::ostream& out) {
@@ -1230,19 +1184,7 @@ void PrintCheckReport(const CheckResult& result, std::ostream& out) {
           << "\n";
     }
   }
-  if (!result.grandfathered.empty()) {
-    out << "\nbaselined (grandfathered, fix or annotate eventually):\n";
-    for (const CheckDiagnostic& diag : result.grandfathered) {
-      out << "  " << diag.file << ":" << diag.line << ":" << diag.column
-          << ": " << diag.rule << "\n";
-    }
-  }
-  for (const std::string& entry : result.stale_baseline) {
-    out << "warning: stale baseline entry (matched nothing): " << entry
-        << "\n";
-  }
   out << "\nsgr-check: " << result.violations.size() << " violation(s), "
-      << result.grandfathered.size() << " baselined, "
       << result.allows.size() << " sanctioned exception(s)\n";
 }
 

@@ -22,10 +22,10 @@ namespace sgr {
 ///   nondet-clock    time( / clock() / std::chrono::{system,steady,
 ///                   high_resolution}_clock outside obs/ — the single
 ///                   sanctioned clock is obs/timer.h.
-///   nondet-env      getenv outside the runner entry points
-///                   (exp/runner.cc, exp/datasets.cc) — environment reads
-///                   scattered through the library make runs depend on
-///                   ambient state the report does not echo.
+///   nondet-env      getenv outside exp/runner.cc, home of EnvText —
+///                   environment reads scattered through the library make
+///                   runs depend on ambient state the report does not
+///                   echo.
 ///   raw-rng         direct std::mt19937 (and friends) construction
 ///                   outside util/rng and exp/parallel — ad-hoc engines
 ///                   bypass the (seed, index) derivation scheme.
@@ -79,17 +79,11 @@ struct CheckAllow {
 };
 
 struct CheckResult {
-  /// Unsuppressed, unbaselined findings: any entry fails the check.
+  /// Unsuppressed findings: any entry fails the check.
   std::vector<CheckDiagnostic> violations;
-
-  /// Findings downgraded by a baseline entry (grandfathered, non-fatal).
-  std::vector<CheckDiagnostic> grandfathered;
 
   /// Every allow annotation seen, suppressing or not.
   std::vector<CheckAllow> allows;
-
-  /// Baseline entries that matched no finding (stale; warned, non-fatal).
-  std::vector<std::string> stale_baseline;
 
   bool Clean() const { return violations.empty(); }
 };
@@ -97,7 +91,6 @@ struct CheckResult {
 /// The checker. Typical use:
 ///
 ///   SourceChecker checker;
-///   checker.SetBaseline(LoadCheckBaseline("tools/sgr_check_baseline.txt"));
 ///   for (file : files) checker.Preload(file.path, file.content);
 ///   for (file : files) checker.Check(file.path, file.content);
 ///   PrintCheckReport(checker.TakeResult(), std::cout);
@@ -109,10 +102,6 @@ struct CheckResult {
 /// absolute and repo-relative spellings behave identically.
 class SourceChecker {
  public:
-  /// Baseline entries, one per line: `<path>:<rule-id>` (path matched as a
-  /// suffix). All findings of that rule in that file are grandfathered.
-  void SetBaseline(std::vector<std::string> entries);
-
   /// Pass 1: collect unordered-container declarations from one file.
   void Preload(const std::string& path, const std::string& content);
 
@@ -120,17 +109,11 @@ class SourceChecker {
   /// need not have happened first for same-file declarations).
   void Check(const std::string& path, const std::string& content);
 
-  /// Finalizes (resolves baseline matches, flags unused allows) and
-  /// returns the accumulated result. Call once, after the last Check.
+  /// Finalizes (flags unused allows) and returns the accumulated result.
+  /// Call once, after the last Check.
   CheckResult TakeResult();
 
  private:
-  struct BaselineEntry {
-    std::string path;
-    std::string rule;
-    bool used = false;
-  };
-  std::vector<BaselineEntry> baseline_;
   std::vector<std::string> direct_unordered_;    // variables that ARE unordered
   std::vector<std::string> accessor_unordered_;  // functions RETURNING unordered
   std::vector<std::string> element_unordered_;   // containers OF unordered
@@ -144,15 +127,10 @@ class SourceChecker {
 /// Expands each path (file, or directory walked recursively for .h/.cc
 /// files in sorted order), preloads every file, then checks every file.
 /// Throws std::runtime_error on an unreadable path.
-CheckResult CheckSourceTree(const std::vector<std::string>& paths,
-                            const std::vector<std::string>& baseline);
-
-/// Reads a baseline file: one `<path>:<rule-id>` entry per line, `#`
-/// comments and blank lines ignored. A missing file is an empty baseline.
-std::vector<std::string> LoadCheckBaseline(const std::string& path);
+CheckResult CheckSourceTree(const std::vector<std::string>& paths);
 
 /// Prints diagnostics (file:line:col: rule-id: message), the allow
-/// summary, grandfathered counts, and stale-baseline warnings.
+/// summary and the counts.
 void PrintCheckReport(const CheckResult& result, std::ostream& out);
 
 }  // namespace sgr

@@ -10,6 +10,7 @@
 #   sh tests/cli_input_test.sh path/to/sgr_cli [path/to/bench_parallel_trials]
 set -u
 cli=$1
+case $cli in /*) ;; *) cli=$PWD/$cli ;; esac
 shift
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -88,6 +89,22 @@ expect youtube.txt env SGR_DATASET_DIR="$tmp/empty_dir" \
   "$cli" run "$tmp/youtube.json"
 expect youtube.txt env SGR_DATASET_DIR="$tmp/empty_dir" \
   "$cli" run "$tmp/youtube.json" --threads 4
+
+# An empty SGR_DATASET_DIR or SGR_SNAPSHOT_CACHE counts as unset: the run
+# uses the generator and never reads a stray edge list from the working
+# directory. An empty flag value is rejected by name.
+mkdir "$tmp/cwd"
+printf 'not an edge list\n' > "$tmp/cwd/anybeat.txt"
+if ! (cd "$tmp/cwd" && env SGR_DATASET_DIR= SGR_SNAPSHOT_CACHE= \
+      "$cli" run tables-smoke --out "$tmp/empty-env.json") \
+      > /dev/null 2> "$tmp/err" ||
+    ! grep -q '"source": "generator"' "$tmp/empty-env.json"; then
+  echo "FAIL: an empty SGR_DATASET_DIR or SGR_SNAPSHOT_CACHE counted as set"
+  cat "$tmp/err"
+  failures=$((failures + 1))
+fi
+expect --dataset-dir "$cli" run tables-smoke --dataset-dir ""
+expect --snapshot-cache "$cli" run tables-smoke --snapshot-cache ""
 
 expect --sources "$cli" generate --sources 5 --out "$tmp/g.txt"
 expect --threads "$cli" diff "$tmp/a.json" "$tmp/b.json" --threads 2

@@ -1,5 +1,6 @@
 #include "restore/rewirer.h"
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <stdexcept>
@@ -9,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include "analysis/l1.h"
+#include "analysis/properties.h"
 #include "dk/dk_extract.h"
 #include "exp/parallel.h"
+#include "graph/components.h"
 #include "graph/generators.h"
 #include "util/rng.h"
 
@@ -272,6 +275,52 @@ TEST(RewirerTest, PropertyMatrixKeepsInvariants) {
   }
 }
 
+TEST(RewirerTest, CurveSamplesMatchFromScratchAnalyzers) {
+  // A sparse graph with loops and parallel edges, so the samples see
+  // components split and multiplicity-weighted triangles.
+  Rng gen_rng(16);
+  Graph before = GeneratePowerlawCluster(200, 1, 0.5, gen_rng);
+  before.AddEdge(3, 3);
+  before.AddEdge(4, 5);
+  before.AddEdge(4, 5);
+  std::vector<double> target(before.MaxDegree() + 1, 0.3);
+
+  // R = 16 * |E|, so sample k lands exactly on attempt R * (k + 1) / 16
+  // = (k + 1) * |E|: an untracked run with rc = k + 1 stops there.
+  RewireOptions tracked;
+  tracked.rewiring_coefficient = static_cast<double>(kConvergenceSamples);
+  tracked.track_properties = true;
+  Graph g_tracked = before;
+  Rng rng_tracked(0xC0DE);
+  const RewireStats stats =
+      RewireToClustering(g_tracked, 0, target, tracked, rng_tracked);
+  ASSERT_EQ(kConvergenceSamples, stats.curve.size());
+  EXPECT_GT(stats.accepted, 0u);
+
+  std::size_t max_components = 0;
+  for (std::size_t k = 0; k < kConvergenceSamples; ++k) {
+    RewireOptions prefix;
+    prefix.rewiring_coefficient = static_cast<double>(k + 1);
+    Graph g = before;
+    Rng rng(0xC0DE);
+    RewireToClustering(g, 0, target, prefix, rng);
+
+    const ConvergenceSample& sample = stats.curve[k];
+    EXPECT_EQ((k + 1) * before.NumEdges(), sample.attempts) << "sample " << k;
+    EXPECT_EQ(NetworkClusteringCoefficient(CsrGraph(g)),
+              sample.clustering_global)
+        << "sample " << k;
+    const ComponentsResult components = ConnectedComponents(g);
+    EXPECT_EQ(components.sizes.size(), sample.components) << "sample " << k;
+    EXPECT_EQ(components.sizes[components.largest], sample.lcc)
+        << "sample " << k;
+    max_components = std::max(max_components, sample.components);
+  }
+  // The swaps must actually have split the graph for the component
+  // columns to mean anything.
+  EXPECT_GT(max_components, 1u);
+}
+
 TEST(RewirerTest, ByteIdenticalAcrossThreadCounts) {
   Rng gen_rng(7);
   const Graph before = GeneratePowerlawCluster(300, 3, 0.5, gen_rng);
@@ -314,6 +363,159 @@ TEST(RewirerTest, ByteIdenticalAcrossThreadCounts) {
   }
   // The run must do real work for the comparison to mean anything.
   EXPECT_GT(runs[0].stats.accepted, 0u);
+}
+
+TEST(RewirerTest, TrackedRewireByteIdenticalAcrossThreads) {
+  Rng gen_rng(7);
+  const Graph before = GeneratePowerlawCluster(300, 3, 0.5, gen_rng);
+  std::vector<double> target(before.MaxDegree() + 1, 0.25);
+  RewireOptions options;
+  options.rewiring_coefficient = 25.0;
+  options.track_properties = true;
+
+  // Run 0 runs alone; runs 1-2 and 3-10 run concurrently, as trials do,
+  // each on its own Rng seeded alike.
+  struct Run {
+    Graph graph;
+    RewireStats stats;
+  };
+  std::vector<Run> runs(11, Run{before, {}});
+  const auto rewire = [&](std::size_t r) {
+    Rng rng(0xD00D);
+    runs[r].stats =
+        RewireToClustering(runs[r].graph, 0, target, options, rng);
+  };
+  rewire(0);
+  ParallelFor(2, 2, [&](std::size_t i) { rewire(1 + i); });
+  ParallelFor(8, 8, [&](std::size_t i) { rewire(3 + i); });
+  ASSERT_EQ(kConvergenceSamples, runs[0].stats.curve.size());
+  EXPECT_GT(runs[0].stats.accepted, 0u);
+  for (std::size_t r = 1; r < runs.size(); ++r) {
+    ASSERT_EQ(runs[r].graph.NumEdges(), runs[0].graph.NumEdges());
+    for (EdgeId e = 0; e < runs[0].graph.NumEdges(); ++e) {
+      ASSERT_EQ(runs[r].graph.edge(e).u, runs[0].graph.edge(e).u)
+          << "edge " << e << " at run " << r;
+      ASSERT_EQ(runs[r].graph.edge(e).v, runs[0].graph.edge(e).v)
+          << "edge " << e << " at run " << r;
+    }
+    EXPECT_EQ(runs[r].stats.attempts, runs[0].stats.attempts);
+    EXPECT_EQ(runs[r].stats.accepted, runs[0].stats.accepted);
+    EXPECT_EQ(runs[r].stats.initial_distance,
+              runs[0].stats.initial_distance);
+    EXPECT_EQ(runs[r].stats.final_distance, runs[0].stats.final_distance);
+    EXPECT_EQ(runs[r].stats.stopped_early, runs[0].stats.stopped_early);
+    // The convergence curve must agree bit-for-bit, doubles included.
+    ASSERT_EQ(runs[r].stats.curve.size(), runs[0].stats.curve.size());
+    for (std::size_t s = 0; s < runs[0].stats.curve.size(); ++s) {
+      EXPECT_EQ(runs[r].stats.curve[s].attempts,
+                runs[0].stats.curve[s].attempts)
+          << "sample " << s;
+      EXPECT_EQ(runs[r].stats.curve[s].objective,
+                runs[0].stats.curve[s].objective)
+          << "sample " << s;
+      EXPECT_EQ(runs[r].stats.curve[s].clustering_global,
+                runs[0].stats.curve[s].clustering_global)
+          << "sample " << s;
+      EXPECT_EQ(runs[r].stats.curve[s].components,
+                runs[0].stats.curve[s].components)
+          << "sample " << s;
+      EXPECT_EQ(runs[r].stats.curve[s].lcc, runs[0].stats.curve[s].lcc)
+          << "sample " << s;
+    }
+  }
+}
+
+TEST(RewirerTest, TrackingIsPureObservationSequential) {
+  Rng gen_rng(12);
+  const Graph before = GeneratePowerlawCluster(200, 3, 0.5, gen_rng);
+  std::vector<double> target(before.MaxDegree() + 1, 0.2);
+  RewireOptions plain;
+  plain.rewiring_coefficient = 20.0;
+  RewireOptions tracked = plain;
+  tracked.track_properties = true;
+
+  Graph g_plain = before;
+  Rng rng_plain(0xABC);
+  const RewireStats stats_plain =
+      RewireToClustering(g_plain, 0, target, plain, rng_plain);
+
+  Graph g_tracked = before;
+  Rng rng_tracked(0xABC);
+  const RewireStats stats_tracked =
+      RewireToClustering(g_tracked, 0, target, tracked, rng_tracked);
+
+  // Identical proposal stream, decisions, and output: tracking is pure
+  // observation.
+  ASSERT_EQ(g_plain.NumEdges(), g_tracked.NumEdges());
+  for (EdgeId e = 0; e < g_plain.NumEdges(); ++e) {
+    ASSERT_EQ(g_plain.edge(e).u, g_tracked.edge(e).u) << "edge " << e;
+    ASSERT_EQ(g_plain.edge(e).v, g_tracked.edge(e).v) << "edge " << e;
+  }
+  EXPECT_EQ(stats_plain.attempts, stats_tracked.attempts);
+  EXPECT_EQ(stats_plain.accepted, stats_tracked.accepted);
+  EXPECT_EQ(stats_plain.initial_distance, stats_tracked.initial_distance);
+  EXPECT_EQ(stats_plain.final_distance, stats_tracked.final_distance);
+  // Only the curve differs: absent untracked, 16 samples tracked.
+  EXPECT_TRUE(stats_plain.curve.empty());
+  EXPECT_FALSE(stats_plain.stopped_early);
+  ASSERT_EQ(kConvergenceSamples, stats_tracked.curve.size());
+  EXPECT_FALSE(stats_tracked.stopped_early);
+  EXPECT_EQ(stats_tracked.attempts, stats_tracked.curve.back().attempts);
+  // The curve's objective is non-increasing (only improving swaps
+  // commit) and ends at the final distance, modulo incremental FP drift.
+  for (std::size_t s = 1; s < stats_tracked.curve.size(); ++s) {
+    EXPECT_LE(stats_tracked.curve[s].objective,
+              stats_tracked.curve[s - 1].objective + 1e-9)
+        << "sample " << s;
+  }
+  EXPECT_NEAR(stats_tracked.curve.back().objective,
+              stats_tracked.final_distance, 1e-6);
+}
+
+TEST(RewirerTest, AdaptiveStopHaltsSequential) {
+  Rng gen_rng(14);
+  const Graph before = GeneratePowerlawCluster(250, 3, 0.6, gen_rng);
+  std::vector<double> target(before.MaxDegree() + 1, 0.05);
+  RewireOptions reference;
+  reference.rewiring_coefficient = 30.0;
+  reference.track_properties = true;
+
+  Graph g_ref = before;
+  Rng rng_ref(0x5709);
+  const RewireStats ref =
+      RewireToClustering(g_ref, 0, target, reference, rng_ref);
+  ASSERT_GT(ref.initial_distance, ref.final_distance);
+  ASSERT_FALSE(ref.stopped_early);
+
+  // An epsilon strictly between the final and initial distance must be
+  // crossed mid-run: the stop fires with attempts genuinely saved.
+  RewireOptions stopping = reference;
+  stopping.stop_epsilon =
+      0.5 * (ref.initial_distance + ref.final_distance);
+  Graph g_stop = before;
+  Rng rng_stop(0x5709);
+  const RewireStats stopped =
+      RewireToClustering(g_stop, 0, target, stopping, rng_stop);
+  EXPECT_TRUE(stopped.stopped_early);
+  EXPECT_GT(stopped.attempts, 0u);
+  EXPECT_LT(stopped.attempts, ref.attempts);
+  ASSERT_EQ(kConvergenceSamples, stopped.curve.size());
+  EXPECT_LE(stopped.final_distance, stopping.stop_epsilon + 1e-6);
+
+  // Epsilon already satisfied at the start: zero attempts.
+  RewireOptions trivial = reference;
+  trivial.stop_epsilon = 1e6;
+  Graph g_trivial = before;
+  Rng rng_trivial(0x5709);
+  const RewireStats none =
+      RewireToClustering(g_trivial, 0, target, trivial, rng_trivial);
+  EXPECT_TRUE(none.stopped_early);
+  EXPECT_EQ(0u, none.attempts);
+  EXPECT_EQ(0u, none.accepted);
+  for (EdgeId e = 0; e < before.NumEdges(); ++e) {
+    ASSERT_EQ(before.edge(e).u, g_trivial.edge(e).u) << "edge " << e;
+    ASSERT_EQ(before.edge(e).v, g_trivial.edge(e).v) << "edge " << e;
+  }
 }
 
 }  // namespace

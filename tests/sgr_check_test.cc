@@ -4,8 +4,8 @@
 // rule id and position), an allow-annotated snippet (suppressed and
 // summarized), and a clean snippet. The fixtures are fed to the checker as
 // in-memory strings under paths chosen to exercise the per-rule path
-// sanctions. A final test lints the real src/ tree with the checked-in
-// baseline, so the suite fails the moment a contract violation lands.
+// sanctions. A final test lints the real src/ tree, so the suite fails the
+// moment a contract violation lands.
 
 #include "util/srccheck.h"
 
@@ -18,10 +18,8 @@
 namespace sgr {
 namespace {
 
-CheckResult CheckOne(const std::string& path, const std::string& content,
-                     std::vector<std::string> baseline = {}) {
+CheckResult CheckOne(const std::string& path, const std::string& content) {
   SourceChecker checker;
-  checker.SetBaseline(std::move(baseline));
   checker.Check(path, content);
   return checker.TakeResult();
 }
@@ -137,10 +135,14 @@ TEST(SgrCheckEnvTest, FlagsGetenvOutsideRunnerEntryPoints) {
 }
 
 TEST(SgrCheckEnvTest, RunnerEntryPointsMayReadEnv) {
+  // exp/runner.cc is EnvText's home; every other file reads the
+  // environment through EnvText, exp/datasets.cc included.
   const std::string content =
       "void f() { const char* v = getenv(\"SGR_X\"); (void)v; }\n";
   EXPECT_TRUE(CheckOne("src/exp/runner.cc", content).Clean());
-  EXPECT_TRUE(CheckOne("src/exp/datasets.cc", content).Clean());
+  EXPECT_FALSE(CheckOne("src/exp/datasets.cc", content).Clean());
+  // Homes match at a path-component boundary only.
+  EXPECT_FALSE(CheckOne("src/myexp/runner.cc", content).Clean());
 }
 
 // ---------------------------------------------------------------------------
@@ -457,43 +459,6 @@ TEST(SgrCheckAllowTest, ProseMentioningTheSyntaxIsNotAnAnnotation) {
 }
 
 // ---------------------------------------------------------------------------
-// Baseline: grandfathering, suffix matching, stale entries
-// ---------------------------------------------------------------------------
-
-TEST(SgrCheckBaselineTest, BaselineEntryGrandfathersFinding) {
-  const CheckResult result =
-      CheckOne("src/util/legacy.cc", "void f() { rand(); }\n",
-               {"util/legacy.cc:nondet-random"});
-  EXPECT_TRUE(result.Clean()) << Describe(result);
-  ASSERT_EQ(result.grandfathered.size(), 1u);
-  EXPECT_EQ(result.grandfathered[0].rule, "nondet-random");
-  EXPECT_TRUE(result.stale_baseline.empty());
-}
-
-TEST(SgrCheckBaselineTest, SuffixMatchRespectsComponentBoundaries) {
-  // "legacy.cc" must not match "mylegacy.cc".
-  const CheckResult result =
-      CheckOne("src/util/mylegacy.cc", "void f() { rand(); }\n",
-               {"legacy.cc:nondet-random"});
-  ASSERT_EQ(result.violations.size(), 1u) << Describe(result);
-  EXPECT_EQ(result.violations[0].rule, "nondet-random");
-  ASSERT_EQ(result.stale_baseline.size(), 1u);
-  EXPECT_EQ(result.stale_baseline[0], "legacy.cc:nondet-random");
-}
-
-TEST(SgrCheckBaselineTest, StaleEntryIsWarnedButNonFatal) {
-  const CheckResult result = CheckOne("src/util/fixture.cc", "void f() {}\n",
-                                      {"util/nothing.cc:nondet-clock"});
-  EXPECT_TRUE(result.Clean()) << Describe(result);
-  ASSERT_EQ(result.stale_baseline.size(), 1u);
-  EXPECT_EQ(result.stale_baseline[0], "util/nothing.cc:nondet-clock");
-}
-
-TEST(SgrCheckBaselineTest, MissingBaselineFileIsEmpty) {
-  EXPECT_TRUE(LoadCheckBaseline("/nonexistent/sgr-baseline.txt").empty());
-}
-
-// ---------------------------------------------------------------------------
 // Lexer immunity: strings, comments, preprocessor
 // ---------------------------------------------------------------------------
 
@@ -527,24 +492,20 @@ TEST(SgrCheckReportTest, PrintsDiagnosticsAllowsAndSummary) {
   EXPECT_NE(report.find("sanctioned exceptions"), std::string::npos);
   EXPECT_NE(report.find("allow(nondet-clock): metered by hand"),
             std::string::npos);
-  EXPECT_NE(report.find("sgr-check: 1 violation(s), 0 baselined, "
+  EXPECT_NE(report.find("sgr-check: 1 violation(s), "
                         "1 sanctioned exception(s)"),
             std::string::npos)
       << report;
 }
 
 // ---------------------------------------------------------------------------
-// The self-test: the real source tree is clean under the checked-in
-// baseline. This is the same gate CI's static-analysis job enforces.
+// The self-test: the real source tree is clean. This is the same gate CI's
+// static-analysis job enforces.
 // ---------------------------------------------------------------------------
 
 TEST(SgrCheckTreeTest, RealSourceTreeIsClean) {
-  const std::vector<std::string> baseline =
-      LoadCheckBaseline(SGR_SOURCE_DIR "/tools/sgr_check_baseline.txt");
-  const CheckResult result =
-      CheckSourceTree({SGR_SOURCE_DIR "/src"}, baseline);
+  const CheckResult result = CheckSourceTree({SGR_SOURCE_DIR "/src"});
   EXPECT_TRUE(result.Clean()) << Describe(result);
-  EXPECT_TRUE(result.stale_baseline.empty()) << Describe(result);
   // The sweep left a deliberate catalogue of sanctioned exceptions; every
   // one of them must still be suppressing something (no rot).
   for (const CheckAllow& allow : result.allows) {

@@ -114,6 +114,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/extras.h"
@@ -329,12 +330,19 @@ ScenarioSpec LoadScenarioSpec(const std::string& source) {
 int CmdRun(const std::string& source, const Args& args) {
   // Data-source flags are sugar over their environment twins — the
   // loaders in exp/datasets.cc read only the environment, so flag and
-  // env behave identically (flag wins when both are given).
-  if (args.Has("dataset-dir")) {
-    setenv("SGR_DATASET_DIR", args.Get("dataset-dir").c_str(), 1);
-  }
-  if (args.Has("snapshot-cache")) {
-    setenv("SGR_SNAPSHOT_CACHE", args.Get("snapshot-cache").c_str(), 1);
+  // env behave identically (flag wins when both are given). An empty
+  // variable counts as unset, so an empty flag value is rejected rather
+  // than silently dropped.
+  for (const auto& [flag, variable] :
+       {std::pair{"dataset-dir", "SGR_DATASET_DIR"},
+        std::pair{"snapshot-cache", "SGR_SNAPSHOT_CACHE"}}) {
+    if (!args.Has(flag)) continue;
+    const std::string dir = args.Get(flag);
+    if (dir.empty()) {
+      throw InputError(std::string("--") + flag +
+                       " needs a directory, got an empty value");
+    }
+    setenv(variable, dir.c_str(), 1);
   }
   const ScenarioSpec spec = LoadScenarioSpec(source);
 
@@ -452,27 +460,18 @@ int CmdTrace(int argc, char** argv) {
   return 0;
 }
 
-/// sgr check [paths...] [--baseline FILE]
+/// sgr check [paths...]
 int CmdCheck(int argc, char** argv) {
   std::vector<std::string> paths;
-  std::string baseline_path = "tools/sgr_check_baseline.txt";
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--baseline") {
-      if (i + 1 >= argc) {
-        throw std::runtime_error("usage: sgr check [paths...] "
-                                 "[--baseline FILE]");
-      }
-      baseline_path = argv[++i];
-    } else if (arg.rfind("--", 0) == 0) {
-      throw InputError("unknown flag " + arg + " (accepted: --baseline)");
-    } else {
-      paths.push_back(arg);
+    if (arg.rfind("--", 0) == 0) {
+      throw InputError("unknown flag " + arg + " (sgr check takes none)");
     }
+    paths.push_back(arg);
   }
   if (paths.empty()) paths.push_back("src");
-  const CheckResult result =
-      CheckSourceTree(paths, LoadCheckBaseline(baseline_path));
+  const CheckResult result = CheckSourceTree(paths);
   PrintCheckReport(result, std::cout);
   return result.Clean() ? 0 : 1;
 }
@@ -644,9 +643,8 @@ void PrintUsage() {
       "  table     REPORT.json   (the paper's tables from a report)\n"
       "  scenarios list | show NAME\n"
       "  trace     summarize FILE   (validate + per-span time table)\n"
-      "  check     [PATHS...] [--baseline FILE]   (determinism lint over\n"
-      "            the source tree; default path src, default baseline\n"
-      "            tools/sgr_check_baseline.txt; exit 1 on violations)\n";
+      "  check     [PATHS...]   (determinism lint over the source tree;\n"
+      "            default path src; exit 1 on violations)\n";
 }
 
 }  // namespace
