@@ -36,15 +36,14 @@ static int BenchMain(int argc, char** argv) {
   const Args no_flags(argc, argv, 1, {});
   const DatasetSpec spec =
       DatasetByName(EnvText("SGR_DATASET").value_or("anybeat"));
-  const Graph original = LoadDataset(spec);
-  const CsrGraph snapshot(original);
+  const CsrGraph original = LoadDatasetCsr(spec);
   std::cout << "=== dK-series ladder (full-data generation) ===\n";
-  PrintDatasetBanner(spec, snapshot);
+  PrintDatasetBanner(spec, original);
   std::cout << "RC (2.5K rewiring) = " << kRewiringCoefficient << "\n\n";
 
   PropertyOptions prop_options;
   prop_options.max_path_sources = kPathSources;
-  const GraphProperties truth = ComputeProperties(snapshot, prop_options);
+  const GraphProperties truth = ComputeProperties(original, prop_options);
 
   std::vector<std::string> headers = {"Order"};
   for (const auto& name : PropertyNames()) headers.push_back(name);

@@ -43,7 +43,7 @@ constexpr double kQueryFraction = 0.10;
 /// halo in Fig. 4. Crawls miss most of these (a degree-1 node is visible
 /// only if its single neighbor was queried), which is exactly what the
 /// paper's pictures show.
-std::size_t PeripheryCount(const sgr::Graph& g) {
+std::size_t PeripheryCount(const sgr::CsrGraph& g) {
   const sgr::DegreeVector dv = sgr::ExtractDegreeVector(g);
   std::size_t low = 0;
   for (std::size_t k = 0; k <= 2 && k < dv.size(); ++k) {
@@ -88,12 +88,10 @@ static int BenchMain(int argc, char** argv) {
   std::filesystem::create_directories(out_dir);
 
   const DatasetSpec spec = DatasetByName("anybeat");
-  const Graph original = LoadDataset(spec);
-  const CsrGraph snapshot(original);
+  const CsrGraph original = LoadDatasetCsr(spec);
   std::cout << "=== Figure 4: graph visualization exports (Anybeat, "
             << 100.0 * kQueryFraction << "% queried) ===\n";
-  PrintDatasetBanner(spec, snapshot);
-  WriteGexfFile(original, (out_dir / "original.gexf").string());
+  PrintDatasetBanner(spec, original);
 
   const auto budget = static_cast<std::size_t>(
       kQueryFraction * static_cast<double>(original.NumNodes()));
@@ -109,13 +107,13 @@ static int BenchMain(int argc, char** argv) {
                      {"Graph", "nodes", "edges", "periphery share (deg<=2)",
                       "periphery count vs original", "orig periphery seen",
                       "file"});
-  auto report = [&](const std::string& name, const Graph& g,
+  auto report = [&](const std::string& name, const CsrGraph& g,
                     const std::string& seen) {
     const std::string file = (out_dir / (name + ".gexf")).string();
     WriteGexfFile(g, file);
     table.AddRow({name, std::to_string(g.NumNodes()),
                   std::to_string(g.NumEdges()),
-                  TablePrinter::Fixed(PeripheryShare(CsrGraph(g))),
+                  TablePrinter::Fixed(PeripheryShare(g)),
                   TablePrinter::Fixed(static_cast<double>(PeripheryCount(g)) /
                                       original_periphery),
                   seen, file});
@@ -123,34 +121,35 @@ static int BenchMain(int argc, char** argv) {
   report("original", original, "1.000");
 
   {
-    QueryOracle oracle(snapshot);
+    QueryOracle oracle(original);
     const SamplingList list = BfsSample(oracle, seed, budget);
-    report("bfs", RestoreBySubgraphSampling(list).graph,
-           TablePrinter::Fixed(OriginalPeripherySeen(snapshot, list)));
+    report("bfs", CsrGraph(RestoreBySubgraphSampling(list).graph),
+           TablePrinter::Fixed(OriginalPeripherySeen(original, list)));
   }
   {
-    QueryOracle oracle(snapshot);
+    QueryOracle oracle(original);
     const SamplingList list =
         SnowballSample(oracle, seed, budget, 50, rng);
-    report("snowball", RestoreBySubgraphSampling(list).graph,
-           TablePrinter::Fixed(OriginalPeripherySeen(snapshot, list)));
+    report("snowball", CsrGraph(RestoreBySubgraphSampling(list).graph),
+           TablePrinter::Fixed(OriginalPeripherySeen(original, list)));
   }
   {
-    QueryOracle oracle(snapshot);
+    QueryOracle oracle(original);
     const SamplingList list =
         ForestFireSample(oracle, seed, budget, 0.7, rng);
-    report("forest_fire", RestoreBySubgraphSampling(list).graph,
-           TablePrinter::Fixed(OriginalPeripherySeen(snapshot, list)));
+    report("forest_fire", CsrGraph(RestoreBySubgraphSampling(list).graph),
+           TablePrinter::Fixed(OriginalPeripherySeen(original, list)));
   }
-  QueryOracle oracle(snapshot);
+  QueryOracle oracle(original);
   const SamplingList walk = RandomWalkSample(oracle, seed, budget, rng);
   const std::string walk_seen =
-      TablePrinter::Fixed(OriginalPeripherySeen(snapshot, walk));
-  report("rw", RestoreBySubgraphSampling(walk).graph, walk_seen);
+      TablePrinter::Fixed(OriginalPeripherySeen(original, walk));
+  report("rw", CsrGraph(RestoreBySubgraphSampling(walk).graph), walk_seen);
   // Generated graphs are anonymous (new node ids), so per-node coverage is
   // undefined; the periphery-count column carries the comparison.
-  report("gjoka", RestoreGjoka(walk, options, rng).graph, "n/a");
-  report("proposed", RestoreProposed(walk, options, rng).graph, "n/a");
+  report("gjoka", CsrGraph(RestoreGjoka(walk, options, rng).graph), "n/a");
+  report("proposed", CsrGraph(RestoreProposed(walk, options, rng).graph),
+         "n/a");
 
   table.Print();
   std::cout << "\nexpected shape (paper Fig. 4): crawls see only a small "

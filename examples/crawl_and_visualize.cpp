@@ -34,11 +34,10 @@ int main(int argc, char** argv) {
   std::filesystem::create_directories(out_dir);
 
   Rng rng(4242);
-  const Graph original =
-      PreprocessDataset(GenerateSocialGraph(2500, 4, 0.35, 0.4, rng));
-  const CsrGraph snapshot(original);
+  const CsrGraph original = PreprocessDataset(
+      CsrGraph(GenerateSocialGraph(2500, 4, 0.35, 0.4, rng)));
 
-  QueryOracle oracle(snapshot);
+  QueryOracle oracle(original);
   const auto budget = static_cast<std::size_t>(
       fraction * static_cast<double>(original.NumNodes()));
   const SamplingList walk = RandomWalkSample(
@@ -50,20 +49,18 @@ int main(int argc, char** argv) {
   options.rewire.rewiring_coefficient = 100.0;
   const RestorationResult restored = RestoreProposed(walk, options, rng);
 
-  WriteGexfFile(original, (out_dir / "original.gexf").string());
-  WriteGexfFile(subgraph.graph, (out_dir / "subgraph.gexf").string());
-  WriteGexfFile(restored.graph, (out_dir / "restored.gexf").string());
-
   TablePrinter table(std::cout,
                      {"View", "nodes", "edges", "periphery share"});
-  auto row = [&table](const std::string& name, const Graph& g) {
+  auto row = [&](const std::string& name, const std::string& file,
+                 const CsrGraph& g) {
+    WriteGexfFile(g, (out_dir / file).string());
     table.AddRow({name, std::to_string(g.NumNodes()),
                   std::to_string(g.NumEdges()),
-                  TablePrinter::Fixed(PeripheryShare(CsrGraph(g)))});
+                  TablePrinter::Fixed(PeripheryShare(g))});
   };
-  row("original", original);
-  row("crawl subgraph (G')", subgraph.graph);
-  row("restored (proposed)", restored.graph);
+  row("original", "original.gexf", original);
+  row("crawl subgraph (G')", "subgraph.gexf", CsrGraph(subgraph.graph));
+  row("restored (proposed)", "restored.gexf", CsrGraph(restored.graph));
   table.Print();
 
   std::cout << "\nGEXF files written to " << out_dir

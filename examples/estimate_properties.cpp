@@ -16,17 +16,17 @@
 #include "estimation/estimators.h"
 #include "exp/table_printer.h"
 #include "graph/components.h"
+#include "graph/edge_list_reader.h"
 #include "graph/generators.h"
-#include "graph/io.h"
 #include "sampling/random_walk.h"
 
 int main(int argc, char** argv) {
   using namespace sgr;
 
   Rng rng(7);
-  const CsrGraph g(PreprocessDataset(
-      argc > 1 ? ReadEdgeListFile(argv[1])
-               : GenerateSocialGraph(5000, 5, 0.4, 0.4, rng)));
+  const CsrGraph g = PreprocessDataset(
+      argc > 1 ? ReadEdgeListCsr(argv[1])
+               : CsrGraph(GenerateSocialGraph(5000, 5, 0.4, 0.4, rng)));
 
   // Ground truth (available here because the graph is local; in a real
   // crawl you would only have the estimates).

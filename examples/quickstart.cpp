@@ -17,8 +17,8 @@
 #include "analysis/properties.h"
 #include "exp/table_printer.h"
 #include "graph/components.h"
+#include "graph/edge_list_reader.h"
 #include "graph/generators.h"
-#include "graph/io.h"
 #include "restore/proposed.h"
 #include "sampling/random_walk.h"
 
@@ -28,9 +28,9 @@ int main(int argc, char** argv) {
   // 1. The "hidden" social graph. In a real deployment this lives behind
   //    an API; here we load or generate it, preprocessed as in the paper.
   Rng rng(2022);
-  const CsrGraph original(PreprocessDataset(
-      argc > 1 ? ReadEdgeListFile(argv[1])
-               : GeneratePowerlawCluster(3000, 4, 0.4, rng)));
+  const CsrGraph original = PreprocessDataset(
+      argc > 1 ? ReadEdgeListCsr(argv[1])
+               : CsrGraph(GeneratePowerlawCluster(3000, 4, 0.4, rng)));
   std::cout << "original graph: n = " << original.NumNodes()
             << ", m = " << original.NumEdges() << "\n";
 

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   const double fraction = argc > 2 ? std::atof(argv[2]) : 0.1;
 
   const DatasetSpec spec = DatasetByName(name);
-  const CsrGraph dataset(LoadDataset(spec));
+  const CsrGraph dataset = LoadDatasetCsr(spec);
   std::cout << "dataset " << spec.name << ": n = " << dataset.NumNodes()
             << ", m = " << dataset.NumEdges() << ", querying "
             << 100.0 * fraction << "% of nodes\n\n";

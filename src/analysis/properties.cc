@@ -146,54 +146,6 @@ double LargestEigenvalue(const CsrGraph& g, std::size_t max_iterations,
 
 namespace {
 
-/// Simplified largest connected component of `g` as a CSR snapshot:
-/// loops dropped, parallel edges collapsed, nodes renumbered densely in
-/// ascending original-id order (the same numbering
-/// LargestConnectedComponent(g.Simplified()) produces).
-CsrGraph SimplifiedLccCsr(const CsrGraph& g) {
-  const std::size_t n = g.NumNodes();
-  if (n == 0) return CsrGraph();
-
-  const ComponentsResult comps = ConnectedComponents(g);
-
-  // Dense renumbering in ascending old-id order keeps neighbor ranges
-  // sorted after mapping.
-  std::vector<NodeId> old_to_new(n, static_cast<NodeId>(-1));
-  std::vector<NodeId> members;
-  members.reserve(comps.sizes[comps.largest]);
-  for (NodeId v = 0; v < n; ++v) {
-    if (comps.component_of[v] == comps.largest) {
-      old_to_new[v] = static_cast<NodeId>(members.size());
-      members.push_back(v);
-    }
-  }
-
-  // Build the simplified adjacency: run-length collapse of the sorted
-  // ranges drops parallel edges; loops are skipped outright.
-  NeighborCursor cursor(g);
-  std::vector<std::size_t> offsets(members.size() + 1, 0);
-  std::vector<NodeId> neighbors;
-  for (std::size_t idx = 0; idx < members.size(); ++idx) {
-    const NodeId v = members[idx];
-    const NeighborSpan nbrs = cursor.Load(v);
-    std::size_t i = 0;
-    while (i < nbrs.size()) {
-      const NodeId w = nbrs[i];
-      while (i < nbrs.size() && nbrs[i] == w) ++i;
-      if (w == v) continue;
-      neighbors.push_back(old_to_new[w]);
-    }
-    offsets[idx + 1] = neighbors.size();
-  }
-  CsrGraph lcc =
-      CsrGraph::FromAdjacency(std::move(offsets), std::move(neighbors));
-  // A compressed input signals a paper-scale run: keep the working copy
-  // compressed too, so the shortest-path phase doesn't silently double
-  // the resident neighbor storage.
-  if (g.compressed()) lcc.Compress();
-  return lcc;
-}
-
 /// One Brandes pass from `source` over a connected simple graph: fills
 /// `distance` and accumulates dependencies into `betweenness`, and the
 /// per-distance pair counts into `length_histogram`. `cursor` is the
@@ -271,7 +223,7 @@ std::vector<double> BetweennessCentrality(const CsrGraph& g) {
 ShortestPathProperties ComputeShortestPathProperties(
     const CsrGraph& g, const PropertyOptions& options) {
   ShortestPathProperties result;
-  const CsrGraph lcc = SimplifiedLccCsr(g);
+  const CsrGraph lcc = PreprocessDataset(g);
   const std::size_t n = lcc.NumNodes();
   if (n < 2) return result;
 

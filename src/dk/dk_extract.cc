@@ -18,10 +18,27 @@ DegreeVector ExtractDegreeVector(const CsrGraph& g) {
 }
 
 JointDegreeMatrix ExtractJointDegreeMatrix(const Graph& g) {
+  return ExtractJointDegreeMatrix(CsrGraph(g));
+}
+
+JointDegreeMatrix ExtractJointDegreeMatrix(const CsrGraph& g) {
   JointDegreeMatrix jdm;
-  for (const Edge& e : g.edges()) {
-    jdm.AddSymmetric(static_cast<std::uint32_t>(g.Degree(e.u)),
-                     static_cast<std::uint32_t>(g.Degree(e.v)), 1);
+  NeighborCursor cursor(g);
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    const NeighborSpan nbrs = cursor.Load(v);
+    std::size_t i = 0;
+    while (i < nbrs.size()) {
+      const NodeId w = nbrs[i];
+      std::size_t run = 1;
+      while (i + run < nbrs.size() && nbrs[i + run] == w) ++run;
+      i += run;
+      if (w < v) continue;  // each edge once, off the lower endpoint
+      // A loop contributes two entries per copy.
+      const std::size_t copies = (w == v) ? run / 2 : run;
+      jdm.AddSymmetric(static_cast<std::uint32_t>(g.Degree(v)),
+                       static_cast<std::uint32_t>(g.Degree(w)),
+                       static_cast<std::int64_t>(copies));
+    }
   }
   return jdm;
 }

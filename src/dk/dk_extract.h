@@ -24,6 +24,7 @@ DegreeVector ExtractDegreeVector(const CsrGraph& g);
 /// A self-loop at a degree-k node contributes 1 to m(k,k) (it is one edge
 /// whose both endpoints have degree k).
 JointDegreeMatrix ExtractJointDegreeMatrix(const Graph& g);
+JointDegreeMatrix ExtractJointDegreeMatrix(const CsrGraph& g);
 
 /// Per-node triangle counts t_i = Σ_{j<l} A_ij A_il A_jl (multiplicity
 /// aware; self-loops form no triangles). One degree-ordered node-iterator

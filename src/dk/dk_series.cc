@@ -6,7 +6,7 @@
 
 namespace sgr {
 
-Graph GenerateDkGraph(const Graph& original, DkOrder order, Rng& rng,
+Graph GenerateDkGraph(const CsrGraph& original, DkOrder order, Rng& rng,
                       double rewiring_coefficient) {
   switch (order) {
     case DkOrder::k0:

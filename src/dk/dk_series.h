@@ -1,6 +1,7 @@
 #ifndef SGR_DK_DK_SERIES_H_
 #define SGR_DK_DK_SERIES_H_
 
+#include "graph/csr_graph.h"
 #include "graph/graph.h"
 #include "util/rng.h"
 
@@ -25,7 +26,7 @@ enum class DkOrder {
 /// increasingly well as d grows, with 2.5K capturing even global
 /// properties — is checked by tests/dk_series_test.cc and regenerated by
 /// bench/bench_dk_ladder.
-Graph GenerateDkGraph(const Graph& original, DkOrder order, Rng& rng,
+Graph GenerateDkGraph(const CsrGraph& original, DkOrder order, Rng& rng,
                       double rewiring_coefficient = 500.0);
 
 }  // namespace sgr

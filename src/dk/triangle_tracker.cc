@@ -79,7 +79,11 @@ void TriangleTracker::ApplyTriangleDelta(NodeId u, NodeId v,
   const NodeId a = adj_[u].size() <= adj_[v].size() ? u : v;
   const NodeId b = (a == u) ? v : u;
   std::int64_t common = 0;
-  // sgr-check: allow(unordered-iter) integer triangle-count deltas; per-w updates commute
+  // The integer counts t_ and class_t_ come out the same in any order,
+  // but BumpClassTriangles adds to the double objective_num_ in map
+  // order. The map's insertion history fixes that order, so runs repeat;
+  // a container with another order may move the objective's low bits.
+  // sgr-check: allow(unordered-iter) integer counts commute; objective_num_ sums in map order
   for (const auto& [w, a_aw] : adj_[a]) {
     if (w == u || w == v) continue;
     auto it = adj_[b].find(w);

@@ -10,7 +10,6 @@
 #include "graph/components.h"
 #include "graph/edge_list_reader.h"
 #include "graph/generators.h"
-#include "graph/io.h"
 #include "util/rng.h"
 
 namespace sgr {
@@ -49,14 +48,14 @@ std::optional<std::string> ResolveDatasetFile(const DatasetSpec& spec) {
   return path.string();
 }
 
-Graph GenerateDataset(const DatasetSpec& spec, double scale) {
-  Rng rng(spec.seed);
-  return GenerateSocialGraph(ScaledNodeCount(spec, scale),
-                             spec.edges_per_node, spec.triad_probability,
-                             spec.fringe_fraction, rng);
-}
-
 }  // namespace
+
+CsrGraph GenerateDataset(const DatasetSpec& spec, double scale) {
+  Rng rng(spec.seed);
+  return PreprocessDataset(CsrGraph(GenerateSocialGraph(
+      ScaledNodeCount(spec, scale), spec.edges_per_node,
+      spec.triad_probability, spec.fringe_fraction, rng)));
+}
 
 double ResolveDatasetScale(double scale_override) {
   if (scale_override > 0.0) return scale_override;
@@ -111,14 +110,6 @@ DatasetSpec DatasetByName(const std::string& name) {
   throw std::out_of_range("unknown dataset: " + name);
 }
 
-Graph LoadDataset(const DatasetSpec& spec, double scale_override) {
-  if (const std::optional<std::string> file = ResolveDatasetFile(spec)) {
-    return PreprocessDataset(ReadEdgeListFile(*file));
-  }
-  return PreprocessDataset(
-      GenerateDataset(spec, ResolveDatasetScale(scale_override)));
-}
-
 CsrGraph LoadDatasetCsr(const DatasetSpec& spec, double scale_override,
                         DatasetProvenance* provenance) {
   if (const std::optional<std::string> file = ResolveDatasetFile(spec)) {
@@ -140,7 +131,7 @@ CsrGraph LoadDatasetCsr(const DatasetSpec& spec, double scale_override,
     provenance->content_hash.clear();
     provenance->scale = scale;
   }
-  return CsrGraph(PreprocessDataset(GenerateDataset(spec, scale)));
+  return GenerateDataset(spec, scale);
 }
 
 }  // namespace sgr

@@ -8,7 +8,6 @@
 
 #include "graph/csr_graph.h"
 #include "graph/edge_list_reader.h"
-#include "graph/graph.h"
 
 namespace sgr {
 
@@ -67,13 +66,27 @@ double ResolveDatasetScale(double scale_override = 0.0);
 /// automatic by edge count). Malformed values throw InputError.
 IngestOptions IngestOptionsFromEnv();
 
-/// Materializes a dataset: if $SGR_DATASET_DIR is set, the edge list
+/// The synthetic stand-in of `spec` with spec.num_nodes * `scale` nodes
+/// (a Holme–Kim social graph from spec.seed), preprocessed by
+/// PreprocessDataset (graph/components.h). Throws std::runtime_error if
+/// the scale rounds the node count to zero. This is what `sgr datasets
+/// export` writes and what LoadDatasetCsr returns without a dataset file.
+CsrGraph GenerateDataset(const DatasetSpec& spec, double scale);
+
+/// Materializes a dataset as a CSR snapshot — the scenario engine's entry
+/// point. If $SGR_DATASET_DIR is set, the edge list
 /// $SGR_DATASET_DIR/<name>.txt is REQUIRED — a missing file is a hard
 /// error naming the resolved path, never a silent fall-back to the
 /// synthetic generator (running "real-data" experiments on an
-/// accidentally-synthetic graph is the failure mode this guards). With
-/// the variable unset, the synthetic stand-in is generated. Either way
-/// the result is preprocessed (simplified + largest connected component).
+/// accidentally-synthetic graph is the failure mode this guards). The
+/// file goes through the out-of-core ingester (graph/edge_list_reader.h):
+/// optional content-hash snapshot cache ($SGR_SNAPSHOT_CACHE names the
+/// directory), ingest worker count from $SGR_INGEST_THREADS (default 1;
+/// 0 = hardware concurrency), and neighbor compression policy from
+/// $SGR_CSR_COMPRESS ("1" always, "0" never, unset = automatic by edge
+/// count). With the variable unset, GenerateDataset builds the synthetic
+/// stand-in. Either way the result is preprocessed (simplified + largest
+/// connected component) by the one kernel, PreprocessDataset.
 ///
 /// The environment variable SGR_DATASET_SCALE (default 1.0) multiplies
 /// the synthetic node count, letting users run closer to paper scale on
@@ -81,19 +94,9 @@ IngestOptions IngestOptionsFromEnv();
 /// scale that rounds the node count to zero is an error. A nonzero
 /// `scale_override` takes precedence over the environment — the scenario
 /// engine uses it so a scenario.json with an explicit `dataset_scale` is
-/// reproducible regardless of the caller's environment.
-Graph LoadDataset(const DatasetSpec& spec, double scale_override = 0.0);
-
-/// CSR-direct variant of LoadDataset — the scenario engine's entry point.
-/// File-backed datasets go through the out-of-core ingester
-/// (graph/edge_list_reader.h): no intermediate Graph, optional
-/// content-hash snapshot cache ($SGR_SNAPSHOT_CACHE names the directory),
-/// ingest worker count from $SGR_INGEST_THREADS (default 1; 0 = hardware
-/// concurrency), and neighbor compression policy from $SGR_CSR_COMPRESS
-/// ("1" always, "0" never, unset = automatic by edge count). Generator
-/// datasets produce the identical snapshot a CsrGraph(LoadDataset(...))
-/// would. If `provenance` is non-null it receives the data-source record
-/// for the report environment block.
+/// reproducible regardless of the caller's environment. If `provenance`
+/// is non-null it receives the data-source record for the report
+/// environment block.
 CsrGraph LoadDatasetCsr(const DatasetSpec& spec, double scale_override = 0.0,
                         DatasetProvenance* provenance = nullptr);
 

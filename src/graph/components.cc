@@ -63,29 +63,62 @@ bool IsConnected(const Graph& g) {
   return g.NumNodes() > 0 && CountComponents(g) == 1;
 }
 
-Graph LargestConnectedComponent(const Graph& g,
-                                std::vector<NodeId>* old_to_new) {
-  const ComponentsResult comps = ConnectedComponents(g);
-  std::vector<NodeId> mapping(g.NumNodes(), kNotInLcc);
-  Graph lcc;
-  if (!comps.sizes.empty()) {
-    for (NodeId v = 0; v < g.NumNodes(); ++v) {
-      if (comps.component_of[v] == comps.largest) {
-        mapping[v] = static_cast<NodeId>(lcc.AddNode());
-      }
+CsrGraph PreprocessDataset(CsrGraph g, std::size_t* self_loops,
+                           std::size_t* parallel_edges) {
+  const std::size_t n = g.NumNodes();
+  const bool compressed = g.compressed();
+  if (compressed) {
+    std::vector<NodeId> flat(g.TotalDegree());
+    for (NodeId v = 0; v < n; ++v) {
+      g.DecodeNeighbors(v, flat.data() + g.offsets_[v]);
     }
-    for (const Edge& e : g.edges()) {
-      if (mapping[e.u] != kNotInLcc && mapping[e.v] != kNotInLcc) {
-        lcc.AddEdge(mapping[e.u], mapping[e.v]);
-      }
-    }
+    g = CsrGraph::FromAdjacency(std::move(g.offsets_), std::move(flat));
   }
-  if (old_to_new != nullptr) *old_to_new = std::move(mapping);
-  return lcc;
-}
+  std::size_t loops = 0;
+  std::size_t copies = 0;  // surplus parallel entries, seen from both ends
+  if (n > 0) {
+    // Loops and parallel copies connect nothing new, so the components of
+    // the raw graph are those of its simplification.
+    ComponentsResult comps = ConnectedComponents(g);
+    constexpr std::size_t kDropped = static_cast<std::size_t>(-1);
+    std::vector<std::size_t>& new_id = comps.component_of;
+    std::size_t kept = 0;
+    for (std::size_t& c : new_id) c = c == comps.largest ? kept++ : kDropped;
 
-Graph PreprocessDataset(const Graph& g) {
-  return LargestConnectedComponent(g.Simplified());
+    // Writes trail reads: a run of equal entries is read before at most
+    // one entry is written, and offsets[new_id[v] + 1] (new_id[v] <= v)
+    // is written only after offsets[v + 1] has been read.
+    std::vector<std::size_t>& offsets = g.offsets_;
+    std::vector<NodeId>& neighbors = g.neighbors_;
+    std::size_t read = 0;
+    std::size_t write = 0;
+    for (NodeId v = 0; v < n; ++v) {
+      const std::size_t end = offsets[v + 1];
+      const bool keep = new_id[v] != kDropped;
+      while (read < end) {
+        const NodeId w = neighbors[read];
+        std::size_t run = 1;
+        while (read + run < end && neighbors[read + run] == w) ++run;
+        read += run;
+        if (w == v) {
+          loops += run / 2;  // a loop contributes two entries
+          continue;
+        }
+        copies += run - 1;
+        if (keep) neighbors[write++] = static_cast<NodeId>(new_id[w]);
+      }
+      if (keep) offsets[new_id[v] + 1] = write;
+    }
+    offsets.resize(kept + 1);
+    offsets.shrink_to_fit();
+    neighbors.resize(write);
+    neighbors.shrink_to_fit();
+    g.FinalizeFromSortedArrays();
+  }
+  if (self_loops != nullptr) *self_loops = loops;
+  if (parallel_edges != nullptr) *parallel_edges = copies / 2;
+  if (compressed) g.Compress();
+  return g;
 }
 
 }  // namespace sgr

@@ -32,16 +32,19 @@ std::size_t CountComponents(const Graph& g);
 /// True if the graph is connected (and non-empty).
 bool IsConnected(const Graph& g);
 
-/// Extracts the largest connected component as a new graph with densely
-/// renumbered nodes. `old_to_new` (optional) receives the node mapping;
-/// nodes outside the LCC map to `kNotInLcc`.
-inline constexpr NodeId kNotInLcc = static_cast<NodeId>(-1);
-Graph LargestConnectedComponent(const Graph& g,
-                                std::vector<NodeId>* old_to_new = nullptr);
-
-/// Applies the paper's dataset preprocessing (Section V-A): collapse
-/// multi-edges, drop loops, then keep the largest connected component.
-Graph PreprocessDataset(const Graph& g);
+/// Applies the paper's dataset preprocessing (Section V-A) to a CSR
+/// snapshot that may hold loops and parallel edges: drops loops,
+/// collapses parallel edges by a run-length scan of the sorted ranges,
+/// and keeps the largest connected component (ties go to the component
+/// with the smallest node), relabelled monotonically so ascending old ids
+/// map to ascending new ids. An uncompressed argument is compacted in
+/// place, without a second copy of its arrays; a compressed one is
+/// decoded first and the result compressed again. `self_loops` and
+/// `parallel_edges` (optional) receive how many loops and parallel edge
+/// copies the whole graph held, including those outside the kept
+/// component.
+CsrGraph PreprocessDataset(CsrGraph g, std::size_t* self_loops = nullptr,
+                           std::size_t* parallel_edges = nullptr);
 
 }  // namespace sgr
 

@@ -157,6 +157,11 @@ class CsrGraph {
   }
 
  private:
+  /// The preprocessing kernel (graph/components.h) compacts a snapshot's
+  /// own arrays in place.
+  friend CsrGraph PreprocessDataset(CsrGraph g, std::size_t* self_loops,
+                                    std::size_t* parallel_edges);
+
   void FinalizeFromSortedArrays();
 
   std::vector<std::size_t> offsets_;  ///< size NumNodes() + 1 (logical)

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "exp/parallel.h"
+#include "graph/components.h"
 #include "graph/snapshot_cache.h"
 
 namespace sgr {
@@ -43,11 +44,11 @@ inline void FnvMixU64(std::uint64_t& h, std::uint64_t value) {
   }
 }
 
-/// First-appearance renumbering, identical to ReadEdgeList's: the k-th
-/// distinct raw id becomes NodeId k. Small raw ids (the overwhelmingly
-/// common SNAP case) go through a direct-indexed table; larger (up to
-/// 64-bit) ids fall back to a hash map. The map is only ever probed,
-/// never iterated, so determinism does not depend on its bucket order.
+/// First-appearance renumbering: the k-th distinct raw id becomes NodeId
+/// k. Small raw ids (the overwhelmingly common SNAP case) go through a
+/// direct-indexed table; larger (up to 64-bit) ids fall back to a hash
+/// map. The map is only ever probed, never iterated, so determinism does
+/// not depend on its bucket order.
 class Interner {
  public:
   NodeId Intern(std::uint64_t raw) {
@@ -72,7 +73,7 @@ class Interner {
   NodeId NextId() {
     if (next_ == kUnset) {
       throw std::runtime_error(
-          "IngestEdgeListFile: more than 2^32 - 1 distinct node ids");
+          "ReadEdgeListCsr: more than 2^32 - 1 distinct node ids");
     }
     return next_++;
   }
@@ -123,7 +124,7 @@ class EdgeSink {
     if (writer_.is_open()) {
       writer_.flush();
       if (!writer_) {
-        throw std::runtime_error("IngestEdgeListFile: write to spill file '" +
+        throw std::runtime_error("ReadEdgeListCsr: write to spill file '" +
                                  spill_path_ + "' failed (disk full?)");
       }
       writer_.close();
@@ -143,7 +144,7 @@ class EdgeSink {
     }
     reader_.open(spill_path_, std::ios::binary);
     if (!reader_) {
-      throw std::runtime_error("IngestEdgeListFile: cannot reopen spill file '" +
+      throw std::runtime_error("ReadEdgeListCsr: cannot reopen spill file '" +
                                spill_path_ + "'");
     }
     std::vector<NodeId> chunk(chunk_entries_ - chunk_entries_ % 2);
@@ -174,14 +175,14 @@ class EdgeSink {
       writer_.open(spill_path_, std::ios::binary | std::ios::trunc);
       if (!writer_) {
         throw std::runtime_error(
-            "IngestEdgeListFile: cannot create spill file '" + spill_path_ +
+            "ReadEdgeListCsr: cannot create spill file '" + spill_path_ +
             "'");
       }
     }
     writer_.write(reinterpret_cast<const char*>(buffer_.data()),
                   static_cast<std::streamsize>(buffer_.size() * sizeof(NodeId)));
     if (!writer_) {
-      throw std::runtime_error("IngestEdgeListFile: write to spill file '" +
+      throw std::runtime_error("ReadEdgeListCsr: write to spill file '" +
                                spill_path_ + "' failed (disk full?)");
     }
     buffer_.clear();
@@ -295,26 +296,8 @@ std::string HashToHex(std::uint64_t hash) {
   return out;
 }
 
-IngestResult IngestEdgeListFile(const std::string& path,
-                                const IngestOptions& options) {
-  IngestResult result;
-  result.content_hash = HashFileContents(path);
-
-  std::string cache_path;
-  if (!options.cache_dir.empty()) {
-    cache_path = SnapshotCachePath(options.cache_dir,
-                                   SnapshotCacheKey(result.content_hash));
-    CsrGraph cached;
-    IngestStats cached_stats;
-    if (LoadCsrSnapshot(cache_path, &cached, &cached_stats)) {
-      result.graph = std::move(cached);
-      result.stats = cached_stats;
-      result.from_cache = true;
-      ApplyCompression(&result.graph, options);
-      return result;
-    }
-  }
-
+CsrGraph ReadEdgeListCsr(const std::string& path, const IngestOptions& options,
+                         IngestStats* stats_out) {
   IngestStats stats;
   const std::size_t chunk_bytes =
       std::max<std::size_t>(options.chunk_bytes, std::size_t{64} * 1024);
@@ -328,7 +311,7 @@ IngestResult IngestEdgeListFile(const std::string& path,
   std::size_t line_no = 0;
 
   const auto fail = [&](const std::string& message) -> std::runtime_error {
-    return std::runtime_error("IngestEdgeListFile: " + path + ":" +
+    return std::runtime_error("ReadEdgeListCsr: " + path + ":" +
                               std::to_string(line_no) + ": " + message);
   };
 
@@ -376,7 +359,7 @@ IngestResult IngestEdgeListFile(const std::string& path,
     while (p < e && IsBlank(*p)) ++p;
     if (p != e) {
       // A third column means a weighted/temporal file this unweighted
-      // reader would silently misread — reject, matching ReadEdgeList.
+      // reader would silently misread — reject it.
       const char* t = p;
       while (t < e && !IsBlank(*t)) ++t;
       throw fail("trailing token '" + std::string(p, t) + "' on line '" +
@@ -400,14 +383,10 @@ IngestResult IngestEdgeListFile(const std::string& path,
       u = static_cast<NodeId>(raw_u);
       v = static_cast<NodeId>(raw_v);
     } else {
-      // Intern u before v: first-appearance numbering must match
-      // ReadEdgeList's explicit sequencing exactly.
+      // Intern u before v: first-appearance numbering follows the
+      // column order.
       u = interner.Intern(raw_u);
       v = interner.Intern(raw_v);
-    }
-    if (u == v) {
-      ++stats.self_loops_dropped;  // dropped by PreprocessDataset anyway
-      return;
     }
     sink.Push(u, v);
   };
@@ -415,7 +394,7 @@ IngestResult IngestEdgeListFile(const std::string& path,
   {
     std::ifstream in(path, std::ios::binary);
     if (!in) {
-      throw std::runtime_error("IngestEdgeListFile: cannot open '" + path +
+      throw std::runtime_error("ReadEdgeListCsr: cannot open '" + path +
                                "'");
     }
     std::vector<char> chunk(chunk_bytes);
@@ -466,14 +445,9 @@ IngestResult IngestEdgeListFile(const std::string& path,
     n = interner.count();
   }
   stats.raw_nodes = n;
+  if (stats_out != nullptr) *stats_out = stats;
 
-  if (n == 0) {
-    result.stats = stats;
-    result.graph = CsrGraph::FromAdjacency({0}, {});
-    return result;
-  }
-
-  // ---- Pass 2: degree count, sharded scatter, sort/dedupe, LCC. ----
+  // ---- Pass 2: degree count, sharded scatter, per-node sort. ----
 
   std::vector<std::size_t> offsets(n + 1, 0);
   sink.ForEachChunk([&](const NodeId* data, std::size_t entries) {
@@ -485,8 +459,8 @@ IngestResult IngestEdgeListFile(const std::string& path,
   for (std::size_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
 
   std::vector<NodeId> neighbors(offsets[n]);
-  // cursor[v] = next write slot in v's range; doubles as the per-node
-  // deduplicated-degree array after the sort pass.
+  // cursor[v] = next write slot in v's range. A loop (v, v) writes two
+  // entries into v's range, per CsrGraph's convention.
   std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
 
   const std::size_t threads = ResolveThreadCount(options.threads);
@@ -500,10 +474,8 @@ IngestResult IngestEdgeListFile(const std::string& path,
       }
     });
     for (std::size_t v = 0; v < n; ++v) {
-      NodeId* first = neighbors.data() + offsets[v];
-      NodeId* last = neighbors.data() + offsets[v + 1];
-      std::sort(first, last);
-      cursor[v] = static_cast<std::size_t>(std::unique(first, last) - first);
+      std::sort(neighbors.data() + offsets[v],
+                neighbors.data() + offsets[v + 1]);
     }
   } else {
     // One contiguous node range per worker: a node's range is written by
@@ -527,99 +499,41 @@ IngestResult IngestEdgeListFile(const std::string& path,
         DegreeBalancedBounds(offsets, n, threads * 8);
     PoolFor(pool, threads * 8, [&](std::size_t t) {
       for (NodeId v = sort_bounds[t]; v < sort_bounds[t + 1]; ++v) {
-        NodeId* first = neighbors.data() + offsets[v];
-        NodeId* last = neighbors.data() + offsets[v + 1];
-        std::sort(first, last);
-        cursor[v] = static_cast<std::size_t>(std::unique(first, last) - first);
+        std::sort(neighbors.data() + offsets[v],
+                  neighbors.data() + offsets[v + 1]);
       }
     });
   }
 
-  // Sequential in-place compaction to the deduplicated degrees. Loops
-  // were dropped at parse time, so every duplicate removed by unique()
-  // above was a parallel-edge copy.
-  {
-    std::size_t write = 0;
-    std::size_t kept_entries = 0;
-    std::vector<std::size_t> compact_offsets(n + 1, 0);
-    for (std::size_t v = 0; v < n; ++v) {
-      const std::size_t d = cursor[v];
-      if (write != offsets[v] && d > 0) {
-        std::memmove(neighbors.data() + write, neighbors.data() + offsets[v],
-                     d * sizeof(NodeId));
-      }
-      write += d;
-      compact_offsets[v + 1] = write;
-      kept_entries += d;
-    }
-    stats.parallel_edges_collapsed = (offsets[n] - kept_entries) / 2;
-    neighbors.resize(write);
-    offsets = std::move(compact_offsets);
-  }
+  return CsrGraph::FromAdjacency(std::move(offsets), std::move(neighbors));
+}
 
-  // Largest connected component, sequential BFS. Ties break to the
-  // first-discovered component (= smallest start id), matching
-  // ConnectedComponents + max_element in analysis/components.cc.
-  {
-    constexpr NodeId kNoComp = 0xFFFFFFFFu;
-    std::vector<NodeId> comp(n, kNoComp);
-    std::vector<std::size_t> comp_size;
-    std::vector<NodeId> queue;
-    for (NodeId s = 0; s < n; ++s) {
-      if (comp[s] != kNoComp) continue;
-      const auto c = static_cast<NodeId>(comp_size.size());
-      comp[s] = c;
-      comp_size.push_back(1);
-      queue.clear();
-      queue.push_back(s);
-      for (std::size_t qi = 0; qi < queue.size(); ++qi) {
-        const NodeId v = queue[qi];
-        for (std::size_t i = offsets[v]; i < offsets[v + 1]; ++i) {
-          const NodeId w = neighbors[i];
-          if (comp[w] == kNoComp) {
-            comp[w] = c;
-            ++comp_size[c];
-            queue.push_back(w);
-          }
-        }
-      }
-    }
-    const auto best = static_cast<NodeId>(
-        std::max_element(comp_size.begin(), comp_size.end()) -
-        comp_size.begin());
-    if (comp_size[best] != n) {
-      // Monotone dense relabel of the kept component: ascending old ids
-      // map to ascending new ids, so sorted ranges stay sorted and the
-      // in-place compaction below never overtakes its read position.
-      std::vector<NodeId> relabel(n, kNoComp);
-      NodeId next = 0;
-      for (NodeId v = 0; v < n; ++v) {
-        if (comp[v] == best) relabel[v] = next++;
-      }
-      std::size_t write = 0;
-      std::vector<std::size_t> lcc_offsets;
-      lcc_offsets.reserve(static_cast<std::size_t>(next) + 1);
-      lcc_offsets.push_back(0);
-      for (NodeId v = 0; v < n; ++v) {
-        if (comp[v] != best) continue;
-        for (std::size_t i = offsets[v]; i < offsets[v + 1]; ++i) {
-          neighbors[write++] = relabel[neighbors[i]];
-        }
-        lcc_offsets.push_back(write);
-      }
-      neighbors.resize(write);
-      offsets = std::move(lcc_offsets);
-      n = next;
+IngestResult IngestEdgeListFile(const std::string& path,
+                                const IngestOptions& options) {
+  IngestResult result;
+  result.content_hash = HashFileContents(path);
+
+  std::string cache_path;
+  if (!options.cache_dir.empty()) {
+    cache_path = SnapshotCachePath(options.cache_dir,
+                                   SnapshotCacheKey(result.content_hash));
+    CsrGraph cached;
+    IngestStats cached_stats;
+    if (LoadCsrSnapshot(cache_path, &cached, &cached_stats)) {
+      result.graph = std::move(cached);
+      result.stats = cached_stats;
+      result.from_cache = true;
+      ApplyCompression(&result.graph, options);
+      return result;
     }
   }
-  neighbors.shrink_to_fit();
 
-  stats.lcc_nodes = n;
-  stats.lcc_edges = offsets[n] / 2;
-  result.stats = stats;
-  result.graph = CsrGraph::FromAdjacency(std::move(offsets),
-                                         std::move(neighbors));
-
+  IngestStats& stats = result.stats;
+  result.graph = PreprocessDataset(ReadEdgeListCsr(path, options, &stats),
+                                   &stats.self_loops_dropped,
+                                   &stats.parallel_edges_collapsed);
+  stats.lcc_nodes = result.graph.NumNodes();
+  stats.lcc_edges = result.graph.NumEdges();
   if (!cache_path.empty()) {
     SaveCsrSnapshot(cache_path, result.graph, result.stats);
   }

@@ -9,41 +9,44 @@
 
 namespace sgr {
 
-/// Out-of-core SNAP/edge-list ingestion (the paper-scale alternative to
-/// ReadEdgeListFile + CsrGraph, which materializes an intermediate
-/// adjacency Graph and parses through istringstream).
+/// Out-of-core SNAP/edge-list ingestion: the one edge-list parser.
 ///
-/// The ingester builds a CsrGraph directly from the file in two passes:
+/// ReadEdgeListCsr builds a raw CsrGraph directly from the file in two
+/// passes:
 ///
 ///   Pass 1 (sequential, streaming): large-buffer chunked reads with a
 ///   manual integer scanner (no istream machinery), first-appearance
-///   renumbering identical to ReadEdgeList's, and the renumbered
-///   (u, v) pairs appended to an edge buffer that spills to a binary
-///   temp file once it exceeds `spill_edges` — the file never has to fit
-///   in memory as text.
+///   renumbering (the k-th distinct raw id becomes node k), and the
+///   renumbered (u, v) pairs appended to an edge buffer that spills to a
+///   binary temp file once it exceeds `spill_edges` — the file never has
+///   to fit in memory as text.
 ///
-///   Pass 2: degree count, CSR scatter sharded by node range over the
-///   existing ThreadPool (each worker scans the shared edge chunk and
+///   Pass 2: degree count, then a CSR scatter sharded by node range over
+///   the existing ThreadPool (each worker scans the shared edge chunk and
 ///   scatters only the endpoints in its node range, so no two workers
-///   touch one node), then per-node sort + duplicate collapse, largest-
-///   connected-component extraction, and a monotone dense relabel.
+///   touch one node), then a per-node sort. The result is identical at
+///   any worker count, because the sort makes the scatter order
+///   irrelevant.
 ///
-/// Edge policy (matches PreprocessDataset, Section V-A): self-loops are
-/// dropped, parallel edges are collapsed, and only the largest connected
-/// component is kept, densely renumbered in ascending-id order. The
-/// result is byte-identical to
-/// CsrGraph(PreprocessDataset(ReadEdgeListFile(path))) for every input
-/// both readers accept, at any worker count (the per-node sort makes the
-/// scatter order irrelevant). Lines may be '#'/'%' comments, use spaces
-/// or tabs, and end in CRLF; ids may exceed 32 bits (renumbering interns
-/// them). Trailing tokens on an edge line are rejected — a third column
-/// means a weighted/temporal file this reader would silently misread.
+/// The raw read keeps every edge line: self-loops and parallel edges
+/// stay, as CsrGraph's multigraph conventions describe them.
+/// IngestEdgeListFile is the dataset path: it applies the paper's
+/// preprocessing (PreprocessDataset in graph/components.h, Section V-A:
+/// loops dropped, parallel edges collapsed, largest connected component
+/// kept and densely renumbered in ascending-id order) to that raw read.
+///
+/// Format: lines may be '#'/'%' comments, use spaces or tabs, and end in
+/// CRLF. An edge line is exactly two unsigned decimal ids; a sign, a
+/// non-digit or an id past 64 bits is rejected, and so are trailing
+/// tokens, since a third column means a weighted or temporal file this
+/// reader would silently misread. Ids may exceed 32 bits (renumbering
+/// interns them).
 ///
 /// Canonical files: a leading `# sgr-canonical 1` marker (written by
-/// WriteCanonicalEdgeList) declares ids already dense [0, N); the
-/// ingester then preserves them verbatim instead of renumbering, which
-/// makes export -> re-ingest an exact identity — the property the CI
-/// ingest-determinism gate diffs end to end.
+/// WriteCanonicalEdgeList) declares ids already dense [0, N); the reader
+/// then keeps them verbatim instead of renumbering, which makes export
+/// -> re-ingest an exact identity — the property the CI ingest-determinism
+/// gate diffs end to end.
 struct IngestOptions {
   /// Worker threads for the CSR scatter and per-node sort (0 = hardware
   /// concurrency). The result is identical for every value.
@@ -97,10 +100,21 @@ struct IngestResult {
   bool from_cache = false;
 };
 
-/// Ingests the edge list at `path` (see IngestOptions for the knobs and
-/// the determinism contract). Throws std::runtime_error on an unreadable
-/// file or malformed content, with the path and line number in the
-/// message.
+/// Reads the edge list at `path` as a raw CsrGraph: first-appearance ids
+/// (verbatim ids for a canonical file), loops and parallel edges kept.
+/// Reads `threads`, `chunk_bytes`, `spill_edges` and `temp_dir` of
+/// `options`; never compresses and never touches the cache. `stats`
+/// (optional) receives the parse counters (file_bytes, edge_lines,
+/// raw_nodes, canonical, spilled). Throws std::runtime_error on an
+/// unreadable file or malformed content, with the path and line number in
+/// the message.
+CsrGraph ReadEdgeListCsr(const std::string& path,
+                         const IngestOptions& options = {},
+                         IngestStats* stats = nullptr);
+
+/// Ingests the edge list at `path` as a dataset: a snapshot-cache lookup,
+/// then PreprocessDataset(ReadEdgeListCsr(path, options)), then a cache
+/// save and the compression policy. Throws as ReadEdgeListCsr does.
 IngestResult IngestEdgeListFile(const std::string& path,
                                 const IngestOptions& options = {});
 

@@ -63,19 +63,6 @@ bool Graph::IsSimple() const {
   return true;
 }
 
-Graph Graph::Simplified() const {
-  Graph out(NumNodes());
-  std::set<std::pair<NodeId, NodeId>> seen;
-  for (const Edge& e : edges_) {
-    if (e.u == e.v) continue;
-    auto key = std::minmax(e.u, e.v);
-    if (seen.insert({key.first, key.second}).second) {
-      out.AddEdge(e.u, e.v);
-    }
-  }
-  return out;
-}
-
 std::size_t Graph::TotalDegree() const {
   std::size_t total = 0;
   for (const auto& nbrs : adjacency_) total += nbrs.size();

@@ -97,11 +97,6 @@ class Graph {
   /// True if the graph has no multi-edges and no self-loops.
   bool IsSimple() const;
 
-  /// Returns a copy with self-loops removed and parallel edges collapsed to
-  /// a single edge. Node ids are preserved. This mirrors the preprocessing
-  /// of Section V-A applied to every dataset.
-  Graph Simplified() const;
-
   /// Total degree (2m, counting loops twice). Useful for invariant checks.
   std::size_t TotalDegree() const;
 

@@ -1,60 +1,35 @@
 #include "graph/io.h"
 
 #include <fstream>
-#include <istream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace sgr {
 
-Graph ReadEdgeList(std::istream& in) {
-  Graph g;
-  std::unordered_map<long long, NodeId> renumber;
-  auto intern = [&](long long raw) {
-    auto [it, inserted] = renumber.try_emplace(raw, NodeId{0});
-    if (inserted) it->second = g.AddNode();
-    return it->second;
-  };
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();  // CRLF
-    if (line.empty() || line[0] == '#' || line[0] == '%') continue;
-    std::istringstream fields(line);
-    long long raw_u = 0;
-    long long raw_v = 0;
-    if (!(fields >> raw_u >> raw_v) || raw_u < 0 || raw_v < 0) {
-      throw std::runtime_error("ReadEdgeList: malformed line " +
-                               std::to_string(line_no) + ": '" + line + "'");
+namespace {
+
+/// Calls `fn(u, v)` once per edge of `g`, u <= v, in ascending (u, v)
+/// order straight off the sorted CSR ranges: once per parallel copy, and
+/// once per loop (a loop contributes two entries to its range).
+template <typename Fn>
+void ForEachEdge(const CsrGraph& g, Fn&& fn) {
+  NeighborCursor cursor(g);
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    const NeighborSpan nbrs = cursor.Load(v);
+    std::size_t i = 0;
+    while (i < nbrs.size()) {
+      const NodeId w = nbrs[i];
+      std::size_t run = 1;
+      while (i + run < nbrs.size() && nbrs[i + run] == w) ++run;
+      i += run;
+      if (w < v) continue;  // each edge once, off the lower endpoint
+      const std::size_t copies = (w == v) ? run / 2 : run;
+      for (std::size_t c = 0; c < copies; ++c) fn(v, w);
     }
-    // A third column means a weighted/temporal file this unweighted
-    // reader would silently misread — reject instead of dropping it.
-    std::string trailing;
-    if (fields >> trailing) {
-      throw std::runtime_error(
-          "ReadEdgeList: trailing token '" + trailing + "' on line " +
-          std::to_string(line_no) + ": '" + line +
-          "' (weighted/temporal edge lists are not supported)");
-    }
-    // Sequence the interning explicitly: first-appearance numbering must
-    // not depend on argument evaluation order.
-    const NodeId u = intern(raw_u);
-    const NodeId v = intern(raw_v);
-    g.AddEdge(u, v);
   }
-  return g;
 }
 
-Graph ReadEdgeListFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::runtime_error("ReadEdgeListFile: cannot open '" + path + "'");
-  }
-  return ReadEdgeList(in);
-}
+}  // namespace
 
 void WriteEdgeList(const Graph& g, std::ostream& out) {
   out << "# nodes " << g.NumNodes() << " edges " << g.NumEdges() << "\n";
@@ -72,24 +47,7 @@ void WriteEdgeListFile(const Graph& g, const std::string& path) {
 void WriteCanonicalEdgeList(const CsrGraph& g, std::ostream& out) {
   out << "# sgr-canonical 1\n";
   out << "# nodes " << g.NumNodes() << " edges " << g.NumEdges() << "\n";
-  NeighborCursor cursor(g);
-  for (NodeId v = 0; v < g.NumNodes(); ++v) {
-    const NeighborSpan nbrs = cursor.Load(v);
-    std::size_t i = 0;
-    while (i < nbrs.size()) {
-      const NodeId w = nbrs[i];
-      std::size_t run = 1;
-      while (i + run < nbrs.size() && nbrs[i + run] == w) ++run;
-      i += run;
-      if (w < v) continue;  // each edge once, off the lower endpoint
-      // A loop contributes two doubled entries per copy — emit one line
-      // per copy, so the round trip preserves multiplicity exactly.
-      const std::size_t copies = (w == v) ? run / 2 : run;
-      for (std::size_t c = 0; c < copies; ++c) {
-        out << v << " " << w << "\n";
-      }
-    }
-  }
+  ForEachEdge(g, [&](NodeId u, NodeId v) { out << u << " " << v << "\n"; });
 }
 
 void WriteCanonicalEdgeListFile(const CsrGraph& g, const std::string& path) {
@@ -106,7 +64,7 @@ void WriteCanonicalEdgeListFile(const CsrGraph& g, const std::string& path) {
   }
 }
 
-void WriteGexf(const Graph& g, std::ostream& out) {
+void WriteGexf(const CsrGraph& g, std::ostream& out) {
   out << "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n"
       << "<gexf xmlns=\"http://www.gexf.net/1.2draft\" version=\"1.2\">\n"
       << "  <graph mode=\"static\" defaultedgetype=\"undirected\">\n"
@@ -120,14 +78,15 @@ void WriteGexf(const Graph& g, std::ostream& out) {
         << "\"/></attvalues></node>\n";
   }
   out << "    </nodes>\n    <edges>\n";
-  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-    out << "      <edge id=\"" << e << "\" source=\"" << g.edge(e).u
-        << "\" target=\"" << g.edge(e).v << "\"/>\n";
-  }
+  std::size_t id = 0;
+  ForEachEdge(g, [&](NodeId u, NodeId v) {
+    out << "      <edge id=\"" << id++ << "\" source=\"" << u
+        << "\" target=\"" << v << "\"/>\n";
+  });
   out << "    </edges>\n  </graph>\n</gexf>\n";
 }
 
-void WriteGexfFile(const Graph& g, const std::string& path) {
+void WriteGexfFile(const CsrGraph& g, const std::string& path) {
   std::ofstream out(path);
   if (!out) {
     throw std::runtime_error("WriteGexfFile: cannot open '" + path + "'");

@@ -13,20 +13,10 @@ namespace sgr {
 ///
 /// Edge-list format: one `u v` pair per line; `#` and `%` lines are
 /// comments. This matches the format of the SNAP / networkrepository
-/// datasets the paper uses, so real data drops in directly. GEXF export
-/// supports the Fig. 4 visualization workflow (the files open in Gephi).
-
-/// Reads an edge list from `in`. Node ids may be arbitrary non-negative
-/// integers; they are densely renumbered in first-appearance order.
-/// Throws std::runtime_error on malformed input — including an edge line
-/// with trailing tokens ("1 2 3"): a third column means a weighted or
-/// temporal file this unweighted reader would silently misread, so it is
-/// rejected rather than dropped. Lines may end in CRLF.
-Graph ReadEdgeList(std::istream& in);
-
-/// Reads an edge list from the file at `path`.
-/// Throws std::runtime_error if the file cannot be opened.
-Graph ReadEdgeListFile(const std::string& path);
+/// datasets the paper uses, so real data drops in directly; the one
+/// reader is ReadEdgeListCsr / IngestEdgeListFile in
+/// graph/edge_list_reader.h. GEXF export supports the Fig. 4
+/// visualization workflow (the files open in Gephi).
 
 /// Writes `g` as an edge list (one edge per line) to `out`.
 void WriteEdgeList(const Graph& g, std::ostream& out);
@@ -52,11 +42,12 @@ void WriteCanonicalEdgeListFile(const CsrGraph& g, const std::string& path);
 
 /// Writes `g` in GEXF 1.2 format with node degrees exported as a
 /// visualization attribute (size by degree reproduces the look of Fig. 4
-/// in Gephi).
-void WriteGexf(const Graph& g, std::ostream& out);
+/// in Gephi). Edges are listed in the canonical writer's order, one
+/// element per loop or parallel copy.
+void WriteGexf(const CsrGraph& g, std::ostream& out);
 
 /// Writes GEXF to the file at `path`.
-void WriteGexfFile(const Graph& g, const std::string& path);
+void WriteGexfFile(const CsrGraph& g, const std::string& path);
 
 }  // namespace sgr
 

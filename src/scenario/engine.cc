@@ -20,16 +20,15 @@ namespace {
 
 /// Materializes a scenario dataset as an immutable CSR snapshot — the
 /// form every trial consumes. Registry datasets route through
-/// LoadDatasetCsr: file-backed ones use the out-of-core ingester and
-/// never build an intermediate Graph (the paper-scale path), generator
-/// ones produce the identical snapshot the old Graph path did.
+/// LoadDatasetCsr: file-backed ones use the out-of-core ingester (the
+/// paper-scale path). Every dataset is preprocessed by PreprocessDataset.
 CsrGraph Materialize(const ScenarioDataset& dataset, double dataset_scale,
                      DatasetProvenance* provenance) {
   if (dataset.generator) {
     provenance->name = dataset.name;
     provenance->source = "generator";
     provenance->scale = 1.0;  // generator specs carry explicit sizes
-    return CsrGraph(BuildGeneratorGraph(*dataset.generator));
+    return BuildGeneratorGraph(*dataset.generator);
   }
   return LoadDatasetCsr(DatasetByName(dataset.name), dataset_scale, provenance);
 }

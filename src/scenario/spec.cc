@@ -564,7 +564,7 @@ Json Reconcile(const Json* value, const Json& fallback) {
 
 }  // namespace
 
-Graph BuildGeneratorGraph(const GeneratorSpec& gen) {
+CsrGraph BuildGeneratorGraph(const GeneratorSpec& gen) {
   // Enforce the generators' hard preconditions (asserts in
   // graph/generators.cc, compiled out under NDEBUG) as proper errors, so
   // a schema-valid but infeasible spec fails cleanly in Release instead
@@ -621,7 +621,7 @@ Graph BuildGeneratorGraph(const GeneratorSpec& gen) {
     g = GenerateSocialGraph(gen.nodes, gen.edges_per_node, gen.triad_p,
                             gen.fringe_fraction, rng);
   }
-  return PreprocessDataset(g);
+  return PreprocessDataset(CsrGraph(g));
 }
 
 template <typename E>

@@ -38,11 +38,11 @@ struct GeneratorSpec {
 
 /// Materializes a GeneratorSpec: builds the model's graph (applying the
 /// 0-means-default rules for `edges` and `bridges`) and preprocesses it
-/// (simplify + largest connected component), exactly as LoadDataset does
-/// for registry datasets. The single model-dispatch implementation shared
-/// by the scenario engine and `sgr generate`; throws ScenarioError on an
-/// unknown model.
-Graph BuildGeneratorGraph(const GeneratorSpec& gen);
+/// with PreprocessDataset (simplify + largest connected component), as
+/// LoadDatasetCsr does for registry datasets. The single model-dispatch
+/// implementation shared by the scenario engine and `sgr generate`;
+/// throws ScenarioError on an unknown model.
+CsrGraph BuildGeneratorGraph(const GeneratorSpec& gen);
 
 /// One dataset of a scenario: either a registry name ("anybeat", ...,
 /// "youtube"; see exp/datasets.h) or a labelled generator.

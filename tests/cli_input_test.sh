@@ -1,7 +1,8 @@
 #!/bin/sh
 # End-to-end input validation of sgr_cli: every malformed flag value or
-# SGR_* variable, and every flag a subcommand does not take, must make the
-# command exit 1 with a message naming that input. It must never run with a silently substituted value, and never
+# SGR_* variable, every malformed or empty edge list, and every flag a
+# subcommand does not take, must make the command exit 1 with a message
+# naming that input. It must never run with a silently substituted value, and never
 # die on a signal.
 #
 # The bench binary named after sgr_cli (bench_parallel_trials) must keep
@@ -82,6 +83,26 @@ printf '# only a comment\n' > "$tmp/comments.txt"
 expect empty.txt "$cli" crawl --graph "$tmp/empty.txt" --out "$tmp/s.txt"
 expect comments.txt "$cli" crawl --graph "$tmp/comments.txt" --method bfs \
   --out "$tmp/s.txt"
+# `analyze` and `compare` would score an empty graph as a table of zeros:
+# they reject it the same way.
+expect empty.txt "$cli" analyze --graph "$tmp/empty.txt"
+expect comments.txt "$cli" analyze --graph "$tmp/comments.txt"
+"$cli" generate --nodes 60 --out "$tmp/good.txt" > /dev/null || exit 1
+expect empty.txt "$cli" compare --original "$tmp/good.txt" \
+  --generated "$tmp/empty.txt"
+expect comments.txt "$cli" compare --original "$tmp/comments.txt" \
+  --generated "$tmp/good.txt"
+# Every command reads edge lists with the one parser: a signed id is
+# malformed everywhere, named by file and line.
+printf '+1 2\n' > "$tmp/plus.txt"
+printf -- '-0 1\n' > "$tmp/minus.txt"
+for bad in plus minus; do
+  expect "$bad.txt:1:" "$cli" crawl --graph "$tmp/$bad.txt" \
+    --out "$tmp/s.txt"
+  expect "$bad.txt:1:" "$cli" analyze --graph "$tmp/$bad.txt"
+  expect "$bad.txt:1:" "$cli" compare --original "$tmp/good.txt" \
+    --generated "$tmp/$bad.txt"
+done
 mkdir "$tmp/empty_dir"
 : > "$tmp/empty_dir/youtube.txt"
 printf '{"datasets": ["youtube"]}\n' > "$tmp/youtube.json"
@@ -127,6 +148,21 @@ if ! env SGR_INGEST_THREADS=-1 SGR_CSR_COMPRESS=on \
   cat "$tmp/err"
   failures=$((failures + 1))
 fi
+
+# `sgr generate` writes the generator dataset `sgr run` builds, ids
+# included: ingesting the file gives the engine's content hash (500 nodes,
+# the generate defaults otherwise).
+for pair in powerlaw:3c13031f282800ee ba:f02c35487288ac73 \
+    er:461bcd16de86e96e community:5a32d800bb85da20 social:00632bfd79f1c5be; do
+  model=${pair%%:*}
+  "$cli" generate --model "$model" --nodes 500 --out "$tmp/$model.txt" \
+    > /dev/null || exit 1
+  if ! "$cli" datasets ingest "$tmp/$model.txt" |
+      grep -q "^csr_hash ${pair#*:}\$"; then
+    echo "FAIL: sgr generate --model $model wrote ids the engine does not use"
+    failures=$((failures + 1))
+  fi
+done
 
 for bench in "$@"; do
   expect SGR_THREADS env SGR_THREADS=2x "$bench"

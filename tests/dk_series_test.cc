@@ -14,16 +14,16 @@ class DkSeriesTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     Rng rng(0xDC);
-    original_ = new Graph(GenerateSocialGraph(1000, 4, 0.5, 0.4, rng));
+    original_ = new CsrGraph(GenerateSocialGraph(1000, 4, 0.5, 0.4, rng));
   }
   static void TearDownTestSuite() {
     delete original_;
     original_ = nullptr;
   }
-  static Graph* original_;
+  static CsrGraph* original_;
 };
 
-Graph* DkSeriesTest::original_ = nullptr;
+CsrGraph* DkSeriesTest::original_ = nullptr;
 
 TEST_F(DkSeriesTest, ZeroKPreservesSizeOnly) {
   Rng rng(1);
@@ -31,7 +31,7 @@ TEST_F(DkSeriesTest, ZeroKPreservesSizeOnly) {
   EXPECT_EQ(g.NumNodes(), original_->NumNodes());
   EXPECT_EQ(g.NumEdges(), original_->NumEdges());
   // Degree distribution is Poisson-like, far from the heavy tail.
-  EXPECT_GT(NormalizedL1(DegreeDistribution(CsrGraph(*original_)),
+  EXPECT_GT(NormalizedL1(DegreeDistribution(*original_),
                          DegreeDistribution(CsrGraph(g))),
             0.4);
 }
@@ -56,7 +56,7 @@ TEST_F(DkSeriesTest, TwoKPreservesJointDegreeMatrix) {
 
 TEST_F(DkSeriesTest, LadderImprovesDegreeDistribution) {
   Rng rng(4);
-  const std::vector<double> truth = DegreeDistribution(CsrGraph(*original_));
+  const std::vector<double> truth = DegreeDistribution(*original_);
   const double e0 = NormalizedL1(
       truth, DegreeDistribution(
                  CsrGraph(GenerateDkGraph(*original_, DkOrder::k0, rng))));
@@ -88,7 +88,7 @@ TEST_F(DkSeriesTest, TwoPointFiveKTracksGlobalProperties) {
   PropertyOptions options;
   options.max_path_sources = 200;
   const GraphProperties truth =
-      ComputeProperties(CsrGraph(*original_), options);
+      ComputeProperties(*original_, options);
   const GraphProperties got = ComputeProperties(
       CsrGraph(GenerateDkGraph(*original_, DkOrder::k2_5, rng, 100.0)),
       options);

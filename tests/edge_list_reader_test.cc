@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <set>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/components.h"
@@ -28,9 +33,61 @@ std::string WriteFixture(const std::string& tag,
   return path;
 }
 
-/// The reference pipeline the ingester must reproduce byte for byte.
+/// Independent reference for the ingester, written the naive way and
+/// sharing no code with it: getline parsing, first-appearance ids through
+/// a std::map, simplification through a std::set of edges, and a BFS
+/// from every unvisited node in ascending order that keeps the first
+/// largest component, renumbered in ascending-id order. Valid input only.
 CsrGraph Reference(const std::string& path) {
-  return CsrGraph(PreprocessDataset(ReadEdgeListFile(path)));
+  std::ifstream in(path);
+  std::map<unsigned long long, NodeId> ids;
+  std::set<std::pair<NodeId, NodeId>> edges;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (line.empty() || line[0] == '#' || line[0] == '%') continue;
+    std::istringstream fields(line);
+    unsigned long long raw[2];
+    fields >> raw[0] >> raw[1];
+    NodeId id[2];
+    for (int k = 0; k < 2; ++k) {
+      id[k] = ids.emplace(raw[k], static_cast<NodeId>(ids.size()))
+                  .first->second;
+    }
+    if (id[0] != id[1]) edges.insert(std::minmax(id[0], id[1]));
+  }
+  const std::size_t n = ids.size();
+  std::vector<std::set<NodeId>> adjacency(n);
+  for (const auto& [u, v] : edges) {
+    adjacency[u].insert(v);
+    adjacency[v].insert(u);
+  }
+  std::vector<NodeId> best;
+  std::vector<bool> seen(n, false);
+  for (NodeId s = 0; s < n; ++s) {
+    if (seen[s]) continue;
+    std::vector<NodeId> component = {s};
+    seen[s] = true;
+    for (std::size_t head = 0; head < component.size(); ++head) {
+      for (const NodeId w : adjacency[component[head]]) {
+        if (!seen[w]) {
+          seen[w] = true;
+          component.push_back(w);
+        }
+      }
+    }
+    if (component.size() > best.size()) best = component;
+  }
+  std::sort(best.begin(), best.end());
+  std::map<NodeId, NodeId> new_id;
+  for (const NodeId v : best) new_id.emplace(v, new_id.size());
+  std::vector<std::size_t> offsets = {0};
+  std::vector<NodeId> neighbors;
+  for (const NodeId v : best) {
+    for (const NodeId w : adjacency[v]) neighbors.push_back(new_id.at(w));
+    offsets.push_back(neighbors.size());
+  }
+  return CsrGraph::FromAdjacency(std::move(offsets), std::move(neighbors));
 }
 
 IngestOptions NoCompress() {
@@ -172,10 +229,31 @@ TEST(EdgeListReaderTest, CompressedAndUncompressedHashIdentically) {
             plain.graph.NeighborStorageBytes());
 }
 
+TEST(EdgeListReaderTest, RawReadKeepsLoopsParallelEdgesAndAllComponents) {
+  // 7 -> 0, 3 -> 1, 5 -> 2, 9 -> 3, 4 -> 4 by first appearance; nothing
+  // is dropped, collapsed or cut away.
+  const std::string path = WriteFixture(
+      "raw", "7 3\n3 7\n3 3\n5 7\n9 4\n");
+  IngestStats stats;
+  const CsrGraph raw = ReadEdgeListCsr(path, NoCompress(), &stats);
+  EXPECT_EQ(raw.raw_offsets(), (std::vector<std::size_t>{0, 3, 7, 8, 9, 10}));
+  EXPECT_EQ(raw.raw_neighbors(),
+            (std::vector<NodeId>{1, 1, 2, 0, 0, 1, 1, 0, 4, 3}));
+  EXPECT_EQ(raw.NumEdges(), 5u);
+  EXPECT_EQ(stats.edge_lines, 5u);
+  EXPECT_EQ(stats.raw_nodes, 5u);
+  // The kernel then applies the paper's policy to exactly this read.
+  std::size_t loops = 0;
+  std::size_t parallel = 0;
+  ExpectSameCsr(PreprocessDataset(raw, &loops, &parallel), Reference(path));
+  EXPECT_EQ(loops, 1u);
+  EXPECT_EQ(parallel, 1u);
+}
+
 TEST(EdgeListReaderTest, CanonicalExportReingestsToIdenticalIds) {
   Rng rng(17);
-  const CsrGraph g(PreprocessDataset(GeneratePowerlawCluster(250, 4,
-                                                             0.4, rng)));
+  const CsrGraph g =
+      PreprocessDataset(CsrGraph(GeneratePowerlawCluster(250, 4, 0.4, rng)));
   const std::string path = ::testing::TempDir() + "sgr-canonical-rt.txt";
   WriteCanonicalEdgeListFile(g, path);
   const IngestResult back = IngestEdgeListFile(path, NoCompress());
@@ -227,6 +305,10 @@ TEST(EdgeListReaderTest, RejectsMalformedAndNegativeIds) {
       std::runtime_error);
   EXPECT_THROW(IngestEdgeListFile(WriteFixture("neg", "-1 2\n")),
                std::runtime_error);
+  EXPECT_THROW(IngestEdgeListFile(WriteFixture("plus", "+1 2\n")),
+               std::runtime_error);
+  EXPECT_THROW(IngestEdgeListFile(WriteFixture("negzero", "-0 1\n")),
+               std::runtime_error);
   EXPECT_THROW(IngestEdgeListFile(WriteFixture("lonely", "42\n")),
                std::runtime_error);
   EXPECT_THROW(
@@ -252,8 +334,8 @@ TEST(EdgeListReaderTest, MissingFileThrowsWithPath) {
 }
 
 TEST(EdgeListReaderTest, EmptyAndCommentOnlyFilesMatchReference) {
-  // PreprocessDataset of an empty graph is the 0-node graph; both
-  // degenerate inputs must reproduce the reference pipeline exactly.
+  // The preprocessing of an empty graph is the 0-node graph; both
+  // degenerate inputs must reproduce the reference exactly.
   for (const std::string contents : {std::string(""),
                                      std::string("# only comments\n")}) {
     const std::string path = WriteFixture("empty", contents);

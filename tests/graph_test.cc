@@ -108,20 +108,6 @@ TEST(GraphTest, ReplaceEdgeHandlesRegularToLoop) {
   EXPECT_EQ(g.CountEdges(0, 0), 2u);
 }
 
-TEST(GraphTest, SimplifiedDropsLoopsAndParallels) {
-  Graph g(3);
-  g.AddEdge(0, 1);
-  g.AddEdge(1, 0);  // parallel
-  g.AddEdge(2, 2);  // loop
-  g.AddEdge(1, 2);
-  const Graph s = g.Simplified();
-  EXPECT_TRUE(s.IsSimple());
-  EXPECT_EQ(s.NumNodes(), 3u);
-  EXPECT_EQ(s.NumEdges(), 2u);
-  EXPECT_TRUE(s.HasEdge(0, 1));
-  EXPECT_TRUE(s.HasEdge(1, 2));
-}
-
 TEST(GraphTest, CountEdgesScansSmallerSide) {
   Graph g(5);
   for (NodeId v = 1; v < 5; ++v) g.AddEdge(0, v);

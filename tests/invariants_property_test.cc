@@ -43,8 +43,8 @@ TEST_P(RestorationInvariantsTest, FullInvariantSuite) {
   Rng gen_rng(seed * 1313 + family);
   // Community graphs may be disconnected in rare seeds; walk inside the
   // LCC to satisfy the access model's connectivity assumption.
-  const CsrGraph original(
-      LargestConnectedComponent(MakeGraph(family, n, gen_rng)));
+  const CsrGraph original =
+      PreprocessDataset(CsrGraph(MakeGraph(family, n, gen_rng)));
 
   QueryOracle oracle(original);
   Rng rng(seed);

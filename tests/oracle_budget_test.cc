@@ -16,7 +16,7 @@
 namespace sgr {
 namespace {
 
-Graph TestGraph() {
+CsrGraph TestGraph() {
   GeneratorSpec spec;
   spec.model = "powerlaw";
   spec.nodes = 300;
@@ -31,7 +31,7 @@ Graph TestGraph() {
 /// paper's "x% of nodes queried" axis (and the report's oracle_queries
 /// field) is built on.
 TEST(OracleBudgetTest, EveryCrawlerRespectsTheNodeBudget) {
-  const CsrGraph g(TestGraph());
+  const CsrGraph g = TestGraph();
   const std::size_t budget = 30;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     Rng rng(seed);
@@ -92,7 +92,7 @@ TEST(OracleBudgetTest, EveryCrawlerRespectsTheNodeBudget) {
 }
 
 TEST(OracleBudgetTest, RunExperimentEchoesOracleQueriesWithinBudget) {
-  const CsrGraph g(TestGraph());
+  const CsrGraph g = TestGraph();
   ExperimentConfig config;
   config.query_fraction = 0.1;
   config.restoration.rewire.rewiring_coefficient = 5.0;

@@ -1068,7 +1068,7 @@ TEST(ScenarioEngineTest, CellAggregateMatchesDirectRunExperiments) {
   // seed base.
   const ScenarioSpec spec = TinySpec();
   Rng rng(spec.datasets[0].generator->seed);
-  const CsrGraph dataset(PreprocessDataset(GeneratePowerlawCluster(
+  const CsrGraph dataset = PreprocessDataset(CsrGraph(GeneratePowerlawCluster(
       spec.datasets[0].generator->nodes,
       spec.datasets[0].generator->edges_per_node,
       spec.datasets[0].generator->triad_p, rng)));

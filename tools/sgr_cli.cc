@@ -4,7 +4,8 @@
 //
 //   sgr generate --model powerlaw --nodes 3000 --edges-per-node 4
 //                --triad-p 0.4 --seed 1 --out graph.txt
-//       Generate a synthetic social graph (edge list).
+//       Generate a synthetic social graph, preprocessed as the scenario
+//       engine's generator datasets are, as a canonical edge list.
 //
 //   sgr crawl --graph graph.txt --method rw --fraction 0.1 --seed 2
 //             --out sample.txt
@@ -126,7 +127,6 @@
 #include "exp/table_printer.h"
 #include "graph/components.h"
 #include "graph/edge_list_reader.h"
-#include "graph/generators.h"
 #include "graph/io.h"
 #include "obs/metrics.h"
 #include "obs/timer.h"
@@ -169,19 +169,27 @@ int CmdGenerate(const Args& args) {
   gen.communities = args.Get<U64>("communities", 4);
   gen.bridges = args.Get<U64>("bridges", 0);
   gen.seed = args.Get<U64>("seed", 1);
-  const Graph g = BuildGeneratorGraph(gen);
-  WriteEdgeListFile(g, args.Get("out"));
+  // The canonical form keeps the engine's ids, so `sgr crawl` on the file
+  // walks the graph `sgr run` uses for the same generator spec.
+  const CsrGraph g = BuildGeneratorGraph(gen);
+  WriteCanonicalEdgeListFile(g, args.Get("out"));
   std::cout << "wrote " << args.Get("out") << ": n = " << g.NumNodes()
             << ", m = " << g.NumEdges() << "\n";
   return 0;
 }
 
-int CmdCrawl(const Args& args) {
-  const std::string path = args.Get("graph");
-  const CsrGraph g(PreprocessDataset(ReadEdgeListFile(path)));
+/// The edge list at `path` as read, loops and parallel edges kept. A file
+/// with no nodes has nothing to crawl or score, so it is rejected by name.
+CsrGraph ReadGraphFile(const std::string& path) {
+  CsrGraph g = ReadEdgeListCsr(path);
   if (g.NumNodes() == 0) {
-    throw std::runtime_error("'" + path + "' has no nodes to crawl");
+    throw std::runtime_error("'" + path + "' has no nodes");
   }
+  return g;
+}
+
+int CmdCrawl(const Args& args) {
+  const CsrGraph g = PreprocessDataset(ReadGraphFile(args.Get("graph")));
   const std::string method = args.GetOr("method", "rw");
   Rng rng(args.Get<U64>("seed", 2));
   const double fraction = args.Get("fraction", 0.1, 0.0, 1.0);
@@ -270,7 +278,7 @@ PropertyOptions PathOptions(const Args& args) {
 }
 
 int CmdAnalyze(const Args& args) {
-  const CsrGraph g(ReadEdgeListFile(args.Get("graph")));
+  const CsrGraph g = ReadGraphFile(args.Get("graph"));
   const GraphProperties p = ComputeProperties(g, PathOptions(args));
   TablePrinter table(std::cout, {"Property", "Value"});
   table.AddRow({"nodes", std::to_string(p.num_nodes)});
@@ -296,8 +304,8 @@ int CmdAnalyze(const Args& args) {
 }
 
 int CmdCompare(const Args& args) {
-  const CsrGraph original(ReadEdgeListFile(args.Get("original")));
-  const CsrGraph generated(ReadEdgeListFile(args.Get("generated")));
+  const CsrGraph original = ReadGraphFile(args.Get("original"));
+  const CsrGraph generated = ReadGraphFile(args.Get("generated"));
   const PropertyOptions options = PathOptions(args);
   const auto distances =
       PropertyDistances(ComputeProperties(original, options),
@@ -535,17 +543,8 @@ int CmdDatasets(int argc, char** argv) {
     }
     const Args args(argc, argv, 4, {"out", "scale"});
     const DatasetSpec spec = DatasetByName(argv[3]);
-    const double scale = args.Get("scale", 1.0, kMinDatasetScale, kMaxDatasetScale);
-    const auto n = static_cast<std::size_t>(
-        static_cast<double>(spec.num_nodes) * scale);
-    if (scale <= 0.0 || n == 0) {
-      throw std::runtime_error("--scale must be positive (and large "
-                               "enough to keep at least one node)");
-    }
-    Rng rng(spec.seed);
-    const CsrGraph csr(PreprocessDataset(
-        GenerateSocialGraph(n, spec.edges_per_node, spec.triad_probability,
-                            spec.fringe_fraction, rng)));
+    const CsrGraph csr = GenerateDataset(
+        spec, args.Get("scale", 1.0, kMinDatasetScale, kMaxDatasetScale));
     WriteCanonicalEdgeListFile(csr, args.Get("out"));
     std::cout << "wrote " << args.Get("out") << ": n = " << csr.NumNodes()
               << ", m = " << csr.NumEdges() << " (canonical)\n";
