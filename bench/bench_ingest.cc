@@ -17,7 +17,6 @@
 //   --edges N       edge lines to write       (SGR_INGEST_EDGES, 4000000)
 //   --nodes N       node count                (SGR_INGEST_NODES, edges/8)
 //   --threads N     ingest worker threads     (SGR_INGEST_THREADS, 1)
-//   --compress M    auto|on|off               (SGR_CSR_COMPRESS)
 //   --cache DIR     snapshot cache directory  (SGR_SNAPSHOT_CACHE)
 //   --file PATH     ingest PATH instead of generating
 //   --out PATH      where to write the generated file (default: temp dir)
@@ -109,8 +108,8 @@ void GenerateEdgeList(const std::string& path, std::uint64_t nodes,
 
 int Run(int argc, char** argv) {
   const Args args(argc, argv, 1,
-                  {"edges", "nodes", "threads", "compress", "cache", "file",
-                   "out", "keep", "trial", "fraction", "seed"});
+                  {"edges", "nodes", "threads", "cache", "file", "out",
+                   "keep", "trial", "fraction", "seed"});
   const std::uint64_t edges = args.Get<std::uint64_t>(
       "edges", EnvInput<std::uint64_t>("SGR_INGEST_EDGES", 4000000));
   std::uint64_t nodes = args.Get<std::uint64_t>(
@@ -119,19 +118,7 @@ int Run(int argc, char** argv) {
   IngestOptions options = IngestOptionsFromEnv();
   options.threads =
       args.Get<std::uint64_t>("threads", options.threads, 0, kMaxThreads);
-  if (args.Has("compress")) {
-    const std::string mode = args.Get("compress");
-    if (mode == "on") {
-      options.compress = IngestOptions::Compress::kOn;
-    } else if (mode == "off") {
-      options.compress = IngestOptions::Compress::kOff;
-    } else if (mode == "auto") {
-      options.compress = IngestOptions::Compress::kAuto;
-    } else {
-      throw std::runtime_error("unknown --compress mode: " + mode);
-    }
-  }
-  options.cache_dir = args.GetOr("cache", options.cache_dir);
+  options.cache_dir = args.GetPathOr("cache", options.cache_dir);
   std::string file = args.GetOr("file", "");
   const std::string out_path = args.GetOr("out", "");
   const bool keep = args.Get("keep", false);
@@ -168,8 +155,6 @@ int Run(int argc, char** argv) {
               result.stats.parallel_edges_collapsed);
   std::printf("nodes %zu\n", result.graph.NumNodes());
   std::printf("edges %zu\n", result.graph.NumEdges());
-  std::printf("compressed %d\n", result.graph.compressed() ? 1 : 0);
-  std::printf("neighbor_bytes %zu\n", result.graph.NeighborStorageBytes());
   std::printf("csr_hash %s\n",
               HashToHex(CsrContentHash(result.graph)).c_str());
   std::printf("ingest_seconds %.2f\n", seconds);

@@ -18,11 +18,10 @@ double DegreeAssortativity(const CsrGraph& g) {
   double sum_prod = 0.0;
   double sum_half = 0.0;
   double sum_half_sq = 0.0;
-  NeighborCursor cursor(g);
   for (NodeId u = 0; u < g.NumNodes(); ++u) {
     const double j = static_cast<double>(g.Degree(u));
     double neighbor_degrees = 0.0;
-    for (NodeId w : cursor.Load(u)) {
+    for (NodeId w : g.neighbors(u)) {
       neighbor_degrees += static_cast<double>(g.Degree(w));
     }
     sum_prod += 0.5 * j * neighbor_degrees;
@@ -65,10 +64,9 @@ std::vector<std::size_t> CoreNumbers(const CsrGraph& g) {
     }
   }
   std::vector<std::size_t> core(degree);
-  NeighborCursor reader(g);
   for (std::size_t i = 0; i < n; ++i) {
     const NodeId v = sorted[i];
-    for (NodeId w : reader.Load(v)) {
+    for (NodeId w : g.neighbors(v)) {
       if (core[w] > core[v]) {
         // Move w one bucket down: swap it with the first node of its
         // current bucket, then shift the bucket boundary.

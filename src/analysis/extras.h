@@ -11,8 +11,6 @@ namespace sgr {
 /// Supplementary structural analyzers beyond the paper's 12 evaluation
 /// properties. They support the examples, the Fig. 4 periphery analysis,
 /// and downstream users assessing restoration quality from extra angles.
-/// Like the property analyzers they read a CsrGraph through a
-/// NeighborCursor, so compressed snapshots work too.
 
 /// Newman's degree assortativity coefficient: the Pearson correlation of
 /// the degrees at the two ends of an edge, in [-1, 1]. Social graphs are

@@ -27,12 +27,11 @@ std::vector<double> NeighborConnectivity(const CsrGraph& g) {
   const std::size_t k_max = g.MaxDegree();
   std::vector<double> sums(k_max + 1, 0.0);
   std::vector<std::size_t> counts(k_max + 1, 0);
-  NeighborCursor cursor(g);
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
     const std::size_t k = g.Degree(v);
     if (k == 0) continue;
     double neighbor_degree_sum = 0.0;
-    for (NodeId w : cursor.Load(v)) {
+    for (NodeId w : g.neighbors(v)) {
       neighbor_degree_sum += static_cast<double>(g.Degree(w));
     }
     sums[k] += neighbor_degree_sum / static_cast<double>(k);
@@ -56,13 +55,8 @@ std::vector<double> EdgewiseSharedPartners(const CsrGraph& g) {
   // against the larger sorted range, then weight the histogram entry by
   // the pair's multiplicity.
   std::vector<std::int64_t> histogram;
-  // Three spans are live at once (u's list plus the probe pair), so each
-  // gets its own cursor — a cursor's span dies on its next Load.
-  NeighborCursor cursor_u(g);
-  NeighborCursor cursor_small(g);
-  NeighborCursor cursor_large(g);
   for (NodeId u = 0; u < g.NumNodes(); ++u) {
-    const NeighborSpan nbrs = cursor_u.Load(u);
+    const NeighborSpan nbrs = g.neighbors(u);
     std::size_t i = 0;
     while (i < nbrs.size()) {
       const NodeId v = nbrs[i];
@@ -72,8 +66,8 @@ std::vector<double> EdgewiseSharedPartners(const CsrGraph& g) {
       if (v <= u) continue;  // handle each pair once; loops never count
       const NodeId small = g.Degree(u) <= g.Degree(v) ? u : v;
       const NodeId large = (small == u) ? v : u;
-      const NeighborSpan sn = cursor_small.Load(small);
-      const NeighborSpan ln = cursor_large.Load(large);
+      const NeighborSpan sn = g.neighbors(small);
+      const NeighborSpan ln = g.neighbors(large);
       std::int64_t shared = 0;
       std::size_t a = 0;
       while (a < sn.size()) {
@@ -123,11 +117,10 @@ double LargestEigenvalue(const CsrGraph& g, std::size_t max_iterations,
   // oscillates). λ1(A) = λ1(A + I) - 1.
   std::vector<double> y(n, 0.0);
   double lambda_shifted = 0.0;
-  NeighborCursor cursor(g);
   for (std::size_t iter = 0; iter < max_iterations; ++iter) {
     for (NodeId v = 0; v < n; ++v) {
       double acc = x[v];
-      for (NodeId w : cursor.Load(v)) acc += x[w];
+      for (NodeId w : g.neighbors(v)) acc += x[w];
       y[v] = acc;
     }
     const double rayleigh =
@@ -148,10 +141,8 @@ namespace {
 
 /// One Brandes pass from `source` over a connected simple graph: fills
 /// `distance` and accumulates dependencies into `betweenness`, and the
-/// per-distance pair counts into `length_histogram`. `cursor` is the
-/// caller's (per-worker) reader over `g`, so the pass works on compressed
-/// snapshots too.
-void BrandesPass(const CsrGraph& g, NeighborCursor& cursor, NodeId source,
+/// per-distance pair counts into `length_histogram`.
+void BrandesPass(const CsrGraph& g, NodeId source,
                  std::vector<double>& betweenness,
                  std::vector<std::int64_t>& length_histogram,
                  double& distance_sum, std::size_t& eccentricity,
@@ -171,7 +162,7 @@ void BrandesPass(const CsrGraph& g, NeighborCursor& cursor, NodeId source,
     const NodeId v = frontier.front();
     frontier.pop();
     order.push_back(v);
-    for (NodeId w : cursor.Load(v)) {
+    for (NodeId w : g.neighbors(v)) {
       if (distance[w] < 0) {
         distance[w] = distance[v] + 1;
         frontier.push(w);
@@ -191,7 +182,7 @@ void BrandesPass(const CsrGraph& g, NeighborCursor& cursor, NodeId source,
   // Dependency accumulation in reverse BFS order.
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const NodeId w = *it;
-    for (NodeId v : cursor.Load(w)) {
+    for (NodeId v : g.neighbors(w)) {
       if (distance[v] == distance[w] - 1) {
         delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w]);
       }
@@ -210,12 +201,11 @@ std::vector<double> BetweennessCentrality(const CsrGraph& g) {
   std::vector<double> sigma(n), delta(n);
   std::vector<NodeId> order;
   order.reserve(n);
-  NeighborCursor cursor(g);
   double distance_sum = 0.0;
   std::size_t ecc = 0;
   for (NodeId s = 0; s < n; ++s) {
-    BrandesPass(g, cursor, s, betweenness, hist, distance_sum, ecc,
-                distance, sigma, delta, order);
+    BrandesPass(g, s, betweenness, hist, distance_sum, ecc, distance, sigma,
+                delta, order);
   }
   return betweenness;
 }
@@ -263,11 +253,10 @@ ShortestPathProperties ComputeShortestPathProperties(
     std::vector<double> sigma(n), delta(n);
     std::vector<NodeId> order;
     order.reserve(n);
-    NeighborCursor cursor(lcc);  // per-worker: cursors are not shared
     for (std::size_t i = t; i < sources.size(); i += num_threads) {
       std::size_t ecc = 0;
-      BrandesPass(lcc, cursor, sources[i], w.betweenness, w.hist,
-                  w.distance_sum, ecc, distance, sigma, delta, order);
+      BrandesPass(lcc, sources[i], w.betweenness, w.hist, w.distance_sum,
+                  ecc, distance, sigma, delta, order);
       w.diameter = std::max(w.diameter, ecc);
     }
   });

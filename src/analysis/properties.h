@@ -60,8 +60,7 @@ struct GraphProperties {
   double largest_eigenvalue = 0.0;                ///< (12) λ1
 };
 
-/// Computes all 12 properties of `g`. Every analyzer reads `g` through a
-/// NeighborCursor, so compressed snapshots work too.
+/// Computes all 12 properties of `g`.
 GraphProperties ComputeProperties(const CsrGraph& g,
                                   const PropertyOptions& options = {});
 

@@ -23,9 +23,8 @@ JointDegreeMatrix ExtractJointDegreeMatrix(const Graph& g) {
 
 JointDegreeMatrix ExtractJointDegreeMatrix(const CsrGraph& g) {
   JointDegreeMatrix jdm;
-  NeighborCursor cursor(g);
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
-    const NeighborSpan nbrs = cursor.Load(v);
+    const NeighborSpan nbrs = g.neighbors(v);
     std::size_t i = 0;
     while (i < nbrs.size()) {
       const NodeId w = nbrs[i];
@@ -63,9 +62,8 @@ std::vector<std::int64_t> CountTrianglesPerNode(const CsrGraph& g) {
   std::vector<std::int64_t> fwd_mult;
   fwd_nbr.reserve(g.NumEdges());
   fwd_mult.reserve(g.NumEdges());
-  NeighborCursor cursor(g);
   for (NodeId v = 0; v < n; ++v) {
-    const NeighborSpan nbrs = cursor.Load(v);
+    const NeighborSpan nbrs = g.neighbors(v);
     std::size_t i = 0;
     while (i < nbrs.size()) {
       const NodeId w = nbrs[i];

@@ -68,12 +68,6 @@ IngestOptions IngestOptionsFromEnv() {
   options.cache_dir = EnvText("SGR_SNAPSHOT_CACHE").value_or("");
   options.threads = EnvInput<std::uint64_t>("SGR_INGEST_THREADS", 1, 0,
                                             kMaxThreads);
-  if (const std::optional<std::string> compress =
-          EnvText("SGR_CSR_COMPRESS")) {
-    options.compress = ParseInput<bool>(*compress, "SGR_CSR_COMPRESS")
-                           ? IngestOptions::Compress::kOn
-                           : IngestOptions::Compress::kOff;
-  }
   return options;
 }
 

@@ -61,9 +61,8 @@ inline constexpr double kMaxDatasetScale = 1e4;
 double ResolveDatasetScale(double scale_override = 0.0);
 
 /// Ingest options from the environment: $SGR_SNAPSHOT_CACHE (cache
-/// directory), $SGR_INGEST_THREADS (worker count, default 1; 0 = hardware
-/// concurrency) and $SGR_CSR_COMPRESS ("1" always, "0" never, unset =
-/// automatic by edge count). Malformed values throw InputError.
+/// directory) and $SGR_INGEST_THREADS (worker count, default 1; 0 =
+/// hardware concurrency). Malformed values throw InputError.
 IngestOptions IngestOptionsFromEnv();
 
 /// The synthetic stand-in of `spec` with spec.num_nodes * `scale` nodes
@@ -81,12 +80,11 @@ CsrGraph GenerateDataset(const DatasetSpec& spec, double scale);
 /// accidentally-synthetic graph is the failure mode this guards). The
 /// file goes through the out-of-core ingester (graph/edge_list_reader.h):
 /// optional content-hash snapshot cache ($SGR_SNAPSHOT_CACHE names the
-/// directory), ingest worker count from $SGR_INGEST_THREADS (default 1;
-/// 0 = hardware concurrency), and neighbor compression policy from
-/// $SGR_CSR_COMPRESS ("1" always, "0" never, unset = automatic by edge
-/// count). With the variable unset, GenerateDataset builds the synthetic
-/// stand-in. Either way the result is preprocessed (simplified + largest
-/// connected component) by the one kernel, PreprocessDataset.
+/// directory) and ingest worker count from $SGR_INGEST_THREADS (default
+/// 1; 0 = hardware concurrency). With $SGR_DATASET_DIR unset,
+/// GenerateDataset builds the synthetic stand-in. Either way the result
+/// is preprocessed (simplified + largest connected component) by the one
+/// kernel, PreprocessDataset.
 ///
 /// The environment variable SGR_DATASET_SCALE (default 1.0) multiplies
 /// the synthetic node count, letting users run closer to paper scale on

@@ -147,11 +147,10 @@ std::vector<MethodRunResult> RunExperimentWithoutGraphs(
 
 /// Executes `num_trials` independent runs concurrently on up to `threads`
 /// workers (0 = hardware concurrency; 1 = inline, no threading overhead)
-/// against one shared snapshot (possibly compressed). Trial i uses
-/// run_seed = seed_base + i, so the result set is identical for every
-/// thread count, and identical to calling RunExperiment sequentially with
-/// seed_base + i. Returned trials are indexed by trial number, not
-/// completion order.
+/// against one shared snapshot. Trial i uses run_seed = seed_base + i, so
+/// the result set is identical for every thread count, and identical to
+/// calling RunExperiment sequentially with seed_base + i. Returned trials
+/// are indexed by trial number, not completion order.
 std::vector<std::vector<MethodRunResult>> RunExperiments(
     const CsrGraph& snapshot, const GraphProperties& original_properties,
     const ExperimentConfig& config, std::uint64_t seed_base,

@@ -50,9 +50,8 @@ ComponentsResult ConnectedComponents(const Graph& g) {
 }
 
 ComponentsResult ConnectedComponents(const CsrGraph& g) {
-  NeighborCursor cursor(g);
   return BfsComponents(g.NumNodes(),
-                       [&](NodeId v) { return cursor.Load(v); });
+                       [&](NodeId v) { return g.neighbors(v); });
 }
 
 std::size_t CountComponents(const Graph& g) {
@@ -66,14 +65,6 @@ bool IsConnected(const Graph& g) {
 CsrGraph PreprocessDataset(CsrGraph g, std::size_t* self_loops,
                            std::size_t* parallel_edges) {
   const std::size_t n = g.NumNodes();
-  const bool compressed = g.compressed();
-  if (compressed) {
-    std::vector<NodeId> flat(g.TotalDegree());
-    for (NodeId v = 0; v < n; ++v) {
-      g.DecodeNeighbors(v, flat.data() + g.offsets_[v]);
-    }
-    g = CsrGraph::FromAdjacency(std::move(g.offsets_), std::move(flat));
-  }
   std::size_t loops = 0;
   std::size_t copies = 0;  // surplus parallel entries, seen from both ends
   if (n > 0) {
@@ -117,7 +108,6 @@ CsrGraph PreprocessDataset(CsrGraph g, std::size_t* self_loops,
   }
   if (self_loops != nullptr) *self_loops = loops;
   if (parallel_edges != nullptr) *parallel_edges = copies / 2;
-  if (compressed) g.Compress();
   return g;
 }
 

@@ -21,8 +21,7 @@ struct ComponentsResult {
 
 /// Computes connected components via BFS over the (multi)graph. Components
 /// are numbered in order of their smallest node, so both overloads give
-/// the same result for a graph and its snapshot. The CsrGraph overload
-/// reads through a NeighborCursor (compressed snapshots work too).
+/// the same result for a graph and its snapshot.
 ComponentsResult ConnectedComponents(const Graph& g);
 ComponentsResult ConnectedComponents(const CsrGraph& g);
 
@@ -37,9 +36,8 @@ bool IsConnected(const Graph& g);
 /// collapses parallel edges by a run-length scan of the sorted ranges,
 /// and keeps the largest connected component (ties go to the component
 /// with the smallest node), relabelled monotonically so ascending old ids
-/// map to ascending new ids. An uncompressed argument is compacted in
-/// place, without a second copy of its arrays; a compressed one is
-/// decoded first and the result compressed again. `self_loops` and
+/// map to ascending new ids. The argument is compacted in place, without a
+/// second copy of its arrays. `self_loops` and
 /// `parallel_edges` (optional) receive how many loops and parallel edge
 /// copies the whole graph held, including those outside the kept
 /// component.

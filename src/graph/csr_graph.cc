@@ -5,33 +5,6 @@
 
 namespace sgr {
 
-namespace {
-
-/// Appends `value` to `out` as an LEB128 varint (7 data bits per byte,
-/// high bit = continuation). At most 5 bytes for a 32-bit value.
-inline void AppendVarint(std::uint32_t value, std::vector<std::uint8_t>& out) {
-  while (value >= 0x80u) {
-    out.push_back(static_cast<std::uint8_t>(value) | 0x80u);
-    value >>= 7;
-  }
-  out.push_back(static_cast<std::uint8_t>(value));
-}
-
-/// Decodes one LEB128 varint starting at `p`; advances `p` past it.
-inline std::uint32_t ReadVarint(const std::uint8_t*& p) {
-  std::uint32_t value = *p & 0x7Fu;
-  unsigned shift = 7;
-  while ((*p & 0x80u) != 0) {
-    ++p;
-    value |= static_cast<std::uint32_t>(*p & 0x7Fu) << shift;
-    shift += 7;
-  }
-  ++p;
-  return value;
-}
-
-}  // namespace
-
 CsrGraph::CsrGraph(const Graph& g) {
   const std::size_t n = g.NumNodes();
   offsets_.assign(n + 1, 0);
@@ -85,44 +58,6 @@ void CsrGraph::FinalizeFromSortedArrays() {
   }
 }
 
-void CsrGraph::Compress() {
-  if (compressed_) return;
-  const std::size_t n = NumNodes();
-  byte_offsets_.assign(n + 1, 0);
-  packed_.clear();
-  // Sorted lists make every delta non-negative (0 for a parallel edge),
-  // and social-graph locality keeps most deltas in one varint byte. The
-  // first entry of each list is its delta from 0, so the decoder needs no
-  // special case.
-  for (NodeId v = 0; v < n; ++v) {
-    NodeId prev = 0;
-    for (const NodeId w :
-         NeighborSpan(neighbors_.data() + offsets_[v], Degree(v))) {
-      AppendVarint(w - prev, packed_);
-      prev = w;
-    }
-    byte_offsets_[v + 1] = packed_.size();
-  }
-  packed_.shrink_to_fit();
-  neighbors_ = std::vector<NodeId>();  // release the flat array
-  compressed_ = true;
-}
-
-std::size_t CsrGraph::DecodeNeighbors(NodeId v, NodeId* out) const {
-  const std::size_t d = Degree(v);
-  if (!compressed_) {
-    std::copy_n(neighbors_.data() + offsets_[v], d, out);
-    return d;
-  }
-  const std::uint8_t* p = packed_.data() + byte_offsets_[v];
-  NodeId value = 0;
-  for (std::size_t i = 0; i < d; ++i) {
-    value += ReadVarint(p);
-    out[i] = value;
-  }
-  return d;
-}
-
 double CsrGraph::AverageDegree() const {
   if (NumNodes() == 0) return 0.0;
   return static_cast<double>(TotalDegree()) /
@@ -132,22 +67,9 @@ double CsrGraph::AverageDegree() const {
 std::size_t CsrGraph::CountEdges(NodeId u, NodeId v) const {
   const NodeId probe_from = Degree(u) <= Degree(v) ? u : v;
   const NodeId target = (probe_from == u) ? v : u;
-  if (!compressed_) {
-    const NeighborSpan nbrs = neighbors(probe_from);
-    const auto range = std::equal_range(nbrs.begin(), nbrs.end(), target);
-    return static_cast<std::size_t>(range.second - range.first);
-  }
-  // Decode scan of the smaller sorted list, stopping past the target.
-  const std::uint8_t* p = packed_.data() + byte_offsets_[probe_from];
-  const std::size_t d = Degree(probe_from);
-  std::size_t count = 0;
-  NodeId value = 0;
-  for (std::size_t i = 0; i < d; ++i) {
-    value += ReadVarint(p);
-    if (value == target) ++count;
-    if (value > target) break;
-  }
-  return count;
+  const NeighborSpan nbrs = neighbors(probe_from);
+  const auto range = std::equal_range(nbrs.begin(), nbrs.end(), target);
+  return static_cast<std::size_t>(range.second - range.first);
 }
 
 }  // namespace sgr

@@ -1,18 +1,15 @@
 #ifndef SGR_GRAPH_CSR_GRAPH_H_
 #define SGR_GRAPH_CSR_GRAPH_H_
 
-#include <cassert>
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "graph/graph.h"
 
 namespace sgr {
 
-/// Non-owning view of a node's neighbor list in a CsrGraph (or in a
-/// cursor's or oracle's decode buffer): the read-only slice of
-/// std::vector<NodeId> the crawlers and analyzers use.
+/// Non-owning view of a node's neighbor list in a CsrGraph: the read-only
+/// slice of std::vector<NodeId> the crawlers and analyzers use.
 class NeighborSpan {
  public:
   constexpr NeighborSpan() = default;
@@ -53,17 +50,6 @@ class NeighborSpan {
 ///   * a self-loop at v contributes two entries equal to v,
 ///   * Degree(v) counts a loop twice, NumEdges() counts it once,
 ///   * CountEdges(v, v) equals twice the loop count (A_vv).
-///
-/// Compressed mode (paper-scale graphs): Compress() re-encodes every
-/// neighbor list as LEB128 varints of the deltas between consecutive
-/// sorted entries (≈1 byte per entry on social graphs instead of 4), so
-/// hundreds of millions of edges fit in bounded memory. The logical
-/// offsets stay resident, so NumNodes/NumEdges/Degree/MaxDegree remain
-/// O(1); `neighbors()` however is only valid on uncompressed snapshots —
-/// readers that must work in both modes go through a NeighborCursor,
-/// which decodes into caller-owned scratch and is zero-copy when the
-/// snapshot is uncompressed. A compressed snapshot is still immutable and
-/// freely shared across reader threads (each reader owns its cursor).
 class CsrGraph {
  public:
   CsrGraph() = default;
@@ -104,18 +90,14 @@ class CsrGraph {
   }
 
   /// Neighbors of `v`, sorted ascending, one entry per incident edge
-  /// endpoint (a loop at `v` appears twice). Only valid on uncompressed
-  /// snapshots — mode-agnostic readers use a NeighborCursor instead.
+  /// endpoint (a loop at `v` appears twice).
   NeighborSpan neighbors(NodeId v) const {
-    assert(!compressed_ && "neighbors() on a compressed CsrGraph; "
-                           "use NeighborCursor");
     return NeighborSpan(neighbors_.data() + offsets_[v], Degree(v));
   }
 
   /// A_uv: edge multiplicity between `u` and `v` (twice the loop count for
-  /// u == v). Binary search over the smaller neighbor list for
-  /// uncompressed snapshots (O(log min(deg u, deg v))); a bounded decode
-  /// scan of the smaller list when compressed.
+  /// u == v): a binary search over the smaller neighbor list,
+  /// O(log min(deg u, deg v)).
   std::size_t CountEdges(NodeId u, NodeId v) const;
 
   /// True if at least one edge joins `u` and `v`.
@@ -125,36 +107,9 @@ class CsrGraph {
   /// (precomputed at build time).
   bool IsSimple() const { return is_simple_; }
 
-  /// Re-encodes every neighbor list as varint deltas and releases the
-  /// flat array (see class comment). Idempotent; O(m). After this,
-  /// `neighbors()` is invalid — readers go through NeighborCursor.
-  void Compress();
-
-  /// True once Compress() has run.
-  bool compressed() const { return compressed_; }
-
-  /// Decodes v's neighbor list into `out`, which must have room for
-  /// Degree(v) entries; returns Degree(v). Valid in both modes (plain
-  /// copy when uncompressed). Prefer NeighborCursor, which manages the
-  /// scratch and skips the copy on uncompressed snapshots.
-  std::size_t DecodeNeighbors(NodeId v, NodeId* out) const;
-
-  /// Bytes held by the neighbor storage (flat array or varint stream,
-  /// whichever is live) — the quantity Compress() shrinks.
-  std::size_t NeighborStorageBytes() const {
-    return compressed_ ? packed_.size() : neighbors_.size() * sizeof(NodeId);
-  }
-
-  /// Raw CSR arrays of an uncompressed snapshot, for binary
-  /// serialization (graph/snapshot_cache.h). Invalid after Compress().
-  const std::vector<std::size_t>& raw_offsets() const {
-    assert(!compressed_);
-    return offsets_;
-  }
-  const std::vector<NodeId>& raw_neighbors() const {
-    assert(!compressed_);
-    return neighbors_;
-  }
+  /// Raw CSR arrays, for binary serialization (graph/snapshot_cache.h).
+  const std::vector<std::size_t>& raw_offsets() const { return offsets_; }
+  const std::vector<NodeId>& raw_neighbors() const { return neighbors_; }
 
  private:
   /// The preprocessing kernel (graph/components.h) compacts a snapshot's
@@ -164,41 +119,10 @@ class CsrGraph {
 
   void FinalizeFromSortedArrays();
 
-  std::vector<std::size_t> offsets_;  ///< size NumNodes() + 1 (logical)
+  std::vector<std::size_t> offsets_;  ///< size NumNodes() + 1
   std::vector<NodeId> neighbors_;     ///< size 2m, sorted within each node
-                                      ///  (empty once compressed)
-  /// Compressed mode: per-node varint-delta byte stream and its offsets.
-  std::vector<std::uint8_t> packed_;
-  std::vector<std::size_t> byte_offsets_;  ///< size NumNodes() + 1
   std::size_t max_degree_ = 0;
   bool is_simple_ = true;
-  bool compressed_ = false;
-};
-
-/// Mode-agnostic reader of one CsrGraph's neighbor lists. On an
-/// uncompressed snapshot, Load() is the zero-copy `neighbors()` span; on a
-/// compressed one it decodes into this cursor's scratch buffer. The span
-/// returned by Load() is invalidated by the next Load() on the SAME
-/// cursor — callers that hold several lists at once (e.g. the
-/// shared-partner merge) own one cursor per simultaneously-live span.
-/// Cursors are cheap; they are per-caller (and per-thread) state, so the
-/// underlying snapshot stays shareable without synchronization.
-class NeighborCursor {
- public:
-  NeighborCursor() = default;
-  explicit NeighborCursor(const CsrGraph& g) : g_(&g) {}
-
-  NeighborSpan Load(NodeId v) {
-    if (!g_->compressed()) return g_->neighbors(v);
-    const std::size_t d = g_->Degree(v);
-    if (scratch_.size() < d) scratch_.resize(d);
-    g_->DecodeNeighbors(v, scratch_.data());
-    return NeighborSpan(scratch_.data(), d);
-  }
-
- private:
-  const CsrGraph* g_ = nullptr;
-  std::vector<NodeId> scratch_;
 };
 
 }  // namespace sgr

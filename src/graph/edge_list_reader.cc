@@ -242,19 +242,6 @@ std::uint64_t SnapshotCacheKey(std::uint64_t content_hash) {
   return h;
 }
 
-void ApplyCompression(CsrGraph* g, const IngestOptions& options) {
-  switch (options.compress) {
-    case IngestOptions::Compress::kOff:
-      break;
-    case IngestOptions::Compress::kOn:
-      g->Compress();
-      break;
-    case IngestOptions::Compress::kAuto:
-      if (g->NumEdges() >= options.compress_min_edges) g->Compress();
-      break;
-  }
-}
-
 }  // namespace
 
 std::uint64_t HashFileContents(const std::string& path) {
@@ -277,9 +264,8 @@ std::uint64_t CsrContentHash(const CsrGraph& g) {
   std::uint64_t h = kFnvOffset;
   const std::size_t n = g.NumNodes();
   FnvMixU64(h, n);
-  NeighborCursor cursor(g);
   for (NodeId v = 0; v < n; ++v) {
-    const NeighborSpan nbrs = cursor.Load(v);
+    const NeighborSpan nbrs = g.neighbors(v);
     FnvMixU64(h, nbrs.size());
     for (const NodeId w : nbrs) FnvMixU64(h, w);
   }
@@ -523,7 +509,6 @@ IngestResult IngestEdgeListFile(const std::string& path,
       result.graph = std::move(cached);
       result.stats = cached_stats;
       result.from_cache = true;
-      ApplyCompression(&result.graph, options);
       return result;
     }
   }
@@ -537,7 +522,6 @@ IngestResult IngestEdgeListFile(const std::string& path,
   if (!cache_path.empty()) {
     SaveCsrSnapshot(cache_path, result.graph, result.stats);
   }
-  ApplyCompression(&result.graph, options);
   return result;
 }
 

@@ -52,14 +52,6 @@ struct IngestOptions {
   /// concurrency). The result is identical for every value.
   std::size_t threads = 1;
 
-  /// Neighbor-array compression of the returned snapshot (csr_graph.h):
-  /// kAuto compresses only when the preprocessed graph has at least
-  /// `compress_min_edges` edges (small graphs keep the uncompressed
-  /// zero-copy fast path).
-  enum class Compress { kAuto, kOn, kOff };
-  Compress compress = Compress::kAuto;
-  std::size_t compress_min_edges = std::size_t{1} << 22;  // ~4M edges
-
   /// Content-hash-keyed snapshot cache directory (empty = no cache). On
   /// a hit the CSR arrays are loaded directly from the binary snapshot
   /// (graph/snapshot_cache.h) and the text file is never re-parsed; a
@@ -103,18 +95,17 @@ struct IngestResult {
 /// Reads the edge list at `path` as a raw CsrGraph: first-appearance ids
 /// (verbatim ids for a canonical file), loops and parallel edges kept.
 /// Reads `threads`, `chunk_bytes`, `spill_edges` and `temp_dir` of
-/// `options`; never compresses and never touches the cache. `stats`
-/// (optional) receives the parse counters (file_bytes, edge_lines,
-/// raw_nodes, canonical, spilled). Throws std::runtime_error on an
-/// unreadable file or malformed content, with the path and line number in
-/// the message.
+/// `options`; never touches the cache. `stats` (optional) receives the
+/// parse counters (file_bytes, edge_lines, raw_nodes, canonical,
+/// spilled). Throws std::runtime_error on an unreadable file or malformed
+/// content, with the path and line number in the message.
 CsrGraph ReadEdgeListCsr(const std::string& path,
                          const IngestOptions& options = {},
                          IngestStats* stats = nullptr);
 
 /// Ingests the edge list at `path` as a dataset: a snapshot-cache lookup,
 /// then PreprocessDataset(ReadEdgeListCsr(path, options)), then a cache
-/// save and the compression policy. Throws as ReadEdgeListCsr does.
+/// save. Throws as ReadEdgeListCsr does.
 IngestResult IngestEdgeListFile(const std::string& path,
                                 const IngestOptions& options = {});
 
@@ -122,11 +113,9 @@ IngestResult IngestEdgeListFile(const std::string& path,
 /// std::runtime_error if the file cannot be read.
 std::uint64_t HashFileContents(const std::string& path);
 
-/// Order-independent-of-representation hash of a snapshot's logical
-/// content: FNV-1a-64 over node count and every (degree, neighbor list)
-/// in node order, decoded through a cursor — so a compressed and an
-/// uncompressed snapshot of the same graph hash identically. This is the
-/// value the CI ingest gate compares across worker counts.
+/// Hash of a snapshot's content: FNV-1a-64 over node count and every
+/// (degree, neighbor list) in node order. This is the value the CI ingest
+/// gate compares across worker counts.
 std::uint64_t CsrContentHash(const CsrGraph& g);
 
 /// 16-digit lowercase hex of `hash` (the provenance echo format).

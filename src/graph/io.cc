@@ -13,9 +13,8 @@ namespace {
 /// once per loop (a loop contributes two entries to its range).
 template <typename Fn>
 void ForEachEdge(const CsrGraph& g, Fn&& fn) {
-  NeighborCursor cursor(g);
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
-    const NeighborSpan nbrs = cursor.Load(v);
+    const NeighborSpan nbrs = g.neighbors(v);
     std::size_t i = 0;
     while (i < nbrs.size()) {
       const NodeId w = nbrs[i];

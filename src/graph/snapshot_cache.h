@@ -18,8 +18,7 @@ struct IngestStats;
 /// (plus the ingest format version): re-running an experiment on an
 /// unchanged dataset then loads the arrays straight from disk, and any
 /// edit to the file — or to the ingest pipeline — changes the key and
-/// misses. Snapshots always store the uncompressed arrays; compression
-/// policy is applied per load, after the cache layer.
+/// misses.
 ///
 /// Format (little-endian, native field widths):
 ///   "SGRSNAP1" magic, u64 node count, u64 total degree,
@@ -40,7 +39,7 @@ std::string SnapshotCachePath(const std::string& cache_dir,
 bool LoadCsrSnapshot(const std::string& path, CsrGraph* graph,
                      IngestStats* stats);
 
-/// Writes `graph` (which must be uncompressed) and `stats` to `path`
+/// Writes `graph` and `stats` to `path`
 /// atomically, creating the parent directory if needed. Throws
 /// std::runtime_error on I/O failure.
 void SaveCsrSnapshot(const std::string& path, const CsrGraph& graph,

@@ -1,7 +1,6 @@
 #ifndef SGR_SAMPLING_SAMPLING_LIST_H_
 #define SGR_SAMPLING_SAMPLING_LIST_H_
 
-#include <array>
 #include <cstddef>
 #include <unordered_map>
 #include <unordered_set>
@@ -18,7 +17,7 @@ namespace sgr {
 /// this oracle, which makes the information boundary of the problem explicit
 /// and lets tests assert how many queries a method spent.
 ///
-/// The hidden graph is an immutable CsrGraph snapshot, possibly compressed.
+/// The hidden graph is an immutable CsrGraph snapshot.
 /// One snapshot is shared read-only by every concurrent trial, each with
 /// its own oracle (the oracle itself carries per-crawl query-count state
 /// and must not be shared across threads). The oracle keeps a pointer to
@@ -42,16 +41,7 @@ class QueryOracle {
   /// therefore copy what they keep and tolerate empty results.
   virtual NeighborSpan Query(NodeId v) {
     if (queried_.insert(v).second) ++unique_queries_;
-    if (!graph_->compressed()) return graph_->neighbors(v);
-    // Compressed snapshot: decode into a two-slot ring, so the span stays
-    // valid until the second-next Query — exactly the documented contract
-    // (crawlers hold at most the current and previous answer).
-    std::vector<NodeId>& slot = decode_ring_[ring_slot_];
-    ring_slot_ ^= 1u;
-    const std::size_t d = graph_->Degree(v);
-    if (slot.size() < d) slot.resize(d);
-    graph_->DecodeNeighbors(v, slot.data());
-    return NeighborSpan(slot.data(), d);
+    return graph_->neighbors(v);
   }
 
   /// Number of distinct nodes queried so far.
@@ -66,10 +56,6 @@ class QueryOracle {
   const CsrGraph* graph_;
   std::unordered_set<NodeId> queried_;
   std::size_t unique_queries_ = 0;
-  /// Scratch for compressed-snapshot decoding (see Query). Grow-only, so
-  /// steady-state crawling allocates nothing.
-  std::array<std::vector<NodeId>, 2> decode_ring_;
-  std::size_t ring_slot_ = 0;
 };
 
 /// Walk crawlers treat an empty query result as a failed move: the walker

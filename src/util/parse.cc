@@ -103,4 +103,14 @@ std::string Args::GetOr(const std::string& key,
   return it == values_.end() ? dflt : it->second;
 }
 
+std::string Args::GetPathOr(const std::string& key,
+                            const std::string& dflt) const {
+  auto it = values_.find(key);
+  if (it == values_.end()) return dflt;
+  if (it->second.empty()) {
+    throw InputError("--" + key + " needs a path, got an empty value");
+  }
+  return it->second;
+}
+
 }  // namespace sgr

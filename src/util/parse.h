@@ -56,6 +56,13 @@ class Args {
 
   std::string GetOr(const std::string& key, const std::string& dflt) const;
 
+  /// The value of a flag naming a file or directory, or `dflt` when the
+  /// flag is absent. An empty value throws InputError naming the flag:
+  /// it would otherwise read as "no path" and silently switch off what
+  /// the flag asked for.
+  std::string GetPathOr(const std::string& key,
+                        const std::string& dflt) const;
+
   bool Has(const std::string& key) const {
     return values_.find(key) != values_.end();
   }

@@ -39,8 +39,6 @@ done
 
 expect SGR_INGEST_THREADS env SGR_DATASET_DIR="$tmp" SGR_INGEST_THREADS=-1 \
   "$cli" run tables-smoke
-expect SGR_CSR_COMPRESS env SGR_DATASET_DIR="$tmp" SGR_CSR_COMPRESS=on \
-  "$cli" run tables-smoke
 # The same error raised inside a set-up task on the 4-worker pool.
 expect SGR_INGEST_THREADS env SGR_DATASET_DIR="$tmp" SGR_INGEST_THREADS=-1 \
   "$cli" run tables-smoke --threads 4
@@ -55,6 +53,8 @@ expect --markdown "$cli" diff "$tmp/a.json" "$tmp/b.json" --markdown yes
 expect --nodes "$cli" generate --nodes 12abc --out "$tmp/g.txt"
 expect --scale "$cli" datasets export anybeat --scale 0 --out "$tmp/x.txt"
 expect --threads "$cli" datasets ingest "$tmp/anybeat.txt" --threads -1
+# The CSR has one representation: there is no compression switch.
+expect --compress "$cli" datasets ingest "$tmp/anybeat.txt" --compress on
 
 # A flag the subcommand does not take is rejected by name, never ignored.
 expect --thread "$cli" run tables-smoke --thread 4
@@ -113,7 +113,8 @@ expect youtube.txt env SGR_DATASET_DIR="$tmp/empty_dir" \
 
 # An empty SGR_DATASET_DIR or SGR_SNAPSHOT_CACHE counts as unset: the run
 # uses the generator and never reads a stray edge list from the working
-# directory. An empty flag value is rejected by name.
+# directory. An empty path flag value is rejected by name, never run as
+# "no cache" or "no trace".
 mkdir "$tmp/cwd"
 printf 'not an edge list\n' > "$tmp/cwd/anybeat.txt"
 if ! (cd "$tmp/cwd" && env SGR_DATASET_DIR= SGR_SNAPSHOT_CACHE= \
@@ -126,6 +127,8 @@ if ! (cd "$tmp/cwd" && env SGR_DATASET_DIR= SGR_SNAPSHOT_CACHE= \
 fi
 expect --dataset-dir "$cli" run tables-smoke --dataset-dir ""
 expect --snapshot-cache "$cli" run tables-smoke --snapshot-cache ""
+expect --trace "$cli" run tables-smoke --trace ""
+expect --cache "$cli" datasets ingest "$tmp/anybeat.txt" --cache ""
 
 expect --sources "$cli" generate --sources 5 --out "$tmp/g.txt"
 expect --threads "$cli" diff "$tmp/a.json" "$tmp/b.json" --threads 2
@@ -142,7 +145,7 @@ expect --foo "$cli" table --foo
 
 # `datasets ingest` reads only its own flags: the scenario loader's
 # ingest variables do not reach it, malformed or not.
-if ! env SGR_INGEST_THREADS=-1 SGR_CSR_COMPRESS=on \
+if ! env SGR_INGEST_THREADS=-1 \
     "$cli" datasets ingest "$tmp/anybeat.txt" > /dev/null 2> "$tmp/err"; then
   echo "FAIL: datasets ingest read the SGR_INGEST_* environment"
   cat "$tmp/err"

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
-
 #include "graph/generators.h"
 
 namespace sgr {
@@ -61,20 +59,15 @@ TEST(ComponentsTest, PreprocessMatchesPaperPipeline) {
   g.AddEdge(1, 2);
   g.AddEdge(3, 4);  // smaller component -> dropped
   g.AddEdge(5, 5);  // loop outside the kept component -> counted, dropped
-  CsrGraph packed(g);
-  packed.Compress();
-  for (const CsrGraph& raw : {CsrGraph(g), packed}) {
-    std::size_t loops = 0;
-    std::size_t parallel = 0;
-    const CsrGraph p = PreprocessDataset(raw, &loops, &parallel);
-    EXPECT_EQ(p.compressed(), raw.compressed());
-    EXPECT_TRUE(p.IsSimple());
-    EXPECT_EQ(p.NumNodes(), 3u);
-    EXPECT_EQ(p.NumEdges(), 2u);
-    EXPECT_EQ(ConnectedComponents(p).sizes.size(), 1u);
-    EXPECT_EQ(loops, 2u);
-    EXPECT_EQ(parallel, 1u);
-  }
+  std::size_t loops = 0;
+  std::size_t parallel = 0;
+  const CsrGraph p = PreprocessDataset(CsrGraph(g), &loops, &parallel);
+  EXPECT_TRUE(p.IsSimple());
+  EXPECT_EQ(p.NumNodes(), 3u);
+  EXPECT_EQ(p.NumEdges(), 2u);
+  EXPECT_EQ(ConnectedComponents(p).sizes.size(), 1u);
+  EXPECT_EQ(loops, 2u);
+  EXPECT_EQ(parallel, 1u);
 }
 
 TEST(ComponentsTest, ComponentOfIsConsistentWithSizes) {
@@ -91,20 +84,15 @@ TEST(ComponentsTest, ComponentOfIsConsistentWithSizes) {
 
 TEST(ComponentsTest, SnapshotOverloadMatchesGraphOverload) {
   // Components are numbered by their smallest node, so neighbor order
-  // (sorted in the snapshot, insertion order in the Graph) and
-  // compression cannot change the result.
+  // (sorted in the snapshot, insertion order in the Graph) cannot change
+  // the result.
   Rng rng(12);
   const Graph g = GenerateErdosRenyiGnm(80, 60, rng);
   const ComponentsResult expected = ConnectedComponents(g);
-  const CsrGraph plain(g);
-  CsrGraph packed(g);
-  packed.Compress();
-  for (const CsrGraph& csr : {std::cref(plain), std::cref(packed)}) {
-    const ComponentsResult r = ConnectedComponents(csr);
-    EXPECT_EQ(r.component_of, expected.component_of);
-    EXPECT_EQ(r.sizes, expected.sizes);
-    EXPECT_EQ(r.largest, expected.largest);
-  }
+  const ComponentsResult r = ConnectedComponents(CsrGraph(g));
+  EXPECT_EQ(r.component_of, expected.component_of);
+  EXPECT_EQ(r.sizes, expected.sizes);
+  EXPECT_EQ(r.largest, expected.largest);
 }
 
 }  // namespace

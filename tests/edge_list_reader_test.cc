@@ -90,15 +90,7 @@ CsrGraph Reference(const std::string& path) {
   return CsrGraph::FromAdjacency(std::move(offsets), std::move(neighbors));
 }
 
-IngestOptions NoCompress() {
-  IngestOptions options;
-  options.compress = IngestOptions::Compress::kOff;
-  return options;
-}
-
 void ExpectSameCsr(const CsrGraph& a, const CsrGraph& b) {
-  ASSERT_FALSE(a.compressed());
-  ASSERT_FALSE(b.compressed());
   EXPECT_EQ(a.raw_offsets(), b.raw_offsets());
   EXPECT_EQ(a.raw_neighbors(), b.raw_neighbors());
 }
@@ -106,7 +98,7 @@ void ExpectSameCsr(const CsrGraph& a, const CsrGraph& b) {
 TEST(EdgeListReaderTest, MatchesReferencePipelineOnBasicFile) {
   const std::string path = WriteFixture(
       "basic", "# a comment\n% another header style\n0 1\n1 2\n2 0\n2 3\n");
-  const IngestResult result = IngestEdgeListFile(path, NoCompress());
+  const IngestResult result = IngestEdgeListFile(path);
   ExpectSameCsr(result.graph, Reference(path));
   EXPECT_EQ(result.stats.edge_lines, 4u);
   EXPECT_EQ(result.stats.raw_nodes, 4u);
@@ -117,7 +109,7 @@ TEST(EdgeListReaderTest, MatchesReferencePipelineOnBasicFile) {
 TEST(EdgeListReaderTest, HandlesTabsCrlfAndTrailingBlankLines) {
   const std::string path = WriteFixture(
       "crlf", "0\t1\r\n1\t2\r\n2 0\r\n\r\n\n");
-  const IngestResult result = IngestEdgeListFile(path, NoCompress());
+  const IngestResult result = IngestEdgeListFile(path);
   ExpectSameCsr(result.graph, Reference(path));
   EXPECT_EQ(result.graph.NumNodes(), 3u);
   EXPECT_EQ(result.graph.NumEdges(), 3u);
@@ -125,7 +117,7 @@ TEST(EdgeListReaderTest, HandlesTabsCrlfAndTrailingBlankLines) {
 
 TEST(EdgeListReaderTest, LastLineWithoutNewlineIsParsed) {
   const std::string path = WriteFixture("noeol", "0 1\n1 2");
-  const IngestResult result = IngestEdgeListFile(path, NoCompress());
+  const IngestResult result = IngestEdgeListFile(path);
   EXPECT_EQ(result.graph.NumNodes(), 3u);
   EXPECT_EQ(result.graph.NumEdges(), 2u);
   ExpectSameCsr(result.graph, Reference(path));
@@ -134,7 +126,7 @@ TEST(EdgeListReaderTest, LastLineWithoutNewlineIsParsed) {
 TEST(EdgeListReaderTest, DropsSelfLoopsAndCollapsesParallelEdges) {
   const std::string path = WriteFixture(
       "policy", "0 0\n0 1\n1 0\n0 1\n1 2\n2 2\n");
-  const IngestResult result = IngestEdgeListFile(path, NoCompress());
+  const IngestResult result = IngestEdgeListFile(path);
   ExpectSameCsr(result.graph, Reference(path));
   EXPECT_EQ(result.stats.self_loops_dropped, 2u);
   // 0-1 appears three times (once reversed): two copies collapsed.
@@ -147,7 +139,7 @@ TEST(EdgeListReaderTest, KeepsLargestComponentWithFirstMaxTiebreak) {
   // pipeline keeps the first-encountered maximum; the ingester must too.
   const std::string path = WriteFixture(
       "tie", "0 1\n1 2\n3 4\n4 5\n2 0\n5 3\n");
-  const IngestResult result = IngestEdgeListFile(path, NoCompress());
+  const IngestResult result = IngestEdgeListFile(path);
   ExpectSameCsr(result.graph, Reference(path));
   EXPECT_EQ(result.graph.NumNodes(), 3u);
   EXPECT_EQ(result.stats.lcc_nodes, 3u);
@@ -157,7 +149,7 @@ TEST(EdgeListReaderTest, KeepsLargestComponentWithFirstMaxTiebreak) {
 TEST(EdgeListReaderTest, OutOfOrderAndSparseIdsRenumberLikeReference) {
   const std::string path = WriteFixture(
       "sparse", "900 100\n100 500\n500 900\n500 42\n");
-  const IngestResult result = IngestEdgeListFile(path, NoCompress());
+  const IngestResult result = IngestEdgeListFile(path);
   ExpectSameCsr(result.graph, Reference(path));
   EXPECT_EQ(result.graph.NumNodes(), 4u);
 }
@@ -169,7 +161,7 @@ TEST(EdgeListReaderTest, Interns64BitIdsBeyondDenseLimit) {
       "wide",
       "123456789012345 1\n1 99999999999\n99999999999 123456789012345\n"
       "1 70000000\n");
-  const IngestResult result = IngestEdgeListFile(path, NoCompress());
+  const IngestResult result = IngestEdgeListFile(path);
   ExpectSameCsr(result.graph, Reference(path));
   EXPECT_EQ(result.graph.NumNodes(), 4u);
 }
@@ -181,7 +173,7 @@ TEST(EdgeListReaderTest, ResultIsIdenticalAcrossThreadCounts) {
   WriteEdgeList(g, text);
   const std::string path = WriteFixture("threads", text.str());
 
-  IngestOptions options = NoCompress();
+  IngestOptions options;
   const IngestResult one = IngestEdgeListFile(path, options);
   options.threads = 2;
   const IngestResult two = IngestEdgeListFile(path, options);
@@ -200,7 +192,7 @@ TEST(EdgeListReaderTest, SpillPathProducesIdenticalResult) {
   WriteEdgeList(g, text);
   const std::string path = WriteFixture("spill", text.str());
 
-  IngestOptions options = NoCompress();
+  IngestOptions options;
   const IngestResult in_memory = IngestEdgeListFile(path, options);
   EXPECT_FALSE(in_memory.stats.spilled);
   options.spill_edges = 4;  // force the temp-file path immediately
@@ -211,31 +203,13 @@ TEST(EdgeListReaderTest, SpillPathProducesIdenticalResult) {
   ExpectSameCsr(in_memory.graph, spilled.graph);
 }
 
-TEST(EdgeListReaderTest, CompressedAndUncompressedHashIdentically) {
-  Rng rng(13);
-  const Graph g = GeneratePowerlawCluster(400, 3, 0.3, rng);
-  std::ostringstream text;
-  WriteEdgeList(g, text);
-  const std::string path = WriteFixture("compress", text.str());
-
-  const IngestResult plain = IngestEdgeListFile(path, NoCompress());
-  IngestOptions on;
-  on.compress = IngestOptions::Compress::kOn;
-  const IngestResult packed = IngestEdgeListFile(path, on);
-  EXPECT_FALSE(plain.graph.compressed());
-  EXPECT_TRUE(packed.graph.compressed());
-  EXPECT_EQ(CsrContentHash(plain.graph), CsrContentHash(packed.graph));
-  EXPECT_LT(packed.graph.NeighborStorageBytes(),
-            plain.graph.NeighborStorageBytes());
-}
-
 TEST(EdgeListReaderTest, RawReadKeepsLoopsParallelEdgesAndAllComponents) {
   // 7 -> 0, 3 -> 1, 5 -> 2, 9 -> 3, 4 -> 4 by first appearance; nothing
   // is dropped, collapsed or cut away.
   const std::string path = WriteFixture(
       "raw", "7 3\n3 7\n3 3\n5 7\n9 4\n");
   IngestStats stats;
-  const CsrGraph raw = ReadEdgeListCsr(path, NoCompress(), &stats);
+  const CsrGraph raw = ReadEdgeListCsr(path, {}, &stats);
   EXPECT_EQ(raw.raw_offsets(), (std::vector<std::size_t>{0, 3, 7, 8, 9, 10}));
   EXPECT_EQ(raw.raw_neighbors(),
             (std::vector<NodeId>{1, 1, 2, 0, 0, 1, 1, 0, 4, 3}));
@@ -256,7 +230,7 @@ TEST(EdgeListReaderTest, CanonicalExportReingestsToIdenticalIds) {
       PreprocessDataset(CsrGraph(GeneratePowerlawCluster(250, 4, 0.4, rng)));
   const std::string path = ::testing::TempDir() + "sgr-canonical-rt.txt";
   WriteCanonicalEdgeListFile(g, path);
-  const IngestResult back = IngestEdgeListFile(path, NoCompress());
+  const IngestResult back = IngestEdgeListFile(path);
   EXPECT_TRUE(back.stats.canonical);
   ExpectSameCsr(back.graph, g);
   std::remove(path.c_str());
@@ -267,7 +241,7 @@ TEST(EdgeListReaderTest, CanonicalMarkerPreservesVerbatimIds) {
   // canonical marker must keep the declared dense ids instead.
   const std::string path = WriteFixture(
       "canon", "# sgr-canonical 1\n# nodes 3 edges 2\n0 2\n1 2\n");
-  const IngestResult result = IngestEdgeListFile(path, NoCompress());
+  const IngestResult result = IngestEdgeListFile(path);
   ASSERT_EQ(result.graph.NumNodes(), 3u);
   const NeighborSpan n0 = result.graph.neighbors(0);
   ASSERT_EQ(n0.size(), 1u);
@@ -282,7 +256,7 @@ TEST(EdgeListReaderTest, CanonicalMarkerAfterEdgeLineIsIgnored) {
   // The marker is a file-format declaration: only honored before data.
   const std::string path = WriteFixture(
       "canonlate", "5 7\n# sgr-canonical 1\n7 9\n");
-  const IngestResult result = IngestEdgeListFile(path, NoCompress());
+  const IngestResult result = IngestEdgeListFile(path);
   EXPECT_FALSE(result.stats.canonical);
   ExpectSameCsr(result.graph, Reference(path));
 }
@@ -339,7 +313,7 @@ TEST(EdgeListReaderTest, EmptyAndCommentOnlyFilesMatchReference) {
   for (const std::string contents : {std::string(""),
                                      std::string("# only comments\n")}) {
     const std::string path = WriteFixture("empty", contents);
-    const IngestResult result = IngestEdgeListFile(path, NoCompress());
+    const IngestResult result = IngestEdgeListFile(path);
     ExpectSameCsr(result.graph, Reference(path));
     EXPECT_EQ(result.graph.NumNodes(), 0u);
     EXPECT_EQ(result.graph.NumEdges(), 0u);

@@ -79,6 +79,8 @@ TEST(ExtrasTest, ComponentSizesSortedDescending) {
   g.AddEdge(0, 1);
   g.AddEdge(1, 2);
   g.AddEdge(3, 4);
+  g.AddEdge(0, 0);  // a loop and a parallel edge join nothing new
+  g.AddEdge(3, 4);
   const std::vector<std::size_t> sizes = ComponentSizes(CsrGraph(g));
   ASSERT_EQ(sizes.size(), 4u);  // {0,1,2}, {3,4}, {5}, {6}
   EXPECT_EQ(sizes[0], 3u);

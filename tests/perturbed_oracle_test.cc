@@ -201,20 +201,5 @@ TEST(PerturbedOracleTest, RejectsOutOfRangeKnobs) {
   EXPECT_TRUE(all_fail.Query(0).empty());
 }
 
-TEST(PerturbedOracleTest, CompressedSnapshotMatchesPlainSnapshot) {
-  const CsrGraph plain(TestGraph());
-  CsrGraph packed(TestGraph());
-  packed.Compress();
-  CrawlNoise noise;
-  noise.failure = 0.3;
-  noise.hidden_edges = 0.3;
-  PerturbedOracle from_plain(plain, noise, 21);
-  PerturbedOracle from_packed(packed, noise, 21);
-  for (NodeId v = 0; v < 50; ++v) {
-    EXPECT_EQ(Snapshot(from_plain.Query(v)), Snapshot(from_packed.Query(v)))
-        << "node " << v;
-  }
-}
-
 }  // namespace
 }  // namespace sgr

@@ -153,7 +153,6 @@ TEST(SnapshotCacheTest, IngestPopulatesAndHitsCache) {
     WriteEdgeList(g, out);
   }
   IngestOptions options;
-  options.compress = IngestOptions::Compress::kOff;
   options.cache_dir = dir.path();
   const IngestResult cold = IngestEdgeListFile(file, options);
   EXPECT_FALSE(cold.from_cache);
@@ -165,13 +164,6 @@ TEST(SnapshotCacheTest, IngestPopulatesAndHitsCache) {
   // Stats are carried through the snapshot, so a hit still reports them.
   EXPECT_EQ(warm.stats.edge_lines, cold.stats.edge_lines);
   EXPECT_EQ(warm.stats.raw_nodes, cold.stats.raw_nodes);
-
-  // A compressed load from the same cache decodes to the same content.
-  options.compress = IngestOptions::Compress::kOn;
-  const IngestResult packed = IngestEdgeListFile(file, options);
-  EXPECT_TRUE(packed.from_cache);
-  EXPECT_TRUE(packed.graph.compressed());
-  EXPECT_EQ(CsrContentHash(packed.graph), CsrContentHash(cold.graph));
 
   // Corrupting the entry forces a rebuild (warn + miss), then re-caches.
   const std::string entry = SnapshotCachePath(
@@ -186,7 +178,6 @@ TEST(SnapshotCacheTest, IngestPopulatesAndHitsCache) {
     std::ofstream out(real_entry, std::ios::binary | std::ios::trunc);
     out << "garbage";
   }
-  options.compress = IngestOptions::Compress::kOff;
   const IngestResult rebuilt = IngestEdgeListFile(file, options);
   EXPECT_FALSE(rebuilt.from_cache);
   EXPECT_EQ(rebuilt.graph.raw_neighbors(), cold.graph.raw_neighbors());
@@ -202,7 +193,6 @@ TEST(SnapshotCacheTest, DifferentContentGetsDifferentKeys) {
     std::ofstream(b) << "0 1\n1 3\n";
   }
   IngestOptions options;
-  options.compress = IngestOptions::Compress::kOff;
   options.cache_dir = dir.path();
   (void)IngestEdgeListFile(a, options);
   (void)IngestEdgeListFile(b, options);

@@ -74,14 +74,14 @@
 //
 //   sgr datasets list
 //   sgr datasets export youtube --out youtube.txt [--scale 8]
-//   sgr datasets ingest youtube.txt [--threads 4] [--compress on]
-//                [--cache .sgr-cache]
+//   sgr datasets ingest youtube.txt [--threads 4] [--cache .sgr-cache]
 //       Inspect the dataset registry, write a synthetic stand-in as a
 //       canonical edge list (`# sgr-canonical 1`: dense ids the ingester
 //       reloads verbatim), or run the out-of-core ingester directly and
-//       print its stats — including `csr_hash`, a representation-
-//       independent content hash of the resulting snapshot that CI
-//       compares across thread counts and compression modes.
+//       print its stats — including `csr_hash`, a content hash of the
+//       resulting snapshot that CI compares across thread counts.
+//       Every path flag (`--cache` here, `--trace`, `--dataset-dir` and
+//       `--snapshot-cache` on `sgr run`) rejects an empty value by name.
 //
 //   sgr diff old.json new.json [--l1-tol X] [--time-tol R] [--no-timings]
 //            [--markdown 1]
@@ -344,13 +344,7 @@ int CmdRun(const std::string& source, const Args& args) {
   for (const auto& [flag, variable] :
        {std::pair{"dataset-dir", "SGR_DATASET_DIR"},
         std::pair{"snapshot-cache", "SGR_SNAPSHOT_CACHE"}}) {
-    if (!args.Has(flag)) continue;
-    const std::string dir = args.Get(flag);
-    if (dir.empty()) {
-      throw InputError(std::string("--") + flag +
-                       " needs a directory, got an empty value");
-    }
-    setenv(variable, dir.c_str(), 1);
+    if (args.Has(flag)) setenv(variable, args.GetPathOr(flag, "").c_str(), 1);
   }
   const ScenarioSpec spec = LoadScenarioSpec(source);
 
@@ -368,7 +362,7 @@ int CmdRun(const std::string& source, const Args& args) {
   // Observability knobs: --trace beats $SGR_TRACE (a path), --metrics
   // beats $SGR_METRICS (0|1). Both default to off — the null-sink path.
   const std::string trace_path =
-      args.GetOr("trace", EnvText("SGR_TRACE").value_or(""));
+      args.GetPathOr("trace", EnvText("SGR_TRACE").value_or(""));
   obs::EnableMetrics(
       args.Get("metrics", EnvInput<bool>("SGR_METRICS", false)));
   if (!trace_path.empty()) obs::StartTracing();
@@ -514,8 +508,7 @@ int CmdScenarios(int argc, char** argv) {
 
 /// sgr datasets list
 /// sgr datasets export NAME --out FILE [--scale S]
-/// sgr datasets ingest FILE [--threads N] [--compress auto|on|off]
-///              [--cache DIR]
+/// sgr datasets ingest FILE [--threads N] [--cache DIR]
 int CmdDatasets(int argc, char** argv) {
   const std::string verb = argc > 2 ? argv[2] : "list";
   if (verb == "list") {
@@ -553,21 +546,12 @@ int CmdDatasets(int argc, char** argv) {
   if (verb == "ingest") {
     if (argc < 4) {
       throw std::runtime_error(
-          "usage: sgr datasets ingest <file> [--threads N] "
-          "[--compress auto|on|off] [--cache DIR]");
+          "usage: sgr datasets ingest <file> [--threads N] [--cache DIR]");
     }
-    const Args args(argc, argv, 4, {"threads", "compress", "cache"});
+    const Args args(argc, argv, 4, {"threads", "cache"});
     IngestOptions options;
     options.threads = args.Get<U64>("threads", 1, 0, kMaxThreads);
-    const std::string compress = args.GetOr("compress", "auto");
-    if (compress == "on") {
-      options.compress = IngestOptions::Compress::kOn;
-    } else if (compress == "off") {
-      options.compress = IngestOptions::Compress::kOff;
-    } else if (compress != "auto") {
-      throw std::runtime_error("--compress must be auto|on|off");
-    }
-    options.cache_dir = args.GetOr("cache", "");
+    options.cache_dir = args.GetPathOr("cache", "");
     Timer timer;
     const IngestResult result = IngestEdgeListFile(argv[3], options);
     const double seconds = timer.Seconds();
@@ -586,10 +570,6 @@ int CmdDatasets(int argc, char** argv) {
               << stats.parallel_edges_collapsed << "\n"
               << "nodes " << result.graph.NumNodes() << "\n"
               << "edges " << result.graph.NumEdges() << "\n"
-              << "compressed " << (result.graph.compressed() ? 1 : 0)
-              << "\n"
-              << "neighbor_bytes " << result.graph.NeighborStorageBytes()
-              << "\n"
               << "seconds " << seconds << "\n";
     if (seconds > 0.0 && !result.from_cache) {
       std::cout << "edges_per_second "
@@ -633,9 +613,8 @@ void PrintUsage() {
       "            content-hash-keyed binary CSR cache for ingested\n"
       "            files)\n"
       "  datasets  list | export NAME --out FILE [--scale S] |\n"
-      "            ingest FILE [--threads N] [--compress auto|on|off]\n"
-      "            [--cache DIR]   (out-of-core ingest; prints stats and\n"
-      "            the representation-independent csr_hash)\n"
+      "            ingest FILE [--threads N] [--cache DIR]   (out-of-core\n"
+      "            ingest; prints stats and the csr_hash content hash)\n"
       "  diff      OLD.json NEW.json [--l1-tol X] [--time-tol R]\n"
       "            [--no-timings 1] [--markdown 1]   (exit 1 on\n"
       "            regression)\n"
