@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <numeric>
-#include <queue>
 
 #include "dk/dk_extract.h"
 #include "exp/parallel.h"
@@ -51,40 +50,35 @@ double NetworkClusteringCoefficient(const CsrGraph& g) {
 std::vector<double> EdgewiseSharedPartners(const CsrGraph& g) {
   // The shared-partner count of an edge (u, v) is Σ_{w != u,v} A_uw A_vw,
   // identical for all parallel copies of the edge: compute it once per
-  // distinct connected pair by probing the smaller distinct-neighbor list
-  // against the larger sorted range, then weight the histogram entry by
-  // the pair's multiplicity.
+  // distinct connected pair, at the endpoint u with the larger (degree, id).
+  // u's multiplicities A_uw are stamped into `mark`, the other endpoint's
+  // (shorter or equal) list is scanned against them, and the histogram
+  // entry is weighted by the pair's multiplicity.
+  const auto ranks_above = [&g](NodeId a, NodeId b) {
+    return g.Degree(a) != g.Degree(b) ? g.Degree(a) > g.Degree(b) : a > b;
+  };
   std::vector<std::int64_t> histogram;
+  std::vector<std::int64_t> mark(g.NumNodes(), 0);
   for (NodeId u = 0; u < g.NumNodes(); ++u) {
     const NeighborSpan nbrs = g.neighbors(u);
+    for (NodeId w : nbrs) ++mark[w];
     std::size_t i = 0;
     while (i < nbrs.size()) {
       const NodeId v = nbrs[i];
       std::size_t run = 1;
       while (i + run < nbrs.size() && nbrs[i + run] == v) ++run;
       i += run;
-      if (v <= u) continue;  // handle each pair once; loops never count
-      const NodeId small = g.Degree(u) <= g.Degree(v) ? u : v;
-      const NodeId large = (small == u) ? v : u;
-      const NeighborSpan sn = g.neighbors(small);
-      const NeighborSpan ln = g.neighbors(large);
+      if (!ranks_above(u, v)) continue;  // counted at v; loops never count
       std::int64_t shared = 0;
-      std::size_t a = 0;
-      while (a < sn.size()) {
-        const NodeId w = sn[a];
-        std::size_t mult = 1;
-        while (a + mult < sn.size() && sn[a + mult] == w) ++mult;
-        a += mult;
-        if (w == u || w == v) continue;
-        const auto range = std::equal_range(ln.begin(), ln.end(), w);
-        shared += static_cast<std::int64_t>(mult) *
-                  static_cast<std::int64_t>(range.second - range.first);
+      for (NodeId w : g.neighbors(v)) {
+        if (w != u && w != v) shared += mark[w];
       }
       if (static_cast<std::size_t>(shared) >= histogram.size()) {
         histogram.resize(shared + 1, 0);
       }
       histogram[shared] += static_cast<std::int64_t>(run);
     }
+    for (NodeId w : nbrs) mark[w] = 0;
   }
   std::vector<double> p(histogram.size(), 0.0);
   if (g.NumEdges() > 0) {
@@ -139,73 +133,102 @@ double LargestEigenvalue(const CsrGraph& g, std::size_t max_iterations,
 
 namespace {
 
-/// One Brandes pass from `source` over a connected simple graph: fills
-/// `distance` and accumulates dependencies into `betweenness`, and the
-/// per-distance pair counts into `length_histogram`.
+/// Per-worker scratch of BrandesPass, allocated once for the graph. Every
+/// pass leaves it as it found it (distance -1, sigma and delta 0), resetting
+/// only the nodes it reached.
+struct BrandesScratch {
+  explicit BrandesScratch(const CsrGraph& g)
+      : distance(g.NumNodes(), -1),
+        sigma(g.NumNodes(), 0.0),
+        delta(g.NumNodes(), 0.0),
+        pred(g.TotalDegree()),
+        pred_end(g.NumNodes()) {
+    order.reserve(g.NumNodes());
+  }
+
+  std::vector<int> distance;
+  std::vector<double> sigma;
+  std::vector<double> delta;
+  /// The BFS queue; afterwards the reached nodes in BFS order.
+  std::vector<NodeId> order;
+  /// Shortest-path predecessors of w, in slots laid out like w's CSR row:
+  /// pred[offsets[w] .. pred_end[w]). A parallel edge repeats its entry.
+  std::vector<NodeId> pred;
+  std::vector<std::size_t> pred_end;
+};
+
+/// One Brandes pass from `source`: accumulates dependencies into
+/// `betweenness`, and the per-distance counts of the pairs (source, v) with
+/// v reached into `length_histogram`, `distance_sum` and `eccentricity`.
+/// Nodes outside the source's component contribute nothing.
 void BrandesPass(const CsrGraph& g, NodeId source,
                  std::vector<double>& betweenness,
                  std::vector<std::int64_t>& length_histogram,
                  double& distance_sum, std::size_t& eccentricity,
-                 std::vector<int>& distance, std::vector<double>& sigma,
-                 std::vector<double>& delta, std::vector<NodeId>& order) {
-  const std::size_t n = g.NumNodes();
-  std::fill(distance.begin(), distance.end(), -1);
-  std::fill(sigma.begin(), sigma.end(), 0.0);
-  std::fill(delta.begin(), delta.end(), 0.0);
-  order.clear();
+                 BrandesScratch& scratch) {
+  const std::vector<std::size_t>& offsets = g.raw_offsets();
+  std::vector<int>& distance = scratch.distance;
+  std::vector<double>& sigma = scratch.sigma;
+  std::vector<double>& delta = scratch.delta;
+  std::vector<NodeId>& order = scratch.order;
+  std::vector<NodeId>& pred = scratch.pred;
+  std::vector<std::size_t>& pred_end = scratch.pred_end;
 
+  order.clear();
   distance[source] = 0;
   sigma[source] = 1.0;
-  std::queue<NodeId> frontier;
-  frontier.push(source);
-  while (!frontier.empty()) {
-    const NodeId v = frontier.front();
-    frontier.pop();
-    order.push_back(v);
+  pred_end[source] = offsets[source];
+  order.push_back(source);
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const NodeId v = order[head];
+    const int next = distance[v] + 1;
     for (NodeId w : g.neighbors(v)) {
       if (distance[w] < 0) {
-        distance[w] = distance[v] + 1;
-        frontier.push(w);
+        distance[w] = next;
+        pred_end[w] = offsets[w];
+        order.push_back(w);
       }
-      if (distance[w] == distance[v] + 1) sigma[w] += sigma[v];
+      if (distance[w] == next) {
+        sigma[w] += sigma[v];
+        pred[pred_end[w]++] = v;
+      }
     }
   }
-  eccentricity = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    if (v == source) continue;
-    const auto d = static_cast<std::size_t>(distance[v]);
-    eccentricity = std::max(eccentricity, d);
+  // Distances are integers, so distance_sum stays exact (below 2^53) and
+  // does not depend on the order the reached nodes are visited in.
+  eccentricity = static_cast<std::size_t>(distance[order.back()]);
+  for (std::size_t i = 1; i < order.size(); ++i) {
+    const auto d = static_cast<std::size_t>(distance[order[i]]);
     distance_sum += static_cast<double>(d);
     if (d >= length_histogram.size()) length_histogram.resize(d + 1, 0);
     ++length_histogram[d];
   }
-  // Dependency accumulation in reverse BFS order.
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const NodeId w = *it;
-    for (NodeId v : g.neighbors(w)) {
-      if (distance[v] == distance[w] - 1) {
-        delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w]);
-      }
+  // Dependency accumulation in reverse BFS order, over the predecessor
+  // slots only. delta[w] is final when the walk reaches w, and no later
+  // step reads w's entries again, so they are reset right away.
+  for (std::size_t i = order.size(); i-- > 0;) {
+    const NodeId w = order[i];
+    for (std::size_t j = offsets[w]; j < pred_end[w]; ++j) {
+      const NodeId v = pred[j];
+      delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w]);
     }
     if (w != source) betweenness[w] += delta[w];
+    distance[w] = -1;
+    sigma[w] = 0.0;
+    delta[w] = 0.0;
   }
 }
 
 }  // namespace
 
 std::vector<double> BetweennessCentrality(const CsrGraph& g) {
-  const std::size_t n = g.NumNodes();
-  std::vector<double> betweenness(n, 0.0);
+  std::vector<double> betweenness(g.NumNodes(), 0.0);
   std::vector<std::int64_t> hist;
-  std::vector<int> distance(n);
-  std::vector<double> sigma(n), delta(n);
-  std::vector<NodeId> order;
-  order.reserve(n);
+  BrandesScratch scratch(g);
   double distance_sum = 0.0;
   std::size_t ecc = 0;
-  for (NodeId s = 0; s < n; ++s) {
-    BrandesPass(g, s, betweenness, hist, distance_sum, ecc, distance, sigma,
-                delta, order);
+  for (NodeId s = 0; s < g.NumNodes(); ++s) {
+    BrandesPass(g, s, betweenness, hist, distance_sum, ecc, scratch);
   }
   return betweenness;
 }
@@ -249,14 +272,11 @@ ShortestPathProperties ComputeShortestPathProperties(
   ParallelFor(num_threads, num_threads, [&](std::size_t t) {
     WorkerState& w = workers[t];
     w.betweenness.assign(n, 0.0);
-    std::vector<int> distance(n);
-    std::vector<double> sigma(n), delta(n);
-    std::vector<NodeId> order;
-    order.reserve(n);
+    BrandesScratch scratch(lcc);
     for (std::size_t i = t; i < sources.size(); i += num_threads) {
       std::size_t ecc = 0;
       BrandesPass(lcc, sources[i], w.betweenness, w.hist, w.distance_sum,
-                  ecc, distance, sigma, delta, order);
+                  ecc, scratch);
       w.diameter = std::max(w.diameter, ecc);
     }
   });

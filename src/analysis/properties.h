@@ -114,9 +114,11 @@ struct ShortestPathProperties {
 ShortestPathProperties ComputeShortestPathProperties(
     const CsrGraph& g, const PropertyOptions& options = {});
 
-/// Exact per-node betweenness centrality (Brandes) on a connected simple
-/// graph; ordered-pair convention (each unordered pair contributes twice),
-/// matching the paper's definition. Exposed for cross-validation tests.
+/// Exact per-node betweenness centrality (Brandes) on any graph; ordered-pair
+/// convention (each unordered pair contributes twice), matching the paper's
+/// definition. A pair in different components has no shortest path and
+/// contributes nothing; a parallel edge counts as a distinct path. Exposed
+/// for cross-validation tests.
 std::vector<double> BetweennessCentrality(const CsrGraph& g);
 
 }  // namespace sgr

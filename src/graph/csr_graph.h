@@ -107,7 +107,8 @@ class CsrGraph {
   /// (precomputed at build time).
   bool IsSimple() const { return is_simple_; }
 
-  /// Raw CSR arrays, for binary serialization (graph/snapshot_cache.h).
+  /// Raw CSR arrays, for binary serialization (graph/snapshot_cache.h) and
+  /// for scratch laid out like the rows (the Brandes predecessor slots).
   const std::vector<std::size_t>& raw_offsets() const { return offsets_; }
   const std::vector<NodeId>& raw_neighbors() const { return neighbors_; }
 

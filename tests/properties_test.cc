@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "graph/generators.h"
 
@@ -74,6 +77,75 @@ TEST(PropertiesTest, EspDistributionSumsToOneOnSimpleGraphs) {
   EXPECT_NEAR(std::accumulate(esp.begin(), esp.end(), 0.0), 1.0, 1e-12);
 }
 
+/// P(s) from the dense multiplicity matrix: s = Σ_{w != u,v} A_uw A_vw for
+/// each connected pair u < v, weighted by A_uv.
+std::vector<double> ReferenceEsp(const CsrGraph& g) {
+  const std::size_t n = g.NumNodes();
+  std::vector<std::vector<std::int64_t>> a(n, std::vector<std::int64_t>(n, 0));
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId w : g.neighbors(u)) ++a[u][w];
+  }
+  std::vector<std::int64_t> histogram;
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v = u + 1; v < n; ++v) {
+      if (a[u][v] == 0) continue;
+      std::int64_t shared = 0;
+      for (NodeId w = 0; w < n; ++w) {
+        if (w != u && w != v) shared += a[u][w] * a[v][w];
+      }
+      if (static_cast<std::size_t>(shared) >= histogram.size()) {
+        histogram.resize(shared + 1, 0);
+      }
+      histogram[shared] += a[u][v];
+    }
+  }
+  std::vector<double> p(histogram.size(), 0.0);
+  for (std::size_t s = 0; s < histogram.size(); ++s) {
+    p[s] = static_cast<double>(histogram[s]) /
+           static_cast<double>(g.NumEdges());
+  }
+  return p;
+}
+
+TEST(PropertiesTest, EspMatchesNaiveReferenceOnMultigraphs) {
+  std::vector<Graph> graphs;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    // Random endpoints on few nodes: loops and parallel edges are common.
+    Rng rng(seed);
+    const std::size_t n = 10 + 5 * seed;
+    Graph g(n);
+    for (std::size_t e = 0; e < 4 * n; ++e) {
+      g.AddEdge(static_cast<NodeId>(rng.NextIndex(n)),
+                static_cast<NodeId>(rng.NextIndex(n)));
+    }
+    graphs.push_back(std::move(g));
+  }
+  {
+    // Hub-heavy: a star whose hub (id 0, the largest degree) also joins a
+    // 6-clique of higher ids, so pairs are oriented by degree at the hub
+    // and by id inside the clique, where degrees tie.
+    Graph g(GenerateStar(20));
+    const NodeId first = 20;
+    g.AddNodes(6);
+    for (NodeId u = first; u < first + 6; ++u) {
+      g.AddEdge(0, u);
+      for (NodeId v = u + 1; v < first + 6; ++v) g.AddEdge(u, v);
+    }
+    g.AddEdge(0, first);  // a parallel hub edge
+    g.AddEdge(3, first + 1);
+    graphs.push_back(std::move(g));
+  }
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    const CsrGraph g(graphs[i]);
+    const std::vector<double> fast = EdgewiseSharedPartners(g);
+    const std::vector<double> slow = ReferenceEsp(g);
+    ASSERT_EQ(fast.size(), slow.size()) << "graph " << i;
+    for (std::size_t s = 0; s < fast.size(); ++s) {
+      EXPECT_EQ(fast[s], slow[s]) << "graph " << i << ", s = " << s;
+    }
+  }
+}
+
 TEST(PropertiesTest, LargestEigenvalueOfCompleteGraph) {
   // λ1(K_n) = n - 1.
   EXPECT_NEAR(LargestEigenvalue(CsrGraph(GenerateComplete(8))), 7.0, 1e-6);
@@ -135,6 +207,58 @@ TEST(PropertiesTest, BetweennessSplitShortestPaths) {
   for (NodeId v = 0; v < 4; ++v) EXPECT_DOUBLE_EQ(b[v], 1.0);
 }
 
+/// Brandes with the textbook dependency pass: every adjacency list is
+/// rescanned for the neighbors one level closer to the source. Each
+/// delta[v] receives the same addends in the same order (reverse BFS order
+/// of w) as in the predecessor-slot kernel, so the two agree bit for bit.
+std::vector<double> ReferenceBetweenness(const CsrGraph& g) {
+  const std::size_t n = g.NumNodes();
+  std::vector<double> b(n, 0.0);
+  for (NodeId s = 0; s < n; ++s) {
+    std::vector<int> dist(n, -1);
+    std::vector<double> sigma(n, 0.0);
+    std::vector<NodeId> order = {s};
+    dist[s] = 0;
+    sigma[s] = 1;
+    for (std::size_t head = 0; head < order.size(); ++head) {
+      const NodeId v = order[head];
+      for (NodeId w : g.neighbors(v)) {
+        if (dist[w] < 0) {
+          dist[w] = dist[v] + 1;
+          order.push_back(w);
+        }
+        if (dist[w] == dist[v] + 1) sigma[w] += sigma[v];
+      }
+    }
+    std::vector<double> delta(n, 0.0);
+    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+      const NodeId w = *it;
+      for (NodeId v : g.neighbors(w)) {
+        if (dist[v] == dist[w] - 1) {
+          delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w]);
+        }
+      }
+      if (w != s) b[w] += delta[w];
+    }
+  }
+  return b;
+}
+
+TEST(PropertiesTest, BetweennessOnDisconnectedGraph) {
+  // Two disjoint P4 paths 0-1-2-3 and 4-5-6-7: pairs in different
+  // components have no shortest path, so each path scores as on its own.
+  Graph g(8);
+  for (NodeId base : {NodeId{0}, NodeId{4}}) {
+    g.AddEdge(base, base + 1);
+    g.AddEdge(base + 1, base + 2);
+    g.AddEdge(base + 2, base + 3);
+  }
+  const std::vector<double> b = BetweennessCentrality(CsrGraph(g));
+  ASSERT_EQ(b.size(), 8u);
+  for (NodeId v : {0, 3, 4, 7}) EXPECT_EQ(b[v], 0.0) << "node " << v;
+  for (NodeId v : {1, 2, 5, 6}) EXPECT_EQ(b[v], 4.0) << "node " << v;
+}
+
 TEST(PropertiesTest, BetweennessMatchesBruteForceOnRandomGraph) {
   Rng rng(4);
   const Graph g = GenerateErdosRenyiGnm(30, 60, rng);
@@ -143,41 +267,31 @@ TEST(PropertiesTest, BetweennessMatchesBruteForceOnRandomGraph) {
     return GeneratePowerlawCluster(30, 2, 0.3, rng);  // connected by design
   }());
   const std::vector<double> fast = BetweennessCentrality(lcc);
-  // Brute force via repeated BFS path counting.
-  const std::size_t n = lcc.NumNodes();
-  std::vector<double> slow(n, 0.0);
-  for (NodeId s = 0; s < n; ++s) {
-    // BFS from s computing sigma and distances.
-    std::vector<int> dist(n, -1);
-    std::vector<double> sigma(n, 0.0);
-    std::vector<NodeId> order;
-    dist[s] = 0;
-    sigma[s] = 1;
-    std::vector<NodeId> queue = {s};
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const NodeId v = queue[head];
-      order.push_back(v);
-      for (NodeId w : lcc.neighbors(v)) {
-        if (dist[w] < 0) {
-          dist[w] = dist[v] + 1;
-          queue.push_back(w);
-        }
-        if (dist[w] == dist[v] + 1) sigma[w] += sigma[v];
-      }
-    }
-    std::vector<double> delta(n, 0.0);
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-      const NodeId w = *it;
-      for (NodeId v : lcc.neighbors(w)) {
-        if (dist[v] == dist[w] - 1) {
-          delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w]);
-        }
-      }
-      if (w != s) slow[w] += delta[w];
-    }
+  const std::vector<double> slow = ReferenceBetweenness(lcc);
+  ASSERT_EQ(fast.size(), slow.size());
+  for (NodeId v = 0; v < lcc.NumNodes(); ++v) {
+    EXPECT_EQ(fast[v], slow[v]) << "node " << v;
   }
-  for (NodeId v = 0; v < n; ++v) {
-    EXPECT_NEAR(fast[v], slow[v], 1e-9) << "node " << v;
+}
+
+TEST(PropertiesTest, BetweennessMatchesBruteForceOnMultigraph) {
+  // Parallel edges multiply path counts and a loop adds none; both must
+  // reach the dependency pass exactly as in the reference.
+  Rng rng(9);
+  Graph g = GeneratePowerlawCluster(40, 2, 0.3, rng);
+  for (int i = 0; i < 12; ++i) {
+    const auto u = static_cast<NodeId>(rng.NextIndex(g.NumNodes()));
+    const NodeId v = g.adjacency(u)[rng.NextIndex(g.Degree(u))];
+    g.AddEdge(u, v);
+  }
+  g.AddEdge(7, 7);
+  const CsrGraph csr(g);
+  ASSERT_FALSE(csr.IsSimple());
+  const std::vector<double> fast = BetweennessCentrality(csr);
+  const std::vector<double> slow = ReferenceBetweenness(csr);
+  ASSERT_EQ(fast.size(), slow.size());
+  for (NodeId v = 0; v < csr.NumNodes(); ++v) {
+    EXPECT_EQ(fast[v], slow[v]) << "node " << v;
   }
 }
 
