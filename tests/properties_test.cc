@@ -262,7 +262,7 @@ TEST(PropertiesTest, BetweennessOnDisconnectedGraph) {
 TEST(PropertiesTest, BetweennessMatchesBruteForceOnRandomGraph) {
   Rng rng(4);
   const Graph g = GenerateErdosRenyiGnm(30, 60, rng);
-  // Use only the LCC (brute force below assumes connectivity).
+  // A connected graph by design.
   const CsrGraph lcc([&] {
     return GeneratePowerlawCluster(30, 2, 0.3, rng);  // connected by design
   }());
