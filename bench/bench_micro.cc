@@ -122,7 +122,7 @@ BENCHMARK(BM_AssembleGraph)->Arg(2000)->Arg(8000);
 
 void BM_TriangleTrackerChurn(benchmark::State& state) {
   const Graph& g = SharedGraph(2000);
-  TriangleTracker tracker(g, ExtractDegreeDependentClustering(g));
+  TriangleTracker tracker(g, ExtractDegreeDependentClustering(CsrGraph(g)));
   Rng rng(8);
   for (auto _ : state) {
     const NodeId u = static_cast<NodeId>(rng.NextIndex(g.NumNodes()));
@@ -137,7 +137,8 @@ BENCHMARK(BM_TriangleTrackerChurn);
 
 void BM_RewiringAttempts(benchmark::State& state) {
   const Graph& g = SharedGraph(2000);
-  const std::vector<double> target = ExtractDegreeDependentClustering(g);
+  const std::vector<double> target =
+      ExtractDegreeDependentClustering(CsrGraph(g));
   Rng rng(9);
   for (auto _ : state) {
     state.PauseTiming();
@@ -156,7 +157,7 @@ BENCHMARK(BM_RewiringAttempts);
 void BM_TriangleCount(benchmark::State& state) {
   const Graph& g = SharedGraph(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(CountTrianglesPerNode(g));
+    benchmark::DoNotOptimize(CountTrianglesPerNode(CsrGraph(g)));
   }
 }
 BENCHMARK(BM_TriangleCount)->Arg(2000)->Arg(8000);

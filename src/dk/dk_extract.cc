@@ -5,20 +5,10 @@
 
 namespace sgr {
 
-DegreeVector ExtractDegreeVector(const Graph& g) {
-  DegreeVector dv(g.MaxDegree() + 1, 0);
-  for (NodeId v = 0; v < g.NumNodes(); ++v) ++dv[g.Degree(v)];
-  return dv;
-}
-
 DegreeVector ExtractDegreeVector(const CsrGraph& g) {
   DegreeVector dv(g.MaxDegree() + 1, 0);
   for (NodeId v = 0; v < g.NumNodes(); ++v) ++dv[g.Degree(v)];
   return dv;
-}
-
-JointDegreeMatrix ExtractJointDegreeMatrix(const Graph& g) {
-  return ExtractJointDegreeMatrix(CsrGraph(g));
 }
 
 JointDegreeMatrix ExtractJointDegreeMatrix(const CsrGraph& g) {
@@ -40,10 +30,6 @@ JointDegreeMatrix ExtractJointDegreeMatrix(const CsrGraph& g) {
     }
   }
   return jdm;
-}
-
-std::vector<std::int64_t> CountTrianglesPerNode(const Graph& g) {
-  return CountTrianglesPerNode(CsrGraph(g));
 }
 
 std::vector<std::int64_t> CountTrianglesPerNode(const CsrGraph& g) {
@@ -108,10 +94,6 @@ std::vector<std::int64_t> CountTrianglesPerNode(const CsrGraph& g) {
     }
   }
   return t;
-}
-
-std::vector<double> ExtractDegreeDependentClustering(const Graph& g) {
-  return ExtractDegreeDependentClustering(CsrGraph(g));
 }
 
 std::vector<double> ExtractDegreeDependentClustering(const CsrGraph& g) {

@@ -6,24 +6,19 @@
 #include "dk/degree_vector.h"
 #include "dk/joint_degree_matrix.h"
 #include "graph/csr_graph.h"
-#include "graph/graph.h"
 
 namespace sgr {
 
 /// Extraction of dK-series statistics from a complete graph (Section III-C).
 /// These are ground-truth counterparts of the re-weighted estimates, used by
 /// the analysis module, the test suite, and the dK generation toolkit.
-/// The CsrGraph overloads are the hot paths; the Graph overloads snapshot
-/// and delegate, so both stay exactly equivalent.
 
 /// Degree vector {n(k)}: ExtractDegreeVector(g)[k] counts nodes of degree k.
-DegreeVector ExtractDegreeVector(const Graph& g);
 DegreeVector ExtractDegreeVector(const CsrGraph& g);
 
 /// Joint degree matrix {m(k,k')}: number of edges between degree classes.
 /// A self-loop at a degree-k node contributes 1 to m(k,k) (it is one edge
 /// whose both endpoints have degree k).
-JointDegreeMatrix ExtractJointDegreeMatrix(const Graph& g);
 JointDegreeMatrix ExtractJointDegreeMatrix(const CsrGraph& g);
 
 /// Per-node triangle counts t_i = Σ_{j<l} A_ij A_il A_jl (multiplicity
@@ -33,7 +28,6 @@ JointDegreeMatrix ExtractJointDegreeMatrix(const CsrGraph& g);
 /// from run-length scanning the sorted ranges, and every triangle is found
 /// exactly once at its lowest-ranked oriented edge. O(m^{3/2}) in the
 /// number of distinct edges.
-std::vector<std::int64_t> CountTrianglesPerNode(const Graph& g);
 std::vector<std::int64_t> CountTrianglesPerNode(const CsrGraph& g);
 
 /// Degree-dependent clustering coefficient {c̄(k)}: c̄(k) is the mean of
@@ -42,7 +36,6 @@ std::vector<std::int64_t> CountTrianglesPerNode(const CsrGraph& g);
 /// CountTrianglesPerNode result the caller already has (the property
 /// analyzer computes several clustering statistics from one triangle
 /// pass).
-std::vector<double> ExtractDegreeDependentClustering(const Graph& g);
 std::vector<double> ExtractDegreeDependentClustering(const CsrGraph& g);
 std::vector<double> ExtractDegreeDependentClustering(
     const CsrGraph& g, const std::vector<std::int64_t>& triangles);

@@ -12,7 +12,7 @@ namespace sgr {
 TriangleTracker::TriangleTracker(const Graph& g,
                                  std::vector<double> target_clustering)
     : adj_(g.NumNodes()),
-      t_(CountTrianglesPerNode(g)),
+      t_(CountTrianglesPerNode(CsrGraph(g))),
       degree_(g.NumNodes(), 0),
       target_(std::move(target_clustering)) {
   std::uint32_t k_max = 0;

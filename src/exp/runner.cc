@@ -159,47 +159,31 @@ std::vector<MethodRunResult> RunExperimentImpl(
   const std::size_t walk_cap =
       config.noise.Active() ? 200 * budget + 10000 : 0;
 
-  if (Wants(config, MethodKind::kBfs)) {
+  // BFS, snowball and forest fire: each crawls through a fresh oracle and
+  // is evaluated on its sampled subgraph G'.
+  const auto subgraph_method = [&](MethodKind kind, auto&& sampler) {
+    if (!Wants(config, kind)) return;
     PerturbedOracle oracle(original, config.noise, noise_seed);
     obs::Span crawl_span("crawl");
-    const SamplingList sample = BfsSample(oracle, seed_node, budget);
+    const SamplingList sample = sampler(oracle);
     crawl_span.End();
     obs::MetricAdd("oracle.queries", oracle.unique_queries());
     if (config.noise.Active()) RecordNoiseMetrics(oracle);
-    const std::size_t steps = sample.Length();
-    results.push_back(Evaluate(
-        MethodKind::kBfs, RestoreBySubgraphSampling(sample),
-        original_properties, config.property_options, steps,
-        oracle.unique_queries(), keep_graphs));
-  }
-  if (Wants(config, MethodKind::kSnowball)) {
-    PerturbedOracle oracle(original, config.noise, noise_seed);
-    obs::Span crawl_span("crawl");
-    const SamplingList sample = SnowballSample(oracle, seed_node, budget,
-                                               config.snowball_k, rng);
-    crawl_span.End();
-    obs::MetricAdd("oracle.queries", oracle.unique_queries());
-    if (config.noise.Active()) RecordNoiseMetrics(oracle);
-    const std::size_t steps = sample.Length();
-    results.push_back(Evaluate(
-        MethodKind::kSnowball, RestoreBySubgraphSampling(sample),
-        original_properties, config.property_options, steps,
-        oracle.unique_queries(), keep_graphs));
-  }
-  if (Wants(config, MethodKind::kForestFire)) {
-    PerturbedOracle oracle(original, config.noise, noise_seed);
-    obs::Span crawl_span("crawl");
-    const SamplingList sample = ForestFireSample(
-        oracle, seed_node, budget, config.forest_fire_pf, rng);
-    crawl_span.End();
-    obs::MetricAdd("oracle.queries", oracle.unique_queries());
-    if (config.noise.Active()) RecordNoiseMetrics(oracle);
-    const std::size_t steps = sample.Length();
-    results.push_back(Evaluate(
-        MethodKind::kForestFire, RestoreBySubgraphSampling(sample),
-        original_properties, config.property_options, steps,
-        oracle.unique_queries(), keep_graphs));
-  }
+    results.push_back(Evaluate(kind, RestoreBySubgraphSampling(sample),
+                               original_properties, config.property_options,
+                               sample.Length(), oracle.unique_queries(),
+                               keep_graphs));
+  };
+  subgraph_method(MethodKind::kBfs, [&](PerturbedOracle& oracle) {
+    return BfsSample(oracle, seed_node, budget);
+  });
+  subgraph_method(MethodKind::kSnowball, [&](PerturbedOracle& oracle) {
+    return SnowballSample(oracle, seed_node, budget, config.snowball_k, rng);
+  });
+  subgraph_method(MethodKind::kForestFire, [&](PerturbedOracle& oracle) {
+    return ForestFireSample(oracle, seed_node, budget, config.forest_fire_pf,
+                            rng);
+  });
 
   const bool wants_generative = Wants(config, MethodKind::kGjoka) ||
                                 Wants(config, MethodKind::kProposed);

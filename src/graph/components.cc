@@ -4,13 +4,9 @@
 
 namespace sgr {
 
-namespace {
-
-/// BFS from every unvisited node in ascending order; `neighbors(v)` returns
-/// v's neighbor list.
-template <typename Neighbors>
-ComponentsResult BfsComponents(std::size_t n, Neighbors&& neighbors) {
+ComponentsResult ConnectedComponents(const CsrGraph& g) {
   constexpr std::size_t kUnvisited = static_cast<std::size_t>(-1);
+  const std::size_t n = g.NumNodes();
   ComponentsResult result;
   result.component_of.assign(n, kUnvisited);
   std::vector<NodeId> queue;
@@ -24,7 +20,7 @@ ComponentsResult BfsComponents(std::size_t n, Neighbors&& neighbors) {
     result.component_of[start] = comp;
     for (std::size_t head = 0; head < queue.size(); ++head) {
       ++result.sizes[comp];
-      for (NodeId w : neighbors(queue[head])) {
+      for (NodeId w : g.neighbors(queue[head])) {
         if (result.component_of[w] == kUnvisited) {
           result.component_of[w] = comp;
           queue.push_back(w);
@@ -40,25 +36,11 @@ ComponentsResult BfsComponents(std::size_t n, Neighbors&& neighbors) {
   return result;
 }
 
-}  // namespace
-
-ComponentsResult ConnectedComponents(const Graph& g) {
-  return BfsComponents(g.NumNodes(),
-                       [&](NodeId v) -> const std::vector<NodeId>& {
-                         return g.adjacency(v);
-                       });
-}
-
-ComponentsResult ConnectedComponents(const CsrGraph& g) {
-  return BfsComponents(g.NumNodes(),
-                       [&](NodeId v) { return g.neighbors(v); });
-}
-
-std::size_t CountComponents(const Graph& g) {
+std::size_t CountComponents(const CsrGraph& g) {
   return ConnectedComponents(g).sizes.size();
 }
 
-bool IsConnected(const Graph& g) {
+bool IsConnected(const CsrGraph& g) {
   return g.NumNodes() > 0 && CountComponents(g) == 1;
 }
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "graph/csr_graph.h"
-#include "graph/graph.h"
 
 namespace sgr {
 
@@ -19,17 +18,16 @@ struct ComponentsResult {
   std::size_t largest = 0;
 };
 
-/// Computes connected components via BFS over the (multi)graph. Components
-/// are numbered in order of their smallest node, so both overloads give
-/// the same result for a graph and its snapshot.
-ComponentsResult ConnectedComponents(const Graph& g);
+/// Computes connected components via BFS over the (multi)graph, starting
+/// from every unvisited node in ascending order. Components are numbered
+/// in order of their smallest node.
 ComponentsResult ConnectedComponents(const CsrGraph& g);
 
 /// Number of connected components.
-std::size_t CountComponents(const Graph& g);
+std::size_t CountComponents(const CsrGraph& g);
 
 /// True if the graph is connected (and non-empty).
-bool IsConnected(const Graph& g);
+bool IsConnected(const CsrGraph& g);
 
 /// Applies the paper's dataset preprocessing (Section V-A) to a CSR
 /// snapshot that may hold loops and parallel edges: drops loops,

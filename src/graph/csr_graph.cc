@@ -11,15 +11,33 @@ CsrGraph::CsrGraph(const Graph& g) {
   for (NodeId v = 0; v < n; ++v) {
     offsets_[v + 1] = offsets_[v] + g.Degree(v);
   }
+  // Counting sort of the edges by their smaller endpoint a, keeping the
+  // larger endpoint b.
+  std::vector<std::size_t> first(n + 1, 0);
+  for (const Edge& e : g.edges()) ++first[std::min(e.u, e.v) + 1];
+  for (NodeId v = 0; v < n; ++v) first[v + 1] += first[v];
+  std::vector<NodeId> larger(g.NumEdges());
+  std::vector<std::size_t> cursor(first.begin(), first.end() - 1);
+  for (const Edge& e : g.edges()) {
+    larger[cursor[std::min(e.u, e.v)]++] = std::max(e.u, e.v);
+  }
+  // A row is its smaller neighbors, then its loops (two entries each),
+  // then its larger neighbors, each part ascending. Visiting a ascending
+  // appends a to the rows of its larger neighbors and fills each row up
+  // to its loops; then visiting b ascending appends b to the rows of the
+  // smaller neighbors row b already holds.
   neighbors_.resize(offsets_[n]);
-  // Counting-sort pass: visiting sources u in ascending order and appending
-  // u to each neighbor's range yields every range sorted, in O(n + m).
-  // A loop (u, u) appears twice in adjacency(u), so u is appended to its
-  // own range twice — exactly the doubled-entry convention.
-  std::vector<std::size_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId w : g.adjacency(u)) {
-      neighbors_[cursor[w]++] = u;
+  std::copy(offsets_.begin(), offsets_.end() - 1, cursor.begin());
+  for (NodeId a = 0; a < n; ++a) {
+    for (std::size_t i = first[a]; i < first[a + 1]; ++i) {
+      neighbors_[cursor[larger[i]]++] = a;
+      if (larger[i] == a) neighbors_[cursor[a]++] = a;
+    }
+  }
+  for (NodeId b = 0; b < n; ++b) {
+    for (std::size_t i = offsets_[b]; i < cursor[b]; ++i) {
+      const NodeId a = neighbors_[i];
+      if (a < b) neighbors_[cursor[a]++] = b;
     }
   }
   FinalizeFromSortedArrays();

@@ -32,20 +32,20 @@ class NeighborSpan {
 
 /// Immutable compressed-sparse-row snapshot of a Graph.
 ///
-/// Graph stores one std::vector per node — ideal for the mutating phases
-/// (assembly, rewiring) but cache-hostile for the read-only hot paths:
-/// property analyzers, triangle counting, BFS/Brandes sweeps, and the
-/// Monte Carlo restoration trials that crawl the same original graph
-/// thousands of times. CsrGraph packs the same multigraph into two flat
-/// arrays (offsets + neighbors, the classic CSR layout), with neighbor
-/// lists sorted ascending so that edge-multiplicity queries are binary
-/// searches and triangle counting is a linear merge.
+/// CsrGraph is the one read substrate: Graph holds only an edge array and
+/// degrees, so every neighbor read (property analyzers, triangle counting,
+/// BFS/Brandes sweeps, and the Monte Carlo restoration trials that crawl
+/// the same original graph thousands of times) goes through a snapshot.
+/// It packs the multigraph into two flat arrays (offsets + neighbors, the
+/// classic CSR layout), with neighbor lists sorted ascending so that
+/// edge-multiplicity queries are binary searches and triangle counting is
+/// a linear merge.
 ///
 /// The snapshot is deliberately immutable: it can be shared by any number
 /// of reader threads without synchronization, which is what the parallel
 /// trial runner (exp/parallel.h) relies on.
 ///
-/// Conventions match Graph exactly (Section III-A of the paper):
+/// Conventions (Section III-A of the paper):
 ///   * one neighbor entry per incident edge endpoint,
 ///   * a self-loop at v contributes two entries equal to v,
 ///   * Degree(v) counts a loop twice, NumEdges() counts it once,
@@ -54,8 +54,9 @@ class CsrGraph {
  public:
   CsrGraph() = default;
 
-  /// Builds the snapshot from `g` in O(n + m). Neighbor lists come out
-  /// sorted ascending via a counting-sort pass (no comparison sort).
+  /// Builds the snapshot from `g`'s edge array in O(n + m). Neighbor lists
+  /// come out sorted ascending via a counting sort of the edges (no
+  /// comparison sort); the scratch is one NodeId per edge.
   explicit CsrGraph(const Graph& g);
 
   /// Builds from raw CSR arrays: `offsets` has NumNodes()+1 entries and

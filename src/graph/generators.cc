@@ -39,16 +39,22 @@ Graph GrowPreferential(std::size_t num_nodes, std::size_t edges_per_node,
   Graph g(num_nodes);
   std::vector<NodeId> repeated_nodes;
   repeated_nodes.reserve(2 * num_nodes * edges_per_node);
+  // Neighbor lists for the triad step's draws. Insertion order keeps the
+  // draws, and so every generated graph, fixed.
+  std::vector<std::vector<NodeId>> adjacency(num_nodes);
+  const auto link = [&](NodeId u, NodeId v) {
+    g.AddEdge(u, v);
+    adjacency[u].push_back(v);
+    adjacency[v].push_back(u);
+    repeated_nodes.push_back(u);
+    repeated_nodes.push_back(v);
+  };
 
   // Seed: a clique on the first (edges_per_node + 1) nodes guarantees every
   // new node can find `edges_per_node` distinct targets.
   const std::size_t seed_size = edges_per_node + 1;
   for (NodeId u = 0; u < seed_size; ++u) {
-    for (NodeId v = u + 1; v < seed_size; ++v) {
-      g.AddEdge(u, v);
-      repeated_nodes.push_back(u);
-      repeated_nodes.push_back(v);
-    }
+    for (NodeId v = u + 1; v < seed_size; ++v) link(u, v);
   }
 
   for (NodeId source = static_cast<NodeId>(seed_size); source < num_nodes;
@@ -58,22 +64,18 @@ Graph GrowPreferential(std::size_t num_nodes, std::size_t edges_per_node,
       NodeId target = repeated_nodes[rng.NextIndex(repeated_nodes.size())];
       if (target == source || targets.count(target) > 0) continue;
       targets.insert(target);
-      g.AddEdge(source, target);
-      repeated_nodes.push_back(source);
-      repeated_nodes.push_back(target);
+      link(source, target);
 
       // Holme–Kim triad closure: with probability `triad_probability`, also
       // link `source` to a random neighbor of `target` (skipping choices
       // that would create loops or parallel edges).
       if (triad_probability > 0.0 && rng.NextBernoulli(triad_probability) &&
           targets.size() < edges_per_node) {
-        const auto& nbrs = g.adjacency(target);
+        const std::vector<NodeId>& nbrs = adjacency[target];
         NodeId candidate = nbrs[rng.NextIndex(nbrs.size())];
         if (candidate != source && targets.count(candidate) == 0) {
           targets.insert(candidate);
-          g.AddEdge(source, candidate);
-          repeated_nodes.push_back(source);
-          repeated_nodes.push_back(candidate);
+          link(source, candidate);
         }
       }
     }
@@ -173,6 +175,7 @@ Graph GenerateCommunityGraph(std::size_t num_nodes,
   const std::size_t base = num_nodes / num_communities;
   assert(base > edges_per_node);
   Graph g;
+  std::set<std::pair<NodeId, NodeId>> present;
   std::vector<std::pair<NodeId, NodeId>> community_ranges;
   for (std::size_t c = 0; c < num_communities; ++c) {
     const std::size_t size =
@@ -183,7 +186,10 @@ Graph GenerateCommunityGraph(std::size_t num_nodes,
     const NodeId offset = static_cast<NodeId>(g.NumNodes());
     g.AddNodes(size);
     for (const Edge& e : community.edges()) {
-      g.AddEdge(offset + e.u, offset + e.v);
+      const NodeId u = offset + e.u;
+      const NodeId v = offset + e.v;
+      g.AddEdge(u, v);
+      present.insert({std::min(u, v), std::max(u, v)});
     }
     community_ranges.push_back(
         {offset, static_cast<NodeId>(offset + size - 1)});
@@ -198,7 +204,9 @@ Graph GenerateCommunityGraph(std::size_t num_nodes,
     const auto [lo2, hi2] = community_ranges[c2];
     NodeId u = static_cast<NodeId>(lo1 + rng.NextIndex(hi1 - lo1 + 1));
     NodeId v = static_cast<NodeId>(lo2 + rng.NextIndex(hi2 - lo2 + 1));
-    if (u != v && !g.HasEdge(u, v)) g.AddEdge(u, v);
+    if (u != v && present.insert({std::min(u, v), std::max(u, v)}).second) {
+      g.AddEdge(u, v);
+    }
   }
   return g;
 }

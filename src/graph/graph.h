@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace sgr {
@@ -21,27 +20,26 @@ struct Edge {
   NodeId v;
 };
 
-/// Undirected multigraph with self-loops.
+/// Undirected multigraph with self-loops, held as a write-only edge list.
 ///
-/// This is the substrate shared by every component of the library: the
-/// original social graph, the subgraph sampled by a random walk, and the
-/// graphs produced by the restoration methods. Following the paper's
-/// conventions (Section III-A):
+/// Graph is the write substrate: the generators, the sampled subgraph,
+/// the 2K assembly (Algorithm 5) and the rewiring phase (Algorithm 6)
+/// append and swap edges here, and every neighbor read goes through a
+/// CsrGraph snapshot. Following the paper's conventions
+/// (Section III-A):
 ///   * multiple edges and self-loops are allowed,
 ///   * the degree of a node counts a self-loop twice (A_ii equals twice the
-///     number of loops),
-///   * adjacency lists store one entry per incident edge endpoint, so
-///     `adjacency(v).size() == Degree(v)` and a loop at v appears twice in
-///     `adjacency(v)`.
+///     number of loops).
 ///
-/// The class supports in-place edge replacement (`ReplaceEdge`), which is the
-/// primitive the 2K-preserving rewiring phase (Algorithm 6) builds on.
+/// The class keeps the EdgeId-indexed edge array and one degree count per
+/// node, so `AddEdge` and `ReplaceEdge` are O(1). `ReplaceEdge` is the
+/// primitive the 2K-preserving rewiring phase builds on.
 class Graph {
  public:
   Graph() = default;
 
   /// Creates a graph with `num_nodes` isolated nodes.
-  explicit Graph(std::size_t num_nodes) : adjacency_(num_nodes) {}
+  explicit Graph(std::size_t num_nodes) : degree_(num_nodes, 0) {}
 
   /// Adds one isolated node and returns its id.
   NodeId AddNode();
@@ -53,20 +51,20 @@ class Graph {
   /// Returns the id of the new edge. Endpoints must be existing nodes.
   EdgeId AddEdge(NodeId u, NodeId v);
 
-  /// Replaces the endpoints of edge `e` with (`new_u`, `new_v`), updating
-  /// adjacency lists. Degrees of the four affected endpoints change
-  /// accordingly; callers that must preserve degrees (rewiring) are
-  /// responsible for choosing degree-matched replacements.
+  /// Replaces the endpoints of edge `e` with (`new_u`, `new_v`). Degrees of
+  /// the four affected endpoints change accordingly; callers that must
+  /// preserve degrees (rewiring) are responsible for choosing
+  /// degree-matched replacements.
   void ReplaceEdge(EdgeId e, NodeId new_u, NodeId new_v);
 
   /// Number of nodes.
-  std::size_t NumNodes() const { return adjacency_.size(); }
+  std::size_t NumNodes() const { return degree_.size(); }
 
   /// Number of edges (loops count once, parallel edges count separately).
   std::size_t NumEdges() const { return edges_.size(); }
 
   /// Degree of `v`; a self-loop contributes 2.
-  std::size_t Degree(NodeId v) const { return adjacency_[v].size(); }
+  std::size_t Degree(NodeId v) const { return degree_[v]; }
 
   /// Maximum degree over all nodes (0 for an empty graph).
   std::size_t MaxDegree() const;
@@ -74,11 +72,8 @@ class Graph {
   /// Average degree 2m / n (Eq. (1) of the paper). 0 for an empty graph.
   double AverageDegree() const;
 
-  /// Neighbors of `v`, one entry per incident edge endpoint. A loop at `v`
-  /// contributes two entries equal to `v`. Order is unspecified.
-  const std::vector<NodeId>& adjacency(NodeId v) const {
-    return adjacency_[v];
-  }
+  /// Total degree (2m, counting loops twice).
+  std::size_t TotalDegree() const { return 2 * edges_.size(); }
 
   /// All edges, indexed by EdgeId.
   const std::vector<Edge>& edges() const { return edges_; }
@@ -86,25 +81,8 @@ class Graph {
   /// Edge with id `e`.
   const Edge& edge(EdgeId e) const { return edges_[e]; }
 
-  /// Number of edges between `u` and `v` (A_uv; for u == v this is twice the
-  /// number of loops, matching the adjacency-matrix convention). Scans the
-  /// smaller adjacency list: O(min(deg u, deg v)).
-  std::size_t CountEdges(NodeId u, NodeId v) const;
-
-  /// True if at least one edge joins `u` and `v`.
-  bool HasEdge(NodeId u, NodeId v) const { return CountEdges(u, v) > 0; }
-
-  /// True if the graph has no multi-edges and no self-loops.
-  bool IsSimple() const;
-
-  /// Total degree (2m, counting loops twice). Useful for invariant checks.
-  std::size_t TotalDegree() const;
-
  private:
-  void Attach(NodeId u, NodeId v);
-  void Detach(NodeId u, NodeId v);
-
-  std::vector<std::vector<NodeId>> adjacency_;
+  std::vector<std::size_t> degree_;
   std::vector<Edge> edges_;
 };
 

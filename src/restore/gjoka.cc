@@ -39,14 +39,11 @@ RestorationResult RestoreGjoka(const SamplingList& list,
   result.graph = Construct2kGraph(targets.n_star, m_star, rng);
   assemble_span.End();
 
-  RewireOptions rewire_options = options.rewire;
-  rewire_options.track_properties = options.track_properties;
-  rewire_options.stop_epsilon = options.stop_epsilon;
   obs::Span rewire_span("rewire");
   total.LapSeconds();  // open the rewiring lap
   result.rewire_stats = RewireToClustering(
       result.graph, /*num_protected_edges=*/0, result.estimates.clustering,
-      rewire_options, rng);
+      options.rewire, rng);
   result.rewiring_seconds = total.LapSeconds();
   rewire_span.End();
 

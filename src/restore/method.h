@@ -14,7 +14,9 @@ namespace sgr {
 /// Options shared by the generative restoration methods (proposed and
 /// Gjoka et al.).
 struct RestorationOptions {
-  /// Rewiring-phase options (RC = 500 reproduces the paper's setting).
+  /// Rewiring-phase options (RC = 500 reproduces the paper's setting; the
+  /// convergence curve and adaptive stop are `rewire.track_properties` and
+  /// `rewire.stop_epsilon`).
   RewireOptions rewire;
 
   /// Estimator options (collision-lag fraction, joint-estimator mode,
@@ -37,17 +39,6 @@ struct RestorationOptions {
   /// sampled subgraph. Off by default: the paper's generated graphs keep
   /// them (Section III-A allows both).
   bool simplify_output = false;
-
-  /// When true, the rewiring phase samples a convergence curve
-  /// (RewireStats::curve) from its own triangle tracker and graph.
-  /// Observation only — results are byte-identical with tracking on or
-  /// off (see restore/rewirer.h).
-  bool track_properties = false;
-
-  /// Adaptive rewiring stop (requires `track_properties`): halt the
-  /// rewiring phase once the tracked L1 clustering distance is within
-  /// this epsilon of the target. 0 disables the stop.
-  double stop_epsilon = 0.0;
 };
 
 /// Result of applying a restoration method to a sample.

@@ -52,14 +52,11 @@ RestorationResult RestoreProposed(const SamplingList& list,
   // ablation).
   const std::size_t protected_edges =
       options.protect_subgraph ? sub.graph.NumEdges() : 0;
-  RewireOptions rewire_options = options.rewire;
-  rewire_options.track_properties = options.track_properties;
-  rewire_options.stop_epsilon = options.stop_epsilon;
   obs::Span rewire_span("rewire");
   total.LapSeconds();  // open the rewiring lap
   result.rewire_stats =
       RewireToClustering(result.graph, protected_edges,
-                         result.estimates.clustering, rewire_options, rng);
+                         result.estimates.clustering, options.rewire, rng);
   result.rewiring_seconds = total.LapSeconds();
   rewire_span.End();
 

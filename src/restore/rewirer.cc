@@ -86,6 +86,20 @@ std::size_t TotalAttempts(const RewireOptions& options,
   return static_cast<std::size_t>(std::llround(attempts));
 }
 
+/// Throws unless `stop_epsilon` is 0, or positive with tracking on. The
+/// adaptive stop reads the tracked distance, so a negative or NaN value,
+/// or one set without tracking, would be silently ignored.
+void CheckStopEpsilon(const RewireOptions& options) {
+  const double epsilon = options.stop_epsilon;
+  if (epsilon == 0.0 || (epsilon > 0.0 && options.track_properties)) return;
+  std::ostringstream message;
+  message << "rewiring: stop_epsilon must be >= 0 and needs "
+             "track_properties (stop_epsilon = "
+          << epsilon << ", track_properties = "
+          << (options.track_properties ? "true" : "false") << ")";
+  throw std::invalid_argument(message.str());
+}
+
 /// Attempt count at which convergence sample `index` (0-based) is due:
 /// the samples split the attempt budget into kConvergenceSamples even
 /// slices, the last one landing exactly on `total`.
@@ -105,7 +119,7 @@ ConvergenceSample Sample(const Graph& g, const TriangleTracker& tracker,
   sample.objective = objective;
   sample.clustering_global =
       NetworkClusteringFromTriangles(g, tracker.triangle_counts());
-  const ComponentsResult components = ConnectedComponents(g);
+  const ComponentsResult components = ConnectedComponents(CsrGraph(g));
   sample.components = components.sizes.size();
   sample.lcc =
       components.sizes.empty() ? 0 : components.sizes[components.largest];
@@ -148,6 +162,7 @@ void RecordRewireMetrics(const RewireStats& stats) {
 RewireStats RewireToClustering(Graph& g, std::size_t num_protected_edges,
                                const std::vector<double>& target_clustering,
                                const RewireOptions& options, Rng& rng) {
+  CheckStopEpsilon(options);
   RewireStats stats;
   // Guard the underflow of |E~| - |E'| when callers protect more edges
   // than exist: nothing is rewirable, so the phase is a no-op.

@@ -30,7 +30,7 @@ struct RewireOptions {
   /// distance to the target clustering is <= stop_epsilon
   /// (RewireStats::stopped_early records that it fired, and
   /// RewireStats::attempts then reports the attempts actually made).
-  /// 0 disables the stop.
+  /// 0 disables the stop; a nonzero value requires `track_properties`.
   double stop_epsilon = 0.0;
 };
 
@@ -83,7 +83,9 @@ struct RewireStats {
 /// swaps preserve the degree vector and joint degree matrix exactly.
 ///
 /// Throws std::invalid_argument when R = RC * |E~rew| is not below 2^63
-/// (no attempt count that large could ever finish).
+/// (no attempt count that large could ever finish), and when
+/// `options.stop_epsilon` is negative or NaN, or nonzero without
+/// `options.track_properties`.
 RewireStats RewireToClustering(Graph& g, std::size_t num_protected_edges,
                                const std::vector<double>& target_clustering,
                                const RewireOptions& options, Rng& rng);

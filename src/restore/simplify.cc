@@ -14,19 +14,45 @@ namespace {
 /// Sentinel key for self-loops in the offense census (sorts last).
 constexpr std::uint64_t kLoopKey = ~std::uint64_t{0};
 
+/// Key of the node pair {u, v}: kLoopKey for a loop, else (lo << 32) | hi.
+std::uint64_t PairKey(NodeId u, NodeId v) {
+  if (u == v) return kLoopKey;
+  const auto [lo, hi] = std::minmax(u, v);
+  return (static_cast<std::uint64_t>(lo) << 32) | hi;
+}
+
+/// Edge multiplicity of every node pair (all loops share kLoopKey),
+/// kept current alongside the pass's ReplaceEdge calls.
+class PairCounts {
+ public:
+  explicit PairCounts(const Graph& g) {
+    for (const Edge& e : g.edges()) ++counts_[PairKey(e.u, e.v)];
+  }
+
+  /// A_uv for u != v.
+  std::size_t Count(NodeId u, NodeId v) const {
+    const auto it = counts_.find(PairKey(u, v));
+    return it == counts_.end() ? 0 : it->second;
+  }
+
+  /// g.ReplaceEdge(e, u, v), with the counts following.
+  void Replace(Graph& g, EdgeId e, NodeId u, NodeId v) {
+    --counts_[PairKey(g.edge(e).u, g.edge(e).v)];
+    g.ReplaceEdge(e, u, v);
+    ++counts_[PairKey(u, v)];
+  }
+
+ private:
+  std::unordered_map<std::uint64_t, std::size_t> counts_;
+};
+
 /// Exact offense census: loops, plus parallel surplus (bundle size - 1
 /// per distinct node pair), counted over the sorted edge keys.
 std::size_t CountOffense(const Graph& g) {
   const std::size_t m = g.NumEdges();
   std::vector<std::uint64_t> keys(m);
   for (std::size_t e = 0; e < m; ++e) {
-    const Edge& edge = g.edge(e);
-    if (edge.u == edge.v) {
-      keys[e] = kLoopKey;
-    } else {
-      const auto [lo, hi] = std::minmax(edge.u, edge.v);
-      keys[e] = (static_cast<std::uint64_t>(lo) << 32) | hi;
-    }
+    keys[e] = PairKey(g.edge(e).u, g.edge(e).v);
   }
   std::sort(keys.begin(), keys.end());
   std::size_t loops = 0;
@@ -43,18 +69,18 @@ std::size_t CountOffense(const Graph& g) {
 
 /// Offense of the two node pairs touched by a swap (loops count 1,
 /// parallel bundles count size - 1).
-std::size_t PairOffense(const Graph& g, NodeId a, NodeId b, NodeId c,
-                        NodeId d) {
+std::size_t PairOffense(const PairCounts& counts, NodeId a, NodeId b,
+                        NodeId c, NodeId d) {
   std::size_t offense = 0;
   if (a == b) {
     offense += 1;
-  } else if (g.CountEdges(a, b) > 1) {
-    offense += g.CountEdges(a, b) - 1;
+  } else if (counts.Count(a, b) > 1) {
+    offense += counts.Count(a, b) - 1;
   }
   if (c == d) {
     offense += 1;
-  } else if (g.CountEdges(c, d) > 1) {
-    offense += g.CountEdges(c, d) - 1;
+  } else if (counts.Count(c, d) > 1) {
+    offense += counts.Count(c, d) - 1;
   }
   return offense;
 }
@@ -70,6 +96,7 @@ SimplifyStats SimplifyByRewiring(Graph& g,
   stats.offending_after = stats.offending_before;
   if (stats.offending_before == 0) return stats;
   if (g.NumEdges() - num_protected_edges < 2) return stats;
+  PairCounts counts(g);
 
   for (std::size_t round = 0; round < max_rounds; ++round) {
     // Partner index: candidate edge ids bucketed by endpoint degree, so a
@@ -91,7 +118,7 @@ SimplifyStats SimplifyByRewiring(Graph& g,
       const Edge bad = g.edge(e);
       const bool is_loop = bad.u == bad.v;
       const bool is_parallel =
-          !is_loop && g.CountEdges(bad.u, bad.v) > 1;
+          !is_loop && counts.Count(bad.u, bad.v) > 1;
       if (!is_loop && !is_parallel) continue;
 
       // Degrees whose buckets can host a JDM-preserving partner.
@@ -124,19 +151,20 @@ SimplifyStats SimplifyByRewiring(Graph& g,
         for (const Orientation& o : all) {
           if (g.Degree(o.i) != g.Degree(o.a)) continue;
           if (o.i == o.a || o.j == o.b) continue;  // no-op swap
-          const std::size_t before = PairOffense(g, o.i, o.j, o.a, o.b);
+          const std::size_t before =
+              PairOffense(counts, o.i, o.j, o.a, o.b);
           // Apply, measure, revert if not a strict improvement.
-          g.ReplaceEdge(e, o.i, o.b);
-          g.ReplaceEdge(f, o.a, o.j);
-          const std::size_t after = PairOffense(g, o.i, o.b, o.a, o.j);
+          counts.Replace(g, e, o.i, o.b);
+          counts.Replace(g, f, o.a, o.j);
+          const std::size_t after = PairOffense(counts, o.i, o.b, o.a, o.j);
           if (after < before) {
             ++stats.swaps;
             progressed = true;
             fixed = true;
             break;
           }
-          g.ReplaceEdge(e, o.i, o.j);
-          g.ReplaceEdge(f, o.a, o.b);
+          counts.Replace(g, e, o.i, o.j);
+          counts.Replace(g, f, o.a, o.b);
         }
       }
     }

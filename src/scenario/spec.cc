@@ -529,9 +529,13 @@ const std::vector<Knob>& Knobs() {
              [](auto& c) -> auto& { return c.restoration.simplify_output; }),
       Scalar("dataset_scale", &S::dataset_scale, AtLeast(0)),
       Scalar("track_properties", &S::track_properties, {},
-             [](auto& c) -> auto& { return c.restoration.track_properties; }),
+             [](auto& c) -> auto& {
+               return c.restoration.rewire.track_properties;
+             }),
       Scalar("stop_epsilon", &S::stop_epsilon, AtLeast(0),
-             [](auto& c) -> auto& { return c.restoration.stop_epsilon; }),
+             [](auto& c) -> auto& {
+               return c.restoration.rewire.stop_epsilon;
+             }),
   };
   return knobs;
 }

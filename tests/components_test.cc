@@ -1,6 +1,8 @@
 #include "graph/components.h"
 
+#include <algorithm>
 #include <gtest/gtest.h>
+#include <vector>
 
 #include "graph/generators.h"
 
@@ -8,7 +10,7 @@ namespace sgr {
 namespace {
 
 TEST(ComponentsTest, SingleComponent) {
-  const Graph g = GenerateCycle(5);
+  const CsrGraph g(GenerateCycle(5));
   const ComponentsResult r = ConnectedComponents(g);
   EXPECT_EQ(r.sizes.size(), 1u);
   EXPECT_EQ(r.sizes[0], 5u);
@@ -21,18 +23,19 @@ TEST(ComponentsTest, DisconnectedPieces) {
   g.AddEdge(1, 2);
   g.AddEdge(3, 4);
   // node 5 isolated
-  const ComponentsResult r = ConnectedComponents(g);
+  const CsrGraph csr(g);
+  const ComponentsResult r = ConnectedComponents(csr);
   EXPECT_EQ(r.sizes.size(), 3u);
-  EXPECT_EQ(CountComponents(g), 3u);
-  EXPECT_FALSE(IsConnected(g));
+  EXPECT_EQ(CountComponents(csr), 3u);
+  EXPECT_FALSE(IsConnected(csr));
   EXPECT_EQ(r.sizes[r.largest], 3u);
 }
 
 TEST(ComponentsTest, EmptyGraph) {
-  Graph g;
+  const CsrGraph g((Graph()));
   EXPECT_EQ(CountComponents(g), 0u);
   EXPECT_FALSE(IsConnected(g));
-  const CsrGraph lcc = PreprocessDataset(CsrGraph(g));
+  const CsrGraph lcc = PreprocessDataset(g);
   EXPECT_EQ(lcc.NumNodes(), 0u);
 }
 
@@ -72,7 +75,8 @@ TEST(ComponentsTest, PreprocessMatchesPaperPipeline) {
 
 TEST(ComponentsTest, ComponentOfIsConsistentWithSizes) {
   Rng rng(11);
-  Graph g = GenerateErdosRenyiGnm(60, 40, rng);  // likely disconnected
+  // Likely disconnected.
+  const CsrGraph g(GenerateErdosRenyiGnm(60, 40, rng));
   const ComponentsResult r = ConnectedComponents(g);
   std::vector<std::size_t> recount(r.sizes.size(), 0);
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
@@ -82,17 +86,39 @@ TEST(ComponentsTest, ComponentOfIsConsistentWithSizes) {
   EXPECT_EQ(recount, r.sizes);
 }
 
-TEST(ComponentsTest, SnapshotOverloadMatchesGraphOverload) {
-  // Components are numbered by their smallest node, so neighbor order
-  // (sorted in the snapshot, insertion order in the Graph) cannot change
-  // the result.
+TEST(ComponentsTest, NumberedBySmallestNode) {
+  // Reference: component c is the one whose smallest node is the c-th
+  // smallest among all components' smallest nodes. Union-find over the
+  // edge array gives each node's smallest component member.
   Rng rng(12);
   const Graph g = GenerateErdosRenyiGnm(80, 60, rng);
-  const ComponentsResult expected = ConnectedComponents(g);
+  std::vector<NodeId> root(g.NumNodes());
+  for (NodeId v = 0; v < g.NumNodes(); ++v) root[v] = v;
+  const auto find = [&](NodeId v) {
+    while (root[v] != v) v = root[v] = root[root[v]];
+    return v;
+  };
+  for (const Edge& e : g.edges()) {
+    const NodeId a = find(e.u);
+    const NodeId b = find(e.v);
+    root[std::max(a, b)] = std::min(a, b);
+  }
+  std::vector<std::size_t> index(g.NumNodes(), 0);
+  std::vector<std::size_t> sizes;
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    if (find(v) == v) {
+      index[v] = sizes.size();
+      sizes.push_back(0);
+    }
+    ++sizes[index[find(v)]];
+  }
   const ComponentsResult r = ConnectedComponents(CsrGraph(g));
-  EXPECT_EQ(r.component_of, expected.component_of);
-  EXPECT_EQ(r.sizes, expected.sizes);
-  EXPECT_EQ(r.largest, expected.largest);
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    EXPECT_EQ(r.component_of[v], index[find(v)]) << "v=" << v;
+  }
+  EXPECT_EQ(r.sizes, sizes);
+  EXPECT_EQ(r.sizes[r.largest],
+            *std::max_element(sizes.begin(), sizes.end()));
 }
 
 }  // namespace

@@ -77,7 +77,7 @@ TEST_P(CrawlerSubgraphTest, SubgraphInvariantsHold) {
     EXPECT_TRUE(g.HasEdge(sub.to_original[e.u], sub.to_original[e.v]));
     EXPECT_TRUE(sub.is_queried[e.u] || sub.is_queried[e.v]);
   }
-  EXPECT_TRUE(sub.graph.IsSimple());
+  EXPECT_TRUE(CsrGraph(sub.graph).IsSimple());
 }
 
 INSTANTIATE_TEST_SUITE_P(

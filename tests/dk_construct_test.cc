@@ -14,16 +14,17 @@ TEST(DkConstructTest, RealizesExactTargetsFromEmpty) {
   // 2K-graph).
   Rng gen_rng(41);
   const Graph original = GeneratePowerlawCluster(300, 3, 0.4, gen_rng);
-  const DegreeVector dv = ExtractDegreeVector(original);
-  const JointDegreeMatrix jdm = ExtractJointDegreeMatrix(original);
+  const DegreeVector dv = ExtractDegreeVector(CsrGraph(original));
+  const JointDegreeMatrix jdm = ExtractJointDegreeMatrix(CsrGraph(original));
 
   Rng rng(42);
   const Graph rebuilt = Construct2kGraph(dv, jdm, rng);
   EXPECT_EQ(rebuilt.NumNodes(), original.NumNodes());
   EXPECT_EQ(rebuilt.NumEdges(), original.NumEdges());
-  EXPECT_EQ(ExtractDegreeVector(rebuilt), dv);
+  EXPECT_EQ(ExtractDegreeVector(CsrGraph(rebuilt)), dv);
   // JDM equality entry by entry.
-  const JointDegreeMatrix rebuilt_jdm = ExtractJointDegreeMatrix(rebuilt);
+  const JointDegreeMatrix rebuilt_jdm =
+      ExtractJointDegreeMatrix(CsrGraph(rebuilt));
   for (const auto& [key, count] : jdm.counts()) {
     EXPECT_EQ(rebuilt_jdm.counts().at(key), count);
   }
@@ -55,8 +56,8 @@ TEST(DkConstructTest, ExtendsSubgraphWithoutTouchingIt) {
   EXPECT_EQ(out.edge(0).v, 1u);
   EXPECT_EQ(out.edge(1).u, 1u);
   EXPECT_EQ(out.edge(1).v, 2u);
-  EXPECT_EQ(ExtractDegreeVector(out), n_star);
-  const JointDegreeMatrix out_jdm = ExtractJointDegreeMatrix(out);
+  EXPECT_EQ(ExtractDegreeVector(CsrGraph(out)), n_star);
+  const JointDegreeMatrix out_jdm = ExtractJointDegreeMatrix(CsrGraph(out));
   EXPECT_EQ(out_jdm.At(1, 2), 2);
   EXPECT_EQ(out_jdm.At(2, 2), 2);
 }
@@ -135,10 +136,10 @@ TEST(DkConstructTest, DiagonalPairsMayFormLoops) {
 TEST(DkConstructTest, OneKRealizesDegreeVectorExactly) {
   Rng gen_rng(48);
   const Graph original = GeneratePowerlawCluster(400, 3, 0.4, gen_rng);
-  const DegreeVector dv = ExtractDegreeVector(original);
+  const DegreeVector dv = ExtractDegreeVector(CsrGraph(original));
   Rng rng(49);
   const Graph rebuilt = Construct1kGraph(dv, rng);
-  EXPECT_EQ(ExtractDegreeVector(rebuilt), dv);
+  EXPECT_EQ(ExtractDegreeVector(CsrGraph(rebuilt)), dv);
   EXPECT_EQ(rebuilt.NumEdges(), original.NumEdges());
 }
 
@@ -161,12 +162,12 @@ TEST_P(DkRoundTripTest, ExtractConstructRoundTrip) {
   Rng gen_rng(GetParam());
   const Graph original =
       GeneratePowerlawCluster(200 + 50 * (GetParam() % 5), 3, 0.5, gen_rng);
-  const DegreeVector dv = ExtractDegreeVector(original);
-  const JointDegreeMatrix jdm = ExtractJointDegreeMatrix(original);
+  const DegreeVector dv = ExtractDegreeVector(CsrGraph(original));
+  const JointDegreeMatrix jdm = ExtractJointDegreeMatrix(CsrGraph(original));
   Rng rng(GetParam() * 7 + 1);
   const Graph rebuilt = Construct2kGraph(dv, jdm, rng);
-  EXPECT_EQ(ExtractDegreeVector(rebuilt), dv);
-  EXPECT_TRUE(ExtractJointDegreeMatrix(rebuilt).SatisfiesJdm3(dv));
+  EXPECT_EQ(ExtractDegreeVector(CsrGraph(rebuilt)), dv);
+  EXPECT_TRUE(ExtractJointDegreeMatrix(CsrGraph(rebuilt)).SatisfiesJdm3(dv));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DkRoundTripTest,

@@ -8,7 +8,7 @@ namespace sgr {
 namespace {
 
 TEST(DkExtractTest, DegreeVectorOfStar) {
-  const Graph g = GenerateStar(6);
+  const CsrGraph g(GenerateStar(6));
   const DegreeVector dv = ExtractDegreeVector(g);
   ASSERT_EQ(dv.size(), 6u);
   EXPECT_EQ(dv[1], 5);
@@ -18,14 +18,14 @@ TEST(DkExtractTest, DegreeVectorOfStar) {
 
 TEST(DkExtractTest, DegreeVectorHandshake) {
   Rng rng(31);
-  const Graph g = GeneratePowerlawCluster(400, 3, 0.4, rng);
+  const CsrGraph g(GeneratePowerlawCluster(400, 3, 0.4, rng));
   const DegreeVector dv = ExtractDegreeVector(g);
   EXPECT_EQ(DegreeVectorTotalDegree(dv),
             2 * static_cast<std::int64_t>(g.NumEdges()));
 }
 
 TEST(DkExtractTest, JdmOfPath) {
-  const Graph g = GeneratePath(4);  // degrees 1,2,2,1
+  const CsrGraph g(GeneratePath(4));  // degrees 1,2,2,1
   const JointDegreeMatrix jdm = ExtractJointDegreeMatrix(g);
   EXPECT_EQ(jdm.At(1, 2), 2);
   EXPECT_EQ(jdm.At(2, 2), 1);
@@ -34,7 +34,7 @@ TEST(DkExtractTest, JdmOfPath) {
 
 TEST(DkExtractTest, JdmRowSumsMatchDegreeVector) {
   Rng rng(32);
-  const Graph g = GeneratePowerlawCluster(500, 4, 0.3, rng);
+  const CsrGraph g(GeneratePowerlawCluster(500, 4, 0.3, rng));
   const JointDegreeMatrix jdm = ExtractJointDegreeMatrix(g);
   const DegreeVector dv = ExtractDegreeVector(g);
   EXPECT_TRUE(jdm.SatisfiesJdm3(dv));
@@ -45,20 +45,20 @@ TEST(DkExtractTest, JdmSelfLoopGoesToDiagonal) {
   Graph g(2);
   g.AddEdge(0, 0);  // degree(0) = 2
   g.AddEdge(0, 1);  // degree(0) = 3, degree(1) = 1
-  const JointDegreeMatrix jdm = ExtractJointDegreeMatrix(g);
+  const JointDegreeMatrix jdm = ExtractJointDegreeMatrix(CsrGraph(g));
   EXPECT_EQ(jdm.At(3, 3), 1);  // the loop
   EXPECT_EQ(jdm.At(3, 1), 1);
 }
 
 TEST(DkExtractTest, TrianglesOfComplete) {
-  const Graph g = GenerateComplete(5);
+  const CsrGraph g(GenerateComplete(5));
   const std::vector<std::int64_t> t = CountTrianglesPerNode(g);
   // Each node of K5 is in C(4,2) = 6 triangles.
   for (std::int64_t tv : t) EXPECT_EQ(tv, 6);
 }
 
 TEST(DkExtractTest, TrianglesOfCycleAreZero) {
-  const Graph g = GenerateCycle(8);
+  const CsrGraph g(GenerateCycle(8));
   for (std::int64_t tv : CountTrianglesPerNode(g)) EXPECT_EQ(tv, 0);
 }
 
@@ -69,7 +69,7 @@ TEST(DkExtractTest, TrianglesWithMultiEdges) {
   g.AddEdge(0, 1);
   g.AddEdge(1, 2);
   g.AddEdge(0, 2);
-  const std::vector<std::int64_t> t = CountTrianglesPerNode(g);
+  const std::vector<std::int64_t> t = CountTrianglesPerNode(CsrGraph(g));
   // t_2 = A_01 * A_02 * ... : pairs (0,1): A_20 A_21 A_01 = 1*1*2 = 2.
   EXPECT_EQ(t[2], 2);
   EXPECT_EQ(t[0], 2);
@@ -82,7 +82,7 @@ TEST(DkExtractTest, LoopsFormNoTriangles) {
   g.AddEdge(1, 2);
   g.AddEdge(0, 2);
   g.AddEdge(0, 0);  // loop must not add triangles
-  const std::vector<std::int64_t> t = CountTrianglesPerNode(g);
+  const std::vector<std::int64_t> t = CountTrianglesPerNode(CsrGraph(g));
   EXPECT_EQ(t[0], 1);
   EXPECT_EQ(t[1], 1);
   EXPECT_EQ(t[2], 1);
@@ -91,26 +91,26 @@ TEST(DkExtractTest, LoopsFormNoTriangles) {
 TEST(DkExtractTest, SimpleAndMultigraphCountersAgree) {
   Rng rng(33);
   const Graph g = GeneratePowerlawCluster(300, 3, 0.6, rng);
-  ASSERT_TRUE(g.IsSimple());
-  const std::vector<std::int64_t> fast = CountTrianglesPerNode(g);
+  ASSERT_TRUE(CsrGraph(g).IsSimple());
+  const std::vector<std::int64_t> fast = CountTrianglesPerNode(CsrGraph(g));
   // Force the multigraph path by adding and removing nothing: rebuild an
   // identical multigraph via a loop-free copy with one extra loop that
   // does not affect triangles.
   Graph h = g;
   h.AddEdge(0, 0);
-  const std::vector<std::int64_t> slow = CountTrianglesPerNode(h);
+  const std::vector<std::int64_t> slow = CountTrianglesPerNode(CsrGraph(h));
   EXPECT_EQ(fast, slow);
 }
 
 TEST(DkExtractTest, ClusteringOfComplete) {
-  const Graph g = GenerateComplete(6);
+  const CsrGraph g(GenerateComplete(6));
   const std::vector<double> c = ExtractDegreeDependentClustering(g);
   ASSERT_EQ(c.size(), 6u);
   EXPECT_DOUBLE_EQ(c[5], 1.0);
 }
 
 TEST(DkExtractTest, ClusteringLowDegreesAreZero) {
-  const Graph g = GenerateStar(5);
+  const CsrGraph g(GenerateStar(5));
   const std::vector<double> c = ExtractDegreeDependentClustering(g);
   EXPECT_DOUBLE_EQ(c[1], 0.0);
   EXPECT_DOUBLE_EQ(c[4], 0.0);

@@ -39,15 +39,15 @@ TEST_F(DkSeriesTest, ZeroKPreservesSizeOnly) {
 TEST_F(DkSeriesTest, OneKPreservesDegreeVector) {
   Rng rng(2);
   const Graph g = GenerateDkGraph(*original_, DkOrder::k1, rng);
-  EXPECT_EQ(ExtractDegreeVector(g), ExtractDegreeVector(*original_));
+  EXPECT_EQ(ExtractDegreeVector(CsrGraph(g)), ExtractDegreeVector(*original_));
 }
 
 TEST_F(DkSeriesTest, TwoKPreservesJointDegreeMatrix) {
   Rng rng(3);
   const Graph g = GenerateDkGraph(*original_, DkOrder::k2, rng);
-  EXPECT_EQ(ExtractDegreeVector(g), ExtractDegreeVector(*original_));
+  EXPECT_EQ(ExtractDegreeVector(CsrGraph(g)), ExtractDegreeVector(*original_));
   const JointDegreeMatrix expected = ExtractJointDegreeMatrix(*original_);
-  const JointDegreeMatrix actual = ExtractJointDegreeMatrix(g);
+  const JointDegreeMatrix actual = ExtractJointDegreeMatrix(CsrGraph(g));
   for (const auto& [key, count] : expected.counts()) {
     EXPECT_EQ(actual.counts().count(key) > 0 ? actual.counts().at(key) : 0,
               count);
@@ -73,10 +73,10 @@ TEST_F(DkSeriesTest, TwoPointFiveKImprovesClustering) {
       ExtractDegreeDependentClustering(*original_);
   const double e2 = NormalizedL1(
       truth, ExtractDegreeDependentClustering(
-                 GenerateDkGraph(*original_, DkOrder::k2, rng)));
+                 CsrGraph(GenerateDkGraph(*original_, DkOrder::k2, rng))));
   const double e25 = NormalizedL1(
-      truth, ExtractDegreeDependentClustering(GenerateDkGraph(
-                 *original_, DkOrder::k2_5, rng, /*rc=*/100.0)));
+      truth, ExtractDegreeDependentClustering(CsrGraph(GenerateDkGraph(
+                 *original_, DkOrder::k2_5, rng, /*rc=*/100.0))));
   EXPECT_LT(e25, 0.8 * e2);
 }
 

@@ -9,7 +9,7 @@ namespace {
 
 TEST(GeneratorsTest, ErdosRenyiHasExactEdgeCount) {
   Rng rng(1);
-  const Graph g = GenerateErdosRenyiGnm(50, 100, rng);
+  const CsrGraph g(GenerateErdosRenyiGnm(50, 100, rng));
   EXPECT_EQ(g.NumNodes(), 50u);
   EXPECT_EQ(g.NumEdges(), 100u);
   EXPECT_TRUE(g.IsSimple());
@@ -17,13 +17,13 @@ TEST(GeneratorsTest, ErdosRenyiHasExactEdgeCount) {
 
 TEST(GeneratorsTest, ErdosRenyiZeroEdges) {
   Rng rng(2);
-  const Graph g = GenerateErdosRenyiGnm(10, 0, rng);
+  const CsrGraph g(GenerateErdosRenyiGnm(10, 0, rng));
   EXPECT_EQ(g.NumEdges(), 0u);
 }
 
 TEST(GeneratorsTest, BarabasiAlbertIsSimpleAndConnected) {
   Rng rng(3);
-  const Graph g = GenerateBarabasiAlbert(500, 3, rng);
+  const CsrGraph g(GenerateBarabasiAlbert(500, 3, rng));
   EXPECT_EQ(g.NumNodes(), 500u);
   EXPECT_TRUE(g.IsSimple());
   EXPECT_TRUE(IsConnected(g));
@@ -33,7 +33,7 @@ TEST(GeneratorsTest, BarabasiAlbertIsSimpleAndConnected) {
 
 TEST(GeneratorsTest, BarabasiAlbertMinimumDegree) {
   Rng rng(4);
-  const Graph g = GenerateBarabasiAlbert(300, 2, rng);
+  const CsrGraph g(GenerateBarabasiAlbert(300, 2, rng));
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
     EXPECT_GE(g.Degree(v), 2u) << "node " << v;
   }
@@ -42,16 +42,16 @@ TEST(GeneratorsTest, BarabasiAlbertMinimumDegree) {
 TEST(GeneratorsTest, PowerlawClusterHasHigherClusteringThanBa) {
   Rng rng1(5);
   Rng rng2(5);
-  const Graph ba = GenerateBarabasiAlbert(2000, 4, rng1);
-  const Graph hk = GeneratePowerlawCluster(2000, 4, 0.6, rng2);
-  auto global_clustering = [](const Graph& g) {
+  const CsrGraph ba(GenerateBarabasiAlbert(2000, 4, rng1));
+  const CsrGraph hk(GeneratePowerlawCluster(2000, 4, 0.6, rng2));
+  auto global_clustering = [](const CsrGraph& g) {
     // Quick transitivity proxy via degree-dependent clustering weights.
     double total = 0.0;
     std::size_t count = 0;
     // (lazy: reuse analysis would create a dependency cycle in this test's
     // includes; a rough count of closed wedges suffices)
     for (NodeId v = 0; v < g.NumNodes(); ++v) {
-      const auto& nbrs = g.adjacency(v);
+      const NeighborSpan nbrs = g.neighbors(v);
       if (nbrs.size() < 2) continue;
       std::size_t closed = 0;
       std::size_t wedges = 0;
@@ -73,21 +73,21 @@ TEST(GeneratorsTest, PowerlawClusterHasHigherClusteringThanBa) {
 
 TEST(GeneratorsTest, PowerlawClusterConnectedSimple) {
   Rng rng(6);
-  const Graph g = GeneratePowerlawCluster(1000, 5, 0.4, rng);
+  const CsrGraph g(GeneratePowerlawCluster(1000, 5, 0.4, rng));
   EXPECT_TRUE(g.IsSimple());
   EXPECT_TRUE(IsConnected(g));
 }
 
 TEST(GeneratorsTest, PowerlawClusterHeavyTail) {
   Rng rng(7);
-  const Graph g = GeneratePowerlawCluster(3000, 4, 0.3, rng);
+  const CsrGraph g(GeneratePowerlawCluster(3000, 4, 0.3, rng));
   // A heavy-tailed graph has a hub far above the average degree.
   EXPECT_GT(g.MaxDegree(), 8 * static_cast<std::size_t>(g.AverageDegree()));
 }
 
 TEST(GeneratorsTest, SocialGraphHasPeripheryAndCore) {
   Rng rng(77);
-  const Graph g = GenerateSocialGraph(3000, 5, 0.3, 0.4, rng);
+  const CsrGraph g(GenerateSocialGraph(3000, 5, 0.3, 0.4, rng));
   EXPECT_EQ(g.NumNodes(), 3000u);
   EXPECT_TRUE(g.IsSimple());
   EXPECT_TRUE(IsConnected(g));
@@ -112,7 +112,7 @@ TEST(GeneratorsTest, SocialGraphZeroFringeIsPureHolmeKim) {
 
 TEST(GeneratorsTest, WattsStrogatzDegreeSum) {
   Rng rng(8);
-  const Graph g = GenerateWattsStrogatz(200, 6, 0.1, rng);
+  const CsrGraph g(GenerateWattsStrogatz(200, 6, 0.1, rng));
   EXPECT_EQ(g.NumNodes(), 200u);
   EXPECT_TRUE(g.IsSimple());
   // Rewiring keeps the edge count at most n*k/2 (saturated rewires fall
@@ -122,7 +122,7 @@ TEST(GeneratorsTest, WattsStrogatzDegreeSum) {
 
 TEST(GeneratorsTest, CommunityGraphCoversAllNodes) {
   Rng rng(9);
-  const Graph g = GenerateCommunityGraph(600, 3, 3, 0.3, 30, rng);
+  const CsrGraph g(GenerateCommunityGraph(600, 3, 3, 0.3, 30, rng));
   EXPECT_EQ(g.NumNodes(), 600u);
   EXPECT_TRUE(g.IsSimple());
   // With bridges the whole graph is (almost surely) connected.
@@ -155,7 +155,7 @@ class GeneratorSweepTest
 TEST_P(GeneratorSweepTest, PowerlawClusterInvariants) {
   const auto [n, m] = GetParam();
   Rng rng(n * 31 + m);
-  const Graph g = GeneratePowerlawCluster(n, m, 0.5, rng);
+  const CsrGraph g(GeneratePowerlawCluster(n, m, 0.5, rng));
   EXPECT_EQ(g.NumNodes(), n);
   EXPECT_TRUE(g.IsSimple());
   EXPECT_TRUE(IsConnected(g));

@@ -39,10 +39,10 @@ TEST_P(GjokaInvariantsTest, OutputRealizesConsistentTargets) {
   // The generated graph must be internally consistent: its own extracted
   // degree vector and joint degree matrix satisfy JDM-3 (they always do
   // for a real graph) and the degree sum is even.
-  const DegreeVector dv = ExtractDegreeVector(r.graph);
+  const DegreeVector dv = ExtractDegreeVector(CsrGraph(r.graph));
   EXPECT_TRUE(SatisfiesDv1(dv));
   EXPECT_TRUE(SatisfiesDv2(dv));
-  EXPECT_TRUE(ExtractJointDegreeMatrix(r.graph).SatisfiesJdm3(dv));
+  EXPECT_TRUE(ExtractJointDegreeMatrix(CsrGraph(r.graph)).SatisfiesJdm3(dv));
 
   // Scale tracks the estimates.
   EXPECT_NEAR(static_cast<double>(r.graph.NumNodes()),

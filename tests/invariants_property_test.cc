@@ -76,9 +76,10 @@ TEST_P(RestorationInvariantsTest, FullInvariantSuite) {
   // Phase 3 invariants: exact realization + subgraph containment.
   Graph built = ConstructPreservingTargets(
       sub.graph, dv.subgraph_target_degrees, dv.n_star, m_star, rng);
-  ASSERT_EQ(ExtractDegreeVector(built), dv.n_star);
+  ASSERT_EQ(ExtractDegreeVector(CsrGraph(built)), dv.n_star);
   {
-    const JointDegreeMatrix built_jdm = ExtractJointDegreeMatrix(built);
+    const JointDegreeMatrix built_jdm =
+        ExtractJointDegreeMatrix(CsrGraph(built));
     for (const auto& [key, count] : m_star.counts()) {
       ASSERT_EQ(built_jdm.counts().count(key) > 0
                     ? built_jdm.counts().at(key)
@@ -96,8 +97,9 @@ TEST_P(RestorationInvariantsTest, FullInvariantSuite) {
   options.rewiring_coefficient = 10.0;
   RewireToClustering(built, sub.graph.NumEdges(), est.clustering, options,
                      rng);
-  ASSERT_EQ(ExtractDegreeVector(built), dv.n_star);
-  ASSERT_TRUE(ExtractJointDegreeMatrix(built).SatisfiesJdm3(dv.n_star));
+  ASSERT_EQ(ExtractDegreeVector(CsrGraph(built)), dv.n_star);
+  ASSERT_TRUE(
+      ExtractJointDegreeMatrix(CsrGraph(built)).SatisfiesJdm3(dv.n_star));
   for (EdgeId e = 0; e < sub.graph.NumEdges(); ++e) {
     ASSERT_EQ(built.edge(e).u, sub.graph.edge(e).u);
     ASSERT_EQ(built.edge(e).v, sub.graph.edge(e).v);

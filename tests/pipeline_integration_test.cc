@@ -61,8 +61,8 @@ TEST_F(PipelineTest, ProposedPreservesTargetsExactly) {
 
   // The generated graph realizes its own extracted DV/JDM consistently
   // (sanity: extraction is the inverse of construction).
-  const DegreeVector dv = ExtractDegreeVector(r.graph);
-  const JointDegreeMatrix jdm = ExtractJointDegreeMatrix(r.graph);
+  const DegreeVector dv = ExtractDegreeVector(CsrGraph(r.graph));
+  const JointDegreeMatrix jdm = ExtractJointDegreeMatrix(CsrGraph(r.graph));
   EXPECT_TRUE(jdm.SatisfiesJdm3(dv));
 
   // Node and edge counts stay within a loose band of the estimates.

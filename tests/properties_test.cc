@@ -281,7 +281,7 @@ TEST(PropertiesTest, BetweennessMatchesBruteForceOnMultigraph) {
   Graph g = GeneratePowerlawCluster(40, 2, 0.3, rng);
   for (int i = 0; i < 12; ++i) {
     const auto u = static_cast<NodeId>(rng.NextIndex(g.NumNodes()));
-    const NodeId v = g.adjacency(u)[rng.NextIndex(g.Degree(u))];
+    const NodeId v = CsrGraph(g).neighbors(u)[rng.NextIndex(g.Degree(u))];
     g.AddEdge(u, v);
   }
   g.AddEdge(7, 7);

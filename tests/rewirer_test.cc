@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -80,11 +81,57 @@ TEST(RewirerTest, RejectsAnAttemptCountAbove2To63) {
   }
 }
 
+/// Runs RewireToClustering with `options` and expects std::invalid_argument
+/// whose message names stop_epsilon's value `shown`, leaving the graph
+/// untouched.
+void ExpectStopEpsilonRejected(const RewireOptions& options,
+                               const std::string& shown) {
+  Rng gen_rng(62);
+  const Graph before = GeneratePowerlawCluster(60, 3, 0.3, gen_rng);
+  std::vector<double> target(before.MaxDegree() + 1, 0.2);
+  Graph g = before;
+  Rng rng(63);
+  try {
+    RewireToClustering(g, 0, target, options, rng);
+    ADD_FAILURE() << "stop_epsilon " << shown << " did not throw";
+  } catch (const std::invalid_argument& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("stop_epsilon = " + shown), std::string::npos)
+        << message;
+  }
+  for (EdgeId e = 0; e < before.NumEdges(); ++e) {
+    ASSERT_EQ(before.edge(e).u, g.edge(e).u) << "edge " << e;
+    ASSERT_EQ(before.edge(e).v, g.edge(e).v) << "edge " << e;
+  }
+}
+
+TEST(RewirerTest, RejectsANegativeStopEpsilon) {
+  RewireOptions options;
+  options.track_properties = true;
+  options.stop_epsilon = -0.5;
+  ExpectStopEpsilonRejected(options, "-0.5");
+}
+
+TEST(RewirerTest, RejectsANanStopEpsilon) {
+  RewireOptions options;
+  options.track_properties = true;
+  options.stop_epsilon = std::nan("");
+  ExpectStopEpsilonRejected(options, "nan");
+}
+
+TEST(RewirerTest, RejectsAStopEpsilonWithoutTracking) {
+  // The adaptive stop reads the tracked distance; untracked, the value
+  // would be silently ignored.
+  RewireOptions options;
+  options.stop_epsilon = 0.1;
+  ExpectStopEpsilonRejected(options, "0.1");
+}
+
 TEST(RewirerTest, PreservesDegreeVectorAndJdm) {
   Rng gen_rng(2);
   Graph g = GeneratePowerlawCluster(300, 3, 0.4, gen_rng);
-  const DegreeVector dv_before = ExtractDegreeVector(g);
-  const JointDegreeMatrix jdm_before = ExtractJointDegreeMatrix(g);
+  const DegreeVector dv_before = ExtractDegreeVector(CsrGraph(g));
+  const JointDegreeMatrix jdm_before = ExtractJointDegreeMatrix(CsrGraph(g));
 
   std::vector<double> target(g.MaxDegree() + 1, 0.3);
   Rng rng(3);
@@ -92,8 +139,8 @@ TEST(RewirerTest, PreservesDegreeVectorAndJdm) {
   options.rewiring_coefficient = 20.0;
   RewireToClustering(g, 0, target, options, rng);
 
-  EXPECT_EQ(ExtractDegreeVector(g), dv_before);
-  const JointDegreeMatrix jdm_after = ExtractJointDegreeMatrix(g);
+  EXPECT_EQ(ExtractDegreeVector(CsrGraph(g)), dv_before);
+  const JointDegreeMatrix jdm_after = ExtractJointDegreeMatrix(CsrGraph(g));
   for (const auto& [key, count] : jdm_before.counts()) {
     EXPECT_EQ(jdm_after.At(static_cast<std::uint32_t>(key >> 32),
                            static_cast<std::uint32_t>(key & 0xffffffffu)),
@@ -138,7 +185,8 @@ TEST(RewirerTest, MovesClusteringTowardTarget) {
   // a substantial fraction of the gap.
   Rng gen_rng(8);
   Graph g = GeneratePowerlawCluster(400, 3, 0.6, gen_rng);
-  const std::vector<double> target = ExtractDegreeDependentClustering(g);
+  const std::vector<double> target =
+      ExtractDegreeDependentClustering(CsrGraph(g));
 
   // Scramble: rewire toward a near-zero (but positive-mass) target first
   // to destroy clustering. An all-zero target would be a no-op: with
@@ -149,13 +197,13 @@ TEST(RewirerTest, MovesClusteringTowardTarget) {
   std::vector<double> low(g.MaxDegree() + 1, 0.005);
   RewireToClustering(g, 0, low, scramble, rng);
   const double gap_before = NormalizedL1(
-      target, ExtractDegreeDependentClustering(g));
+      target, ExtractDegreeDependentClustering(CsrGraph(g)));
 
   RewireOptions options;
   options.rewiring_coefficient = 100.0;
   const RewireStats stats = RewireToClustering(g, 0, target, options, rng);
   const double gap_after = NormalizedL1(
-      target, ExtractDegreeDependentClustering(g));
+      target, ExtractDegreeDependentClustering(CsrGraph(g)));
   EXPECT_LT(gap_after, 0.7 * gap_before);
   EXPECT_GT(stats.accepted, 0u);
 }
@@ -171,7 +219,8 @@ TEST(RewirerTest, FinalDistanceMatchesFreshComputation) {
 
   // Recompute D from scratch and compare with the incrementally
   // maintained value.
-  const std::vector<double> present = ExtractDegreeDependentClustering(g);
+  const std::vector<double> present =
+      ExtractDegreeDependentClustering(CsrGraph(g));
   const double expected = NormalizedL1(target, present);
   EXPECT_NEAR(stats.final_distance, expected, 1e-6);
 }
@@ -186,14 +235,14 @@ TEST(RewirerTest, ToleratesLoopsAndMultiEdgesAmongCandidates) {
   g.AddEdge(1, 2);
   g.AddEdge(1, 2);  // parallel
   g.AddEdge(5, 5);
-  const DegreeVector dv_before = ExtractDegreeVector(g);
+  const DegreeVector dv_before = ExtractDegreeVector(CsrGraph(g));
 
   std::vector<double> target(g.MaxDegree() + 1, 0.2);
   Rng rng(21);
   RewireOptions options;
   options.rewiring_coefficient = 40.0;
   const RewireStats stats = RewireToClustering(g, 0, target, options, rng);
-  EXPECT_EQ(ExtractDegreeVector(g), dv_before);
+  EXPECT_EQ(ExtractDegreeVector(CsrGraph(g)), dv_before);
   EXPECT_LE(stats.final_distance, stats.initial_distance + 1e-9);
 }
 
@@ -226,8 +275,8 @@ void ExpectRewireInvariants(const Graph& before, const Graph& after,
     EXPECT_EQ(after.edge(e).v, before.edge(e).v) << label << " edge " << e;
   }
   // The degree-matched 2-swap family preserves the JDM exactly.
-  EXPECT_EQ(ExtractJointDegreeMatrix(before).counts(),
-            ExtractJointDegreeMatrix(after).counts())
+  EXPECT_EQ(ExtractJointDegreeMatrix(CsrGraph(before)).counts(),
+            ExtractJointDegreeMatrix(CsrGraph(after)).counts())
       << label;
   EXPECT_LE(stats.accepted, stats.attempts) << label;
   EXPECT_LE(stats.final_distance, stats.initial_distance + 1e-9) << label;
@@ -310,7 +359,7 @@ TEST(RewirerTest, CurveSamplesMatchFromScratchAnalyzers) {
     EXPECT_EQ(NetworkClusteringCoefficient(CsrGraph(g)),
               sample.clustering_global)
         << "sample " << k;
-    const ComponentsResult components = ConnectedComponents(g);
+    const ComponentsResult components = ConnectedComponents(CsrGraph(g));
     EXPECT_EQ(components.sizes.size(), sample.components) << "sample " << k;
     EXPECT_EQ(components.sizes[components.largest], sample.lcc)
         << "sample " << k;

@@ -158,7 +158,7 @@ std::string ConfigFingerprint(const ExperimentConfig& c) {
       << ToToken(r.estimator.joint_mode) << ' '
       << r.estimator.collision_threshold_fraction << ' '
       << r.simplify_output << ' '
-      << r.track_properties << ' ' << r.stop_epsilon << ' '
+      << r.rewire.track_properties << ' ' << r.rewire.stop_epsilon << ' '
       << r.protect_subgraph << ' ' << c.property_options.max_path_sources;
   return out.str();
 }

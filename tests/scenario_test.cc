@@ -113,8 +113,8 @@ TEST(ScenarioSpecTest, ParsesFullDocument) {
   EXPECT_DOUBLE_EQ(spec.dataset_scale, 0.5);
   EXPECT_TRUE(spec.track_properties);
   EXPECT_DOUBLE_EQ(spec.stop_epsilon, 0.25);
-  EXPECT_TRUE(config.restoration.track_properties);
-  EXPECT_DOUBLE_EQ(config.restoration.stop_epsilon, 0.25);
+  EXPECT_TRUE(config.restoration.rewire.track_properties);
+  EXPECT_DOUBLE_EQ(config.restoration.rewire.stop_epsilon, 0.25);
   // 2 fractions x 2 walks x 2 estimators x 2 rcs x 2 protects
   // (track_properties / stop_epsilon are scalars, never axes).
   EXPECT_EQ(spec.ExpandKnobs().size(), 32u);

@@ -36,9 +36,9 @@ TEST(SubgraphTest, Fig1Example) {
   EXPECT_EQ(sub.graph.Degree(sub.from_original.at(5)), 3u);
 
   // Edge set matches the figure.
-  auto has = [&sub](NodeId a, NodeId b) {
-    return sub.graph.HasEdge(sub.from_original.at(a),
-                             sub.from_original.at(b));
+  const CsrGraph csr(sub.graph);
+  auto has = [&](NodeId a, NodeId b) {
+    return csr.HasEdge(sub.from_original.at(a), sub.from_original.at(b));
   };
   EXPECT_TRUE(has(0, 2));
   EXPECT_TRUE(has(1, 2));
@@ -102,7 +102,7 @@ TEST(SubgraphTest, SubgraphEdgesExistInOriginal) {
   for (const Edge& e : sub.graph.edges()) {
     EXPECT_TRUE(g.HasEdge(sub.to_original[e.u], sub.to_original[e.v]));
   }
-  EXPECT_TRUE(sub.graph.IsSimple());
+  EXPECT_TRUE(CsrGraph(sub.graph).IsSimple());
 }
 
 TEST(SubgraphTest, EveryEdgeTouchesAQueriedNode) {

@@ -16,7 +16,7 @@ TEST(TriangleTrackerTest, InitialCountsMatchExtractor) {
   Rng rng(51);
   const Graph g = GeneratePowerlawCluster(200, 3, 0.6, rng);
   TriangleTracker tracker(g, {});
-  const std::vector<std::int64_t> expected = CountTrianglesPerNode(g);
+  const std::vector<std::int64_t> expected = CountTrianglesPerNode(CsrGraph(g));
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
     EXPECT_EQ(tracker.triangles(v), expected[v]) << "node " << v;
   }
@@ -107,7 +107,7 @@ TEST(TriangleTrackerTest, ObjectiveRespondsToRewires) {
   g.AddEdge(2, 3);
   g.AddEdge(3, 0);
   g.AddEdge(0, 2);
-  std::vector<double> target = ExtractDegreeDependentClustering(g);
+  std::vector<double> target = ExtractDegreeDependentClustering(CsrGraph(g));
   TriangleTracker tracker(g, target);
   EXPECT_NEAR(tracker.Objective(), 0.0, 1e-12);
   tracker.RemoveEdge(0, 2);
@@ -149,7 +149,7 @@ TEST(TriangleTrackerTest, RandomChurnStaysConsistent) {
       added.push_back({u, v});
     }
   }
-  const std::vector<std::int64_t> expected = CountTrianglesPerNode(g);
+  const std::vector<std::int64_t> expected = CountTrianglesPerNode(CsrGraph(g));
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
     ASSERT_EQ(tracker.triangles(v), expected[v]) << "node " << v;
   }
