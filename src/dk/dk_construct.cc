@@ -1,11 +1,13 @@
 #include "dk/dk_construct.h"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/sorted_keys.h"
 
 namespace sgr {
 
@@ -115,33 +117,40 @@ NodeId PopAt(std::vector<NodeId>& pool, std::size_t idx) {
 }
 
 /// Wires the free half-edges class pair by class pair (Algorithm 5, lines
-/// 13-16): every pair (k, k') with k <= k' in canonical order copies
-/// m*(k,k') - m'(k,k') edges, each between two stubs popped uniformly from
-/// the pools of k and k'.
+/// 13-16): every pair (k, k') with 1 <= k <= k' <= k_max, in ascending
+/// order, copies m*(k,k') - m'(k,k') edges, each between two stubs popped
+/// uniformly from the pools of k and k'. A pair outside both supports
+/// needs no edge, so only the union of the two supports is walked.
 void WireClassPairs(AssemblyState& state, const JointDegreeMatrix& m_star,
                     const JointDegreeMatrix& m_prime, Rng& rng) {
-  for (std::uint32_t k = 1; k <= state.k_max; ++k) {
-    for (std::uint32_t kp = k; kp <= state.k_max; ++kp) {
-      const std::int64_t need = m_star.At(k, kp) - m_prime.At(k, kp);
-      if (need < 0) {
-        throw std::logic_error(
-            "ConstructPreservingTargets: JDM-4 violated at (" +
-            std::to_string(k) + "," + std::to_string(kp) + ")");
+  const std::vector<std::uint64_t> target_keys = SortedKeys(m_star.counts());
+  const std::vector<std::uint64_t> base_keys = SortedKeys(m_prime.counts());
+  std::vector<std::uint64_t> pairs;
+  std::set_union(target_keys.begin(), target_keys.end(), base_keys.begin(),
+                 base_keys.end(), std::back_inserter(pairs));
+  for (const std::uint64_t key : pairs) {
+    const auto k = static_cast<std::uint32_t>(key >> 32);
+    const auto kp = static_cast<std::uint32_t>(key & 0xffffffffu);
+    if (k == 0 || k > kp || kp > state.k_max) continue;
+    const std::int64_t need = m_star.At(k, kp) - m_prime.At(k, kp);
+    if (need < 0) {
+      throw std::logic_error(
+          "ConstructPreservingTargets: JDM-4 violated at (" +
+          std::to_string(k) + "," + std::to_string(kp) + ")");
+    }
+    if (need == 0) continue;
+    obs::Span pair_span("assemble_pair", "assemble");
+    obs::MetricAdd("assemble.pairs", 1);
+    for (std::int64_t c = 0; c < need; ++c) {
+      if (state.stubs[k].empty() || state.stubs[kp].empty() ||
+          (k == kp && state.stubs[k].size() < 2)) {
+        ThrowStubExhausted();
       }
-      if (need == 0) continue;
-      obs::Span pair_span("assemble_pair", "assemble");
-      obs::MetricAdd("assemble.pairs", 1);
-      for (std::int64_t c = 0; c < need; ++c) {
-        if (state.stubs[k].empty() || state.stubs[kp].empty() ||
-            (k == kp && state.stubs[k].size() < 2)) {
-          ThrowStubExhausted();
-        }
-        const NodeId a =
-            PopAt(state.stubs[k], rng.NextIndex(state.stubs[k].size()));
-        const NodeId b =
-            PopAt(state.stubs[kp], rng.NextIndex(state.stubs[kp].size()));
-        state.result.AddEdge(a, b);
-      }
+      const NodeId a =
+          PopAt(state.stubs[k], rng.NextIndex(state.stubs[k].size()));
+      const NodeId b =
+          PopAt(state.stubs[kp], rng.NextIndex(state.stubs[kp].size()));
+      state.result.AddEdge(a, b);
     }
   }
   CheckNoLeftoverStubs(state);

@@ -42,6 +42,18 @@ std::int64_t JointDegreeMatrix::RowSum(std::uint32_t k) const {
   return sum;
 }
 
+std::vector<std::int64_t> JointDegreeMatrix::RowSums(
+    std::uint32_t k_max) const {
+  std::vector<std::int64_t> sums(static_cast<std::size_t>(k_max) + 1, 0);
+  for (const auto& [key, count] : counts_) {
+    const auto k = static_cast<std::uint32_t>(key >> 32);
+    if (k > k_max) continue;
+    const auto kp = static_cast<std::uint32_t>(key & 0xffffffffu);
+    sums[k] += (kp == k ? 2 : 1) * count;
+  }
+  return sums;
+}
+
 std::int64_t JointDegreeMatrix::TotalEdges() const {
   std::int64_t total = 0;
   for (const auto& [key, count] : counts_) {
@@ -79,10 +91,11 @@ bool JointDegreeMatrix::SatisfiesJdm3(const DegreeVector& dv) const {
   const std::uint32_t k_max =
       std::max(MaxDegree(), static_cast<std::uint32_t>(
                                 dv.empty() ? 0 : dv.size() - 1));
+  const std::vector<std::int64_t> sums = RowSums(k_max);
   for (std::uint32_t k = 1; k <= k_max; ++k) {
     const std::int64_t target =
         k < dv.size() ? static_cast<std::int64_t>(k) * dv[k] : 0;
-    if (RowSum(k) != target) return false;
+    if (sums[k] != target) return false;
   }
   return true;
 }

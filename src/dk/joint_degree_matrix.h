@@ -35,9 +35,13 @@ class JointDegreeMatrix {
   void SetSymmetric(std::uint32_t k, std::uint32_t k_prime,
                     std::int64_t value);
 
-  /// Row sum s(k) = Σ_k' µ(k,k') m(k,k') (recomputed; the target-JDM
-  /// builder maintains its own incremental copy).
+  /// Row sum s(k) = Σ_k' µ(k,k') m(k,k') (recomputed; one pass over all
+  /// entries per call).
   std::int64_t RowSum(std::uint32_t k) const;
+
+  /// Every row sum s(0..k_max) in one pass over the entries; entries in
+  /// rows above k_max are skipped.
+  std::vector<std::int64_t> RowSums(std::uint32_t k_max) const;
 
   /// Σ_{k<=k'} m(k,k'): total number of edges described.
   std::int64_t TotalEdges() const;

@@ -30,33 +30,73 @@ JointDegreeMatrix InitializeJdm(const LocalEstimates& est) {
   return m_star;
 }
 
-/// Row sums s(k) = Σ_k' µ(k,k') m(k,k') for all k <= k_max.
-std::vector<std::int64_t> RowSums(const JointDegreeMatrix& m,
-                                  std::uint32_t k_max) {
-  std::vector<std::int64_t> s(k_max + 1, 0);
-  for (const auto& [key, count] : m.counts()) {
-    const auto k = static_cast<std::uint32_t>(key >> 32);
-    const auto kp = static_cast<std::uint32_t>(key & 0xffffffffu);
-    assert(k <= k_max && kp <= k_max);
-    s[k] += (k == kp ? 2 : 1) * count;
-  }
-  return s;
+/// m̂(k,k') as the deltas read it: 0, so that every delta is +infinity,
+/// when P̂(k,k') = 0.
+double CachedEstimate(const LocalEstimates& est, std::uint32_t k,
+                      std::uint32_t k_prime) {
+  return est.joint_dist.At(k, k_prime) <= 0.0
+             ? 0.0
+             : est.EstimatedEdgeCount(k, k_prime);
 }
 
-/// Uniformly random element of `candidates` (non-empty).
-std::uint32_t PickRandom(const std::vector<std::uint32_t>& candidates,
-                         Rng& rng) {
-  return candidates[rng.NextIndex(candidates.size())];
+/// Δ± of moving m*(k,k') = `current` by `direction` (Section IV-C), given
+/// the cached estimate m̂(k,k'); +infinity when m̂ <= 0.
+double CachedDelta(double estimate, std::int64_t current, int direction) {
+  if (estimate <= 0.0) return kInf;
+  const double cur = static_cast<double>(current);
+  const double next = cur + static_cast<double>(direction);
+  return (std::abs(estimate - next) - std::abs(estimate - cur)) / estimate;
 }
+
+/// Candidates minimizing Δ within the ±1e-15 tie window, in scan order.
+/// A candidate replaces the set only when it beats the kept minimum by
+/// more than the window; all-infinite candidates are all collected.
+struct ArgMinSet {
+  double best = kInf;
+  std::vector<std::uint32_t> items;
+
+  void Reset() {
+    best = kInf;
+    items.clear();
+  }
+
+  void Offer(double delta, std::uint32_t item) {
+    if (delta < best - 1e-15) {
+      best = delta;
+      items.assign(1, item);
+    } else if (delta <= best + 1e-15) {
+      items.push_back(item);
+    }
+  }
+
+  /// Uniformly random member (non-empty).
+  std::uint32_t Pick(Rng& rng) const {
+    return items[rng.NextIndex(items.size())];
+  }
+};
+
+/// One candidate m*(k,k') of a row scan, with its lower limit and m̂.
+struct Candidate {
+  std::uint32_t k_prime;
+  std::int64_t count;
+  std::int64_t lower;
+  double estimate;
+};
 
 /// Adjustment step (Algorithm 3): drive every row sum s(k) to its target
 /// s*(k) = k n*(k), processing the frozen set D in decreasing degree order
 /// and respecting the lower limits {m_min(k,k')}. May grow `n_star`.
+///
+/// Row k reads and writes only the entries (k, k') with k' <= k in D, and
+/// no later (smaller) row reads any of them, so each row's candidates are
+/// copied once into a contiguous array, scanned there, and every step is
+/// mirrored into `m_star`.
 void AdjustJdm(const LocalEstimates& est, DegreeVector& n_star,
                JointDegreeMatrix& m_star, const JointDegreeMatrix& m_min,
                Rng& rng) {
   const auto k_max = static_cast<std::uint32_t>(n_star.size() - 1);
-  std::vector<std::int64_t> s = RowSums(m_star, k_max);
+  assert(m_star.MaxDegree() <= k_max);
+  std::vector<std::int64_t> s = m_star.RowSums(k_max);
   std::vector<std::int64_t> s_star(k_max + 1, 0);
   for (std::uint32_t k = 1; k <= k_max; ++k) {
     s_star[k] = static_cast<std::int64_t>(k) * n_star[k];
@@ -65,14 +105,11 @@ void AdjustJdm(const LocalEstimates& est, DegreeVector& n_star,
   // D = {k : s(k) != s*(k)} ∪ {1}, frozen now; degrees outside D are never
   // touched, which is exactly the paper's third constraint.
   std::vector<std::uint32_t> d_set;
-  std::vector<bool> in_d(k_max + 1, false);
   for (std::uint32_t k = 1; k <= k_max; ++k) {
-    if (s[k] != s_star[k] || k == 1) {
-      d_set.push_back(k);
-      in_d[k] = true;
-    }
+    if (s[k] != s_star[k] || k == 1) d_set.push_back(k);
   }
-  // Members of D not exceeding k, ascending (for candidate scans).
+  std::vector<Candidate> row;
+  ArgMinSet best;
   // d_set is ascending by construction; process in decreasing order.
   for (auto it = d_set.rbegin(); it != d_set.rend(); ++it) {
     const std::uint32_t k = *it;
@@ -82,62 +119,45 @@ void AdjustJdm(const LocalEstimates& est, DegreeVector& n_star,
       ++n_star[1];
       s_star[1] += 1;
     }
+    if (s[k] == s_star[k]) continue;
+    row.clear();
+    for (const std::uint32_t kp : d_set) {
+      if (kp > k) break;
+      row.push_back({kp, m_star.At(k, kp), m_min.At(k, kp),
+                     CachedEstimate(est, k, kp)});
+    }
     while (s[k] != s_star[k]) {
-      if (s[k] < s_star[k]) {
-        // Lines 5-9: increase m*(k,k') for the candidate with the smallest
-        // Δ+(k,k'); exclude k' = k when one unit short (µ(k,k) = 2 would
-        // overshoot).
-        const bool exclude_self = (s[k] == s_star[k] - 1);
-        double best = kInf;
-        std::vector<std::uint32_t> best_set;
-        for (std::uint32_t kp : d_set) {
-          if (kp > k) break;
-          if (exclude_self && kp == k) continue;
-          const double delta = JdmDelta(est, k, kp, m_star.At(k, kp), +1);
-          if (delta < best - 1e-15) {
-            best = delta;
-            best_set.assign(1, kp);
-          } else if (delta <= best + 1e-15) {
-            best_set.push_back(kp);
-          }
-        }
-        assert(!best_set.empty() &&
-               "D'+(k) is provably non-empty (contains degree 1)");
-        const std::uint32_t kp = PickRandom(best_set, rng);
-        m_star.AddSymmetric(k, kp, +1);
-        s[k] += (kp == k) ? 2 : 1;
-        if (kp != k) s[kp] += 1;
-      } else {
-        // Lines 10-20: decrease m*(k,k') respecting the lower limits, or
-        // grow the target sum when no entry can be decreased.
-        const bool exclude_self = (s[k] == s_star[k] + 1);
-        double best = kInf;
-        std::vector<std::uint32_t> best_set;
-        for (std::uint32_t kp : d_set) {
-          if (kp > k) break;
-          if (exclude_self && kp == k) continue;
-          if (m_star.At(k, kp) <= m_min.At(k, kp)) continue;
-          const double delta = JdmDelta(est, k, kp, m_star.At(k, kp), -1);
-          if (delta < best - 1e-15) {
-            best = delta;
-            best_set.assign(1, kp);
-          } else if (delta <= best + 1e-15) {
-            best_set.push_back(kp);
-          }
-        }
-        if (!best_set.empty()) {
-          const std::uint32_t kp = PickRandom(best_set, rng);
-          m_star.AddSymmetric(k, kp, -1);
-          s[k] -= (kp == k) ? 2 : 1;
-          if (kp != k) s[kp] -= 1;
-        } else if (k > 1) {
+      // Lines 5-9 (increase, `direction` +1) pick the candidate with the
+      // smallest Δ+(k,k'); lines 10-20 (decrease) the smallest Δ- among
+      // entries above their lower limit. Either excludes k' = k when one
+      // unit away (µ(k,k) = 2 would overshoot).
+      const int direction = s[k] < s_star[k] ? +1 : -1;
+      const bool exclude_self = (s[k] == s_star[k] - direction);
+      best.Reset();
+      for (std::uint32_t i = 0; i < row.size(); ++i) {
+        const Candidate& c = row[i];
+        if (exclude_self && c.k_prime == k) continue;
+        if (direction < 0 && c.count <= c.lower) continue;
+        best.Offer(CachedDelta(c.estimate, c.count, direction), i);
+      }
+      if (best.items.empty()) {
+        // Only a decrease can find no candidate (D'+(k) contains degree
+        // 1): grow the target sum instead.
+        assert(direction < 0);
+        if (k > 1) {
           ++n_star[k];
           s_star[k] += k;
         } else {
           n_star[1] += 2;
           s_star[1] += 2;
         }
+        continue;
       }
+      Candidate& c = row[best.Pick(rng)];
+      c.count += direction;
+      m_star.AddSymmetric(k, c.k_prime, direction);
+      s[k] += (c.k_prime == k) ? 2 * direction : direction;
+      if (c.k_prime != k) s[c.k_prime] += direction;
     }
   }
 }
@@ -146,43 +166,70 @@ void AdjustJdm(const LocalEstimates& est, DegreeVector& n_star,
 /// for every pair, compensating through decrements elsewhere in rows k1 and
 /// k2 so that row sums and the total edge count are preserved whenever
 /// possible.
+///
+/// Pairs with m'(k1,k2) = 0 never loop, so only m''s support is visited,
+/// in ascending (k1, k2) order. A decrement candidate needs m*(k,k') >
+/// m'(k,k') >= 0, so it lies in row k's support of m*: each row keeps its
+/// support sorted by k' (new entries are inserted in place) and is scanned
+/// in ascending k', the order of the dense k' = 1..k*_max scan.
 void ModifyJdm(const LocalEstimates& est, std::uint32_t k_max,
                JointDegreeMatrix& m_star, const JointDegreeMatrix& m_prime,
                Rng& rng) {
+  std::vector<std::vector<Candidate>> rows(k_max + 1);
+  for (const std::uint64_t key : SortedKeys(m_star.counts())) {
+    const auto k = static_cast<std::uint32_t>(key >> 32);
+    const auto kp = static_cast<std::uint32_t>(key & 0xffffffffu);
+    // The dense scans covered 1 <= k, k' <= k_max.
+    if (k == 0 || kp == 0 || k > k_max || kp > k_max) continue;
+    rows[k].push_back({kp, m_star.counts().at(key), m_prime.At(k, kp),
+                       CachedEstimate(est, k, kp)});
+  }
+  auto entry = [&](std::uint32_t k, std::uint32_t kp) -> Candidate& {
+    std::vector<Candidate>& row = rows[k];
+    auto it = std::lower_bound(
+        row.begin(), row.end(), kp,
+        [](const Candidate& c, std::uint32_t v) { return c.k_prime < v; });
+    if (it == row.end() || it->k_prime != kp) {
+      it = row.insert(it, {kp, 0, m_prime.At(k, kp),
+                           CachedEstimate(est, k, kp)});
+    }
+    return *it;
+  };
+  auto add = [&](std::uint32_t k, std::uint32_t kp, std::int64_t delta) {
+    m_star.AddSymmetric(k, kp, delta);
+    entry(k, kp).count += delta;
+    if (kp != k) entry(kp, k).count += delta;
+  };
+
   // D''_-(k): degrees k' != k with m*(k,k') > m'(k,k'), minimizing
   // Δ-(k,k'); ties uniformly random. Returns true and sets `out` when
   // non-empty.
+  ArgMinSet best;
   auto pick_decrement = [&](std::uint32_t k, std::uint32_t& out) {
-    double best = kInf;
-    std::vector<std::uint32_t> best_set;
-    for (std::uint32_t kp = 1; kp <= k_max; ++kp) {
-      if (kp == k) continue;
-      if (m_star.At(k, kp) <= m_prime.At(k, kp)) continue;
-      const double delta = JdmDelta(est, k, kp, m_star.At(k, kp), -1);
-      if (delta < best - 1e-15) {
-        best = delta;
-        best_set.assign(1, kp);
-      } else if (delta <= best + 1e-15) {
-        best_set.push_back(kp);
-      }
+    best.Reset();
+    for (const Candidate& c : rows[k]) {
+      if (c.k_prime == k || c.count <= c.lower) continue;
+      best.Offer(CachedDelta(c.estimate, c.count, -1), c.k_prime);
     }
-    if (best_set.empty()) return false;
-    out = PickRandom(best_set, rng);
+    if (best.items.empty()) return false;
+    out = best.Pick(rng);
     return true;
   };
 
-  for (std::uint32_t k1 = 1; k1 <= k_max; ++k1) {
-    for (std::uint32_t k2 = k1; k2 <= k_max; ++k2) {
-      while (m_star.At(k1, k2) < m_prime.At(k1, k2)) {
-        m_star.AddSymmetric(k1, k2, +1);
-        std::uint32_t k3 = 0;
-        std::uint32_t k4 = 0;
-        const bool found3 = pick_decrement(k1, k3);
-        if (found3) m_star.AddSymmetric(k1, k3, -1);
-        const bool found4 = pick_decrement(k2, k4);
-        if (found4) m_star.AddSymmetric(k2, k4, -1);
-        if (found3 && found4) m_star.AddSymmetric(k3, k4, +1);
-      }
+  for (const std::uint64_t key : SortedKeys(m_prime.counts())) {
+    const auto k1 = static_cast<std::uint32_t>(key >> 32);
+    const auto k2 = static_cast<std::uint32_t>(key & 0xffffffffu);
+    if (k1 == 0 || k1 > k2 || k2 > k_max) continue;
+    const std::int64_t target = m_prime.counts().at(key);
+    while (entry(k1, k2).count < target) {
+      add(k1, k2, +1);
+      std::uint32_t k3 = 0;
+      std::uint32_t k4 = 0;
+      const bool found3 = pick_decrement(k1, k3);
+      if (found3) add(k1, k3, -1);
+      const bool found4 = pick_decrement(k2, k4);
+      if (found4) add(k2, k4, -1);
+      if (found3 && found4) add(k3, k4, +1);
     }
   }
 }
@@ -191,12 +238,7 @@ void ModifyJdm(const LocalEstimates& est, std::uint32_t k_max,
 
 double JdmDelta(const LocalEstimates& est, std::uint32_t k,
                 std::uint32_t k_prime, std::int64_t current, int direction) {
-  if (est.joint_dist.At(k, k_prime) <= 0.0) return kInf;
-  const double estimate = est.EstimatedEdgeCount(k, k_prime);
-  if (estimate <= 0.0) return kInf;
-  const double cur = static_cast<double>(current);
-  const double next = cur + static_cast<double>(direction);
-  return (std::abs(estimate - next) - std::abs(estimate - cur)) / estimate;
+  return CachedDelta(CachedEstimate(est, k, k_prime), current, direction);
 }
 
 JointDegreeMatrix BuildTargetJdmFromEstimates(const LocalEstimates& est,

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "dk/dk_extract.h"
+#include "estimation/estimators.h"
 #include "graph/generators.h"
+#include "restore/target_degree_vector.h"
+#include "restore/target_jdm.h"
+#include "sampling/random_walk.h"
+#include "sampling/subgraph.h"
 
 namespace sgr {
 namespace {
@@ -93,6 +100,26 @@ TEST(DkConstructTest, RejectsInconsistentJdm) {
   EXPECT_THROW(Construct2kGraph(n_star, m_star, rng), std::logic_error);
 }
 
+TEST(DkConstructTest, RejectsJdm4ViolationAbsentFromTarget) {
+  // m'(1,2) = 1 with no m*(1,2) entry at all: the sparse pair walk must
+  // still visit the pair and name it, before any stub is drawn.
+  Graph base(2);
+  base.AddEdge(0, 1);
+  const std::vector<std::uint32_t> targets = {1, 2};
+  DegreeVector n_star = {0, 2, 2};
+  JointDegreeMatrix m_star;
+  m_star.SetSymmetric(2, 2, 2);
+  Rng rng(53);
+  try {
+    ConstructPreservingTargets(base, targets, n_star, m_star, rng);
+    FAIL() << "expected a JDM-4 violation";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("JDM-4 violated at (1,2)"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(DkConstructTest, RejectsDv3Violation) {
   Graph base(3);
   base.AddEdge(0, 1);
@@ -154,6 +181,48 @@ TEST(DkConstructTest, ZeroKPreservesNodesAndEdges) {
   EXPECT_EQ(g.NumNodes(), 100u);
   EXPECT_EQ(g.NumEdges(), 250u);
   EXPECT_DOUBLE_EQ(g.AverageDegree(), 5.0);
+}
+
+/// FNV-1a-64 over the node count and the edge array in EdgeId order.
+std::uint64_t EdgeArrayHash(const Graph& g) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  mix(g.NumNodes());
+  for (const Edge& e : g.edges()) {
+    mix(e.u);
+    mix(e.v);
+  }
+  return h;
+}
+
+TEST(DkConstructTest, PreservingTargetsEdgeArrayIsFrozen) {
+  // The whole proposed-method target chain on a seeded walk, then
+  // Algorithm 5: the assembled edge array (RNG draws and class-pair
+  // order) is pinned to the hashes of the dense pair-grid walk.
+  const std::uint64_t expected[] = {
+      0xd0f60eb97f8ca231ULL, 0x635832f9fc071d77ULL, 0x71d5e54db1e8525cULL};
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    Rng gen_rng(seed);
+    const CsrGraph g(GeneratePowerlawCluster(1500, 4, 0.3, gen_rng));
+    QueryOracle oracle(g);
+    Rng rng(seed + 10);
+    const SamplingList list = RandomWalkSample(oracle, 0, 150, rng);
+    const Subgraph sub = BuildSubgraph(list);
+    const LocalEstimates est = EstimateLocalProperties(list);
+    TargetDegreeVectorResult dv = BuildTargetDegreeVector(sub, est, rng);
+    const JointDegreeMatrix m_prime =
+        SubgraphClassEdges(sub.graph, dv.subgraph_target_degrees);
+    const JointDegreeMatrix m_star =
+        BuildTargetJdm(est, dv.n_star, m_prime, rng);
+    const Graph built = ConstructPreservingTargets(
+        sub.graph, dv.subgraph_target_degrees, dv.n_star, m_star, rng);
+    EXPECT_EQ(EdgeArrayHash(built), expected[seed - 1]) << "seed " << seed;
+  }
 }
 
 class DkRoundTripTest : public ::testing::TestWithParam<std::uint64_t> {};
