@@ -1,13 +1,11 @@
 #include "dk/dk_construct.h"
 
 #include <algorithm>
-#include <iterator>
 #include <stdexcept>
 #include <string>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/sorted_keys.h"
 
 namespace sgr {
 
@@ -123,34 +121,46 @@ NodeId PopAt(std::vector<NodeId>& pool, std::size_t idx) {
 /// needs no edge, so only the union of the two supports is walked.
 void WireClassPairs(AssemblyState& state, const JointDegreeMatrix& m_star,
                     const JointDegreeMatrix& m_prime, Rng& rng) {
-  const std::vector<std::uint64_t> target_keys = SortedKeys(m_star.counts());
-  const std::vector<std::uint64_t> base_keys = SortedKeys(m_prime.counts());
-  std::vector<std::uint64_t> pairs;
-  std::set_union(target_keys.begin(), target_keys.end(), base_keys.begin(),
-                 base_keys.end(), std::back_inserter(pairs));
-  for (const std::uint64_t key : pairs) {
-    const auto k = static_cast<std::uint32_t>(key >> 32);
-    const auto kp = static_cast<std::uint32_t>(key & 0xffffffffu);
-    if (k == 0 || k > kp || kp > state.k_max) continue;
-    const std::int64_t need = m_star.At(k, kp) - m_prime.At(k, kp);
-    if (need < 0) {
-      throw std::logic_error(
-          "ConstructPreservingTargets: JDM-4 violated at (" +
-          std::to_string(k) + "," + std::to_string(kp) + ")");
-    }
-    if (need == 0) continue;
-    obs::Span pair_span("assemble_pair", "assemble");
-    obs::MetricAdd("assemble.pairs", 1);
-    for (std::int64_t c = 0; c < need; ++c) {
-      if (state.stubs[k].empty() || state.stubs[kp].empty() ||
-          (k == kp && state.stubs[k].size() < 2)) {
-        ThrowStubExhausted();
+  for (std::uint32_t k = 1; k <= state.k_max; ++k) {
+    // Merge row k of both matrices: each k' in either support, ascending.
+    const std::vector<JdmEntry>& target = m_star.Row(k);
+    const std::vector<JdmEntry>& base = m_prime.Row(k);
+    std::size_t ti = 0;
+    std::size_t bi = 0;
+    while (ti < target.size() || bi < base.size()) {
+      const std::uint32_t kp =
+          bi == base.size() || (ti < target.size() &&
+                                target[ti].k_prime < base[bi].k_prime)
+              ? target[ti].k_prime
+              : base[bi].k_prime;
+      std::int64_t need = 0;
+      if (ti < target.size() && target[ti].k_prime == kp) {
+        need += target[ti++].count;
       }
-      const NodeId a =
-          PopAt(state.stubs[k], rng.NextIndex(state.stubs[k].size()));
-      const NodeId b =
-          PopAt(state.stubs[kp], rng.NextIndex(state.stubs[kp].size()));
-      state.result.AddEdge(a, b);
+      if (bi < base.size() && base[bi].k_prime == kp) {
+        need -= base[bi++].count;
+      }
+      if (kp < k) continue;
+      if (kp > state.k_max) break;
+      if (need < 0) {
+        throw std::logic_error(
+            "ConstructPreservingTargets: JDM-4 violated at (" +
+            std::to_string(k) + "," + std::to_string(kp) + ")");
+      }
+      if (need == 0) continue;
+      obs::Span pair_span("assemble_pair", "assemble");
+      obs::MetricAdd("assemble.pairs", 1);
+      for (std::int64_t c = 0; c < need; ++c) {
+        if (state.stubs[k].empty() || state.stubs[kp].empty() ||
+            (k == kp && state.stubs[k].size() < 2)) {
+          ThrowStubExhausted();
+        }
+        const NodeId a =
+            PopAt(state.stubs[k], rng.NextIndex(state.stubs[k].size()));
+        const NodeId b =
+            PopAt(state.stubs[kp], rng.NextIndex(state.stubs[kp].size()));
+        state.result.AddEdge(a, b);
+      }
     }
   }
   CheckNoLeftoverStubs(state);

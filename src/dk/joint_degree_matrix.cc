@@ -5,84 +5,112 @@
 
 namespace sgr {
 
+namespace {
+
+/// First entry of `row` with k' >= `k_prime`. Each halving step is a
+/// conditional move: std::lower_bound's data-dependent branch mispredicts
+/// about once per step, which doubled the cost of SubgraphClassEdges.
+template <typename Row>
+auto LowerBound(Row& row, std::uint32_t k_prime) {
+  std::size_t lo = 0;
+  std::size_t n = row.size();
+  while (n > 1) {
+    const std::size_t half = n / 2;
+    lo = row[lo + half].k_prime < k_prime ? lo + half : lo;
+    n -= half;
+  }
+  const bool past = n == 1 && row[lo].k_prime < k_prime;
+  return row.begin() + static_cast<std::ptrdiff_t>(lo + past);
+}
+
+}  // namespace
+
+std::int64_t JointDegreeMatrix::At(std::uint32_t k,
+                                   std::uint32_t k_prime) const {
+  const std::vector<JdmEntry>& row = Row(k);
+  const auto it = LowerBound(row, k_prime);
+  return it == row.end() || it->k_prime != k_prime ? 0 : it->count;
+}
+
+const std::vector<JdmEntry>& JointDegreeMatrix::Row(std::uint32_t k) const {
+  static const std::vector<JdmEntry> kEmptyRow;
+  return k < rows_.size() ? rows_[k] : kEmptyRow;
+}
+
+void JointDegreeMatrix::AddEntry(std::uint32_t k, std::uint32_t k_prime,
+                                 std::int64_t delta) {
+  if (k >= rows_.size()) rows_.resize(static_cast<std::size_t>(k) + 1);
+  std::vector<JdmEntry>& row = rows_[k];
+  auto it = LowerBound(row, k_prime);
+  if (it == row.end() || it->k_prime != k_prime) {
+    it = row.insert(it, {k_prime, 0});
+  }
+  it->count += delta;
+  assert(it->count >= 0 && "joint degree matrix entry went negative");
+  if (it->count == 0) row.erase(it);
+}
+
 void JointDegreeMatrix::AddSymmetric(std::uint32_t k, std::uint32_t k_prime,
                                      std::int64_t delta) {
   if (delta == 0) return;
-  auto apply = [this](std::uint64_t key, std::int64_t d) {
-    auto [it, inserted] = counts_.try_emplace(key, 0);
-    it->second += d;
-    assert(it->second >= 0 && "joint degree matrix entry went negative");
-    if (it->second == 0) counts_.erase(it);
-  };
-  apply(DegreePairKey(k, k_prime), delta);
-  if (k != k_prime) apply(DegreePairKey(k_prime, k), delta);
+  AddEntry(k, k_prime, delta);
+  if (k != k_prime) AddEntry(k_prime, k, delta);
 }
 
 void JointDegreeMatrix::SetSymmetric(std::uint32_t k, std::uint32_t k_prime,
                                      std::int64_t value) {
   assert(value >= 0);
-  auto apply = [this](std::uint64_t key, std::int64_t v) {
-    if (v == 0) {
-      counts_.erase(key);
-    } else {
-      counts_[key] = v;
-    }
-  };
-  apply(DegreePairKey(k, k_prime), value);
-  if (k != k_prime) apply(DegreePairKey(k_prime, k), value);
+  AddSymmetric(k, k_prime, value - At(k, k_prime));
 }
 
 std::int64_t JointDegreeMatrix::RowSum(std::uint32_t k) const {
   std::int64_t sum = 0;
-  for (const auto& [key, count] : counts_) {
-    if (static_cast<std::uint32_t>(key >> 32) != k) continue;
-    const auto kp = static_cast<std::uint32_t>(key & 0xffffffffu);
-    sum += (kp == k ? 2 : 1) * count;
-  }
+  for (const JdmEntry& e : Row(k)) sum += (e.k_prime == k ? 2 : 1) * e.count;
   return sum;
 }
 
 std::vector<std::int64_t> JointDegreeMatrix::RowSums(
     std::uint32_t k_max) const {
   std::vector<std::int64_t> sums(static_cast<std::size_t>(k_max) + 1, 0);
-  for (const auto& [key, count] : counts_) {
-    const auto k = static_cast<std::uint32_t>(key >> 32);
-    if (k > k_max) continue;
-    const auto kp = static_cast<std::uint32_t>(key & 0xffffffffu);
-    sums[k] += (kp == k ? 2 : 1) * count;
+  for (std::uint32_t k = 0; k <= k_max && k < rows_.size(); ++k) {
+    sums[k] = RowSum(k);
   }
   return sums;
 }
 
 std::int64_t JointDegreeMatrix::TotalEdges() const {
   std::int64_t total = 0;
-  for (const auto& [key, count] : counts_) {
-    const auto k = static_cast<std::uint32_t>(key >> 32);
-    const auto kp = static_cast<std::uint32_t>(key & 0xffffffffu);
-    if (k <= kp) total += count;
+  for (std::uint32_t k = 0; k < rows_.size(); ++k) {
+    for (const JdmEntry& e : rows_[k]) {
+      if (k <= e.k_prime) total += e.count;
+    }
   }
   return total;
 }
 
 std::uint32_t JointDegreeMatrix::MaxDegree() const {
-  std::uint32_t best = 0;
-  for (const auto& [key, count] : counts_) {
-    if (count <= 0) continue;
-    best = std::max(best, static_cast<std::uint32_t>(key >> 32));
+  for (std::size_t k = rows_.size(); k > 0; --k) {
+    for (const JdmEntry& e : rows_[k - 1]) {
+      if (e.count > 0) return static_cast<std::uint32_t>(k - 1);
+    }
   }
-  return best;
+  return 0;
 }
 
 bool JointDegreeMatrix::SatisfiesJdm1() const {
-  return std::all_of(counts_.begin(), counts_.end(),
-                     [](const auto& kv) { return kv.second >= 0; });
+  for (const std::vector<JdmEntry>& row : rows_) {
+    for (const JdmEntry& e : row) {
+      if (e.count < 0) return false;
+    }
+  }
+  return true;
 }
 
 bool JointDegreeMatrix::SatisfiesJdm2() const {
-  for (const auto& [key, count] : counts_) {
-    const auto k = static_cast<std::uint32_t>(key >> 32);
-    const auto kp = static_cast<std::uint32_t>(key & 0xffffffffu);
-    if (At(kp, k) != count) return false;
+  for (std::uint32_t k = 0; k < rows_.size(); ++k) {
+    for (const JdmEntry& e : rows_[k]) {
+      if (At(e.k_prime, k) != e.count) return false;
+    }
   }
   return true;
 }
@@ -101,10 +129,10 @@ bool JointDegreeMatrix::SatisfiesJdm3(const DegreeVector& dv) const {
 }
 
 bool JointDegreeMatrix::Dominates(const JointDegreeMatrix& lower) const {
-  for (const auto& [key, count] : lower.counts()) {
-    const auto k = static_cast<std::uint32_t>(key >> 32);
-    const auto kp = static_cast<std::uint32_t>(key & 0xffffffffu);
-    if (At(k, kp) < count) return false;
+  for (std::uint32_t k = 0; k < lower.NumRows(); ++k) {
+    for (const JdmEntry& e : lower.Row(k)) {
+      if (At(k, e.k_prime) < e.count) return false;
+    }
   }
   return true;
 }

@@ -1,14 +1,19 @@
 #ifndef SGR_DK_JOINT_DEGREE_MATRIX_H_
 #define SGR_DK_JOINT_DEGREE_MATRIX_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "dk/degree_vector.h"
-#include "estimation/estimates.h"  // DegreePairKey
 
 namespace sgr {
+
+/// One stored entry m(k, k') of row k.
+struct JdmEntry {
+  std::uint32_t k_prime;
+  std::int64_t count;
+};
 
 /// Joint degree matrix {m(k,k')}: entry (k,k') holds the number of edges
 /// between nodes of degree k and nodes of degree k'. This is the 2K
@@ -16,18 +21,17 @@ namespace sgr {
 /// s(k) = Σ_k' µ(k,k') m(k,k') equals k·n(k) for a realizable pair
 /// (degree vector, matrix), where µ(k,k) = 2 and µ = 1 otherwise.
 ///
-/// Storage is sparse and symmetric: both (k,k') and (k',k) orderings map to
-/// the same logical entry (a single physical entry on the diagonal).
+/// Storage is one sparse row per degree k, holding the non-zero entries
+/// sorted by k'. Both (k,k') and (k',k) are stored (a single entry on the
+/// diagonal), so walking rows 0..NumRows()-1 visits every ordered pair in
+/// ascending (k, k') order: the order Algorithms 3-5 scan and draw in.
 class JointDegreeMatrix {
  public:
   /// m(k, k'); 0 when absent.
-  std::int64_t At(std::uint32_t k, std::uint32_t k_prime) const {
-    auto it = counts_.find(DegreePairKey(k, k_prime));
-    return it == counts_.end() ? 0 : it->second;
-  }
+  std::int64_t At(std::uint32_t k, std::uint32_t k_prime) const;
 
   /// Adds `delta` to m(k,k') and m(k',k) (one entry when k == k').
-  /// Entries dropping to zero are erased so iteration stays sparse.
+  /// Entries dropping to zero are erased so rows stay sparse.
   void AddSymmetric(std::uint32_t k, std::uint32_t k_prime,
                     std::int64_t delta);
 
@@ -35,21 +39,21 @@ class JointDegreeMatrix {
   void SetSymmetric(std::uint32_t k, std::uint32_t k_prime,
                     std::int64_t value);
 
-  /// Row sum s(k) = Σ_k' µ(k,k') m(k,k') (recomputed; one pass over all
-  /// entries per call).
+  /// Rows stored; every row at or above it is empty. Trailing rows may be
+  /// empty too, after their entries were erased.
+  std::size_t NumRows() const { return rows_.size(); }
+
+  /// Row k's non-zero entries, ascending in k'; empty for k >= NumRows().
+  const std::vector<JdmEntry>& Row(std::uint32_t k) const;
+
+  /// Row sum s(k) = Σ_k' µ(k,k') m(k,k').
   std::int64_t RowSum(std::uint32_t k) const;
 
-  /// Every row sum s(0..k_max) in one pass over the entries; entries in
-  /// rows above k_max are skipped.
+  /// Every row sum s(0..k_max); rows above k_max are skipped.
   std::vector<std::int64_t> RowSums(std::uint32_t k_max) const;
 
   /// Σ_{k<=k'} m(k,k'): total number of edges described.
   std::int64_t TotalEdges() const;
-
-  /// Raw storage: key -> count; both orderings present for k != k'.
-  const std::unordered_map<std::uint64_t, std::int64_t>& counts() const {
-    return counts_;
-  }
 
   /// Largest degree appearing with a positive count.
   std::uint32_t MaxDegree() const;
@@ -67,7 +71,10 @@ class JointDegreeMatrix {
   bool Dominates(const JointDegreeMatrix& lower) const;
 
  private:
-  std::unordered_map<std::uint64_t, std::int64_t> counts_;
+  /// Adds `delta` to the one stored entry (k, k'), inserting or erasing it.
+  void AddEntry(std::uint32_t k, std::uint32_t k_prime, std::int64_t delta);
+
+  std::vector<std::vector<JdmEntry>> rows_;
 };
 
 }  // namespace sgr

@@ -396,7 +396,7 @@ LocalEstimates EstimateLocalProperties(const SamplingList& list,
   });
   std::unordered_map<std::uint64_t, double> te;
   for (const auto& local : te_chunks) {
-    for (const auto& [key, value] : local) te[key] += value;
+    for (const std::uint64_t key : SortedKeys(local)) te[key] += local.at(key);
   }
 
   // IE: induced edges among far-apart walk positions. For each position i
@@ -435,7 +435,9 @@ LocalEstimates EstimateLocalProperties(const SamplingList& list,
   });
   std::unordered_map<std::uint64_t, double> ie_counts;
   for (const auto& local : ie_chunks) {
-    for (const auto& [key, count] : local) ie_counts[key] += count;
+    for (const std::uint64_t key : SortedKeys(local)) {
+      ie_counts[key] += local.at(key);
+    }
   }
   const double num_pairs = CountOrderedPairs(r, m);
   SparseJointDist ie;

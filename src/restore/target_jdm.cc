@@ -169,20 +169,22 @@ void AdjustJdm(const LocalEstimates& est, DegreeVector& n_star,
 ///
 /// Pairs with m'(k1,k2) = 0 never loop, so only m''s support is visited,
 /// in ascending (k1, k2) order. A decrement candidate needs m*(k,k') >
-/// m'(k,k') >= 0, so it lies in row k's support of m*: each row keeps its
-/// support sorted by k' (new entries are inserted in place) and is scanned
-/// in ascending k', the order of the dense k' = 1..k*_max scan.
+/// m'(k,k') >= 0, so it lies in row k's support of m*: each cached row
+/// starts as m*'s row k with m'(k,k') and m̂(k,k') attached, stays sorted
+/// by k' (new entries are inserted in place) and is scanned in ascending
+/// k', the order of the dense k' = 1..k*_max scan.
 void ModifyJdm(const LocalEstimates& est, std::uint32_t k_max,
                JointDegreeMatrix& m_star, const JointDegreeMatrix& m_prime,
                Rng& rng) {
   std::vector<std::vector<Candidate>> rows(k_max + 1);
-  for (const std::uint64_t key : SortedKeys(m_star.counts())) {
-    const auto k = static_cast<std::uint32_t>(key >> 32);
-    const auto kp = static_cast<std::uint32_t>(key & 0xffffffffu);
-    // The dense scans covered 1 <= k, k' <= k_max.
-    if (k == 0 || kp == 0 || k > k_max || kp > k_max) continue;
-    rows[k].push_back({kp, m_star.counts().at(key), m_prime.At(k, kp),
-                       CachedEstimate(est, k, kp)});
+  // The dense scans covered 1 <= k, k' <= k_max.
+  for (std::uint32_t k = 1; k <= k_max; ++k) {
+    for (const JdmEntry& e : m_star.Row(k)) {
+      if (e.k_prime > k_max) break;
+      if (e.k_prime == 0) continue;
+      rows[k].push_back({e.k_prime, e.count, m_prime.At(k, e.k_prime),
+                         CachedEstimate(est, k, e.k_prime)});
+    }
   }
   auto entry = [&](std::uint32_t k, std::uint32_t kp) -> Candidate& {
     std::vector<Candidate>& row = rows[k];
@@ -216,20 +218,21 @@ void ModifyJdm(const LocalEstimates& est, std::uint32_t k_max,
     return true;
   };
 
-  for (const std::uint64_t key : SortedKeys(m_prime.counts())) {
-    const auto k1 = static_cast<std::uint32_t>(key >> 32);
-    const auto k2 = static_cast<std::uint32_t>(key & 0xffffffffu);
-    if (k1 == 0 || k1 > k2 || k2 > k_max) continue;
-    const std::int64_t target = m_prime.counts().at(key);
-    while (entry(k1, k2).count < target) {
-      add(k1, k2, +1);
-      std::uint32_t k3 = 0;
-      std::uint32_t k4 = 0;
-      const bool found3 = pick_decrement(k1, k3);
-      if (found3) add(k1, k3, -1);
-      const bool found4 = pick_decrement(k2, k4);
-      if (found4) add(k2, k4, -1);
-      if (found3 && found4) add(k3, k4, +1);
+  for (std::uint32_t k1 = 1; k1 <= k_max; ++k1) {
+    for (const JdmEntry& target : m_prime.Row(k1)) {
+      const std::uint32_t k2 = target.k_prime;
+      if (k2 > k_max) break;
+      if (k2 < k1) continue;
+      while (entry(k1, k2).count < target.count) {
+        add(k1, k2, +1);
+        std::uint32_t k3 = 0;
+        std::uint32_t k4 = 0;
+        const bool found3 = pick_decrement(k1, k3);
+        if (found3) add(k1, k3, -1);
+        const bool found4 = pick_decrement(k2, k4);
+        if (found4) add(k2, k4, -1);
+        if (found3 && found4) add(k3, k4, +1);
+      }
     }
   }
 }

@@ -310,6 +310,11 @@ bool PathEndsWith(const std::string& path, const std::string& suffix) {
   return at == 0 || p[at - 1] == '/';
 }
 
+/// The path without its extension: foo.h and foo.cc share a stem.
+std::string Stem(const std::string& path) {
+  return path.substr(0, path.rfind('.'));
+}
+
 bool InObs(const std::string& path) { return PathHasComponent(path, "obs"); }
 
 bool IsEnvTextHome(const std::string& path) {
@@ -408,6 +413,14 @@ class FileLinter {
       }
       RegisterDeclarator(i);
     }
+    // `for (... NAME : CONTAINER)` over a container of unordered maps
+    // declares NAME as an unordered map for the loop's body.
+    for (std::size_t i = 1; i + 2 < t.size(); ++i) {
+      if (t[i].text == ":" && t[i + 2].text == ")" &&
+          Contains(checker_.element_unordered_, t[i + 1].text)) {
+        RegisterVariable(i - 1);
+      }
+    }
   }
 
   /// Pass 2: all rules.
@@ -415,7 +428,6 @@ class FileLinter {
     LintBannedIdentifiers();
     LintGlobalState();
     LintUnorderedLoops();
-    ResolveAllows();
   }
 
  private:
@@ -446,10 +458,8 @@ class FileLinter {
     checker_.result_.violations.push_back(std::move(diag));
   }
 
-  /// Records every annotation up front so unused ones can be reported.
-  void ResolveAllows() {}
-
  public:
+  /// Records every annotation up front so unused ones can be reported.
   void PreRecordAllows() {
     for (const RawAllow& allow : lexer_.allows) {
       CheckAllow recorded;
@@ -584,9 +594,6 @@ class FileLinter {
     std::size_t j = brace;
     while (j > 0 && (t[j - 1].is_ident || t[j - 1].text == "::")) --j;
     if (j > 0 && t[j - 1].text == "namespace") return ScopeKind::kNamespace;
-    if (j > 1 && t[j - 1].is_ident == false) {
-      // fallthrough — handled below
-    }
     if (pending_class_head) return ScopeKind::kClass;
     if (brace > 0) {
       const std::string& prev = t[brace - 1].text;
@@ -738,14 +745,11 @@ class FileLinter {
       std::size_t depth = 0;
       for (; i < t.size(); ++i) {
         if (t[i].text == "<") ++depth;
-        if (t[i].text == ">") {
-          if (--depth == 0) {
-            ++i;
-            break;
-          }
-        }
-        if (t[i].text == ">>") {
-          depth = depth >= 2 ? depth - 2 : 0;
+        if (t[i].text == ">" || t[i].text == ">>") {
+          // A `>>` at depth 1 also closes an outer template.
+          const std::size_t closes = t[i].text.size();
+          nested = depth < closes;
+          depth = depth > closes ? depth - closes : 0;
           if (depth == 0) {
             ++i;
             break;
@@ -772,25 +776,93 @@ class FileLinter {
       return;
     }
     // `unordered_map<...> Foo(` declares an accessor returning the map
-    // (counts(), values()) — matched only when called, so an unrelated
+    // (values()) — matched only when called, so an unrelated
     // plain variable of the same name does not collide. A declarator NOT
     // followed by `(` is a variable — matched only when not called, so
     // the member `neighbors` does not taint the method `g.neighbors(v)`.
-    const bool is_function = i + 1 < Tokens().size() &&
-                             Tokens()[i + 1].text == "(";
-    AddUnique(is_function ? checker_.accessor_unordered_
-                          : checker_.direct_unordered_,
-              t[i].text);
+    if (i + 1 < t.size() && t[i + 1].text == "(") {
+      AddUnique(checker_.accessor_unordered_, t[i].text);
+      return;
+    }
+    RegisterVariable(i);
   }
 
-  /// True when `name` occurring in a range expression denotes an
-  /// unordered container (direct, element access of a container of
-  /// unordered maps, or an accessor returning one).
+  /// Registers the variable named at token `at`. Preload and Check may
+  /// both register a file; the duplicate entries agree.
+  void RegisterVariable(std::size_t at) {
+    SourceChecker::UnorderedVariable var{Tokens()[at].text, path_};
+    if (SetScope(at, var)) checker_.direct_unordered_.push_back(var);
+  }
+
+  /// Index of the bracket closing the `(`, `[` or `{` at `open`.
+  std::size_t Match(std::size_t open) const {
+    const std::vector<Token>& t = Tokens();
+    std::size_t depth = 0;
+    for (std::size_t j = open; j < t.size(); ++j) {
+      const std::string& text = t[j].text;
+      if (text == "(" || text == "[" || text == "{") ++depth;
+      if ((text == ")" || text == "]" || text == "}") && --depth == 0) return j;
+    }
+    return t.size();
+  }
+
+  /// Sets `var`'s scope from its declarator at token `at`, found through
+  /// the innermost unclosed `(` or `{`: a parameter is local to its
+  /// function body, any other variable inside a function to the rest of
+  /// its block. Returns false for a parameter of a declaration without a
+  /// body, which declares no variable.
+  bool SetScope(std::size_t at, SourceChecker::UnorderedVariable& var) const {
+    const std::vector<Token>& t = Tokens();
+    for (std::size_t j = at, depth = 0; j-- > 0;) {
+      const std::string& text = t[j].text;
+      if (text == ")" || text == "}") ++depth;
+      if (text != "(" && text != "{") continue;
+      if (depth > 0) {
+        --depth;
+        continue;
+      }
+      var.begin = at;
+      var.end = Match(j);
+      if (text == "(") {
+        var.begin = var.end;
+        while (var.begin < t.size() && t[var.begin].text != "{") {
+          if (t[var.begin++].text == ";") return false;
+        }
+        if (var.begin == t.size()) return false;
+        var.end = Match(var.begin);
+      }
+      // A class or namespace body holds members and globals, not locals.
+      var.local = true;
+      for (std::size_t k = j; text == "{" && k-- > 0;) {
+        const std::string& head = t[k].text;
+        if (head == ";" || head == "{" || head == "}") break;
+        if (head == "class" || head == "struct" || head == "union" ||
+            head == "namespace") {
+          var.local = false;
+        }
+      }
+      return true;
+    }
+    return true;  // file scope
+  }
+
+  /// True when the name at token `i` denotes an unordered container (a
+  /// variable in scope, element access of a container of unordered maps,
+  /// or a call of an accessor returning one).
   bool IsUnorderedUse(std::size_t i) const {
     const std::vector<Token>& t = Tokens();
     if (!t[i].is_ident) return false;
     const bool called = i + 1 < t.size() && t[i + 1].text == "(";
-    if (Contains(checker_.direct_unordered_, t[i].text)) return !called;
+    const bool member_access =
+        i > 0 && (t[i - 1].text == "." || t[i - 1].text == "->");
+    for (const SourceChecker::UnorderedVariable& var :
+         checker_.direct_unordered_) {
+      if (var.name != t[i].text) continue;
+      const bool visible =
+          var.local ? var.file == path_ && var.begin <= i && i < var.end
+                    : member_access || Stem(var.file) == Stem(path_);
+      if (visible) return !called;
+    }
     if (Contains(checker_.accessor_unordered_, t[i].text)) return called;
     if (Contains(checker_.element_unordered_, t[i].text)) {
       return i + 1 < t.size() && t[i + 1].text == "[";
@@ -798,266 +870,44 @@ class FileLinter {
     return false;
   }
 
+  /// Flags every walk of an unordered container: a range-for over one,
+  /// and NAME.begin() / NAME.cbegin() anywhere, which covers iterator
+  /// loops and algorithms (std::accumulate, std::all_of, std::copy, ...).
+  /// No loop body is exempt: even a floating-point sum depends on the
+  /// order of its terms. The sanctioned walk is a range-for over
+  /// SortedKeys(...); find()/end() lookups stay legal.
   void LintUnorderedLoops() {
     const std::vector<Token>& t = Tokens();
     for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-      if (!(t[i].text == "for" && t[i + 1].text == "(")) continue;
-      // Find the matching ')' and a range-for ':' at paren depth 1.
-      std::size_t depth = 0;
-      std::size_t colon = 0;
-      std::size_t close = 0;
-      std::size_t first_semi = 0;
-      for (std::size_t j = i + 1; j < t.size(); ++j) {
-        if (t[j].text == "(") ++depth;
-        if (t[j].text == ")") {
-          if (--depth == 0) {
-            close = j;
-            break;
-          }
+      bool walk = false;
+      if (IsUnorderedUse(i)) {
+        // Past an accessor's call or an element's subscript.
+        std::size_t j = i + 1;
+        if (t[j].text == "(" || t[j].text == "[") j = Match(j) + 1;
+        walk = j + 1 < t.size() && (t[j].text == "." || t[j].text == "->") &&
+               (t[j + 1].text == "begin" || t[j + 1].text == "cbegin");
+      } else if (t[i].text == "for" && t[i + 1].text == "(") {
+        // A range-for has a ':' at paren depth 1 before any ';'.
+        const std::size_t close = Match(i + 1);
+        std::size_t colon = i + 2;
+        while (colon < close && t[colon].text != ":" &&
+               t[colon].text != ";") {
+          colon = t[colon].text == "(" ? Match(colon) + 1 : colon + 1;
         }
-        if (depth == 1 && t[j].text == ":" && colon == 0) colon = j;
-        if (depth == 1 && t[j].text == ";" && first_semi == 0) {
-          first_semi = j;
-        }
-      }
-      if (close == 0) continue;
-      bool hazard = false;
-      if (colon != 0 && (first_semi == 0 || colon < first_semi)) {
-        // Range-for: hazard if the range expression names an unordered
-        // container — unless the range IS a SortedKeys(...) call
-        // (util/sorted_keys.h), the sanctioned way to canonicalize.
-        if (colon + 1 < close && t[colon + 1].text == "SortedKeys") {
+        if (colon >= close || t[colon].text == ";" ||
+            t[colon + 1].text == "SortedKeys") {
           continue;
         }
-        for (std::size_t j = colon + 1; j < close && !hazard; ++j) {
-          hazard = IsUnorderedUse(j);
-        }
-      } else if (first_semi != 0) {
-        // Classic for: hazard when the init clause grabs NAME.begin().
-        for (std::size_t j = i + 2; j + 2 < first_semi; ++j) {
-          if (IsUnorderedUse(j) && t[j + 1].text == "." &&
-              (t[j + 2].text == "begin" || t[j + 2].text == "cbegin")) {
-            hazard = true;
-            break;
-          }
+        for (std::size_t j = colon + 1; j < close && !walk; ++j) {
+          walk = IsUnorderedUse(j);
         }
       }
-      if (!hazard) continue;
-      if (BodyIsOrderIndependent(close + 1)) continue;
-      Report(t[i], "unordered-iter",
-             "iteration over an unordered container whose body is not "
-             "provably order-independent; iterate a sorted copy, or "
-             "annotate why hash order cannot leak");
-    }
-  }
-
-  // -- Order-independence analysis of a loop body. --------------------------
-  //
-  // A body is order-independent when every statement is one of:
-  //   * a compound accumulation `path (+=|-=|*=|/=|&=||=|^=) expr;`
-  //   * an increment/decrement `++path;` / `path++;`
-  //   * a max/min fold `path = std::max(...)` / `std::min(...)`
-  //   * a `const`/`constexpr` local binding
-  //   * `assert(...)`, `(void)name;`, `continue;`
-  //   * `if (cond) stmt [else stmt]` with a side-effect-free condition
-  //   * a nested loop / block of order-independent statements
-  //   * `return <literal>;` — but only when the body accumulates nothing
-  //     (a uniform predicate exit), since an early return after partial
-  //     accumulation would expose iteration order.
-  // Anything else (push_back, insert, plain assignment, stream output,
-  // break, arbitrary calls) defeats the proof and flags the loop.
-
-  struct BodyScan {
-    bool safe = true;
-    bool accumulates = false;
-    bool returns = false;
-  };
-
-  bool BodyIsOrderIndependent(std::size_t body_begin) const {
-    const std::vector<Token>& t = Tokens();
-    if (body_begin >= t.size()) return false;
-    BodyScan scan;
-    if (t[body_begin].text == "{") {
-      const std::size_t end = MatchBrace(body_begin);
-      ScanBlock(body_begin + 1, end, scan);
-    } else {
-      ScanStatement(body_begin, StatementEnd(body_begin), scan);
-    }
-    return scan.safe && !(scan.accumulates && scan.returns);
-  }
-
-  std::size_t MatchBrace(std::size_t open) const {
-    const std::vector<Token>& t = Tokens();
-    std::size_t depth = 0;
-    for (std::size_t j = open; j < t.size(); ++j) {
-      if (t[j].text == "{") ++depth;
-      if (t[j].text == "}" && --depth == 0) return j;
-    }
-    return t.size();
-  }
-
-  /// End (one past) of the statement starting at `i`: the `;` at paren
-  /// depth 0, or the matching `}` of a block.
-  std::size_t StatementEnd(std::size_t i) const {
-    const std::vector<Token>& t = Tokens();
-    std::size_t depth = 0;
-    for (std::size_t j = i; j < t.size(); ++j) {
-      if (t[j].text == "(" || t[j].text == "[") ++depth;
-      if ((t[j].text == ")" || t[j].text == "]") && depth > 0) --depth;
-      if (depth == 0 && t[j].text == "{") return MatchBrace(j) + 1;
-      if (depth == 0 && t[j].text == ";") return j + 1;
-    }
-    return t.size();
-  }
-
-  void ScanBlock(std::size_t begin, std::size_t end, BodyScan& scan) const {
-    std::size_t i = begin;
-    while (i < end && scan.safe) {
-      const std::size_t next = ScanStatement(i, end, scan);
-      i = next > i ? next : i + 1;
-    }
-  }
-
-  /// Scans one statement in [i, limit); returns one past its end.
-  std::size_t ScanStatement(std::size_t i, std::size_t limit,
-                            BodyScan& scan) const {
-    const std::vector<Token>& t = Tokens();
-    if (i >= limit) return limit;
-    const std::string& head = t[i].text;
-    const std::size_t end = std::min(StatementEnd(i), limit);
-
-    if (head == ";") return i + 1;
-    if (head == "{") {
-      const std::size_t close = MatchBrace(i);
-      ScanBlock(i + 1, std::min(close, limit), scan);
-      return std::min(close + 1, limit);
-    }
-    if (head == "continue") return end;
-    if (head == "if" || head == "while" || head == "for") {
-      // Header: `(cond)` — for `if`/`while` the condition must be free of
-      // side effects; a nested `for` header owns its induction variable,
-      // so its writes are body-local and exempt.
-      std::size_t depth = 0;
-      std::size_t close_paren = i;
-      for (std::size_t j = i + 1; j < limit; ++j) {
-        if (t[j].text == "(") ++depth;
-        if (t[j].text == ")" && --depth == 0) {
-          close_paren = j;
-          break;
-        }
-      }
-      if (close_paren == i) {
-        scan.safe = false;
-        return end;
-      }
-      if (head != "for" &&
-          !RangeIsSideEffectFree(i + 2, close_paren)) {
-        scan.safe = false;
-        return end;
-      }
-      std::size_t resume = ScanStatement(close_paren + 1, limit, scan);
-      // Optional else branch.
-      if (head == "if" && resume < limit && t[resume].text == "else") {
-        resume = ScanStatement(resume + 1, limit, scan);
-      }
-      return resume;
-    }
-    if (head == "return") {
-      scan.returns = true;
-      // `return true;` / `return false;` / `return 0;` — a uniform exit.
-      if (!(end == i + 3 && (t[i + 1].text == "true" ||
-                             t[i + 1].text == "false" ||
-                             !t[i + 1].is_ident))) {
-        scan.safe = false;
-      }
-      return end;
-    }
-    if (head == "break" || head == "switch" || head == "do" ||
-        head == "goto") {
-      scan.safe = false;
-      return end;
-    }
-    if (head == "assert") return end;
-    if (head == "(" && i + 2 < limit && t[i + 1].text == "void") {
-      return end;  // `(void)name;`
-    }
-    if (head == "const" || head == "constexpr") {
-      // Local binding; the initializer only reads.
-      return end;
-    }
-    // Expression statement: classify as accumulation or reject.
-    if (IsAccumulation(i, end)) {
-      scan.accumulates = true;
-      return end;
-    }
-    scan.safe = false;
-    return end;
-  }
-
-  /// True when [begin, end) contains no assignment/increment tokens.
-  bool RangeIsSideEffectFree(std::size_t begin, std::size_t end) const {
-    const std::vector<Token>& t = Tokens();
-    static const auto* writes = new std::unordered_set<std::string>{
-        "=", "++", "--", "+=", "-=", "*=", "/=", "%=",
-        "&=", "|=", "^=", "<<=", ">>=", "<<",
-    };
-    for (std::size_t j = begin; j < end && j < t.size(); ++j) {
-      if (writes->count(t[j].text) > 0) return false;
-    }
-    return true;
-  }
-
-  /// Matches `path OP= expr;`, `++path;`, `path++;`, and
-  /// `path = std::max/min(...);` where path is ident(./->/::/[..])*.
-  bool IsAccumulation(std::size_t i, std::size_t end) const {
-    const std::vector<Token>& t = Tokens();
-    static const auto* compound = new std::unordered_set<std::string>{
-        "+=", "-=", "*=", "/=", "&=", "|=", "^=",
-    };
-    std::size_t j = i;
-    if (t[j].text == "++" || t[j].text == "--") ++j;
-    if (j >= end || !t[j].is_ident) return false;
-    ++j;
-    // Swallow the path: member access and subscripts.
-    while (j < end) {
-      const std::string& text = t[j].text;
-      if (text == "." || text == "->" || text == "::") {
-        j += 2;
-        continue;
-      }
-      if (text == "[") {
-        std::size_t depth = 0;
-        for (; j < end; ++j) {
-          if (t[j].text == "[") ++depth;
-          if (t[j].text == "]" && --depth == 0) {
-            ++j;
-            break;
-          }
-        }
-        continue;
-      }
-      break;
-    }
-    if (j >= end) return false;
-    if (t[j].text == ";") return t[i].text == "++" || t[i].text == "--";
-    if (t[j].text == "++" || t[j].text == "--") {
-      return j + 2 == end;  // `path++;`
-    }
-    if (compound->count(t[j].text) > 0) {
-      return RangeIsSideEffectFree(j + 1, end - 1);
-    }
-    if (t[j].text == "=") {
-      // `path = std::max(...)` / `path = std::min(...)`.
-      std::size_t k = j + 1;
-      if (k < end && t[k].text == "std" && k + 1 < end &&
-          t[k + 1].text == "::") {
-        k += 2;
-      }
-      if (k < end && (t[k].text == "max" || t[k].text == "min")) {
-        return RangeIsSideEffectFree(k + 1, end - 1);
+      if (walk) {
+        Report(t[i], "unordered-iter",
+               "walks an unordered container in hash order; walk "
+               "SortedKeys(...), or annotate why hash order cannot leak");
       }
     }
-    return false;
   }
 
   SourceChecker& checker_;

@@ -35,13 +35,13 @@ namespace sgr {
 ///                   globals are the obs registries.
 ///   float-drift     `float` in analysis/estimation/restore/dk code — the
 ///                   FP-summation-shape contract is double-only.
-///   unordered-iter  range-for / iterator loops over std::unordered_map /
-///                   std::unordered_set, unless the loop body provably
-///                   only accumulates order-independent state (integer
-///                   and per-key accumulation, max/min folds, uniform
-///                   early returns) or the range is a SortedKeys(...)
-///                   call (util/sorted_keys.h), the sanctioned
-///                   canonical-order traversal.
+///   unordered-iter  any walk of a std::unordered_map / std::unordered_set:
+///                   a range-for over one, or NAME.begin() / cbegin()
+///                   anywhere (iterator loops, std::accumulate, ...).
+///                   No loop body is exempt, since even a floating-point
+///                   sum depends on its order. The sanctioned walk is a
+///                   range-for over SortedKeys(...) (util/sorted_keys.h);
+///                   find() / end() lookups stay legal.
 ///   unused-allow    an escape-hatch annotation that suppressed nothing —
 ///                   stale annotations rot into misdocumentation.
 ///
@@ -114,7 +114,19 @@ class SourceChecker {
   CheckResult TakeResult();
 
  private:
-  std::vector<std::string> direct_unordered_;    // variables that ARE unordered
+  /// A variable declared with an unordered type. A local or parameter is
+  /// seen only in tokens [begin, end) of its own file. A class member or
+  /// namespace-scope variable is seen bare in its own file and in the file
+  /// of the same stem (foo.h / foo.cc), and after `.` / `->` everywhere.
+  struct UnorderedVariable {
+    std::string name;
+    std::string file;
+    bool local = false;
+    std::size_t begin = 0;
+    std::size_t end = 0;
+  };
+
+  std::vector<UnorderedVariable> direct_unordered_;  // unordered variables
   std::vector<std::string> accessor_unordered_;  // functions RETURNING unordered
   std::vector<std::string> element_unordered_;   // containers OF unordered
   std::vector<std::string> alias_unordered_;     // type aliases of unordered

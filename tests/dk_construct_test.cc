@@ -12,6 +12,8 @@
 #include "sampling/random_walk.h"
 #include "sampling/subgraph.h"
 
+#include "jdm_entries.h"
+
 namespace sgr {
 namespace {
 
@@ -32,10 +34,7 @@ TEST(DkConstructTest, RealizesExactTargetsFromEmpty) {
   // JDM equality entry by entry.
   const JointDegreeMatrix rebuilt_jdm =
       ExtractJointDegreeMatrix(CsrGraph(rebuilt));
-  for (const auto& [key, count] : jdm.counts()) {
-    EXPECT_EQ(rebuilt_jdm.counts().at(key), count);
-  }
-  EXPECT_EQ(rebuilt_jdm.counts().size(), jdm.counts().size());
+  EXPECT_EQ(JdmEntries(rebuilt_jdm), JdmEntries(jdm));
 }
 
 TEST(DkConstructTest, ExtendsSubgraphWithoutTouchingIt) {

@@ -7,6 +7,8 @@
 #include "dk/dk_extract.h"
 #include "graph/generators.h"
 
+#include "jdm_entries.h"
+
 namespace sgr {
 namespace {
 
@@ -48,10 +50,7 @@ TEST_F(DkSeriesTest, TwoKPreservesJointDegreeMatrix) {
   EXPECT_EQ(ExtractDegreeVector(CsrGraph(g)), ExtractDegreeVector(*original_));
   const JointDegreeMatrix expected = ExtractJointDegreeMatrix(*original_);
   const JointDegreeMatrix actual = ExtractJointDegreeMatrix(CsrGraph(g));
-  for (const auto& [key, count] : expected.counts()) {
-    EXPECT_EQ(actual.counts().count(key) > 0 ? actual.counts().at(key) : 0,
-              count);
-  }
+  EXPECT_EQ(JdmEntries(actual), JdmEntries(expected));
 }
 
 TEST_F(DkSeriesTest, LadderImprovesDegreeDistribution) {

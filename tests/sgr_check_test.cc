@@ -269,7 +269,9 @@ TEST(SgrCheckUnorderedTest, FlagsClassicIteratorLoop) {
   EXPECT_EQ(result.violations[0].rule, "unordered-iter");
 }
 
-TEST(SgrCheckUnorderedTest, OrderIndependentBodyPassesAutomatically) {
+TEST(SgrCheckUnorderedTest, AccumulatingBodyIsFlagged) {
+  // No loop body is exempt: the rule does not try to prove that a body
+  // only accumulates.
   const CheckResult result =
       CheckOne("src/util/fixture.cc",
                "int f(const std::unordered_map<int, int>& counts) {\n"
@@ -282,10 +284,12 @@ TEST(SgrCheckUnorderedTest, OrderIndependentBodyPassesAutomatically) {
                "  }\n"
                "  return sum + top;\n"
                "}\n");
-  EXPECT_TRUE(result.Clean()) << Describe(result);
+  ASSERT_EQ(result.violations.size(), 1u) << Describe(result);
+  EXPECT_EQ(result.violations[0].rule, "unordered-iter");
+  EXPECT_EQ(result.violations[0].line, 4u);
 }
 
-TEST(SgrCheckUnorderedTest, UniformPredicateReturnPasses) {
+TEST(SgrCheckUnorderedTest, UniformPredicateReturnIsFlagged) {
   const CheckResult result =
       CheckOne("src/util/fixture.cc",
                "bool f(const std::unordered_map<int, int>& counts) {\n"
@@ -294,7 +298,45 @@ TEST(SgrCheckUnorderedTest, UniformPredicateReturnPasses) {
                "  }\n"
                "  return false;\n"
                "}\n");
-  EXPECT_TRUE(result.Clean()) << Describe(result);
+  ASSERT_EQ(result.violations.size(), 1u) << Describe(result);
+  EXPECT_EQ(result.violations[0].rule, "unordered-iter");
+  EXPECT_EQ(result.violations[0].line, 2u);
+}
+
+TEST(SgrCheckUnorderedTest, FlagsFloatingPointSumInHashOrder) {
+  // Floating-point addition is not associative, so the sum's low bits
+  // depend on the map's iteration order.
+  const CheckResult result =
+      CheckOne("src/estimation/fixture.cc",
+               "double f(const std::unordered_map<int, double>& weights) {\n"
+               "  double total = 0.0;\n"
+               "  for (const auto& [k, v] : weights) {\n"
+               "    total += v;\n"
+               "  }\n"
+               "  return total;\n"
+               "}\n");
+  ASSERT_EQ(result.violations.size(), 1u) << Describe(result);
+  EXPECT_EQ(result.violations[0].rule, "unordered-iter");
+  EXPECT_EQ(result.violations[0].line, 3u);
+}
+
+TEST(SgrCheckUnorderedTest, FlagsAlgorithmOverUnorderedBegin) {
+  // begin()/cbegin() handed to an algorithm walks the container in hash
+  // order; a find()/end() lookup does not walk it.
+  const CheckResult result = CheckOne(
+      "src/estimation/fixture.cc",
+      "double f(const std::unordered_map<int, double>& m,\n"
+      "         std::vector<std::pair<int, double>>& out) {\n"
+      "  const double s = std::accumulate(m.begin(), m.end(), 0.0, Add);\n"
+      "  if (std::all_of(m.begin(), m.end(), Positive)) return s;\n"
+      "  std::copy(m.cbegin(), m.cend(), std::back_inserter(out));\n"
+      "  return m.find(3) == m.end() ? 0.0 : s;\n"
+      "}\n");
+  ASSERT_EQ(result.violations.size(), 3u) << Describe(result);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(result.violations[i].rule, "unordered-iter");
+    EXPECT_EQ(result.violations[i].line, i + 3);
+  }
 }
 
 TEST(SgrCheckUnorderedTest, ReturnAfterAccumulationIsFlagged) {
@@ -382,6 +424,44 @@ TEST(SgrCheckUnorderedTest, ContainerOfUnorderedIsTrackedOnSubscript) {
                "}\n");
   ASSERT_EQ(result.violations.size(), 1u) << Describe(result);
   EXPECT_EQ(result.violations[0].rule, "unordered-iter");
+}
+
+TEST(SgrCheckUnorderedTest, LoopVariableOverContainerOfUnorderedIsTracked) {
+  const CheckResult result =
+      CheckOne("src/util/fixture.cc",
+               "void f(const std::vector<std::unordered_map<int, int>>& ms,\n"
+               "       std::map<int, int>& out) {\n"
+               "  for (const auto& local : ms) {\n"
+               "    for (const auto& [k, v] : local) out[k] += v;\n"
+               "  }\n"
+               "}\n");
+  ASSERT_EQ(result.violations.size(), 1u) << Describe(result);
+  EXPECT_EQ(result.violations[0].rule, "unordered-iter");
+  EXPECT_EQ(result.violations[0].line, 4u);
+}
+
+TEST(SgrCheckUnorderedTest, LocalsAndMembersDoNotTaintOtherScopes) {
+  // An unordered local is seen only in its own block, and an unordered
+  // member bare only in its own files: same-named vectors elsewhere walk
+  // freely, while member access still resolves across files.
+  SourceChecker checker;
+  checker.Preload("src/sampling/list.h",
+                  "struct List {\n"
+                  "  std::unordered_map<int, int> neighbors;\n"
+                  "};\n");
+  checker.Check("src/estimation/user.cc",
+                "void f() {\n"
+                "  std::unordered_set<int> seen;\n"
+                "}\n"
+                "void g(std::vector<int>& seen, std::vector<int>& neighbors,\n"
+                "       const List& list) {\n"
+                "  std::sort(seen.begin(), seen.end());\n"
+                "  std::sort(neighbors.begin(), neighbors.end());\n"
+                "  for (const auto& [k, v] : list.neighbors) {}\n"
+                "}\n");
+  const CheckResult result = checker.TakeResult();
+  ASSERT_EQ(result.violations.size(), 1u) << Describe(result);
+  EXPECT_EQ(result.violations[0].line, 8u);
 }
 
 TEST(SgrCheckUnorderedTest, DeclarationsResolveAcrossFiles) {
