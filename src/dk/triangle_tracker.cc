@@ -5,21 +5,104 @@
 #include <cmath>
 #include <utility>
 
-#include "dk/dk_extract.h"
-
 namespace sgr {
+
+namespace {
+
+std::vector<std::uint32_t> FrozenDegrees(const Graph& g) {
+  std::vector<std::uint32_t> degree(g.NumNodes());
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    degree[v] = static_cast<std::uint32_t>(g.Degree(v));
+  }
+  return degree;
+}
+
+}  // namespace
+
+TriangleTracker::Slot* TriangleTracker::Slab::Take() {
+  if (free != nullptr) {
+    Slot* slot = free;
+    free = slot->next_free;
+    return slot;
+  }
+  return next != end ? next++ : nullptr;
+}
+
+bool TriangleTracker::Slab::Owns(const void* p) const {
+  const std::less<const void*> before;
+  return !before(p, begin) && before(p, end);
+}
+
+void TriangleTracker::Slab::Give(void* p) {
+  Slot* slot = static_cast<Slot*>(p);
+  slot->next_free = free;
+  free = slot;
+}
+
+TriangleTracker::NodeArena::NodeArena(
+    const std::vector<std::uint32_t>& degree)
+    : slabs_(degree.size()) {
+  std::size_t total = 0;
+  for (const std::uint32_t d : degree) total += d;
+  slots_.resize(total);
+  Slot* at = slots_.data();
+  for (std::size_t v = 0; v < degree.size(); ++v) {
+    slabs_[v].begin = slabs_[v].next = at;
+    at += degree[v];
+    slabs_[v].end = at;
+  }
+}
+
+template <typename Visit>
+std::int64_t TriangleTracker::ForEachCommonNeighbor(NodeId u, NodeId v,
+                                                    Visit visit) const {
+  // Iterate the endpoint with the smaller distinct-neighbor map.
+  const NodeId a = adj_[u].size() <= adj_[v].size() ? u : v;
+  const NodeId b = (a == u) ? v : u;
+  std::int64_t common = 0;
+  // The integer counts t_ and class_t_ come out the same in any order,
+  // but BumpClassTriangles adds to the double objective_num_ in map
+  // order. The map's insertion history fixes that order, so runs repeat;
+  // a container with another order may move the objective's low bits.
+  // sgr-check: allow(unordered-iter) integer counts commute; objective_num_ sums in map order
+  for (const auto& [w, a_aw] : adj_[a]) {
+    if (w == u || w == v) continue;
+    auto it = adj_[b].find(w);
+    if (it == adj_[b].end()) continue;
+    const std::int64_t weight =
+        static_cast<std::int64_t>(a_aw) * it->second;
+    common += weight;
+    visit(w, weight);
+  }
+  return common;
+}
 
 TriangleTracker::TriangleTracker(const Graph& g,
                                  std::vector<double> target_clustering)
-    : adj_(g.NumNodes()),
-      t_(CountTrianglesPerNode(CsrGraph(g))),
-      degree_(g.NumNodes(), 0),
+    : degree_(FrozenDegrees(g)),
+      arena_(degree_),
+      t_(g.NumNodes(), 0),
       target_(std::move(target_clustering)) {
-  std::uint32_t k_max = 0;
+  adj_.reserve(g.NumNodes());
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
-    degree_[v] = static_cast<std::uint32_t>(g.Degree(v));
-    k_max = std::max(k_max, degree_[v]);
+    adj_.emplace_back(SlabAllocator<NeighborMap::value_type>(arena_.slab(v)));
   }
+  // Edge-order build; each edge first counts the triangles it closes with
+  // the edges before it, so t_ ends as the graph's per-node triangles.
+  for (const Edge& e : g.edges()) {
+    if (e.u == e.v) {
+      adj_[e.u][e.u] += 2;  // A_vv = twice the loop count
+      continue;
+    }
+    const std::int64_t common = ForEachCommonNeighbor(
+        e.u, e.v, [this](NodeId w, std::int64_t weight) { t_[w] += weight; });
+    t_[e.u] += common;
+    t_[e.v] += common;
+    ++adj_[e.u][e.v];
+    ++adj_[e.v][e.u];
+  }
+  const std::uint32_t k_max =
+      degree_.empty() ? 0 : *std::max_element(degree_.begin(), degree_.end());
   const std::size_t classes =
       std::max<std::size_t>(k_max + 1, target_.size());
   target_.resize(classes, 0.0);
@@ -28,14 +111,6 @@ TriangleTracker::TriangleTracker(const Graph& g,
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
     ++class_n_[degree_[v]];
     class_t_[degree_[v]] += t_[v];
-  }
-  for (const Edge& e : g.edges()) {
-    if (e.u == e.v) {
-      adj_[e.u][e.u] += 2;  // A_vv = twice the loop count
-    } else {
-      ++adj_[e.u][e.v];
-      ++adj_[e.v][e.u];
-    }
   }
   for (double c : target_) target_mass_ += c;
   RecomputeObjective();
@@ -75,25 +150,11 @@ std::int64_t TriangleTracker::Multiplicity(NodeId u, NodeId v) const {
 
 void TriangleTracker::ApplyTriangleDelta(NodeId u, NodeId v,
                                          std::int64_t sign) {
-  // Iterate the endpoint with the smaller distinct-neighbor map.
-  const NodeId a = adj_[u].size() <= adj_[v].size() ? u : v;
-  const NodeId b = (a == u) ? v : u;
-  std::int64_t common = 0;
-  // The integer counts t_ and class_t_ come out the same in any order,
-  // but BumpClassTriangles adds to the double objective_num_ in map
-  // order. The map's insertion history fixes that order, so runs repeat;
-  // a container with another order may move the objective's low bits.
-  // sgr-check: allow(unordered-iter) integer counts commute; objective_num_ sums in map order
-  for (const auto& [w, a_aw] : adj_[a]) {
-    if (w == u || w == v) continue;
-    auto it = adj_[b].find(w);
-    if (it == adj_[b].end()) continue;
-    const std::int64_t weight =
-        static_cast<std::int64_t>(a_aw) * it->second;
-    common += weight;
-    t_[w] += sign * weight;
-    BumpClassTriangles(degree_[w], sign * weight);
-  }
+  const std::int64_t common =
+      ForEachCommonNeighbor(u, v, [this, sign](NodeId w, std::int64_t weight) {
+        t_[w] += sign * weight;
+        BumpClassTriangles(degree_[w], sign * weight);
+      });
   t_[u] += sign * common;
   BumpClassTriangles(degree_[u], sign * common);
   t_[v] += sign * common;

@@ -775,16 +775,54 @@ class FileLinter {
       AddUnique(checker_.element_unordered_, t[i].text);
       return;
     }
-    // `unordered_map<...> Foo(` declares an accessor returning the map
-    // (values()) — matched only when called, so an unrelated
-    // plain variable of the same name does not collide. A declarator NOT
-    // followed by `(` is a variable — matched only when not called, so
-    // the member `neighbors` does not taint the method `g.neighbors(v)`.
-    if (i + 1 < t.size() && t[i + 1].text == "(") {
+    // Outside a function body, `unordered_map<...> Foo(` declares an
+    // accessor returning the map (values()) — matched only when called,
+    // so an unrelated plain variable of the same name does not collide.
+    // Any other declarator is a variable — matched only when not called,
+    // so the member `neighbors` does not taint the method
+    // `g.neighbors(v)`. Inside a function body `NAME(args)` can only
+    // direct-initialise a variable (`m(16)`).
+    if (i + 1 < t.size() && t[i + 1].text == "(" && !InFunctionBody(i)) {
       AddUnique(checker_.accessor_unordered_, t[i].text);
       return;
     }
     RegisterVariable(i);
+  }
+
+  /// Index of the innermost `(` or `{` still open at token `at`, or the
+  /// token count at file scope.
+  std::size_t InnermostOpener(std::size_t at) const {
+    const std::vector<Token>& t = Tokens();
+    for (std::size_t j = at, depth = 0; j-- > 0;) {
+      const std::string& text = t[j].text;
+      if (text == ")" || text == "}") ++depth;
+      if (text != "(" && text != "{") continue;
+      if (depth == 0) return j;
+      --depth;
+    }
+    return t.size();
+  }
+
+  /// True when the `{` at `brace` opens a class or namespace body, which
+  /// holds members and globals, not locals.
+  bool IsClassOrNamespaceBody(std::size_t brace) const {
+    const std::vector<Token>& t = Tokens();
+    for (std::size_t k = brace; k-- > 0;) {
+      const std::string& head = t[k].text;
+      if (head == ";" || head == "{" || head == "}") break;
+      if (head == "class" || head == "struct" || head == "union" ||
+          head == "namespace") {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// True when token `at` sits directly in a function (or lambda) body.
+  bool InFunctionBody(std::size_t at) const {
+    const std::size_t opener = InnermostOpener(at);
+    return opener < Tokens().size() && Tokens()[opener].text == "{" &&
+           !IsClassOrNamespaceBody(opener);
   }
 
   /// Registers the variable named at token `at`. Preload and Check may
@@ -813,37 +851,20 @@ class FileLinter {
   /// body, which declares no variable.
   bool SetScope(std::size_t at, SourceChecker::UnorderedVariable& var) const {
     const std::vector<Token>& t = Tokens();
-    for (std::size_t j = at, depth = 0; j-- > 0;) {
-      const std::string& text = t[j].text;
-      if (text == ")" || text == "}") ++depth;
-      if (text != "(" && text != "{") continue;
-      if (depth > 0) {
-        --depth;
-        continue;
+    const std::size_t j = InnermostOpener(at);
+    if (j == t.size()) return true;  // file scope
+    var.begin = at;
+    var.end = Match(j);
+    if (t[j].text == "(") {
+      var.begin = var.end;
+      while (var.begin < t.size() && t[var.begin].text != "{") {
+        if (t[var.begin++].text == ";") return false;
       }
-      var.begin = at;
-      var.end = Match(j);
-      if (text == "(") {
-        var.begin = var.end;
-        while (var.begin < t.size() && t[var.begin].text != "{") {
-          if (t[var.begin++].text == ";") return false;
-        }
-        if (var.begin == t.size()) return false;
-        var.end = Match(var.begin);
-      }
-      // A class or namespace body holds members and globals, not locals.
-      var.local = true;
-      for (std::size_t k = j; text == "{" && k-- > 0;) {
-        const std::string& head = t[k].text;
-        if (head == ";" || head == "{" || head == "}") break;
-        if (head == "class" || head == "struct" || head == "union" ||
-            head == "namespace") {
-          var.local = false;
-        }
-      }
-      return true;
+      if (var.begin == t.size()) return false;
+      var.end = Match(var.begin);
     }
-    return true;  // file scope
+    var.local = t[j].text == "(" || !IsClassOrNamespaceBody(j);
+    return true;
   }
 
   /// True when the name at token `i` denotes an unordered container (a

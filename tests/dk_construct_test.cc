@@ -12,6 +12,7 @@
 #include "sampling/random_walk.h"
 #include "sampling/subgraph.h"
 
+#include "edge_array_hash.h"
 #include "jdm_entries.h"
 
 namespace sgr {
@@ -180,23 +181,6 @@ TEST(DkConstructTest, ZeroKPreservesNodesAndEdges) {
   EXPECT_EQ(g.NumNodes(), 100u);
   EXPECT_EQ(g.NumEdges(), 250u);
   EXPECT_DOUBLE_EQ(g.AverageDegree(), 5.0);
-}
-
-/// FNV-1a-64 over the node count and the edge array in EdgeId order.
-std::uint64_t EdgeArrayHash(const Graph& g) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::uint64_t word) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (word >> (8 * byte)) & 0xffu;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  mix(g.NumNodes());
-  for (const Edge& e : g.edges()) {
-    mix(e.u);
-    mix(e.v);
-  }
-  return h;
 }
 
 TEST(DkConstructTest, PreservingTargetsEdgeArrayIsFrozen) {

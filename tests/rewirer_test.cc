@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "graph/generators.h"
 #include "util/rng.h"
 
+#include "edge_array_hash.h"
 #include "jdm_entries.h"
 
 namespace sgr {
@@ -562,6 +564,53 @@ TEST(RewirerTest, AdaptiveStopHaltsSequential) {
   for (EdgeId e = 0; e < before.NumEdges(); ++e) {
     ASSERT_EQ(before.edge(e).u, g_trivial.edge(e).u) << "edge " << e;
     ASSERT_EQ(before.edge(e).v, g_trivial.edge(e).v) << "edge " << e;
+  }
+}
+
+/// Every bit of `x`, so a golden value pins the last ulp.
+std::uint64_t DoubleBits(double x) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof bits);
+  return bits;
+}
+
+TEST(RewirerTest, GoldenRunIsFrozen) {
+  // Algorithm 6 on a seeded multigraph (a loop and a parallel edge among
+  // the candidates), with no protected edges and with a protected prefix.
+  // The final edge array, the accepted count and every bit of the final
+  // distance are pinned. The tracker's map iteration order feeds the
+  // double objective and, through the accept test, every decision, so a
+  // change of that order shows here first.
+  struct Golden {
+    std::size_t num_protected;
+    std::uint64_t edge_hash;
+    std::size_t accepted;
+    std::uint64_t final_distance_bits;
+  };
+  const Golden goldens[] = {
+      {0, 0x4e50582e5f5c5f7bULL, 1227, 0x3fd7ed7387be136fULL},
+      {800, 0x7997190901585d87ULL, 1116, 0x3fd92c9a9070f55aULL},
+  };
+  Rng target_rng(62);
+  const std::vector<double> target = ExtractDegreeDependentClustering(
+      CsrGraph(GeneratePowerlawCluster(600, 4, 0.9, target_rng)));
+  for (const Golden& golden : goldens) {
+    Rng gen_rng(61);
+    Graph g = GeneratePowerlawCluster(600, 4, 0.2, gen_rng);
+    g.AddEdge(3, 3);
+    g.AddEdge(7, 9);
+    g.AddEdge(7, 9);
+    Rng rng(63);
+    RewireOptions options;
+    options.rewiring_coefficient = 20.0;
+    const RewireStats stats =
+        RewireToClustering(g, golden.num_protected, target, options, rng);
+    EXPECT_EQ(EdgeArrayHash(g), golden.edge_hash)
+        << "protected " << golden.num_protected;
+    EXPECT_EQ(stats.accepted, golden.accepted)
+        << "protected " << golden.num_protected;
+    EXPECT_EQ(DoubleBits(stats.final_distance), golden.final_distance_bits)
+        << "protected " << golden.num_protected;
   }
 }
 

@@ -400,6 +400,22 @@ TEST(SgrCheckUnorderedTest, AccessorNameDoesNotTaintPlainVariables) {
   EXPECT_TRUE(result.Clean()) << Describe(result);
 }
 
+TEST(SgrCheckUnorderedTest, DirectInitialisedLocalIsTracked) {
+  // Inside a function body `NAME(args)` direct-initialises a variable; it
+  // is not an accessor declaration, so the walk below is flagged.
+  const CheckResult result =
+      CheckOne("src/util/fixture.cc",
+               "double f() {\n"
+               "  std::unordered_map<int, double> m(16);\n"
+               "  double total = 0.0;\n"
+               "  for (const auto& [k, v] : m) total += v;\n"
+               "  return total;\n"
+               "}\n");
+  ASSERT_EQ(result.violations.size(), 1u) << Describe(result);
+  EXPECT_EQ(result.violations[0].rule, "unordered-iter");
+  EXPECT_EQ(result.violations[0].line, 4u);
+}
+
 TEST(SgrCheckUnorderedTest, AliasOfUnorderedIsTracked) {
   const CheckResult result =
       CheckOne("src/util/fixture.cc",
