@@ -14,6 +14,7 @@
 
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "analysis/extras.h"
 #include "bench_common.h"
@@ -31,8 +32,6 @@
 #include "sampling/subgraph.h"
 #include "util/parse.h"
 #include "util/rng.h"
-
-#include <unordered_set>
 
 namespace {
 
@@ -58,17 +57,14 @@ std::size_t PeripheryCount(const sgr::CsrGraph& g) {
 /// halo".
 double OriginalPeripherySeen(const sgr::CsrGraph& original,
                              const sgr::SamplingList& list) {
-  std::unordered_set<sgr::NodeId> seen;
-  for (const auto& [u, nbrs] : list.neighbors) {
-    seen.insert(u);
-    for (sgr::NodeId w : nbrs) seen.insert(w);
-  }
+  std::vector<bool> seen(original.NumNodes(), false);
+  for (const sgr::NodeId v : list.SeenIds()) seen[v] = true;
   std::size_t total = 0;
   std::size_t covered = 0;
   for (sgr::NodeId v = 0; v < original.NumNodes(); ++v) {
     if (original.Degree(v) <= 2) {
       ++total;
-      if (seen.count(v) > 0) ++covered;
+      if (seen[v]) ++covered;
     }
   }
   return total == 0 ? 0.0

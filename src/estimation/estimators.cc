@@ -5,10 +5,9 @@
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "graph/csr_graph.h"
 #include "util/sorted_keys.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -47,78 +46,6 @@ class ChunkRunner {
   std::size_t count_;
 };
 
-/// Compact CSR snapshot of the crawled neighborhood. The sampling list
-/// stores neighbors in per-node hash maps — convenient to build during the
-/// crawl, but the estimator's inner loops (induced-edge counting and the
-/// clustering indicator) perform O(Σ_i d(x_i)) lookups, and hash probes
-/// dominate their runtime. The snapshot renumbers the queried nodes
-/// densely, flattens their neighbor lists into offset + neighbor arrays
-/// (sorted by original id, so adjacency tests are binary searches), and
-/// pre-resolves each neighbor entry to its compact id once, so the hot
-/// loops below are pure array traversals.
-struct CrawlCsr {
-  static constexpr std::uint32_t kNotQueried =
-      static_cast<std::uint32_t>(-1);
-
-  std::vector<NodeId> original_id;     ///< compact -> original
-  std::vector<std::size_t> offsets;    ///< per compact node, size q+1
-  std::vector<NodeId> neighbors;       ///< original ids, sorted per node
-  std::vector<std::uint32_t> compact_neighbors;  ///< aligned with neighbors
-  std::vector<std::uint32_t> degree;   ///< per compact node
-  std::unordered_map<NodeId, std::uint32_t> to_compact;  ///< original -> compact
-
-  explicit CrawlCsr(const SamplingList& list) {
-    const std::size_t q = list.neighbors.size();
-    original_id.reserve(q);
-    to_compact.reserve(q * 2);
-    // Compact ids in ascending original-id order: the numbering (and the
-    // chunk partition derived from it) is portable across hash layouts.
-    for (const NodeId u : SortedKeys(list.neighbors)) {
-      to_compact.emplace(u, static_cast<std::uint32_t>(original_id.size()));
-      original_id.push_back(u);
-    }
-    offsets.assign(q + 1, 0);
-    for (std::size_t c = 0; c < q; ++c) {
-      offsets[c + 1] =
-          offsets[c] + list.neighbors.at(original_id[c]).size();
-    }
-    neighbors.resize(offsets[q]);
-    compact_neighbors.resize(offsets[q]);
-    degree.resize(q);
-    const ChunkRunner runner(q);
-    runner.Run([&](std::size_t, std::size_t begin, std::size_t end) {
-      for (std::size_t c = begin; c < end; ++c) {
-        const std::vector<NodeId>& nbrs = list.neighbors.at(original_id[c]);
-        degree[c] = static_cast<std::uint32_t>(nbrs.size());
-        std::copy(nbrs.begin(), nbrs.end(), neighbors.begin() + offsets[c]);
-        std::sort(neighbors.begin() + offsets[c],
-                  neighbors.begin() + offsets[c + 1]);
-        for (std::size_t e = offsets[c]; e < offsets[c + 1]; ++e) {
-          auto it = to_compact.find(neighbors[e]);
-          compact_neighbors[e] =
-              it == to_compact.end() ? kNotQueried : it->second;
-        }
-      }
-    });
-  }
-
-  /// True if `original` (an original id) is adjacent to compact node `c`.
-  bool Adjacent(std::uint32_t c, NodeId original) const {
-    return std::binary_search(neighbors.begin() + offsets[c],
-                              neighbors.begin() + offsets[c + 1], original);
-  }
-
-  /// Number of distinct nodes seen anywhere in the crawl (queried nodes
-  /// plus their neighbors) — the lower-bound fallback for n̂.
-  std::size_t DistinctSeen() const {
-    std::vector<NodeId> all(neighbors);
-    all.insert(all.end(), original_id.begin(), original_id.end());
-    std::sort(all.begin(), all.end());
-    all.erase(std::unique(all.begin(), all.end()), all.end());
-    return all.size();
-  }
-};
-
 /// Lag threshold M = max(1, round(fraction * r)).
 std::size_t LagThreshold(std::size_t r, double fraction) {
   const auto rounded = static_cast<std::size_t>(
@@ -126,14 +53,71 @@ std::size_t LagThreshold(std::size_t r, double fraction) {
   return std::max<std::size_t>(1, rounded);
 }
 
-/// Positions of each node in the walk, sorted ascending.
-std::unordered_map<NodeId, std::vector<std::size_t>> PositionsByNode(
-    const std::vector<NodeId>& walk) {
-  std::unordered_map<NodeId, std::vector<std::size_t>> positions;
-  for (std::size_t i = 0; i < walk.size(); ++i) {
-    positions[walk[i]].push_back(i);
+/// Walk positions of every queried node, ascending: node c's positions
+/// are [begin(c), end(c)). A node queried but never visited (a rejected
+/// Metropolis-Hastings proposal) has none. Built by one counting pass over
+/// the compact walk; the collision sums of n̂ and the induced-edge pass
+/// read the same table.
+class WalkPositions {
+ public:
+  explicit WalkPositions(const SamplingList& list)
+      : offsets_(list.NumQueried() + 1, 0), positions_(list.Length()) {
+    const std::vector<std::uint32_t>& walk = list.Walk();
+    for (const std::uint32_t c : walk) ++offsets_[c + 1];
+    for (std::size_t c = 0; c + 1 < offsets_.size(); ++c) {
+      offsets_[c + 1] += offsets_[c];
+    }
+    std::vector<std::size_t> next(offsets_.begin(), offsets_.end() - 1);
+    for (std::size_t i = 0; i < walk.size(); ++i) {
+      positions_[next[walk[i]]++] = i;
+    }
   }
-  return positions;
+
+  const std::size_t* begin(std::size_t c) const {
+    return positions_.data() + offsets_[c];
+  }
+  const std::size_t* end(std::size_t c) const {
+    return positions_.data() + offsets_[c + 1];
+  }
+
+ private:
+  std::vector<std::size_t> offsets_;
+  std::vector<std::size_t> positions_;
+};
+
+/// (degree-pair key, value) pairs; summed, ascending by key.
+using KeyedSums = std::vector<std::pair<std::uint64_t, double>>;
+
+/// Sums the values of equal keys in place and leaves one pair per key,
+/// ascending. The sort is stable, so each key's values are added in their
+/// order in `pairs`: every sum is the double `sum[key] += value` would
+/// give over `pairs` in order.
+void SumRuns(KeyedSums& pairs) {
+  std::stable_sort(pairs.begin(), pairs.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  std::size_t out = 0;
+  for (std::size_t i = 0; i < pairs.size();) {
+    const std::uint64_t key = pairs[i].first;
+    double sum = 0.0;
+    for (; i < pairs.size() && pairs[i].first == key; ++i) {
+      sum += pairs[i].second;
+    }
+    pairs[out++] = {key, sum};
+  }
+  pairs.resize(out);
+}
+
+/// Per-chunk sums merged in ascending chunk order: each key's chunk sums
+/// are added in chunk order.
+KeyedSums MergeChunks(const std::vector<KeyedSums>& chunks) {
+  KeyedSums merged;
+  for (const KeyedSums& local : chunks) {
+    merged.insert(merged.end(), local.begin(), local.end());
+  }
+  SumRuns(merged);
+  return merged;
 }
 
 /// Number of ordered index pairs (i, j), i != j, with |i - j| >= M.
@@ -147,14 +131,15 @@ double CountOrderedPairs(std::size_t r, std::size_t m) {
   return total;
 }
 
-/// Number of positions of `positions` inside the open window
-/// (center - M, center + M); `positions` must be sorted.
-std::size_t CountWithinWindow(const std::vector<std::size_t>& positions,
-                              std::size_t center, std::size_t m) {
+/// Number of positions in [begin, end) inside the open window
+/// (center - M, center + M); the positions must be sorted.
+std::size_t CountWithinWindow(const std::size_t* begin,
+                              const std::size_t* end, std::size_t center,
+                              std::size_t m) {
   const std::size_t lo = center >= m - 1 ? center - (m - 1) : 0;
   const std::size_t hi = center + (m - 1);  // inclusive
-  auto first = std::lower_bound(positions.begin(), positions.end(), lo);
-  auto last = std::upper_bound(positions.begin(), positions.end(), hi);
+  const std::size_t* first = std::lower_bound(begin, end, lo);
+  const std::size_t* last = std::upper_bound(first, end, hi);
   return static_cast<std::size_t>(last - first);
 }
 
@@ -165,87 +150,51 @@ std::size_t CountWithinWindow(const std::vector<std::size_t>& positions,
 LocalEstimates SmallSampleEstimates(const SamplingList& list) {
   LocalEstimates est;
   const std::size_t r = list.Length();
-  std::vector<NodeId> seen;
-  for (const NodeId node : SortedKeys(list.neighbors)) {
-    const std::vector<NodeId>& nbrs = list.neighbors.at(node);
-    seen.push_back(node);
-    seen.insert(seen.end(), nbrs.begin(), nbrs.end());
-  }
-  std::sort(seen.begin(), seen.end());
-  seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
-  est.num_nodes = static_cast<double>(seen.size());
+  est.num_nodes = static_cast<double>(list.NumSeen());
   if (r == 0) return est;  // empty list: zero estimates, empty dists
 
   std::size_t max_degree = 0;
   double degree_sum = 0.0;
-  for (NodeId v : list.visit_sequence) {
-    const std::size_t d = list.DegreeOf(v);
+  for (const std::uint32_t c : list.Walk()) {
+    const std::size_t d = list.Degree(c);
     max_degree = std::max(max_degree, d);
     degree_sum += static_cast<double>(d);
   }
   est.average_degree = degree_sum / static_cast<double>(r);
   est.degree_dist.assign(max_degree + 1, 0.0);
-  for (NodeId v : list.visit_sequence) {
-    est.degree_dist[list.DegreeOf(v)] += 1.0 / static_cast<double>(r);
+  for (const std::uint32_t c : list.Walk()) {
+    est.degree_dist[list.Degree(c)] += 1.0 / static_cast<double>(r);
   }
   est.clustering.assign(max_degree + 1, 0.0);
   return est;
 }
 
-}  // namespace
-
-double EstimateAverageDegree(const SamplingList& list) {
-  if (!list.is_walk || list.Length() == 0) return 0.0;
+/// The collision estimator n̂ over a positions table of `list`'s walk.
+double CollisionEstimate(const SamplingList& list,
+                         const WalkPositions& positions, double fallback,
+                         const EstimatorOptions& options) {
   const std::size_t r = list.Length();
-  const ChunkRunner runner(r);
-  std::vector<double> partial(runner.NumChunks(), 0.0);
-  runner.Run([&](std::size_t chunk, std::size_t begin, std::size_t end) {
-    double sum = 0.0;
-    for (std::size_t i = begin; i < end; ++i) {
-      const auto degree =
-          static_cast<double>(list.DegreeOf(list.visit_sequence[i]));
-      if (degree > 0.0) sum += 1.0 / degree;
-    }
-    partial[chunk] = sum;
-  });
-  double inv_sum = 0.0;
-  for (double p : partial) inv_sum += p;
-  // A walk pinned to zero-degree nodes (only possible for hand-built
-  // lists) has no finite harmonic mean; 0 is the documented sentinel.
-  if (inv_sum <= 0.0) return 0.0;
-  return static_cast<double>(r) / inv_sum;
-}
-
-double EstimateNumNodes(const SamplingList& list, double fallback,
-                        const EstimatorOptions& options) {
-  if (!list.is_walk) return fallback;
-  const std::size_t r = list.Length();
-  if (r < 3) return fallback;
   const std::size_t m = LagThreshold(r, options.collision_threshold_fraction);
-  const std::vector<NodeId>& walk = list.visit_sequence;
+  const std::vector<std::uint32_t>& walk = list.Walk();
 
   // Denominator: ordered collision pairs at lag >= M, computed per node via
   // two-pointer over the sorted position list. The per-node counts are
   // integer-valued, so the chunked partial sums are exact in any order.
-  const auto positions = PositionsByNode(walk);
-  std::vector<const std::vector<std::size_t>*> position_lists;
-  position_lists.reserve(positions.size());
-  for (const NodeId node : SortedKeys(positions)) {
-    position_lists.push_back(&positions.at(node));
-  }
-  const ChunkRunner node_runner(position_lists.size());
+  const ChunkRunner node_runner(list.NumQueried());
   std::vector<double> collision_partial(node_runner.NumChunks(), 0.0);
   node_runner.Run([&](std::size_t chunk, std::size_t begin,
                       std::size_t end) {
     double sum = 0.0;
     for (std::size_t n = begin; n < end; ++n) {
-      const std::vector<std::size_t>& pos = *position_lists[n];
+      const std::size_t* pos = positions.begin(n);
+      const auto count =
+          static_cast<std::size_t>(positions.end(n) - positions.begin(n));
       // For each a, count b > a with pos[b] - pos[a] >= M (then double).
       std::size_t b = 0;
-      for (std::size_t a = 0; a < pos.size(); ++a) {
+      for (std::size_t a = 0; a < count; ++a) {
         if (b < a + 1) b = a + 1;
-        while (b < pos.size() && pos[b] - pos[a] < m) ++b;
-        sum += 2.0 * static_cast<double>(pos.size() - b);
+        while (b < count && pos[b] - pos[a] < m) ++b;
+        sum += 2.0 * static_cast<double>(count - b);
       }
     }
     collision_partial[chunk] = sum;
@@ -260,7 +209,7 @@ double EstimateNumNodes(const SamplingList& list, double fallback,
   // sum is inherently order-dependent) and the outer sum chunked.
   std::vector<double> inv_prefix(r + 1, 0.0);
   for (std::size_t i = 0; i < r; ++i) {
-    const auto degree = static_cast<double>(list.DegreeOf(walk[i]));
+    const auto degree = static_cast<double>(list.Degree(walk[i]));
     // Zero-degree entries (hand-built lists only) contribute no weight —
     // an infinite term here would turn the window subtraction below into
     // inf - inf = NaN.
@@ -276,7 +225,7 @@ double EstimateNumNodes(const SamplingList& list, double fallback,
       const std::size_t lo = i >= m - 1 ? i - (m - 1) : 0;
       const std::size_t hi = std::min(r - 1, i + (m - 1));
       const double window = inv_prefix[hi + 1] - inv_prefix[lo];
-      sum += static_cast<double>(list.DegreeOf(walk[i])) *
+      sum += static_cast<double>(list.Degree(walk[i])) *
              (inv_total - window);
     }
     numerator_partial[chunk] = sum;
@@ -286,33 +235,51 @@ double EstimateNumNodes(const SamplingList& list, double fallback,
   return numerator / collisions;
 }
 
+}  // namespace
+
+double EstimateAverageDegree(const SamplingList& list) {
+  if (!list.is_walk() || list.Length() == 0) return 0.0;
+  const std::size_t r = list.Length();
+  const std::vector<std::uint32_t>& walk = list.Walk();
+  const ChunkRunner runner(r);
+  std::vector<double> partial(runner.NumChunks(), 0.0);
+  runner.Run([&](std::size_t chunk, std::size_t begin, std::size_t end) {
+    double sum = 0.0;
+    for (std::size_t i = begin; i < end; ++i) {
+      const auto degree = static_cast<double>(list.Degree(walk[i]));
+      if (degree > 0.0) sum += 1.0 / degree;
+    }
+    partial[chunk] = sum;
+  });
+  double inv_sum = 0.0;
+  for (double p : partial) inv_sum += p;
+  // A walk pinned to zero-degree nodes (only possible for hand-built
+  // lists) has no finite harmonic mean; 0 is the documented sentinel.
+  if (inv_sum <= 0.0) return 0.0;
+  return static_cast<double>(r) / inv_sum;
+}
+
+double EstimateNumNodes(const SamplingList& list, double fallback,
+                        const EstimatorOptions& options) {
+  if (!list.is_walk() || list.Length() < 3) return fallback;
+  return CollisionEstimate(list, WalkPositions(list), fallback, options);
+}
+
 LocalEstimates EstimateLocalProperties(const SamplingList& list,
                                        const EstimatorOptions& options) {
-  if (!list.is_walk) {
+  if (!list.is_walk()) {
     throw std::invalid_argument(
         "EstimateLocalProperties: re-weighted estimators require a walk "
-        "sample (list.is_walk); BFS/snowball/forest-fire crawls would "
+        "sample (list.is_walk()); BFS/snowball/forest-fire crawls would "
         "yield biased estimates");
   }
   const std::size_t r = list.Length();
   if (r < 3) return SmallSampleEstimates(list);
-  const std::vector<NodeId>& walk = list.visit_sequence;
+  const std::vector<std::uint32_t>& walk = list.Walk();
   const std::size_t m = LagThreshold(r, options.collision_threshold_fraction);
-
-  // Immutable snapshot of the crawled neighborhood; every lookup below is
-  // an array access instead of a hash probe.
-  const CrawlCsr crawl(list);
   const ChunkRunner runner(r);
   const std::size_t num_chunks = runner.NumChunks();
-  std::vector<std::uint32_t> walk_compact(r);
-  runner.Run([&](std::size_t, std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      walk_compact[i] = crawl.to_compact.at(walk[i]);
-    }
-  });
-  auto degree_at = [&](std::size_t i) {
-    return static_cast<std::size_t>(crawl.degree[walk_compact[i]]);
-  };
+  auto degree_at = [&](std::size_t i) { return list.Degree(walk[i]); };
 
   LocalEstimates est;
 
@@ -367,18 +334,19 @@ LocalEstimates EstimateLocalProperties(const SamplingList& list,
 
   // --- Number of nodes (fallback: number of distinct nodes seen, a lower
   //     bound available from the sampling list itself). ---
-  est.num_nodes = EstimateNumNodes(
-      list, static_cast<double>(crawl.DistinctSeen()), options);
+  const WalkPositions positions(list);
+  est.num_nodes = CollisionEstimate(
+      list, positions, static_cast<double>(list.NumSeen()), options);
 
   // --- Joint degree distribution: hybrid of IE and TE (Section III-E). ---
   // TE: traversed edges (consecutive walk pairs, pair (i, i+1) owned by
-  // the chunk of its left index). Per-chunk sparse accumulators are
+  // the chunk of its left index). Each chunk collects its (class, weight)
+  // pairs in walk order and sums them per class; the chunk sums are then
   // merged in ascending chunk order, so each class's weight sum has a
   // canonical order.
-  std::vector<std::unordered_map<std::uint64_t, double>> te_chunks(
-      num_chunks);
+  std::vector<KeyedSums> te_chunks(num_chunks);
   runner.Run([&](std::size_t chunk, std::size_t begin, std::size_t end) {
-    std::unordered_map<std::uint64_t, double>& local = te_chunks[chunk];
+    KeyedSums& local = te_chunks[chunk];
     for (std::size_t i = begin; i < std::min(end, r - 1); ++i) {
       const auto k = static_cast<std::uint32_t>(degree_at(i));
       const auto kp = static_cast<std::uint32_t>(degree_at(i + 1));
@@ -387,62 +355,48 @@ LocalEstimates EstimateLocalProperties(const SamplingList& list,
       // that on the diagonal).
       const double w = 1.0 / (2.0 * static_cast<double>(r - 1));
       if (k == kp) {
-        local[DegreePairKey(k, kp)] += 2.0 * w;
+        local.emplace_back(DegreePairKey(k, kp), 2.0 * w);
       } else {
-        local[DegreePairKey(k, kp)] += w;
-        local[DegreePairKey(kp, k)] += w;
+        local.emplace_back(DegreePairKey(k, kp), w);
+        local.emplace_back(DegreePairKey(kp, k), w);
       }
     }
+    SumRuns(local);
   });
-  std::unordered_map<std::uint64_t, double> te;
-  for (const auto& local : te_chunks) {
-    for (const std::uint64_t key : SortedKeys(local)) te[key] += local.at(key);
-  }
+  const KeyedSums te = MergeChunks(te_chunks);
 
   // IE: induced edges among far-apart walk positions. For each position i
   // and each neighbor w of x_i that occurs in the walk at lag >= M, count 1
   // (A_{x_i, x_j} = 1 exactly when x_j is a neighbor of x_i; originals are
   // simple). Grouped per (d(x_i), d(w)) class. The counts are integers,
   // so the chunked merge is exact in any order.
-  //
-  // Walk positions per compact node id (only walk nodes get entries; a
-  // queried-but-never-visited node, as Metropolis-Hastings produces, has
-  // an empty list).
-  std::vector<std::vector<std::size_t>> positions(crawl.degree.size());
-  for (std::size_t i = 0; i < r; ++i) {
-    positions[walk_compact[i]].push_back(i);
-  }
-  std::vector<std::unordered_map<std::uint64_t, double>> ie_chunks(
-      num_chunks);
+  const std::vector<std::uint32_t>& compact = list.CompactNeighbors();
+  std::vector<KeyedSums> ie_chunks(num_chunks);
   runner.Run([&](std::size_t chunk, std::size_t begin, std::size_t end) {
-    std::unordered_map<std::uint64_t, double>& local = ie_chunks[chunk];
+    KeyedSums& local = ie_chunks[chunk];
     for (std::size_t i = begin; i < end; ++i) {
-      const std::uint32_t u = walk_compact[i];
-      for (std::size_t e = crawl.offsets[u]; e < crawl.offsets[u + 1];
-           ++e) {
-        const std::uint32_t w = crawl.compact_neighbors[e];
-        if (w == CrawlCsr::kNotQueried) continue;
-        const std::vector<std::size_t>& pos = positions[w];
-        if (pos.empty()) continue;
-        const std::size_t within = CountWithinWindow(pos, i, m);
-        const std::size_t far = pos.size() - within;
+      const std::uint32_t u = walk[i];
+      const auto k = static_cast<std::uint32_t>(list.Degree(u));
+      for (std::size_t e = list.RowBegin(u); e < list.RowEnd(u); ++e) {
+        const std::uint32_t w = compact[e];
+        if (!list.IsQueried(w)) continue;
+        const std::size_t* pos = positions.begin(w);
+        const std::size_t* pos_end = positions.end(w);
+        if (pos == pos_end) continue;
+        const auto count = static_cast<std::size_t>(pos_end - pos);
+        const std::size_t far =
+            count - CountWithinWindow(pos, pos_end, i, m);
         if (far == 0) continue;
-        const auto k = static_cast<std::uint32_t>(crawl.degree[u]);
-        const auto kp = static_cast<std::uint32_t>(crawl.degree[w]);
-        local[DegreePairKey(k, kp)] += static_cast<double>(far);
+        const auto kp = static_cast<std::uint32_t>(list.Degree(w));
+        local.emplace_back(DegreePairKey(k, kp), static_cast<double>(far));
       }
     }
+    SumRuns(local);
   });
-  std::unordered_map<std::uint64_t, double> ie_counts;
-  for (const auto& local : ie_chunks) {
-    for (const std::uint64_t key : SortedKeys(local)) {
-      ie_counts[key] += local.at(key);
-    }
-  }
+  const KeyedSums ie_counts = MergeChunks(ie_chunks);
   const double num_pairs = CountOrderedPairs(r, m);
   SparseJointDist ie;
-  for (const std::uint64_t key : SortedKeys(ie_counts)) {
-    const double count = ie_counts.at(key);
+  for (const auto& [key, count] : ie_counts) {
     const auto k = static_cast<std::uint32_t>(key >> 32);
     const auto kp = static_cast<std::uint32_t>(key & 0xffffffffu);
     const double phi_kkp = count / (static_cast<double>(k) *
@@ -457,17 +411,17 @@ LocalEstimates EstimateLocalProperties(const SamplingList& list,
   // are plentiful), TE below the threshold (where the walk itself samples
   // edges without bias).
   const auto te_at = [&te](std::uint32_t k, std::uint32_t kp) {
-    const auto it = te.find(DegreePairKey(k, kp));
-    return it == te.end() ? 0.0 : it->second;
+    const std::uint64_t key = DegreePairKey(k, kp);
+    const auto it = std::lower_bound(
+        te.begin(), te.end(), key,
+        [](const auto& entry, std::uint64_t x) { return entry.first < x; });
+    return it == te.end() || it->first != key ? 0.0 : it->second;
   };
   const double threshold = 2.0 * est.average_degree;
-  std::vector<std::uint64_t> keys = SortedKeys(te);
-  {
-    const std::vector<std::uint64_t> ie_keys = SortedKeys(ie.values());
-    keys.insert(keys.end(), ie_keys.begin(), ie_keys.end());
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  }
+  std::vector<std::uint64_t> keys = SortedKeys(ie.values());
+  for (const auto& entry : te) keys.push_back(entry.first);
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
   for (const std::uint64_t key : keys) {
     const auto k = static_cast<std::uint32_t>(key >> 32);
     const auto kp = static_cast<std::uint32_t>(key & 0xffffffffu);
@@ -499,9 +453,10 @@ LocalEstimates EstimateLocalProperties(const SamplingList& list,
     std::vector<double>& local = phi_c_chunks[chunk];
     for (std::size_t i = std::max<std::size_t>(begin, 1);
          i < std::min(end, r - 1); ++i) {
-      const NodeId next = walk[i + 1];
-      if (walk[i - 1] == next) continue;  // A_vv = 0 in a simple graph
-      if (crawl.Adjacent(walk_compact[i - 1], next)) {
+      if (walk[i - 1] == walk[i + 1]) continue;  // A_vv = 0: simple graph
+      const NeighborSpan previous = list.Row(walk[i - 1]);
+      if (std::binary_search(previous.begin(), previous.end(),
+                             list.OriginalId(walk[i + 1]))) {
         const std::size_t d = degree_at(i);
         if (d >= local.size()) local.resize(d + 1, 0.0);
         local[d] += 1.0;

@@ -64,12 +64,13 @@ struct EstimatorOptions {
 /// Complexity: O(r log r + Σ_i d(x_i) log r). The quadratic pair sums of
 /// the definitions are evaluated exactly using prefix sums over 1/d and
 /// per-node sorted position lists (see DESIGN.md, "Faithfulness notes").
-/// The dominant passes (crawl-snapshot build, degree/Φ accumulation, the
-/// induced-edge scan, the clustering indicator, and the collision sums)
-/// are chunked over the fixed kEstimatorChunkSize grid and reduced in
-/// canonical chunk order.
+/// The estimators read the finished list directly (compact walk, sorted
+/// rows). The dominant passes (degree/Φ accumulation, the induced-edge
+/// scan, the clustering indicator, and the collision sums) are chunked
+/// over the fixed kEstimatorChunkSize grid and reduced in canonical chunk
+/// order.
 ///
-/// `list.is_walk` must be true: the estimators rely on the Markov property
+/// `list.is_walk()` must be true: the estimators rely on the Markov property
 /// of the sequence — a non-walk sample (BFS / snowball / forest fire)
 /// throws std::invalid_argument, since re-weighting such a crawl would
 /// silently produce biased numbers.

@@ -201,7 +201,7 @@ std::vector<MethodRunResult> RunExperimentImpl(
     crawl_span.End();
     obs::MetricAdd("oracle.queries", oracle.unique_queries());
     if (config.noise.Active()) RecordNoiseMetrics(oracle);
-    if (wants_generative && !walk.is_walk) {
+    if (wants_generative && !walk.is_walk()) {
       throw std::invalid_argument(
           "generative methods (gjoka/proposed) require a walk crawler "
           "(rw|frontier|mhrw), not a bfs/snowball/ff crawl");

@@ -26,7 +26,7 @@ namespace sgr {
 /// The generated graph contains G' as a subgraph, exactly realizes
 /// {n*(k)} and {m*(k,k')}, and approximately realizes {ĉ̄(k)}.
 ///
-/// `list.is_walk` must be true (the estimators require a Markov chain).
+/// `list.is_walk()` must be true (the estimators require a Markov chain).
 RestorationResult RestoreProposed(const SamplingList& list,
                                   const RestorationOptions& options,
                                   Rng& rng);

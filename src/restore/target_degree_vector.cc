@@ -95,7 +95,7 @@ TargetDegreeVectorResult BuildTargetDegreeVector(const Subgraph& sub,
   // Queried nodes: the subgraph degree is the true degree (lines 2-3).
   DegreeVector n_prime(k_max + 1, 0);
   for (NodeId v = 0; v < g_sub.NumNodes(); ++v) {
-    if (sub.is_queried[v]) {
+    if (sub.IsQueried(v)) {
       d_star[v] = static_cast<std::uint32_t>(g_sub.Degree(v));
       ++n_prime[d_star[v]];
     }
@@ -116,7 +116,7 @@ TargetDegreeVectorResult BuildTargetDegreeVector(const Subgraph& sub,
   // Visible nodes in decreasing order of subgraph degree (lines 7-15).
   std::vector<NodeId> visible;
   for (NodeId v = 0; v < g_sub.NumNodes(); ++v) {
-    if (!sub.is_queried[v]) visible.push_back(v);
+    if (!sub.IsQueried(v)) visible.push_back(v);
   }
   std::sort(visible.begin(), visible.end(), [&g_sub](NodeId a, NodeId b) {
     if (g_sub.Degree(a) != g_sub.Degree(b)) {

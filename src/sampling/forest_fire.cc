@@ -4,6 +4,7 @@
 #include <queue>
 #include <stdexcept>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 namespace sgr {
@@ -19,8 +20,7 @@ SamplingList ForestFireSample(QueryOracle& oracle, NodeId seed,
     throw std::invalid_argument(
         "forest fire: forward_probability must be in [0, 1)");
   }
-  SamplingList list;
-  list.is_walk = false;
+  SamplingListRecorder recorder;
   std::queue<NodeId> frontier;
   std::unordered_set<NodeId> burned;  // enqueued-or-queried
   std::unordered_set<NodeId> seen;    // every node ever seen, deduplicated
@@ -33,7 +33,7 @@ SamplingList ForestFireSample(QueryOracle& oracle, NodeId seed,
   // Geometric burst with mean pf/(1-pf): success probability 1 - pf.
   const double success = 1.0 - forward_probability;
 
-  while (list.NumQueried() < target_queried) {
+  while (recorder.NumQueried() < target_queried) {
     if (frontier.empty()) {
       // Revive: restart the fire from a uniformly random sampled node whose
       // neighborhood may still contain unburned nodes. Drawing from the
@@ -42,7 +42,7 @@ SamplingList ForestFireSample(QueryOracle& oracle, NodeId seed,
       // with many queried neighbors and growing memory without bound.
       std::vector<NodeId> candidates;
       for (NodeId v : seen_order) {
-        if (list.neighbors.find(v) == list.neighbors.end()) {
+        if (!recorder.Contains(v)) {
           candidates.push_back(v);
         }
       }
@@ -53,13 +53,13 @@ SamplingList ForestFireSample(QueryOracle& oracle, NodeId seed,
     }
     NodeId v = frontier.front();
     frontier.pop();
-    if (list.neighbors.count(v) > 0) continue;
+    if (recorder.Contains(v)) continue;
     const NeighborSpan nbrs = oracle.Query(v);
     // A node that answers nothing (private account, spent API budget) is
     // recorded with an empty list: it cost a query, and recording it keeps
     // it out of future revive draws so the loop always terminates.
-    list.visit_sequence.push_back(v);
-    list.neighbors.try_emplace(v, nbrs.begin(), nbrs.end());
+    recorder.Visit(v);
+    recorder.Record(v, nbrs);
 
     std::vector<NodeId> unburned;
     for (NodeId w : nbrs) {
@@ -81,7 +81,7 @@ SamplingList ForestFireSample(QueryOracle& oracle, NodeId seed,
       }
     }
   }
-  return list;
+  return std::move(recorder).Finish(/*is_walk=*/false);
 }
 
 }  // namespace sgr

@@ -2,6 +2,7 @@
 
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 namespace sgr {
 
@@ -13,8 +14,7 @@ SamplingList FrontierSample(QueryOracle& oracle,
     throw std::invalid_argument(
         "frontier sampling requires at least one seed");
   }
-  SamplingList list;
-  list.is_walk = true;
+  SamplingListRecorder recorder;
 
   // Initialize walker positions; each position is queried so its degree is
   // known for the degree-proportional walker choice. A seed whose query
@@ -26,14 +26,14 @@ SamplingList FrontierSample(QueryOracle& oracle,
   for (std::size_t i = 0; i < walkers.size(); ++i) {
     const NeighborSpan nbrs = oracle.Query(walkers[i]);
     if (nbrs.empty()) continue;
-    list.visit_sequence.push_back(walkers[i]);
-    list.neighbors.try_emplace(walkers[i], nbrs.begin(), nbrs.end());
+    recorder.Visit(walkers[i]);
+    recorder.Record(walkers[i], nbrs);
     degrees[i] = nbrs.size();
   }
 
   std::size_t failures = 0;
-  while (list.NumQueried() < target_queried &&
-         (max_steps == 0 || list.visit_sequence.size() < max_steps)) {
+  while (recorder.NumQueried() < target_queried &&
+         (max_steps == 0 || recorder.Length() < max_steps)) {
     // Choose a walker proportionally to its degree. A zero total means
     // every walker sits on a node with no visible neighbors — the walk
     // is over. (This used to flow into NextIndex(0) and an off-the-end
@@ -48,7 +48,7 @@ SamplingList FrontierSample(QueryOracle& oracle,
       ++chosen;
     }
     // Move it across a uniform incident edge.
-    const auto& nbrs = list.neighbors.at(walkers[chosen]);
+    const auto& nbrs = recorder.Row(walkers[chosen]);
     const NodeId next = nbrs[rng.NextIndex(nbrs.size())];
     const NeighborSpan next_nbrs = oracle.Query(next);
     if (next_nbrs.empty()) {
@@ -59,12 +59,12 @@ SamplingList FrontierSample(QueryOracle& oracle,
       continue;
     }
     failures = 0;
-    list.visit_sequence.push_back(next);
-    list.neighbors.try_emplace(next, next_nbrs.begin(), next_nbrs.end());
+    recorder.Visit(next);
+    recorder.Record(next, next_nbrs);
     walkers[chosen] = next;
     degrees[chosen] = next_nbrs.size();
   }
-  return list;
+  return std::move(recorder).Finish(/*is_walk=*/true);
 }
 
 }  // namespace sgr

@@ -18,7 +18,7 @@ namespace sgr {
 /// reducing estimator variance.
 ///
 /// The returned trajectory is the sequence of *moved-to* nodes (after the
-/// initial walker positions), with `is_walk = true`: consecutive entries
+/// initial walker positions), with `is_walk()` true: consecutive entries
 /// are edge-biased samples, so the re-weighted estimators for n̂, k̂̄,
 /// P̂(k) and P̂TE(k,k') apply unchanged. The clustering estimator's
 /// interior term mixes walkers and is not meaningful on this list; the

@@ -16,8 +16,9 @@ namespace sgr {
 ///   # sgr-sampling-list v1
 ///   walk <0|1>
 ///   seq <r> <x_1> <x_2> ... <x_r>
-///   node <id> <degree> <neighbor_1> ... <neighbor_degree>   (one per
-///                                                            queried node)
+///   node <id> <degree> <neighbor_1> ... <neighbor_degree>
+/// with one node record per queried node, in ascending id, and each
+/// record's neighbors ascending.
 
 /// Writes `list` to `out`.
 void WriteSamplingList(const SamplingList& list, std::ostream& out);
@@ -27,10 +28,15 @@ void WriteSamplingList(const SamplingList& list, std::ostream& out);
 void WriteSamplingListFile(const SamplingList& list,
                            const std::string& path);
 
-/// Reads a sampling list from `in`. Throws std::runtime_error on
-/// malformed input (bad header, truncated records, or a trajectory node
-/// without a neighbor record).
-SamplingList ReadSamplingList(std::istream& in);
+/// Reads a sampling list from `in`. Throws std::runtime_error naming
+/// `source` and the line on malformed input: a bad header, a record
+/// shorter or longer than its declared count, an id that is not a decimal
+/// NodeId, a walk flag other than 0/1, a second walk/seq record or a
+/// second record for one node, a row that is not ascending (every
+/// crawler writes ascending rows), or a trajectory node without a
+/// neighbor record.
+SamplingList ReadSamplingList(std::istream& in,
+                              const std::string& source = "<stream>");
 
 /// Reads a sampling list from the file at `path`.
 SamplingList ReadSamplingListFile(const std::string& path);

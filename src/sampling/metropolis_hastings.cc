@@ -1,27 +1,28 @@
 #include "sampling/metropolis_hastings.h"
 
+#include <utility>
+
 namespace sgr {
 
 SamplingList MetropolisHastingsWalkSample(QueryOracle& oracle, NodeId seed,
                                           std::size_t target_queried,
                                           Rng& rng,
                                           std::size_t max_steps) {
-  SamplingList list;
-  list.is_walk = true;
+  SamplingListRecorder recorder;
   NodeId current = seed;
   {
     const NeighborSpan nbrs = oracle.Query(current);
     // Graceful Release-mode stop for a seed with no visible neighbors
     // (isolated node, private account) — previously an assert-only guard.
-    if (nbrs.empty()) return list;
-    list.visit_sequence.push_back(current);
-    list.neighbors.try_emplace(current, nbrs.begin(), nbrs.end());
+    if (nbrs.empty()) return std::move(recorder).Finish(/*is_walk=*/true);
+    recorder.Visit(current);
+    recorder.Record(current, nbrs);
   }
-  while (list.NumQueried() < target_queried &&
-         (max_steps == 0 || list.visit_sequence.size() < max_steps)) {
+  while (recorder.NumQueried() < target_queried &&
+         (max_steps == 0 || recorder.Length() < max_steps)) {
     // Cached neighbor list of the current node: stable storage, non-empty
     // by construction (only answered nodes are recorded).
-    const std::vector<NodeId>& nbrs = list.neighbors.at(current);
+    const std::vector<NodeId>& nbrs = recorder.Row(current);
     const std::size_t d_current = nbrs.size();
     bool progressed = false;
     for (std::size_t failures = 0; failures < kMaxConsecutiveFailedMoves;) {
@@ -40,8 +41,7 @@ SamplingList MetropolisHastingsWalkSample(QueryOracle& oracle, NodeId seed,
       }
       // The proposal's neighbor list was paid for; keep it in the
       // sampling list like any crawler caches fetched data.
-      list.neighbors.try_emplace(proposal, proposal_nbrs.begin(),
-                                 proposal_nbrs.end());
+      recorder.Record(proposal, proposal_nbrs);
       const std::size_t d_proposal = proposal_nbrs.size();
       const double accept = static_cast<double>(d_current) /
                             static_cast<double>(d_proposal);
@@ -51,13 +51,13 @@ SamplingList MetropolisHastingsWalkSample(QueryOracle& oracle, NodeId seed,
       // A rejected proposal leaves `current` unchanged and records the
       // repeat visit, preserving the Markov chain's sojourn-time
       // statistics that make sample means unbiased.
-      list.visit_sequence.push_back(current);
+      recorder.Visit(current);
       progressed = true;
       break;
     }
     if (!progressed) break;  // stranded among failed neighbors
   }
-  return list;
+  return std::move(recorder).Finish(/*is_walk=*/true);
 }
 
 }  // namespace sgr

@@ -1,12 +1,13 @@
 #include "sampling/non_backtracking.h"
 
+#include <utility>
+
 namespace sgr {
 
 SamplingList NonBacktrackingWalkSample(QueryOracle& oracle, NodeId seed,
                                        std::size_t target_queried, Rng& rng,
                                        std::size_t max_steps) {
-  SamplingList list;
-  list.is_walk = true;
+  SamplingListRecorder recorder;
   NodeId current = seed;
   bool has_previous = false;
   NodeId previous = seed;
@@ -14,15 +15,15 @@ SamplingList NonBacktrackingWalkSample(QueryOracle& oracle, NodeId seed,
     const NeighborSpan nbrs = oracle.Query(current);
     // Graceful Release-mode stop for a seed with no visible neighbors
     // (isolated node, private account) — previously an assert-only guard.
-    if (nbrs.empty()) return list;
-    list.visit_sequence.push_back(current);
-    list.neighbors.try_emplace(current, nbrs.begin(), nbrs.end());
+    if (nbrs.empty()) return std::move(recorder).Finish(/*is_walk=*/true);
+    recorder.Visit(current);
+    recorder.Record(current, nbrs);
   }
-  while (list.NumQueried() < target_queried &&
-         (max_steps == 0 || list.visit_sequence.size() < max_steps)) {
+  while (recorder.NumQueried() < target_queried &&
+         (max_steps == 0 || recorder.Length() < max_steps)) {
     // Cached neighbor list: stable storage, non-empty by construction
     // (only answered nodes are recorded).
-    const std::vector<NodeId>& nbrs = list.neighbors.at(current);
+    const std::vector<NodeId>& nbrs = recorder.Row(current);
     bool moved = false;
     for (std::size_t failures = 0; failures < kMaxConsecutiveFailedMoves;) {
       NodeId next;
@@ -63,8 +64,8 @@ SamplingList NonBacktrackingWalkSample(QueryOracle& oracle, NodeId seed,
         ++failures;
         continue;
       }
-      list.visit_sequence.push_back(next);
-      list.neighbors.try_emplace(next, next_nbrs.begin(), next_nbrs.end());
+      recorder.Visit(next);
+      recorder.Record(next, next_nbrs);
       previous = current;
       has_previous = true;
       current = next;
@@ -73,7 +74,7 @@ SamplingList NonBacktrackingWalkSample(QueryOracle& oracle, NodeId seed,
     }
     if (!moved) break;  // stranded among failed neighbors
   }
-  return list;
+  return std::move(recorder).Finish(/*is_walk=*/true);
 }
 
 }  // namespace sgr

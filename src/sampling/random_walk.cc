@@ -1,12 +1,13 @@
 #include "sampling/random_walk.h"
 
+#include <utility>
+
 namespace sgr {
 
 SamplingList RandomWalkSample(QueryOracle& oracle, NodeId seed,
                               std::size_t target_queried, Rng& rng,
                               std::size_t max_steps) {
-  SamplingList list;
-  list.is_walk = true;
+  SamplingListRecorder recorder;
   NodeId current = seed;
   {
     const NeighborSpan nbrs = oracle.Query(current);
@@ -14,16 +15,16 @@ SamplingList RandomWalkSample(QueryOracle& oracle, NodeId seed,
     // spent API budget) cannot start a walk. Returning the empty list is
     // the graceful Release-mode answer to what used to be an assert-only
     // guard.
-    if (nbrs.empty()) return list;
-    list.visit_sequence.push_back(current);
-    list.neighbors.try_emplace(current, nbrs.begin(), nbrs.end());
+    if (nbrs.empty()) return std::move(recorder).Finish(/*is_walk=*/true);
+    recorder.Visit(current);
+    recorder.Record(current, nbrs);
   }
-  while (list.NumQueried() < target_queried &&
-         (max_steps == 0 || list.visit_sequence.size() < max_steps)) {
+  while (recorder.NumQueried() < target_queried &&
+         (max_steps == 0 || recorder.Length() < max_steps)) {
     // Draw from the cached neighbor list (stable storage — oracle spans
     // may be backed by reused scratch). Recorded nodes always have a
     // non-empty list, so NextIndex's positive-bound contract holds.
-    const std::vector<NodeId>& nbrs = list.neighbors.at(current);
+    const std::vector<NodeId>& nbrs = recorder.Row(current);
     bool moved = false;
     for (std::size_t failures = 0; failures < kMaxConsecutiveFailedMoves;) {
       const NodeId next = nbrs[rng.NextIndex(nbrs.size())];
@@ -36,15 +37,15 @@ SamplingList RandomWalkSample(QueryOracle& oracle, NodeId seed,
         ++failures;
         continue;
       }
-      list.visit_sequence.push_back(next);
-      list.neighbors.try_emplace(next, next_nbrs.begin(), next_nbrs.end());
+      recorder.Visit(next);
+      recorder.Record(next, next_nbrs);
       current = next;
       moved = true;
       break;
     }
     if (!moved) break;  // stranded among failed neighbors
   }
-  return list;
+  return std::move(recorder).Finish(/*is_walk=*/true);
 }
 
 }  // namespace sgr

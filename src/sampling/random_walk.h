@@ -15,7 +15,7 @@ namespace sgr {
 /// with a hard cap of `max_steps` walk steps as a safety valve for
 /// pathological inputs (0 means no cap).
 ///
-/// Returns the sampling list L with `is_walk == true`.
+/// Returns the sampling list L with `is_walk()` true.
 SamplingList RandomWalkSample(QueryOracle& oracle, NodeId seed,
                               std::size_t target_queried, Rng& rng,
                               std::size_t max_steps = 0);

@@ -2,6 +2,7 @@
 #define SGR_SAMPLING_SAMPLING_LIST_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -68,31 +69,110 @@ class QueryOracle {
 inline constexpr std::size_t kMaxConsecutiveFailedMoves = 64;
 
 /// The sampling list L = ((x_i, N(x_i)))_{i=1..r} of Section III-B, plus the
-/// analogous record for non-walk crawlers.
+/// analogous record for non-walk crawlers: one immutable record, built once
+/// by SamplingListRecorder::Finish and read by every later phase.
 ///
-/// For a random walk, `visit_sequence` is the full node sequence
+/// For a random walk, the visit sequence is the full node sequence
 /// x_1, ..., x_r (with repetitions — the Markov chain trajectory). For BFS,
-/// snowball, and forest fire, `visit_sequence` is the order in which nodes
-/// were queried (no repetitions) and `is_walk` is false; such samples
-/// support subgraph induction but not re-weighted estimation.
-struct SamplingList {
-  /// Sequence of sampled nodes, in original-graph id space.
-  std::vector<NodeId> visit_sequence;
+/// snowball, and forest fire, it is the order in which nodes were queried
+/// (no repetitions) and `is_walk()` is false; such samples support subgraph
+/// induction but not re-weighted estimation.
+///
+/// Every node the crawl saw has a compact id:
+///   [0, NumQueried())          the queried nodes, in ascending original id;
+///   [NumQueried(), NumSeen())  the visible nodes (neighbors never queried),
+///                              in order of first appearance along the rows.
+/// Each queried node c owns the row [RowBegin(c), RowEnd(c)) of the flat
+/// neighbor arrays: its neighbors sorted ascending by original id, and the
+/// same entries as compact ids. The walk is stored in compact ids. No
+/// reader needs a hash map: queried-ness is `c < NumQueried()`, and the
+/// distinct-seen count is NumSeen().
+class SamplingList {
+ public:
+  /// An empty non-walk list.
+  SamplingList() = default;
 
-  /// Neighbor list of every queried node (original ids).
-  std::unordered_map<NodeId, std::vector<NodeId>> neighbors;
-
-  /// Whether `visit_sequence` is a Markov-chain trajectory.
-  bool is_walk = false;
+  /// Whether the visit sequence is a Markov-chain trajectory.
+  bool is_walk() const { return is_walk_; }
 
   /// Number of walk steps r (or queried nodes for crawls).
-  std::size_t Length() const { return visit_sequence.size(); }
+  std::size_t Length() const { return walk_.size(); }
 
   /// Number of distinct queried nodes.
-  std::size_t NumQueried() const { return neighbors.size(); }
+  std::size_t NumQueried() const { return offsets_.size() - 1; }
 
-  /// Degree (in the original graph) of a queried node.
-  std::size_t DegreeOf(NodeId v) const { return neighbors.at(v).size(); }
+  /// Number of distinct nodes seen: queried nodes plus visible ones.
+  std::size_t NumSeen() const { return seen_.size(); }
+
+  /// Whether compact node `c` was queried.
+  bool IsQueried(std::uint32_t c) const { return c < NumQueried(); }
+
+  /// Compact id -> original id, for every seen node.
+  const std::vector<NodeId>& SeenIds() const { return seen_; }
+  NodeId OriginalId(std::uint32_t c) const { return seen_[c]; }
+
+  /// The visit sequence in compact ids.
+  const std::vector<std::uint32_t>& Walk() const { return walk_; }
+
+  /// Bounds of queried node `c`'s row in CompactNeighbors().
+  std::size_t RowBegin(std::uint32_t c) const { return offsets_[c]; }
+  std::size_t RowEnd(std::uint32_t c) const { return offsets_[c + 1]; }
+
+  /// Degree (in the original graph) of queried node `c`.
+  std::size_t Degree(std::uint32_t c) const { return RowEnd(c) - RowBegin(c); }
+
+  /// N(c) of queried node `c`, ascending original ids.
+  NeighborSpan Row(std::uint32_t c) const {
+    return NeighborSpan(neighbors_.data() + RowBegin(c), Degree(c));
+  }
+
+  /// All rows, flat, as compact ids (aligned with the Row() entries).
+  const std::vector<std::uint32_t>& CompactNeighbors() const {
+    return compact_neighbors_;
+  }
+
+ private:
+  friend class SamplingListRecorder;
+
+  bool is_walk_ = false;
+  std::vector<NodeId> seen_;
+  std::vector<std::size_t> offsets_ = {0};
+  std::vector<NodeId> neighbors_;
+  std::vector<std::uint32_t> compact_neighbors_;
+  std::vector<std::uint32_t> walk_;
+};
+
+/// The write side of a sampling list. A crawler records each queried
+/// node's neighbor list and each visit as it goes, reading rows back
+/// mid-walk; Finish() then builds the immutable SamplingList once.
+class SamplingListRecorder {
+ public:
+  /// Keeps N(v) as answered by the oracle, the first time `v` is recorded
+  /// (a repeat query leaves the kept row as it is). Returns the kept row:
+  /// stable storage that outlives later oracle queries.
+  const std::vector<NodeId>& Record(NodeId v, NeighborSpan neighbors);
+
+  /// Appends `v` to the visit sequence.
+  void Visit(NodeId v) { visits_.push_back(v); }
+
+  bool Contains(NodeId v) const { return rows_.count(v) > 0; }
+
+  /// The kept row of a recorded node (throws std::out_of_range otherwise).
+  const std::vector<NodeId>& Row(NodeId v) const { return rows_.at(v); }
+
+  std::size_t NumQueried() const { return rows_.size(); }
+  std::size_t Length() const { return visits_.size(); }
+
+  /// Builds the list: queried ids sorted, every row sorted, every entry
+  /// resolved to its compact id, the walk in compact ids. Oracle rows are
+  /// already ascending, so sorting leaves a crawl's rows as they were.
+  /// Throws std::invalid_argument when a visited node has no row.
+  SamplingList Finish(bool is_walk) &&;
+
+ private:
+  std::vector<NodeId> visits_;
+  std::vector<NodeId> queried_;  ///< recording order
+  std::unordered_map<NodeId, std::vector<NodeId>> rows_;
 };
 
 }  // namespace sgr

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <queue>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 namespace sgr {
@@ -10,15 +11,14 @@ namespace sgr {
 SamplingList SnowballSample(QueryOracle& oracle, NodeId seed,
                             std::size_t target_queried,
                             std::size_t max_neighbors, Rng& rng) {
-  SamplingList list;
-  list.is_walk = false;
+  SamplingListRecorder recorder;
   std::queue<NodeId> frontier;
   std::unordered_set<NodeId> enqueued;
   std::unordered_set<NodeId> discovered;   // every node ever seen, deduped
   std::vector<NodeId> discovered_order;    // insertion order, stable draws
   frontier.push(seed);
   enqueued.insert(seed);
-  while (list.NumQueried() < target_queried) {
+  while (recorder.NumQueried() < target_queried) {
     if (frontier.empty()) {
       // Revive from a random discovered-but-unqueried node, if any remain.
       // The deduplicated pool keeps the draw uniform — the old code pushed
@@ -26,7 +26,7 @@ SamplingList SnowballSample(QueryOracle& oracle, NodeId seed,
       // many queried neighbors and growing memory without bound.
       std::vector<NodeId> candidates;
       for (NodeId v : discovered_order) {
-        if (list.neighbors.find(v) == list.neighbors.end()) {
+        if (!recorder.Contains(v)) {
           candidates.push_back(v);
         }
       }
@@ -35,13 +35,13 @@ SamplingList SnowballSample(QueryOracle& oracle, NodeId seed,
     }
     NodeId v = frontier.front();
     frontier.pop();
-    if (list.neighbors.count(v) > 0) continue;
+    if (recorder.Contains(v)) continue;
     const NeighborSpan nbrs = oracle.Query(v);
     // A node that answers nothing (private account, spent API budget) is
     // recorded with an empty list: it cost a query, and recording it keeps
     // it out of future revive draws so the loop always terminates.
-    list.visit_sequence.push_back(v);
-    list.neighbors.try_emplace(v, nbrs.begin(), nbrs.end());
+    recorder.Visit(v);
+    recorder.Record(v, nbrs);
 
     // Choose up to `max_neighbors` distinct neighbors uniformly at random.
     std::vector<NodeId> unique(nbrs.begin(), nbrs.end());
@@ -58,7 +58,7 @@ SamplingList SnowballSample(QueryOracle& oracle, NodeId seed,
       }
     }
   }
-  return list;
+  return std::move(recorder).Finish(/*is_walk=*/false);
 }
 
 }  // namespace sgr

@@ -1,46 +1,24 @@
 #include "sampling/subgraph.h"
 
-#include <algorithm>
-
-#include "util/sorted_keys.h"
+#include <cstdint>
 
 namespace sgr {
 
-std::size_t Subgraph::NumQueried() const {
-  return static_cast<std::size_t>(
-      std::count(is_queried.begin(), is_queried.end(), true));
-}
-
 Subgraph BuildSubgraph(const SamplingList& list) {
   Subgraph sub;
-  auto intern = [&sub](NodeId original, bool queried) {
-    auto [it, inserted] = sub.from_original.try_emplace(original, NodeId{0});
-    if (inserted) {
-      it->second = sub.graph.AddNode();
-      sub.to_original.push_back(original);
-      sub.is_queried.push_back(queried);
-    } else if (queried) {
-      sub.is_queried[it->second] = true;
-    }
-    return it->second;
-  };
-
-  // Intern queried nodes first so their flags are set before edges are laid
-  // down, then add each edge of E' exactly once: an edge between two queried
-  // nodes appears in both neighbor lists and is added only from the
-  // lower-original-id side; an edge to a visible node appears in exactly one
-  // neighbor list. Both passes run in ascending original-id order so the
-  // compact numbering and edge order are canonical, not hash-layout facts.
-  const std::vector<NodeId> queried = SortedKeys(list.neighbors);
-  for (const NodeId u : queried) intern(u, /*queried=*/true);
-  for (const NodeId u : queried) {
-    const std::vector<NodeId>& nbrs = list.neighbors.at(u);
-    const NodeId su = sub.from_original.at(u);
-    for (NodeId w : nbrs) {
-      const bool w_queried = list.neighbors.count(w) > 0;
-      if (w_queried && !(u < w)) continue;  // added from the other side
-      const NodeId sw = intern(w, w_queried);
-      sub.graph.AddEdge(su, sw);
+  sub.to_original = list.SeenIds();
+  sub.num_queried = list.NumQueried();
+  sub.graph = Graph(list.NumSeen());
+  // Each edge of E' exactly once, in row order: an edge between two
+  // queried nodes appears in both rows and is added only from the lower
+  // id's side (compact ids of queried nodes keep the original order); an
+  // edge to a visible node appears in exactly one row.
+  const std::vector<std::uint32_t>& compact = list.CompactNeighbors();
+  for (std::uint32_t u = 0; u < list.NumQueried(); ++u) {
+    for (std::size_t e = list.RowBegin(u); e < list.RowEnd(u); ++e) {
+      const std::uint32_t w = compact[e];
+      if (list.IsQueried(w) && !(u < w)) continue;  // added from w's row
+      sub.graph.AddEdge(u, w);
     }
   }
   return sub;

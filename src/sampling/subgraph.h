@@ -1,7 +1,7 @@
 #ifndef SGR_SAMPLING_SUBGRAPH_H_
 #define SGR_SAMPLING_SUBGRAPH_H_
 
-#include <unordered_map>
+#include <cstddef>
 #include <vector>
 
 #include "graph/graph.h"
@@ -14,24 +14,25 @@ namespace sgr {
 ///
 /// V' is the disjoint union of the queried nodes V'qry and the visible nodes
 /// V'vis (neighbors of queried nodes that were never queried themselves).
-/// E' contains every edge incident to a queried node, exactly once. Nodes
-/// are densely renumbered; the mapping back to original-graph ids is kept
-/// for tests and the experiment harness.
+/// E' contains every edge incident to a queried node, exactly once. Node
+/// ids are the sampling list's compact ids: the queried nodes take
+/// [0, NumQueried()) in ascending original id, then the visible nodes in
+/// order of first appearance. The mapping back to original-graph ids is
+/// kept for tests and the experiment harness.
 struct Subgraph {
   /// G' with dense node ids [0, NumNodes()).
   Graph graph;
 
-  /// is_queried[v] == true iff subgraph node v is in V'qry.
-  std::vector<bool> is_queried;
-
   /// Subgraph id -> original-graph id.
   std::vector<NodeId> to_original;
 
-  /// Original-graph id -> subgraph id.
-  std::unordered_map<NodeId, NodeId> from_original;
-
   /// Number of queried nodes |V'qry|.
-  std::size_t NumQueried() const;
+  std::size_t num_queried = 0;
+
+  /// Whether subgraph node v is in V'qry.
+  bool IsQueried(NodeId v) const { return v < num_queried; }
+
+  std::size_t NumQueried() const { return num_queried; }
 
   /// Number of visible nodes |V'vis|.
   std::size_t NumVisible() const { return graph.NumNodes() - NumQueried(); }

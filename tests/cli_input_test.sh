@@ -103,6 +103,12 @@ for bad in plus minus; do
   expect "$bad.txt:1:" "$cli" compare --original "$tmp/good.txt" \
     --generated "$tmp/$bad.txt"
 done
+# Sampling lists are read as strictly: a negative id in a trajectory is
+# malformed (never wrapped to 4294967295), named by file and line.
+printf '# sgr-sampling-list v1\nwalk 1\nseq 2 -1 1\nnode 1 0\n' \
+  > "$tmp/negative_sample.txt"
+expect "negative_sample.txt:3" "$cli" restore \
+  --sample "$tmp/negative_sample.txt" --out "$tmp/r.txt"
 mkdir "$tmp/empty_dir"
 : > "$tmp/empty_dir/youtube.txt"
 printf '{"datasets": ["youtube"]}\n' > "$tmp/youtube.json"

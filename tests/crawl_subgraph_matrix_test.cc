@@ -59,13 +59,13 @@ TEST_P(CrawlerSubgraphTest, SubgraphInvariantsHold) {
 
   const Subgraph sub = BuildSubgraph(list);
   // Every recorded neighbor list matches the oracle's graph.
-  for (const auto& [v, nbrs] : list.neighbors) {
-    EXPECT_EQ(nbrs.size(), g.Degree(v));
+  for (std::uint32_t c = 0; c < list.NumQueried(); ++c) {
+    EXPECT_EQ(list.Degree(c), g.Degree(list.OriginalId(c)));
   }
   // Queried nodes keep exact degrees; visible nodes are bounded (Lemma 1).
   for (NodeId v = 0; v < sub.graph.NumNodes(); ++v) {
     const NodeId orig = sub.to_original[v];
-    if (sub.is_queried[v]) {
+    if (sub.IsQueried(v)) {
       EXPECT_EQ(sub.graph.Degree(v), g.Degree(orig));
     } else {
       EXPECT_LE(sub.graph.Degree(v), g.Degree(orig));
@@ -75,7 +75,7 @@ TEST_P(CrawlerSubgraphTest, SubgraphInvariantsHold) {
   // Edges exist in the original and touch a queried endpoint.
   for (const Edge& e : sub.graph.edges()) {
     EXPECT_TRUE(g.HasEdge(sub.to_original[e.u], sub.to_original[e.v]));
-    EXPECT_TRUE(sub.is_queried[e.u] || sub.is_queried[e.v]);
+    EXPECT_TRUE(sub.IsQueried(e.u) || sub.IsQueried(e.v));
   }
   EXPECT_TRUE(CsrGraph(sub.graph).IsSimple());
 }

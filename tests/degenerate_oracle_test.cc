@@ -22,6 +22,8 @@
 #include "sampling/random_walk.h"
 #include "sampling/snowball.h"
 
+#include "sample_helpers.h"
+
 namespace sgr {
 namespace {
 
@@ -31,8 +33,8 @@ namespace {
 /// budget; the information the crawl extracted cannot.
 std::size_t InformativeNodes(const SamplingList& list) {
   std::size_t n = 0;
-  for (const auto& [node, nbrs] : list.neighbors) {
-    if (!nbrs.empty()) ++n;
+  for (std::uint32_t c = 0; c < list.NumQueried(); ++c) {
+    if (list.Degree(c) > 0) ++n;
   }
   return n;
 }
@@ -94,7 +96,7 @@ TEST(DegenerateOracleTest, DisconnectedGraphCannotOverrunItsComponent) {
     const auto lists = CrawlAll(oracle, /*seed=*/0, /*target=*/6, seed);
     for (std::size_t i = 0; i < lists.size(); ++i) {
       EXPECT_LE(lists[i].NumQueried(), 3u) << "crawler " << i;
-      for (NodeId v : lists[i].visit_sequence) {
+      for (const NodeId v : Visits(lists[i])) {
         EXPECT_LT(v, 3u) << "crawler " << i << " escaped its component";
       }
     }

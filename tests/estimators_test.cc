@@ -8,6 +8,8 @@
 #include "graph/generators.h"
 #include "sampling/random_walk.h"
 
+#include "sample_helpers.h"
+
 namespace sgr {
 namespace {
 
@@ -50,12 +52,8 @@ TEST(EstimatorsTest, NumNodesFallbackWhenNoCollision) {
   // A 3-step walk on a huge cycle has no lag-M collision; the estimator
   // must fall back to the number of distinct seen nodes.
   const CsrGraph g(GenerateCycle(1000));
-  SamplingList list;
-  list.is_walk = true;
-  list.visit_sequence = {0, 1, 2};
-  list.neighbors[0] = {999, 1};
-  list.neighbors[1] = {0, 2};
-  list.neighbors[2] = {1, 3};
+  const SamplingList list = HandBuiltList(
+      true, {0, 1, 2}, {{0, {999, 1}}, {1, {0, 2}}, {2, {1, 3}}});
   const double n_hat = EstimateNumNodes(list, 123.0);
   EXPECT_DOUBLE_EQ(n_hat, 123.0);
 }
@@ -178,8 +176,8 @@ TEST(EstimatorsTest, MaxDegreeWithMassMatchesWalk) {
   const SamplingList list = RandomWalkSample(oracle, 0, 100, rng);
   const LocalEstimates est = EstimateLocalProperties(list);
   std::size_t max_walked = 0;
-  for (NodeId v : list.visit_sequence) {
-    max_walked = std::max(max_walked, list.DegreeOf(v));
+  for (const std::uint32_t c : list.Walk()) {
+    max_walked = std::max(max_walked, list.Degree(c));
   }
   EXPECT_EQ(est.MaxDegreeWithMass(), max_walked);
 }
@@ -220,8 +218,7 @@ TEST(EstimatorsTest, GlobalClusteringNearOneOnCompleteGraph) {
 // ---------------------------------------------------------------------------
 
 TEST(EstimatorsEdgeCaseTest, EmptyListYieldsZeroEstimates) {
-  SamplingList empty;
-  empty.is_walk = true;
+  const SamplingList empty = HandBuiltList(true, {}, {});
   const LocalEstimates est = EstimateLocalProperties(empty);
   EXPECT_DOUBLE_EQ(est.num_nodes, 0.0);
   EXPECT_DOUBLE_EQ(est.average_degree, 0.0);
@@ -235,10 +232,7 @@ TEST(EstimatorsEdgeCaseTest, EmptyListYieldsZeroEstimates) {
 TEST(EstimatorsEdgeCaseTest, SingleNodeCrawlYieldsPlainStatistics) {
   // A budget of one queried node produces a length-1 walk: too short for
   // any re-weighted estimator, so the defined fallback is plain counts.
-  SamplingList list;
-  list.is_walk = true;
-  list.visit_sequence = {5};
-  list.neighbors[5] = {1, 2, 3};
+  const SamplingList list = HandBuiltList(true, {5}, {{5, {1, 2, 3}}});
   const LocalEstimates est = EstimateLocalProperties(list);
   EXPECT_DOUBLE_EQ(est.num_nodes, 4.0);  // 5 plus its three neighbors
   EXPECT_DOUBLE_EQ(est.average_degree, 3.0);
@@ -249,11 +243,8 @@ TEST(EstimatorsEdgeCaseTest, SingleNodeCrawlYieldsPlainStatistics) {
 }
 
 TEST(EstimatorsEdgeCaseTest, TwoStepWalkYieldsPlainStatistics) {
-  SamplingList list;
-  list.is_walk = true;
-  list.visit_sequence = {0, 1};
-  list.neighbors[0] = {1, 2};
-  list.neighbors[1] = {0};
+  const SamplingList list =
+      HandBuiltList(true, {0, 1}, {{0, {1, 2}}, {1, {0}}});
   const LocalEstimates est = EstimateLocalProperties(list);
   EXPECT_DOUBLE_EQ(est.num_nodes, 3.0);  // {0, 1, 2}
   EXPECT_DOUBLE_EQ(est.average_degree, 1.5);
@@ -264,14 +255,10 @@ TEST(EstimatorsEdgeCaseTest, TwoStepWalkYieldsPlainStatistics) {
 }
 
 TEST(EstimatorsEdgeCaseTest, ZeroEdgeCrawlYieldsZeroAverageDegree) {
-  // Every queried node isolated (a zero-edge CrawlCsr): no harmonic mean
+  // Every queried node isolated (a zero-edge crawl): no harmonic mean
   // exists; the documented sentinel is zero estimates, never NaN/inf.
-  SamplingList list;
-  list.is_walk = true;
-  list.visit_sequence = {0, 1, 2, 0};
-  list.neighbors[0] = {};
-  list.neighbors[1] = {};
-  list.neighbors[2] = {};
+  const SamplingList list =
+      HandBuiltList(true, {0, 1, 2, 0}, {{0, {}}, {1, {}}, {2, {}}});
   EXPECT_DOUBLE_EQ(EstimateAverageDegree(list), 0.0);
   const LocalEstimates est = EstimateLocalProperties(list);
   EXPECT_DOUBLE_EQ(est.average_degree, 0.0);
@@ -283,13 +270,9 @@ TEST(EstimatorsEdgeCaseTest, ZeroEdgeCrawlYieldsZeroAverageDegree) {
 TEST(EstimatorsEdgeCaseTest, NonWalkSampleIsRejectedNotMisestimated) {
   // Re-weighting a BFS/snowball crawl silently produces biased numbers;
   // the contract is an exception, not garbage.
-  SamplingList crawl;
-  crawl.is_walk = false;
-  crawl.visit_sequence = {0, 1, 2, 3};
-  crawl.neighbors[0] = {1, 2};
-  crawl.neighbors[1] = {0, 3};
-  crawl.neighbors[2] = {0};
-  crawl.neighbors[3] = {1};
+  const SamplingList crawl = HandBuiltList(
+      false, {0, 1, 2, 3},
+      {{0, {1, 2}}, {1, {0, 3}}, {2, {0}}, {3, {1}}});
   EXPECT_THROW(EstimateLocalProperties(crawl), std::invalid_argument);
   EXPECT_DOUBLE_EQ(EstimateAverageDegree(crawl), 0.0);
   EXPECT_DOUBLE_EQ(EstimateNumNodes(crawl, 7.0), 7.0);
@@ -298,12 +281,8 @@ TEST(EstimatorsEdgeCaseTest, NonWalkSampleIsRejectedNotMisestimated) {
 TEST(EstimatorsEdgeCaseTest, ThreeStepWalkUsesTheRealEstimators) {
   // r = 3 is the smallest length the re-weighted machinery accepts; all
   // outputs must be finite.
-  SamplingList list;
-  list.is_walk = true;
-  list.visit_sequence = {0, 1, 0};
-  list.neighbors[0] = {1, 2};
-  list.neighbors[1] = {0, 2};
-  list.neighbors[2] = {0, 1};
+  const SamplingList list = HandBuiltList(
+      true, {0, 1, 0}, {{0, {1, 2}}, {1, {0, 2}}, {2, {0, 1}}});
   const LocalEstimates est = EstimateLocalProperties(list);
   EXPECT_TRUE(std::isfinite(est.num_nodes));
   EXPECT_TRUE(std::isfinite(est.average_degree));

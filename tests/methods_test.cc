@@ -84,7 +84,7 @@ TEST(MethodsTest, ProposedQueriedDegreesAreExact) {
   // first ids of the generated graph, in subgraph order.
   const Subgraph sub = BuildSubgraph(s.walk);
   for (NodeId v = 0; v < sub.graph.NumNodes(); ++v) {
-    if (!sub.is_queried[v]) continue;
+    if (!sub.IsQueried(v)) continue;
     EXPECT_EQ(r.graph.Degree(v), s.original.Degree(sub.to_original[v]))
         << "queried node " << v;
   }

@@ -10,6 +10,8 @@
 #include "sampling/random_walk.h"
 #include "sampling/subgraph.h"
 
+#include "sample_helpers.h"
+
 namespace sgr {
 namespace {
 
@@ -21,7 +23,7 @@ TEST(MetropolisHastingsTest, ReachesBudget) {
   const SamplingList list =
       MetropolisHastingsWalkSample(oracle, 0, 60, rng);
   EXPECT_GE(list.NumQueried(), 60u);
-  EXPECT_TRUE(list.is_walk);
+  EXPECT_TRUE(list.is_walk());
 }
 
 TEST(MetropolisHastingsTest, TrajectoryMovesOnlyAlongEdgesOrStays) {
@@ -32,8 +34,8 @@ TEST(MetropolisHastingsTest, TrajectoryMovesOnlyAlongEdgesOrStays) {
   const SamplingList list =
       MetropolisHastingsWalkSample(oracle, 5, 50, rng);
   for (std::size_t i = 0; i + 1 < list.Length(); ++i) {
-    const NodeId a = list.visit_sequence[i];
-    const NodeId b = list.visit_sequence[i + 1];
+    const NodeId a = list.OriginalId(list.Walk()[i]);
+    const NodeId b = list.OriginalId(list.Walk()[i + 1]);
     EXPECT_TRUE(a == b || g.HasEdge(a, b)) << "step " << i;
   }
 }
@@ -48,7 +50,7 @@ TEST(MetropolisHastingsTest, StationaryDistributionIsUniform) {
   const SamplingList list = MetropolisHastingsWalkSample(
       oracle, 0, /*unreachable*/ 12, rng, /*max_steps=*/60000);
   std::unordered_map<NodeId, std::size_t> visits;
-  for (NodeId v : list.visit_sequence) ++visits[v];
+  for (const NodeId v : Visits(list)) ++visits[v];
   const double hub_share =
       static_cast<double>(visits[0]) /
       static_cast<double>(list.Length());
@@ -67,8 +69,8 @@ TEST(MetropolisHastingsTest, PlainMeanDegreeIsUnbiased) {
       oracle, 0, /*unreachable*/ g.NumNodes() + 1, rng,
       /*max_steps=*/40000);
   double mean = 0.0;
-  for (NodeId v : list.visit_sequence) {
-    mean += static_cast<double>(list.DegreeOf(v));
+  for (const std::uint32_t c : list.Walk()) {
+    mean += static_cast<double>(list.Degree(c));
   }
   mean /= static_cast<double>(list.Length());
   EXPECT_NEAR(mean, g.AverageDegree(), 0.12 * g.AverageDegree());
@@ -100,8 +102,8 @@ TEST(FrontierTest, WorksAcrossDisconnectedComponents) {
   const SamplingList list = FrontierSample(oracle, {0, 10}, 20, rng, 4000);
   bool low = false;
   bool high = false;
-  for (const auto& [v, nbrs] : list.neighbors) {
-    (void)nbrs;
+  for (std::uint32_t c = 0; c < list.NumQueried(); ++c) {
+    const NodeId v = list.OriginalId(c);
     low |= (v < 10);
     high |= (v >= 10);
   }

@@ -18,7 +18,7 @@ TEST(NonBacktrackingTest, NeverBacktracksOnDegreeTwoPlus) {
   const SamplingList list =
       NonBacktrackingWalkSample(oracle, 0, 100, rng);
   for (std::size_t i = 2; i < list.Length(); ++i) {
-    EXPECT_NE(list.visit_sequence[i], list.visit_sequence[i - 2])
+    EXPECT_NE(list.Walk()[i], list.Walk()[i - 2])
         << "backtracked at step " << i;
   }
 }
@@ -32,9 +32,9 @@ TEST(NonBacktrackingTest, BacktracksOnlyAtLeaves) {
   const SamplingList list =
       NonBacktrackingWalkSample(oracle, 5, 10, rng, 200);
   for (std::size_t i = 2; i < list.Length(); ++i) {
-    if (list.visit_sequence[i] == list.visit_sequence[i - 2]) {
+    if (list.Walk()[i] == list.Walk()[i - 2]) {
       // Turning around is only legal at the path's endpoints.
-      const NodeId turn = list.visit_sequence[i - 1];
+      const NodeId turn = list.OriginalId(list.Walk()[i - 1]);
       EXPECT_EQ(g.Degree(turn), 1u) << "illegal backtrack at step " << i;
     }
   }
@@ -48,7 +48,7 @@ TEST(NonBacktrackingTest, ReachesBudget) {
   const SamplingList list =
       NonBacktrackingWalkSample(oracle, 0, 80, rng);
   EXPECT_EQ(list.NumQueried(), 80u);
-  EXPECT_TRUE(list.is_walk);
+  EXPECT_TRUE(list.is_walk());
 }
 
 TEST(NonBacktrackingTest, CoversFasterThanSimpleWalk) {

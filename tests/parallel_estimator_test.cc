@@ -128,8 +128,7 @@ TEST(ParallelEstimatorTest, AverageDegreeReducesTheChunkGridInOrder) {
     const std::size_t end = std::min(r, begin + kEstimatorChunkSize);
     double chunk = 0.0;
     for (std::size_t i = begin; i < end; ++i) {
-      chunk +=
-          1.0 / static_cast<double>(walk.DegreeOf(walk.visit_sequence[i]));
+      chunk += 1.0 / static_cast<double>(walk.Degree(walk.Walk()[i]));
     }
     inv_sum += chunk;
   }

@@ -9,6 +9,8 @@
 #include "sampling/random_walk.h"
 #include "sampling/snowball.h"
 
+#include "sample_helpers.h"
+
 namespace sgr {
 namespace {
 
@@ -38,7 +40,7 @@ TEST(RandomWalkTest, ReachesQueryBudget) {
   QueryOracle oracle(g);
   Rng rng(1);
   const SamplingList list = RandomWalkSample(oracle, 0, 50, rng);
-  EXPECT_TRUE(list.is_walk);
+  EXPECT_TRUE(list.is_walk());
   EXPECT_EQ(list.NumQueried(), 50u);
   EXPECT_GE(list.Length(), 50u);
 }
@@ -50,7 +52,8 @@ TEST(RandomWalkTest, ConsecutiveStepsAreNeighbors) {
   const SamplingList list = RandomWalkSample(oracle, 3, 40, rng);
   for (std::size_t i = 0; i + 1 < list.Length(); ++i) {
     EXPECT_TRUE(
-        g.HasEdge(list.visit_sequence[i], list.visit_sequence[i + 1]))
+        g.HasEdge(list.OriginalId(list.Walk()[i]),
+                  list.OriginalId(list.Walk()[i + 1])))
         << "walk step " << i << " is not an edge";
   }
 }
@@ -60,8 +63,8 @@ TEST(RandomWalkTest, NeighborListsMatchGraph) {
   QueryOracle oracle(g);
   Rng rng(3);
   const SamplingList list = RandomWalkSample(oracle, 7, 30, rng);
-  for (const auto& [v, nbrs] : list.neighbors) {
-    EXPECT_EQ(nbrs.size(), g.Degree(v));
+  for (std::uint32_t c = 0; c < list.NumQueried(); ++c) {
+    EXPECT_EQ(list.Degree(c), g.Degree(list.OriginalId(c)));
   }
 }
 
@@ -79,17 +82,16 @@ TEST(BfsTest, ExploresByLayers) {
   const SamplingList list = BfsSample(oracle, 0, 4);
   ASSERT_EQ(list.NumQueried(), 4u);
   // From the path end, BFS queries 0,1,2,3 in order.
-  EXPECT_EQ(list.visit_sequence,
-            (std::vector<NodeId>{0, 1, 2, 3}));
+  EXPECT_EQ(Visits(list), (std::vector<NodeId>{0, 1, 2, 3}));
 }
 
 TEST(BfsTest, QueriesAreDistinct) {
   const CsrGraph g(TestGraph());
   QueryOracle oracle(g);
   const SamplingList list = BfsSample(oracle, 5, 100);
-  std::unordered_set<NodeId> unique(list.visit_sequence.begin(),
-                                    list.visit_sequence.end());
-  EXPECT_EQ(unique.size(), list.visit_sequence.size());
+  const std::vector<NodeId> visits = Visits(list);
+  std::unordered_set<NodeId> unique(visits.begin(), visits.end());
+  EXPECT_EQ(unique.size(), visits.size());
   EXPECT_EQ(list.NumQueried(), 100u);
 }
 
@@ -106,7 +108,7 @@ TEST(SnowballTest, RespectsBudget) {
   Rng rng(5);
   const SamplingList list = SnowballSample(oracle, 0, 60, 50, rng);
   EXPECT_EQ(list.NumQueried(), 60u);
-  EXPECT_FALSE(list.is_walk);
+  EXPECT_FALSE(list.is_walk());
 }
 
 TEST(SnowballTest, NeighborCapLimitsFanout) {
@@ -117,7 +119,7 @@ TEST(SnowballTest, NeighborCapLimitsFanout) {
   Rng rng(6);
   const SamplingList list = SnowballSample(oracle, 0, 3, 2, rng);
   EXPECT_EQ(list.NumQueried(), 3u);
-  EXPECT_EQ(list.DegreeOf(0), 19u);
+  EXPECT_EQ(list.Degree(QueriedId(list, 0)), 19u);
 }
 
 TEST(SnowballTest, ExhaustsSmallGraph) {

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <unordered_map>
+#include <vector>
+
 #include "graph/generators.h"
 #include "sampling/random_walk.h"
+
+#include "sample_helpers.h"
 
 namespace sgr {
 namespace {
@@ -13,14 +20,20 @@ namespace {
 /// visible edges plus the stated result: querying {v1, v3, v6} yields
 /// V'vis = {v2, v4, v5, v8} and E' = {(1,3),(2,3),(3,4),(3,6),(5,6),(6,8)}.
 /// (0-based below: nodes 0..9.)
+/// Original id -> subgraph id, the inverse of `sub.to_original`.
+std::unordered_map<NodeId, NodeId> FromOriginal(const Subgraph& sub) {
+  std::unordered_map<NodeId, NodeId> from_original;
+  for (NodeId v = 0; v < sub.to_original.size(); ++v) {
+    from_original.emplace(sub.to_original[v], v);
+  }
+  return from_original;
+}
+
 SamplingList Fig1SamplingList() {
-  SamplingList list;
-  list.is_walk = true;
-  list.visit_sequence = {0, 2, 5, 2};  // v1, v3, v6, v3
-  list.neighbors[0] = {2};             // N(v1) = {v3}
-  list.neighbors[2] = {0, 1, 3, 5};    // N(v3) = {v1, v2, v4, v6}
-  list.neighbors[5] = {2, 4, 7};       // N(v6) = {v3, v5, v8}
-  return list;
+  return HandBuiltList(true, {0, 2, 5, 2},  // v1, v3, v6, v3
+                       {{0, {2}},              // N(v1) = {v3}
+                        {2, {0, 1, 3, 5}},     // N(v3) = {v1, v2, v4, v6}
+                        {5, {2, 4, 7}}});      // N(v6) = {v3, v5, v8}
 }
 
 TEST(SubgraphTest, Fig1Example) {
@@ -29,16 +42,17 @@ TEST(SubgraphTest, Fig1Example) {
   EXPECT_EQ(sub.NumVisible(), 4u);
   EXPECT_EQ(sub.graph.NumNodes(), 7u);
   EXPECT_EQ(sub.graph.NumEdges(), 6u);
+  const std::unordered_map<NodeId, NodeId> from_original = FromOriginal(sub);
 
   // Queried nodes keep their true degree (Lemma 1, first case).
-  EXPECT_EQ(sub.graph.Degree(sub.from_original.at(0)), 1u);
-  EXPECT_EQ(sub.graph.Degree(sub.from_original.at(2)), 4u);
-  EXPECT_EQ(sub.graph.Degree(sub.from_original.at(5)), 3u);
+  EXPECT_EQ(sub.graph.Degree(from_original.at(0)), 1u);
+  EXPECT_EQ(sub.graph.Degree(from_original.at(2)), 4u);
+  EXPECT_EQ(sub.graph.Degree(from_original.at(5)), 3u);
 
   // Edge set matches the figure.
   const CsrGraph csr(sub.graph);
   auto has = [&](NodeId a, NodeId b) {
-    return csr.HasEdge(sub.from_original.at(a), sub.from_original.at(b));
+    return csr.HasEdge(from_original.at(a), from_original.at(b));
   };
   EXPECT_TRUE(has(0, 2));
   EXPECT_TRUE(has(1, 2));
@@ -50,27 +64,33 @@ TEST(SubgraphTest, Fig1Example) {
 
 TEST(SubgraphTest, QueriedFlagsAreCorrect) {
   const Subgraph sub = BuildSubgraph(Fig1SamplingList());
-  for (const auto& [orig, sub_id] : sub.from_original) {
+  for (NodeId v = 0; v < sub.graph.NumNodes(); ++v) {
+    const NodeId orig = sub.to_original[v];
     const bool queried = (orig == 0 || orig == 2 || orig == 5);
-    EXPECT_EQ(sub.is_queried[sub_id], queried) << "node " << orig;
+    EXPECT_EQ(sub.IsQueried(v), queried) << "node " << orig;
   }
+}
+
+TEST(SubgraphTest, NumberingIsQueriedAscendingThenFirstSeen) {
+  // Queried nodes take [0, q) in ascending original id; visible nodes
+  // follow in order of first appearance along the ascending rows.
+  const Subgraph sub = BuildSubgraph(Fig1SamplingList());
+  EXPECT_EQ(sub.to_original, (std::vector<NodeId>{0, 2, 5, 1, 3, 4, 7}));
 }
 
 TEST(SubgraphTest, MappingsAreInverse) {
   const Subgraph sub = BuildSubgraph(Fig1SamplingList());
+  const std::unordered_map<NodeId, NodeId> from_original = FromOriginal(sub);
+  ASSERT_EQ(from_original.size(), sub.graph.NumNodes());  // no repeats
   for (NodeId v = 0; v < sub.graph.NumNodes(); ++v) {
-    EXPECT_EQ(sub.from_original.at(sub.to_original[v]), v);
+    EXPECT_EQ(from_original.at(sub.to_original[v]), v);
   }
 }
 
 TEST(SubgraphTest, NoDuplicateEdgesBetweenQueriedNodes) {
   // Both endpoints queried: the edge appears in both neighbor lists but
   // must be added exactly once.
-  SamplingList list;
-  list.is_walk = true;
-  list.visit_sequence = {0, 1};
-  list.neighbors[0] = {1};
-  list.neighbors[1] = {0};
+  const SamplingList list = HandBuiltList(true, {0, 1}, {{0, {1}}, {1, {0}}});
   const Subgraph sub = BuildSubgraph(list);
   EXPECT_EQ(sub.graph.NumNodes(), 2u);
   EXPECT_EQ(sub.graph.NumEdges(), 1u);
@@ -84,7 +104,7 @@ TEST(SubgraphTest, LemmaOneOnRealWalk) {
   const Subgraph sub = BuildSubgraph(list);
   for (NodeId v = 0; v < sub.graph.NumNodes(); ++v) {
     const NodeId orig = sub.to_original[v];
-    if (sub.is_queried[v]) {
+    if (sub.IsQueried(v)) {
       EXPECT_EQ(sub.graph.Degree(v), g.Degree(orig));
     } else {
       EXPECT_LE(sub.graph.Degree(v), g.Degree(orig));
@@ -112,7 +132,7 @@ TEST(SubgraphTest, EveryEdgeTouchesAQueriedNode) {
   const SamplingList list = RandomWalkSample(oracle, 9, 30, rng);
   const Subgraph sub = BuildSubgraph(list);
   for (const Edge& e : sub.graph.edges()) {
-    EXPECT_TRUE(sub.is_queried[e.u] || sub.is_queried[e.v]);
+    EXPECT_TRUE(sub.IsQueried(e.u) || sub.IsQueried(e.v));
   }
 }
 
@@ -124,10 +144,13 @@ TEST(SubgraphTest, CoversUnionOfNeighborLists) {
   const Subgraph sub = BuildSubgraph(list);
   // |E'| = |union of N(v) over queried v|.
   std::size_t expected_edges = 0;
-  for (const auto& [u, nbrs] : list.neighbors) {
-    for (NodeId w : nbrs) {
-      if (list.neighbors.count(w) > 0) {
-        if (u < w) ++expected_edges;  // counted once
+  for (std::uint32_t u = 0; u < list.NumQueried(); ++u) {
+    for (const NodeId w : list.Row(u)) {
+      const bool queried =
+          std::binary_search(list.SeenIds().begin(),
+                             list.SeenIds().begin() + list.NumQueried(), w);
+      if (queried) {
+        if (list.OriginalId(u) < w) ++expected_edges;  // counted once
       } else {
         ++expected_edges;
       }

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "estimation/estimators.h"
 #include "graph/generators.h"
 #include "sampling/random_walk.h"
 #include "sampling/subgraph.h"
+
+#include "sample_helpers.h"
 
 namespace sgr {
 namespace {
@@ -94,7 +98,7 @@ TEST_P(TargetDvWalkTest, SatisfiesAllConditionsOnRealWalks) {
 
   // Lemma 1 consistency: queried exact, visible lower-bounded.
   for (NodeId v = 0; v < sub.graph.NumNodes(); ++v) {
-    if (sub.is_queried[v]) {
+    if (sub.IsQueried(v)) {
       EXPECT_EQ(r.subgraph_target_degrees[v], sub.graph.Degree(v));
     } else {
       EXPECT_GE(r.subgraph_target_degrees[v], sub.graph.Degree(v));
@@ -112,22 +116,21 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TargetDvWalkTest,
 TEST(TargetDvTest, VisibleHubGetsDegreeAtLeastSubgraphDegree) {
   // Construct a sampling list where a visible node has high subgraph
   // degree: a star queried at the leaves.
-  SamplingList list;
-  list.is_walk = true;
   // Star center 0 with leaves 1..6; query leaves 1, 2, 3 (walk hops
   // through the center but we only claim queried set semantics here).
-  list.visit_sequence = {1, 2, 3};
-  list.neighbors[1] = {0};
-  list.neighbors[2] = {0};
-  list.neighbors[3] = {0};
+  const SamplingList list =
+      HandBuiltList(true, {1, 2, 3}, {{1, {0}}, {2, {0}}, {3, {0}}});
   const Subgraph sub = BuildSubgraph(list);
   LocalEstimates est;
   est.num_nodes = 7.0;
   est.degree_dist = {0.0, 6.0 / 7.0, 0.0, 0.0, 0.0, 0.0, 1.0 / 7.0};
   Rng rng(60);
   const TargetDegreeVectorResult r = BuildTargetDegreeVector(sub, est, rng);
-  const NodeId center = sub.from_original.at(0);
-  EXPECT_FALSE(sub.is_queried[center]);
+  const auto center = static_cast<NodeId>(
+      std::find(sub.to_original.begin(), sub.to_original.end(), NodeId{0}) -
+      sub.to_original.begin());
+  ASSERT_LT(center, sub.graph.NumNodes());
+  EXPECT_FALSE(sub.IsQueried(center));
   EXPECT_GE(r.subgraph_target_degrees[center], 3u);
 }
 
