@@ -3,11 +3,18 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <condition_variable>
+#include <exception>
+#include <memory>
+#include <mutex>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "dk/dk_extract.h"
 #include "exp/parallel.h"
 #include "graph/components.h"
+#include "obs/trace.h"
 #include "util/rng.h"
 
 namespace sgr {
@@ -133,9 +140,10 @@ double LargestEigenvalue(const CsrGraph& g, std::size_t max_iterations,
 
 namespace {
 
-/// Per-worker scratch of BrandesPass, allocated once for the graph. Every
-/// pass leaves it as it found it (distance -1, sigma and delta 0), resetting
-/// only the nodes it reached.
+/// Scratch and running tallies of BrandesPass, allocated once per
+/// participating thread. Every pass leaves distance and sigma as it found
+/// them (-1 and 0) and its dependencies in delta, which CommitDependencies
+/// then resets, so only the nodes a pass reached are ever touched.
 struct BrandesScratch {
   explicit BrandesScratch(const CsrGraph& g)
       : distance(g.NumNodes(), -1),
@@ -155,17 +163,19 @@ struct BrandesScratch {
   /// pred[offsets[w] .. pred_end[w]). A parallel edge repeats its entry.
   std::vector<NodeId> pred;
   std::vector<std::size_t> pred_end;
+
+  // Integer tallies over this scratch's passes: exact, so the sum over
+  // scratches is the same whichever thread ran which source.
+  std::vector<std::int64_t> length_histogram;  ///< reached pairs by distance
+  std::uint64_t distance_sum = 0;
+  std::size_t eccentricity = 0;  ///< largest over the passes
 };
 
-/// One Brandes pass from `source`: accumulates dependencies into
-/// `betweenness`, and the per-distance counts of the pairs (source, v) with
-/// v reached into `length_histogram`, `distance_sum` and `eccentricity`.
+/// One Brandes pass from `source`: leaves the dependency of the source on
+/// every node it reached in `scratch.delta`, and adds the per-distance
+/// counts of the pairs (source, v), v reached, to the scratch's tallies.
 /// Nodes outside the source's component contribute nothing.
-void BrandesPass(const CsrGraph& g, NodeId source,
-                 std::vector<double>& betweenness,
-                 std::vector<std::int64_t>& length_histogram,
-                 double& distance_sum, std::size_t& eccentricity,
-                 BrandesScratch& scratch) {
+void BrandesPass(const CsrGraph& g, NodeId source, BrandesScratch& scratch) {
   const std::vector<std::size_t>& offsets = g.raw_offsets();
   std::vector<int>& distance = scratch.distance;
   std::vector<double>& sigma = scratch.sigma;
@@ -194,28 +204,40 @@ void BrandesPass(const CsrGraph& g, NodeId source,
       }
     }
   }
-  // Distances are integers, so distance_sum stays exact (below 2^53) and
-  // does not depend on the order the reached nodes are visited in.
-  eccentricity = static_cast<std::size_t>(distance[order.back()]);
+  scratch.eccentricity =
+      std::max(scratch.eccentricity,
+               static_cast<std::size_t>(distance[order.back()]));
+  std::vector<std::int64_t>& histogram = scratch.length_histogram;
   for (std::size_t i = 1; i < order.size(); ++i) {
     const auto d = static_cast<std::size_t>(distance[order[i]]);
-    distance_sum += static_cast<double>(d);
-    if (d >= length_histogram.size()) length_histogram.resize(d + 1, 0);
-    ++length_histogram[d];
+    scratch.distance_sum += d;
+    if (d >= histogram.size()) histogram.resize(d + 1, 0);
+    ++histogram[d];
   }
   // Dependency accumulation in reverse BFS order, over the predecessor
   // slots only. delta[w] is final when the walk reaches w, and no later
-  // step reads w's entries again, so they are reset right away.
+  // step reads w's distance or sigma again, so they are reset right away.
   for (std::size_t i = order.size(); i-- > 0;) {
     const NodeId w = order[i];
     for (std::size_t j = offsets[w]; j < pred_end[w]; ++j) {
       const NodeId v = pred[j];
       delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w]);
     }
-    if (w != source) betweenness[w] += delta[w];
     distance[w] = -1;
     sigma[w] = 0.0;
-    delta[w] = 0.0;
+  }
+}
+
+/// Adds the dependencies of the scratch's last pass into `betweenness` and
+/// resets them. Each node gets one addend per source, so adding the
+/// sources' passes in source order gives the same bits as one thread
+/// running them all.
+void CommitDependencies(BrandesScratch& scratch,
+                        std::vector<double>& betweenness) {
+  const NodeId source = scratch.order.front();
+  for (const NodeId w : scratch.order) {
+    if (w != source) betweenness[w] += scratch.delta[w];
+    scratch.delta[w] = 0.0;
   }
 }
 
@@ -223,18 +245,21 @@ void BrandesPass(const CsrGraph& g, NodeId source,
 
 std::vector<double> BetweennessCentrality(const CsrGraph& g) {
   std::vector<double> betweenness(g.NumNodes(), 0.0);
-  std::vector<std::int64_t> hist;
   BrandesScratch scratch(g);
-  double distance_sum = 0.0;
-  std::size_t ecc = 0;
   for (NodeId s = 0; s < g.NumNodes(); ++s) {
-    BrandesPass(g, s, betweenness, hist, distance_sum, ecc, scratch);
+    BrandesPass(g, s, scratch);
+    CommitDependencies(scratch, betweenness);
   }
   return betweenness;
 }
 
 ShortestPathProperties ComputeShortestPathProperties(
     const CsrGraph& g, const PropertyOptions& options) {
+  if (options.threads > kMaxThreads) {
+    throw std::invalid_argument(
+        "PropertyOptions::threads = " + std::to_string(options.threads) +
+        " exceeds the limit of " + std::to_string(kMaxThreads));
+  }
   ShortestPathProperties result;
   const CsrGraph lcc = PreprocessDataset(g);
   const std::size_t n = lcc.NumNodes();
@@ -256,46 +281,70 @@ ShortestPathProperties ComputeShortestPathProperties(
                                      options.max_path_sources));
   }
 
-  // Parallel Bader-Madduri-style evaluation: worker t takes every
-  // num_threads-th source into private accumulators, which are merged in
-  // worker order afterwards. The floating-point sums therefore depend on
-  // the worker count (see PropertyOptions::threads).
-  const std::size_t num_threads =
-      std::min(ResolveThreadCount(options.threads), sources.size());
-  struct WorkerState {
-    std::vector<double> betweenness;
-    std::vector<std::int64_t> hist;
-    double distance_sum = 0.0;
-    std::size_t diameter = 0;
-  };
-  std::vector<WorkerState> workers(num_threads);
-  ParallelFor(num_threads, num_threads, [&](std::size_t t) {
-    WorkerState& w = workers[t];
-    w.betweenness.assign(n, 0.0);
-    BrandesScratch scratch(lcc);
-    for (std::size_t i = t; i < sources.size(); i += num_threads) {
-      std::size_t ecc = 0;
-      BrandesPass(lcc, sources[i], w.betweenness, w.hist, w.distance_sum,
-                  ecc, scratch);
-      w.diameter = std::max(w.diameter, ecc);
-    }
-  });
+  // Bader-Madduri-style parallel evaluation with a source-ordered
+  // reduction: threads claim sources in ascending order, each running
+  // passes on its own scratch, and source i's dependencies are added into
+  // `betweenness` only after source i - 1's. Every output is therefore
+  // bit-identical at every thread count.
   std::vector<double> betweenness(n, 0.0);
+  std::mutex mutex;  // guards spare, committed
+  std::vector<std::unique_ptr<BrandesScratch>> spare;
+  std::condition_variable turn;
+  std::size_t committed = 0;  ///< sources already added to betweenness
+  const auto run_source = [&](std::size_t i) {
+    std::unique_ptr<BrandesScratch> scratch;
+    std::exception_ptr failure;
+    try {
+      {
+        const std::lock_guard<std::mutex> lock(mutex);
+        if (!spare.empty()) {
+          scratch = std::move(spare.back());
+          spare.pop_back();
+        }
+      }
+      if (!scratch) scratch = std::make_unique<BrandesScratch>(lcc);
+      BrandesPass(lcc, sources[i], *scratch);
+    } catch (...) {
+      failure = std::current_exception();  // still take the turn, below
+    }
+    std::unique_lock<std::mutex> lock(mutex);
+    turn.wait(lock, [&] { return committed == i; });
+    // Only the thread whose turn it is writes betweenness.
+    lock.unlock();
+    if (!failure) CommitDependencies(*scratch, betweenness);
+    lock.lock();
+    ++committed;
+    if (!failure) spare.push_back(std::move(scratch));
+    lock.unlock();
+    turn.notify_all();
+    if (failure) std::rethrow_exception(failure);
+  };
+  const std::size_t threads =
+      std::min(ResolveThreadCount(options.threads), sources.size());
+  if (threads <= 1) {
+    for (std::size_t i = 0; i < sources.size(); ++i) run_source(i);
+  } else if (ThreadPool* current = ThreadPool::Current()) {
+    PoolFor(*current, sources.size(), run_source);
+  } else {
+    ThreadPool pool(threads);
+    PoolFor(pool, sources.size(), run_source);
+  }
+
   std::vector<std::int64_t> hist;
-  double distance_sum = 0.0;
+  std::uint64_t distance_sum = 0;
   std::size_t diameter = 0;
-  for (const WorkerState& w : workers) {
-    for (NodeId v = 0; v < n; ++v) betweenness[v] += w.betweenness[v];
-    if (w.hist.size() > hist.size()) hist.resize(w.hist.size(), 0);
-    for (std::size_t l = 0; l < w.hist.size(); ++l) hist[l] += w.hist[l];
-    distance_sum += w.distance_sum;
-    diameter = std::max(diameter, w.diameter);
+  for (const std::unique_ptr<BrandesScratch>& scratch : spare) {
+    const std::vector<std::int64_t>& h = scratch->length_histogram;
+    if (h.size() > hist.size()) hist.resize(h.size(), 0);
+    for (std::size_t l = 0; l < h.size(); ++l) hist[l] += h[l];
+    distance_sum += scratch->distance_sum;
+    diameter = std::max(diameter, scratch->eccentricity);
   }
 
   // Source-pair counts: each BFS contributes (n-1) ordered pairs.
   const double ordered_pairs =
       static_cast<double>(sources.size()) * static_cast<double>(n - 1);
-  result.average_length = distance_sum / ordered_pairs;
+  result.average_length = static_cast<double>(distance_sum) / ordered_pairs;
   result.length_dist.assign(hist.size(), 0.0);
   for (std::size_t l = 0; l < hist.size(); ++l) {
     result.length_dist[l] = static_cast<double>(hist[l]) / ordered_pairs;
@@ -339,8 +388,10 @@ GraphProperties ComputeProperties(const CsrGraph& g,
   }
 
   p.esp_dist = EdgewiseSharedPartners(g);
+  obs::Span paths_span("paths");
   const ShortestPathProperties sp =
       ComputeShortestPathProperties(g, options);
+  paths_span.End();
   p.average_path_length = sp.average_length;
   p.path_length_dist = sp.length_dist;
   p.diameter = sp.diameter;

@@ -22,13 +22,17 @@ struct PropertyOptions {
   /// Source-sampling seed.
   std::uint64_t seed = 0x9e3779b97f4a7c15ULL;
 
-  /// Worker threads for the shortest-path/betweenness evaluation (the
-  /// paper evaluates with the parallel algorithms of Bader & Madduri,
-  /// noting they do not affect method performance — only evaluation
-  /// speed). 0 = hardware concurrency. The source set is identical for
-  /// every thread count, but the floating-point sums are merged per
-  /// worker, so b̄(k) and ℓ̄ can differ in their last bits between thread
-  /// counts. The default of 1 keeps results deterministic.
+  /// Threads for the shortest-path/betweenness evaluation (the paper
+  /// evaluates with the parallel algorithms of Bader & Madduri, noting they
+  /// do not affect method performance — only evaluation speed).
+  /// 0 = hardware concurrency; values above kMaxThreads (exp/parallel.h)
+  /// throw std::invalid_argument before any thread starts. Threads claim
+  /// the sources in ascending order and source i's dependencies are added
+  /// only after source i - 1's, so every output is bit-identical at every
+  /// thread count. Called from a ThreadPool worker (a scenario's set-up or
+  /// trial task), any value above 1 runs the sources on that pool, at its
+  /// width; elsewhere it starts a pool of min(threads, sources) workers for
+  /// the call. A scenario sets it from its `threads` row.
   std::size_t threads = 1;
 
   /// Power-iteration cap and convergence tolerance for λ1.

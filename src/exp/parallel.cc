@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <memory>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -10,6 +11,72 @@
 #include "obs/trace.h"
 
 namespace sgr {
+
+namespace {
+
+thread_local ThreadPool* current_pool = nullptr;
+
+/// One PoolFor's iterations, claimed in ascending order. Helper tasks hold
+/// it by shared_ptr: one that starts after the loop has returned finds no
+/// index left and touches nothing else.
+struct ClaimLoop {
+  ClaimLoop(const std::function<void(std::size_t)>& loop_fn,
+            std::size_t loop_count)
+      : fn(&loop_fn),
+        count(loop_count),
+        sink(obs::CurrentMetricsSink()),
+        error_index(loop_count) {}
+
+  /// Claims and runs iterations until none is left. An exception must not
+  /// escape a worker (std::terminate); the lowest throwing index wins, so
+  /// which one the caller sees is deterministic.
+  void Run() {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= count) return;
+      std::exception_ptr thrown;
+      {
+        const obs::ScopedMetricsSink open(sink);
+        try {
+          (*fn)(i);
+        } catch (...) {
+          thrown = std::current_exception();
+        }
+      }
+      const std::lock_guard<std::mutex> lock(mutex);
+      if (thrown && i < error_index) {
+        error_index = i;
+        error = thrown;
+      }
+      thrown = nullptr;  // drop this thread's reference before unlocking
+      if (++done == count) finished.notify_all();
+    }
+  }
+
+  /// Blocks until every claimed iteration has finished and takes the
+  /// error, if any. Called once the caller's own Run() found no index
+  /// left, so every iteration is claimed by a thread that is running it.
+  std::exception_ptr AwaitClaimed() {
+    std::unique_lock<std::mutex> lock(mutex);
+    if (done != count) {
+      obs::Span wait_span("wait", "pool");
+      finished.wait(lock, [this] { return done == count; });
+    }
+    return std::move(error);
+  }
+
+  const std::function<void(std::size_t)>* const fn;
+  const std::size_t count;
+  obs::MetricsSink* const sink;  ///< the caller's open sink, or nullptr
+  std::atomic<std::size_t> next{0};
+  std::mutex mutex;  // guards done, error_index and error
+  std::condition_variable finished;
+  std::size_t done = 0;
+  std::size_t error_index;
+  std::exception_ptr error;
+};
+
+}  // namespace
 
 std::size_t ResolveThreadCount(std::size_t requested) {
   if (requested != 0) return requested;
@@ -60,7 +127,10 @@ void ThreadPool::Wait() {
   all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
+ThreadPool* ThreadPool::Current() { return current_pool; }
+
 void ThreadPool::WorkerLoop() {
+  current_pool = this;
   for (;;) {
     Task task;
     {
@@ -80,6 +150,7 @@ void ThreadPool::WorkerLoop() {
       {
         obs::Span task_span("task", "pool");
         task.fn();
+        task.fn = nullptr;  // what it captured is gone before Wait() returns
       }
       if (metered) {
         obs::MetricAdd("pool.tasks", 1);
@@ -110,35 +181,33 @@ void ParallelFor(std::size_t count, std::size_t threads,
 void PoolFor(ThreadPool& pool, std::size_t count,
              const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
-  if (pool.size() <= 1 || count == 1) {
+  // A single iteration still goes to a worker, so a PoolFor nested in it
+  // finds the pool instead of starting one of its own.
+  if (pool.size() <= 1) {
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
-  std::atomic<std::size_t> next{0};
-  // An exception must not escape a worker (std::terminate); the lowest
-  // throwing index wins, so which one the caller sees is deterministic.
-  std::mutex error_mutex;
-  std::size_t error_index = count;
+  const auto loop = std::make_shared<ClaimLoop>(fn, count);
+  const auto claim = [loop] { loop->Run(); };
   std::exception_ptr error;
-  const std::size_t workers = std::min(pool.size(), count);
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool.Submit([&] {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= count) return;
-        try {
-          fn(i);
-        } catch (...) {
-          const std::lock_guard<std::mutex> lock(error_mutex);
-          if (i < error_index) {
-            error_index = i;
-            error = std::current_exception();
-          }
-        }
-      }
-    });
+  if (ThreadPool::Current() == &pool) {
+    {
+      // Helpers open the caller's sink only around the iterations they
+      // claim, so one that starts after the loop (and maybe the caller's
+      // sink) is gone records nothing into it.
+      const obs::ScopedMetricsSink none(nullptr);
+      const std::size_t helpers = std::min(pool.size() - 1, count - 1);
+      for (std::size_t h = 0; h < helpers; ++h) pool.Submit(claim);
+    }
+    loop->Run();
+    error = loop->AwaitClaimed();
+  } else {
+    const std::size_t workers = std::min(pool.size(), count);
+    for (std::size_t w = 0; w < workers; ++w) pool.Submit(claim);
+    pool.Wait();
+    error = std::move(loop->error);
   }
-  pool.Wait();
+  // The error has left `loop`, which a late helper may be the one to free.
   if (error) std::rethrow_exception(error);
 }
 

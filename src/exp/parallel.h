@@ -56,12 +56,19 @@ class ThreadPool {
 
   /// Blocks until every submitted task has finished, inside a `wait`
   /// span (category `pool`), so a trace attributes the blocked time to
-  /// waiting rather than to the caller's enclosing span. Tasks must not
-  /// Submit() new work concurrently with Wait().
+  /// waiting rather than to the caller's enclosing span. A running task
+  /// may Submit() more work (a nested PoolFor's helpers): the submitter is
+  /// still in flight, so Wait() waits for that work too. Only tasks may
+  /// submit concurrently with Wait(); other threads must not. Never call
+  /// Wait() from one of the pool's own workers: it would wait for itself.
   void Wait();
 
   /// Number of worker threads.
   std::size_t size() const { return workers_.size(); }
+
+  /// The pool whose worker is running the calling thread, or nullptr on
+  /// any other thread.
+  static ThreadPool* Current();
 
  private:
   struct Task {
@@ -91,11 +98,23 @@ void ParallelFor(std::size_t count, std::size_t threads,
                  const std::function<void(std::size_t)>& fn);
 
 /// ParallelFor over an existing pool: runs `fn(i)` for every i in
-/// [0, count) on `pool`'s workers (dynamic claiming) and blocks until all
+/// [0, count), claiming indices in ascending order, and blocks until all
 /// iterations finish. For callers that run several loops on one pool (the
 /// scenario engine's set-up and trial phases, the edge-list ingester's
-/// scatter and sort) and must not pay a pool construction per loop. Exceptions behave as in
-/// ParallelFor. The caller must not Submit() other work concurrently.
+/// scatter and sort) and must not pay a pool construction per loop.
+/// Exceptions behave as in ParallelFor.
+///
+/// From a thread outside the pool, the pool's workers run every
+/// iteration and the caller waits (ThreadPool::Wait); it must not
+/// Submit() other work concurrently. From one of the pool's own workers
+/// (a nested loop, such as an evaluation inside a scenario trial), the
+/// caller runs the claim loop itself and submits up to size() - 1 helper
+/// tasks that join the loop when a worker comes free. It then waits only
+/// for the iterations that helpers have claimed, never for a helper that
+/// has not started. So no more than size() threads ever run work, and an
+/// idle worker helps a busy one. A helper that starts after the loop is
+/// done returns at once, without running `fn` or touching the caller's
+/// metrics sink.
 void PoolFor(ThreadPool& pool, std::size_t count,
              const std::function<void(std::size_t)>& fn);
 

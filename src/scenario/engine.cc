@@ -228,18 +228,26 @@ ScenarioRunResult RunScenario(const ScenarioSpec& spec,
   spec.Validate();
   ScenarioRunResult result;
   result.spec = spec;
+  if (threads_override != kThreadsFromSpec && threads_override > kMaxThreads) {
+    throw ScenarioError("threads override " +
+                        std::to_string(threads_override) +
+                        " exceeds the limit of " +
+                        std::to_string(kMaxThreads));
+  }
   result.threads = ResolveThreadCount(
       threads_override == kThreadsFromSpec ? spec.threads : threads_override);
 
+  // The run's thread count reaches the evaluation through the spec's
+  // `threads` row (PropertyOptions::threads); the report echoes `spec`.
+  ScenarioSpec run_spec = spec;
+  run_spec.threads = result.threads;
+
   const std::vector<CellKnobs> knob_matrix = spec.ExpandKnobs();
   const std::size_t num_datasets = spec.datasets.size();
-  const std::size_t num_trials =
-      num_datasets * knob_matrix.size() * spec.trials;
-  // One pool runs both phases; a 1-thread run starts no thread at all.
-  const std::size_t workers =
-      std::min(result.threads, std::max(num_datasets, num_trials));
+  // One pool runs both phases and every evaluation inside them (nested
+  // PoolFor); a 1-thread run starts no thread at all.
   std::optional<ThreadPool> pool;
-  if (workers > 1) pool.emplace(workers);
+  if (result.threads > 1) pool.emplace(result.threads);
   ThreadPool* const pool_ptr = pool ? &*pool : nullptr;
 
   // Set-up: every dataset is materialized, with the properties of the
@@ -250,11 +258,12 @@ ScenarioRunResult RunScenario(const ScenarioSpec& spec,
   std::vector<GraphProperties> properties(num_datasets);
   result.datasets.resize(num_datasets);
   const PropertyOptions property_options =
-      spec.ToExperimentConfig(spec.fractions.front()).property_options;
+      run_spec.ToExperimentConfig(spec.fractions.front()).property_options;
   ForEach(pool_ptr, num_datasets, [&](std::size_t d) {
     obs::Span setup_span("setup");
     datasets[d] = Materialize(spec.datasets[d], spec.dataset_scale,
                               &result.datasets[d]);
+    obs::Span properties_span("original_properties");
     properties[d] = ComputeProperties(datasets[d], property_options);
   });
 
@@ -270,7 +279,8 @@ ScenarioRunResult RunScenario(const ScenarioSpec& spec,
                                static_cast<std::uint64_t>(spec.trials);
       jobs.push_back(CellJob{&spec.datasets[d].name,
                              &result.datasets[d].path, &datasets[d],
-                             &properties[d], spec.ToExperimentConfig(knobs),
+                             &properties[d],
+                             run_spec.ToExperimentConfig(knobs),
                              cell_seed});
     }
   }

@@ -46,9 +46,14 @@ struct ScenarioRunResult {
 ///     claimed largest dataset first (NumEdges, then cell, then trial).
 ///     Each trial writes its own slot, and the cells are folded in cell
 ///     order, so the claim order changes only timing. A trial runs
-///     single-threaded: this pool is the only parallelism of a scenario.
-///     It drops each method's generated graph as soon as it is evaluated
-///     (RunExperimentWithoutGraphs).
+///     single-threaded except for its evaluations: this pool is the only
+///     parallelism of a scenario. It drops each method's generated graph
+///     as soon as it is evaluated (RunExperimentWithoutGraphs).
+/// Every evaluation (the originals' in set-up, the generated graphs' in
+/// the trials) runs at the run's thread count (PropertyOptions::threads)
+/// as a nested PoolFor on this pool: a worker that would otherwise idle at
+/// the set-up barrier or in the trial tail joins another task's Brandes
+/// sources. No result depends on how many threads joined.
 /// With metrics on, each trial records into its own metrics sink
 /// (obs/metrics.h), and a cell's metrics block sums its trials' counters
 /// and takes the maximum of their gauges. Throws ScenarioError (via
@@ -69,7 +74,8 @@ struct ScenarioRunResult {
 ///
 /// `threads_override` replaces spec.threads when not kThreadsFromSpec
 /// (the CLI's --threads / $SGR_THREADS plumbing); 0 means hardware
-/// concurrency either way. `progress`, when non-null, receives one line per cell, in cell order:
+/// concurrency either way, and a value above kMaxThreads throws
+/// ScenarioError. `progress`, when non-null, receives one line per cell, in cell order:
 /// a cell's line is written once it and every earlier cell have finished.
 ScenarioRunResult RunScenario(
     const ScenarioSpec& spec,

@@ -490,7 +490,8 @@ const std::vector<Knob>& Knobs() {
            [](auto& c) -> auto& { return c.methods; })
           .Set(&Knob::always_array),
       Scalar("trials", &S::trials, AtLeast(1)),
-      Scalar("threads", &S::threads, kWorkers),
+      Scalar("threads", &S::threads, kWorkers,
+             [](auto& c) -> auto& { return c.property_options.threads; }),
       Scalar("seed_base", &S::seed_base),
       Axis(1, "walk", &S::walks, &C::walk, {},
            [](auto& c) -> auto& { return c.walk; }),

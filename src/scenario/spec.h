@@ -119,7 +119,9 @@ struct ScenarioSpec {
       MethodKind::kForestFire, MethodKind::kRandomWalk,
       MethodKind::kGjoka,      MethodKind::kProposed};
   std::size_t trials = 3;
-  std::size_t threads = 1;        ///< 0 = hardware concurrency
+  /// Scenario pool workers, also PropertyOptions::threads of every
+  /// evaluation on it; 0 = hardware concurrency.
+  std::size_t threads = 1;
   std::uint64_t seed_base = 0x5EED;
   /// Walk-discipline axis ("walk"; simple | non-backtracking |
   /// metropolis-hastings). Non-simple walks require the rw crawler.

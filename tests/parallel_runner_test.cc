@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exp/runner.h"
@@ -99,6 +100,76 @@ TEST(ThreadPoolTest, ExecutesAllSubmittedTasks) {
     pool.Wait();
     EXPECT_EQ(done.load(), 64);
   }
+}
+
+/// How many levels of PoolFor iterations the calling thread is inside.
+thread_local int work_depth = 0;
+
+/// Counts the distinct threads running PoolFor iterations, outer or
+/// inner, and keeps the largest count seen.
+class BusyThreads {
+ public:
+  class Scope {
+   public:
+    explicit Scope(BusyThreads& busy) : busy_(busy) {
+      if (work_depth++ > 0) return;
+      const int now = ++busy_.running_;
+      int seen = busy_.high_water_.load();
+      while (now > seen && !busy_.high_water_.compare_exchange_weak(seen, now)) {
+      }
+    }
+    ~Scope() {
+      if (--work_depth == 0) --busy_.running_;
+    }
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+
+   private:
+    BusyThreads& busy_;
+  };
+
+  int high_water() const { return high_water_.load(); }
+
+ private:
+  std::atomic<int> running_{0};
+  std::atomic<int> high_water_{0};
+};
+
+TEST(ThreadPoolTest, NestedPoolForFinishesOnABusyPool) {
+  constexpr std::size_t kWorkers = 4;
+  constexpr std::size_t kOuter = 2 * kWorkers;
+  constexpr std::size_t kInner = 200;
+  ThreadPool pool(kWorkers);
+  BusyThreads busy;
+  std::atomic<std::size_t> arrived{0};
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  std::vector<std::string> caught(kOuter);
+  PoolFor(pool, kOuter, [&](std::size_t o) {
+    const BusyThreads::Scope scope(busy);
+    if (o < kWorkers) {
+      // Hold until every worker is inside an outer iteration, so the
+      // inner loops start with no idle worker to run their helpers.
+      ++arrived;
+      while (arrived.load() < kWorkers) std::this_thread::yield();
+    }
+    try {
+      PoolFor(pool, kInner, [&](std::size_t i) {
+        const BusyThreads::Scope inner_scope(busy);
+        ++hits[o * kInner + i];
+        if (i == 150 || i == 77) throw std::runtime_error(std::to_string(i));
+      });
+    } catch (const std::runtime_error& e) {
+      caught[o] = e.what();
+    }
+  });
+  for (std::size_t k = 0; k < hits.size(); ++k) {
+    EXPECT_EQ(hits[k].load(), 1) << "outer " << k / kInner << ", inner "
+                                 << k % kInner;
+  }
+  for (std::size_t o = 0; o < kOuter; ++o) {
+    EXPECT_EQ(caught[o], "77") << "outer " << o;
+  }
+  EXPECT_EQ(busy.high_water(), static_cast<int>(kWorkers));
 }
 
 /// Experiment fixture: small social graph, light settings so the full

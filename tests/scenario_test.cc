@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "exp/parallel.h"
 #include "graph/components.h"
 #include "graph/generators.h"
 #include "obs/metrics.h"
@@ -517,6 +518,8 @@ TEST(ScenarioSpecTest, ValidateCatchesProgrammaticallyBuiltBadSpecs) {
 
   // RunScenario refuses the same specs before loading any dataset.
   EXPECT_THROW(RunScenario(nan_fraction, 1), ScenarioError);
+  // An override above the limit is refused before the pool starts.
+  EXPECT_THROW(RunScenario(valid(), kMaxThreads + 1), ScenarioError);
 }
 
 TEST(ScenarioSpecTest, GeneratorPreconditionsRejectedNotCrashed) {
