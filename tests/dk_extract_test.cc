@@ -93,9 +93,8 @@ TEST(DkExtractTest, SimpleAndMultigraphCountersAgree) {
   const Graph g = GeneratePowerlawCluster(300, 3, 0.6, rng);
   ASSERT_TRUE(CsrGraph(g).IsSimple());
   const std::vector<std::int64_t> fast = CountTrianglesPerNode(CsrGraph(g));
-  // Force the multigraph path by adding and removing nothing: rebuild an
-  // identical multigraph via a loop-free copy with one extra loop that
-  // does not affect triangles.
+  // One extra loop makes the same graph a multigraph. Loops form no
+  // triangles, so the counts must not move.
   Graph h = g;
   h.AddEdge(0, 0);
   const std::vector<std::int64_t> slow = CountTrianglesPerNode(CsrGraph(h));

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "dk/dk_extract.h"
 #include "graph/generators.h"
 
 namespace sgr {
@@ -107,7 +108,10 @@ std::vector<double> ReferenceEsp(const CsrGraph& g) {
   return p;
 }
 
-TEST(PropertiesTest, EspMatchesNaiveReferenceOnMultigraphs) {
+/// Seeded multigraphs with loops and parallel edges, plus a hub-heavy case
+/// whose pairs are oriented by degree at the hub and by id where degrees
+/// tie.
+std::vector<Graph> SeededMultigraphs() {
   std::vector<Graph> graphs;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     // Random endpoints on few nodes: loops and parallel edges are common.
@@ -135,6 +139,11 @@ TEST(PropertiesTest, EspMatchesNaiveReferenceOnMultigraphs) {
     g.AddEdge(3, first + 1);
     graphs.push_back(std::move(g));
   }
+  return graphs;
+}
+
+TEST(PropertiesTest, EspMatchesNaiveReferenceOnMultigraphs) {
+  const std::vector<Graph> graphs = SeededMultigraphs();
   for (std::size_t i = 0; i < graphs.size(); ++i) {
     const CsrGraph g(graphs[i]);
     const std::vector<double> fast = EdgewiseSharedPartners(g);
@@ -143,6 +152,41 @@ TEST(PropertiesTest, EspMatchesNaiveReferenceOnMultigraphs) {
     for (std::size_t s = 0; s < fast.size(); ++s) {
       EXPECT_EQ(fast[s], slow[s]) << "graph " << i << ", s = " << s;
     }
+  }
+}
+
+/// t_i = Σ_{j<l; j,l != i} A_ij A_il A_jl from the dense multiplicity
+/// matrix.
+std::vector<std::int64_t> ReferenceTriangles(const CsrGraph& g) {
+  const std::size_t n = g.NumNodes();
+  std::vector<std::vector<std::int64_t>> a(n, std::vector<std::int64_t>(n, 0));
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId w : g.neighbors(u)) ++a[u][w];
+  }
+  std::vector<std::int64_t> t(n, 0);
+  for (NodeId i = 0; i < n; ++i) {
+    for (NodeId j = 0; j < n; ++j) {
+      if (j == i || a[i][j] == 0) continue;
+      for (NodeId l = j + 1; l < n; ++l) {
+        if (l != i) t[i] += a[i][j] * a[i][l] * a[j][l];
+      }
+    }
+  }
+  return t;
+}
+
+TEST(PropertiesTest, TrianglesMatchNaiveReferenceOnMultigraphs) {
+  const std::vector<Graph> graphs = SeededMultigraphs();
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    const CsrGraph g(graphs[i]);
+    const std::vector<std::int64_t> t = ReferenceTriangles(g);
+    EXPECT_EQ(CountTrianglesPerNode(g), t) << "graph " << i;
+    // c̄ and c̄(k) are the formulas applied to t, bit for bit.
+    const GraphProperties p = ComputeProperties(g);
+    EXPECT_EQ(p.clustering_global, NetworkClusteringFromTriangles(g, t))
+        << "graph " << i;
+    EXPECT_EQ(p.clustering_by_degree, ExtractDegreeDependentClustering(g, t))
+        << "graph " << i;
   }
 }
 
