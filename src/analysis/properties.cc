@@ -51,42 +51,15 @@ std::vector<double> NeighborConnectivity(const CsrGraph& g) {
 }
 
 double NetworkClusteringCoefficient(const CsrGraph& g) {
-  return NetworkClusteringFromTriangles(g, CountTrianglesPerNode(g));
+  return NetworkClusteringFromTriangles(g, CountSharedPartners(g).triangles);
 }
 
-std::vector<double> EdgewiseSharedPartners(const CsrGraph& g) {
-  // The shared-partner count of an edge (u, v) is Σ_{w != u,v} A_uw A_vw,
-  // identical for all parallel copies of the edge: compute it once per
-  // distinct connected pair, at the endpoint u with the larger (degree, id).
-  // u's multiplicities A_uw are stamped into `mark`, the other endpoint's
-  // (shorter or equal) list is scanned against them, and the histogram
-  // entry is weighted by the pair's multiplicity.
-  const auto ranks_above = [&g](NodeId a, NodeId b) {
-    return g.Degree(a) != g.Degree(b) ? g.Degree(a) > g.Degree(b) : a > b;
-  };
-  std::vector<std::int64_t> histogram;
-  std::vector<std::int64_t> mark(g.NumNodes(), 0);
-  for (NodeId u = 0; u < g.NumNodes(); ++u) {
-    const NeighborSpan nbrs = g.neighbors(u);
-    for (NodeId w : nbrs) ++mark[w];
-    std::size_t i = 0;
-    while (i < nbrs.size()) {
-      const NodeId v = nbrs[i];
-      std::size_t run = 1;
-      while (i + run < nbrs.size() && nbrs[i + run] == v) ++run;
-      i += run;
-      if (!ranks_above(u, v)) continue;  // counted at v; loops never count
-      std::int64_t shared = 0;
-      for (NodeId w : g.neighbors(v)) {
-        if (w != u && w != v) shared += mark[w];
-      }
-      if (static_cast<std::size_t>(shared) >= histogram.size()) {
-        histogram.resize(shared + 1, 0);
-      }
-      histogram[shared] += static_cast<std::int64_t>(run);
-    }
-    for (NodeId w : nbrs) mark[w] = 0;
-  }
+namespace {
+
+/// P(s): the shared-partner histogram of CountSharedPartners over the
+/// edge count.
+std::vector<double> SharedPartnerDistribution(
+    const CsrGraph& g, const std::vector<std::int64_t>& histogram) {
   std::vector<double> p(histogram.size(), 0.0);
   if (g.NumEdges() > 0) {
     for (std::size_t s = 0; s < histogram.size(); ++s) {
@@ -95,6 +68,13 @@ std::vector<double> EdgewiseSharedPartners(const CsrGraph& g) {
     }
   }
   return p;
+}
+
+}  // namespace
+
+std::vector<double> EdgewiseSharedPartners(const CsrGraph& g) {
+  return SharedPartnerDistribution(
+      g, CountSharedPartners(g).shared_partner_histogram);
 }
 
 double LargestEigenvalue(const CsrGraph& g, std::size_t max_iterations,
@@ -375,19 +355,23 @@ ShortestPathProperties ComputeShortestPathProperties(
 GraphProperties ComputeProperties(const CsrGraph& g,
                                   const PropertyOptions& options) {
   GraphProperties p;
+  obs::Span local_span("local");
   p.num_nodes = g.NumNodes();
   p.average_degree = g.AverageDegree();
   p.degree_dist = DegreeDistribution(g);
   p.neighbor_connectivity = NeighborConnectivity(g);
 
-  // One triangle pass feeds both clustering properties (5) and (6).
+  // One common-neighbor pass feeds c̄ (5), c̄(k) (6) and P(s) (7).
   {
-    const std::vector<std::int64_t> t = CountTrianglesPerNode(g);
-    p.clustering_global = NetworkClusteringFromTriangles(g, t);
-    p.clustering_by_degree = ExtractDegreeDependentClustering(g, t);
+    const LocalCounts counts = CountSharedPartners(g);
+    p.clustering_global = NetworkClusteringFromTriangles(g, counts.triangles);
+    p.clustering_by_degree =
+        ExtractDegreeDependentClustering(g, counts.triangles);
+    p.esp_dist =
+        SharedPartnerDistribution(g, counts.shared_partner_histogram);
   }
+  local_span.End();
 
-  p.esp_dist = EdgewiseSharedPartners(g);
   obs::Span paths_span("paths");
   const ShortestPathProperties sp =
       ComputeShortestPathProperties(g, options);
@@ -396,6 +380,8 @@ GraphProperties ComputeProperties(const CsrGraph& g,
   p.path_length_dist = sp.length_dist;
   p.diameter = sp.diameter;
   p.betweenness_by_degree = sp.betweenness_by_degree;
+
+  const obs::Span eigen_span("eigen");
   p.largest_eigenvalue = LargestEigenvalue(g, options.power_iterations,
                                            options.power_tolerance);
   return p;

@@ -1,6 +1,5 @@
 #include "dk/dk_extract.h"
 
-#include <algorithm>
 #include <cstdint>
 
 namespace sgr {
@@ -32,68 +31,53 @@ JointDegreeMatrix ExtractJointDegreeMatrix(const CsrGraph& g) {
   return jdm;
 }
 
-std::vector<std::int64_t> CountTrianglesPerNode(const CsrGraph& g) {
-  const std::size_t n = g.NumNodes();
-  std::vector<std::int64_t> t(n, 0);
-  auto rank_less = [&g](NodeId a, NodeId b) {
-    return g.Degree(a) != g.Degree(b) ? g.Degree(a) < g.Degree(b) : a < b;
+LocalCounts CountSharedPartners(const CsrGraph& g) {
+  // The shared-partner count s(u, v) = Σ_{w != u,v} A_uw A_vw is the same
+  // for all parallel copies of an edge: compute it once per distinct
+  // connected pair, at the endpoint u with the larger (degree, id). u's
+  // multiplicities A_uw are stamped into `mark`, the other endpoint's
+  // (shorter or equal) list is scanned against them, and the histogram
+  // entry is weighted by the pair's multiplicity A_uv. Summed over u's
+  // pairs, A_uv s(u, v) counts each triangle at u twice, so adding it to
+  // both endpoints and halving at the end gives t.
+  const auto ranks_above = [&g](NodeId a, NodeId b) {
+    return g.Degree(a) != g.Degree(b) ? g.Degree(a) > g.Degree(b) : a > b;
   };
-
-  // Forward lists: for each node, its distinct higher-ranked neighbors with
-  // edge multiplicities, in ascending id order. The sorted CSR ranges make
-  // distinct-neighbor extraction a run-length scan, and id order is
-  // preserved, so intersections below are linear merges.
-  std::vector<std::size_t> offsets(n + 1, 0);
-  std::vector<NodeId> fwd_nbr;
-  std::vector<std::int64_t> fwd_mult;
-  fwd_nbr.reserve(g.NumEdges());
-  fwd_mult.reserve(g.NumEdges());
-  for (NodeId v = 0; v < n; ++v) {
-    const NeighborSpan nbrs = g.neighbors(v);
+  LocalCounts counts;
+  std::vector<std::int64_t>& t = counts.triangles;
+  std::vector<std::int64_t>& histogram = counts.shared_partner_histogram;
+  t.assign(g.NumNodes(), 0);
+  std::vector<std::int64_t> mark(g.NumNodes(), 0);
+  for (NodeId u = 0; u < g.NumNodes(); ++u) {
+    const NeighborSpan nbrs = g.neighbors(u);
+    for (NodeId w : nbrs) ++mark[w];
     std::size_t i = 0;
     while (i < nbrs.size()) {
-      const NodeId w = nbrs[i];
+      const NodeId v = nbrs[i];
       std::size_t run = 1;
-      while (i + run < nbrs.size() && nbrs[i + run] == w) ++run;
+      while (i + run < nbrs.size() && nbrs[i + run] == v) ++run;
       i += run;
-      if (w == v) continue;  // loops form no triangles
-      if (rank_less(v, w)) {
-        fwd_nbr.push_back(w);
-        fwd_mult.push_back(static_cast<std::int64_t>(run));
+      if (!ranks_above(u, v)) continue;  // counted at v; loops never count
+      std::int64_t shared = 0;
+      for (NodeId w : g.neighbors(v)) {
+        if (w != u && w != v) shared += mark[w];
       }
+      if (static_cast<std::size_t>(shared) >= histogram.size()) {
+        histogram.resize(shared + 1, 0);
+      }
+      const auto multiplicity = static_cast<std::int64_t>(run);
+      histogram[shared] += multiplicity;
+      t[u] += multiplicity * shared;
+      t[v] += multiplicity * shared;
     }
-    offsets[v + 1] = fwd_nbr.size();
+    for (NodeId w : nbrs) mark[w] = 0;
   }
+  for (std::int64_t& tv : t) tv /= 2;
+  return counts;
+}
 
-  // Every triangle {a, b, c} with rank a < b < c is oriented a->b, a->c,
-  // b->c and found exactly once: at the directed edge (a, b), as the
-  // intersection of the forward lists of a and b. The multiplicity product
-  // A_ab A_ac A_bc is what t_i = Σ_{j<l} A_ij A_il A_jl accumulates at
-  // each corner, so the same pass is exact for multigraphs.
-  for (NodeId u = 0; u < n; ++u) {
-    for (std::size_t e = offsets[u]; e < offsets[u + 1]; ++e) {
-      const NodeId v = fwd_nbr[e];
-      const std::int64_t m_uv = fwd_mult[e];
-      std::size_t a = offsets[u];
-      std::size_t b = offsets[v];
-      while (a < offsets[u + 1] && b < offsets[v + 1]) {
-        if (fwd_nbr[a] < fwd_nbr[b]) {
-          ++a;
-        } else if (fwd_nbr[a] > fwd_nbr[b]) {
-          ++b;
-        } else {
-          const NodeId w = fwd_nbr[a];
-          const std::int64_t weight = m_uv * fwd_mult[a] * fwd_mult[b];
-          t[u] += weight;
-          t[v] += weight;
-          t[w] += weight;
-          ++a;
-          ++b;
-        }
-      }
-    }
-  }
-  return t;
+std::vector<std::int64_t> CountTrianglesPerNode(const CsrGraph& g) {
+  return CountSharedPartners(g).triangles;
 }
 
 std::vector<double> ExtractDegreeDependentClustering(const CsrGraph& g) {

@@ -1,6 +1,7 @@
 #ifndef SGR_DK_DK_EXTRACT_H_
 #define SGR_DK_DK_EXTRACT_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "dk/degree_vector.h"
@@ -21,21 +22,35 @@ DegreeVector ExtractDegreeVector(const CsrGraph& g);
 /// whose both endpoints have degree k).
 JointDegreeMatrix ExtractJointDegreeMatrix(const CsrGraph& g);
 
-/// Per-node triangle counts t_i = Σ_{j<l} A_ij A_il A_jl (multiplicity
-/// aware; self-loops form no triangles). One degree-ordered node-iterator
-/// algorithm over the sorted CSR arrays covers simple graphs and
-/// multigraphs alike: distinct-neighbor lists with multiplicities come
-/// from run-length scanning the sorted ranges, and every triangle is found
-/// exactly once at its lowest-ranked oriented edge. O(m^{3/2}) in the
-/// number of distinct edges.
+/// Common-neighbor counts of a graph, all from one pass (Section V-B,
+/// properties (5)-(7)). Both are multiplicity aware, and self-loops count
+/// toward neither.
+struct LocalCounts {
+  /// Per-node triangle counts t_i = Σ_{j<l} A_ij A_il A_jl.
+  std::vector<std::int64_t> triangles;
+  /// shared_partner_histogram[s]: the number of non-loop edges (parallel
+  /// copies counted) whose endpoints u, v have s = Σ_{w != u,v} A_uw A_vw
+  /// shared partners. Sized one past the largest s present.
+  std::vector<std::int64_t> shared_partner_histogram;
+};
+
+/// The one common-neighbor kernel. Each distinct connected pair (u, v) is
+/// visited once, at the endpoint with the larger (degree, id): that
+/// endpoint's multiplicities are stamped into a dense array and the other
+/// endpoint's row is scanned against them, giving s(u, v). The pair adds
+/// A_uv to the histogram at s(u, v), and A_uv·s(u, v) to t_u and t_v,
+/// which are halved at the end. O(Σ over pairs of the lower-ranked
+/// endpoint's degree) time, O(n) scratch.
+LocalCounts CountSharedPartners(const CsrGraph& g);
+
+/// CountSharedPartners(g).triangles.
 std::vector<std::int64_t> CountTrianglesPerNode(const CsrGraph& g);
 
 /// Degree-dependent clustering coefficient {c̄(k)}: c̄(k) is the mean of
 /// 2 t_i / (k (k-1)) over nodes of degree k; c̄(0) = c̄(1) = 0. The result
-/// has size MaxDegree()+1. The `triangles` overload reuses a
-/// CountTrianglesPerNode result the caller already has (the property
-/// analyzer computes several clustering statistics from one triangle
-/// pass).
+/// has size MaxDegree()+1. The `triangles` overload reuses the triangle
+/// counts the caller already has (the property analyzer derives c̄, c̄(k)
+/// and P(s) from one CountSharedPartners pass).
 std::vector<double> ExtractDegreeDependentClustering(const CsrGraph& g);
 std::vector<double> ExtractDegreeDependentClustering(
     const CsrGraph& g, const std::vector<std::int64_t>& triangles);
