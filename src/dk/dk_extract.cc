@@ -32,14 +32,11 @@ JointDegreeMatrix ExtractJointDegreeMatrix(const CsrGraph& g) {
 }
 
 LocalCounts CountSharedPartners(const CsrGraph& g) {
-  // The shared-partner count s(u, v) = Σ_{w != u,v} A_uw A_vw is the same
-  // for all parallel copies of an edge: compute it once per distinct
-  // connected pair, at the endpoint u with the larger (degree, id). u's
-  // multiplicities A_uw are stamped into `mark`, the other endpoint's
-  // (shorter or equal) list is scanned against them, and the histogram
-  // entry is weighted by the pair's multiplicity A_uv. Summed over u's
-  // pairs, A_uv s(u, v) counts each triangle at u twice, so adding it to
-  // both endpoints and halving at the end gives t.
+  // s(u, v) is the same for every parallel copy of an edge, so each
+  // distinct pair is scanned once, from its higher-ranked endpoint u (the
+  // other list is the shorter or equal one), and weighted by A_uv. Summed
+  // over v, A_uv s(u, v) counts each of u's triangles twice, once per
+  // other corner, so t is halved at the end.
   const auto ranks_above = [&g](NodeId a, NodeId b) {
     return g.Degree(a) != g.Degree(b) ? g.Degree(a) > g.Degree(b) : a > b;
   };

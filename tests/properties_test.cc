@@ -78,14 +78,22 @@ TEST(PropertiesTest, EspDistributionSumsToOneOnSimpleGraphs) {
   EXPECT_NEAR(std::accumulate(esp.begin(), esp.end(), 0.0), 1.0, 1e-12);
 }
 
-/// P(s) from the dense multiplicity matrix: s = Σ_{w != u,v} A_uw A_vw for
-/// each connected pair u < v, weighted by A_uv.
-std::vector<double> ReferenceEsp(const CsrGraph& g) {
+/// The dense multiplicity matrix A of `g` (a loop counts 2 on the
+/// diagonal).
+std::vector<std::vector<std::int64_t>> Multiplicities(const CsrGraph& g) {
   const std::size_t n = g.NumNodes();
   std::vector<std::vector<std::int64_t>> a(n, std::vector<std::int64_t>(n, 0));
   for (NodeId u = 0; u < n; ++u) {
     for (NodeId w : g.neighbors(u)) ++a[u][w];
   }
+  return a;
+}
+
+/// P(s) from the dense multiplicity matrix: s = Σ_{w != u,v} A_uw A_vw for
+/// each connected pair u < v, weighted by A_uv.
+std::vector<double> ReferenceEsp(const CsrGraph& g) {
+  const std::size_t n = g.NumNodes();
+  const std::vector<std::vector<std::int64_t>> a = Multiplicities(g);
   std::vector<std::int64_t> histogram;
   for (NodeId u = 0; u < n; ++u) {
     for (NodeId v = u + 1; v < n; ++v) {
@@ -159,10 +167,7 @@ TEST(PropertiesTest, EspMatchesNaiveReferenceOnMultigraphs) {
 /// matrix.
 std::vector<std::int64_t> ReferenceTriangles(const CsrGraph& g) {
   const std::size_t n = g.NumNodes();
-  std::vector<std::vector<std::int64_t>> a(n, std::vector<std::int64_t>(n, 0));
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId w : g.neighbors(u)) ++a[u][w];
-  }
+  const std::vector<std::vector<std::int64_t>> a = Multiplicities(g);
   std::vector<std::int64_t> t(n, 0);
   for (NodeId i = 0; i < n; ++i) {
     for (NodeId j = 0; j < n; ++j) {
